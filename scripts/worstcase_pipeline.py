@@ -5,8 +5,8 @@ Stages printed along the way:
   1. enumerate the grid query universe near the data,
   2. build the low-stabbing spanning tree with multiplicative weight updates,
   3. linearize it and erect the balanced partition tree,
-  4. attach stab classifiers and answer queries, cross-checking every answer
-     against a brute-force oracle sandwich.
+  4. answer queries with prefix-count node verdicts, cross-checking every
+     answer against a brute-force oracle sandwich.
 
 Example:
     python3 scripts/worstcase_pipeline.py --n 24 --d 2 --seed 3 --queries 40
@@ -65,7 +65,7 @@ def main() -> None:
     cfg = BuildConfig(eps=args.eps, seed=Seed(args.seed).derive(2), tree_source=WorstCaseSource())
     idx = build_counting_index(pts, cfg)
     depth = idx.tree.depth
-    print(f"partition tree: depth {depth}, {len(idx.tree.internal_indices())} classifier nodes")
+    print(f"partition tree: depth {depth}, {len(idx.tree.internal_indices())} internal nodes")
 
     lo = pts.points.min(axis=0) - 1.0
     hi = pts.points.max(axis=0) + 1.0

@@ -7,9 +7,9 @@ queries q with the exact total weight of some point set S satisfying
 
 trading the boundary ambiguity for sublinear query structure.  Build a
 spanning tree with low stabbing number (worst-case via multiplicative
-weights over a grid query universe, or learned from a query sample), fold
-it into a balanced partition tree, and attach a Hamming-sketch stab
-classifier to every internal node.
+weights over a grid query universe, or learned from a query sample) and
+fold it into a balanced partition tree.  A query decides every node from
+prefix counts of near and far points along the tree's point order.
 """
 
 from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, eps_stabs

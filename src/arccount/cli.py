@@ -116,8 +116,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         jl_target_dim=args.jl_dim,
         snap_queries=args.snap,
         grid_side=args.grid_side,
-        classifier_repetitions=args.reps,
-        beta_scale=args.beta_scale,
     )
     idx = build_counting_index(pts, cfg)
     save_model(args.out_model, idx, args.data)
@@ -143,7 +141,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     idx = load_model(args.model, args.data)
-    build_seconds = time.perf_counter() - t0
+    load_seconds = time.perf_counter() - t0
     pts = read_points(args.data)
     holdout = read_query_sample(args.queries)
     params = EpsParams(idx.config.eps, idx.config.radius)
@@ -165,7 +163,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "mean_tq": report.mean_tq,
         "sandwich_pass_rate": report.sandwich_pass_rate,
         "holdout_overlaps_training": report.holdout_overlaps_training,
-        "build_seconds": build_seconds,
+        "load_seconds": load_seconds,
         "query_microseconds_p50": float(np.percentile(times, 50)),
         "query_microseconds_p90": float(np.percentile(times, 90)),
     }
@@ -230,11 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sigma", type=float, default=0.5, help="noise for auto-sampled queries")
     b.add_argument("--rho", type=float, help="net exponent for worstcase mode")
     b.add_argument("--query-grid-side", type=float, help="query universe grid side, worstcase mode")
-    b.add_argument("--reps", type=int, help="classifier repetitions per node")
     b.add_argument("--snap", action="store_true", help="snap queries to a grid before counting")
     b.add_argument("--jl-dim", type=int, help="project to this dimension before building")
     b.add_argument("--grid-side", type=float, help="query snap grid side")
-    b.add_argument("--beta-scale", type=float, default=1.0)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--out-model", required=True)
     b.set_defaults(fn=_cmd_build)

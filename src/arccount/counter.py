@@ -3,16 +3,20 @@
 Build pipeline: optionally project the points with a shared Gaussian map,
 optionally rescale to absorb query snapping error, build a spanning tree
 (worst-case grid machinery or learned from a query sample), linearize it,
-erect the balanced partition tree, and attach a stab classifier to every
-internal node.  All internal structures run at the halved error ``eps/2``
-so that projection and snapping slack still land answers inside the full
-``eps`` sandwich.
+and erect the balanced partition tree.  All internal structures run at the
+halved error ``eps/2`` so that projection and snapping slack still land
+answers inside the full ``eps`` sandwich.
 
-Queries walk the tree: a COVERED node contributes its cumulative weight and
-stops, a DISJOINT node stops empty, a STABBED node recurses, and leaves are
-decided by one exact distance test.  The answer weight is therefore always
-the exact total weight of a concrete point set sandwiched between the inner
-and outer balls.
+Queries take one distance pass over the working points in path order and
+keep running counts of the points within the outer radius (near) and at
+least the inner radius away (far).  Every node owns a contiguous slice of
+the path, so two subtractions give its verdict: near points only is
+COVERED, far points only is DISJOINT, both is STABBED.  The walk then adds
+the cumulative weight of a COVERED node and stops, stops empty at a
+DISJOINT node, recurses into a STABBED node, and decides leaves by one
+exact distance test.  The answer weight is therefore always the exact total
+weight of a concrete point set sandwiched between the inner and outer
+balls.
 """
 
 from __future__ import annotations
@@ -32,15 +36,17 @@ from .core import (
     as_point,
     gaussian_projection_matrix,
     snap_to_grid,
+    sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
 from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
-from .stabber import Verdict, build_classifier, classify
+# ``classify`` is not called here; the name stays importable from this module
+# because the benchmark's hook tests patch ``arccount.counter.classify``.
+from .stabber import Verdict, classify  # noqa: F401
 
 _SEED_PROJECTION = 1
 _SEED_TREE = 2
-_SEED_CLASSIFIER = 3
 
 
 @dataclass(frozen=True)
@@ -75,17 +81,11 @@ class BuildConfig:
     jl_target_dim: int | None = None
     snap_queries: bool = False
     grid_side: float | None = None  # query snap grid, working space
-    classifier_repetitions: int | None = None  # None: per-node default
-    beta_scale: float = 1.0
 
     def __post_init__(self) -> None:
         EpsParams(self.eps, self.radius)  # validate
-        if self.classifier_repetitions is not None and self.classifier_repetitions < 1:
-            raise ContractViolation("classifier_repetitions must be positive")
         if self.jl_target_dim is not None and self.jl_target_dim < 1:
             raise ContractViolation("jl_target_dim must be positive")
-        if self.beta_scale <= 0.0:
-            raise ContractViolation("beta_scale must be positive")
 
 
 @dataclass
@@ -100,9 +100,10 @@ class CountAnswer:
 class CountingIndex:
     config: BuildConfig
     params: EpsParams  # full target error
-    working: EpsParams  # halved error used by classifiers and leaves
+    working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
     working_points: np.ndarray
+    path_points: np.ndarray  # working_points in path order
     source_points: WeightedPointSet
     rescale_factor: float
     projection: np.ndarray | None
@@ -122,16 +123,6 @@ class CountingIndex:
             qw = snap_to_grid(qw, self.snap_grid)
         return qw * self.rescale_factor
 
-    def bucket_entry_count(self) -> int:
-        """Total bucket entries across every classifier copy (memory audit)."""
-        total = 0
-        for i in self.tree.internal_indices():
-            clf = self.tree.node(i).classifier
-            assert clf is not None
-            for copy in clf.copies:
-                total += sum(len(v) for v in copy.buckets.values())
-        return total
-
 
 def _default_jl_dim(n: int, d: int, eps: float) -> int:
     # distortion eps/10 needs about 8 ln(n) / (eps/10)^2 dimensions
@@ -146,8 +137,7 @@ def build_counting_index(
     """Build the full index.
 
     ``order_override`` skips tree construction and adopts the given leaf
-    order; model loading uses it to reassemble an index bit-identically
-    (classifier seeds depend only on the config seed and node position).
+    order; model loading uses it to reassemble an index bit-identically.
     """
     n = len(pts)
     d = pts.dim
@@ -186,23 +176,13 @@ def build_counting_index(
 
     tree = path_to_partition_tree(path, working_set)
 
-    for i in tree.internal_indices():
-        node = tree.node(i)
-        subset = working_set.subset(tree.member_indices(i))
-        node.classifier = build_classifier(
-            subset,
-            working,
-            repetitions=cfg.classifier_repetitions,
-            seed=cfg.seed.derive(_SEED_CLASSIFIER, i),
-            beta_scale=cfg.beta_scale,
-        )
-
     return CountingIndex(
         config=cfg,
         params=params,
         working=working,
         tree=tree,
         working_points=work,
+        path_points=work[tree.order],
         source_points=pts,
         rescale_factor=rescale,
         projection=projection,
@@ -240,16 +220,46 @@ def _build_spanning_tree(
     raise ContractViolation(f"unknown tree source {type(source).__name__}")
 
 
+def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> tuple[list[int], list[int]]:
+    """Running near and far counts over the path, for a transformed query.
+
+    Entry ``k`` of each list counts the first ``k`` path points within the
+    working outer radius of ``qw`` (near) or at least the working radius
+    from it (far).
+    """
+    d2 = sq_dists_to(idx.path_points, qw)
+    outer = idx.working.outer_radius
+    r = idx.working.radius
+    near = np.concatenate(([0], np.cumsum(d2 <= outer * outer)))
+    far = np.concatenate(([0], np.cumsum(d2 >= r * r)))
+    return near.tolist(), far.tolist()
+
+
+def node_verdict(near: list[int], far: list[int], start: int, stop: int) -> Verdict:
+    """Verdict of the path slice ``[start, stop)`` from the prefix counts.
+
+    Near points only: COVERED.  Far points only: DISJOINT.  Anything else
+    is STABBED, so that the walk recurses.
+    """
+    has_near = near[stop] != near[start]
+    has_far = far[stop] != far[start]
+    if has_near and not has_far:
+        return Verdict.COVERED
+    if has_far and not has_near:
+        return Verdict.DISJOINT
+    return Verdict.STABBED
+
+
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
     """Approximate weight of the ball around ``q``, by one tree walk.
 
     The returned weight is the exact cumulative weight of a point set S with
-    (ball of radius r) <= S <= (ball of radius (1+eps) r), point containment
-    up to the classifier error budget.  In verification mode the answer also
-    carries the path-order ranges whose union is S.
+    (ball of radius r) <= S <= (ball of radius (1+eps) r).  In verification
+    mode the answer also carries the path-order ranges whose union is S.
     """
     qw = idx.transform_query(q)
     tree = idx.tree
+    near, far = prefix_counts(idx, qw)
     weight = 0.0
     visited = 0
     verdicts = {"stabbed": 0, "covered": 0, "disjoint": 0}
@@ -267,8 +277,7 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
                 weight += node.cum_weight
                 ranges.append((node.start, node.stop))
             continue
-        assert node.classifier is not None
-        verdict = classify(node.classifier, qw)
+        verdict = node_verdict(near, far, node.start, node.stop)
         verdicts[verdict.value] += 1
         if verdict is Verdict.COVERED:
             weight += node.cum_weight

@@ -10,10 +10,12 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 ``n * (d + 1)`` little-endian float64 values, row-major, weight last in
 each row.
 
-Models are JSON: build configuration, seed, the leaf order of the partition
-tree, and a digest of the data file.  Classifiers are never serialized;
-loading re-derives them from the seed, which is cheaper than storing them
-and guarantees the rebuilt index answers bit-identically.
+Models are JSON (format ``arc-model v2``): build configuration, seed, the
+leaf order of the partition tree, and a digest of the data file.  Loading
+rebuilds only the partition tree over the stored leaf order, so the loaded
+index answers bit-identically to the saved one.  ``arc-model v1`` files
+still load; their ``classifier_repetitions`` and ``beta_scale`` fields are
+ignored.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ def read_points(path: str | Path) -> WeightedPointSet:
     """Read either format, sniffing the binary magic first."""
     path = Path(path)
     try:
-        head = open(path, "rb").read(4)
+        with open(path, "rb") as fh:
+            head = fh.read(4)
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read: {exc}") from exc
     if head == _BINARY_MAGIC:
@@ -70,7 +73,8 @@ def read_points(path: str | Path) -> WeightedPointSet:
 
 
 def _read_binary(path: Path) -> WeightedPointSet:
-    blob = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < 12:
         raise FileFormatError(f"{path}: truncated header (offset {len(blob)})")
     n, d = struct.unpack("<II", blob[4:12])
@@ -136,12 +140,14 @@ def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = Fal
 
 # -- models --------------------------------------------------------------------
 
-_MODEL_FORMAT = "arc-model v1"
+_MODEL_FORMAT = "arc-model v2"
+_READABLE_FORMATS = ("arc-model v1", _MODEL_FORMAT)
 
 
 def file_digest(path: str | Path) -> str:
     h = hashlib.sha256()
-    h.update(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        h.update(fh.read())
     return "sha256:" + h.hexdigest()
 
 
@@ -183,8 +189,6 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
             "jl_target_dim": cfg.jl_target_dim,
             "snap_queries": cfg.snap_queries,
             "grid_side": cfg.grid_side,
-            "classifier_repetitions": cfg.classifier_repetitions,
-            "beta_scale": cfg.beta_scale,
             "tree_source": src_json,
         },
     }
@@ -196,10 +200,11 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
 def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     """Rebuild the index saved at ``path`` against its original data file."""
     try:
-        doc = json.load(open(path))
+        with open(path) as fh:
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: not a model file: {exc}") from exc
-    if doc.get("format") != _MODEL_FORMAT:
+    if doc.get("format") not in _READABLE_FORMATS:
         raise FileFormatError(f"{path}: unknown model format {doc.get('format')!r}")
     digest = file_digest(data_path)
     if digest != doc["data_digest"]:
@@ -234,8 +239,6 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
         jl_target_dim=c["jl_target_dim"],
         snap_queries=c["snap_queries"],
         grid_side=c["grid_side"],
-        classifier_repetitions=c["classifier_repetitions"],
-        beta_scale=c["beta_scale"],
     )
     order = np.asarray(doc["order"], dtype=np.int64)
     return build_counting_index(pts, cfg, order_override=order)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import ContractViolation, EpsParams, WeightedPointSet, as_point, sq_dists_to
 from .spantree import SpanningTree
-from .stabber import StabClassifier
 
 
 @dataclass
@@ -45,7 +44,6 @@ class PNode:
     start: int
     stop: int
     cum_weight: float
-    classifier: StabClassifier | None = None
 
     @property
     def size(self) -> int:

@@ -169,7 +169,7 @@ class TestBuildQueryEval:
         for key in (
             "n", "d", "eps", "tree_source", "mean_visiting", "mean_tq",
             "sandwich_pass_rate", "holdout_overlaps_training",
-            "build_seconds", "query_microseconds_p50", "query_microseconds_p90",
+            "load_seconds", "query_microseconds_p50", "query_microseconds_p90",
         ):
             assert key in doc
         assert doc["tree_source"] == "learned"

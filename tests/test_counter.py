@@ -13,10 +13,13 @@ from arccount.counter import (
     WorstCaseSource,
     build_counting_index,
     count,
+    node_verdict,
+    prefix_counts,
 )
 from arccount.learned import QuerySample, near_data_queries
 from arccount.oracle import exact_range_indices
 from arccount.ptree import visiting_number
+from arccount.stabber import build_classifier, classify
 
 
 def learned_config(eps: float = 0.5, seed: int = 0, **kw) -> BuildConfig:
@@ -65,9 +68,8 @@ class TestDeterministicExtremes:
 
 class TestSandwich:
     def test_answer_set_sandwiched_at_full_eps(self):
-        # classifiers run at eps/2 and scans are effectively exhaustive at
-        # this size, so the reported set must contain the inner ball and fit
-        # inside the outer one on every query
+        # node verdicts and leaf tests run at eps/2, so the reported set must
+        # contain the inner ball and fit inside the outer one on every query
         pts, idx = small_learned_index(n=48, d=4, seed=117)
         params = EpsParams(0.5)
         rng = Seed(118).generator()
@@ -99,8 +101,8 @@ class TestSandwich:
 
 class TestTraversalCost:
     def test_visited_matches_exact_visiting_number(self):
-        # exhaustive scans make every verdict the exact trichotomy, so the
-        # walk expands exactly the nodes the visiting oracle says it should
+        # prefix counts make every verdict the exact trichotomy, so the walk
+        # expands exactly the nodes the visiting oracle says it should
         pts, idx = small_learned_index(n=44, d=3, seed=122)
         working_set = WeightedPointSet(idx.working_points, pts.weights)
         rng = Seed(123).generator()
@@ -109,9 +111,37 @@ class TestTraversalCost:
             ans = count(idx, q)
             assert ans.visited_nodes == visiting_number(idx.tree, q, working_set, idx.working)
 
-    def test_bucket_entries_bounded_by_reps_times_levels(self):
-        pts, idx = small_learned_index(n=32, d=3, seed=124, classifier_repetitions=2)
-        assert idx.bucket_entry_count() <= 2 * 32 * (idx.tree.depth + 1)
+
+class TestPrefixVerdicts:
+    @pytest.mark.parametrize("snap", [False, True])
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_match_the_stab_classifier_on_every_node(self, worstcase, snap):
+        # the walk's verdicts are the ones the paper's Hamming stab classifier
+        # gives for each node's members at the working error
+        seed = 170 + 2 * worstcase + snap
+        rng = Seed(seed).generator()
+        if worstcase:
+            pts = WeightedPointSet(rng.uniform(0, 2.5, size=(14, 2)), rng.uniform(0.5, 1.5, size=14))
+            source = WorstCaseSource()
+        else:
+            pts = WeightedPointSet(rng.uniform(0, 3, size=(36, 3)), rng.uniform(0.1, 2.0, size=36))
+            source = LearnedSource(near_data_queries(pts, 150, sigma=0.6, seed=Seed(seed + 10)))
+        cfg = BuildConfig(eps=0.5, seed=Seed(seed + 20), tree_source=source, snap_queries=snap)
+        idx = build_counting_index(pts, cfg)
+        working_set = WeightedPointSet(idx.working_points, pts.weights)
+        seen = set()
+        for k in range(8):
+            q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
+            qw = idx.transform_query(q)
+            near, far = prefix_counts(idx, qw)
+            for i in idx.tree.internal_indices():
+                node = idx.tree.node(i)
+                subset = working_set.subset(idx.tree.member_indices(i))
+                clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, i))
+                verdict = node_verdict(near, far, node.start, node.stop)
+                assert verdict is classify(clf, qw)
+                seen.add(verdict)
+        assert len(seen) == 3
 
 
 class TestDeterminism:
@@ -214,10 +244,6 @@ class TestEdgeCases:
         sample = QuerySample(np.zeros((1, 2)), source="t")
         with pytest.raises(ContractViolation):
             BuildConfig(eps=0.0, seed=Seed(0), tree_source=LearnedSource(sample))
-        with pytest.raises(ContractViolation):
-            BuildConfig(eps=0.5, seed=Seed(0), tree_source=LearnedSource(sample), classifier_repetitions=0)
-        with pytest.raises(ContractViolation):
-            BuildConfig(eps=0.5, seed=Seed(0), tree_source=LearnedSource(sample), beta_scale=-1.0)
 
     def test_order_override_must_match_size(self):
         pts = WeightedPointSet(np.zeros((3, 2)), np.ones(3))

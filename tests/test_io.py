@@ -144,6 +144,26 @@ class TestModels:
             assert a.visited_nodes == b.visited_nodes
             assert a.verdict_counts == b.verdict_counts
 
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_v1_model_answers_like_v2(self, tmp_path, worstcase):
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        doc = json.loads(model.read_text())
+        assert doc["format"] == "arc-model v2"
+        doc["format"] = "arc-model v1"
+        doc["config"]["classifier_repetitions"] = None
+        doc["config"]["beta_scale"] = 1.0
+        old = tmp_path / "model_v1.json"
+        old.write_text(json.dumps(doc))
+        v1, v2 = load_model(old, data), load_model(model, data)
+        np.testing.assert_array_equal(v1.tree.order, v2.tree.order)
+        rng = Seed(159).generator()
+        for _ in range(30):
+            q = rng.uniform(-2, 3, size=pts.dim)
+            a, b = count(v1, q), count(v2, q)
+            assert a.weight == b.weight
+            assert a.visited_nodes == b.visited_nodes
+            assert a.verdict_counts == b.verdict_counts
+
     def test_digest_mismatch_refused(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)
         data.write_text(data.read_text() + "\n")
