@@ -224,7 +224,8 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
             light=light, grid_side=src["grid_side"]
         )
     elif src["kind"] == "learned":
-        # the sample itself is not needed to reassemble: the leaf order is stored
+        # the sample is not stored, nor needed to reassemble: the leaf order is;
+        # this placeholder carries only the sample's description
         source = LearnedSource(
             sample=QuerySample(np.zeros((1, doc["d"])), source=src["sample_source"])
         )

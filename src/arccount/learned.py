@@ -14,10 +14,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from .oracle import exact_range_indices, exact_tq
 from .spantree import Edge, SpanningTree, UnionFind
+
+# pair_stab_counts: distances per query chunk (2 MiB of float64), and mask
+# nonzeros stacked before one sparse product
+_CHUNK_CELLS = 2**18
+# a chunk takes the sparse product when its pair work is below rows * n^2 / this
+_SPARSE_CUT = 64
+# every integer below this is exact in float32
+_F32_EXACT = 2**24
 
 
 @dataclass
@@ -81,43 +90,124 @@ def near_data_queries(
 
 
 def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> np.ndarray:
-    """Symmetric (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
+    """Symmetric int64 (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
 
-    One pass per mask: with N[q, i] = 1 when point i is within ``radius`` of
-    query q and F[q, j] = 1 when it is at distance >= (1+eps)*radius, the
-    count matrix is N'F + F'N.  Products are accumulated in float64, exact
-    for counts below 2**53.
+    Let N[q, a] = 1 when point a is within ``radius`` of query q (d2 <= r2),
+    G[q, b] = 1 when point b lies inside the outer ball (d2 < (1+eps)^2 r2),
+    and F = 1 - G mark the far points.  The count matrix N'F + F'N then
+    equals ``c[a] + c[b] - X[a, b] - X[b, a]``, with c the column sums of N
+    and X = N'G.  Its diagonal is 0, because near points lie inside.
+
+    The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
+    m x n array is ever held, and each chunk's d2 is ``qq + pp - 2 Q P'``.
+    X is summed over the chunks on one of two paths, chosen per chunk:
+
+    * sparse, when the chunk's pair work sum_q |near(q)| * |inside(q)| is
+      below rows * n^2 / ``_SPARSE_CUT`` (near-data queries, a few points
+      per ball): the chunk keeps only its mask nonzeros, and their sparse
+      product is added to X once ``_CHUNK_CELLS`` nonzeros are stacked;
+    * dense otherwise (large balls): a float32 GEMM of the chunk's masks,
+      summed in float32, which is exact while the sums stay below 2**24.
     """
     if pts.dim != sample.queries.shape[1]:
         raise ContractViolation("sample dimension does not match points")
+    n = len(pts)
+    points = pts.points
     r2 = params.radius**2
     big2 = params.outer_radius**2
-    pp = np.einsum("ij,ij->i", pts.points, pts.points)
-    qq = np.einsum("ij,ij->i", sample.queries, sample.queries)
-    d2 = qq[:, None] + pp[None, :] - 2.0 * (sample.queries @ pts.points.T)
-    np.maximum(d2, 0.0, out=d2)
-    near = (d2 <= r2).astype(np.float64)
-    far = (d2 >= big2).astype(np.float64)
-    m = near.T @ far
-    counts = m + m.T
-    return counts.astype(np.int64)
+    pp = np.einsum("ij,ij->i", points, points)
+    rows = max(1, _CHUNK_CELLS // n)
+    d2 = np.empty((rows, n))
+    near_total = np.zeros(n, dtype=np.int64)
+    x = np.zeros((n, n), dtype=np.int64)
+    # sparse path: flat nonzeros (row * n + point) of the stacked chunks
+    near_nz: list[np.ndarray] = []
+    inside_nz: list[np.ndarray] = []
+    stacked = nonzeros = 0
+    # dense path: float32 part of X and the rows summed into it
+    dense: np.ndarray | None = None
+    dense_rows = 0
+    for lo in range(0, len(sample), rows):
+        q = sample.queries[lo : lo + rows]
+        qq = np.einsum("ij,ij->i", q, q)
+        # qq + pp - 2.0 * (q @ P'), evaluated in place with the same roundings
+        twice = q @ points.T
+        twice *= 2.0
+        block = np.add(qq[:, None], pp[None, :], out=d2[: len(q)])
+        block -= twice
+        np.maximum(block, 0.0, out=block)
+        near = block <= r2
+        inside = block < big2
+        near_total += np.count_nonzero(near, axis=0)
+        work = int(np.count_nonzero(near, axis=1) @ np.count_nonzero(inside, axis=1))
+        if work * _SPARSE_CUT < len(q) * n * n:
+            near_nz.append(np.flatnonzero(near) + stacked * n)
+            inside_nz.append(np.flatnonzero(inside) + stacked * n)
+            stacked += len(q)
+            nonzeros += len(near_nz[-1]) + len(inside_nz[-1])
+            if nonzeros >= _CHUNK_CELLS:
+                x += _sparse_near_inside(near_nz, inside_nz, stacked, n)
+                near_nz, inside_nz, stacked, nonzeros = [], [], 0, 0
+        else:
+            if dense is None:
+                dense = np.zeros((n, n), dtype=np.float32)
+            elif dense_rows + len(q) >= _F32_EXACT:
+                x += dense.astype(np.int64)
+                dense.fill(0.0)
+                dense_rows = 0
+            dense += near.T.astype(np.float32) @ inside.astype(np.float32)
+            dense_rows += len(q)
+    if stacked:
+        x += _sparse_near_inside(near_nz, inside_nz, stacked, n)
+    if dense is not None:
+        x += dense.astype(np.int64)
+    counts = x + x.T
+    np.negative(counts, out=counts)
+    counts += near_total[:, None]
+    counts += near_total[None, :]
+    return counts
+
+
+def _sparse_near_inside(
+    near_nz: list[np.ndarray], inside_nz: list[np.ndarray], rows: int, n: int
+) -> np.ndarray:
+    """Dense int64 N'G of two (rows, n) masks given by their flat nonzeros."""
+
+    def csr(flat: list[np.ndarray]) -> scipy.sparse.csr_matrix:
+        idx = np.concatenate(flat)
+        indptr = np.searchsorted(idx, np.arange(rows + 1) * n)
+        data = np.ones(len(idx), dtype=np.int64)
+        return scipy.sparse.csr_matrix((data, idx % n, indptr), shape=(rows, n))
+
+    return (csr(near_nz).T @ csr(inside_nz)).toarray()
 
 
 def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:
     """Minimum spanning tree under ``counts`` with lexicographic tie-breaks.
 
-    Kruskal over all pairs sorted by (count, a, b); an all-zero matrix thus
-    yields the star rooted at vertex 0.
+    Kruskal over all pairs a < b sorted by (count, a, b); an all-zero matrix
+    thus yields the star rooted at vertex 0.  The order is that of one sort
+    of the unique int64 keys ``(count * n + a) * n + b``, so counts must be
+    integers small enough for the keys to fit.
     """
     counts = np.asarray(counts)
     if counts.shape != (n, n):
         raise ContractViolation(f"counts must be ({n}, {n}), got {counts.shape}")
     iu, ju = np.triu_indices(n, k=1)
-    order = np.lexsort((ju, iu, counts[iu, ju]))
+    values = counts[iu, ju]
+    if not np.issubdtype(values.dtype, np.integer):
+        as_int = values.astype(np.int64)
+        if not np.array_equal(as_int, values):
+            raise ContractViolation("stab counts must be integers")
+        values = as_int
+    if values.size and (max(-int(values.min()), int(values.max())) + 1) * n * n > 2**63 - 1:
+        raise ContractViolation(f"stab counts overflow the int64 sort key at n={n}")
+    keys = (values.astype(np.int64) * n + iu) * n + ju
+    keys.sort()
     uf = UnionFind(n)
     edges: list[Edge] = []
-    for t in order:
-        a, b = int(iu[t]), int(ju[t])
+    for key in keys:  # lazily: Kruskal usually stops long before the end
+        a, b = divmod(int(key) % (n * n), n)
         if uf.union(a, b):
             edges.append(Edge(a, b))
             if len(edges) == n - 1:
@@ -141,7 +231,8 @@ class EvalReport:
     mean_tq: float
     sandwich_pass_rate: float
     per_query: list[dict] = field(default_factory=list)
-    holdout_overlaps_training: bool = False
+    # None when the index fitted no tree to a sample it holds (a loaded model)
+    holdout_overlaps_training: bool | None = False
 
 
 def evaluate_visiting(
@@ -155,16 +246,20 @@ def evaluate_visiting(
     ``idx`` is a built counting index.  For every holdout query the reported
     set is re-derived in verification mode and compared against exact range
     scans: the inner ball must be contained in the answer set and the answer
-    set in the outer ball.  If the index was trained on queries and any
-    holdout row coincides with a training row, the report flags the overlap
-    (the caller is responsible for keeping holdouts fresh).
+    set in the outer ball.  If the index fitted its tree to a training sample
+    and any holdout row coincides with a training row, the report flags the
+    overlap (the caller is responsible for keeping holdouts fresh).  An index
+    that fitted no tree, such as a loaded model (it is reassembled from its
+    stored leaf order and keeps no sample), reports the overlap as None.
     """
     from .counter import count  # local import to avoid a cycle
     from .ptree import visiting_number
 
-    overlaps = False
+    overlaps: bool | None = False
     training = getattr(idx.config.tree_source, "sample", None)
-    if training is not None:
+    if training is not None and idx.spanning_tree is None:
+        overlaps = None
+    elif training is not None:
         train_rows = {row.tobytes() for row in np.asarray(training.queries, dtype=np.float64)}
         overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from arccount.cli import run_cli
-from arccount.io import read_points, read_query_sample
+from arccount.io import read_points, read_query_sample, write_query_sample
+from arccount.learned import QuerySample
 
 
 def gen_data(tmp_path, n=50, d=3, kind="uniform", extra=()):
@@ -175,6 +176,23 @@ class TestBuildQueryEval:
         assert doc["tree_source"] == "learned"
         assert doc["sandwich_pass_rate"] == 1.0
         assert not doc["holdout_overlaps_training"]
+
+    def test_eval_of_a_loaded_model_leaves_the_overlap_unknown(self, tmp_path):
+        # a model file keeps no training sample, so the overlap cannot be
+        # told; a holdout row at the origin must not read as a training row
+        data = gen_data(tmp_path, n=30, d=3)
+        model = build_model(tmp_path, data)
+        qs = tmp_path / "holdout.txt"
+        write_query_sample(qs, QuerySample(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), source="t"))
+        report = tmp_path / "report.json"
+        rc = run_cli(
+            ["eval", "--model", str(model), "--data", str(data), "--queries", str(qs),
+             "--out-report", str(report)]
+        )
+        assert rc == 0
+        doc = json.loads(report.read_text())
+        assert doc["holdout_overlaps_training"] is None
+        assert doc["sandwich_pass_rate"] == 1.0
 
 
 class TestExitCodes:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, snap_to_grid
 from arccount.counter import (
@@ -142,6 +144,47 @@ class TestPrefixVerdicts:
                 assert verdict is classify(clf, qw)
                 seen.add(verdict)
         assert len(seen) == 3
+
+
+class TestSandwichProperty:
+    @given(
+        n=st.integers(1, 9),
+        d=st.integers(1, 3),
+        duplicates=st.integers(0, 4),
+        eps=st.sampled_from([0.01, 0.05, 0.95, 0.99]) | st.floats(0.01, 0.99),
+        radius=st.sampled_from([0.3, 1.0, 2.5]),
+        snap=st.booleans(),
+        worstcase=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, d=2, duplicates=0, eps=0.5, radius=1.0, snap=False, worstcase=False, seed=1)
+    @example(n=2, d=2, duplicates=1, eps=0.01, radius=2.5, snap=True, worstcase=True, seed=2)
+    @example(n=2, d=1, duplicates=0, eps=0.99, radius=0.3, snap=True, worstcase=False, seed=3)
+    @example(n=6, d=3, duplicates=4, eps=0.01, radius=0.3, snap=False, worstcase=False, seed=4)
+    @settings(max_examples=100, deadline=None)
+    def test_answer_set_sandwiched_by_the_oracle(self, n, d, duplicates, eps, radius, snap, worstcase, seed):
+        # any data, weights of either sign, any eps and radius, both tree
+        # sources: the reported set holds the inner ball and fits the outer
+        rng = Seed(seed).generator()
+        points = rng.uniform(0.0, 2.5 * radius, size=(n, d))
+        points[n - min(duplicates, n - 1) :] = points[0]
+        pts = WeightedPointSet(points, rng.uniform(-2.0, 2.0, size=n))
+        if worstcase:
+            # a coarse query universe keeps small-eps builds quick; the
+            # sandwich does not depend on which tree is built
+            source = WorstCaseSource(grid_side=radius / 2.0)
+        else:
+            source = LearnedSource(near_data_queries(pts, 40, sigma=radius, seed=Seed(seed).derive(1)))
+        cfg = BuildConfig(eps=eps, seed=Seed(seed).derive(2), tree_source=source, radius=radius, snap_queries=snap)
+        idx = build_counting_index(pts, cfg)
+        params = EpsParams(eps, radius)
+        queries = [points[0], points[0] + radius, np.full(d, 50.0 * radius)]
+        queries += list(points[rng.integers(0, n, size=4)] + rng.normal(0.0, radius, size=(4, d)))
+        for q in queries:
+            ans = count(idx, q, verify=True)  # raises if weight and members disagree
+            got = answer_set(idx, ans.member_ranges)
+            assert exact_range_indices(pts, q, params.radius) <= got
+            assert got <= exact_range_indices(pts, q, params.outer_radius)
 
 
 class TestDeterminism:

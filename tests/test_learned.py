@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arccount import learned
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
+from arccount.counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index
 from arccount.learned import (
     QuerySample,
     default_sample_size,
+    evaluate_visiting,
     learned_spanning_tree,
     near_data_queries,
     pair_stab_counts,
@@ -24,6 +27,56 @@ PARAMS = EpsParams(eps=0.5)
 
 def weighted(points: np.ndarray) -> WeightedPointSet:
     return WeightedPointSet(points, np.ones(len(points)))
+
+
+def whole_sample_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> np.ndarray:
+    """Reference stab counts N'F + F'N from one m x n distance matrix."""
+    p, q = pts.points, sample.queries
+    d2 = np.einsum("ij,ij->i", q, q)[:, None] + np.einsum("ij,ij->i", p, p)[None, :] - 2.0 * (q @ p.T)
+    np.maximum(d2, 0.0, out=d2)
+    near = (d2 <= params.radius**2).astype(np.float64)
+    far = (d2 >= params.outer_radius**2).astype(np.float64)
+    return (near.T @ far + far.T @ near).astype(np.int64)
+
+
+def lexsort_tree_edges(counts: np.ndarray, n: int) -> list[Edge]:
+    """Reference Kruskal: all pairs a < b lexsorted by (count, a, b)."""
+    iu, ju = np.triu_indices(n, k=1)
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    edges = []
+    for t in np.lexsort((ju, iu, counts[iu, ju])):
+        ra, rb = find(int(iu[t])), find(int(ju[t]))
+        if ra != rb:
+            parent[ra] = rb
+            edges.append(Edge(int(iu[t]), int(ju[t])))
+    return edges
+
+
+def near_data_case(n: int, m: int, seed: int) -> tuple[WeightedPointSet, QuerySample]:
+    """Clustered points in d = 4 and near-data queries: a few points per ball."""
+    rng = Seed(seed).generator()
+    centers = rng.uniform(0.0, 6.0, size=(4, 4))
+    pts = weighted(centers[rng.integers(0, 4, size=n)] + rng.normal(0.0, 0.4, size=(n, 4)))
+    return pts, near_data_queries(pts, m, sigma=0.5, seed=Seed(seed + 1))
+
+
+def dense_ball_case(n: int, m: int, seed: int) -> tuple[WeightedPointSet, QuerySample]:
+    """Uniform points and queries in a d = 2 square: about n/8 points per ball."""
+    rng = Seed(seed).generator()
+    pts = weighted(rng.uniform(0.0, 5.0, size=(n, 2)))
+    return pts, QuerySample(rng.uniform(0.0, 5.0, size=(m, 2)), source="uniform")
+
+
+def assert_count_matrix(counts: np.ndarray, n: int) -> None:
+    assert counts.dtype == np.int64 and counts.shape == (n, n)
+    np.testing.assert_array_equal(counts, counts.T)
+    assert np.all(np.diag(counts) == 0)
 
 
 class TestSampleSize:
@@ -99,6 +152,87 @@ class TestPairStabCounts:
         with pytest.raises(ContractViolation):
             pair_stab_counts(pts, QuerySample(np.zeros((5, 3)), source="t"), PARAMS)
 
+    @pytest.fixture
+    def sparse_calls(self, monkeypatch):
+        """Counts the sparse products ``pair_stab_counts`` takes."""
+        calls = []
+        product = learned._sparse_near_inside
+
+        def spy(*args):
+            calls.append(args[2])
+            return product(*args)
+
+        monkeypatch.setattr(learned, "_sparse_near_inside", spy)
+        return calls
+
+    # n = 256 gives chunks of 1024 queries: one partial chunk, exactly one
+    # chunk, and three full chunks plus a partial one
+    @pytest.mark.parametrize("m", [300, 1024, 3 * 1024 + 77])
+    def test_near_data_takes_the_sparse_path(self, m, sparse_calls):
+        pts, sample = near_data_case(256, m, seed=130)
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 256)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+        assert sum(sparse_calls) == m
+        assert counts.sum() > 0
+
+    @pytest.mark.parametrize("m", [300, 3 * 1024 + 77])
+    def test_dense_balls_take_the_gemm_path(self, m, sparse_calls):
+        pts, sample = dense_ball_case(256, m, seed=131)
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 256)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+        assert sparse_calls == []
+
+    def test_mixed_chunks_and_flushes(self, monkeypatch, sparse_calls):
+        # small budgets: 64-query chunks, a sparse product per 4096 stacked
+        # nonzeros, and float32 sums emptied every few chunks.  Points: a
+        # spread-out grid (a ball holds one or two of them) and a tight
+        # cluster; queries at the cluster (GEMM chunks) come first, then
+        # queries at the grid (sparse chunks)
+        monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**12)
+        monkeypatch.setattr(learned, "_F32_EXACT", 200)
+        rng = Seed(132).generator()
+        grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(6.0)), axis=-1).reshape(-1, 2) * 2.0
+        cluster = 20.0 + rng.normal(0.0, 0.3, size=(16, 2))
+        pts = weighted(np.vstack([grid, cluster]))
+        at_cluster = 20.0 + rng.normal(0.0, 0.5, size=(1000, 2))
+        at_grid = grid[rng.integers(0, 48, size=3000)] + rng.normal(0.0, 0.6, size=(3000, 2))
+        sample = QuerySample(np.vstack([at_cluster, at_grid]), source="mixed")
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 64)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+        # at least one sparse product inside the loop, and both paths taken
+        assert len(sparse_calls) >= 2 and 0 < sum(sparse_calls) < len(sample)
+
+    def test_duplicate_points_and_queries(self):
+        rng = Seed(134).generator()
+        base = rng.uniform(0.0, 3.0, size=(20, 3))
+        pts = weighted(np.vstack([base, base[:7], base[:3]]))
+        queries = rng.uniform(-0.5, 3.5, size=(150, 3))
+        sample = QuerySample(np.vstack([queries, queries[:40], pts.points[:5]]), source="t")
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 30)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+        # a point and its copy are never stabbed together
+        assert counts[0, 20] == counts[0, 27] == counts[2, 22] == counts[2, 29] == 0
+
+    def test_closed_comparisons_at_both_radii(self):
+        # dyadic coordinates make every distance exact: points lie at exactly
+        # r = 1 (near) and (1+eps)r = 1.5 (far) from the queries
+        pts = weighted(np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [0.0, 1.25], [2.0, 0.0], [0.5, 0.0]]))
+        sample = QuerySample(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [-0.5, 0.0]]), source="t")
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 6)
+        expected = np.zeros((6, 6), dtype=np.int64)
+        for q in sample.queries:
+            d = np.linalg.norm(pts.points - q, axis=1)
+            near, far = d <= 1.0, d >= 1.5
+            expected += np.outer(near, far) + np.outer(far, near)
+        np.testing.assert_array_equal(counts, expected)
+        # query 0: (1, 0) at exactly r is near and (1.5, 0) at exactly 1.5r is far
+        assert counts[1, 2] >= 1
+
 
 class TestLearnedTree:
     def test_all_zero_counts_give_star_at_zero(self):
@@ -128,6 +262,32 @@ class TestLearnedTree:
         with pytest.raises(ContractViolation):
             learned_spanning_tree(np.zeros((3, 4)), 3)
 
+    def test_edges_match_lexsort_kruskal_under_ties(self):
+        rng = Seed(135).generator()
+        for n in (2, 3, 7, 19, 40):
+            for top in (0, 1, 2):
+                upper = np.triu(rng.integers(0, top + 1, size=(n, n)), k=1)
+                counts = upper + upper.T
+                assert learned_spanning_tree(counts, n).edges == lexsort_tree_edges(counts, n)
+
+    def test_integral_float_counts_accepted(self):
+        counts = np.array([[0, 3, 9], [3, 0, 1], [9, 1, 0]])
+        tree = learned_spanning_tree(counts.astype(np.float64), 3)
+        assert tree.edges == learned_spanning_tree(counts, 3).edges
+
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(ContractViolation):
+            learned_spanning_tree(np.full((3, 3), 0.5), 3)
+
+    def test_key_overflow_rejected(self):
+        n = 4
+        counts = np.zeros((n, n), dtype=np.int64)
+        counts[0, 1] = counts[1, 0] = 2**63 // (n * n)
+        with pytest.raises(ContractViolation):
+            learned_spanning_tree(counts, n)
+        counts[0, 1] = counts[1, 0] = 2**63 // (n * n) - 2
+        assert learned_spanning_tree(counts, n).edges == lexsort_tree_edges(counts, n)
+
 
 class TestBracketReport:
     def test_report_fields_and_identical_samples_agree(self):
@@ -152,3 +312,33 @@ class TestBracketReport:
         assert report["train_mean_stabbing"] == pytest.approx(
             tree_objective(counts, tree) / len(sample)
         )
+
+
+class TestHoldoutOverlap:
+    def built(self, order_override=None):
+        rng = Seed(136).generator()
+        pts = WeightedPointSet(rng.uniform(0, 3, size=(20, 2)), rng.uniform(0.1, 2.0, size=20))
+        sample = near_data_queries(pts, 60, sigma=0.5, seed=Seed(137))
+        cfg = BuildConfig(eps=0.5, seed=Seed(138), tree_source=LearnedSource(sample))
+        return pts, sample, build_counting_index(pts, cfg, order_override=order_override)
+
+    def test_flags_training_rows_of_a_fitted_tree(self):
+        pts, sample, idx = self.built()
+        fresh = near_data_queries(pts, 10, sigma=0.5, seed=Seed(139))
+        mixed = QuerySample(np.vstack([fresh.queries, sample.queries[:2]]), source="t")
+        assert evaluate_visiting(idx, fresh, pts, PARAMS).holdout_overlaps_training is False
+        assert evaluate_visiting(idx, mixed, pts, PARAMS).holdout_overlaps_training is True
+
+    def test_unknown_without_a_fitted_tree(self):
+        # reassembled from a leaf order, as a loaded model is: the sample in
+        # the config was never fitted, so no overlap can be told
+        pts, sample, fitted = self.built()
+        _, _, idx = self.built(order_override=fitted.tree.order)
+        holdout = QuerySample(sample.queries[:5], source="t")
+        assert evaluate_visiting(idx, holdout, pts, PARAMS).holdout_overlaps_training is None
+
+    def test_worst_case_tree_has_no_training_rows(self):
+        pts, sample, _ = self.built()
+        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(140), tree_source=WorstCaseSource()))
+        holdout = QuerySample(sample.queries[:5], source="t")
+        assert evaluate_visiting(idx, holdout, pts, PARAMS).holdout_overlaps_training is False
