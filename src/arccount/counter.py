@@ -109,6 +109,7 @@ class CountingIndex:
     projection: np.ndarray | None
     snap_grid: GridSpec | None
     spanning_tree: SpanningTree | None = None
+    reassembled: bool = False  # leaf order adopted from ``order_override``
 
     def transform_query(self, q: np.ndarray) -> np.ndarray:
         """Apply the stored projection, optional snap, and rescale to a query."""
@@ -188,6 +189,7 @@ def build_counting_index(
         projection=projection,
         snap_grid=snap_grid,
         spanning_tree=spanning,
+        reassembled=order_override is not None,
     )
 
 

@@ -14,18 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from .oracle import exact_range_indices, exact_tq
 from .spantree import Edge, SpanningTree, UnionFind
 
-# pair_stab_counts: distances per query chunk (2 MiB of float64), and mask
-# nonzeros stacked before one sparse product
+# pair_stab_counts: distances per query chunk (2 MiB of float64)
 _CHUNK_CELLS = 2**18
-# a chunk takes the sparse product when its pair work is below rows * n^2 / this
-_SPARSE_CUT = 64
-# every integer below this is exact in float32
+# every integer up to this is exact in float32
 _F32_EXACT = 2**24
 
 
@@ -100,14 +96,8 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
 
     The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
     m x n array is ever held, and each chunk's d2 is ``qq + pp - 2 Q P'``.
-    X is summed over the chunks on one of two paths, chosen per chunk:
-
-    * sparse, when the chunk's pair work sum_q |near(q)| * |inside(q)| is
-      below rows * n^2 / ``_SPARSE_CUT`` (near-data queries, a few points
-      per ball): the chunk keeps only its mask nonzeros, and their sparse
-      product is added to X once ``_CHUNK_CELLS`` nonzeros are stacked;
-    * dense otherwise (large balls): a float32 GEMM of the chunk's masks,
-      summed in float32, which is exact while the sums stay below 2**24.
+    X is a float32 GEMM of the chunks' masks, summed in float32 and emptied
+    into int64 before any sum could pass 2**24, below which it is exact.
     """
     if pts.dim != sample.queries.shape[1]:
         raise ContractViolation("sample dimension does not match points")
@@ -120,13 +110,8 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     d2 = np.empty((rows, n))
     near_total = np.zeros(n, dtype=np.int64)
     x = np.zeros((n, n), dtype=np.int64)
-    # sparse path: flat nonzeros (row * n + point) of the stacked chunks
-    near_nz: list[np.ndarray] = []
-    inside_nz: list[np.ndarray] = []
-    stacked = nonzeros = 0
-    # dense path: float32 part of X and the rows summed into it
-    dense: np.ndarray | None = None
-    dense_rows = 0
+    partial = np.zeros((n, n), dtype=np.float32)
+    partial_rows = 0
     for lo in range(0, len(sample), rows):
         q = sample.queries[lo : lo + rows]
         qq = np.einsum("ij,ij->i", q, q)
@@ -137,30 +122,14 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
         block -= twice
         np.maximum(block, 0.0, out=block)
         near = block <= r2
-        inside = block < big2
         near_total += np.count_nonzero(near, axis=0)
-        work = int(np.count_nonzero(near, axis=1) @ np.count_nonzero(inside, axis=1))
-        if work * _SPARSE_CUT < len(q) * n * n:
-            near_nz.append(np.flatnonzero(near) + stacked * n)
-            inside_nz.append(np.flatnonzero(inside) + stacked * n)
-            stacked += len(q)
-            nonzeros += len(near_nz[-1]) + len(inside_nz[-1])
-            if nonzeros >= _CHUNK_CELLS:
-                x += _sparse_near_inside(near_nz, inside_nz, stacked, n)
-                near_nz, inside_nz, stacked, nonzeros = [], [], 0, 0
-        else:
-            if dense is None:
-                dense = np.zeros((n, n), dtype=np.float32)
-            elif dense_rows + len(q) >= _F32_EXACT:
-                x += dense.astype(np.int64)
-                dense.fill(0.0)
-                dense_rows = 0
-            dense += near.T.astype(np.float32) @ inside.astype(np.float32)
-            dense_rows += len(q)
-    if stacked:
-        x += _sparse_near_inside(near_nz, inside_nz, stacked, n)
-    if dense is not None:
-        x += dense.astype(np.int64)
+        if partial_rows + len(q) > _F32_EXACT:
+            x += partial.astype(np.int64)
+            partial.fill(0.0)
+            partial_rows = 0
+        partial += near.T.astype(np.float32) @ (block < big2).astype(np.float32)
+        partial_rows += len(q)
+    x += partial.astype(np.int64)
     counts = x + x.T
     np.negative(counts, out=counts)
     counts += near_total[:, None]
@@ -168,46 +137,22 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     return counts
 
 
-def _sparse_near_inside(
-    near_nz: list[np.ndarray], inside_nz: list[np.ndarray], rows: int, n: int
-) -> np.ndarray:
-    """Dense int64 N'G of two (rows, n) masks given by their flat nonzeros."""
-
-    def csr(flat: list[np.ndarray]) -> scipy.sparse.csr_matrix:
-        idx = np.concatenate(flat)
-        indptr = np.searchsorted(idx, np.arange(rows + 1) * n)
-        data = np.ones(len(idx), dtype=np.int64)
-        return scipy.sparse.csr_matrix((data, idx % n, indptr), shape=(rows, n))
-
-    return (csr(near_nz).T @ csr(inside_nz)).toarray()
-
-
 def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:
     """Minimum spanning tree under ``counts`` with lexicographic tie-breaks.
 
-    Kruskal over all pairs a < b sorted by (count, a, b); an all-zero matrix
-    thus yields the star rooted at vertex 0.  The order is that of one sort
-    of the unique int64 keys ``(count * n + a) * n + b``, so counts must be
-    integers small enough for the keys to fit.
+    Kruskal over all pairs sorted by (count, a, b); an all-zero matrix thus
+    yields the star rooted at vertex 0.  The pairs come in (a, b) order, so
+    a stable sort of their counts gives that order.
     """
     counts = np.asarray(counts)
     if counts.shape != (n, n):
         raise ContractViolation(f"counts must be ({n}, {n}), got {counts.shape}")
     iu, ju = np.triu_indices(n, k=1)
-    values = counts[iu, ju]
-    if not np.issubdtype(values.dtype, np.integer):
-        as_int = values.astype(np.int64)
-        if not np.array_equal(as_int, values):
-            raise ContractViolation("stab counts must be integers")
-        values = as_int
-    if values.size and (max(-int(values.min()), int(values.max())) + 1) * n * n > 2**63 - 1:
-        raise ContractViolation(f"stab counts overflow the int64 sort key at n={n}")
-    keys = (values.astype(np.int64) * n + iu) * n + ju
-    keys.sort()
+    order = np.argsort(counts[iu, ju], kind="stable")
     uf = UnionFind(n)
     edges: list[Edge] = []
-    for key in keys:  # lazily: Kruskal usually stops long before the end
-        a, b = divmod(int(key) % (n * n), n)
+    for t in order:
+        a, b = int(iu[t]), int(ju[t])
         if uf.union(a, b):
             edges.append(Edge(a, b))
             if len(edges) == n - 1:
@@ -231,7 +176,7 @@ class EvalReport:
     mean_tq: float
     sandwich_pass_rate: float
     per_query: list[dict] = field(default_factory=list)
-    # None when the index fitted no tree to a sample it holds (a loaded model)
+    # None when the index adopted a stored leaf order (a loaded model)
     holdout_overlaps_training: bool | None = False
 
 
@@ -246,18 +191,18 @@ def evaluate_visiting(
     ``idx`` is a built counting index.  For every holdout query the reported
     set is re-derived in verification mode and compared against exact range
     scans: the inner ball must be contained in the answer set and the answer
-    set in the outer ball.  If the index fitted its tree to a training sample
-    and any holdout row coincides with a training row, the report flags the
-    overlap (the caller is responsible for keeping holdouts fresh).  An index
-    that fitted no tree, such as a loaded model (it is reassembled from its
-    stored leaf order and keeps no sample), reports the overlap as None.
+    set in the outer ball.  If the index was trained on queries and any
+    holdout row coincides with a training row, the report flags the overlap
+    (the caller is responsible for keeping holdouts fresh).  An index
+    reassembled from a stored leaf order, such as a loaded model, does not
+    hold the sample its order was fitted to and reports the overlap as None.
     """
     from .counter import count  # local import to avoid a cycle
     from .ptree import visiting_number
 
     overlaps: bool | None = False
     training = getattr(idx.config.tree_source, "sample", None)
-    if training is not None and idx.spanning_tree is None:
+    if training is not None and idx.reassembled:
         overlaps = None
     elif training is not None:
         train_rows = {row.tobytes() for row in np.asarray(training.queries, dtype=np.float64)}
