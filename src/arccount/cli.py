@@ -112,8 +112,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         radius=args.radius,
         seed=seed,
         tree_source=source,
-        jl_enabled=True if args.jl_dim is not None else None,
-        jl_target_dim=args.jl_dim,
         snap_queries=args.snap,
         grid_side=args.grid_side,
     )
@@ -229,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--rho", type=float, help="net exponent for worstcase mode")
     b.add_argument("--query-grid-side", type=float, help="query universe grid side, worstcase mode")
     b.add_argument("--snap", action="store_true", help="snap queries to a grid before counting")
-    b.add_argument("--jl-dim", type=int, help="project to this dimension before building")
     b.add_argument("--grid-side", type=float, help="query snap grid side")
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--out-model", required=True)

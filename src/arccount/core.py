@@ -170,32 +170,6 @@ def gaussian_projection_matrix(ambient_dim: int, target_dim: int, seed: Seed) ->
     return rng.normal(0.0, 1.0 / math.sqrt(target_dim), size=(ambient_dim, target_dim))
 
 
-def gaussian_project(
-    pts: np.ndarray,
-    target_dim: int,
-    seed: Seed,
-    matrix: np.ndarray | None = None,
-) -> np.ndarray:
-    """Project rows of ``pts`` to ``target_dim`` dimensions with one shared Gaussian map.
-
-    The same seed always yields the same matrix, so points and queries
-    projected separately land in the same space.  ``matrix`` overrides the
-    seeded draw; tests use it to force the identity.
-    """
-    pts = np.asarray(pts, dtype=np.float64)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if matrix is None:
-        matrix = gaussian_projection_matrix(pts.shape[1], target_dim, seed)
-    if matrix.shape[0] != pts.shape[1]:
-        raise ContractViolation(
-            f"projection matrix expects dimension {matrix.shape[0]}, points have {pts.shape[1]}"
-        )
-    out = pts @ matrix
-    return out[0] if single else out
-
-
 def snap_to_grid(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Snap each coordinate to the nearest grid center, halves rounding up.
 
@@ -205,7 +179,3 @@ def snap_to_grid(p: np.ndarray, grid: GridSpec) -> np.ndarray:
     p = as_point(p)
     return grid.side * np.floor(p / grid.side + 0.5)
 
-
-def snap_many(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
-    pts = np.asarray(pts, dtype=np.float64)
-    return grid.side * np.floor(pts / grid.side + 0.5)

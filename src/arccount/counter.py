@@ -1,11 +1,11 @@
 """End-to-end approximate range counting index.
 
-Build pipeline: optionally project the points with a shared Gaussian map,
-optionally rescale to absorb query snapping error, build a spanning tree
-(worst-case grid machinery or learned from a query sample), linearize it,
-and erect the balanced partition tree.  All internal structures run at the
-halved error ``eps/2`` so that projection and snapping slack still land
-answers inside the full ``eps`` sandwich.
+Build pipeline: optionally rescale the points to absorb query snapping
+error, build a spanning tree (worst-case grid machinery or learned from a
+query sample), linearize it, and erect the balanced partition tree.  The
+working space is the data's own space.  All internal structures run at the
+halved error ``eps/2`` so that the snapping slack still lands answers
+inside the full ``eps`` sandwich.
 
 Queries take one distance pass over the working points in path order and
 keep running counts of the points within the outer radius (near) and at
@@ -13,8 +13,8 @@ least the inner radius away (far).  Every node owns a contiguous slice of
 the path, so two subtractions give its verdict: near points only is
 COVERED, far points only is DISJOINT, both is STABBED.  The walk then adds
 the cumulative weight of a COVERED node and stops, stops empty at a
-DISJOINT node, recurses into a STABBED node, and decides leaves by one
-exact distance test.  The answer weight is therefore always the exact total
+DISJOINT node, recurses into a STABBED node, and includes a leaf when its
+one point is near.  The answer weight is therefore always the exact total
 weight of a concrete point set sandwiched between the inner and outer
 balls.
 """
@@ -34,7 +34,6 @@ from .core import (
     Seed,
     WeightedPointSet,
     as_point,
-    gaussian_projection_matrix,
     snap_to_grid,
     sq_dists_to,
 )
@@ -45,7 +44,6 @@ from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, buil
 # because the benchmark's hook tests patch ``arccount.counter.classify``.
 from .stabber import Verdict, classify  # noqa: F401
 
-_SEED_PROJECTION = 1
 _SEED_TREE = 2
 
 
@@ -77,15 +75,11 @@ class BuildConfig:
     seed: Seed
     tree_source: TreeSource
     radius: float = 1.0
-    jl_enabled: bool | None = None  # None: project only when dim > 64
-    jl_target_dim: int | None = None
     snap_queries: bool = False
     grid_side: float | None = None  # query snap grid, working space
 
     def __post_init__(self) -> None:
         EpsParams(self.eps, self.radius)  # validate
-        if self.jl_target_dim is not None and self.jl_target_dim < 1:
-            raise ContractViolation("jl_target_dim must be positive")
 
 
 @dataclass
@@ -106,28 +100,20 @@ class CountingIndex:
     path_points: np.ndarray  # working_points in path order
     source_points: WeightedPointSet
     rescale_factor: float
-    projection: np.ndarray | None
     snap_grid: GridSpec | None
     spanning_tree: SpanningTree | None = None
     reassembled: bool = False  # leaf order adopted from ``order_override``
 
     def transform_query(self, q: np.ndarray) -> np.ndarray:
-        """Apply the stored projection, optional snap, and rescale to a query."""
+        """Map a query into the working space: the optional snap, then the rescale."""
         qw = as_point(q)
         if qw.shape[0] != self.source_points.dim:
             raise ContractViolation(
                 f"query dimension {qw.shape[0]} does not match data dimension {self.source_points.dim}"
             )
-        if self.projection is not None:
-            qw = qw @ self.projection
         if self.snap_grid is not None:
             qw = snap_to_grid(qw, self.snap_grid)
         return qw * self.rescale_factor
-
-
-def _default_jl_dim(n: int, d: int, eps: float) -> int:
-    # distortion eps/10 needs about 8 ln(n) / (eps/10)^2 dimensions
-    return min(d, max(8, math.ceil(8.0 * math.log(max(2, n)) / (eps / 10.0) ** 2)))
 
 
 def build_counting_index(
@@ -145,23 +131,13 @@ def build_counting_index(
     params = EpsParams(cfg.eps, cfg.radius)
     working = EpsParams(cfg.eps / 2.0, cfg.radius)
 
-    jl_on = cfg.jl_enabled if cfg.jl_enabled is not None else d > 64
-    projection = None
-    work = pts.points
-    if jl_on:
-        target = cfg.jl_target_dim or _default_jl_dim(n, d, cfg.eps)
-        if target < d:
-            projection = gaussian_projection_matrix(d, target, cfg.seed.derive(_SEED_PROJECTION))
-            work = work @ projection
-    d_work = work.shape[1]
-
     rescale = 1.0 / (1.0 + cfg.eps / 5.0) if cfg.snap_queries else 1.0
-    work = work * rescale
+    work = pts.points * rescale
     working_set = WeightedPointSet(work, pts.weights.copy())
 
     snap_grid = None
     if cfg.snap_queries:
-        side = cfg.grid_side or cfg.eps * cfg.radius / (10.0 * math.sqrt(d_work))
+        side = cfg.grid_side or cfg.eps * cfg.radius / (10.0 * math.sqrt(d))
         snap_grid = GridSpec(side)
 
     spanning: SpanningTree | None = None
@@ -172,7 +148,7 @@ def build_counting_index(
     elif n == 1:
         path = SpanningPath(np.zeros(1, dtype=np.int64))
     else:
-        spanning = _build_spanning_tree(working_set, working, cfg, projection, rescale)
+        spanning = _build_spanning_tree(working_set, working, cfg, rescale)
         path = tree_to_path(spanning, working_set)
 
     tree = path_to_partition_tree(path, working_set)
@@ -186,7 +162,6 @@ def build_counting_index(
         path_points=work[tree.order],
         source_points=pts,
         rescale_factor=rescale,
-        projection=projection,
         snap_grid=snap_grid,
         spanning_tree=spanning,
         reassembled=order_override is not None,
@@ -197,7 +172,6 @@ def _build_spanning_tree(
     working_set: WeightedPointSet,
     working: EpsParams,
     cfg: BuildConfig,
-    projection: np.ndarray | None,
     rescale: float,
 ) -> SpanningTree:
     source = cfg.tree_source
@@ -207,14 +181,10 @@ def _build_spanning_tree(
         lp = source.light or LightEdgeParams.for_eps(working.eps)
         return build_low_stab_tree(working_set, queries, working, lp, cfg.seed.derive(_SEED_TREE))
     if isinstance(source, LearnedSource):
-        # training queries go through the same projection and rescale as the
-        # data so the learned costs reflect the working geometry
+        # training queries go through the same rescale as the data so the
+        # learned costs reflect the working geometry
         q = source.sample.queries
-        if projection is not None:
-            if q.shape[1] != projection.shape[0]:
-                raise ContractViolation("training sample dimension does not match the data")
-            q = q @ projection
-        elif q.shape[1] != working_set.dim:
+        if q.shape[1] != working_set.dim:
             raise ContractViolation("training sample dimension does not match the data")
         transformed = QuerySample(q * rescale, source=source.sample.source)
         counts = pair_stab_counts(working_set, transformed, working)
@@ -266,7 +236,6 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     visited = 0
     verdicts = {"stabbed": 0, "covered": 0, "disjoint": 0}
     ranges: list[tuple[int, int]] = []
-    leaf_limit = (1.0 + idx.working.eps) * idx.working.radius
 
     stack = [0]
     while stack:
@@ -274,8 +243,7 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
         node = tree.node(i)
         visited += 1
         if node.is_leaf:
-            p = idx.working_points[tree.order[node.start]]
-            if math.dist(p, qw) <= leaf_limit:
+            if near[node.stop] != near[node.start]:
                 weight += node.cum_weight
                 ranges.append((node.start, node.stop))
             continue

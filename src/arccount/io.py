@@ -10,18 +10,21 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 ``n * (d + 1)`` little-endian float64 values, row-major, weight last in
 each row.
 
-Models are JSON (format ``arc-model v2``): build configuration, seed, the
+Models are JSON (format ``arc-model v3``): build configuration, seed, the
 leaf order of the partition tree, and a digest of the data file.  Loading
 rebuilds only the partition tree over the stored leaf order, so the loaded
-index answers bit-identically to the saved one.  ``arc-model v1`` files
-still load; their ``classifier_repetitions`` and ``beta_scale`` fields are
-ignored.
+index answers bit-identically to the saved one.  ``arc-model v1`` and
+``v2`` files still load; their ``classifier_repetitions``, ``beta_scale``,
+``jl_enabled`` and ``jl_target_dim`` fields are ignored, except that a
+model whose build randomly projected the points to fewer dimensions holds
+a leaf order fitted in another space: it is refused and must be rebuilt.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -140,8 +143,8 @@ def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = Fal
 
 # -- models --------------------------------------------------------------------
 
-_MODEL_FORMAT = "arc-model v2"
-_READABLE_FORMATS = ("arc-model v1", _MODEL_FORMAT)
+_MODEL_FORMAT = "arc-model v3"
+_LEGACY_FORMATS = ("arc-model v1", "arc-model v2")
 
 
 def file_digest(path: str | Path) -> str:
@@ -185,8 +188,6 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
             "radius": cfg.radius,
             "seed": cfg.seed.value,
             "seed_path": list(cfg.seed.path),
-            "jl_enabled": cfg.jl_enabled,
-            "jl_target_dim": cfg.jl_target_dim,
             "snap_queries": cfg.snap_queries,
             "grid_side": cfg.grid_side,
             "tree_source": src_json,
@@ -204,8 +205,9 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: not a model file: {exc}") from exc
-    if doc.get("format") not in _READABLE_FORMATS:
-        raise FileFormatError(f"{path}: unknown model format {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if fmt != _MODEL_FORMAT and fmt not in _LEGACY_FORMATS:
+        raise FileFormatError(f"{path}: unknown model format {fmt!r}")
     digest = file_digest(data_path)
     if digest != doc["data_digest"]:
         raise FileFormatError(
@@ -236,13 +238,33 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
         radius=c["radius"],
         seed=Seed(c["seed"], tuple(c.get("seed_path", ()))),
         tree_source=source,
-        jl_enabled=c["jl_enabled"],
-        jl_target_dim=c["jl_target_dim"],
         snap_queries=c["snap_queries"],
         grid_side=c["grid_side"],
     )
+    if fmt in _LEGACY_FORMATS and _legacy_projected(c, cfg.eps, len(pts), pts.dim):
+        raise FileFormatError(
+            f"{path}: this {fmt} model was built in a randomly projected space, "
+            "which is no longer supported; rebuild it from the data with `arccount build`"
+        )
     order = np.asarray(doc["order"], dtype=np.int64)
     return build_counting_index(pts, cfg, order_override=order)
+
+
+def _legacy_projected(c: dict, eps: float, n: int, d: int) -> bool:
+    """Whether a v1/v2 build with config ``c`` projected its points.
+
+    The old rule: projection was on when ``jl_enabled`` said so, or, when
+    it was null, when ``d > 64``; the target was ``jl_target_dim`` or
+    ``min(d, max(8, ceil(8 ln(max(2, n)) / (eps/10)^2)))``, and the points
+    were projected only when the target was below ``d``.
+    """
+    enabled = c.get("jl_enabled")
+    if not (d > 64 if enabled is None else enabled):
+        return False
+    target = c.get("jl_target_dim") or min(
+        d, max(8, math.ceil(8.0 * math.log(max(2, n)) / (eps / 10.0) ** 2))
+    )
+    return target < d
 
 
 def write_report(path: str | Path, report: dict) -> None:

@@ -196,6 +196,10 @@ def evaluate_visiting(
     (the caller is responsible for keeping holdouts fresh).  An index
     reassembled from a stored leaf order, such as a loaded model, does not
     hold the sample its order was fitted to and reports the overlap as None.
+
+    The visiting number is taken where the walk runs: for the transformed
+    query, over the working points, at the working error.  The sandwich
+    check and ``t_q`` stay at the full error on the original points.
     """
     from .counter import count  # local import to avoid a cycle
     from .ptree import visiting_number
@@ -208,6 +212,7 @@ def evaluate_visiting(
         train_rows = {row.tobytes() for row in np.asarray(training.queries, dtype=np.float64)}
         overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
 
+    working_set = WeightedPointSet(idx.working_points, pts.weights)
     rows: list[dict] = []
     passes = 0
     for q in holdout.queries:
@@ -221,7 +226,7 @@ def evaluate_visiting(
         passes += ok
         rows.append(
             {
-                "visiting": visiting_number(idx.tree, q, pts, params),
+                "visiting": visiting_number(idx.tree, idx.transform_query(q), working_set, idx.working),
                 "t_q": exact_tq(q, pts, params),
                 "sandwich_ok": bool(ok),
             }

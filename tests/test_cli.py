@@ -220,3 +220,25 @@ class TestExitCodes:
              "--seed", "1", "--out-model", str(tmp_path / "m.json")]
         )
         assert rc == 3
+
+    def test_projected_legacy_model_is_exit_two(self, tmp_path, capsys):
+        # a v2 model whose build projected the points to 12 of 80 dimensions
+        data = gen_data(tmp_path, n=20, d=80)
+        model = build_model(tmp_path, data)
+        doc = json.loads(model.read_text())
+        doc["format"] = "arc-model v2"
+        doc["config"]["jl_enabled"] = True
+        doc["config"]["jl_target_dim"] = 12
+        model.write_text(json.dumps(doc))
+        rc = run_cli(["query", "--model", str(model), "--data", str(data), "--q", ",".join(["1"] * 80)])
+        assert rc == 2
+        assert "rebuild" in capsys.readouterr().err
+
+    def test_projection_option_is_gone(self, tmp_path):
+        data = gen_data(tmp_path, n=10, d=2)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned",
+                 "--jl-dim", "10", "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+            )
+        assert exc.value.code == 2

@@ -244,24 +244,6 @@ class TestQueryTransforms:
         expected = snap_to_grid(q, idx.snap_grid) * idx.rescale_factor
         np.testing.assert_array_equal(idx.transform_query(q), expected)
 
-    def test_projection_path_runs(self):
-        rng = Seed(133).generator()
-        pts = WeightedPointSet(rng.normal(size=(40, 80)), np.ones(40))
-        sample = near_data_queries(pts, 150, sigma=0.5, seed=Seed(134))
-        cfg = learned_config(sample=sample, seed=135, jl_target_dim=12)
-        idx = build_counting_index(pts, cfg)
-        assert idx.projection is not None and idx.projection.shape == (80, 12)
-        assert idx.working_points.shape == (40, 12)
-        ans = count(idx, pts.points[0], verify=True)
-        assert np.isfinite(ans.weight)
-
-    def test_auto_projection_only_above_64_dims(self):
-        rng = Seed(136).generator()
-        pts = WeightedPointSet(rng.normal(size=(20, 10)), np.ones(20))
-        sample = near_data_queries(pts, 80, sigma=0.5, seed=Seed(137))
-        idx = build_counting_index(pts, learned_config(sample=sample, seed=138))
-        assert idx.projection is None
-
     def test_dimension_mismatch_rejected(self):
         pts, idx = small_learned_index(n=20, d=3, seed=139)
         with pytest.raises(ContractViolation):

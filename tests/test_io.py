@@ -146,23 +146,66 @@ class TestModels:
 
     @pytest.mark.parametrize("worstcase", [False, True])
     def test_v1_model_answers_like_v2(self, tmp_path, worstcase):
+        # v1 and v2 rewrites of a v3 model, with the fields those versions
+        # wrote at their defaults, answer like the v3 model
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
         doc = json.loads(model.read_text())
-        assert doc["format"] == "arc-model v2"
-        doc["format"] = "arc-model v1"
-        doc["config"]["classifier_repetitions"] = None
-        doc["config"]["beta_scale"] = 1.0
-        old = tmp_path / "model_v1.json"
-        old.write_text(json.dumps(doc))
-        v1, v2 = load_model(old, data), load_model(model, data)
-        np.testing.assert_array_equal(v1.tree.order, v2.tree.order)
+        assert doc["format"] == "arc-model v3"
+        doc["config"]["jl_enabled"] = None
+        doc["config"]["jl_target_dim"] = None
+        legacy = []
+        for fmt in ("arc-model v2", "arc-model v1"):
+            doc["format"] = fmt
+            if fmt == "arc-model v1":
+                doc["config"]["classifier_repetitions"] = None
+                doc["config"]["beta_scale"] = 1.0
+            old = tmp_path / f"model_{fmt[-2:]}.json"
+            old.write_text(json.dumps(doc))
+            legacy.append(load_model(old, data))
+        current = load_model(model, data)
         rng = Seed(159).generator()
-        for _ in range(30):
-            q = rng.uniform(-2, 3, size=pts.dim)
-            a, b = count(v1, q), count(v2, q)
-            assert a.weight == b.weight
-            assert a.visited_nodes == b.visited_nodes
-            assert a.verdict_counts == b.verdict_counts
+        queries = [rng.uniform(-2, 3, size=pts.dim) for _ in range(30)]
+        for old_idx in legacy:
+            np.testing.assert_array_equal(old_idx.tree.order, current.tree.order)
+            for q in queries:
+                a, b = count(old_idx, q), count(current, q)
+                assert a.weight == b.weight
+                assert a.visited_nodes == b.visited_nodes
+                assert a.verdict_counts == b.verdict_counts
+
+    @pytest.mark.parametrize(
+        "enabled, target, refused",
+        [
+            (None, None, False),  # the automatic target was never below 555
+            (True, None, False),
+            (True, 80, False),
+            (False, 12, False),
+            (True, 12, True),
+            (None, 12, True),  # automatic switch on above 64 dimensions
+        ],
+    )
+    def test_legacy_model_refused_only_if_its_build_projected(self, tmp_path, enabled, target, refused):
+        rng = Seed(160).generator()
+        pts = WeightedPointSet(rng.normal(size=(20, 80)), np.ones(20))
+        data = tmp_path / "data.txt"
+        write_points(data, pts)
+        sample = near_data_queries(pts, 60, 0.5, Seed(161))
+        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(162), tree_source=LearnedSource(sample)))
+        model = tmp_path / "model.json"
+        save_model(model, idx, data)
+        doc = json.loads(model.read_text())
+        doc["format"] = "arc-model v2"
+        doc["config"]["jl_enabled"] = enabled
+        doc["config"]["jl_target_dim"] = target
+        model.write_text(json.dumps(doc))
+        if refused:
+            with pytest.raises(FileFormatError, match=r"rebuild"):
+                load_model(model, data)
+            return
+        loaded = load_model(model, data)
+        for q in pts.points[:5]:
+            a, b = count(idx, q), count(loaded, q)
+            assert (a.weight, a.visited_nodes, a.verdict_counts) == (b.weight, b.visited_nodes, b.verdict_counts)
 
     def test_digest_mismatch_refused(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 
 from arccount import learned
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
-from arccount.counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index
+from arccount.counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index, count
 from arccount.learned import (
     QuerySample,
     default_sample_size,
@@ -301,3 +301,22 @@ class TestHoldoutOverlap:
         idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(140), tree_source=WorstCaseSource()))
         holdout = QuerySample(sample.queries[:5], source="t")
         assert evaluate_visiting(idx, holdout, pts, PARAMS).holdout_overlaps_training is False
+
+
+class TestEvalVisiting:
+    @pytest.mark.parametrize("snap", [False, True])
+    def test_mean_visiting_is_the_walks_mean(self, snap):
+        # the visiting number is taken in the geometry the walk runs in, so
+        # it equals the nodes each count visits, query by query
+        rng = Seed(141).generator()
+        centers = rng.uniform(0, 4, size=(3, 4))
+        pts = weighted(centers[rng.integers(0, 3, size=64)] + rng.normal(0, 0.4, size=(64, 4)))
+        sample = near_data_queries(pts, 300, sigma=0.5, seed=Seed(142))
+        cfg = BuildConfig(eps=0.5, seed=Seed(143), tree_source=LearnedSource(sample), snap_queries=snap)
+        idx = build_counting_index(pts, cfg)
+        holdout = near_data_queries(pts, 40, sigma=0.5, seed=Seed(144))
+        report = evaluate_visiting(idx, holdout, pts, PARAMS)
+        visited = [count(idx, q).visited_nodes for q in holdout.queries]
+        assert [row["visiting"] for row in report.per_query] == visited
+        assert report.mean_visiting == float(np.mean(visited))
+        assert report.sandwich_pass_rate == 1.0
