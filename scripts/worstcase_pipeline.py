@@ -65,7 +65,7 @@ def main() -> None:
     cfg = BuildConfig(eps=args.eps, seed=Seed(args.seed).derive(2), tree_source=WorstCaseSource())
     idx = build_counting_index(pts, cfg)
     depth = idx.tree.depth
-    print(f"partition tree: depth {depth}, {len(idx.tree.internal_indices())} internal nodes")
+    print(f"partition tree: depth {depth}, {sum(1 for _ in idx.tree.internal_ranges())} internal nodes")
 
     lo = pts.points.min(axis=0) - 1.0
     hi = pts.points.max(axis=0) + 1.0

@@ -38,7 +38,7 @@ from .core import (
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
-from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, tree_to_path
+from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, split, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
 # ``classify`` is not called here; the name stays importable from this module
 # because the benchmark's hook tests patch ``arccount.counter.classify``.
@@ -52,7 +52,7 @@ class WorstCaseSource:
     """Distribution-free tree source: grid query universe plus light edges.
 
     ``grid_side`` defaults to ``(eps/2) * radius / sqrt(d)`` in the working
-    space; ``light`` defaults to the standard knobs for the working error.
+    space; ``light`` defaults to the default ``rho`` for the working error.
     """
 
     light: LightEdgeParams | None = None
@@ -237,25 +237,25 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     verdicts = {"stabbed": 0, "covered": 0, "disjoint": 0}
     ranges: list[tuple[int, int]] = []
 
-    stack = [0]
+    cum_weight = tree.cum_weight
+    stack = [(0, 0, tree.n)]
     while stack:
-        i = stack.pop()
-        node = tree.node(i)
+        i, lo, hi = stack.pop()
         visited += 1
-        if node.is_leaf:
-            if near[node.stop] != near[node.start]:
-                weight += node.cum_weight
-                ranges.append((node.start, node.stop))
+        if hi - lo == 1:
+            if near[hi] != near[lo]:
+                weight += cum_weight[i]
+                ranges.append((lo, hi))
             continue
-        verdict = node_verdict(near, far, node.start, node.stop)
+        verdict = node_verdict(near, far, lo, hi)
         verdicts[verdict.value] += 1
         if verdict is Verdict.COVERED:
-            weight += node.cum_weight
-            ranges.append((node.start, node.stop))
+            weight += cum_weight[i]
+            ranges.append((lo, hi))
         elif verdict is Verdict.STABBED:
-            left, right = tree.children(i)
-            stack.append(right)
-            stack.append(left)
+            mid = split(lo, hi)
+            stack.append((2 * i + 2, mid, hi))
+            stack.append((2 * i + 1, lo, mid))
         # DISJOINT contributes nothing and stops the walk
 
     answer = CountAnswer(

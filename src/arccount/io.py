@@ -154,17 +154,6 @@ def file_digest(path: str | Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _light_to_json(lp: LightEdgeParams | None) -> dict | None:
-    if lp is None:
-        return None
-    return {
-        "rho": lp.rho,
-        "net_constant": lp.net_constant,
-        "embed_dim_constant": lp.embed_dim_constant,
-        "grid_divisor": lp.grid_divisor,
-    }
-
-
 def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> None:
     cfg = idx.config
     source = cfg.tree_source
@@ -172,7 +161,7 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
         src_json: dict = {
             "kind": "worstcase",
             "grid_side": source.grid_side,
-            "light": _light_to_json(source.light),
+            "light": None if source.light is None else {"rho": source.light.rho},
         }
     else:
         assert isinstance(source, LearnedSource)
@@ -198,6 +187,21 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
         fh.write("\n")
 
 
+_NUMBER = (int, float)
+_NONE = type(None)
+_MISSING = object()
+
+
+def _field(obj: dict, key: str, kinds: tuple[type, ...], where: object, default: object = _MISSING):
+    """``obj[key]``, or ``default`` when absent; a malformed model unless it is one of ``kinds``."""
+    value = obj.get(key, default)
+    if value is _MISSING:
+        raise FileFormatError(f"{where}: model field {key!r} is missing")
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise FileFormatError(f"{where}: model field {key!r} has the wrong type {type(value).__name__}")
+    return value
+
+
 def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     """Rebuild the index saved at ``path`` against its original data file."""
     try:
@@ -205,65 +209,70 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"{path}: not a model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"{path}: not a model file: top level is not an object")
     fmt = doc.get("format")
     if fmt != _MODEL_FORMAT and fmt not in _LEGACY_FORMATS:
         raise FileFormatError(f"{path}: unknown model format {fmt!r}")
     digest = file_digest(data_path)
-    if digest != doc["data_digest"]:
-        raise FileFormatError(
-            f"{data_path}: digest {digest} does not match the model's {doc['data_digest']}"
-        )
+    stored = _field(doc, "data_digest", (str,), path)
+    if digest != stored:
+        raise FileFormatError(f"{data_path}: digest {digest} does not match the model's {stored}")
     pts = read_points(data_path)
-    if len(pts) != doc["n"] or pts.dim != doc["d"]:
+    if len(pts) != _field(doc, "n", (int,), path) or pts.dim != _field(doc, "d", (int,), path):
         raise FileFormatError(f"{data_path}: shape mismatch against model header")
-    c = doc["config"]
-    src = c["tree_source"]
-    if src["kind"] == "worstcase":
-        light = None
-        if src["light"] is not None:
-            light = LightEdgeParams(**src["light"])
+    order = _field(doc, "order", (list,), path)
+    if sorted(v for v in order if type(v) is int) != list(range(len(pts))):
+        raise FileFormatError(f"{path}: stored leaf order is not a permutation of 0..{len(pts) - 1}")
+    c = _field(doc, "config", (dict,), path)
+    src = _field(c, "tree_source", (dict,), path)
+    kind = _field(src, "kind", (str,), path)
+    if kind == "worstcase":
+        light = _field(src, "light", (dict, _NONE), path)
         source: WorstCaseSource | LearnedSource = WorstCaseSource(
-            light=light, grid_side=src["grid_side"]
+            light=None if light is None else LightEdgeParams(rho=_field(light, "rho", _NUMBER, path)),
+            grid_side=_field(src, "grid_side", _NUMBER + (_NONE,), path),
         )
-    elif src["kind"] == "learned":
+    elif kind == "learned":
         # the sample is not stored, nor needed to reassemble: the leaf order is;
         # this placeholder carries only the sample's description
-        source = LearnedSource(
-            sample=QuerySample(np.zeros((1, doc["d"])), source=src["sample_source"])
-        )
+        description = _field(src, "sample_source", (str,), path)
+        source = LearnedSource(sample=QuerySample(np.zeros((1, pts.dim)), source=description))
     else:
-        raise FileFormatError(f"{path}: unknown tree source {src['kind']!r}")
+        raise FileFormatError(f"{path}: unknown tree source {kind!r}")
+    seed_path = _field(c, "seed_path", (list,), path, default=[])
+    if not all(type(k) is int and k >= 0 for k in seed_path):
+        raise FileFormatError(f"{path}: model field 'seed_path' must hold nonnegative integers")
     cfg = BuildConfig(
-        eps=c["eps"],
-        radius=c["radius"],
-        seed=Seed(c["seed"], tuple(c.get("seed_path", ()))),
+        eps=_field(c, "eps", _NUMBER, path),
+        radius=_field(c, "radius", _NUMBER, path),
+        seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
         tree_source=source,
-        snap_queries=c["snap_queries"],
-        grid_side=c["grid_side"],
+        snap_queries=_field(c, "snap_queries", (bool,), path),
+        grid_side=_field(c, "grid_side", _NUMBER + (_NONE,), path),
     )
-    if fmt in _LEGACY_FORMATS and _legacy_projected(c, cfg.eps, len(pts), pts.dim):
-        raise FileFormatError(
-            f"{path}: this {fmt} model was built in a randomly projected space, "
-            "which is no longer supported; rebuild it from the data with `arccount build`"
-        )
-    order = np.asarray(doc["order"], dtype=np.int64)
-    return build_counting_index(pts, cfg, order_override=order)
+    if fmt in _LEGACY_FORMATS:
+        enabled = _field(c, "jl_enabled", (bool, _NONE), path, default=None)
+        target = _field(c, "jl_target_dim", (int, _NONE), path, default=None)
+        if _legacy_projected(enabled, target, cfg.eps, len(pts), pts.dim):
+            raise FileFormatError(
+                f"{path}: this {fmt} model was built in a randomly projected space, "
+                "which is no longer supported; rebuild it from the data with `arccount build`"
+            )
+    return build_counting_index(pts, cfg, order_override=np.asarray(order, dtype=np.int64))
 
 
-def _legacy_projected(c: dict, eps: float, n: int, d: int) -> bool:
-    """Whether a v1/v2 build with config ``c`` projected its points.
+def _legacy_projected(enabled: bool | None, target: int | None, eps: float, n: int, d: int) -> bool:
+    """Whether a v1/v2 build with these ``jl_enabled`` and ``jl_target_dim`` projected its points.
 
     The old rule: projection was on when ``jl_enabled`` said so, or, when
     it was null, when ``d > 64``; the target was ``jl_target_dim`` or
     ``min(d, max(8, ceil(8 ln(max(2, n)) / (eps/10)^2)))``, and the points
     were projected only when the target was below ``d``.
     """
-    enabled = c.get("jl_enabled")
     if not (d > 64 if enabled is None else enabled):
         return False
-    target = c.get("jl_target_dim") or min(
-        d, max(8, math.ceil(8.0 * math.log(max(2, n)) / (eps / 10.0) ** 2))
-    )
+    target = target or min(d, max(8, math.ceil(8.0 * math.log(max(2, n)) / (eps / 10.0) ** 2)))
     return target < d
 
 

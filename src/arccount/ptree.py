@@ -5,14 +5,16 @@ in ascending index order); the first-visit order is the spanning path.  A
 complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
-path.  Walking only the nodes whose parent looks ambiguous or stabbed from
-a query's viewpoint visits few nodes exactly because consecutive path
-points rarely straddle the query's annulus.
+path.  That shape depends on ``n`` alone, so the tree is stored as the path
+order plus one cumulative weight per heap slot, and every node's range is
+derived from ``n`` while walking.  Walking only the nodes whose parent looks
+ambiguous or stabbed from a query's viewpoint visits few nodes exactly
+because consecutive path points rarely straddle the query's annulus.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,34 +39,25 @@ class SpanningPath:
         return int(self.order.size)
 
 
-@dataclass
-class PNode:
-    """One partition-tree node: a half-open range of path positions."""
-
-    start: int
-    stop: int
-    cum_weight: float
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.size == 1
+def split(lo: int, hi: int) -> int:
+    """Where the path range ``[lo, hi)`` splits: the left child takes the larger half."""
+    return lo + (hi - lo + 1) // 2
 
 
 @dataclass
 class PartitionTree:
-    """Heap-indexed complete binary tree over a spanning path.
+    """Balanced binary tree over a spanning path, stored flat.
 
-    ``nodes[0]`` is the root; children of ``i`` sit at ``2i+1`` and
-    ``2i+2``.  Unused heap slots are ``None``.  Node ``i`` owns the input
-    points ``order[start:stop]``.
+    The shape is a function of ``n`` alone.  Heap slot 0 is the root and
+    owns the path positions ``[0, n)``; slot ``i`` has children ``2i+1``
+    and ``2i+2``; a range ``[lo, hi)`` splits at ``split(lo, hi)``; and a
+    range of one position is a leaf.  The only data-dependent part is
+    ``cum_weight[i]``, the total weight of the points ``order[lo:hi]`` that
+    slot ``i`` owns; slots the shape leaves unused hold 0.0.
     """
 
     order: np.ndarray
-    nodes: list[PNode | None]
+    cum_weight: list[float]
 
     @property
     def n(self) -> int:
@@ -72,22 +65,18 @@ class PartitionTree:
 
     @property
     def depth(self) -> int:
-        return 0 if self.n == 1 else math.ceil(math.log2(self.n))
+        return (self.n - 1).bit_length()
 
-    def node(self, i: int) -> PNode:
-        node = self.nodes[i]
-        assert node is not None
-        return node
-
-    def children(self, i: int) -> tuple[int, int]:
-        return 2 * i + 1, 2 * i + 2
-
-    def internal_indices(self) -> list[int]:
-        return [i for i, nd in enumerate(self.nodes) if nd is not None and not nd.is_leaf]
-
-    def member_indices(self, i: int) -> np.ndarray:
-        nd = self.node(i)
-        return self.order[nd.start : nd.stop]
+    def internal_ranges(self) -> Iterator[tuple[int, int, int]]:
+        """``(slot, lo, hi)`` of every internal node, parents first, left before right."""
+        stack = [(0, 0, self.n)]
+        while stack:
+            i, lo, hi = stack.pop()
+            if hi - lo > 1:
+                yield i, lo, hi
+                mid = split(lo, hi)
+                stack.append((2 * i + 2, mid, hi))
+                stack.append((2 * i + 1, lo, mid))
 
 
 def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
@@ -113,49 +102,29 @@ def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
 
 
 def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> PartitionTree:
-    """Build the canonical balanced binary tree over ``path``.
+    """Build the balanced binary tree over ``path``.
 
-    Ranges split with the left child taking the larger half, so the shape is
-    a function of ``n`` alone.  Cumulative weights are filled bottom-up:
-    leaves take their point's weight, parents add their children.
+    Cumulative weights are filled bottom-up: a leaf takes its point's
+    weight, a parent adds its left and its right child.
     """
     n = len(path)
     if n != len(pts):
         raise ContractViolation(f"path length {n} does not match point count {len(pts)}")
-    nodes: dict[int, PNode] = {}
+    leaf = pts.weights[path.order].tolist()
+    tree = PartitionTree(order=path.order, cum_weight=[])
+    cum = tree.cum_weight = [0.0] * (2 ** (tree.depth + 1) - 1)
 
     def fill(i: int, lo: int, hi: int) -> float:
         if hi - lo == 1:
-            w = float(pts.weights[path.order[lo]])
-            nodes[i] = PNode(lo, hi, w)
-            return w
-        mid = lo + (hi - lo + 1) // 2
-        w = fill(2 * i + 1, lo, mid) + fill(2 * i + 2, mid, hi)
-        nodes[i] = PNode(lo, hi, w)
+            w = leaf[lo]
+        else:
+            mid = split(lo, hi)
+            w = fill(2 * i + 1, lo, mid) + fill(2 * i + 2, mid, hi)
+        cum[i] = w
         return w
 
     fill(0, 0, n)
-    size = max(nodes.keys()) + 1
-    slots: list[PNode | None] = [None] * size
-    for i, nd in nodes.items():
-        slots[i] = nd
-    return PartitionTree(order=path.order, nodes=slots)
-
-
-def canonical_path_of_tree(t: PartitionTree) -> SpanningPath:
-    """Leaf order of ``t`` read left to right."""
-    order: list[int] = []
-
-    def walk(i: int) -> None:
-        nd = t.node(i)
-        if nd.is_leaf:
-            order.append(int(t.order[nd.start]))
-            return
-        walk(2 * i + 1)
-        walk(2 * i + 2)
-
-    walk(0)
-    return SpanningPath(np.asarray(order, dtype=np.int64))
+    return tree
 
 
 def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, params: EpsParams) -> int:
@@ -175,9 +144,8 @@ def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, para
     big = params.outer_radius
 
     total = 1
-    for i in t.internal_indices():
-        nd = t.node(i)
-        chunk = dists[nd.start : nd.stop]
+    for _, lo, hi in t.internal_ranges():
+        chunk = dists[lo:hi]
         has_near = bool(np.any(chunk <= r))
         has_far = bool(np.any(chunk >= big))
         has_ambiguous = bool(np.any((chunk > r) & (chunk <= big)))

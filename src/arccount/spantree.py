@@ -71,7 +71,6 @@ class QueryMultiset:
     support: np.ndarray  # (m, d), read-only
     sampler: WeightedSampler
     stab_exponents: np.ndarray  # (m,) int64
-    initial_weight: float = 1.0
 
     def __post_init__(self) -> None:
         self.support = np.ascontiguousarray(np.asarray(self.support, dtype=np.float64))
@@ -147,25 +146,13 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class LightEdgeParams:
-    """Knobs of the light-edge search.
-
-    ``rho`` trades net size against the stabbing bound; ``net_constant``
-    scales the sample count; ``embed_dim_constant`` scales the shared
-    projection dimension; ``grid_divisor`` sets the bucketing cell side
-    ``eps * radius / (grid_divisor * sqrt(k))``.
-    """
+    """Knob of the light-edge search: ``rho`` trades net size against the stabbing bound."""
 
     rho: float
-    net_constant: float = 1.0
-    embed_dim_constant: float = 1.0
-    grid_divisor: float = 4.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rho < 1.0):
             raise ContractViolation(f"rho must lie in (0, 1), got {self.rho}")
-        for name in ("net_constant", "embed_dim_constant", "grid_divisor"):
-            if getattr(self, name) <= 0.0:
-                raise ContractViolation(f"{name} must be positive")
 
     @classmethod
     def for_eps(cls, eps: float) -> "LightEdgeParams":
@@ -290,14 +277,14 @@ def find_light_edge(
 
     # 1. net: heavy queries show up proportionally to their current weight
     delta = min(0.99, d / n**lp.rho)
-    raw = lp.net_constant * (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
+    raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
     net_size = max(1, min(len(queries), math.ceil(raw)))
     rng = seed.derive(0).generator()
     picks = sorted({queries.sampler.sample(rng) for _ in range(net_size)})
     net = queries.support[picks]
 
     # 2. shared projection; skip it when it would not reduce the dimension
-    k = max(1, math.ceil(lp.embed_dim_constant * (math.log(max(2, len(picks))) / (params.eps**2))))
+    k = max(1, math.ceil(math.log(max(2, len(picks))) / (params.eps**2)))
     if k < d:
         matrix = gaussian_projection_matrix(d, k, seed.derive(1))
         proj_pts = pts.points @ matrix
@@ -308,8 +295,8 @@ def find_light_edge(
         proj_net = net
         k_eff = d
 
-    # 3. bucket by cells of side eps*radius/(grid_divisor*sqrt(k))
-    side = params.eps * params.radius / (lp.grid_divisor * math.sqrt(k_eff))
+    # 3. bucket by cells of side eps*radius/(4*sqrt(k))
+    side = params.eps * params.radius / (4.0 * math.sqrt(k_eff))
     cells = np.floor(proj_pts / side).astype(np.int64)
     by_cell: dict[tuple[int, ...], list[int]] = {}
     for i, c in enumerate(map(tuple, cells)):

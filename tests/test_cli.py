@@ -195,6 +195,27 @@ class TestBuildQueryEval:
         assert doc["sandwich_pass_rate"] == 1.0
 
 
+# hand edits that leave a model file malformed: missing fields, wrong types,
+# and a leaf order that is not a permutation of the points
+MALFORMED_MODELS = {
+    "no-radius": lambda doc: doc["config"].pop("radius"),
+    "no-order": lambda doc: doc.pop("order"),
+    "no-digest": lambda doc: doc.pop("data_digest"),
+    "no-source-kind": lambda doc: doc["config"]["tree_source"].pop("kind"),
+    "string-in-order": lambda doc: doc.update(order=["0"] + doc["order"][1:]),
+    "string-eps": lambda doc: doc["config"].update(eps="0.5"),
+    "list-config": lambda doc: doc.update(config=[]),
+    "order-not-a-permutation": lambda doc: doc.update(order=doc["order"][1:2] + doc["order"][1:]),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("saved")
+    data = gen_data(tmp, n=20, d=3)
+    return build_model(tmp, data), data
+
+
 class TestExitCodes:
     def test_malformed_data_is_exit_two(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -220,6 +241,20 @@ class TestExitCodes:
              "--seed", "1", "--out-model", str(tmp_path / "m.json")]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("mutation", sorted(MALFORMED_MODELS))
+    def test_malformed_model_is_exit_two(self, tmp_path, capsys, saved_model, mutation):
+        # an exception escaping run_cli would be a traceback and exit 1
+        model, data = saved_model
+        doc = json.loads(model.read_text())
+        MALFORMED_MODELS[mutation](doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli(["query", "--model", str(bad), "--data", str(data), "--q", "1,1,1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
     def test_projected_legacy_model_is_exit_two(self, tmp_path, capsys):
         # a v2 model whose build projected the points to 12 of 80 dimensions

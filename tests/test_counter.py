@@ -136,11 +136,10 @@ class TestPrefixVerdicts:
             q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
             qw = idx.transform_query(q)
             near, far = prefix_counts(idx, qw)
-            for i in idx.tree.internal_indices():
-                node = idx.tree.node(i)
-                subset = working_set.subset(idx.tree.member_indices(i))
+            for i, lo, hi in idx.tree.internal_ranges():
+                subset = working_set.subset(idx.tree.order[lo:hi])
                 clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, i))
-                verdict = node_verdict(near, far, node.start, node.stop)
+                verdict = node_verdict(near, far, lo, hi)
                 assert verdict is classify(clf, qw)
                 seen.add(verdict)
         assert len(seen) == 3

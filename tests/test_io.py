@@ -146,29 +146,35 @@ class TestModels:
 
     @pytest.mark.parametrize("worstcase", [False, True])
     def test_v1_model_answers_like_v2(self, tmp_path, worstcase):
-        # v1 and v2 rewrites of a v3 model, with the fields those versions
-        # wrote at their defaults, answer like the v3 model
+        # v1, v2 and v3 rewrites of a model, with the fields those versions
+        # wrote at their defaults, answer like the model itself; older files
+        # carry all four light-edge knobs, of which only rho is read
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
         doc = json.loads(model.read_text())
         assert doc["format"] == "arc-model v3"
-        doc["config"]["jl_enabled"] = None
-        doc["config"]["jl_target_dim"] = None
-        legacy = []
-        for fmt in ("arc-model v2", "arc-model v1"):
+        if worstcase:
+            light = doc["config"]["tree_source"]["light"]
+            assert light == {"rho": 0.05}
+            light.update(net_constant=1.0, embed_dim_constant=1.0, grid_divisor=4.0)
+        rewrites = []
+        for fmt in ("arc-model v3", "arc-model v2", "arc-model v1"):
             doc["format"] = fmt
+            if fmt == "arc-model v2":
+                doc["config"]["jl_enabled"] = None
+                doc["config"]["jl_target_dim"] = None
             if fmt == "arc-model v1":
                 doc["config"]["classifier_repetitions"] = None
                 doc["config"]["beta_scale"] = 1.0
             old = tmp_path / f"model_{fmt[-2:]}.json"
             old.write_text(json.dumps(doc))
-            legacy.append(load_model(old, data))
+            rewrites.append(load_model(old, data))
         current = load_model(model, data)
         rng = Seed(159).generator()
         queries = [rng.uniform(-2, 3, size=pts.dim) for _ in range(30)]
-        for old_idx in legacy:
-            np.testing.assert_array_equal(old_idx.tree.order, current.tree.order)
+        for other in rewrites:
+            np.testing.assert_array_equal(other.tree.order, current.tree.order)
             for q in queries:
-                a, b = count(old_idx, q), count(current, q)
+                a, b = count(other, q), count(current, q)
                 assert a.weight == b.weight
                 assert a.visited_nodes == b.visited_nodes
                 assert a.verdict_counts == b.verdict_counts

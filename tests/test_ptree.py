@@ -10,9 +10,10 @@ import pytest
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
 from arccount.oracle import exact_visiting_oracle
 from arccount.ptree import (
+    PartitionTree,
     SpanningPath,
-    canonical_path_of_tree,
     path_to_partition_tree,
+    split,
     tree_to_path,
     visiting_number,
 )
@@ -25,6 +26,19 @@ def weighted(points: np.ndarray, weights: np.ndarray | None = None) -> WeightedP
     if weights is None:
         weights = np.ones(len(points))
     return WeightedPointSet(points, weights)
+
+
+def children(i: int, lo: int, hi: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    mid = split(lo, hi)
+    return (2 * i + 1, lo, mid), (2 * i + 2, mid, hi)
+
+
+def leaf_ranges(t: PartitionTree) -> list[tuple[int, int, int]]:
+    """``(slot, lo, hi)`` of every leaf, sorted by ``lo``: the root, or children owning one position."""
+    if t.n == 1:
+        return [(0, 0, 1)]
+    leaves = [c for node in t.internal_ranges() for c in children(*node) if c[2] - c[1] == 1]
+    return sorted(leaves, key=lambda c: c[1])
 
 
 class TestSpanningPath:
@@ -65,33 +79,39 @@ class TestPartitionTreeShape:
         # ceil-splits of [0, 5): left gets 3, then 2/1, then 1/1 at the bottom
         path = SpanningPath(np.arange(5))
         t = path_to_partition_tree(path, weighted(np.zeros((5, 1))))
-        root = t.node(0)
-        assert (root.start, root.stop) == (0, 5)
-        assert (t.node(1).start, t.node(1).stop) == (0, 3)
-        assert (t.node(2).start, t.node(2).stop) == (3, 5)
-        assert (t.node(3).start, t.node(3).stop) == (0, 2)
-        assert (t.node(4).start, t.node(4).stop) == (2, 3)
+        assert list(t.internal_ranges()) == [(0, 0, 5), (1, 0, 3), (3, 0, 2), (2, 3, 5)]
+        assert leaf_ranges(t) == [(7, 0, 1), (8, 1, 2), (4, 2, 3), (5, 3, 4), (6, 4, 5)]
 
     def test_leaf_count_and_depth(self):
         for n in (1, 2, 3, 4, 7, 8, 9, 33):
             path = SpanningPath(np.arange(n))
             t = path_to_partition_tree(path, weighted(np.zeros((n, 1))))
-            leaves = [nd for nd in t.nodes if nd is not None and nd.is_leaf]
-            assert len(leaves) == n
+            assert len(leaf_ranges(t)) == n
+            assert sum(1 for _ in t.internal_ranges()) == n - 1
             assert t.depth == (0 if n == 1 else math.ceil(math.log2(n)))
 
     def test_sibling_sizes_differ_by_at_most_one(self):
         path = SpanningPath(np.arange(21))
         t = path_to_partition_tree(path, weighted(np.zeros((21, 1))))
-        for i in t.internal_indices():
-            left, right = t.children(i)
-            assert 0 <= t.node(left).size - t.node(right).size <= 1
+        for node in t.internal_ranges():
+            (_, llo, lhi), (_, rlo, rhi) = children(*node)
+            assert 0 <= (lhi - llo) - (rhi - rlo) <= 1
 
     def test_member_indices_follow_the_order(self):
+        # a node owns the points order[lo:hi] of its path range
         order = np.array([3, 1, 4, 0, 2])
         t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((5, 1))))
-        np.testing.assert_array_equal(t.member_indices(0), order)
-        np.testing.assert_array_equal(t.member_indices(1), order[:3])
+        members = {i: t.order[lo:hi] for i, lo, hi in t.internal_ranges()}
+        np.testing.assert_array_equal(members[0], order)
+        np.testing.assert_array_equal(members[1], order[:3])
+        np.testing.assert_array_equal(members[2], order[3:])
+
+    def test_leaf_ranges_tile_the_path_left_to_right(self):
+        for n in (1, 2, 5, 6, 17):
+            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            leaves = leaf_ranges(t)
+            assert [(lo, hi) for _, lo, hi in leaves] == [(k, k + 1) for k in range(n)]
+            assert len({slot for slot, _, _ in leaves}) == n
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
@@ -104,26 +124,28 @@ class TestCumulativeWeights:
         w = rng.uniform(0.1, 3.0, size=13)
         order = rng.permutation(13)
         t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((13, 1)), w))
-        for i, nd in enumerate(t.nodes):
-            if nd is None:
-                continue
-            members = t.member_indices(i)
-            assert nd.cum_weight == pytest.approx(float(w[members].sum()), rel=1e-12)
+        for i, lo, hi in t.internal_ranges():
+            (left, _, _), (right, _, _) = children(i, lo, hi)
+            assert t.cum_weight[i] == t.cum_weight[left] + t.cum_weight[right]
+            assert t.cum_weight[i] == pytest.approx(float(w[order[lo:hi]].sum()), rel=1e-12)
+        for i, lo, _ in leaf_ranges(t):
+            assert t.cum_weight[i] == w[order[lo]]
 
     def test_negative_weights_flow_through(self):
         w = np.array([1.0, -2.0, 0.5])
         t = path_to_partition_tree(SpanningPath(np.arange(3)), weighted(np.zeros((3, 1)), w))
-        assert t.node(0).cum_weight == pytest.approx(-0.5)
+        assert t.cum_weight[0] == pytest.approx(-0.5)
 
 
 class TestCanonicalPath:
     def test_round_trip(self):
+        # read left to right, the leaves give back the path order
         rng = Seed(91).generator()
         for n in (1, 2, 6, 17):
             order = rng.permutation(n)
             t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((n, 1))))
-            back = canonical_path_of_tree(t)
-            np.testing.assert_array_equal(back.order, order)
+            back = [t.order[lo] for _, lo, _ in leaf_ranges(t)]
+            np.testing.assert_array_equal(back, order)
 
 
 class TestVisitingNumber:

@@ -73,8 +73,6 @@ class TestDefaults:
     def test_light_edge_params_validation(self):
         with pytest.raises(ContractViolation):
             LightEdgeParams(rho=1.5)
-        with pytest.raises(ContractViolation):
-            LightEdgeParams(rho=0.1, grid_divisor=0.0)
 
 
 class TestGridQueries:
