@@ -43,9 +43,14 @@ _AUTO_SAMPLE_CAP = 16384
 
 
 def _parse_point(text: str) -> np.ndarray:
-    vals = [float(tok) for tok in text.replace(",", " ").split()]
+    try:
+        vals = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ContractViolation(f"query point {text!r} is not a list of numbers") from exc
     if not vals:
         raise ContractViolation("empty query point")
+    if not all(math.isfinite(v) for v in vals):
+        raise ContractViolation(f"query point {text!r} has non-finite coordinates")
     return np.asarray(vals)
 
 

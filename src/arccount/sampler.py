@@ -40,8 +40,12 @@ class WeightedSampler:
         # cells [1, leaf_count) are internal, [leaf_count, 2*leaf_count) leaves
         self._tree = np.zeros(2 * self._leaf_count, dtype=np.float64)
         self._tree[self._leaf_count : self._leaf_count + self.n] = w
-        for i in range(self._leaf_count - 1, 0, -1):
-            self._tree[i] = self._tree[2 * i] + self._tree[2 * i + 1]
+        # one level at a time: cells [half, level) sum the pairs of [level, 2*level)
+        level = self._leaf_count
+        while level > 1:
+            half = level // 2
+            self._tree[half:level] = self._tree[level : 2 * level : 2] + self._tree[level + 1 : 2 * level : 2]
+            level = half
         self.scale_exponent = 0
         self._maybe_rescale()
 

@@ -12,11 +12,17 @@ in the size of the query universe.
 The light-edge search never trusts approximate geometry for scoring: the
 net, the shared projection, and the cell bucketing only pick a small
 candidate set, and every candidate is scored by its exact stabbing weight.
+Points never move, so each forest round computes every point's near and far
+masks over the universe once, and a search scores all its candidates with
+one product of their stab masks and the current weights.  Weights are
+powers of two, so that product is exact while their exponents span fewer
+than 53 - ceil(log2 m) bits; beyond that each candidate is summed on its
+own.  A universe whose size times n exceeds a fixed budget is refused
+before the first round.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -170,6 +176,9 @@ def default_rho(eps: float) -> float:
 
 _DEFAULT_DIM_CAP = 8
 _MAX_GRID_CELLS = 5_000_000
+# universe size times point count: the light-edge search scores candidates
+# against the whole universe, and each forest round holds two n x m masks
+_MAX_LIGHT_EDGE_WORK = 4_000_000
 
 
 def generate_grid_queries(
@@ -180,9 +189,10 @@ def generate_grid_queries(
 ) -> QueryMultiset:
     """Every grid point within ``(1+eps) * radius`` of some input point, weight one.
 
-    Enumeration cost grows exponentially with dimension, so dimensions above
-    ``dim_cap`` are refused outright; use sampled queries (or the learned
-    builder) there instead.
+    The support lists the grid cells in lexicographic order of their integer
+    indices.  Enumeration cost grows exponentially with dimension, so
+    dimensions above ``dim_cap`` are refused outright; use sampled queries
+    (or the learned builder) there instead.
     """
     d = pts.dim
     if d > dim_cap:
@@ -192,7 +202,7 @@ def generate_grid_queries(
         )
     side = grid.side
     reach = params.outer_radius
-    seen: dict[tuple[int, ...], None] = {}
+    kept = [np.empty((0, d), dtype=np.int64)]
     scanned = 0
     for p in pts.points:
         lo = np.ceil((p - reach) / side).astype(np.int64)
@@ -209,13 +219,19 @@ def generate_grid_queries(
             continue
         mesh = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, d)
         centers = mesh * side
-        keep = sq_dists_to(centers, p) <= reach * reach
-        for v in mesh[keep]:
-            seen.setdefault(tuple(int(c) for c in v), None)
-    if not seen:
+        kept.append(mesh[sq_dists_to(centers, p) <= reach * reach])
+    cells = _sorted_unique_rows(np.concatenate(kept))
+    if cells.shape[0] == 0:
         raise ContractViolation("no grid queries fall near the data; grid side may be too large")
-    cells = np.asarray(sorted(seen.keys()), dtype=np.float64)
-    return QueryMultiset.from_support(cells * side)
+    return QueryMultiset.from_support(cells.astype(np.float64) * side)
+
+
+def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[fresh]
 
 
 # -- light edges ------------------------------------------------------------
@@ -240,18 +256,109 @@ def stab_mask_for_pair(
     return (near_x & far_y) | (near_y & far_x)
 
 
+def _pair_sq_dists(points: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix of squared distances between the rows of ``points``."""
+    diffs = points[:, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diffs, diffs)
+
+
+@dataclass(frozen=True)
+class BallRows:
+    """What the light-edge search reads of each point, one row per point.
+
+    ``near[i]`` marks the queries within ``radius`` of point ``i`` and
+    ``far[i]`` those at least ``(1+eps)*radius`` away, over the whole query
+    support; ``pair_d2`` holds the squared distances between the points.
+    Points never move, so a forest round computes these once, hands them
+    to every light-edge search and drops each retired point's row.
+    """
+
+    near: np.ndarray  # (n, m) bool
+    far: np.ndarray  # (n, m) bool
+    pair_d2: np.ndarray  # (n, n)
+
+    @classmethod
+    def of(cls, points: np.ndarray, support: np.ndarray, params: EpsParams) -> "BallRows":
+        near = np.empty((points.shape[0], support.shape[0]), dtype=bool)
+        far = np.empty_like(near)
+        for i, p in enumerate(points):
+            near[i], far[i] = _stab_weight_columns(support, p, params)
+        return cls(near, far, _pair_sq_dists(points))
+
+    def without(self, row: int) -> "BallRows":
+        """These rows less row ``row``."""
+        keep = np.arange(self.near.shape[0]) != row
+        return BallRows(self.near[keep], self.far[keep], self.pair_d2[np.ix_(keep, keep)])
+
+    def stab_mask(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
+        """Which queries eps-stab the pair of rows ``a`` and ``b``; index arrays give one row per pair."""
+        return (self.near[a] & self.far[b]) | (self.near[b] & self.far[a])
+
+
 def _cell_box_hits_net(cells: np.ndarray, side: float, net: np.ndarray, reach: float) -> np.ndarray:
     """For each cell (integer row), whether some net point is within ``reach`` of the cell box."""
     lo = cells * side
     hi = lo + side
-    hits = np.zeros(cells.shape[0], dtype=bool)
-    reach2 = reach * reach
-    for g in net:
-        clamped = np.clip(g, lo, hi)
-        diff = clamped - g
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        hits |= d2 <= reach2
-    return hits
+    diff = np.clip(net[None, :, :], lo[:, None, :], hi[:, None, :]) - net[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return (d2 <= reach * reach).any(axis=1)
+
+
+def closest_pairs(pair_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The three closest pairs ``a < b`` of a square distance matrix.
+
+    Pairs are ranked by distance, ties by ``(a, b)``: the same pairs, in
+    the same order, as a stable argsort of the upper triangle, found with a
+    partition and a sort of the entries at or below the cut.
+    """
+    n = pair_d2.shape[0]
+    flat = np.where(np.tri(n, dtype=bool), np.inf, pair_d2).ravel()
+    count = min(3, n * (n - 1) // 2)
+    cut = np.partition(flat, count - 1)[count - 1]
+    pos = np.nonzero(flat <= cut)[0]
+    pos = pos[np.argsort(flat[pos], kind="stable")[:count]]
+    return np.divmod(pos, n)
+
+
+def sums_are_exact(weights: np.ndarray) -> bool:
+    """Whether every sum of a subset of ``weights`` is exact in float64.
+
+    True when every nonzero weight is a power of two and (largest exponent
+    - smallest exponent) + ceil(log2 m) < 53: a subset sum is then a
+    multiple of the smallest nonzero weight and less than 2**53 times it,
+    so any summation order gives the same, exact, result.
+    """
+    mantissas, exponents = np.frexp(weights[weights != 0.0])
+    if exponents.size == 0:
+        return True
+    if not np.all(mantissas == 0.5):
+        return False
+    span = int(exponents.max()) - int(exponents.min())
+    return span + (weights.size - 1).bit_length() < 53
+
+
+# mask entries per scoring block; the product casts a block to float64
+_SCORE_CHUNK = 1 << 16
+
+
+def _stabbed_weights(rows: BallRows, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Current query weight stabbing each candidate pair ``(a[i], b[i])``.
+
+    When every subset sum of the weights is exact, a block of candidates
+    is scored by one mask-times-weights product; otherwise each
+    candidate's stabbed weights are summed on their own, as numpy sums
+    them.  Blocks hold at most ``_SCORE_CHUNK`` mask entries.
+    """
+    scores = np.empty(a.size)
+    exact = sums_are_exact(weights)
+    step = max(1, _SCORE_CHUNK // weights.size)
+    for lo in range(0, a.size, step):
+        stabbed = rows.stab_mask(a[lo : lo + step], b[lo : lo + step])
+        if exact:
+            scores[lo : lo + step] = stabbed @ weights
+        else:
+            scores[lo : lo + step] = [weights[mask].sum() for mask in stabbed]
+    return scores
 
 
 def find_light_edge(
@@ -260,6 +367,7 @@ def find_light_edge(
     params: EpsParams,
     lp: LightEdgeParams,
     seed: Seed,
+    rows: BallRows | None = None,
 ) -> Edge:
     """An edge over ``pts`` stabbed by (close to) the least current query weight.
 
@@ -267,13 +375,20 @@ def find_light_edge(
     shared Gaussian projection, all pairs of points far from every net
     query, and the three closest projected pairs as an unconditional
     fallback.  Every candidate is then scored exactly against the full
-    multiset and ties break lexicographically, so the result is
-    deterministic given the seed.
+    multiset, and the lowest score wins, ties to the lexicographically
+    smallest pair, so the result is deterministic given the seed.
+
+    ``rows`` are the points' ball masks and pair distances, in the order of
+    ``pts``; they are computed here when not given.  Scores are the exact
+    stabbed weights: one product over all candidates while the stored
+    weights pass :func:`sums_are_exact`, else one sum per candidate.
     """
     n = len(pts)
     if n < 2:
         raise ContractViolation("light edge search needs at least 2 points")
     d = pts.dim
+    if rows is None:
+        rows = BallRows.of(pts.points, queries.support, params)
 
     # 1. net: heavy queries show up proportionally to their current weight
     delta = min(0.99, d / n**lp.rho)
@@ -289,59 +404,33 @@ def find_light_edge(
         matrix = gaussian_projection_matrix(d, k, seed.derive(1))
         proj_pts = pts.points @ matrix
         proj_net = net @ matrix
+        proj_d2 = _pair_sq_dists(proj_pts)
         k_eff = k
     else:
         proj_pts = pts.points
         proj_net = net
+        proj_d2 = rows.pair_d2
         k_eff = d
 
-    # 3. bucket by cells of side eps*radius/(4*sqrt(k))
+    # 3. bucket by cells of side eps*radius/(4*sqrt(k)): pairs sharing a cell
     side = params.eps * params.radius / (4.0 * math.sqrt(k_eff))
     cells = np.floor(proj_pts / side).astype(np.int64)
-    by_cell: dict[tuple[int, ...], list[int]] = {}
-    for i, c in enumerate(map(tuple, cells)):
-        by_cell.setdefault(c, []).append(i)
-
-    candidates: set[tuple[int, int]] = set()
-    for members in by_cell.values():
-        if len(members) > 1:
-            candidates.update(itertools.combinations(members, 2))
+    candidate = np.ones((n, n), dtype=bool)
+    for col in cells.T:
+        candidate &= col[:, None] == col[None, :]
 
     # pairs of points whose cells every net query misses by more than (1+eps)r
-    covered = _cell_box_hits_net(cells, side, proj_net, params.outer_radius)
-    outsiders = np.nonzero(~covered)[0]
-    if len(outsiders) > 1:
-        candidates.update(itertools.combinations(outsiders.tolist(), 2))
+    outsider = ~_cell_box_hits_net(cells, side, proj_net, params.outer_radius)
+    candidate |= outsider[:, None] & outsider[None, :]
 
     # fallback: the three closest projected pairs are always in play
-    diffs = proj_pts[:, None, :] - proj_pts[None, :, :]
-    pair_d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-    iu = np.triu_indices(n, k=1)
-    flat = pair_d2[iu]
-    closest = np.argsort(flat, kind="stable")[: min(3, flat.size)]
-    for t in closest:
-        candidates.add((int(iu[0][t]), int(iu[1][t])))
+    candidate[closest_pairs(proj_d2)] = True
 
     # 4. exact scoring against the full multiset, current weights included
-    weights = queries.stored_weights()
-    col_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def masks(i: int) -> tuple[np.ndarray, np.ndarray]:
-        if i not in col_cache:
-            col_cache[i] = _stab_weight_columns(queries.support, pts.points[i], params)
-        return col_cache[i]
-
-    best: tuple[float, int, int] | None = None
-    for a, b in sorted(candidates):
-        near_a, far_a = masks(a)
-        near_b, far_b = masks(b)
-        stabbed = (near_a & far_b) | (near_b & far_a)
-        score = float(weights[stabbed].sum())
-        key = (score, a, b)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return Edge(best[1], best[2])
+    a, b = np.nonzero(candidate & ~np.tri(n, dtype=bool))
+    scores = _stabbed_weights(rows, a, b, queries.stored_weights())
+    best = int(np.argmin(scores))
+    return Edge(int(a[best]), int(b[best]))
 
 
 # -- forests and trees ------------------------------------------------------
@@ -360,26 +449,29 @@ def build_low_stab_forest(
     active points, doubles the weight of every query that stabs it, bumps
     those queries' exponents, and retires the edge's first endpoint.  Every
     surviving active point represents a distinct component, so the edge set
-    is acyclic by construction.
+    is acyclic by construction.  The points' ball masks are computed once
+    for the round.
     """
     n = len(pts)
     if n < 2:
         raise ContractViolation("forest building needs at least 2 points")
+    rows = BallRows.of(pts.points, queries.support, params)
     active = list(range(n))
     uf = UnionFind(n)
     edges: list[Edge] = []
     for it in range(math.ceil(n / 2)):
         sub = WeightedPointSet(pts.points[active], pts.weights[active])
-        local = find_light_edge(sub, queries, params, lp, seed.derive(it))
+        local = find_light_edge(sub, queries, params, lp, seed.derive(it), rows)
         a, b = active[local.a], active[local.b]
         merged = uf.union(a, b)
         assert merged, "light edge would close a cycle"
         edges.append(Edge(a, b))
-        mask = stab_mask_for_pair(queries.support, pts.points[a], pts.points[b], params)
-        for j in np.nonzero(mask)[0]:
+        stabbed = np.nonzero(rows.stab_mask(local.a, local.b))[0]
+        for j in stabbed:
             queries.sampler.scale_weight(int(j), 2.0)
-            queries.stab_exponents[j] += 1
-        active.remove(a)
+        queries.stab_exponents[stabbed] += 1
+        del active[local.a]
+        rows = rows.without(local.a)
     return Forest(n=n, edges=edges, components=uf)
 
 
@@ -395,11 +487,19 @@ def build_low_stab_tree(
     The query multiset carries its weights across rounds, so after the build
     each query's exponent equals the exact number of tree edges it stabs.
     Components at least halve per round, giving at most ceil(log2 n) + 1
-    rounds and exactly n - 1 edges.
+    rounds and exactly n - 1 edges.  A universe whose size times n exceeds
+    ``_MAX_LIGHT_EDGE_WORK`` is refused before the first round.
     """
     n = len(pts)
     if n < 2:
         raise ContractViolation("spanning tree construction needs at least 2 points")
+    work = len(queries) * n
+    if work > _MAX_LIGHT_EDGE_WORK:
+        raise ContractViolation(
+            f"worst-case tree over {len(queries)} grid queries and {n} points "
+            f"({work} query-point pairs) exceeds the budget of {_MAX_LIGHT_EDGE_WORK}; "
+            "use --mode learned, a larger eps or a coarser --query-grid-side"
+        )
     uf = UnionFind(n)
     edges: list[Edge] = []
     max_rounds = math.ceil(math.log2(n)) + 1

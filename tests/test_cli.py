@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -268,6 +269,34 @@ class TestExitCodes:
         rc = run_cli(["query", "--model", str(model), "--data", str(data), "--q", ",".join(["1"] * 80)])
         assert rc == 2
         assert "rebuild" in capsys.readouterr().err
+
+    def test_oversized_worst_case_universe_is_exit_three(self, tmp_path, capsys):
+        # about 7e5 grid queries times 12 points, refused before any light edge
+        data = gen_data(tmp_path, n=12, d=2)
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        rc = run_cli(
+            ["build", "--data", str(data), "--eps", "0.02", "--radius", "0.3", "--mode", "worstcase",
+             "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+        )
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert rc == 3 and elapsed < 1.0
+        assert err.startswith("error: ") and "--mode learned" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["1,xyz,1", "1 abc 1", "1,nan,1", "inf,1,1"])
+    @pytest.mark.parametrize("command", ["query", "oracle"])
+    def test_bad_query_text_is_exit_three(self, capsys, saved_model, command, text):
+        model, data = saved_model
+        if command == "query":
+            argv = ["query", "--model", str(model), "--data", str(data), "--q", text]
+        else:
+            argv = ["oracle", "--data", str(data), "--q", text, "--eps", "0.5"]
+        capsys.readouterr()
+        rc = run_cli(argv)
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err.startswith("error: query point") and "Traceback" not in captured.err
 
     def test_projection_option_is_gone(self, tmp_path):
         data = gen_data(tmp_path, n=10, d=2)

@@ -37,6 +37,16 @@ class TestBuildAndSample:
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < stats.chi2.ppf(0.999, df=len(w) - 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 1000])
+    def test_tree_equals_a_cell_by_cell_build(self, n):
+        w = Seed(3).derive(n).generator().uniform(0.0, 3.0, size=n)
+        s = build_sampler(w)
+        expected = np.zeros_like(s._tree)
+        expected[s._leaf_count : s._leaf_count + n] = w
+        for i in range(s._leaf_count - 1, 0, -1):
+            expected[i] = expected[2 * i] + expected[2 * i + 1]
+        assert np.array_equal(s._tree, expected)
+
     def test_empty_distribution_raises(self):
         s = build_sampler(np.array([0.0, 0.0]))
         with pytest.raises(ContractViolation):

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from arccount.core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, eps_stabs
+from arccount.core import (
+    ContractViolation,
+    EpsParams,
+    GridSpec,
+    Seed,
+    WeightedPointSet,
+    eps_stabs,
+    gaussian_projection_matrix,
+    sq_dists_to,
+)
+from arccount import spantree
 from arccount.oracle import exact_sigma
 from arccount.spantree import (
     Edge,
@@ -17,10 +28,12 @@ from arccount.spantree import (
     UnionFind,
     build_low_stab_forest,
     build_low_stab_tree,
+    closest_pairs,
     default_rho,
     find_light_edge,
     generate_grid_queries,
     stab_mask_for_pair,
+    sums_are_exact,
 )
 
 PARAMS = EpsParams(eps=0.5)
@@ -33,6 +46,69 @@ def weighted(points: np.ndarray) -> WeightedPointSet:
 def scatter(n: int, d: int, seed: int, scale: float = 2.0) -> WeightedPointSet:
     rng = Seed(seed).generator()
     return weighted(rng.uniform(0, scale, size=(n, d)))
+
+
+def reference_grid_support(pts: WeightedPointSet, params: EpsParams, side: float) -> np.ndarray:
+    """The query support enumerated through a dict of integer cell tuples, then sorted."""
+    reach = params.outer_radius
+    seen: dict[tuple[int, ...], None] = {}
+    for p in pts.points:
+        lo = np.ceil((p - reach) / side).astype(np.int64)
+        hi = np.floor((p + reach) / side).astype(np.int64)
+        spans = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+        mesh = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, pts.dim)
+        keep = sq_dists_to(mesh * side, p) <= reach * reach
+        for v in mesh[keep]:
+            seen.setdefault(tuple(int(c) for c in v), None)
+    return np.asarray(sorted(seen), dtype=np.float64) * side
+
+
+def reference_light_edge(
+    pts: WeightedPointSet, queries: QueryMultiset, params: EpsParams, lp: LightEdgeParams, seed: Seed
+) -> Edge:
+    """The light-edge search as a per-candidate loop: bucket dict, per-net-point
+    box test, full stable argsort for the closest pairs, one masked sum per
+    sorted candidate and the minimum ``(score, a, b)``."""
+    n, d = len(pts), pts.dim
+    delta = min(0.99, d / n**lp.rho)
+    raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
+    net_size = max(1, min(len(queries), math.ceil(raw)))
+    rng = seed.derive(0).generator()
+    picks = sorted({queries.sampler.sample(rng) for _ in range(net_size)})
+    net = queries.support[picks]
+    k = max(1, math.ceil(math.log(max(2, len(picks))) / (params.eps**2)))
+    if k < d:
+        matrix = gaussian_projection_matrix(d, k, seed.derive(1))
+        proj_pts, proj_net, k_eff = pts.points @ matrix, net @ matrix, k
+    else:
+        proj_pts, proj_net, k_eff = pts.points, net, d
+    side = params.eps * params.radius / (4.0 * math.sqrt(k_eff))
+    cells = np.floor(proj_pts / side).astype(np.int64)
+    by_cell: dict[tuple[int, ...], list[int]] = {}
+    for i, c in enumerate(map(tuple, cells)):
+        by_cell.setdefault(c, []).append(i)
+    candidates: set[tuple[int, int]] = set()
+    for members in by_cell.values():
+        candidates.update(itertools.combinations(members, 2))
+    lo, hi = cells * side, cells * side + side
+    covered = np.zeros(n, dtype=bool)
+    for g in proj_net:
+        diff = np.clip(g, lo, hi) - g
+        covered |= np.einsum("ij,ij->i", diff, diff) <= params.outer_radius * params.outer_radius
+    candidates.update(itertools.combinations(np.nonzero(~covered)[0].tolist(), 2))
+    diffs = proj_pts[:, None, :] - proj_pts[None, :, :]
+    pair_d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    iu = np.triu_indices(n, k=1)
+    for t in np.argsort(pair_d2[iu], kind="stable")[:3]:
+        candidates.add((int(iu[0][t]), int(iu[1][t])))
+    weights = queries.stored_weights()
+    best = None
+    for a, b in sorted(candidates):
+        mask = stab_mask_for_pair(queries.support, pts.points[a], pts.points[b], params)
+        key = (float(weights[mask].sum()), a, b)
+        if best is None or key < best:
+            best = key
+    return Edge(best[1], best[2])
 
 
 class TestUnionFind:
@@ -119,6 +195,16 @@ class TestGridQueries:
         with pytest.raises(ContractViolation, match="budget"):
             generate_grid_queries(pts, PARAMS, GridSpec(0.001))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_support_order_matches_sorted_cell_tuples(self, d):
+        # points on both sides of the origin give negative cell indices, and
+        # balls of reach 1.5 around points at most 2 apart overlap
+        pts = weighted(Seed(90 + d).generator().uniform(-1.0, 1.0, size=(6, d)))
+        for side in (0.3, 0.45):
+            qs = generate_grid_queries(pts, PARAMS, GridSpec(side))
+            assert np.array_equal(qs.support, reference_grid_support(pts, PARAMS, side))
+            assert (qs.support < 0).any() and (qs.support > 0).any()
+
 
 class TestStabMask:
     def test_matches_scalar_predicate(self):
@@ -148,7 +234,78 @@ class TestQueryMultiset:
             QueryMultiset.from_support(np.zeros((0, 2)))
 
 
+# (d, eps, n, largest exponent): exponents up to 60 span at least 53 bits,
+# so the scorer falls back to one sum per candidate
+LIGHT_EDGE_CASES = [
+    (1, 0.3, 9, 6),
+    (2, 0.5, 12, 6),
+    (2, 0.9, 7, 0),
+    (3, 0.5, 6, 20),
+    (2, 0.5, 12, 60),
+    (3, 0.9, 5, 60),
+]
+
+
+def random_exponent_instance(d: int, eps: float, n: int, top: int, seed: int):
+    rng = Seed(300 + seed).generator()
+    pts = rng.uniform(0.0, 2.0, size=(n, d))
+    pts[rng.integers(0, n, size=n // 3)] = pts[0]  # duplicate points
+    pts = weighted(np.round(pts * 4.0) / 4.0)  # equal pair distances
+    params = EpsParams(eps=eps, radius=0.5)
+    qs = generate_grid_queries(pts, params, GridSpec(0.25))
+    exponents = rng.integers(0, top + 1, size=len(qs))
+    exponents[0], exponents[-1] = 0, top
+    for j, e in enumerate(exponents):
+        qs.sampler.update_weight(j, 2.0 ** int(e))
+    qs.stab_exponents[:] = exponents
+    assert qs.exponents_match_weights()
+    return pts, qs, params
+
+
 class TestFindLightEdge:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d, eps, n, top", LIGHT_EDGE_CASES)
+    def test_matches_the_reference_loop(self, d, eps, n, top, seed):
+        pts, qs, params = random_exponent_instance(d, eps, n, top, seed)
+        assert sums_are_exact(qs.stored_weights()) == (top < 53 - (len(qs) - 1).bit_length())
+        lp = LightEdgeParams.for_eps(eps)
+        expected = reference_light_edge(pts, qs, params, lp, Seed(seed))
+        assert find_light_edge(pts, qs, params, lp, Seed(seed)) == expected
+
+    def test_outsider_pairs_compete(self):
+        # heavy queries around the left triangle put every net query there, so
+        # the right triangle's points are outsiders: its pairs share no cell
+        # and are not among the three closest, yet one of them wins
+        pts = weighted(
+            np.array([[0.0, 0.0], [0.55, 0.0], [0.0, 0.6], [5.0, 0.0], [5.85, 0.0], [5.0, 0.9]])
+        )
+        params = EpsParams(eps=0.5, radius=0.5)
+        qs = generate_grid_queries(pts, params, GridSpec(0.1))
+        for j, q in enumerate(qs.support):
+            if q[0] < 2.5:
+                qs.sampler.update_weight(j, 2.0**20)
+                qs.stab_exponents[j] = 20
+        lp = LightEdgeParams.for_eps(0.5)
+        edge = find_light_edge(pts, qs, params, lp, Seed(97))
+        assert edge == reference_light_edge(pts, qs, params, lp, Seed(97))
+        assert min(edge) >= 3
+
+    @pytest.mark.parametrize("top", [6, 60])
+    def test_projected_search_matches_the_reference_loop(self, top, monkeypatch):
+        # three points in four dimensions at eps 0.9: the net is small enough
+        # that the shared projection lowers the dimension
+        projected = []
+        real = spantree.gaussian_projection_matrix
+        monkeypatch.setattr(
+            spantree, "gaussian_projection_matrix", lambda *args: projected.append(args) or real(*args)
+        )
+        for seed in range(4):
+            pts, qs, params = random_exponent_instance(4, 0.9, 3, top, seed)
+            lp = LightEdgeParams.for_eps(0.9)
+            expected = reference_light_edge(pts, qs, params, lp, Seed(seed))
+            assert find_light_edge(pts, qs, params, lp, Seed(seed)) == expected
+        assert len(projected) == 4
+
     def test_planted_zero_stab_pair_is_chosen(self):
         # indices 0 and 1 coincide, so no query stabs them; they are also the
         # closest pair, hence always a candidate, and zero is unbeatable
@@ -196,6 +353,43 @@ class TestFindLightEdge:
         qs = QueryMultiset.from_support(np.zeros((1, 2)))
         with pytest.raises(ContractViolation):
             find_light_edge(pts, qs, PARAMS, LightEdgeParams.for_eps(0.5), Seed(68))
+
+
+class TestClosestPairs:
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
+    def test_match_a_stable_argsort_of_all_pairs(self, n):
+        # lattice points: duplicates (distance 0) and many equal distances
+        pts = Seed(310 + n).generator().integers(0, 3, size=(n, 2)).astype(np.float64)
+        for cloud in (pts, np.zeros_like(pts)):
+            diffs = cloud[:, None, :] - cloud[None, :, :]
+            d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+            iu = np.triu_indices(n, k=1)
+            order = np.argsort(d2[iu], kind="stable")[:3]
+            a, b = closest_pairs(d2)
+            assert np.array_equal(a, iu[0][order]) and np.array_equal(b, iu[1][order])
+
+
+class TestExactSums:
+    def test_guard_follows_the_exponent_span(self):
+        assert sums_are_exact(np.ones(7))
+        assert sums_are_exact(np.zeros(4))
+        assert sums_are_exact(np.array([0.0, 1.0, 2.0**-3]))
+        # 64 weights need 6 bits of carries on top of the span
+        assert sums_are_exact(np.array([1.0] * 63 + [2.0**46]))
+        assert not sums_are_exact(np.array([1.0] * 63 + [2.0**47]))
+        assert not sums_are_exact(np.array([1.0, 3.0]))
+
+
+class TestBudget:
+    def test_refused_above_the_budget_with_guidance(self, monkeypatch):
+        pts = scatter(4, 2, seed=95)
+        qs = generate_grid_queries(pts, PARAMS, GridSpec(0.5))
+        lp = LightEdgeParams.for_eps(0.5)
+        monkeypatch.setattr(spantree, "_MAX_LIGHT_EDGE_WORK", 4 * len(qs) - 1)
+        with pytest.raises(ContractViolation, match="--mode learned"):
+            build_low_stab_tree(pts, qs, PARAMS, lp, Seed(96))
+        monkeypatch.setattr(spantree, "_MAX_LIGHT_EDGE_WORK", 4 * len(qs))
+        assert len(build_low_stab_tree(pts, qs, PARAMS, lp, Seed(96)).edges) == 3
 
 
 class TestForest:
