@@ -3,8 +3,9 @@
 Subcommands: ``gen`` (synthetic datasets), ``gen-queries`` (query sets),
 ``build`` (fit and save an index), ``query`` (one count), ``eval``
 (holdout evaluation with oracle cross-checks), and ``oracle`` (exact
-answers only).  Exit codes: 0 on success, 2 for malformed input files,
-3 for configuration contract violations.
+answers only).  Exit codes: 0 on success, 2 for malformed input files
+and files that cannot be read or written, 3 for configuration contract
+violations.
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ def _parse_point(text: str) -> np.ndarray:
 def _cmd_gen(args: argparse.Namespace) -> int:
     rng = Seed(args.seed).generator()
     n, d = args.n, args.d
-    if n < 1 or d < 1:
-        raise ContractViolation(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if n < 1 or d < 1 or args.k_clusters < 1:
+        raise ContractViolation(f"need n, d and k-clusters >= 1, got {n}, {d} and {args.k_clusters}")
+    if not (math.isfinite(args.scale) and args.cluster_sigma >= 0.0):
+        raise ContractViolation(
+            f"need a finite --scale and --cluster-sigma >= 0, got {args.scale} and {args.cluster_sigma}"
+        )
     if args.kind == "uniform":
         points = rng.uniform(0.0, args.scale, size=(n, d))
     elif args.kind == "clusters":
@@ -79,11 +84,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_gen_queries(args: argparse.Namespace) -> int:
     seed = Seed(args.seed)
+    if args.data is None:
+        raise ContractViolation(f"gen-queries --kind {args.kind} needs --data")
     if args.kind == "file":
-        if args.data is None:
-            raise ContractViolation("gen-queries --kind file needs --data pointing at the source")
         sample = read_query_sample(args.data)
     elif args.kind == "uniform":
+        if not math.isfinite(args.margin):
+            raise ContractViolation(f"--margin must be finite, got {args.margin}")
         pts = read_points(args.data)
         lo = pts.points.min(axis=0) - args.margin
         hi = pts.points.max(axis=0) + args.margin
@@ -107,9 +114,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if args.queries is not None:
             sample = read_query_sample(args.queries)
         else:
-            m = args.m_queries or min(
-                default_sample_size(len(pts), pts.dim, 0.1), _AUTO_SAMPLE_CAP
-            )
+            m = args.m_queries
+            if m is None:
+                m = min(default_sample_size(len(pts), pts.dim, 0.1), _AUTO_SAMPLE_CAP)
             sample = near_data_queries(pts, m, args.sigma, seed.derive(17))
         source = LearnedSource(sample=sample)
     cfg = BuildConfig(
@@ -267,7 +274,7 @@ def run_cli(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileFormatError as exc:
+    except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ContractViolation as exc:

@@ -93,9 +93,8 @@ def as_point(p: "np.ndarray | list[float] | tuple[float, ...]") -> np.ndarray:
 class WeightedPointSet:
     """Immutable bundle of ``n`` points in ``R^d`` with real weights.
 
-    Weights may be negative; only counts are restricted elsewhere (the
-    multiplicity sampler insists on nonnegative weights).  Arrays are marked
-    read-only so indices built on top can be shared across threads.
+    Weights may be negative.  Arrays are marked read-only so indices built
+    on top can be shared across threads.
     """
 
     points: np.ndarray

@@ -58,6 +58,10 @@ class WorstCaseSource:
     light: LightEdgeParams | None = None
     grid_side: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.grid_side is not None:
+            GridSpec(self.grid_side)  # validate
+
 
 @dataclass(frozen=True)
 class LearnedSource:
@@ -80,6 +84,8 @@ class BuildConfig:
 
     def __post_init__(self) -> None:
         EpsParams(self.eps, self.radius)  # validate
+        if self.grid_side is not None:
+            GridSpec(self.grid_side)
 
 
 @dataclass

@@ -3,11 +3,12 @@
 The builder maintains a multiset of queries, initially one copy of every
 grid point near the data.  Each iteration finds an edge stabbed by as little
 query weight as possible, adds it, doubles the weight of every query that
-stabs it, and retires one endpoint.  Heavy queries are sampled more often
-into the candidate-generating net, so regions that keep getting stabbed
-steer later edges away.  Contracting components and repeating yields a full
-spanning tree whose worst-case stabbing number grows only logarithmically
-in the size of the query universe.
+stabs it, and retires one endpoint.  Weights start at one and only double,
+so the multiset is its support plus one stab exponent per query.  Heavy
+queries are drawn more often into the candidate-generating net, so regions
+that keep getting stabbed steer later edges away.  Contracting components
+and repeating yields a full spanning tree whose worst-case stabbing number
+grows only logarithmically in the size of the query universe.
 
 The light-edge search never trusts approximate geometry for scoring: the
 net, the shared projection, and the cell bucketing only pick a small
@@ -30,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, gaussian_projection_matrix, sq_dists_to
-from .sampler import WeightedSampler, build_sampler
 
 
 class Edge(NamedTuple):
@@ -67,15 +67,13 @@ class UnionFind:
 
 @dataclass
 class QueryMultiset:
-    """Distinct query points plus multiplicity state for the weight updates.
+    """Distinct query points and how often each one's weight has doubled.
 
-    ``sampler`` holds the current (possibly rescaled) weights; the stored
-    weight of query ``i`` is exactly ``2**stab_exponents[i]`` up to the
-    sampler's global scale, because weights start at one and only double.
+    Weights start at one and only double, so query ``i`` weighs exactly
+    ``2**stab_exponents[i]``; :meth:`weights` derives them when needed.
     """
 
     support: np.ndarray  # (m, d), read-only
-    sampler: WeightedSampler
     stab_exponents: np.ndarray  # (m,) int64
 
     def __post_init__(self) -> None:
@@ -91,25 +89,23 @@ class QueryMultiset:
         support = np.asarray(support, dtype=np.float64)
         if support.ndim != 2 or support.shape[0] == 0:
             raise ContractViolation("query support must be a nonempty (m, d) array")
-        m = support.shape[0]
-        return cls(
-            support=support,
-            sampler=build_sampler(np.ones(m)),
-            stab_exponents=np.zeros(m, dtype=np.int64),
-        )
+        return cls(support=support, stab_exponents=np.zeros(support.shape[0], dtype=np.int64))
 
-    def stored_weights(self) -> np.ndarray:
-        leaves = self.sampler._tree[self.sampler._leaf_count : self.sampler._leaf_count + len(self)]
-        return leaves.copy()
+    def weights(self) -> np.ndarray:
+        """Every query's weight over the heaviest one's, ``2**(e - max e)``.
+
+        The common power-of-two scale keeps the weights finite.  While the
+        exponents span at most 1022 it is exact, so it changes neither the
+        order nor the ties of any sum of them.
+        """
+        e = self.stab_exponents
+        return np.ldexp(1.0, e - e.max())
 
     def exponents_match_weights(self) -> bool:
-        """Stored weight of every query is 2**(exponent - 400*rescales), exactly."""
-        shift = self.sampler.scale_exponent
-        w = self.stored_weights()
-        expected = self.stab_exponents.astype(np.float64) - shift
+        """Derived weight of every query is 2**(exponent - largest exponent), exactly."""
+        e = self.stab_exponents
         with np.errstate(divide="ignore"):
-            actual = np.log2(w)
-        return bool(np.array_equal(actual, expected))
+            return bool(np.array_equal(np.log2(self.weights()), e - e.max()))
 
 
 @dataclass
@@ -320,37 +316,44 @@ def closest_pairs(pair_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(pos, n)
 
 
-def sums_are_exact(weights: np.ndarray) -> bool:
-    """Whether every sum of a subset of ``weights`` is exact in float64.
+def sums_are_exact(exponents: np.ndarray) -> bool:
+    """Whether every subset sum of the weights ``2**exponents`` is exact in float64.
 
-    True when every nonzero weight is a power of two and (largest exponent
-    - smallest exponent) + ceil(log2 m) < 53: a subset sum is then a
-    multiple of the smallest nonzero weight and less than 2**53 times it,
-    so any summation order gives the same, exact, result.
+    True when (largest exponent - smallest exponent) + ceil(log2 m) < 53:
+    a subset sum is then a multiple of the smallest weight and less than
+    2**53 times it, so any summation order gives the same, exact, result.
     """
-    mantissas, exponents = np.frexp(weights[weights != 0.0])
-    if exponents.size == 0:
-        return True
-    if not np.all(mantissas == 0.5):
-        return False
     span = int(exponents.max()) - int(exponents.min())
-    return span + (weights.size - 1).bit_length() < 53
+    return span + (exponents.size - 1).bit_length() < 53
+
+
+def weighted_draws(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` indices drawn with replacement, each in proportion to its weight.
+
+    One uniform per draw, scaled to the total and located in the running
+    sums.  A draw at the total, which no running sum exceeds, takes the
+    last index.
+    """
+    cum = np.cumsum(weights)
+    u = rng.random(size) * cum[-1]
+    return np.minimum(np.searchsorted(cum, u, side="right"), weights.size - 1)
 
 
 # mask entries per scoring block; the product casts a block to float64
 _SCORE_CHUNK = 1 << 16
 
 
-def _stabbed_weights(rows: BallRows, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _stabbed_weights(
+    rows: BallRows, a: np.ndarray, b: np.ndarray, weights: np.ndarray, exact: bool
+) -> np.ndarray:
     """Current query weight stabbing each candidate pair ``(a[i], b[i])``.
 
-    When every subset sum of the weights is exact, a block of candidates
-    is scored by one mask-times-weights product; otherwise each
+    When every subset sum of the weights is ``exact``, a block of
+    candidates is scored by one mask-times-weights product; otherwise each
     candidate's stabbed weights are summed on their own, as numpy sums
     them.  Blocks hold at most ``_SCORE_CHUNK`` mask entries.
     """
     scores = np.empty(a.size)
-    exact = sums_are_exact(weights)
     step = max(1, _SCORE_CHUNK // weights.size)
     for lo in range(0, a.size, step):
         stabbed = rows.stab_mask(a[lo : lo + step], b[lo : lo + step])
@@ -380,8 +383,9 @@ def find_light_edge(
 
     ``rows`` are the points' ball masks and pair distances, in the order of
     ``pts``; they are computed here when not given.  Scores are the exact
-    stabbed weights: one product over all candidates while the stored
-    weights pass :func:`sums_are_exact`, else one sum per candidate.
+    stabbed weights: one product over all candidates while the query
+    exponents pass :func:`sums_are_exact`, else one sum per candidate.
+    The weights are derived once per search, and the net is drawn from them.
     """
     n = len(pts)
     if n < 2:
@@ -394,8 +398,8 @@ def find_light_edge(
     delta = min(0.99, d / n**lp.rho)
     raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
     net_size = max(1, min(len(queries), math.ceil(raw)))
-    rng = seed.derive(0).generator()
-    picks = sorted({queries.sampler.sample(rng) for _ in range(net_size)})
+    weights = queries.weights()
+    picks = np.unique(weighted_draws(weights, seed.derive(0).generator(), net_size))
     net = queries.support[picks]
 
     # 2. shared projection; skip it when it would not reduce the dimension
@@ -428,7 +432,7 @@ def find_light_edge(
 
     # 4. exact scoring against the full multiset, current weights included
     a, b = np.nonzero(candidate & ~np.tri(n, dtype=bool))
-    scores = _stabbed_weights(rows, a, b, queries.stored_weights())
+    scores = _stabbed_weights(rows, a, b, weights, sums_are_exact(queries.stab_exponents))
     best = int(np.argmin(scores))
     return Edge(int(a[best]), int(b[best]))
 
@@ -446,8 +450,8 @@ def build_low_stab_forest(
     """Halve the components of ``pts`` with light edges, updating query weights.
 
     Runs ceil(n/2) iterations.  Each one adds the light edge over the still
-    active points, doubles the weight of every query that stabs it, bumps
-    those queries' exponents, and retires the edge's first endpoint.  Every
+    active points, doubles the weight of every query that stabs it by
+    bumping its exponent, and retires the edge's first endpoint.  Every
     surviving active point represents a distinct component, so the edge set
     is acyclic by construction.  The points' ball masks are computed once
     for the round.
@@ -466,10 +470,7 @@ def build_low_stab_forest(
         merged = uf.union(a, b)
         assert merged, "light edge would close a cycle"
         edges.append(Edge(a, b))
-        stabbed = np.nonzero(rows.stab_mask(local.a, local.b))[0]
-        for j in stabbed:
-            queries.sampler.scale_weight(int(j), 2.0)
-        queries.stab_exponents[stabbed] += 1
+        queries.stab_exponents[rows.stab_mask(local.a, local.b)] += 1
         del active[local.a]
         rows = rows.without(local.a)
     return Forest(n=n, edges=edges, components=uf)

@@ -217,7 +217,49 @@ def saved_model(tmp_path_factory):
     return build_model(tmp, data), data
 
 
+GEN = "gen --kind clusters --n 8 --d 2 --seed 1 --out {tmp}/x.txt"
+BUILD = "build --data {data} --eps 0.5 --seed 1"
+BAD_OPTION_VALUES = {
+    "gen-k-clusters-0": GEN + " --k-clusters 0",
+    "gen-cluster-sigma-negative": GEN + " --cluster-sigma -1",
+    "gen-scale-inf": GEN + " --scale inf",
+    "gen-queries-uniform-no-data": "gen-queries --kind uniform --out {tmp}/q.txt",
+    "gen-queries-near-data-no-data": "gen-queries --kind near-data --out {tmp}/q.txt",
+    "gen-queries-margin-inf": "gen-queries --kind uniform --data {data} --margin inf --out {tmp}/q.txt",
+    "build-m-queries-0": BUILD + " --mode learned --m-queries 0 --out-model {tmp}/m.json",
+    "build-query-grid-side-0": BUILD + " --mode worstcase --query-grid-side 0 --out-model {tmp}/m.json",
+    "build-snap-grid-side-0": BUILD + " --mode learned --snap --grid-side 0 --out-model {tmp}/m.json",
+}
+UNWRITABLE_OUTPUTS = {
+    "gen-out": GEN.replace("{tmp}", "{tmp}/no/such/dir"),
+    "build-out-model": BUILD + " --mode learned --m-queries 50 --out-model {tmp}/no/such/dir/m.json",
+    "eval-out-report": "eval --model {model} --data {data} --queries {data} --out-report {tmp}/no/such/dir/r.json",
+}
+
+
+def run_argv(template, tmp_path, saved_model):
+    model, data = saved_model
+    return run_cli(template.format(tmp=tmp_path, data=data, model=model).split())
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("template", BAD_OPTION_VALUES.values(), ids=BAD_OPTION_VALUES)
+    def test_bad_option_value_is_exit_three(self, tmp_path, capsys, saved_model, template):
+        capsys.readouterr()
+        rc = run_argv(template, tmp_path, saved_model)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("template", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS)
+    def test_unwritable_output_is_exit_two(self, tmp_path, capsys, saved_model, template):
+        capsys.readouterr()
+        rc = run_argv(template, tmp_path, saved_model)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "no/such/dir" in err and "Traceback" not in err
+
     def test_malformed_data_is_exit_two(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from arccount.core import (
     ContractViolation,
@@ -34,6 +35,7 @@ from arccount.spantree import (
     generate_grid_queries,
     stab_mask_for_pair,
     sums_are_exact,
+    weighted_draws,
 )
 
 PARAMS = EpsParams(eps=0.5)
@@ -63,18 +65,45 @@ def reference_grid_support(pts: WeightedPointSet, params: EpsParams, side: float
     return np.asarray(sorted(seen), dtype=np.float64) * side
 
 
+def reference_net(weights: np.ndarray, rng: np.random.Generator, size: int) -> list[int]:
+    """The net as a binary heap of weight sums draws it: one uniform per draw,
+    scaled to the root, then one descent that subtracts each left sum passed;
+    a descent past the last positive leaf takes that leaf."""
+    leaves = 1 << (weights.size - 1).bit_length()
+    tree = np.zeros(2 * leaves)
+    tree[leaves : leaves + weights.size] = weights
+    for i in range(leaves - 1, 0, -1):
+        tree[i] = tree[2 * i] + tree[2 * i + 1]
+    picks = set()
+    for _ in range(size):
+        u = rng.random() * tree[1]
+        cell = 1
+        while cell < leaves:
+            if u < tree[2 * cell]:
+                cell = 2 * cell
+            else:
+                u -= tree[2 * cell]
+                cell = 2 * cell + 1
+        idx = cell - leaves
+        if idx >= weights.size or tree[cell] == 0.0:
+            idx = int(np.nonzero(weights)[0][-1])
+        picks.add(idx)
+    return sorted(picks)
+
+
 def reference_light_edge(
     pts: WeightedPointSet, queries: QueryMultiset, params: EpsParams, lp: LightEdgeParams, seed: Seed
 ) -> Edge:
     """The light-edge search as a per-candidate loop: bucket dict, per-net-point
     box test, full stable argsort for the closest pairs, one masked sum per
-    sorted candidate and the minimum ``(score, a, b)``."""
+    sorted candidate and the minimum ``(score, a, b)``, all over the unscaled
+    weights ``2**stab_exponents``."""
     n, d = len(pts), pts.dim
     delta = min(0.99, d / n**lp.rho)
     raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
     net_size = max(1, min(len(queries), math.ceil(raw)))
-    rng = seed.derive(0).generator()
-    picks = sorted({queries.sampler.sample(rng) for _ in range(net_size)})
+    weights = np.ldexp(1.0, queries.stab_exponents)
+    picks = reference_net(weights, seed.derive(0).generator(), net_size)
     net = queries.support[picks]
     k = max(1, math.ceil(math.log(max(2, len(picks))) / (params.eps**2)))
     if k < d:
@@ -101,7 +130,6 @@ def reference_light_edge(
     iu = np.triu_indices(n, k=1)
     for t in np.argsort(pair_d2[iu], kind="stable")[:3]:
         candidates.add((int(iu[0][t]), int(iu[1][t])))
-    weights = queries.stored_weights()
     best = None
     for a, b in sorted(candidates):
         mask = stab_mask_for_pair(queries.support, pts.points[a], pts.points[b], params)
@@ -226,7 +254,7 @@ class TestStabMask:
 class TestQueryMultiset:
     def test_from_support_starts_at_weight_one(self):
         qs = QueryMultiset.from_support(np.zeros((4, 2)))
-        np.testing.assert_array_equal(qs.stored_weights(), np.ones(4))
+        np.testing.assert_array_equal(qs.weights(), np.ones(4))
         assert qs.exponents_match_weights()
 
     def test_empty_support_rejected(self):
@@ -255,10 +283,7 @@ def random_exponent_instance(d: int, eps: float, n: int, top: int, seed: int):
     qs = generate_grid_queries(pts, params, GridSpec(0.25))
     exponents = rng.integers(0, top + 1, size=len(qs))
     exponents[0], exponents[-1] = 0, top
-    for j, e in enumerate(exponents):
-        qs.sampler.update_weight(j, 2.0 ** int(e))
     qs.stab_exponents[:] = exponents
-    assert qs.exponents_match_weights()
     return pts, qs, params
 
 
@@ -267,7 +292,7 @@ class TestFindLightEdge:
     @pytest.mark.parametrize("d, eps, n, top", LIGHT_EDGE_CASES)
     def test_matches_the_reference_loop(self, d, eps, n, top, seed):
         pts, qs, params = random_exponent_instance(d, eps, n, top, seed)
-        assert sums_are_exact(qs.stored_weights()) == (top < 53 - (len(qs) - 1).bit_length())
+        assert sums_are_exact(qs.stab_exponents) == (top < 53 - (len(qs) - 1).bit_length())
         lp = LightEdgeParams.for_eps(eps)
         expected = reference_light_edge(pts, qs, params, lp, Seed(seed))
         assert find_light_edge(pts, qs, params, lp, Seed(seed)) == expected
@@ -281,10 +306,7 @@ class TestFindLightEdge:
         )
         params = EpsParams(eps=0.5, radius=0.5)
         qs = generate_grid_queries(pts, params, GridSpec(0.1))
-        for j, q in enumerate(qs.support):
-            if q[0] < 2.5:
-                qs.sampler.update_weight(j, 2.0**20)
-                qs.stab_exponents[j] = 20
+        qs.stab_exponents[qs.support[:, 0] < 2.5] = 20
         lp = LightEdgeParams.for_eps(0.5)
         edge = find_light_edge(pts, qs, params, lp, Seed(97))
         assert edge == reference_light_edge(pts, qs, params, lp, Seed(97))
@@ -321,7 +343,7 @@ class TestFindLightEdge:
         # this dimension), so the winner can never score worse than they do
         pts = scatter(9, 2, seed=64, scale=3.0)
         qs = generate_grid_queries(pts, PARAMS, GridSpec(0.5))
-        weights = qs.stored_weights()
+        weights = qs.weights()
         edge = find_light_edge(pts, qs, PARAMS, LightEdgeParams.for_eps(0.5), Seed(65))
 
         def score(a: int, b: int) -> float:
@@ -371,13 +393,62 @@ class TestClosestPairs:
 
 class TestExactSums:
     def test_guard_follows_the_exponent_span(self):
-        assert sums_are_exact(np.ones(7))
-        assert sums_are_exact(np.zeros(4))
-        assert sums_are_exact(np.array([0.0, 1.0, 2.0**-3]))
+        assert sums_are_exact(np.zeros(7, dtype=np.int64))
+        assert sums_are_exact(np.array([5, 2, 4]))
+        assert sums_are_exact(np.array([0, 51]))
+        assert not sums_are_exact(np.array([0, 52]))
         # 64 weights need 6 bits of carries on top of the span
-        assert sums_are_exact(np.array([1.0] * 63 + [2.0**46]))
-        assert not sums_are_exact(np.array([1.0] * 63 + [2.0**47]))
-        assert not sums_are_exact(np.array([1.0, 3.0]))
+        assert sums_are_exact(np.array([0] * 63 + [46]))
+        assert not sums_are_exact(np.array([0] * 63 + [47]))
+
+
+class FixedUniforms:
+    """A stand-in generator whose every uniform is ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self, size: int | None = None) -> float | np.ndarray:
+        return self.value if size is None else np.full(size, self.value)
+
+
+class TestNetDraw:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_heap_descent_on_exact_instances(self, seed):
+        rng = Seed(320 + seed).generator()
+        m = int(rng.integers(1, 300))
+        exponents = rng.integers(0, 53 - (m - 1).bit_length(), size=m)
+        qs = QueryMultiset(np.zeros((m, 1)), exponents)
+        assert sums_are_exact(qs.stab_exponents)
+        draws = weighted_draws(qs.weights(), Seed(seed).generator(), 200)
+        expected = reference_net(np.ldexp(1.0, exponents), Seed(seed).generator(), 200)
+        assert np.unique(draws).tolist() == expected
+
+    def test_a_draw_at_the_total_takes_the_last_index(self):
+        # a draw at the total is exceeded by no running sum; the heap
+        # descent ends past the last leaf there and falls back to it
+        weights = np.ones(3)
+        assert weighted_draws(weights, FixedUniforms(1.0), 4).tolist() == [2] * 4
+        assert reference_net(weights, FixedUniforms(1.0), 1) == [2]
+        assert weighted_draws(weights, FixedUniforms(1.0 - 2.0**-53), 1).tolist() == [2]
+        assert weighted_draws(weights, FixedUniforms(0.0), 1).tolist() == [0]
+
+    def test_a_draw_on_a_running_sum_takes_the_next_index(self):
+        # u = 0.5 * 4 lands on the running sum 2 of both [2, 1, 1] and [1, 1, 2]
+        for weights, expected in (([2.0, 1.0, 1.0], 1), ([1.0, 1.0, 2.0], 2)):
+            weights = np.array(weights)
+            assert weighted_draws(weights, FixedUniforms(0.5), 1).tolist() == [expected]
+            assert reference_net(weights, FixedUniforms(0.5), 1) == [expected]
+
+    def test_chi_square_against_exact_ratios(self):
+        qs = QueryMultiset(np.zeros((5, 1)), [1, 2, 3, 4, 0])
+        w = qs.weights()
+        np.testing.assert_array_equal(w, [0.125, 0.25, 0.5, 1.0, 0.0625])
+        m = 40000
+        counts = np.bincount(weighted_draws(w, Seed(2).generator(), m), minlength=len(w))
+        expected = m * w / w.sum()
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi2 < stats.chi2.ppf(0.999, df=len(w) - 1)
 
 
 class TestBudget:
@@ -415,12 +486,6 @@ class TestForest:
     def test_weights_track_exponents_exactly(self):
         _pts, qs, _forest = self.build(11, seed=72)
         assert qs.exponents_match_weights()
-
-    def test_total_weight_bounds_every_exponent(self):
-        # each query's weight 2^sigma is a summand of the total, so sigma
-        # can never exceed log2 of the total weight
-        _pts, qs, _forest = self.build(12, seed=73)
-        assert qs.stab_exponents.max() <= qs.sampler.log2_total() + 1e-9
 
 
 class TestTree:
