@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""One digest per benchmark workload and seed over every answer of its query pool.
+
+Builds each workload's index from the benchmark's own inputs and
+configuration (``bench/harness.py``'s ``make_inputs`` and
+``build_config``), answers all pool queries with ``count(..., verify=True)``
+and prints a sha256 over each answer's ``weight.hex()``, ``visited_nodes``,
+``verdict_counts`` (key order included) and member ranges.  Two checkouts
+answer bit-identically on a workload and seed iff their digests match.
+
+Example, comparing this checkout against another one at ``../parent``:
+    PYTHONPATH=src python3 scripts/answer_digest.py --seeds 1 2 3
+    PYTHONPATH=../parent/src python3 scripts/answer_digest.py --seeds 1 2 3
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
+
+import arccount  # noqa: E402
+
+
+def answer_digest(workload: str, seed: int) -> str:
+    inputs = make_inputs(WORKLOADS[workload], seed)
+    idx = arccount.build_counting_index(inputs.points, build_config(inputs, seed))
+    h = hashlib.sha256()
+    for q in inputs.pool:
+        ans = arccount.count(idx, q, verify=True)
+        key = (ans.weight.hex(), ans.visited_nodes, list(ans.verdict_counts.items()), ans.member_ranges)
+        h.update(repr(key).encode())
+    return "sha256:" + h.hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    args = ap.parse_args()
+    for name in args.workloads:
+        for seed in args.seeds:
+            print(f"{name} seed {seed} {answer_digest(name, seed)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

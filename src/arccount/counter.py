@@ -11,12 +11,15 @@ Queries take one distance pass over the working points in path order and
 keep running counts of the points within the outer radius (near) and at
 least the inner radius away (far).  Every node owns a contiguous slice of
 the path, so two subtractions give its verdict: near points only is
-COVERED, far points only is DISJOINT, both is STABBED.  The walk then adds
-the cumulative weight of a COVERED node and stops, stops empty at a
-DISJOINT node, recurses into a STABBED node, and includes a leaf when its
-one point is near.  The answer weight is therefore always the exact total
-weight of a concrete point set sandwiched between the inner and outer
-balls.
+COVERED, far points only is DISJOINT, both is STABBED.  The walk adds the
+cumulative weight of a COVERED node and stops, stops empty at a DISJOINT
+node, recurses into a STABBED node, and includes a leaf when its one point
+is near.  The tree is stored in preorder, so the walk is a fixed number of
+array operations over all nodes: the verdicts of every node at once, then
+the nodes no stopping ancestor hides, then a running sum of the included
+weights in preorder, the order of a depth-first walk.  The answer weight
+is therefore always the exact total weight of a concrete point set
+sandwiched between the inner and outer balls.
 """
 
 from __future__ import annotations
@@ -38,11 +41,11 @@ from .core import (
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
-from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, split, tree_to_path
+from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
 # ``classify`` is not called here; the name stays importable from this module
 # because the benchmark's hook tests patch ``arccount.counter.classify``.
-from .stabber import Verdict, classify  # noqa: F401
+from .stabber import classify  # noqa: F401
 
 _SEED_TREE = 2
 
@@ -198,34 +201,30 @@ def _build_spanning_tree(
     raise ContractViolation(f"unknown tree source {type(source).__name__}")
 
 
-def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> tuple[list[int], list[int]]:
+def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running near and far counts over the path, for a transformed query.
 
-    Entry ``k`` of each list counts the first ``k`` path points within the
+    Entry ``k`` of each array counts the first ``k`` path points within the
     working outer radius of ``qw`` (near) or at least the working radius
     from it (far).
     """
     d2 = sq_dists_to(idx.path_points, qw)
     outer = idx.working.outer_radius
     r = idx.working.radius
-    near = np.concatenate(([0], np.cumsum(d2 <= outer * outer)))
-    far = np.concatenate(([0], np.cumsum(d2 >= r * r)))
-    return near.tolist(), far.tolist()
+    near = np.zeros(d2.size + 1, dtype=np.intp)
+    far = np.zeros(d2.size + 1, dtype=np.intp)
+    np.cumsum(d2 <= outer * outer, out=near[1:])
+    np.cumsum(d2 >= r * r, out=far[1:])
+    return near, far
 
 
-def node_verdict(near: list[int], far: list[int], start: int, stop: int) -> Verdict:
-    """Verdict of the path slice ``[start, stop)`` from the prefix counts.
+def node_masks(tree: PartitionTree, near: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each node's path slice holds a near point, and a far point, in preorder.
 
-    Near points only: COVERED.  Far points only: DISJOINT.  Anything else
-    is STABBED, so that the walk recurses.
+    Near points only is COVERED, far points only is DISJOINT, and both is
+    STABBED.
     """
-    has_near = near[stop] != near[start]
-    has_far = far[stop] != far[start]
-    if has_near and not has_far:
-        return Verdict.COVERED
-    if has_far and not has_near:
-        return Verdict.DISJOINT
-    return Verdict.STABBED
+    return near[tree.hi] != near[tree.lo], far[tree.hi] != far[tree.lo]
 
 
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
@@ -237,38 +236,34 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     """
     qw = idx.transform_query(q)
     tree = idx.tree
-    near, far = prefix_counts(idx, qw)
-    weight = 0.0
-    visited = 0
-    verdicts = {"stabbed": 0, "covered": 0, "disjoint": 0}
-    ranges: list[tuple[int, int]] = []
-
-    cum_weight = tree.cum_weight
-    stack = [(0, 0, tree.n)]
-    while stack:
-        i, lo, hi = stack.pop()
-        visited += 1
-        if hi - lo == 1:
-            if near[hi] != near[lo]:
-                weight += cum_weight[i]
-                ranges.append((lo, hi))
-            continue
-        verdict = node_verdict(near, far, lo, hi)
-        verdicts[verdict.value] += 1
-        if verdict is Verdict.COVERED:
-            weight += cum_weight[i]
-            ranges.append((lo, hi))
-        elif verdict is Verdict.STABBED:
-            mid = split(lo, hi)
-            stack.append((2 * i + 2, mid, hi))
-            stack.append((2 * i + 1, lo, mid))
-        # DISJOINT contributes nothing and stops the walk
+    has_near, has_far = node_masks(tree, *prefix_counts(idx, qw))
+    # a COVERED or DISJOINT node stops the walk below it, and its subtree is
+    # the preorder block up to its ``end``: a node is visited iff the
+    # furthest end of the stopping nodes before it does not pass it
+    stop = has_near != has_far
+    reach = np.maximum.accumulate(np.where(stop, tree.end, 0))
+    visited = np.ones(stop.size, dtype=bool)
+    np.less_equal(reach[:-1], np.arange(1, stop.size), out=visited[1:])
+    # a COVERED node, or a leaf whose point is near
+    included = visited & has_near & (stop | tree.leaf)
+    # a sequential running sum from 0.0 adds in preorder, as a depth-first
+    # walk does; a pairwise or compensated sum could differ in the last bit
+    weight = float(np.cumsum(np.concatenate(([0.0], tree.weight[included])))[-1])
+    inner = visited & ~tree.leaf
+    stopped = inner & stop
+    n_stopped = int(np.count_nonzero(stopped))
+    n_covered = int(np.count_nonzero(stopped & has_near))
 
     answer = CountAnswer(
         weight=weight,
-        visited_nodes=visited,
-        verdict_counts=verdicts,
-        member_ranges=sorted(ranges) if verify else None,
+        visited_nodes=int(np.count_nonzero(visited)),
+        verdict_counts={
+            "stabbed": int(np.count_nonzero(inner)) - n_stopped,
+            "covered": n_covered,
+            "disjoint": n_stopped - n_covered,
+        },
+        # included slices are disjoint, so preorder lists them by ``lo``
+        member_ranges=list(zip(tree.lo[included].tolist(), tree.hi[included].tolist())) if verify else None,
     )
     if verify:
         total = sum(

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import struct
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -107,27 +108,35 @@ def _read_text(path: Path) -> WeightedPointSet:
         n, d = int(head[2]), int(head[3])
     except ValueError:
         raise FileFormatError(f"{path}: non-integer sizes in header (line 1)") from None
+    if n < 1 or d < 1:
+        raise FileFormatError(f"{path}: header declares n={n}, d={d} (line 1)")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n:
         raise FileFormatError(f"{path}: expected {n} rows, found {len(body)} (line {len(lines)})")
-    points = np.empty((n, d))
-    weights = np.empty(n)
-    for i, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != d + 1:
-            raise FileFormatError(
-                f"{path}: row has {len(parts)} fields, expected {d + 1} (line {i + 2})"
-            )
-        try:
-            vals = [float(x) for x in parts]
-        except ValueError:
-            raise FileFormatError(f"{path}: non-numeric value (line {i + 2})") from None
-        points[i] = vals[:d]
-        weights[i] = vals[d]
+    rows = [ln.split() for ln in body]
     try:
-        return WeightedPointSet(points, weights)
+        if set(map(len, rows)) - {d + 1}:
+            raise ValueError("ragged rows")
+        # float() per token, as Python parses a repr, so values round-trip bit for bit
+        values = np.array(list(map(float, chain.from_iterable(rows)))).reshape(n, d + 1)
+    except ValueError:
+        raise _first_bad_row(path, rows, d) from None
+    try:
+        return WeightedPointSet(values[:, :d].copy(), values[:, d].copy())
     except ContractViolation as exc:
         raise FileFormatError(f"{path}: {exc} (line 2)") from exc
+
+
+def _first_bad_row(path: Path, rows: list[list[str]], d: int) -> FileFormatError:
+    """The error of the first row with the wrong field count or a non-numeric value."""
+    for i, parts in enumerate(rows):
+        if len(parts) != d + 1:
+            return FileFormatError(f"{path}: row has {len(parts)} fields, expected {d + 1} (line {i + 2})")
+        try:
+            [float(x) for x in parts]
+        except ValueError:
+            return FileFormatError(f"{path}: non-numeric value (line {i + 2})")
+    raise AssertionError("every row parses")
 
 
 def read_query_sample(path: str | Path) -> QuerySample:
@@ -221,45 +230,59 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     pts = read_points(data_path)
     if len(pts) != _field(doc, "n", (int,), path) or pts.dim != _field(doc, "d", (int,), path):
         raise FileFormatError(f"{data_path}: shape mismatch against model header")
-    order = _field(doc, "order", (list,), path)
-    if sorted(v for v in order if type(v) is int) != list(range(len(pts))):
-        raise FileFormatError(f"{path}: stored leaf order is not a permutation of 0..{len(pts) - 1}")
+    order = _stored_order(_field(doc, "order", (list,), path), len(pts), path)
     c = _field(doc, "config", (dict,), path)
     src = _field(c, "tree_source", (dict,), path)
     kind = _field(src, "kind", (str,), path)
-    if kind == "worstcase":
-        light = _field(src, "light", (dict, _NONE), path)
-        source: WorstCaseSource | LearnedSource = WorstCaseSource(
-            light=None if light is None else LightEdgeParams(rho=_field(light, "rho", _NUMBER, path)),
-            grid_side=_field(src, "grid_side", _NUMBER + (_NONE,), path),
-        )
-    elif kind == "learned":
-        # the sample is not stored, nor needed to reassemble: the leaf order is;
-        # this placeholder carries only the sample's description
-        description = _field(src, "sample_source", (str,), path)
-        source = LearnedSource(sample=QuerySample(np.zeros((1, pts.dim)), source=description))
-    else:
-        raise FileFormatError(f"{path}: unknown tree source {kind!r}")
     seed_path = _field(c, "seed_path", (list,), path, default=[])
     if not all(type(k) is int and k >= 0 for k in seed_path):
         raise FileFormatError(f"{path}: model field 'seed_path' must hold nonnegative integers")
-    cfg = BuildConfig(
-        eps=_field(c, "eps", _NUMBER, path),
-        radius=_field(c, "radius", _NUMBER, path),
-        seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
-        tree_source=source,
-        snap_queries=_field(c, "snap_queries", (bool,), path),
-        grid_side=_field(c, "grid_side", _NUMBER + (_NONE,), path),
-    )
-    if fmt in _LEGACY_FORMATS:
-        enabled = _field(c, "jl_enabled", (bool, _NONE), path, default=None)
-        target = _field(c, "jl_target_dim", (int, _NONE), path, default=None)
-        if _legacy_projected(enabled, target, cfg.eps, len(pts), pts.dim):
-            raise FileFormatError(
-                f"{path}: this {fmt} model was built in a randomly projected space, "
-                "which is no longer supported; rebuild it from the data with `arccount build`"
+    # a field of the right type can still hold a value out of range, such as
+    # eps 5 or a grid side of 0; the configuration refuses it, and so does
+    # the leaf order's permutation check: the model file is malformed
+    try:
+        if kind == "worstcase":
+            light = _field(src, "light", (dict, _NONE), path)
+            source: WorstCaseSource | LearnedSource = WorstCaseSource(
+                light=None if light is None else LightEdgeParams(rho=_field(light, "rho", _NUMBER, path)),
+                grid_side=_field(src, "grid_side", _NUMBER + (_NONE,), path),
             )
-    return build_counting_index(pts, cfg, order_override=np.asarray(order, dtype=np.int64))
+        elif kind == "learned":
+            # the sample is not stored, nor needed to reassemble: the leaf order is;
+            # this placeholder carries only the sample's description
+            description = _field(src, "sample_source", (str,), path)
+            source = LearnedSource(sample=QuerySample(np.zeros((1, pts.dim)), source=description))
+        else:
+            raise FileFormatError(f"{path}: unknown tree source {kind!r}")
+        cfg = BuildConfig(
+            eps=_field(c, "eps", _NUMBER, path),
+            radius=_field(c, "radius", _NUMBER, path),
+            seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
+            tree_source=source,
+            snap_queries=_field(c, "snap_queries", (bool,), path),
+            grid_side=_field(c, "grid_side", _NUMBER + (_NONE,), path),
+        )
+        if fmt in _LEGACY_FORMATS:
+            enabled = _field(c, "jl_enabled", (bool, _NONE), path, default=None)
+            target = _field(c, "jl_target_dim", (int, _NONE), path, default=None)
+            if _legacy_projected(enabled, target, cfg.eps, len(pts), pts.dim):
+                raise FileFormatError(
+                    f"{path}: this {fmt} model was built in a randomly projected space, "
+                    "which is no longer supported; rebuild it from the data with `arccount build`"
+                )
+        return build_counting_index(pts, cfg, order_override=order)
+    except ContractViolation as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _stored_order(order: list, n: int, where: object) -> np.ndarray:
+    """The stored leaf order as an array, if it holds integers only; ``SpanningPath`` checks the rest."""
+    try:
+        if set(map(type, order)) <= {int}:
+            return np.array(order, dtype=np.int64)
+    except OverflowError:
+        pass
+    raise FileFormatError(f"{where}: stored leaf order is not a permutation of 0..{n - 1}")
 
 
 def _legacy_projected(enabled: bool | None, target: int | None, eps: float, n: int, d: int) -> bool:

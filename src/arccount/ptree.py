@@ -5,18 +5,20 @@ in ascending index order); the first-visit order is the spanning path.  A
 complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
-path.  That shape depends on ``n`` alone, so the tree is stored as the path
-order plus one cumulative weight per heap slot, and every node's range is
-derived from ``n`` while walking.  Walking only the nodes whose parent looks
-ambiguous or stabbed from a query's viewpoint visits few nodes exactly
-because consecutive path points rarely straddle the query's annulus.
+path.  That shape depends on ``n`` alone.  The tree is stored as the path
+order plus three arrays over its ``2n - 1`` nodes in preorder: each node's
+range ``[lo, hi)`` and its cumulative weight.  In preorder a node's subtree
+is the block of positions right after it, so a query decides and walks
+every node at once with array operations (see ``counter.count``).  Walking
+only the nodes whose parent looks ambiguous or stabbed from a query's
+viewpoint visits few nodes exactly because consecutive path points rarely
+straddle the query's annulus.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ContractViolation, EpsParams, WeightedPointSet, as_point, sq_dists_to
@@ -31,8 +33,8 @@ class SpanningPath:
 
     def __post_init__(self) -> None:
         order = np.asarray(self.order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(order.size)):
-            raise ContractViolation("path order must be a permutation of 0..n-1")
+        if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(order.size)):
+            raise ContractViolation(f"path order must be a permutation of 0..{order.size - 1}")
         self.order = order
 
     def __len__(self) -> int:
@@ -46,18 +48,26 @@ def split(lo: int, hi: int) -> int:
 
 @dataclass
 class PartitionTree:
-    """Balanced binary tree over a spanning path, stored flat.
+    """Balanced binary tree over a spanning path, stored as preorder arrays.
 
-    The shape is a function of ``n`` alone.  Heap slot 0 is the root and
-    owns the path positions ``[0, n)``; slot ``i`` has children ``2i+1``
-    and ``2i+2``; a range ``[lo, hi)`` splits at ``split(lo, hi)``; and a
-    range of one position is a leaf.  The only data-dependent part is
-    ``cum_weight[i]``, the total weight of the points ``order[lo:hi]`` that
-    slot ``i`` owns; slots the shape leaves unused hold 0.0.
+    The shape is a function of ``n`` alone.  Node 0 is the root and owns
+    the path positions ``[0, n)``; node ``k`` owns ``[lo[k], hi[k])``; a
+    range of one position is a leaf; an internal range splits at
+    ``mid = split(lo, hi)``.  Nodes are numbered in preorder, so the left
+    child of ``k`` is ``k + 1``, the right child is ``k + 2 * (mid - lo)``,
+    and the subtree of ``k`` is the positions ``k .. end[k] - 1`` with
+    ``end[k] = k + 2 * (hi - lo) - 1``; ``leaf[k]`` is ``hi - lo == 1``.
+    The only data-dependent part is ``weight[k]``, the total weight of the
+    points ``order[lo:hi]``: a leaf's point weight, or its left child's
+    plus its right child's.
     """
 
     order: np.ndarray
-    cum_weight: list[float]
+    lo: np.ndarray
+    hi: np.ndarray
+    end: np.ndarray
+    leaf: np.ndarray
+    weight: np.ndarray
 
     @property
     def n(self) -> int:
@@ -68,15 +78,9 @@ class PartitionTree:
         return (self.n - 1).bit_length()
 
     def internal_ranges(self) -> Iterator[tuple[int, int, int]]:
-        """``(slot, lo, hi)`` of every internal node, parents first, left before right."""
-        stack = [(0, 0, self.n)]
-        while stack:
-            i, lo, hi = stack.pop()
-            if hi - lo > 1:
-                yield i, lo, hi
-                mid = split(lo, hi)
-                stack.append((2 * i + 2, mid, hi))
-                stack.append((2 * i + 1, lo, mid))
+        """``(k, lo, hi)`` of every internal node in preorder: parents first, left before right."""
+        inner = np.flatnonzero(~self.leaf)
+        return zip(inner.tolist(), self.lo[inner].tolist(), self.hi[inner].tolist())
 
 
 def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
@@ -104,27 +108,34 @@ def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
 def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> PartitionTree:
     """Build the balanced binary tree over ``path``.
 
-    Cumulative weights are filled bottom-up: a leaf takes its point's
+    The ranges are laid out one level at a time from the root, each node's
+    preorder position derived from its parent's.  Cumulative weights are
+    then filled bottom-up, one level at a time: a leaf takes its point's
     weight, a parent adds its left and its right child.
     """
     n = len(path)
     if n != len(pts):
         raise ContractViolation(f"path length {n} does not match point count {len(pts)}")
-    leaf = pts.weights[path.order].tolist()
-    tree = PartitionTree(order=path.order, cum_weight=[])
-    cum = tree.cum_weight = [0.0] * (2 ** (tree.depth + 1) - 1)
-
-    def fill(i: int, lo: int, hi: int) -> float:
-        if hi - lo == 1:
-            w = leaf[lo]
-        else:
-            mid = split(lo, hi)
-            w = fill(2 * i + 1, lo, mid) + fill(2 * i + 2, mid, hi)
-        cum[i] = w
-        return w
-
-    fill(0, 0, n)
-    return tree
+    lo = np.empty(2 * n - 1, dtype=np.int64)
+    hi = np.empty(2 * n - 1, dtype=np.int64)
+    # preorder positions k and ranges [a, b) of one level's nodes
+    k, a, b = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    levels = []
+    while k.size:
+        lo[k], hi[k] = a, b
+        inner = b - a > 1
+        k, a, b = k[inner], a[inner], b[inner]
+        mid = split(a, b)
+        left, right = k + 1, k + 2 * (mid - a)
+        levels.append((k, left, right))
+        k, a, b = np.concatenate((left, right)), np.concatenate((a, mid)), np.concatenate((mid, b))
+    leaf = hi - lo == 1
+    weight = np.empty(lo.size)
+    weight[leaf] = pts.weights[path.order]
+    for k, left, right in reversed(levels):
+        weight[k] = weight[left] + weight[right]
+    end = np.arange(lo.size) + 2 * (hi - lo) - 1
+    return PartitionTree(order=path.order, lo=lo, hi=hi, end=end, leaf=leaf, weight=weight)
 
 
 def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, params: EpsParams) -> int:

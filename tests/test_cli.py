@@ -207,6 +207,17 @@ MALFORMED_MODELS = {
     "string-eps": lambda doc: doc["config"].update(eps="0.5"),
     "list-config": lambda doc: doc.update(config=[]),
     "order-not-a-permutation": lambda doc: doc.update(order=doc["order"][1:2] + doc["order"][1:]),
+    "order-too-large-an-integer": lambda doc: doc.update(order=[2**70] + doc["order"][1:]),
+    # right type, value out of range
+    "eps-5": lambda doc: doc["config"].update(eps=5),
+    "radius-negative": lambda doc: doc["config"].update(radius=-1),
+    "config-grid-side-0": lambda doc: doc["config"].update(grid_side=0.0),
+    "source-grid-side-0": lambda doc: doc["config"].update(
+        tree_source={"kind": "worstcase", "grid_side": 0.0, "light": None}
+    ),
+    "light-rho-out-of-range": lambda doc: doc["config"].update(
+        tree_source={"kind": "worstcase", "grid_side": None, "light": {"rho": 1.5}}
+    ),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, snap_to_grid
+from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, snap_to_grid, sq_dists_to
 from arccount.counter import (
     BuildConfig,
     CountingIndex,
@@ -15,13 +15,13 @@ from arccount.counter import (
     WorstCaseSource,
     build_counting_index,
     count,
-    node_verdict,
+    node_masks,
     prefix_counts,
 )
 from arccount.learned import QuerySample, near_data_queries
 from arccount.oracle import exact_range_indices
-from arccount.ptree import visiting_number
-from arccount.stabber import build_classifier, classify
+from arccount.ptree import split, visiting_number
+from arccount.stabber import Verdict, build_classifier, classify
 
 
 def learned_config(eps: float = 0.5, seed: int = 0, **kw) -> BuildConfig:
@@ -114,6 +114,9 @@ class TestTraversalCost:
             assert ans.visited_nodes == visiting_number(idx.tree, q, working_set, idx.working)
 
 
+MASK_VERDICTS = {(True, False): Verdict.COVERED, (False, True): Verdict.DISJOINT}
+
+
 class TestPrefixVerdicts:
     @pytest.mark.parametrize("snap", [False, True])
     @pytest.mark.parametrize("worstcase", [False, True])
@@ -135,14 +138,111 @@ class TestPrefixVerdicts:
         for k in range(8):
             q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
             qw = idx.transform_query(q)
-            near, far = prefix_counts(idx, qw)
-            for i, lo, hi in idx.tree.internal_ranges():
+            has_near, has_far = node_masks(idx.tree, *prefix_counts(idx, qw))
+            for node, lo, hi in idx.tree.internal_ranges():
                 subset = working_set.subset(idx.tree.order[lo:hi])
-                clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, i))
-                verdict = node_verdict(near, far, lo, hi)
+                clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, node))
+                verdict = MASK_VERDICTS.get((has_near[node], has_far[node]), Verdict.STABBED)
                 assert verdict is classify(clf, qw)
                 seen.add(verdict)
         assert len(seen) == 3
+
+
+def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str, int], list[tuple[int, int]]]:
+    """The depth-first stack walk over heap slots that ``count`` once was, as a reference.
+
+    Heap slot ``i`` has children ``2i+1`` and ``2i+2`` and caches its
+    subtree weight, filled bottom-up as left plus right; the walk pops the
+    left child first and adds weights from 0.0 as it includes nodes.
+    """
+    qw = idx.transform_query(q)
+    n = idx.tree.n
+    d2 = sq_dists_to(idx.path_points, qw)
+    outer, r = idx.working.outer_radius, idx.working.radius
+    near = [0] + np.cumsum(d2 <= outer * outer).tolist()
+    far = [0] + np.cumsum(d2 >= r * r).tolist()
+    leaf = idx.source_points.weights[idx.tree.order].tolist()
+    cum_weight = [0.0] * (2 ** (idx.tree.depth + 1) - 1)
+
+    def fill(i: int, lo: int, hi: int) -> float:
+        if hi - lo == 1:
+            w = leaf[lo]
+        else:
+            mid = split(lo, hi)
+            w = fill(2 * i + 1, lo, mid) + fill(2 * i + 2, mid, hi)
+        cum_weight[i] = w
+        return w
+
+    fill(0, 0, n)
+    weight, visited = 0.0, 0
+    verdicts = {"stabbed": 0, "covered": 0, "disjoint": 0}
+    ranges = []
+    stack = [(0, 0, n)]
+    while stack:
+        i, lo, hi = stack.pop()
+        visited += 1
+        has_near, has_far = near[hi] != near[lo], far[hi] != far[lo]
+        if hi - lo == 1:
+            if has_near:
+                weight += cum_weight[i]
+                ranges.append((lo, hi))
+        elif has_near and not has_far:
+            verdicts["covered"] += 1
+            weight += cum_weight[i]
+            ranges.append((lo, hi))
+        elif has_far and not has_near:
+            verdicts["disjoint"] += 1
+        else:
+            verdicts["stabbed"] += 1
+            mid = split(lo, hi)
+            stack.append((2 * i + 2, mid, hi))
+            stack.append((2 * i + 1, lo, mid))
+    return weight, visited, verdicts, sorted(ranges)
+
+
+class TestStackWalkEquivalence:
+    @pytest.mark.parametrize("worstcase", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 257])
+    def test_count_answers_like_the_stack_walk(self, n, worstcase):
+        # weight to the last bit, visits, verdict counts in key order and the
+        # member ranges, over weights of either sign, snap on and off and
+        # three radii, at every kind of query: on a point, near one, far away
+        d = 2 if worstcase else 3
+        for radius in (0.3, 1.0, 2.5):
+            for snap in (False, True):
+                seed = Seed(180 + n).derive(worstcase, snap, int(10 * radius))
+                rng = seed.generator()
+                points = rng.uniform(0.0, 2.5 * radius, size=(n, d))
+                pts = WeightedPointSet(points, rng.uniform(-2.0, 2.0, size=n))
+                if worstcase:
+                    source = WorstCaseSource(grid_side=radius / 2.0)
+                else:
+                    source = LearnedSource(near_data_queries(pts, 60, sigma=radius, seed=seed.derive(1)))
+                cfg = BuildConfig(eps=0.5, seed=seed.derive(2), tree_source=source, radius=radius, snap_queries=snap)
+                idx = build_counting_index(pts, cfg)
+                queries = [points[0], points[-1] + 0.7 * radius, np.full(d, 50.0 * radius)]
+                queries += list(points[rng.integers(0, n, size=6)] + rng.normal(0.0, radius, size=(6, d)))
+                queries += list(rng.uniform(-radius, 3.5 * radius, size=(3, d)))
+                for q in queries:
+                    weight, visited, verdicts, ranges = stack_walk(idx, q)
+                    ans = count(idx, q, verify=True)
+                    assert ans.weight.hex() == weight.hex()
+                    assert ans.visited_nodes == visited
+                    assert list(ans.verdict_counts.items()) == list(verdicts.items())
+                    assert ans.member_ranges == ranges
+                    assert count(idx, q).weight.hex() == weight.hex()
+
+    def test_negative_zero_weights_sum_from_positive_zero(self):
+        # the walk adds to 0.0, and 0.0 + -0.0 is 0.0: a sum started at the
+        # first included weight would answer -0.0
+        rng = Seed(190).generator()
+        pts = WeightedPointSet(rng.uniform(0.0, 2.5, size=(9, 2)), np.full(9, -0.0))
+        cfg = BuildConfig(eps=0.5, seed=Seed(191), tree_source=WorstCaseSource(grid_side=0.5))
+        idx = build_counting_index(pts, cfg)
+        for q in pts.points:
+            weight, _, _, ranges = stack_walk(idx, q)
+            assert ranges and weight.hex() == "0x0.0p+0"
+            assert count(idx, q).weight.hex() == weight.hex()
 
 
 class TestSandwichProperty:

@@ -80,6 +80,20 @@ class TestMalformedText:
         with pytest.raises(FileFormatError, match=r"line 2"):
             read_points(f)
 
+    @pytest.mark.parametrize("sizes", ["0 2", "2 0", "0 -2"])
+    def test_empty_sizes_cite_line_one(self, tmp_path, sizes):
+        f = tmp_path / "bad.txt"
+        f.write_text(f"arc-points v1 {sizes}\n")
+        with pytest.raises(FileFormatError, match=r"header declares .* \(line 1\)"):
+            read_points(f)
+
+    def test_first_bad_row_is_cited(self, tmp_path):
+        # a non-numeric row before a short one: the earlier row is reported
+        f = tmp_path / "bad.txt"
+        f.write_text("arc-points v1 3 2\n0.0 0.0 1.0\n0.0 nope 1.0\n0.0 1.0\n")
+        with pytest.raises(FileFormatError, match=r"non-numeric value \(line 3\)"):
+            read_points(f)
+
     def test_row_count_mismatch(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("arc-points v1 3 2\n0.0 0.0 1.0\n")

@@ -28,13 +28,14 @@ def weighted(points: np.ndarray, weights: np.ndarray | None = None) -> WeightedP
     return WeightedPointSet(points, weights)
 
 
-def children(i: int, lo: int, hi: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+def children(k: int, lo: int, hi: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Preorder position and range of each child: the left subtree directly follows its parent."""
     mid = split(lo, hi)
-    return (2 * i + 1, lo, mid), (2 * i + 2, mid, hi)
+    return (k + 1, lo, mid), (k + 2 * (mid - lo), mid, hi)
 
 
 def leaf_ranges(t: PartitionTree) -> list[tuple[int, int, int]]:
-    """``(slot, lo, hi)`` of every leaf, sorted by ``lo``: the root, or children owning one position."""
+    """``(k, lo, hi)`` of every leaf, sorted by ``lo``: the root, or children owning one position."""
     if t.n == 1:
         return [(0, 0, 1)]
     leaves = [c for node in t.internal_ranges() for c in children(*node) if c[2] - c[1] == 1]
@@ -79,8 +80,10 @@ class TestPartitionTreeShape:
         # ceil-splits of [0, 5): left gets 3, then 2/1, then 1/1 at the bottom
         path = SpanningPath(np.arange(5))
         t = path_to_partition_tree(path, weighted(np.zeros((5, 1))))
-        assert list(t.internal_ranges()) == [(0, 0, 5), (1, 0, 3), (3, 0, 2), (2, 3, 5)]
-        assert leaf_ranges(t) == [(7, 0, 1), (8, 1, 2), (4, 2, 3), (5, 3, 4), (6, 4, 5)]
+        assert list(t.internal_ranges()) == [(0, 0, 5), (1, 0, 3), (2, 0, 2), (6, 3, 5)]
+        assert leaf_ranges(t) == [(3, 0, 1), (4, 1, 2), (5, 2, 3), (7, 3, 4), (8, 4, 5)]
+        assert list(zip(t.lo.tolist(), t.hi.tolist())) == [(0, 5), (0, 3), (0, 2), (0, 1), (1, 2), (2, 3), (3, 5), (3, 4), (4, 5)]
+        assert t.end.tolist() == [9, 6, 5, 4, 5, 6, 9, 8, 9]
 
     def test_leaf_count_and_depth(self):
         for n in (1, 2, 3, 4, 7, 8, 9, 33):
@@ -97,6 +100,15 @@ class TestPartitionTreeShape:
             (_, llo, lhi), (_, rlo, rhi) = children(*node)
             assert 0 <= (lhi - llo) - (rhi - rlo) <= 1
 
+    def test_children_sit_at_their_preorder_positions(self):
+        for n in (2, 5, 6, 17, 33):
+            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            assert t.lo.size == 2 * n - 1
+            for node in t.internal_ranges():
+                for k, lo, hi in children(*node):
+                    assert (t.lo[k], t.hi[k]) == (lo, hi)
+                assert t.end[node[0]] == t.end[children(*node)[1][0]]
+
     def test_member_indices_follow_the_order(self):
         # a node owns the points order[lo:hi] of its path range
         order = np.array([3, 1, 4, 0, 2])
@@ -104,14 +116,14 @@ class TestPartitionTreeShape:
         members = {i: t.order[lo:hi] for i, lo, hi in t.internal_ranges()}
         np.testing.assert_array_equal(members[0], order)
         np.testing.assert_array_equal(members[1], order[:3])
-        np.testing.assert_array_equal(members[2], order[3:])
+        np.testing.assert_array_equal(members[6], order[3:])
 
     def test_leaf_ranges_tile_the_path_left_to_right(self):
         for n in (1, 2, 5, 6, 17):
             t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
             leaves = leaf_ranges(t)
             assert [(lo, hi) for _, lo, hi in leaves] == [(k, k + 1) for k in range(n)]
-            assert len({slot for slot, _, _ in leaves}) == n
+            assert len({k for k, _, _ in leaves}) == n
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
@@ -124,17 +136,17 @@ class TestCumulativeWeights:
         w = rng.uniform(0.1, 3.0, size=13)
         order = rng.permutation(13)
         t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((13, 1)), w))
-        for i, lo, hi in t.internal_ranges():
-            (left, _, _), (right, _, _) = children(i, lo, hi)
-            assert t.cum_weight[i] == t.cum_weight[left] + t.cum_weight[right]
-            assert t.cum_weight[i] == pytest.approx(float(w[order[lo:hi]].sum()), rel=1e-12)
-        for i, lo, _ in leaf_ranges(t):
-            assert t.cum_weight[i] == w[order[lo]]
+        for k, lo, hi in t.internal_ranges():
+            (left, _, _), (right, _, _) = children(k, lo, hi)
+            assert t.weight[k] == t.weight[left] + t.weight[right]
+            assert t.weight[k] == pytest.approx(float(w[order[lo:hi]].sum()), rel=1e-12)
+        for k, lo, _ in leaf_ranges(t):
+            assert t.weight[k] == w[order[lo]]
 
     def test_negative_weights_flow_through(self):
         w = np.array([1.0, -2.0, 0.5])
         t = path_to_partition_tree(SpanningPath(np.arange(3)), weighted(np.zeros((3, 1)), w))
-        assert t.cum_weight[0] == pytest.approx(-0.5)
+        assert t.weight[0] == pytest.approx(-0.5)
 
 
 class TestCanonicalPath:
