@@ -152,7 +152,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     idx = load_model(args.model, args.data)
     load_seconds = time.perf_counter() - t0
-    pts = read_points(args.data)
+    pts = idx.source_points
     holdout = read_query_sample(args.queries)
     params = EpsParams(idx.config.eps, idx.config.radius)
 

@@ -102,7 +102,6 @@ class CountAnswer:
 @dataclass
 class CountingIndex:
     config: BuildConfig
-    params: EpsParams  # full target error
     working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
     working_points: np.ndarray
@@ -137,7 +136,6 @@ def build_counting_index(
     """
     n = len(pts)
     d = pts.dim
-    params = EpsParams(cfg.eps, cfg.radius)
     working = EpsParams(cfg.eps / 2.0, cfg.radius)
 
     rescale = 1.0 / (1.0 + cfg.eps / 5.0) if cfg.snap_queries else 1.0
@@ -164,7 +162,6 @@ def build_counting_index(
 
     return CountingIndex(
         config=cfg,
-        params=params,
         working=working,
         tree=tree,
         working_points=work,

@@ -56,9 +56,8 @@ class HammingEmbedding:
     """Frozen parameters of one embedding draw plus derived thresholds.
 
     ``theta`` separates near from far codes in expectation; ``far_threshold``
-    adds the slack used by the far-witness search.  ``mu1``/``mu2`` are the
-    expected code distances of pairs at exactly ``radius`` and exactly
-    ``(1+eps) * radius``.
+    adds the slack used by the far-witness search.  ``mu1`` is the
+    expected code distance of a pair at exactly ``radius``.
     """
 
     dprime: int
@@ -71,7 +70,6 @@ class HammingEmbedding:
     theta: float
     far_threshold: float
     mu1: float
-    mu2: float
 
     @property
     def ambient_dim(self) -> int:
@@ -113,9 +111,7 @@ def make_embedding(
     bit_salts = rng.integers(0, 2**64, size=dprime, dtype=np.uint64)
 
     p1 = collision_prob(radius, width)
-    p2 = collision_prob(params.outer_radius, width)
     mu1 = 0.5 * dprime * (1.0 - p1)
-    mu2 = 0.5 * dprime * (1.0 - p2)
     theta = mu1 * (1.0 + eps / 80.0)
     far_threshold = theta + eps * dprime
 
@@ -130,7 +126,6 @@ def make_embedding(
         theta=theta,
         far_threshold=far_threshold,
         mu1=mu1,
-        mu2=mu2,
     )
 
 

@@ -14,10 +14,11 @@ Models are JSON (format ``arc-model v3``): build configuration, seed, the
 leaf order of the partition tree, and a digest of the data file.  Loading
 rebuilds only the partition tree over the stored leaf order, so the loaded
 index answers bit-identically to the saved one.  ``arc-model v1`` and
-``v2`` files still load; their ``classifier_repetitions``, ``beta_scale``,
-``jl_enabled`` and ``jl_target_dim`` fields are ignored, except that a
-model whose build randomly projected the points to fewer dimensions holds
-a leaf order fitted in another space: it is refused and must be rebuilt.
+``v2`` files still load; their two classifier fields (copy count and
+scan-cap scale), ``jl_enabled`` and ``jl_target_dim`` are ignored, except
+that a model whose build randomly projected the points to fewer
+dimensions holds a leaf order fitted in another space: it is refused and
+must be rebuilt.
 """
 
 from __future__ import annotations

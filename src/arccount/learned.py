@@ -45,15 +45,13 @@ class QuerySample:
         return self.queries.shape[0]
 
 
-def default_sample_size(n: int, d: int, delta: float, multiplier: float = 1.0) -> int:
-    """Sample size ceil(multiplier * n * (d * log2(n) + log2(1/delta)))."""
+def default_sample_size(n: int, d: int, delta: float) -> int:
+    """Sample size ceil(n * (d * log2(n) + log2(1/delta)))."""
     if n < 2 or d < 1:
         raise ContractViolation(f"need n >= 2 and d >= 1, got n={n}, d={d}")
     if not (0.0 < delta < 1.0):
         raise ContractViolation(f"delta must lie in (0, 1), got {delta}")
-    if multiplier <= 0.0:
-        raise ContractViolation(f"multiplier must be positive, got {multiplier}")
-    return math.ceil(multiplier * n * (d * math.log2(n) + math.log2(1.0 / delta)))
+    return math.ceil(n * (d * math.log2(n) + math.log2(1.0 / delta)))
 
 
 # -- query generators ---------------------------------------------------------
@@ -197,12 +195,12 @@ def evaluate_visiting(
     reassembled from a stored leaf order, such as a loaded model, does not
     hold the sample its order was fitted to and reports the overlap as None.
 
-    The visiting number is taken where the walk runs: for the transformed
-    query, over the working points, at the working error.  The sandwich
-    check and ``t_q`` stay at the full error on the original points.
+    The visiting number is the walk's own ``visited_nodes``: it is taken
+    where the walk runs, for the transformed query, over the working points,
+    at the working error.  The sandwich check and ``t_q`` stay at the full
+    error on the original points.
     """
     from .counter import count  # local import to avoid a cycle
-    from .ptree import visiting_number
 
     overlaps: bool | None = False
     training = getattr(idx.config.tree_source, "sample", None)
@@ -212,7 +210,6 @@ def evaluate_visiting(
         train_rows = {row.tobytes() for row in np.asarray(training.queries, dtype=np.float64)}
         overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
 
-    working_set = WeightedPointSet(idx.working_points, pts.weights)
     rows: list[dict] = []
     passes = 0
     for q in holdout.queries:
@@ -226,7 +223,7 @@ def evaluate_visiting(
         passes += ok
         rows.append(
             {
-                "visiting": visiting_number(idx.tree, idx.transform_query(q), working_set, idx.working),
+                "visiting": ans.visited_nodes,
                 "t_q": exact_tq(q, pts, params),
                 "sandwich_ok": bool(ok),
             }

@@ -61,9 +61,6 @@ class UnionFind:
         self.parent[rb] = ra
         return True
 
-    def component_count(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
-
 
 @dataclass
 class QueryMultiset:
@@ -110,11 +107,10 @@ class QueryMultiset:
 
 @dataclass
 class Forest:
-    """Edges collected so far plus the component structure they induce."""
+    """Edges of one forest round."""
 
     n: int
     edges: list[Edge]
-    components: UnionFind
 
 
 @dataclass
@@ -170,7 +166,7 @@ def default_rho(eps: float) -> float:
 
 # -- query universe ---------------------------------------------------------
 
-_DEFAULT_DIM_CAP = 8
+_DIM_CAP = 8
 _MAX_GRID_CELLS = 5_000_000
 # universe size times point count: the light-edge search scores candidates
 # against the whole universe, and each forest round holds two n x m masks
@@ -181,19 +177,18 @@ def generate_grid_queries(
     pts: WeightedPointSet,
     params: EpsParams,
     grid: GridSpec,
-    dim_cap: int = _DEFAULT_DIM_CAP,
 ) -> QueryMultiset:
     """Every grid point within ``(1+eps) * radius`` of some input point, weight one.
 
     The support lists the grid cells in lexicographic order of their integer
     indices.  Enumeration cost grows exponentially with dimension, so
-    dimensions above ``dim_cap`` are refused outright; use sampled queries
+    dimensions above ``_DIM_CAP`` are refused outright; use sampled queries
     (or the learned builder) there instead.
     """
     d = pts.dim
-    if d > dim_cap:
+    if d > _DIM_CAP:
         raise ContractViolation(
-            f"grid query enumeration is infeasible in dimension {d} (cap {dim_cap}); "
+            f"grid query enumeration is infeasible in dimension {d} (cap {_DIM_CAP}); "
             "use sampled queries or the learned tree builder"
         )
     side = grid.side
@@ -473,7 +468,7 @@ def build_low_stab_forest(
         queries.stab_exponents[rows.stab_mask(local.a, local.b)] += 1
         del active[local.a]
         rows = rows.without(local.a)
-    return Forest(n=n, edges=edges, components=uf)
+    return Forest(n=n, edges=edges)
 
 
 def build_low_stab_tree(

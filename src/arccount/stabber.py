@@ -8,17 +8,19 @@ kinds of witnesses, always re-verified with exact distances before use:
 * a far witness, true distance at least ``radius``, searched in decreasing
   code distance order.
 
-The code ordering is a heuristic accelerator: verified witnesses tend to
-surface within the first buckets touched.  Each phase gives up after
-``scan_cap`` failed inspections, so adversarial orderings cost a bounded
-scan rather than correctness (a missing witness can only widen the verdict
-toward "stabbed", never falsify one).
+The code ordering only decides which witness is found first: each phase
+scans until a point passes the exact test or the subset is exhausted.  The
+paper bounds each phase by ``n^(1-beta)`` failed inspections and boosts the
+result with O(log n) independent indexes, but with
+``beta = eps^2 / (19200 (1 + eps^2)) < 1/38400`` the budget
+``ceil(100 n^(1-beta))`` is at least n for every n below 100^38400, so it
+cannot bind at any representable n.  An exhaustive phase finds a witness
+iff one exists, so one index already gives the exact verdict and further
+copies could never change it.
 
-A classifier keeps several independent indexes over the same subset and
-combines their witnesses into one of three verdicts.  Soundness is exact:
-``COVERED`` is only returned when no far witness was verified anywhere and
-``DISJOINT`` only when no near witness was, so a verdict can never
-contradict a witness in hand.
+The classifier is therefore the exact trichotomy: ``STABBED`` when both
+witness kinds exist, ``COVERED`` when only a near one does, ``DISJOINT``
+when only a far one does.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class StabIndex:
     buckets: dict[BitCode, np.ndarray]  # code -> sorted local indices
     points: np.ndarray  # (n_subset, d), the indexed coordinates
     params: EpsParams
-    scan_cap: int
 
 
 @dataclass
@@ -60,46 +61,15 @@ class WitnessSet:
     far_dist: float | None = None
 
 
-@dataclass
-class StabClassifier:
-    """Independent stab indexes over one subset, combined per query."""
-
-    copies: list[StabIndex]
-    params: EpsParams
-
-
-def stabbing_exponent(n: int, eps: float, beta_scale: float = 1.0) -> float:
-    """Exponent ``beta`` controlling the sublinear scan cap."""
-    return beta_scale * eps * eps / (19200.0 * (1.0 + eps * eps))
-
-
-def scan_cap_for(n: int, eps: float, beta_scale: float = 1.0) -> int:
-    """Failed-inspection budget per phase: min(n, ceil(100 * n^(1-beta)))."""
-    beta = stabbing_exponent(n, eps, beta_scale)
-    return min(n, math.ceil(100.0 * n ** (1.0 - beta)))
-
-
-def build_stab_index(
-    subset: WeightedPointSet,
-    params: EpsParams,
-    seed: Seed,
-    beta_scale: float = 1.0,
-) -> StabIndex:
+def build_stab_index(subset: WeightedPointSet, params: EpsParams, seed: Seed) -> StabIndex:
     """Embed ``subset`` and group point indices by code."""
-    n = len(subset)
-    embedding = make_embedding(subset.dim, max(2, n), params.eps, seed, radius=params.radius)
+    embedding = make_embedding(subset.dim, max(2, len(subset)), params.eps, seed, radius=params.radius)
     codes = embed_many(embedding, subset.points)
     buckets: dict[BitCode, list[int]] = {}
     for i, code in enumerate(codes):
         buckets.setdefault(code, []).append(i)
     packed = {code: np.asarray(idx, dtype=np.int64) for code, idx in buckets.items()}
-    return StabIndex(
-        embedding=embedding,
-        buckets=packed,
-        points=subset.points,
-        params=params,
-        scan_cap=scan_cap_for(n, params.eps, beta_scale),
-    )
+    return StabIndex(embedding=embedding, buckets=packed, points=subset.points, params=params)
 
 
 def _ordered_buckets(idx: StabIndex, q_code: BitCode, descending: bool) -> list[tuple[int, BitCode]]:
@@ -123,28 +93,20 @@ def _scan_phase(
     """Walk buckets in code order until a point passes the exact test.
 
     ``want_within`` selects the predicate: distance^2 <= threshold_sq for the
-    near phase, >= for the far phase.  Returns (index, distance) or
-    (None, None) once ``scan_cap`` inspections have failed.
+    near phase, >= for the far phase.  Returns (index, distance), or
+    (None, None) when no point of the subset passes.
     """
-    failures = 0
     for _dist, code in _ordered_buckets(idx, q_code, descending):
         for i in idx.buckets[code]:
             d2 = dists_sq[i]
             ok = d2 <= threshold_sq if want_within else d2 >= threshold_sq
             if ok:
                 return int(i), math.sqrt(d2)
-            failures += 1
-            if failures >= idx.scan_cap:
-                return None, None
     return None, None
 
 
 def stab_witnesses(idx: StabIndex, q: np.ndarray) -> WitnessSet:
-    """Probe one index for a near and a far witness, re-verified exactly.
-
-    The two phases keep independent failure counters; a long fruitless near
-    scan does not eat into the far budget.
-    """
+    """Probe the index for a near and a far witness, re-verified exactly."""
     q = as_point(q)
     if q.shape[0] != idx.points.shape[1]:
         raise ContractViolation(
@@ -163,60 +125,26 @@ def stab_witnesses(idx: StabIndex, q: np.ndarray) -> WitnessSet:
     return WitnessSet(near=near_i, far=far_i, near_dist=near_d, far_dist=far_d)
 
 
-def default_repetitions(n_subset: int) -> int:
-    """Default number of independent copies: ceil(3 * log2(n_subset))."""
-    if n_subset < 2:
-        raise ContractViolation(f"classifiers need at least 2 points, got {n_subset}")
-    return max(1, math.ceil(3.0 * math.log2(n_subset)))
-
-
-def build_classifier(
-    subset: WeightedPointSet,
-    params: EpsParams,
-    repetitions: int | None = None,
-    seed: Seed = Seed(0),
-    beta_scale: float = 1.0,
-) -> StabClassifier:
-    """Build ``repetitions`` independent stab indexes over ``subset``."""
+def build_classifier(subset: WeightedPointSet, params: EpsParams, seed: Seed = Seed(0)) -> StabIndex:
+    """Build the stab index a classifier probes over ``subset``."""
     if len(subset) < 2:
         raise ContractViolation("classifiers require subsets of at least 2 points")
-    if repetitions is None:
-        repetitions = default_repetitions(len(subset))
-    if repetitions < 1:
-        raise ContractViolation(f"repetitions must be positive, got {repetitions}")
-    copies = [
-        build_stab_index(subset, params, seed.derive(k), beta_scale=beta_scale)
-        for k in range(repetitions)
-    ]
-    return StabClassifier(copies=copies, params=params)
+    return build_stab_index(subset, params, seed.derive(0))
 
 
-def classify(c: StabClassifier, q: np.ndarray) -> Verdict:
-    """Combine witnesses across copies into a verdict.
+def classify(c: StabIndex, q: np.ndarray) -> Verdict:
+    """Read the verdict off the index's witnesses.
 
-    Both witness kinds verified somewhere: STABBED.  Near only: COVERED.
-    Far only: DISJOINT.  If every copy came back empty handed (possible only
-    when scan caps bite), the classifier admits ignorance and reports
-    STABBED so that callers recurse instead of trusting a guess.
+    Both witness kinds: STABBED.  Near only: COVERED.  Far only: DISJOINT.
+    Every point is a near or a far witness, so a nonempty subset always
+    yields one; the empty-handed case still answers STABBED, so that a
+    caller recurses rather than trusts a guess.
     """
-    q = as_point(q)
-    dists_sq = sq_dists_to(c.copies[0].points, q)
-    outer = c.params.outer_radius
-    r = c.params.radius
-    found_near = False
-    found_far = False
-    for idx in c.copies:
-        q_code = embed(idx.embedding, q)
-        if not found_near:
-            i, _d = _scan_phase(idx, q_code, dists_sq, outer * outer, True, descending=False)
-            found_near = i is not None
-        if not found_far:
-            i, _d = _scan_phase(idx, q_code, dists_sq, r * r, False, descending=True)
-            found_far = i is not None
-        if found_near and found_far:
-            return Verdict.STABBED
-    if found_near:
+    w = stab_witnesses(c, q)
+    if w.near is not None and w.far is not None:
+        return Verdict.STABBED
+    if w.near is not None:
         return Verdict.COVERED
-    if found_far:
+    if w.far is not None:
         return Verdict.DISJOINT
     return Verdict.STABBED

@@ -284,6 +284,8 @@ class TestSandwichProperty:
             got = answer_set(idx, ans.member_ranges)
             assert exact_range_indices(pts, q, params.radius) <= got
             assert got <= exact_range_indices(pts, q, params.outer_radius)
+            # the root, then both children of every visited stabbed node
+            assert ans.visited_nodes == 1 + 2 * ans.verdict_counts["stabbed"]
 
 
 class TestDeterminism:

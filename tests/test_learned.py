@@ -84,9 +84,6 @@ class TestSampleSize:
         # n=100, d=4: 100 * (4 * log2(100) + log2(100)) = 100 * 5 * log2(100)
         assert default_sample_size(100, 4, 0.01) == 3322
 
-    def test_multiplier_scales(self):
-        assert default_sample_size(100, 4, 0.01, multiplier=0.5) == 1661
-
     def test_domain_checks(self):
         with pytest.raises(ContractViolation):
             default_sample_size(1, 4, 0.01)

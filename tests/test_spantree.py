@@ -142,11 +142,9 @@ def reference_light_edge(
 class TestUnionFind:
     def test_union_and_count(self):
         uf = UnionFind(5)
-        assert uf.component_count() == 5
         assert uf.union(0, 1)
         assert uf.union(3, 4)
         assert not uf.union(1, 0)
-        assert uf.component_count() == 3
         assert uf.find(1) == uf.find(0)
 
 

@@ -1,8 +1,6 @@
-"""Stab classifier tests: witnesses, verdicts, scan caps, determinism."""
+"""Stab classifier tests: witnesses, verdicts, determinism."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -13,10 +11,7 @@ from arccount.stabber import (
     build_classifier,
     build_stab_index,
     classify,
-    default_repetitions,
-    scan_cap_for,
     stab_witnesses,
-    stabbing_exponent,
 )
 
 PARAMS = EpsParams(eps=0.5)
@@ -36,27 +31,6 @@ def exact_verdict(points: np.ndarray, q: np.ndarray, params: EpsParams) -> Verdi
     if has_near:
         return Verdict.COVERED
     return Verdict.DISJOINT
-
-
-class TestScanCap:
-    def test_exponent_value(self):
-        assert stabbing_exponent(1000, 0.5) == pytest.approx(0.25 / (19200 * 1.25))
-
-    def test_small_n_cap_is_n(self):
-        for n in (1, 10, 99, 100):
-            assert scan_cap_for(n, 0.5) == n
-
-    def test_formula_takes_the_smaller_branch(self):
-        n = 10**6
-        beta = stabbing_exponent(n, 0.5)
-        assert scan_cap_for(n, 0.5) == min(n, math.ceil(100.0 * n ** (1.0 - beta)))
-        assert scan_cap_for(n, 0.5) == n  # the sublinear term only binds far beyond desk scale
-
-    def test_beta_scale_shrinks_the_sublinear_term(self):
-        # crank beta high enough that 100 * n^(1-beta) drops below n
-        n = 10**6
-        capped = scan_cap_for(n, 0.5, beta_scale=2_000_000.0)
-        assert capped < n
 
 
 class TestWitnesses:
@@ -91,24 +65,8 @@ class TestWitnesses:
         with pytest.raises(ContractViolation):
             stab_witnesses(idx, np.zeros(3))
 
-    def test_phase_budgets_are_independent(self):
-        # every point is beyond the outer radius, so the near phase burns its
-        # whole budget; the far phase must still find its witness
-        pts = np.full((50, 2), 10.0) + np.arange(50)[:, None] * 0.01
-        idx = build_stab_index(point_set(pts), PARAMS, Seed(35))
-        idx.scan_cap = 1
-        w = stab_witnesses(idx, np.zeros(2))
-        assert w.near is None
-        assert w.far is not None
-
 
 class TestClassifier:
-    def test_default_repetitions(self):
-        assert default_repetitions(1024) == 30
-        assert default_repetitions(2) == 3
-        with pytest.raises(ContractViolation):
-            default_repetitions(1)
-
     def test_all_inside_is_covered(self):
         rng = Seed(36).generator()
         pts = rng.uniform(-0.4, 0.4, size=(30, 3))
@@ -127,21 +85,34 @@ class TestClassifier:
         assert classify(c, np.zeros(2)) is Verdict.STABBED
 
     def test_matches_exact_trichotomy_at_desk_scale(self):
-        # with n below the scan cap every bucket is visited, so the verdict
-        # must equal the exact three-way rule on every query
+        # every phase scans until it finds a witness or runs out of points,
+        # so the verdict must equal the exact three-way rule on every query,
+        # whatever the size, dimension, error and radius
         rng = Seed(41).generator()
-        pts = rng.uniform(-2, 2, size=(60, 4))
-        c = build_classifier(point_set(pts), PARAMS, repetitions=4, seed=Seed(42))
-        for _ in range(60):
-            q = rng.uniform(-3, 3, size=4)
-            assert classify(c, q) is exact_verdict(pts, q, PARAMS)
+        seen = set()
+        for case in range(40):
+            n = (2, 300)[case] if case < 2 else int(rng.integers(2, 301))
+            d = int(rng.integers(1, 7))
+            params = EpsParams(eps=float(rng.uniform(0.05, 0.95)), radius=float(rng.uniform(0.3, 2.0)))
+            # boxes from well inside one ball to several radii across
+            half_width = float(rng.uniform(0.1, 2.0)) * params.radius / np.sqrt(d)
+            pts = rng.uniform(-half_width, half_width, size=(n, d))
+            c = build_classifier(point_set(pts), params, seed=Seed(42).derive(case))
+            for k in range(10):
+                # alternately near the box and up to a few radii out
+                reach = (1.0, 3.0)[k % 2] * (half_width + params.radius) / np.sqrt(d)
+                q = rng.uniform(-reach, reach, size=d)
+                verdict = classify(c, q)
+                assert verdict is exact_verdict(pts, q, params)
+                seen.add(verdict)
+        assert seen == set(Verdict)
 
     def test_same_seed_is_deterministic(self):
         rng = Seed(43).generator()
         pts = rng.uniform(-2, 2, size=(25, 3))
         queries = rng.uniform(-2, 2, size=(20, 3))
-        a = build_classifier(point_set(pts), PARAMS, repetitions=3, seed=Seed(44))
-        b = build_classifier(point_set(pts), PARAMS, repetitions=3, seed=Seed(44))
+        a = build_classifier(point_set(pts), PARAMS, seed=Seed(44))
+        b = build_classifier(point_set(pts), PARAMS, seed=Seed(44))
         for q in queries:
             assert classify(a, q) is classify(b, q)
 
