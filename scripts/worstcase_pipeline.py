@@ -15,7 +15,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import math
 import time
 
 import numpy as np
@@ -33,7 +32,7 @@ def main() -> None:
     ap.add_argument("--d", type=int, default=2)
     ap.add_argument("--eps", type=float, default=0.5)
     ap.add_argument("--scale", type=float, default=3.0, help="data lives in [0, scale]^d")
-    ap.add_argument("--grid-side", type=float, default=0.5, help="query universe spacing")
+    ap.add_argument("--query-grid-side", type=float, default=0.5, help="query universe spacing")
     ap.add_argument("--queries", type=int, default=40, help="random evaluation queries")
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args()
@@ -45,7 +44,7 @@ def main() -> None:
     )
 
     t0 = time.perf_counter()
-    universe = generate_grid_queries(pts, params, GridSpec(args.grid_side))
+    universe = generate_grid_queries(pts, params, GridSpec(args.query_grid_side))
     print(f"query universe: {len(universe)} grid points within reach of the data")
 
     tree = build_low_stab_tree(
@@ -69,7 +68,6 @@ def main() -> None:
 
     lo = pts.points.min(axis=0) - 1.0
     hi = pts.points.max(axis=0) + 1.0
-    work_set = WeightedPointSet(idx.working_points, pts.weights)
     sandwich_ok = 0
     visits, zetas, ambiguity = [], [], []
     for _ in range(args.queries):
@@ -79,7 +77,7 @@ def main() -> None:
         outer = exact_range_weight(pts, q, params.outer_radius)
         sandwich_ok += inner - 1e-9 <= ans.weight <= outer + 1e-9
         visits.append(ans.visited_nodes)
-        zetas.append(visiting_number(idx.tree, q, work_set, idx.working))
+        zetas.append(visiting_number(idx.tree, q, pts, idx.working))
         ambiguity.append(exact_tq(q, pts, params))
     print(
         f"queries: {sandwich_ok}/{args.queries} weight-sandwiched, "

@@ -30,15 +30,9 @@ from .io import (
     write_query_sample,
     write_report,
 )
-from .learned import (
-    QuerySample,
-    default_sample_size,
-    evaluate_visiting,
-    near_data_queries,
-    uniform_queries,
-)
+from .learned import default_sample_size, evaluate_visiting, near_data_queries, uniform_queries
 from .oracle import exact_range_weight, exact_tq
-from .spantree import LightEdgeParams, default_rho
+from .spantree import LightEdgeParams
 
 _AUTO_SAMPLE_CAP = 16384
 
@@ -116,17 +110,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
         else:
             m = args.m_queries
             if m is None:
-                m = min(default_sample_size(len(pts), pts.dim, 0.1), _AUTO_SAMPLE_CAP)
+                # the size formula needs n >= 2; a one-point file still builds
+                m = min(default_sample_size(max(2, len(pts)), pts.dim, 0.1), _AUTO_SAMPLE_CAP)
             sample = near_data_queries(pts, m, args.sigma, seed.derive(17))
         source = LearnedSource(sample=sample)
-    cfg = BuildConfig(
-        eps=args.eps,
-        radius=args.radius,
-        seed=seed,
-        tree_source=source,
-        snap_queries=args.snap,
-        grid_side=args.grid_side,
-    )
+    cfg = BuildConfig(eps=args.eps, radius=args.radius, seed=seed, tree_source=source)
     idx = build_counting_index(pts, cfg)
     save_model(args.out_model, idx, args.data)
     return 0
@@ -238,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sigma", type=float, default=0.5, help="noise for auto-sampled queries")
     b.add_argument("--rho", type=float, help="net exponent for worstcase mode")
     b.add_argument("--query-grid-side", type=float, help="query universe grid side, worstcase mode")
-    b.add_argument("--snap", action="store_true", help="snap queries to a grid before counting")
-    b.add_argument("--grid-side", type=float, help="query snap grid side")
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--out-model", required=True)
     b.set_defaults(fn=_cmd_build)

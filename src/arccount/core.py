@@ -168,13 +168,3 @@ def gaussian_projection_matrix(ambient_dim: int, target_dim: int, seed: Seed) ->
     rng = seed.generator()
     return rng.normal(0.0, 1.0 / math.sqrt(target_dim), size=(ambient_dim, target_dim))
 
-
-def snap_to_grid(p: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Snap each coordinate to the nearest grid center, halves rounding up.
-
-    Idempotent, and the snapped point is within ``side/2`` of the input in
-    every coordinate.
-    """
-    p = as_point(p)
-    return grid.side * np.floor(p / grid.side + 0.5)
-

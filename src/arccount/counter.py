@@ -1,15 +1,14 @@
 """End-to-end approximate range counting index.
 
-Build pipeline: optionally rescale the points to absorb query snapping
-error, build a spanning tree (worst-case grid machinery or learned from a
-query sample), linearize it, and erect the balanced partition tree.  The
-working space is the data's own space.  All internal structures run at the
-halved error ``eps/2`` so that the snapping slack still lands answers
-inside the full ``eps`` sandwich.
+Build pipeline: build a spanning tree (worst-case grid machinery or learned
+from a query sample), linearize it, and erect the balanced partition tree.
+The index works on the points and queries exactly as given.  All internal
+structures run at the halved error ``eps/2``, so every answer lands inside
+the full ``eps`` sandwich.
 
-Queries take one distance pass over the working points in path order and
-keep running counts of the points within the outer radius (near) and at
-least the inner radius away (far).  Every node owns a contiguous slice of
+Queries take one distance pass over the points in path order and keep
+running counts of the points within the outer radius (near) and at least
+the inner radius away (far).  Every node owns a contiguous slice of
 the path, so two subtractions give its verdict: near points only is
 COVERED, far points only is DISJOINT, both is STABBED.  The walk adds the
 cumulative weight of a COVERED node and stops, stops empty at a DISJOINT
@@ -37,7 +36,6 @@ from .core import (
     Seed,
     WeightedPointSet,
     as_point,
-    snap_to_grid,
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
@@ -54,8 +52,8 @@ _SEED_TREE = 2
 class WorstCaseSource:
     """Distribution-free tree source: grid query universe plus light edges.
 
-    ``grid_side`` defaults to ``(eps/2) * radius / sqrt(d)`` in the working
-    space; ``light`` defaults to the default ``rho`` for the working error.
+    ``grid_side`` defaults to ``(eps/2) * radius / sqrt(d)``; ``light``
+    defaults to the default ``rho`` for the working error.
     """
 
     light: LightEdgeParams | None = None
@@ -82,13 +80,9 @@ class BuildConfig:
     seed: Seed
     tree_source: TreeSource
     radius: float = 1.0
-    snap_queries: bool = False
-    grid_side: float | None = None  # query snap grid, working space
 
     def __post_init__(self) -> None:
         EpsParams(self.eps, self.radius)  # validate
-        if self.grid_side is not None:
-            GridSpec(self.grid_side)
 
 
 @dataclass
@@ -104,24 +98,19 @@ class CountingIndex:
     config: BuildConfig
     working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
-    working_points: np.ndarray
-    path_points: np.ndarray  # working_points in path order
+    path_points: np.ndarray  # source_points.points in path order
     source_points: WeightedPointSet
-    rescale_factor: float
-    snap_grid: GridSpec | None
     spanning_tree: SpanningTree | None = None
     reassembled: bool = False  # leaf order adopted from ``order_override``
 
     def transform_query(self, q: np.ndarray) -> np.ndarray:
-        """Map a query into the working space: the optional snap, then the rescale."""
+        """The query as a finite float64 vector of the data's dimension."""
         qw = as_point(q)
         if qw.shape[0] != self.source_points.dim:
             raise ContractViolation(
                 f"query dimension {qw.shape[0]} does not match data dimension {self.source_points.dim}"
             )
-        if self.snap_grid is not None:
-            qw = snap_to_grid(qw, self.snap_grid)
-        return qw * self.rescale_factor
+        return qw
 
 
 def build_counting_index(
@@ -135,17 +124,7 @@ def build_counting_index(
     order; model loading uses it to reassemble an index bit-identically.
     """
     n = len(pts)
-    d = pts.dim
     working = EpsParams(cfg.eps / 2.0, cfg.radius)
-
-    rescale = 1.0 / (1.0 + cfg.eps / 5.0) if cfg.snap_queries else 1.0
-    work = pts.points * rescale
-    working_set = WeightedPointSet(work, pts.weights.copy())
-
-    snap_grid = None
-    if cfg.snap_queries:
-        side = cfg.grid_side or cfg.eps * cfg.radius / (10.0 * math.sqrt(d))
-        snap_grid = GridSpec(side)
 
     spanning: SpanningTree | None = None
     if order_override is not None:
@@ -155,51 +134,39 @@ def build_counting_index(
     elif n == 1:
         path = SpanningPath(np.zeros(1, dtype=np.int64))
     else:
-        spanning = _build_spanning_tree(working_set, working, cfg, rescale)
-        path = tree_to_path(spanning, working_set)
+        spanning = _build_spanning_tree(pts, working, cfg)
+        path = tree_to_path(spanning, pts)
 
-    tree = path_to_partition_tree(path, working_set)
+    tree = path_to_partition_tree(path, pts)
 
     return CountingIndex(
         config=cfg,
         working=working,
         tree=tree,
-        working_points=work,
-        path_points=work[tree.order],
+        path_points=pts.points[tree.order],
         source_points=pts,
-        rescale_factor=rescale,
-        snap_grid=snap_grid,
         spanning_tree=spanning,
         reassembled=order_override is not None,
     )
 
 
-def _build_spanning_tree(
-    working_set: WeightedPointSet,
-    working: EpsParams,
-    cfg: BuildConfig,
-    rescale: float,
-) -> SpanningTree:
+def _build_spanning_tree(pts: WeightedPointSet, working: EpsParams, cfg: BuildConfig) -> SpanningTree:
     source = cfg.tree_source
     if isinstance(source, WorstCaseSource):
-        side = source.grid_side or working.eps * working.radius / math.sqrt(working_set.dim)
-        queries = generate_grid_queries(working_set, working, GridSpec(side))
+        side = source.grid_side or working.eps * working.radius / math.sqrt(pts.dim)
+        queries = generate_grid_queries(pts, working, GridSpec(side))
         lp = source.light or LightEdgeParams.for_eps(working.eps)
-        return build_low_stab_tree(working_set, queries, working, lp, cfg.seed.derive(_SEED_TREE))
+        return build_low_stab_tree(pts, queries, working, lp, cfg.seed.derive(_SEED_TREE))
     if isinstance(source, LearnedSource):
-        # training queries go through the same rescale as the data so the
-        # learned costs reflect the working geometry
-        q = source.sample.queries
-        if q.shape[1] != working_set.dim:
+        if source.sample.queries.shape[1] != pts.dim:
             raise ContractViolation("training sample dimension does not match the data")
-        transformed = QuerySample(q * rescale, source=source.sample.source)
-        counts = pair_stab_counts(working_set, transformed, working)
-        return learned_spanning_tree(counts, len(working_set))
+        counts = pair_stab_counts(pts, source.sample, working)
+        return learned_spanning_tree(counts, len(pts))
     raise ContractViolation(f"unknown tree source {type(source).__name__}")
 
 
 def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running near and far counts over the path, for a transformed query.
+    """Running near and far counts over the path, for a query checked by ``transform_query``.
 
     Entry ``k`` of each array counts the first ``k`` path points within the
     working outer radius of ``qw`` (near) or at least the working radius

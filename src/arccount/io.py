@@ -10,15 +10,16 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 ``n * (d + 1)`` little-endian float64 values, row-major, weight last in
 each row.
 
-Models are JSON (format ``arc-model v3``): build configuration, seed, the
+Models are JSON (format ``arc-model v4``): build configuration, seed, the
 leaf order of the partition tree, and a digest of the data file.  Loading
 rebuilds only the partition tree over the stored leaf order, so the loaded
-index answers bit-identically to the saved one.  ``arc-model v1`` and
-``v2`` files still load; their two classifier fields (copy count and
-scan-cap scale), ``jl_enabled`` and ``jl_target_dim`` are ignored, except
-that a model whose build randomly projected the points to fewer
-dimensions holds a leaf order fitted in another space: it is refused and
-must be rebuilt.
+index answers bit-identically to the saved one.  ``arc-model v1``, ``v2``
+and ``v3`` files still load.  Their two classifier fields (copy count and
+scan-cap scale), the config's ``grid_side``, ``jl_enabled`` and
+``jl_target_dim`` are ignored.  Two kinds of legacy build hold a leaf
+order fitted in another space and are refused, to be rebuilt: one that
+randomly projected the points to fewer dimensions, and one with
+``snap_queries`` true, which rescaled the points.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = Fal
 
 # -- models --------------------------------------------------------------------
 
-_MODEL_FORMAT = "arc-model v3"
-_LEGACY_FORMATS = ("arc-model v1", "arc-model v2")
+_MODEL_FORMAT = "arc-model v4"
+_LEGACY_FORMATS = ("arc-model v1", "arc-model v2", "arc-model v3")
 
 
 def file_digest(path: str | Path) -> str:
@@ -187,8 +188,6 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
             "radius": cfg.radius,
             "seed": cfg.seed.value,
             "seed_path": list(cfg.seed.path),
-            "snap_queries": cfg.snap_queries,
-            "grid_side": cfg.grid_side,
             "tree_source": src_json,
         },
     }
@@ -260,15 +259,15 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
             radius=_field(c, "radius", _NUMBER, path),
             seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
             tree_source=source,
-            snap_queries=_field(c, "snap_queries", (bool,), path),
-            grid_side=_field(c, "grid_side", _NUMBER + (_NONE,), path),
         )
         if fmt in _LEGACY_FORMATS:
             enabled = _field(c, "jl_enabled", (bool, _NONE), path, default=None)
             target = _field(c, "jl_target_dim", (int, _NONE), path, default=None)
-            if _legacy_projected(enabled, target, cfg.eps, len(pts), pts.dim):
+            snapped = _field(c, "snap_queries", (bool,), path, default=False)
+            if snapped or _legacy_projected(enabled, target, cfg.eps, len(pts), pts.dim):
+                space = "a space rescaled for query snapping" if snapped else "a randomly projected space"
                 raise FileFormatError(
-                    f"{path}: this {fmt} model was built in a randomly projected space, "
+                    f"{path}: this {fmt} model was built in {space}, "
                     "which is no longer supported; rebuild it from the data with `arccount build`"
                 )
         return build_counting_index(pts, cfg, order_override=order)

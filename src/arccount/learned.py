@@ -195,10 +195,9 @@ def evaluate_visiting(
     reassembled from a stored leaf order, such as a loaded model, does not
     hold the sample its order was fitted to and reports the overlap as None.
 
-    The visiting number is the walk's own ``visited_nodes``: it is taken
-    where the walk runs, for the transformed query, over the working points,
-    at the working error.  The sandwich check and ``t_q`` stay at the full
-    error on the original points.
+    The visiting number is the walk's own ``visited_nodes``: it is taken at
+    the working error, where the walk runs.  The sandwich check and ``t_q``
+    stay at the full error.
     """
     from .counter import count  # local import to avoid a cycle
 

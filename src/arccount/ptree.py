@@ -6,13 +6,14 @@ complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
 path.  That shape depends on ``n`` alone.  The tree is stored as the path
-order plus three arrays over its ``2n - 1`` nodes in preorder: each node's
-range ``[lo, hi)`` and its cumulative weight.  In preorder a node's subtree
-is the block of positions right after it, so a query decides and walks
-every node at once with array operations (see ``counter.count``).  Walking
-only the nodes whose parent looks ambiguous or stabbed from a query's
-viewpoint visits few nodes exactly because consecutive path points rarely
-straddle the query's annulus.
+order plus five arrays over its ``2n - 1`` nodes in preorder: each node's
+range ``[lo, hi)``, the ``end`` of its subtree's preorder block, whether
+it is a ``leaf``, and its cumulative ``weight``.  In preorder a node's
+subtree is the block of positions right after it, so a query decides and
+walks every node at once with array operations (see ``counter.count``).
+Walking only the nodes whose parent looks ambiguous or stabbed from a
+query's viewpoint visits few nodes exactly because consecutive path points
+rarely straddle the query's annulus.
 """
 
 from __future__ import annotations

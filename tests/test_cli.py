@@ -129,6 +129,22 @@ class TestBuildQueryEval:
         oracle = json.loads(capsys.readouterr().out)
         assert oracle["weight_inner"] - 1e-9 <= doc["weight"] <= oracle["weight_outer"] + 1e-9
 
+    def test_one_point_file_builds_and_answers(self, tmp_path, capsys):
+        data = gen_data(tmp_path, n=1, d=2, extra=["--random-weights"])
+        model = tmp_path / "model.json"
+        rc = run_cli(
+            ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned", "--seed", "1",
+             "--out-model", str(model)]
+        )
+        assert rc == 0
+        point = ",".join(repr(float(c)) for c in read_points(data).points[0])
+        for q in (point, "50,50"):
+            capsys.readouterr()
+            assert run_cli(["query", "--model", str(model), "--data", str(data), "--q", q]) == 0
+            weight = json.loads(capsys.readouterr().out)["weight"]
+            assert run_cli(["oracle", "--data", str(data), "--q", q, "--eps", "0.5"]) == 0
+            assert weight == json.loads(capsys.readouterr().out)["weight_inner"]
+
     def test_query_verify_adds_ranges(self, tmp_path, capsys):
         data = gen_data(tmp_path, n=30, d=2)
         model = build_model(tmp_path, data)
@@ -211,7 +227,6 @@ MALFORMED_MODELS = {
     # right type, value out of range
     "eps-5": lambda doc: doc["config"].update(eps=5),
     "radius-negative": lambda doc: doc["config"].update(radius=-1),
-    "config-grid-side-0": lambda doc: doc["config"].update(grid_side=0.0),
     "source-grid-side-0": lambda doc: doc["config"].update(
         tree_source={"kind": "worstcase", "grid_side": 0.0, "light": None}
     ),
@@ -239,7 +254,11 @@ BAD_OPTION_VALUES = {
     "gen-queries-margin-inf": "gen-queries --kind uniform --data {data} --margin inf --out {tmp}/q.txt",
     "build-m-queries-0": BUILD + " --mode learned --m-queries 0 --out-model {tmp}/m.json",
     "build-query-grid-side-0": BUILD + " --mode worstcase --query-grid-side 0 --out-model {tmp}/m.json",
-    "build-snap-grid-side-0": BUILD + " --mode learned --snap --grid-side 0 --out-model {tmp}/m.json",
+}
+# options that no longer exist: query snapping answered outside the sandwich
+UNKNOWN_OPTIONS = {
+    "build-snap": BUILD + " --mode learned --snap --out-model {tmp}/m.json",
+    "build-grid-side": BUILD + " --mode learned --grid-side 0.5 --out-model {tmp}/m.json",
 }
 UNWRITABLE_OUTPUTS = {
     "gen-out": GEN.replace("{tmp}", "{tmp}/no/such/dir"),
@@ -261,6 +280,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("template", UNKNOWN_OPTIONS.values(), ids=UNKNOWN_OPTIONS)
+    def test_unknown_option_is_exit_two(self, tmp_path, capsys, saved_model, template):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_argv(template, tmp_path, saved_model)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("template", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS)
@@ -322,6 +350,20 @@ class TestExitCodes:
         rc = run_cli(["query", "--model", str(model), "--data", str(data), "--q", ",".join(["1"] * 80)])
         assert rc == 2
         assert "rebuild" in capsys.readouterr().err
+
+    def test_snapped_legacy_model_is_exit_two(self, tmp_path, capsys, saved_model):
+        # a v3 model built with snapping fitted its leaf order to rescaled points
+        model, data = saved_model
+        doc = json.loads(model.read_text())
+        doc["format"] = "arc-model v3"
+        doc["config"].update(snap_queries=True, grid_side=None)
+        legacy = tmp_path / "v3.json"
+        legacy.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run_cli(["query", "--model", str(legacy), "--data", str(data), "--q", "1,1,1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {legacy}: ") and "rebuild" in err and "Traceback" not in err
 
     def test_oversized_worst_case_universe_is_exit_three(self, tmp_path, capsys):
         # about 7e5 grid queries times 12 points, refused before any light edge

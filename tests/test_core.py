@@ -1,4 +1,4 @@
-"""Geometric primitives: stab predicate, projection, grid snapping, seeds."""
+"""Geometric primitives: stab predicate, projection, seeds."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from arccount.core import (
     WeightedPointSet,
     eps_stabs,
     gaussian_projection_matrix,
-    snap_to_grid,
 )
 
 HALF = EpsParams(0.5)
@@ -104,29 +103,6 @@ class TestGaussianProject:
         assert bad / (500 * 20) < 0.1
 
 
-class TestSnapToGrid:
-    def test_halfway_rounds_up(self):
-        grid = GridSpec(1.0)
-        np.testing.assert_array_equal(snap_to_grid(np.array([0.5, -0.5]), grid), [1.0, 0.0])
-
-    def test_identity_on_grid_points(self):
-        grid = GridSpec(0.25)
-        p = np.array([0.5, -0.75, 0.0])
-        np.testing.assert_array_equal(snap_to_grid(p, grid), p)
-
-    @given(
-        st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=1, max_size=5),
-        st.floats(0.01, 10.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_idempotent_and_within_half_cell(self, coords, side):
-        grid = GridSpec(side)
-        p = np.array(coords)
-        snapped = snap_to_grid(p, grid)
-        np.testing.assert_allclose(snap_to_grid(snapped, grid), snapped, rtol=0, atol=1e-9 * side)
-        assert np.all(np.abs(snapped - p) <= side / 2 + 1e-9 * side)
-
-
 class TestSeed:
     def test_derivation_is_deterministic(self):
         a = Seed(42).derive(1, 2).generator().random(4)
@@ -168,3 +144,6 @@ class TestWeightedPointSet:
             EpsParams(1.0)
         with pytest.raises(ContractViolation):
             EpsParams(0.5, radius=-1.0)
+        for side in (0.0, -1.0, math.inf):
+            with pytest.raises(ContractViolation):
+                GridSpec(side)

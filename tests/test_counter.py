@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, snap_to_grid, sq_dists_to
+from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from arccount.counter import (
     BuildConfig,
     CountingIndex,
@@ -106,24 +106,22 @@ class TestTraversalCost:
         # prefix counts make every verdict the exact trichotomy, so the walk
         # expands exactly the nodes the visiting oracle says it should
         pts, idx = small_learned_index(n=44, d=3, seed=122)
-        working_set = WeightedPointSet(idx.working_points, pts.weights)
         rng = Seed(123).generator()
         for _ in range(30):
             q = rng.uniform(-0.5, 3.5, size=3)
             ans = count(idx, q)
-            assert ans.visited_nodes == visiting_number(idx.tree, q, working_set, idx.working)
+            assert ans.visited_nodes == visiting_number(idx.tree, q, pts, idx.working)
 
 
 MASK_VERDICTS = {(True, False): Verdict.COVERED, (False, True): Verdict.DISJOINT}
 
 
 class TestPrefixVerdicts:
-    @pytest.mark.parametrize("snap", [False, True])
     @pytest.mark.parametrize("worstcase", [False, True])
-    def test_match_the_stab_classifier_on_every_node(self, worstcase, snap):
+    def test_match_the_stab_classifier_on_every_node(self, worstcase):
         # the walk's verdicts are the ones the paper's Hamming stab classifier
         # gives for each node's members at the working error
-        seed = 170 + 2 * worstcase + snap
+        seed = 170 + 2 * worstcase
         rng = Seed(seed).generator()
         if worstcase:
             pts = WeightedPointSet(rng.uniform(0, 2.5, size=(14, 2)), rng.uniform(0.5, 1.5, size=14))
@@ -131,16 +129,15 @@ class TestPrefixVerdicts:
         else:
             pts = WeightedPointSet(rng.uniform(0, 3, size=(36, 3)), rng.uniform(0.1, 2.0, size=36))
             source = LearnedSource(near_data_queries(pts, 150, sigma=0.6, seed=Seed(seed + 10)))
-        cfg = BuildConfig(eps=0.5, seed=Seed(seed + 20), tree_source=source, snap_queries=snap)
+        cfg = BuildConfig(eps=0.5, seed=Seed(seed + 20), tree_source=source)
         idx = build_counting_index(pts, cfg)
-        working_set = WeightedPointSet(idx.working_points, pts.weights)
         seen = set()
         for k in range(8):
             q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
             qw = idx.transform_query(q)
             has_near, has_far = node_masks(idx.tree, *prefix_counts(idx, qw))
             for node, lo, hi in idx.tree.internal_ranges():
-                subset = working_set.subset(idx.tree.order[lo:hi])
+                subset = pts.subset(idx.tree.order[lo:hi])
                 clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, node))
                 verdict = MASK_VERDICTS.get((has_near[node], has_far[node]), Verdict.STABBED)
                 assert verdict is classify(clf, qw)
@@ -205,32 +202,31 @@ class TestStackWalkEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 257])
     def test_count_answers_like_the_stack_walk(self, n, worstcase):
         # weight to the last bit, visits, verdict counts in key order and the
-        # member ranges, over weights of either sign, snap on and off and
-        # three radii, at every kind of query: on a point, near one, far away
+        # member ranges, over weights of either sign and three radii, at
+        # every kind of query: on a point, near one, far away
         d = 2 if worstcase else 3
         for radius in (0.3, 1.0, 2.5):
-            for snap in (False, True):
-                seed = Seed(180 + n).derive(worstcase, snap, int(10 * radius))
-                rng = seed.generator()
-                points = rng.uniform(0.0, 2.5 * radius, size=(n, d))
-                pts = WeightedPointSet(points, rng.uniform(-2.0, 2.0, size=n))
-                if worstcase:
-                    source = WorstCaseSource(grid_side=radius / 2.0)
-                else:
-                    source = LearnedSource(near_data_queries(pts, 60, sigma=radius, seed=seed.derive(1)))
-                cfg = BuildConfig(eps=0.5, seed=seed.derive(2), tree_source=source, radius=radius, snap_queries=snap)
-                idx = build_counting_index(pts, cfg)
-                queries = [points[0], points[-1] + 0.7 * radius, np.full(d, 50.0 * radius)]
-                queries += list(points[rng.integers(0, n, size=6)] + rng.normal(0.0, radius, size=(6, d)))
-                queries += list(rng.uniform(-radius, 3.5 * radius, size=(3, d)))
-                for q in queries:
-                    weight, visited, verdicts, ranges = stack_walk(idx, q)
-                    ans = count(idx, q, verify=True)
-                    assert ans.weight.hex() == weight.hex()
-                    assert ans.visited_nodes == visited
-                    assert list(ans.verdict_counts.items()) == list(verdicts.items())
-                    assert ans.member_ranges == ranges
-                    assert count(idx, q).weight.hex() == weight.hex()
+            seed = Seed(180 + n).derive(worstcase, 0, int(10 * radius))
+            rng = seed.generator()
+            points = rng.uniform(0.0, 2.5 * radius, size=(n, d))
+            pts = WeightedPointSet(points, rng.uniform(-2.0, 2.0, size=n))
+            if worstcase:
+                source = WorstCaseSource(grid_side=radius / 2.0)
+            else:
+                source = LearnedSource(near_data_queries(pts, 60, sigma=radius, seed=seed.derive(1)))
+            cfg = BuildConfig(eps=0.5, seed=seed.derive(2), tree_source=source, radius=radius)
+            idx = build_counting_index(pts, cfg)
+            queries = [points[0], points[-1] + 0.7 * radius, np.full(d, 50.0 * radius)]
+            queries += list(points[rng.integers(0, n, size=6)] + rng.normal(0.0, radius, size=(6, d)))
+            queries += list(rng.uniform(-radius, 3.5 * radius, size=(3, d)))
+            for q in queries:
+                weight, visited, verdicts, ranges = stack_walk(idx, q)
+                ans = count(idx, q, verify=True)
+                assert ans.weight.hex() == weight.hex()
+                assert ans.visited_nodes == visited
+                assert list(ans.verdict_counts.items()) == list(verdicts.items())
+                assert ans.member_ranges == ranges
+                assert count(idx, q).weight.hex() == weight.hex()
 
     def test_negative_zero_weights_sum_from_positive_zero(self):
         # the walk adds to 0.0, and 0.0 + -0.0 is 0.0: a sum started at the
@@ -252,16 +248,15 @@ class TestSandwichProperty:
         duplicates=st.integers(0, 4),
         eps=st.sampled_from([0.01, 0.05, 0.95, 0.99]) | st.floats(0.01, 0.99),
         radius=st.sampled_from([0.3, 1.0, 2.5]),
-        snap=st.booleans(),
         worstcase=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=1, d=2, duplicates=0, eps=0.5, radius=1.0, snap=False, worstcase=False, seed=1)
-    @example(n=2, d=2, duplicates=1, eps=0.01, radius=2.5, snap=True, worstcase=True, seed=2)
-    @example(n=2, d=1, duplicates=0, eps=0.99, radius=0.3, snap=True, worstcase=False, seed=3)
-    @example(n=6, d=3, duplicates=4, eps=0.01, radius=0.3, snap=False, worstcase=False, seed=4)
+    @example(n=1, d=2, duplicates=0, eps=0.5, radius=1.0, worstcase=False, seed=1)
+    @example(n=2, d=2, duplicates=1, eps=0.01, radius=2.5, worstcase=True, seed=2)
+    @example(n=2, d=1, duplicates=0, eps=0.99, radius=0.3, worstcase=False, seed=3)
+    @example(n=6, d=3, duplicates=4, eps=0.01, radius=0.3, worstcase=False, seed=4)
     @settings(max_examples=100, deadline=None)
-    def test_answer_set_sandwiched_by_the_oracle(self, n, d, duplicates, eps, radius, snap, worstcase, seed):
+    def test_answer_set_sandwiched_by_the_oracle(self, n, d, duplicates, eps, radius, worstcase, seed):
         # any data, weights of either sign, any eps and radius, both tree
         # sources: the reported set holds the inner ball and fits the outer
         rng = Seed(seed).generator()
@@ -274,7 +269,7 @@ class TestSandwichProperty:
             source = WorstCaseSource(grid_side=radius / 2.0)
         else:
             source = LearnedSource(near_data_queries(pts, 40, sigma=radius, seed=Seed(seed).derive(1)))
-        cfg = BuildConfig(eps=eps, seed=Seed(seed).derive(2), tree_source=source, radius=radius, snap_queries=snap)
+        cfg = BuildConfig(eps=eps, seed=Seed(seed).derive(2), tree_source=source, radius=radius)
         idx = build_counting_index(pts, cfg)
         params = EpsParams(eps, radius)
         queries = [points[0], points[0] + radius, np.full(d, 50.0 * radius)]
@@ -324,26 +319,11 @@ class TestWorstCaseSource:
 
 
 class TestQueryTransforms:
-    def test_snap_keeps_the_full_sandwich(self):
-        # snapping moves a query by at most eps/20 and the rescale absorbs
-        # it, so the full-eps sandwich still holds deterministically
-        pts, idx = small_learned_index(n=40, d=4, seed=130, snap_queries=True)
-        assert idx.snap_grid is not None
-        assert idx.rescale_factor == pytest.approx(1.0 / 1.1)
-        params = EpsParams(0.5)
-        rng = Seed(131).generator()
-        for _ in range(30):
-            q = rng.uniform(-0.5, 3.5, size=4)
-            ans = count(idx, q, verify=True)
-            got = answer_set(idx, ans.member_ranges)
-            assert exact_range_indices(pts, q, params.radius).issubset(got)
-            assert got.issubset(exact_range_indices(pts, q, params.outer_radius))
-
-    def test_transform_composes_snap_and_rescale(self):
-        pts, idx = small_learned_index(n=20, d=3, seed=132, snap_queries=True)
+    def test_query_and_points_are_used_as_given(self):
+        pts, idx = small_learned_index(n=20, d=3, seed=132)
         q = np.array([0.31, 1.77, 2.04])
-        expected = snap_to_grid(q, idx.snap_grid) * idx.rescale_factor
-        np.testing.assert_array_equal(idx.transform_query(q), expected)
+        np.testing.assert_array_equal(idx.transform_query(q), q)
+        np.testing.assert_array_equal(idx.path_points, pts.points[idx.tree.order])
 
     def test_dimension_mismatch_rejected(self):
         pts, idx = small_learned_index(n=20, d=3, seed=139)

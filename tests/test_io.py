@@ -165,7 +165,9 @@ class TestModels:
         # carry all four light-edge knobs, of which only rho is read
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
         doc = json.loads(model.read_text())
-        assert doc["format"] == "arc-model v3"
+        assert doc["format"] == "arc-model v4"
+        assert not {"snap_queries", "grid_side"} & set(doc["config"])
+        doc["config"].update(snap_queries=False, grid_side=None)
         if worstcase:
             light = doc["config"]["tree_source"]["light"]
             assert light == {"rho": 0.05}
@@ -192,6 +194,37 @@ class TestModels:
                 assert a.weight == b.weight
                 assert a.visited_nodes == b.visited_nodes
                 assert a.verdict_counts == b.verdict_counts
+
+    @pytest.mark.parametrize("snap_fields", [{"snap_queries": False, "grid_side": 0.25}, {}], ids=["off", "absent"])
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_v3_model_without_snapping_answers_like_the_index_that_saved_it(self, tmp_path, worstcase, snap_fields):
+        # with snapping off a v3 build worked on the points as given, as v4
+        # does; the config's grid side sized the unused snap grid and is ignored
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        doc = json.loads(model.read_text())
+        doc["format"] = "arc-model v3"
+        doc["config"].update(snap_fields)
+        legacy = tmp_path / "v3.json"
+        legacy.write_text(json.dumps(doc))
+        loaded = load_model(legacy, data)
+        rng = Seed(163).generator()
+        for q in list(pts.points[:3]) + [rng.uniform(-2, 3, size=pts.dim) for _ in range(30)]:
+            a, b = count(idx, q, verify=True), count(loaded, q, verify=True)
+            assert a.weight.hex() == b.weight.hex()
+            assert (a.visited_nodes, a.verdict_counts, a.member_ranges) == (
+                b.visited_nodes, b.verdict_counts, b.member_ranges
+            )
+
+    @pytest.mark.parametrize("fmt", ["arc-model v1", "arc-model v2", "arc-model v3"])
+    def test_snapped_legacy_model_refused(self, tmp_path, fmt):
+        # a build with snapping on fitted its leaf order to rescaled points
+        pts, idx, data, model = self.build_and_save(tmp_path)
+        doc = json.loads(model.read_text())
+        doc["format"] = fmt
+        doc["config"].update(snap_queries=True, grid_side=0.05)
+        model.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=r"snapping.*rebuild"):
+            load_model(model, data)
 
     @pytest.mark.parametrize(
         "enabled, target, refused",

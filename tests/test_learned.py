@@ -301,15 +301,14 @@ class TestHoldoutOverlap:
 
 
 class TestEvalVisiting:
-    @pytest.mark.parametrize("snap", [False, True])
-    def test_mean_visiting_is_the_walks_mean(self, snap):
-        # the visiting number is taken in the geometry the walk runs in, so
-        # it equals the nodes each count visits, query by query
+    def test_mean_visiting_is_the_walks_mean(self):
+        # the visiting number is taken at the error the walk runs at, so it
+        # equals the nodes each count visits, query by query
         rng = Seed(141).generator()
         centers = rng.uniform(0, 4, size=(3, 4))
         pts = weighted(centers[rng.integers(0, 3, size=64)] + rng.normal(0, 0.4, size=(64, 4)))
         sample = near_data_queries(pts, 300, sigma=0.5, seed=Seed(142))
-        cfg = BuildConfig(eps=0.5, seed=Seed(143), tree_source=LearnedSource(sample), snap_queries=snap)
+        cfg = BuildConfig(eps=0.5, seed=Seed(143), tree_source=LearnedSource(sample))
         idx = build_counting_index(pts, cfg)
         holdout = near_data_queries(pts, 40, sigma=0.5, seed=Seed(144))
         report = evaluate_visiting(idx, holdout, pts, PARAMS)
