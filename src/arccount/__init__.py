@@ -23,7 +23,7 @@ from .counter import (
     count,
 )
 from .learned import QuerySample, default_sample_size, learned_spanning_tree, pair_stab_counts
-from .spantree import Edge, LightEdgeParams, SpanningTree
+from .spantree import Edge, SpanningTree
 
 __all__ = [
     "BuildConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "EpsParams",
     "GridSpec",
     "LearnedSource",
-    "LightEdgeParams",
     "QuerySample",
     "Seed",
     "SpanningTree",

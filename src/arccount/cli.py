@@ -5,7 +5,8 @@ Subcommands: ``gen`` (synthetic datasets), ``gen-queries`` (query sets),
 (holdout evaluation with oracle cross-checks), and ``oracle`` (exact
 answers only).  Exit codes: 0 on success, 2 for malformed input files
 and files that cannot be read or written, 3 for configuration contract
-violations.
+violations, and 4 when ``eval`` finds an answer outside the sandwich
+(its report is written first).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .io import (
 )
 from .learned import default_sample_size, evaluate_visiting, near_data_queries, uniform_queries
 from .oracle import exact_range_weight, exact_tq
-from .spantree import LightEdgeParams
 
 _AUTO_SAMPLE_CAP = 16384
 
@@ -100,10 +100,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     pts = read_points(args.data)
     seed = Seed(args.seed)
     if args.mode == "worstcase":
-        light = None
-        if args.rho is not None:
-            light = LightEdgeParams(rho=args.rho)
-        source: WorstCaseSource | LearnedSource = WorstCaseSource(light=light, grid_side=args.query_grid_side)
+        source: WorstCaseSource | LearnedSource = WorstCaseSource(grid_side=args.query_grid_side)
     else:
         if args.queries is not None:
             sample = read_query_sample(args.queries)
@@ -168,6 +165,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.per_query:
         doc["per_query"] = report.per_query
     write_report(args.out_report, doc)
+    if report.sandwich_pass_rate < 1.0:
+        print(f"error: sandwich_pass_rate {report.sandwich_pass_rate} is below 1.0", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -224,7 +224,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--queries", help="training queries for learned mode")
     b.add_argument("--m-queries", type=int, help="auto-sample size for learned mode")
     b.add_argument("--sigma", type=float, default=0.5, help="noise for auto-sampled queries")
-    b.add_argument("--rho", type=float, help="net exponent for worstcase mode")
     b.add_argument("--query-grid-side", type=float, help="query universe grid side, worstcase mode")
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--out-model", required=True)

@@ -52,11 +52,11 @@ _SEED_TREE = 2
 class WorstCaseSource:
     """Distribution-free tree source: grid query universe plus light edges.
 
-    ``grid_side`` defaults to ``(eps/2) * radius / sqrt(d)``; ``light``
-    defaults to the default ``rho`` for the working error.
+    ``grid_side`` defaults to ``(eps/2) * radius / sqrt(d)``.  The light-edge
+    net exponent ``rho`` is not a parameter: the paper fixes it as a function
+    of the error, ``LightEdgeParams.for_eps`` of the working error ``eps/2``.
     """
 
-    light: LightEdgeParams | None = None
     grid_side: float | None = None
 
     def __post_init__(self) -> None:
@@ -155,7 +155,7 @@ def _build_spanning_tree(pts: WeightedPointSet, working: EpsParams, cfg: BuildCo
     if isinstance(source, WorstCaseSource):
         side = source.grid_side or working.eps * working.radius / math.sqrt(pts.dim)
         queries = generate_grid_queries(pts, working, GridSpec(side))
-        lp = source.light or LightEdgeParams.for_eps(working.eps)
+        lp = LightEdgeParams.for_eps(working.eps)
         return build_low_stab_tree(pts, queries, working, lp, cfg.seed.derive(_SEED_TREE))
     if isinstance(source, LearnedSource):
         if source.sample.queries.shape[1] != pts.dim:

@@ -10,23 +10,20 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 ``n * (d + 1)`` little-endian float64 values, row-major, weight last in
 each row.
 
-Models are JSON (format ``arc-model v4``): build configuration, seed, the
+Models are JSON (format ``arc-model v5``): build configuration, seed, the
 leaf order of the partition tree, and a digest of the data file.  Loading
 rebuilds only the partition tree over the stored leaf order, so the loaded
-index answers bit-identically to the saved one.  ``arc-model v1``, ``v2``
-and ``v3`` files still load.  Their two classifier fields (copy count and
-scan-cap scale), the config's ``grid_side``, ``jl_enabled`` and
-``jl_target_dim`` are ignored.  Two kinds of legacy build hold a leaf
-order fitted in another space and are refused, to be rebuilt: one that
-randomly projected the points to fewer dimensions, and one with
-``snap_queries`` true, which rescaled the points.
+index answers bit-identically to the saved one.  ``arc-model v4`` files
+load by the same code: they differ only by the worst-case source's
+``light`` field, which is not read, because the stored leaf order fixes
+the tree.  Every other format, older ones included, is refused, to be
+rebuilt from the data with ``arccount build``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from itertools import chain
 from pathlib import Path
@@ -36,7 +33,6 @@ import numpy as np
 from .core import ContractViolation, Seed, WeightedPointSet
 from .counter import BuildConfig, CountingIndex, LearnedSource, WorstCaseSource, build_counting_index
 from .learned import QuerySample
-from .spantree import LightEdgeParams
 
 _TEXT_HEADER = "arc-points v1"
 _BINARY_MAGIC = b"ARC1"
@@ -154,8 +150,8 @@ def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = Fal
 
 # -- models --------------------------------------------------------------------
 
-_MODEL_FORMAT = "arc-model v4"
-_LEGACY_FORMATS = ("arc-model v1", "arc-model v2", "arc-model v3")
+_MODEL_FORMAT = "arc-model v5"
+_READ_FORMATS = (_MODEL_FORMAT, "arc-model v4")
 
 
 def file_digest(path: str | Path) -> str:
@@ -169,11 +165,7 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
     cfg = idx.config
     source = cfg.tree_source
     if isinstance(source, WorstCaseSource):
-        src_json: dict = {
-            "kind": "worstcase",
-            "grid_side": source.grid_side,
-            "light": None if source.light is None else {"rho": source.light.rho},
-        }
+        src_json: dict = {"kind": "worstcase", "grid_side": source.grid_side}
     else:
         assert isinstance(source, LearnedSource)
         src_json = {"kind": "learned", "sample_source": source.sample.source}
@@ -197,15 +189,13 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
 
 
 _NUMBER = (int, float)
-_NONE = type(None)
-_MISSING = object()
 
 
-def _field(obj: dict, key: str, kinds: tuple[type, ...], where: object, default: object = _MISSING):
-    """``obj[key]``, or ``default`` when absent; a malformed model unless it is one of ``kinds``."""
-    value = obj.get(key, default)
-    if value is _MISSING:
+def _field(obj: dict, key: str, kinds: tuple[type, ...], where: object):
+    """``obj[key]``; a malformed model unless it is present and one of ``kinds``."""
+    if key not in obj:
         raise FileFormatError(f"{where}: model field {key!r} is missing")
+    value = obj[key]
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise FileFormatError(f"{where}: model field {key!r} has the wrong type {type(value).__name__}")
     return value
@@ -221,8 +211,11 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: not a model file: top level is not an object")
     fmt = doc.get("format")
-    if fmt != _MODEL_FORMAT and fmt not in _LEGACY_FORMATS:
-        raise FileFormatError(f"{path}: unknown model format {fmt!r}")
+    if fmt not in _READ_FORMATS:
+        raise FileFormatError(
+            f"{path}: model format {fmt!r} cannot be read, only {' and '.join(_READ_FORMATS)}; "
+            "rebuild it from the data with `arccount build`"
+        )
     digest = file_digest(data_path)
     stored = _field(doc, "data_digest", (str,), path)
     if digest != stored:
@@ -234,7 +227,7 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     c = _field(doc, "config", (dict,), path)
     src = _field(c, "tree_source", (dict,), path)
     kind = _field(src, "kind", (str,), path)
-    seed_path = _field(c, "seed_path", (list,), path, default=[])
+    seed_path = _field(c, "seed_path", (list,), path)
     if not all(type(k) is int and k >= 0 for k in seed_path):
         raise FileFormatError(f"{path}: model field 'seed_path' must hold nonnegative integers")
     # a field of the right type can still hold a value out of range, such as
@@ -242,10 +235,8 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     # the leaf order's permutation check: the model file is malformed
     try:
         if kind == "worstcase":
-            light = _field(src, "light", (dict, _NONE), path)
             source: WorstCaseSource | LearnedSource = WorstCaseSource(
-                light=None if light is None else LightEdgeParams(rho=_field(light, "rho", _NUMBER, path)),
-                grid_side=_field(src, "grid_side", _NUMBER + (_NONE,), path),
+                grid_side=_field(src, "grid_side", _NUMBER + (type(None),), path)
             )
         elif kind == "learned":
             # the sample is not stored, nor needed to reassemble: the leaf order is;
@@ -260,16 +251,6 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
             seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
             tree_source=source,
         )
-        if fmt in _LEGACY_FORMATS:
-            enabled = _field(c, "jl_enabled", (bool, _NONE), path, default=None)
-            target = _field(c, "jl_target_dim", (int, _NONE), path, default=None)
-            snapped = _field(c, "snap_queries", (bool,), path, default=False)
-            if snapped or _legacy_projected(enabled, target, cfg.eps, len(pts), pts.dim):
-                space = "a space rescaled for query snapping" if snapped else "a randomly projected space"
-                raise FileFormatError(
-                    f"{path}: this {fmt} model was built in {space}, "
-                    "which is no longer supported; rebuild it from the data with `arccount build`"
-                )
         return build_counting_index(pts, cfg, order_override=order)
     except ContractViolation as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -283,20 +264,6 @@ def _stored_order(order: list, n: int, where: object) -> np.ndarray:
     except OverflowError:
         pass
     raise FileFormatError(f"{where}: stored leaf order is not a permutation of 0..{n - 1}")
-
-
-def _legacy_projected(enabled: bool | None, target: int | None, eps: float, n: int, d: int) -> bool:
-    """Whether a v1/v2 build with these ``jl_enabled`` and ``jl_target_dim`` projected its points.
-
-    The old rule: projection was on when ``jl_enabled`` said so, or, when
-    it was null, when ``d > 64``; the target was ``jl_target_dim`` or
-    ``min(d, max(8, ceil(8 ln(max(2, n)) / (eps/10)^2)))``, and the points
-    were projected only when the target was below ``d``.
-    """
-    if not (d > 64 if enabled is None else enabled):
-        return False
-    target = target or min(d, max(8, math.ceil(8.0 * math.log(max(2, n)) / (eps / 10.0) ** 2)))
-    return target < d
 
 
 def write_report(path: str | Path, report: dict) -> None:

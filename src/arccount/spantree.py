@@ -144,7 +144,7 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class LightEdgeParams:
-    """Knob of the light-edge search: ``rho`` trades net size against the stabbing bound."""
+    """Net exponent ``rho`` of the light-edge search; a build takes ``for_eps`` of its working error."""
 
     rho: float
 

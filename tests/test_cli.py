@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from arccount import counter
 from arccount.cli import run_cli
 from arccount.io import read_points, read_query_sample, write_query_sample
 from arccount.learned import QuerySample
@@ -211,6 +212,38 @@ class TestBuildQueryEval:
         assert doc["holdout_overlaps_training"] is None
         assert doc["sandwich_pass_rate"] == 1.0
 
+    def test_eval_exits_four_when_an_answer_leaves_the_sandwich(self, tmp_path, capsys, monkeypatch):
+        # the holdout is the data points; the verified answer to the first one
+        # loses the member range holding the query's own point, which the
+        # inner ball contains
+        data = gen_data(tmp_path, n=30, d=3)
+        model = build_model(tmp_path, data)
+        qs = tmp_path / "holdout.txt"
+        assert run_cli(["gen-queries", "--kind", "file", "--data", str(data), "--out", str(qs)]) == 0
+        real_count = counter.count
+        dropped = []
+
+        def dropping_count(idx, q, verify=False):
+            ans = real_count(idx, q, verify=verify)
+            if verify and not dropped:
+                i = int(np.flatnonzero((idx.source_points.points == q).all(axis=1))[0])
+                k = int(np.flatnonzero(idx.tree.order == i)[0])
+                ans.member_ranges = [(lo, hi) for lo, hi in ans.member_ranges if not lo <= k < hi]
+                dropped.append(k)
+            return ans
+
+        monkeypatch.setattr(counter, "count", dropping_count)
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        rc = run_cli(
+            ["eval", "--model", str(model), "--data", str(data), "--queries", str(qs),
+             "--out-report", str(report)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 4 and dropped
+        assert err.startswith("error: ") and "sandwich_pass_rate" in err and "Traceback" not in err
+        assert json.loads(report.read_text())["sandwich_pass_rate"] == 29 / 30
+
 
 # hand edits that leave a model file malformed: missing fields, wrong types,
 # and a leaf order that is not a permutation of the points
@@ -219,6 +252,7 @@ MALFORMED_MODELS = {
     "no-order": lambda doc: doc.pop("order"),
     "no-digest": lambda doc: doc.pop("data_digest"),
     "no-source-kind": lambda doc: doc["config"]["tree_source"].pop("kind"),
+    "no-seed-path": lambda doc: doc["config"].pop("seed_path"),
     "string-in-order": lambda doc: doc.update(order=["0"] + doc["order"][1:]),
     "string-eps": lambda doc: doc["config"].update(eps="0.5"),
     "list-config": lambda doc: doc.update(config=[]),
@@ -228,11 +262,17 @@ MALFORMED_MODELS = {
     "eps-5": lambda doc: doc["config"].update(eps=5),
     "radius-negative": lambda doc: doc["config"].update(radius=-1),
     "source-grid-side-0": lambda doc: doc["config"].update(
-        tree_source={"kind": "worstcase", "grid_side": 0.0, "light": None}
+        tree_source={"kind": "worstcase", "grid_side": 0.0}
     ),
-    "light-rho-out-of-range": lambda doc: doc["config"].update(
-        tree_source={"kind": "worstcase", "grid_side": None, "light": {"rho": 1.5}}
-    ),
+}
+# the fields each pre-v4 format wrote beyond v4's, at values its builds used
+PRE_V4_FIELDS = {
+    "arc-model v1": {
+        "classifier_repetitions": None, "beta_scale": 1.0, "jl_enabled": None, "jl_target_dim": None,
+        "snap_queries": False, "grid_side": None,
+    },
+    "arc-model v2": {"jl_enabled": True, "jl_target_dim": 2, "snap_queries": False, "grid_side": None},
+    "arc-model v3": {"snap_queries": True, "grid_side": 0.05},
 }
 
 
@@ -255,10 +295,12 @@ BAD_OPTION_VALUES = {
     "build-m-queries-0": BUILD + " --mode learned --m-queries 0 --out-model {tmp}/m.json",
     "build-query-grid-side-0": BUILD + " --mode worstcase --query-grid-side 0 --out-model {tmp}/m.json",
 }
-# options that no longer exist: query snapping answered outside the sandwich
+# options that no longer exist: query snapping answered outside the sandwich,
+# and the light-edge exponent rho is fixed by eps
 UNKNOWN_OPTIONS = {
     "build-snap": BUILD + " --mode learned --snap --out-model {tmp}/m.json",
     "build-grid-side": BUILD + " --mode learned --grid-side 0.5 --out-model {tmp}/m.json",
+    "build-rho": BUILD + " --mode worstcase --rho 0.1 --out-model {tmp}/m.json",
 }
 UNWRITABLE_OUTPUTS = {
     "gen-out": GEN.replace("{tmp}", "{tmp}/no/such/dir"),
@@ -338,32 +380,22 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
-    def test_projected_legacy_model_is_exit_two(self, tmp_path, capsys):
-        # a v2 model whose build projected the points to 12 of 80 dimensions
-        data = gen_data(tmp_path, n=20, d=80)
-        model = build_model(tmp_path, data)
-        doc = json.loads(model.read_text())
-        doc["format"] = "arc-model v2"
-        doc["config"]["jl_enabled"] = True
-        doc["config"]["jl_target_dim"] = 12
-        model.write_text(json.dumps(doc))
-        rc = run_cli(["query", "--model", str(model), "--data", str(data), "--q", ",".join(["1"] * 80)])
-        assert rc == 2
-        assert "rebuild" in capsys.readouterr().err
-
-    def test_snapped_legacy_model_is_exit_two(self, tmp_path, capsys, saved_model):
-        # a v3 model built with snapping fitted its leaf order to rescaled points
+    @pytest.mark.parametrize("with_fields", [True, False], ids=["own-fields", "v4-fields"])
+    @pytest.mark.parametrize("fmt", sorted(PRE_V4_FIELDS))
+    def test_pre_v4_model_is_exit_two(self, tmp_path, capsys, saved_model, fmt, with_fields):
         model, data = saved_model
         doc = json.loads(model.read_text())
-        doc["format"] = "arc-model v3"
-        doc["config"].update(snap_queries=True, grid_side=None)
-        legacy = tmp_path / "v3.json"
-        legacy.write_text(json.dumps(doc))
+        doc["format"] = fmt
+        if with_fields:
+            doc["config"].update(PRE_V4_FIELDS[fmt])
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
         capsys.readouterr()
-        rc = run_cli(["query", "--model", str(legacy), "--data", str(data), "--q", "1,1,1"])
+        rc = run_cli(["query", "--model", str(old), "--data", str(data), "--q", "1,1,1"])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"error: {legacy}: ") and "rebuild" in err and "Traceback" not in err
+        assert err.startswith(f"error: {old}: ") and fmt in err and "Traceback" not in err
+        assert "rebuild" in err and "`arccount build`" in err
 
     def test_oversized_worst_case_universe_is_exit_three(self, tmp_path, capsys):
         # about 7e5 grid queries times 12 points, refused before any light edge

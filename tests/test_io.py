@@ -19,7 +19,6 @@ from arccount.io import (
     write_query_sample,
 )
 from arccount.learned import QuerySample, near_data_queries
-from arccount.spantree import LightEdgeParams
 
 
 def random_points(n: int, d: int, seed: int) -> WeightedPointSet:
@@ -132,7 +131,7 @@ class TestModels:
         if worstcase:
             rng = Seed(154).generator()
             pts = WeightedPointSet(rng.uniform(0, 2.5, size=(12, 2)), rng.uniform(0.2, 2, size=12))
-            source = WorstCaseSource(light=LightEdgeParams(rho=0.05))
+            source = WorstCaseSource()
         else:
             pts = random_points(30, 3, seed=155)
             pts = WeightedPointSet(pts.points, np.abs(pts.weights) + 0.1)
@@ -159,54 +158,19 @@ class TestModels:
             assert a.verdict_counts == b.verdict_counts
 
     @pytest.mark.parametrize("worstcase", [False, True])
-    def test_v1_model_answers_like_v2(self, tmp_path, worstcase):
-        # v1, v2 and v3 rewrites of a model, with the fields those versions
-        # wrote at their defaults, answer like the model itself; older files
-        # carry all four light-edge knobs, of which only rho is read
+    def test_v4_model_answers_like_the_index_that_saved_it(self, tmp_path, worstcase):
+        # a v4 file differs only by the worst-case source's light-edge
+        # exponent, which the stored leaf order makes irrelevant: it is not read
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
         doc = json.loads(model.read_text())
-        assert doc["format"] == "arc-model v4"
-        assert not {"snap_queries", "grid_side"} & set(doc["config"])
-        doc["config"].update(snap_queries=False, grid_side=None)
+        assert doc["format"] == "arc-model v5"
+        assert "light" not in doc["config"]["tree_source"]
+        doc["format"] = "arc-model v4"
         if worstcase:
-            light = doc["config"]["tree_source"]["light"]
-            assert light == {"rho": 0.05}
-            light.update(net_constant=1.0, embed_dim_constant=1.0, grid_divisor=4.0)
-        rewrites = []
-        for fmt in ("arc-model v3", "arc-model v2", "arc-model v1"):
-            doc["format"] = fmt
-            if fmt == "arc-model v2":
-                doc["config"]["jl_enabled"] = None
-                doc["config"]["jl_target_dim"] = None
-            if fmt == "arc-model v1":
-                doc["config"]["classifier_repetitions"] = None
-                doc["config"]["beta_scale"] = 1.0
-            old = tmp_path / f"model_{fmt[-2:]}.json"
-            old.write_text(json.dumps(doc))
-            rewrites.append(load_model(old, data))
-        current = load_model(model, data)
-        rng = Seed(159).generator()
-        queries = [rng.uniform(-2, 3, size=pts.dim) for _ in range(30)]
-        for other in rewrites:
-            np.testing.assert_array_equal(other.tree.order, current.tree.order)
-            for q in queries:
-                a, b = count(other, q), count(current, q)
-                assert a.weight == b.weight
-                assert a.visited_nodes == b.visited_nodes
-                assert a.verdict_counts == b.verdict_counts
-
-    @pytest.mark.parametrize("snap_fields", [{"snap_queries": False, "grid_side": 0.25}, {}], ids=["off", "absent"])
-    @pytest.mark.parametrize("worstcase", [False, True])
-    def test_v3_model_without_snapping_answers_like_the_index_that_saved_it(self, tmp_path, worstcase, snap_fields):
-        # with snapping off a v3 build worked on the points as given, as v4
-        # does; the config's grid side sized the unused snap grid and is ignored
-        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
-        doc = json.loads(model.read_text())
-        doc["format"] = "arc-model v3"
-        doc["config"].update(snap_fields)
-        legacy = tmp_path / "v3.json"
-        legacy.write_text(json.dumps(doc))
-        loaded = load_model(legacy, data)
+            doc["config"]["tree_source"]["light"] = {"rho": 0.05}
+        v4 = tmp_path / "v4.json"
+        v4.write_text(json.dumps(doc))
+        loaded = load_model(v4, data)
         rng = Seed(163).generator()
         for q in list(pts.points[:3]) + [rng.uniform(-2, 3, size=pts.dim) for _ in range(30)]:
             a, b = count(idx, q, verify=True), count(loaded, q, verify=True)
@@ -214,51 +178,6 @@ class TestModels:
             assert (a.visited_nodes, a.verdict_counts, a.member_ranges) == (
                 b.visited_nodes, b.verdict_counts, b.member_ranges
             )
-
-    @pytest.mark.parametrize("fmt", ["arc-model v1", "arc-model v2", "arc-model v3"])
-    def test_snapped_legacy_model_refused(self, tmp_path, fmt):
-        # a build with snapping on fitted its leaf order to rescaled points
-        pts, idx, data, model = self.build_and_save(tmp_path)
-        doc = json.loads(model.read_text())
-        doc["format"] = fmt
-        doc["config"].update(snap_queries=True, grid_side=0.05)
-        model.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError, match=r"snapping.*rebuild"):
-            load_model(model, data)
-
-    @pytest.mark.parametrize(
-        "enabled, target, refused",
-        [
-            (None, None, False),  # the automatic target was never below 555
-            (True, None, False),
-            (True, 80, False),
-            (False, 12, False),
-            (True, 12, True),
-            (None, 12, True),  # automatic switch on above 64 dimensions
-        ],
-    )
-    def test_legacy_model_refused_only_if_its_build_projected(self, tmp_path, enabled, target, refused):
-        rng = Seed(160).generator()
-        pts = WeightedPointSet(rng.normal(size=(20, 80)), np.ones(20))
-        data = tmp_path / "data.txt"
-        write_points(data, pts)
-        sample = near_data_queries(pts, 60, 0.5, Seed(161))
-        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(162), tree_source=LearnedSource(sample)))
-        model = tmp_path / "model.json"
-        save_model(model, idx, data)
-        doc = json.loads(model.read_text())
-        doc["format"] = "arc-model v2"
-        doc["config"]["jl_enabled"] = enabled
-        doc["config"]["jl_target_dim"] = target
-        model.write_text(json.dumps(doc))
-        if refused:
-            with pytest.raises(FileFormatError, match=r"rebuild"):
-                load_model(model, data)
-            return
-        loaded = load_model(model, data)
-        for q in pts.points[:5]:
-            a, b = count(idx, q), count(loaded, q)
-            assert (a.weight, a.visited_nodes, a.verdict_counts) == (b.weight, b.visited_nodes, b.verdict_counts)
 
     def test_digest_mismatch_refused(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)
