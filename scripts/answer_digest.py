@@ -4,9 +4,11 @@
 Builds each workload's index from the benchmark's own inputs and
 configuration (``bench/harness.py``'s ``make_inputs`` and
 ``build_config``), answers all pool queries with ``count(..., verify=True)``
-and prints a sha256 over each answer's ``weight.hex()``, ``visited_nodes``,
-``verdict_counts`` (key order included) and member ranges.  Two checkouts
-answer bit-identically on a workload and seed iff their digests match.
+and prints a sha256 over the index's leaf order and each answer's
+``weight.hex()``, ``visited_nodes``, ``verdict_counts`` (key order included)
+and member ranges.  Two checkouts build the same tree and answer
+bit-identically on a workload and seed iff their digests match; the leaf
+order shows a tree change that leaves every pool answer equal.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/answer_digest.py --seeds 1 2 3
@@ -30,7 +32,7 @@ import arccount  # noqa: E402
 def answer_digest(workload: str, seed: int) -> str:
     inputs = make_inputs(WORKLOADS[workload], seed)
     idx = arccount.build_counting_index(inputs.points, build_config(inputs, seed))
-    h = hashlib.sha256()
+    h = hashlib.sha256(idx.tree.order.tobytes())
     for q in inputs.pool:
         ans = arccount.count(idx, q, verify=True)
         key = (ans.weight.hex(), ans.visited_nodes, list(ans.verdict_counts.items()), ans.member_ranges)

@@ -19,8 +19,14 @@ from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists
 from .oracle import exact_range_indices, exact_tq
 from .spantree import Edge, SpanningTree, UnionFind
 
-# pair_stab_counts: distances per query chunk (2 MiB of float64)
+# pair_stab_counts: distances per query chunk (2 MiB of float64); each chunk
+# then adds its stab pairs by a scatter or a GEMM, both exact on integers
 _CHUNK_CELLS = 2**18
+# pair_stab_counts: a chunk scatters its (near, inside) pairs when pairs times
+# this is at most the rows x n^2 multiply-adds of its GEMM, else it runs the
+# GEMM.  Scatter and GEMM cost the same at a pair density of 1.4e-3 to 1.7e-3
+# (uniform d = 2 squares, n 256 to 2048, one BLAS thread); this sits below it.
+_SCATTER_COST = 2**10
 # every integer up to this is exact in float32
 _F32_EXACT = 2**24
 
@@ -94,8 +100,14 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
 
     The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
     m x n array is ever held, and each chunk's d2 is ``qq + pp - 2 Q P'``.
-    X is a float32 GEMM of the chunks' masks, summed in float32 and emptied
-    into int64 before any sum could pass 2**24, below which it is exact.
+    A chunk adds its share of X in one of two ways, both exact because X
+    holds integers and integer sums do not depend on their order:
+
+    * few pairs (near a, inside b) against the chunk's rows x n^2 cells:
+      each pair is scattered into X with ``np.add.at``;
+    * many pairs: a float32 GEMM of the chunk's masks, summed in float32
+      and emptied into int64 before any sum could pass 2**24, below which
+      it is exact.
     """
     if pts.dim != sample.queries.shape[1]:
         raise ContractViolation("sample dimension does not match points")
@@ -106,28 +118,56 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     pp = np.einsum("ij,ij->i", points, points)
     rows = max(1, _CHUNK_CELLS // n)
     d2 = np.empty((rows, n))
+    qp = np.empty((rows, n))
     near_total = np.zeros(n, dtype=np.int64)
     x = np.zeros((n, n), dtype=np.int64)
-    partial = np.zeros((n, n), dtype=np.float32)
+    cells = x.reshape(-1)
+    partial = None
     partial_rows = 0
     for lo in range(0, len(sample), rows):
         q = sample.queries[lo : lo + rows]
         qq = np.einsum("ij,ij->i", q, q)
         # qq + pp - 2.0 * (q @ P'), evaluated in place with the same roundings
-        twice = q @ points.T
+        twice = np.matmul(q, points.T, out=qp[: len(q)])
         twice *= 2.0
         block = np.add(qq[:, None], pp[None, :], out=d2[: len(q)])
         block -= twice
         np.maximum(block, 0.0, out=block)
         near = block <= r2
-        near_total += np.count_nonzero(near, axis=0)
-        if partial_rows + len(q) > _F32_EXACT:
-            x += partial.astype(np.int64)
-            partial.fill(0.0)
-            partial_rows = 0
-        partial += near.T.astype(np.float32) @ (block < big2).astype(np.float32)
-        partial_rows += len(q)
-    x += partial.astype(np.int64)
+        inside = block < big2
+        # near and inside points per query; int32 holds n, as the n x n
+        # int64 x above could not exist otherwise
+        k = near.sum(axis=1, dtype=np.int32)
+        g = inside.sum(axis=1, dtype=np.int32)
+        if int(k @ g.astype(np.int64)) * _SCATTER_COST <= len(q) * n * n:
+            # every near entry (q, a) meets each inside entry (q, b) of its
+            # row; a row's inside entries are contiguous in ``flat``
+            flat = np.flatnonzero(inside)
+            near_flat = flat[near.reshape(-1)[flat]]
+            row = near_flat // n
+            a = near_flat - row * n
+            reps = g[row]
+            ends = np.cumsum(reps)
+            pos = np.repeat(np.cumsum(g)[row] - ends, reps)
+            pos += np.arange(len(pos))
+            key = flat[pos]
+            del pos
+            # flat[pos] is row * n + b; the key is a * n + b
+            key += np.repeat((a - row) * n, reps)
+            np.add.at(cells, key, 1)
+            near_total += np.bincount(a, minlength=n)
+        else:
+            near_total += np.count_nonzero(near, axis=0)
+            if partial is None:
+                partial = np.zeros((n, n), dtype=np.float32)
+            if partial_rows + len(q) > _F32_EXACT:
+                x += partial.astype(np.int64)
+                partial.fill(0.0)
+                partial_rows = 0
+            partial += near.T.astype(np.float32) @ inside.astype(np.float32)
+            partial_rows += len(q)
+    if partial is not None:
+        x += partial.astype(np.int64)
     counts = x + x.T
     np.negative(counts, out=counts)
     counts += near_total[:, None]
@@ -140,13 +180,18 @@ def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:
 
     Kruskal over all pairs sorted by (count, a, b); an all-zero matrix thus
     yields the star rooted at vertex 0.  The pairs come in (a, b) order, so
-    a stable sort of their counts gives that order.
+    a stable sort of their counts gives that order.  Integer counts in
+    [0, 2**16) are sorted as uint16 keys, on which the stable sort is a
+    radix sort; any other counts are sorted as they are.
     """
     counts = np.asarray(counts)
     if counts.shape != (n, n):
         raise ContractViolation(f"counts must be ({n}, {n}), got {counts.shape}")
     iu, ju = np.triu_indices(n, k=1)
-    order = np.argsort(counts[iu, ju], kind="stable")
+    key = counts[iu, ju]
+    if key.dtype.kind in "iu" and key.size and key.min() >= 0 and key.max() < 2**16:
+        key = key.astype(np.uint16)
+    order = np.argsort(key, kind="stable")
     uf = UnionFind(n)
     edges: list[Edge] = []
     for t in order:

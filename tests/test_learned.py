@@ -73,6 +73,20 @@ def dense_ball_case(n: int, m: int, seed: int) -> tuple[WeightedPointSet, QueryS
     return pts, QuerySample(rng.uniform(0.0, 5.0, size=(m, 2)), source="uniform")
 
 
+def chunk_is_dense(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> list[bool]:
+    """Per query chunk of ``pair_stab_counts``, whether it takes the GEMM (else it scatters)."""
+    p, q = pts.points, sample.queries
+    n = len(p)
+    d2 = np.einsum("ij,ij->i", q, q)[:, None] + np.einsum("ij,ij->i", p, p)[None, :] - 2.0 * (q @ p.T)
+    np.maximum(d2, 0.0, out=d2)
+    pairs = np.count_nonzero(d2 <= params.radius**2, axis=1) * np.count_nonzero(d2 < params.outer_radius**2, axis=1)
+    rows = max(1, learned._CHUNK_CELLS // n)
+    return [
+        int(pairs[lo : lo + rows].sum()) * learned._SCATTER_COST > len(pairs[lo : lo + rows]) * n * n
+        for lo in range(0, len(q), rows)
+    ]
+
+
 def assert_count_matrix(counts: np.ndarray, n: int) -> None:
     assert counts.dtype == np.int64 and counts.shape == (n, n)
     np.testing.assert_array_equal(counts, counts.T)
@@ -177,6 +191,60 @@ class TestPairStabCounts:
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         assert counts.max() > 200
 
+    def test_float32_flush_reached_by_dense_chunks(self, monkeypatch):
+        # the input of test_float32_sums_emptied_into_int64 takes the GEMM in
+        # every chunk, so its float32 sums pass the 200-row budget and are
+        # emptied into int64 on the way
+        monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**12)
+        pts, sample = dense_ball_case(64, 1000, seed=132)
+        dense = chunk_is_dense(pts, sample, PARAMS)
+        assert all(dense) and len(sample) > 200
+
+    # 0 scatters every chunk; 2**62 sends every chunk with a pair to the GEMM
+    @pytest.mark.parametrize("cost", [0, 2**62])
+    @pytest.mark.parametrize("case", [near_data_case, dense_ball_case])
+    def test_either_branch_alone_matches_whole_sample(self, monkeypatch, case, cost):
+        monkeypatch.setattr(learned, "_SCATTER_COST", cost)
+        pts, sample = case(256, 3 * 1024 + 77, seed=150)
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 256)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+        assert counts.sum() > 0
+
+    def test_sparse_and_dense_chunks_add_into_one_matrix(self, monkeypatch):
+        # 64-query chunks that alternate: all queries in the square (dense),
+        # then one query in the square and the rest far away (sparse)
+        monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**12)
+        monkeypatch.setattr(learned, "_F32_EXACT", 100)
+        pts, inner = dense_ball_case(64, 6 * 64, seed=151)
+        queries = inner.queries.reshape(6, 64, 2).copy()
+        queries[1::2, 1:] += 100.0
+        sample = QuerySample(queries.reshape(-1, 2), source="t")
+        assert chunk_is_dense(pts, sample, PARAMS) == [True, False] * 3
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 64)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+
+    def test_queries_far_from_every_point_count_nothing(self):
+        # no inside entry, so no pair: every chunk scatters an empty key list
+        pts, _ = dense_ball_case(64, 1, seed=152)
+        rng = Seed(153).generator()
+        sample = QuerySample(rng.uniform(100.0, 105.0, size=(500, 2)), source="t")
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 64)
+        assert not counts.any()
+
+    @pytest.mark.parametrize("cost", [0, 2**62])
+    def test_two_points(self, monkeypatch, cost):
+        monkeypatch.setattr(learned, "_SCATTER_COST", cost)
+        pts = weighted(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        rng = Seed(154).generator()
+        sample = QuerySample(rng.uniform(-1.5, 3.5, size=(400, 2)), source="t")
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 2)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+        assert counts[0, 1] > 0
+
     def test_duplicate_points_and_queries(self):
         rng = Seed(134).generator()
         base = rng.uniform(0.0, 3.0, size=(20, 3))
@@ -241,6 +309,18 @@ class TestLearnedTree:
                 upper = np.triu(rng.integers(0, top + 1, size=(n, n)), k=1)
                 counts = upper + upper.T
                 assert learned_spanning_tree(counts, n).edges == lexsort_tree_edges(counts, n)
+
+    # counts a 16-bit key would change: past 2**16, negative, fractional
+    @pytest.mark.parametrize(
+        "values",
+        [[0, 1, 2**16, 2**16 + 1, 2**40], [-(2**16), -3, -1, 0, 1], [0.25, 0.5, 0.75, 1.0, 1.5]],
+    )
+    def test_edges_match_lexsort_kruskal_beyond_16_bit_keys(self, values):
+        rng = Seed(155).generator()
+        for n in (3, 7, 19, 40):
+            upper = np.triu(rng.choice(np.array(values), size=(n, n)), k=1)
+            counts = upper + upper.T
+            assert learned_spanning_tree(counts, n).edges == lexsort_tree_edges(counts, n)
 
 
 class TestBracketReport:
