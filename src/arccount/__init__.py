@@ -9,7 +9,9 @@ trading the boundary ambiguity for sublinear query structure.  Build a
 spanning tree with low stabbing number (worst-case via multiplicative
 weights over a grid query universe, or learned from a query sample) and
 fold it into a balanced partition tree.  A query decides every node from
-prefix counts of near and far points along the tree's point order.
+one running count of per-point codes along the tree's point order: 0
+outside the outer ball, 1 in the annulus between the balls, 2 inside the
+inner ball.
 """
 
 from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, eps_stabs

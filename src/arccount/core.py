@@ -84,7 +84,7 @@ def as_point(p: "np.ndarray | list[float] | tuple[float, ...]") -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ContractViolation(f"point must be a nonempty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractViolation("point has non-finite coordinates")
     return arr
 

@@ -6,19 +6,24 @@ The index works on the points and queries exactly as given.  All internal
 structures run at the halved error ``eps/2``, so every answer lands inside
 the full ``eps`` sandwich.
 
-Queries take one distance pass over the points in path order and keep
-running counts of the points within the outer radius (near) and at least
-the inner radius away (far).  Every node owns a contiguous slice of
-the path, so two subtractions give its verdict: near points only is
-COVERED, far points only is DISJOINT, both is STABBED.  The walk adds the
+Queries take one distance pass over the points in path order.  A point
+within the outer radius is near, one at least the inner radius away is
+far, and every point is one or both.  Each point gets the code
+``(d2 <= outer**2) + (d2 < r**2)``: 0 when it is far only, 1 when it lies
+in the annulus and is both, 2 when it is near only.  Every node owns a
+contiguous slice of the path, so one subtraction of a running count of
+the codes gives its verdict: a sum of 0 is DISJOINT, twice the slice
+length is COVERED, anything between is STABBED.  The walk adds the
 cumulative weight of a COVERED node and stops, stops empty at a DISJOINT
-node, recurses into a STABBED node, and includes a leaf when its one point
-is near.  The tree is stored in preorder, so the walk is a fixed number of
-array operations over all nodes: the verdicts of every node at once, then
-the nodes no stopping ancestor hides, then a running sum of the included
-weights in preorder, the order of a depth-first walk.  The answer weight
-is therefore always the exact total weight of a concrete point set
-sandwiched between the inner and outer balls.
+node, recurses into a STABBED node, and includes a leaf when its one
+point is near.  A STABBED node's ancestors hold its near and far points
+too, so they are STABBED as well: a node is visited iff it is the root or
+its parent is STABBED.  The tree is stored in preorder, so the walk is a
+fixed number of array operations over all nodes: the verdicts of every
+node at once, one gather of them through the parents, then a running sum
+of the included weights in preorder, the order of a depth-first walk.
+The answer weight is therefore always the exact total weight of a
+concrete point set sandwiched between the inner and outer balls.
 """
 
 from __future__ import annotations
@@ -165,30 +170,31 @@ def _build_spanning_tree(pts: WeightedPointSet, working: EpsParams, cfg: BuildCo
     raise ContractViolation(f"unknown tree source {type(source).__name__}")
 
 
-def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running near and far counts over the path, for a query checked by ``transform_query``.
+def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
+    """Running count of the path points' codes, for a query checked by ``transform_query``.
 
-    Entry ``k`` of each array counts the first ``k`` path points within the
-    working outer radius of ``qw`` (near) or at least the working radius
-    from it (far).
+    A point's code is ``(d2 <= outer**2) + (d2 < r**2)`` at the working
+    radii: 0 when it is far only, 1 when it lies in the annulus and is both
+    near and far, 2 when it is near only.  Entry ``k`` sums the codes of the
+    first ``k`` path points.
     """
     d2 = sq_dists_to(idx.path_points, qw)
     outer = idx.working.outer_radius
     r = idx.working.radius
-    near = np.zeros(d2.size + 1, dtype=np.intp)
-    far = np.zeros(d2.size + 1, dtype=np.intp)
-    np.cumsum(d2 <= outer * outer, out=near[1:])
-    np.cumsum(d2 >= r * r, out=far[1:])
-    return near, far
+    c = np.zeros(d2.size + 1, dtype=np.intp)
+    np.cumsum(np.add(d2 <= outer * outer, d2 < r * r, dtype=np.intp), out=c[1:])
+    return c
 
 
-def node_masks(tree: PartitionTree, near: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def node_masks(tree: PartitionTree, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Whether each node's path slice holds a near point, and a far point, in preorder.
 
-    Near points only is COVERED, far points only is DISJOINT, and both is
-    STABBED.
+    A slice's code sum is 0 iff every point is far only, and twice its length
+    iff every point is near only.  Near points only is COVERED, far points
+    only is DISJOINT, and both is STABBED.
     """
-    return near[tree.hi] != near[tree.lo], far[tree.hi] != far[tree.lo]
+    v = c[tree.hi] - c[tree.lo]
+    return v != 0, v != 2 * (tree.hi - tree.lo)
 
 
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
@@ -197,32 +203,41 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     The returned weight is the exact cumulative weight of a point set S with
     (ball of radius r) <= S <= (ball of radius (1+eps) r).  In verification
     mode the answer also carries the path-order ranges whose union is S.
+
+    A STABBED node holds both near and far points, and so does each of its
+    ancestors: the walk visits the root and both children of every STABBED
+    internal node, and no other node.
     """
     qw = idx.transform_query(q)
     tree = idx.tree
-    has_near, has_far = node_masks(tree, *prefix_counts(idx, qw))
-    # a COVERED or DISJOINT node stops the walk below it, and its subtree is
-    # the preorder block up to its ``end``: a node is visited iff the
-    # furthest end of the stopping nodes before it does not pass it
-    stop = has_near != has_far
-    reach = np.maximum.accumulate(np.where(stop, tree.end, 0))
-    visited = np.ones(stop.size, dtype=bool)
-    np.less_equal(reach[:-1], np.arange(1, stop.size), out=visited[1:])
-    # a COVERED node, or a leaf whose point is near
-    included = visited & has_near & (stop | tree.leaf)
-    # a sequential running sum from 0.0 adds in preorder, as a depth-first
-    # walk does; a pairwise or compensated sum could differ in the last bit
-    weight = float(np.cumsum(np.concatenate(([0.0], tree.weight[included])))[-1])
-    inner = visited & ~tree.leaf
-    stopped = inner & stop
-    n_stopped = int(np.count_nonzero(stopped))
-    n_covered = int(np.count_nonzero(stopped & has_near))
+    has_near, has_far = node_masks(tree, prefix_counts(idx, qw))
+    inner = ~tree.leaf
+    # the STABBED internal nodes, which the walk splits; their ancestors are
+    # STABBED too, so each is visited
+    split = has_near & has_far & inner
+    # a node is visited iff it is the root or its parent is split
+    visited = split[tree.parent]
+    visited[0] = True
+    # the walk stops at every other visited node, and includes the stops
+    # that hold a near point: COVERED nodes and near leaves
+    stops = visited ^ split
+    included = stops & has_near
+    # a sequential running sum adds in preorder, as a depth-first walk
+    # does; a pairwise or compensated sum could differ in the last bit.
+    # The walk adds from 0.0: that differs from a sum started at the first
+    # weight only where the latter is -0.0, giving 0.0, as adding 0.0 does.
+    w = tree.weight[included]
+    weight = float(np.cumsum(w)[-1]) + 0.0 if w.size else 0.0
+    n_stabbed = int(np.count_nonzero(split))
+    inner_stops = stops & inner
+    n_stopped = int(np.count_nonzero(inner_stops))
+    n_covered = int(np.count_nonzero(inner_stops & has_near))
 
     answer = CountAnswer(
         weight=weight,
-        visited_nodes=int(np.count_nonzero(visited)),
+        visited_nodes=1 + 2 * n_stabbed,
         verdict_counts={
-            "stabbed": int(np.count_nonzero(inner)) - n_stopped,
+            "stabbed": n_stabbed,
             "covered": n_covered,
             "disjoint": n_stopped - n_covered,
         },

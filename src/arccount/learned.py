@@ -29,6 +29,8 @@ _CHUNK_CELLS = 2**18
 _SCATTER_COST = 2**10
 # every integer up to this is exact in float32
 _F32_EXACT = 2**24
+# pair_stab_counts: side of the square blocks in which X + X' is formed
+_SYM_BLOCK = 256
 
 
 @dataclass
@@ -108,6 +110,9 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     * many pairs: a float32 GEMM of the chunk's masks, summed in float32
       and emptied into int64 before any sum could pass 2**24, below which
       it is exact.
+
+    X + X' is then formed in place in X, one pair of square blocks at a
+    time, so a second n x n matrix is never held.
     """
     if pts.dim != sample.queries.shape[1]:
         raise ContractViolation("sample dimension does not match points")
@@ -168,7 +173,14 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
             partial_rows += len(q)
     if partial is not None:
         x += partial.astype(np.int64)
-    counts = x + x.T
+    for i in range(0, n, _SYM_BLOCK):
+        bi = slice(i, i + _SYM_BLOCK)
+        for j in range(i, n, _SYM_BLOCK):
+            bj = slice(j, j + _SYM_BLOCK)
+            s = x[bi, bj] + x[bj, bi].T
+            x[bi, bj] = s
+            x[bj, bi] = s.T
+    counts = x
     np.negative(counts, out=counts)
     counts += near_total[:, None]
     counts += near_total[None, :]

@@ -7,10 +7,11 @@ possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
 path.  That shape depends on ``n`` alone.  The tree is stored as the path
 order plus five arrays over its ``2n - 1`` nodes in preorder: each node's
-range ``[lo, hi)``, the ``end`` of its subtree's preorder block, whether
-it is a ``leaf``, and its cumulative ``weight``.  In preorder a node's
-subtree is the block of positions right after it, so a query decides and
-walks every node at once with array operations (see ``counter.count``).
+range ``[lo, hi)``, its ``parent``, whether it is a ``leaf``, and its
+cumulative ``weight``.  A query decides every node at once with array
+operations, and a walk visits a node iff it is the root or its parent is
+stabbed, so the parents give the visited nodes in one gather (see
+``counter.count``).
 Walking only the nodes whose parent looks ambiguous or stabbed from a
 query's viewpoint visits few nodes exactly because consecutive path points
 rarely straddle the query's annulus.
@@ -56,8 +57,8 @@ class PartitionTree:
     range of one position is a leaf; an internal range splits at
     ``mid = split(lo, hi)``.  Nodes are numbered in preorder, so the left
     child of ``k`` is ``k + 1``, the right child is ``k + 2 * (mid - lo)``,
-    and the subtree of ``k`` is the positions ``k .. end[k] - 1`` with
-    ``end[k] = k + 2 * (hi - lo) - 1``; ``leaf[k]`` is ``hi - lo == 1``.
+    and ``parent`` maps both back to ``k`` (the root maps to 0);
+    ``leaf[k]`` is ``hi - lo == 1``.
     The only data-dependent part is ``weight[k]``, the total weight of the
     points ``order[lo:hi]``: a leaf's point weight, or its left child's
     plus its right child's.
@@ -66,7 +67,7 @@ class PartitionTree:
     order: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    end: np.ndarray
+    parent: np.ndarray
     leaf: np.ndarray
     weight: np.ndarray
 
@@ -109,16 +110,17 @@ def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
 def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> PartitionTree:
     """Build the balanced binary tree over ``path``.
 
-    The ranges are laid out one level at a time from the root, each node's
-    preorder position derived from its parent's.  Cumulative weights are
-    then filled bottom-up, one level at a time: a leaf takes its point's
-    weight, a parent adds its left and its right child.
+    The ranges and parents are laid out one level at a time from the root,
+    each node's preorder position derived from its parent's.  Cumulative
+    weights are then filled bottom-up, one level at a time: a leaf takes its
+    point's weight, a parent adds its left and its right child.
     """
     n = len(path)
     if n != len(pts):
         raise ContractViolation(f"path length {n} does not match point count {len(pts)}")
     lo = np.empty(2 * n - 1, dtype=np.int64)
     hi = np.empty(2 * n - 1, dtype=np.int64)
+    parent = np.zeros(2 * n - 1, dtype=np.int64)
     # preorder positions k and ranges [a, b) of one level's nodes
     k, a, b = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
     levels = []
@@ -129,14 +131,14 @@ def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> Partiti
         mid = split(a, b)
         left, right = k + 1, k + 2 * (mid - a)
         levels.append((k, left, right))
+        parent[left] = parent[right] = k
         k, a, b = np.concatenate((left, right)), np.concatenate((a, mid)), np.concatenate((mid, b))
     leaf = hi - lo == 1
     weight = np.empty(lo.size)
     weight[leaf] = pts.weights[path.order]
     for k, left, right in reversed(levels):
         weight[k] = weight[left] + weight[right]
-    end = np.arange(lo.size) + 2 * (hi - lo) - 1
-    return PartitionTree(order=path.order, lo=lo, hi=hi, end=end, leaf=leaf, weight=weight)
+    return PartitionTree(order=path.order, lo=lo, hi=hi, parent=parent, leaf=leaf, weight=weight)
 
 
 def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, params: EpsParams) -> int:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from arccount.counter import (
     BuildConfig,
+    CountAnswer,
     CountingIndex,
     LearnedSource,
     WorstCaseSource,
@@ -135,7 +139,7 @@ class TestPrefixVerdicts:
         for k in range(8):
             q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
             qw = idx.transform_query(q)
-            has_near, has_far = node_masks(idx.tree, *prefix_counts(idx, qw))
+            has_near, has_far = node_masks(idx.tree, prefix_counts(idx, qw))
             for node, lo, hi in idx.tree.internal_ranges():
                 subset = pts.subset(idx.tree.order[lo:hi])
                 clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, node))
@@ -197,6 +201,27 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
     return weight, visited, verdicts, sorted(ranges)
 
 
+def assert_answers_like_the_stack_walk(idx: CountingIndex, q: np.ndarray) -> CountAnswer:
+    """``count`` with verification against ``stack_walk``: weight to the last
+    bit, visits, verdict counts in key order and the member ranges."""
+    weight, visited, verdicts, ranges = stack_walk(idx, q)
+    ans = count(idx, q, verify=True)
+    assert ans.weight.hex() == weight.hex()
+    assert ans.visited_nodes == visited
+    assert list(ans.verdict_counts.items()) == list(verdicts.items())
+    assert ans.member_ranges == ranges
+    return ans
+
+
+# offsets from the query on a dyadic lattice, where every squared distance
+# is exact: the first two lie at exactly the working radius 1 and exactly
+# the working outer radius 1.25 (eps = 0.5, so eps/2 = 0.25)
+LATTICE = [
+    (1.0, 0.0), (0.75, 1.0), (0.0, -1.0), (0.0, 1.25), (-1.0, 0.0), (-1.0, -0.75),
+    (0.5, 0.5), (0.0, 0.0), (1.5, 0.0), (-0.75, 1.0), (2.0, 2.0), (0.0, 1.0), (-1.25, 0.0),
+]
+
+
 class TestStackWalkEquivalence:
     @pytest.mark.parametrize("worstcase", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 257])
@@ -220,13 +245,49 @@ class TestStackWalkEquivalence:
             queries += list(points[rng.integers(0, n, size=6)] + rng.normal(0.0, radius, size=(6, d)))
             queries += list(rng.uniform(-radius, 3.5 * radius, size=(3, d)))
             for q in queries:
-                weight, visited, verdicts, ranges = stack_walk(idx, q)
-                ans = count(idx, q, verify=True)
-                assert ans.weight.hex() == weight.hex()
-                assert ans.visited_nodes == visited
-                assert list(ans.verdict_counts.items()) == list(verdicts.items())
-                assert ans.member_ranges == ranges
-                assert count(idx, q).weight.hex() == weight.hex()
+                ans = assert_answers_like_the_stack_walk(idx, q)
+                assert count(idx, q).weight.hex() == ans.weight.hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_every_point_in_the_working_annulus(self, n):
+        # every point is both near and far, so every node is STABBED: the
+        # walk visits all 2n - 1 nodes and includes every leaf
+        seed = Seed(192).derive(n)
+        rng = seed.generator()
+        q = rng.uniform(-1.0, 1.0, size=3)
+        directions = rng.normal(size=(n, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        # the working annulus at eps = 0.5 is [1, 1.25]
+        points = q + directions * rng.uniform(1.05, 1.2, size=(n, 1))
+        pts = WeightedPointSet(points, rng.uniform(-2.0, 2.0, size=n))
+        sample = near_data_queries(pts, 40, sigma=1.0, seed=seed.derive(1))
+        idx = build_counting_index(pts, learned_config(sample=sample, seed=193))
+        ans = assert_answers_like_the_stack_walk(idx, q)
+        assert ans.visited_nodes == 2 * n - 1
+        assert ans.verdict_counts == {"stabbed": n - 1, "covered": 0, "disjoint": 0}
+        assert ans.member_ranges == [(k, k + 1) for k in range(n)]
+
+    @pytest.mark.parametrize("worstcase", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, len(LATTICE)])
+    def test_points_exactly_on_the_working_radii(self, n, worstcase):
+        # a point at exactly r or exactly (1 + eps/2) r is both near and
+        # far, so no node holding it stops the walk and its leaf is
+        # included: the answer is exactly the points within the working
+        # outer radius, from every lattice query
+        q = np.array([0.5, 0.25])
+        points = q + np.array(LATTICE[:n])
+        d2 = sq_dists_to(points, q)
+        assert d2[0] == 1.0 and (n == 1 or d2[1] == 1.5625)
+        pts = WeightedPointSet(points, Seed(194).generator().uniform(-2.0, 2.0, size=n))
+        if worstcase:
+            source = WorstCaseSource(grid_side=0.5)
+        else:
+            source = LearnedSource(near_data_queries(pts, 40, sigma=1.0, seed=Seed(195)))
+        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(196), tree_source=source))
+        for query in [q, *points]:
+            ans = assert_answers_like_the_stack_walk(idx, query)
+            inside = {int(i) for i in np.flatnonzero(sq_dists_to(points, query) <= 1.5625)}
+            assert answer_set(idx, ans.member_ranges) == inside
 
     def test_negative_zero_weights_sum_from_positive_zero(self):
         # the walk adds to 0.0, and 0.0 + -0.0 is 0.0: a sum started at the
@@ -236,9 +297,29 @@ class TestStackWalkEquivalence:
         cfg = BuildConfig(eps=0.5, seed=Seed(191), tree_source=WorstCaseSource(grid_side=0.5))
         idx = build_counting_index(pts, cfg)
         for q in pts.points:
-            weight, _, _, ranges = stack_walk(idx, q)
-            assert ranges and weight.hex() == "0x0.0p+0"
-            assert count(idx, q).weight.hex() == weight.hex()
+            ans = assert_answers_like_the_stack_walk(idx, q)
+            assert ans.member_ranges and ans.weight.hex() == "0x0.0p+0"
+            assert count(idx, q).weight.hex() == "0x0.0p+0"
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+class TestBenchInputs:
+    @pytest.mark.parametrize("workload", ["near-d8", "worstcase-d2"])
+    def test_every_pool_query_answers_like_the_stack_walk(self, workload):
+        # the benchmark's own inputs and configuration at seed 1, as
+        # ``scripts/answer_digest.py`` builds them: a reference check that
+        # holds on any machine, unlike pinned digests
+        sys.path.insert(0, str(BENCH))
+        try:
+            from harness import WORKLOADS, build_config, make_inputs
+        finally:
+            sys.path.remove(str(BENCH))
+        inputs = make_inputs(WORKLOADS[workload], 1)
+        idx = build_counting_index(inputs.points, build_config(inputs, 1))
+        for q in inputs.pool:
+            assert_answers_like_the_stack_walk(idx, q)
 
 
 class TestSandwichProperty:
@@ -281,6 +362,7 @@ class TestSandwichProperty:
             assert got <= exact_range_indices(pts, q, params.outer_radius)
             # the root, then both children of every visited stabbed node
             assert ans.visited_nodes == 1 + 2 * ans.verdict_counts["stabbed"]
+            assert_answers_like_the_stack_walk(idx, q)
 
 
 class TestDeterminism:

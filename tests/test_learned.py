@@ -200,6 +200,16 @@ class TestPairStabCounts:
         dense = chunk_is_dense(pts, sample, PARAMS)
         assert all(dense) and len(sample) > 200
 
+    @pytest.mark.parametrize("block", [1, 7, 64, 256])
+    def test_symmetric_sum_formed_block_by_block(self, monkeypatch, block):
+        # X + X' is formed in place one pair of blocks at a time: blocks of
+        # one entry, ragged edge blocks, exact tiles, and one block in all
+        monkeypatch.setattr(learned, "_SYM_BLOCK", block)
+        pts, sample = near_data_case(100, 300, seed=151)
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 100)
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+
     # 0 scatters every chunk; 2**62 sends every chunk with a pair to the GEMM
     @pytest.mark.parametrize("cost", [0, 2**62])
     @pytest.mark.parametrize("case", [near_data_case, dense_ball_case])

@@ -83,7 +83,7 @@ class TestPartitionTreeShape:
         assert list(t.internal_ranges()) == [(0, 0, 5), (1, 0, 3), (2, 0, 2), (6, 3, 5)]
         assert leaf_ranges(t) == [(3, 0, 1), (4, 1, 2), (5, 2, 3), (7, 3, 4), (8, 4, 5)]
         assert list(zip(t.lo.tolist(), t.hi.tolist())) == [(0, 5), (0, 3), (0, 2), (0, 1), (1, 2), (2, 3), (3, 5), (3, 4), (4, 5)]
-        assert t.end.tolist() == [9, 6, 5, 4, 5, 6, 9, 8, 9]
+        assert t.parent.tolist() == [0, 0, 1, 2, 2, 1, 0, 6, 6]
 
     def test_leaf_count_and_depth(self):
         for n in (1, 2, 3, 4, 7, 8, 9, 33):
@@ -107,7 +107,7 @@ class TestPartitionTreeShape:
             for node in t.internal_ranges():
                 for k, lo, hi in children(*node):
                     assert (t.lo[k], t.hi[k]) == (lo, hi)
-                assert t.end[node[0]] == t.end[children(*node)[1][0]]
+                    assert t.parent[k] == node[0]
 
     def test_member_indices_follow_the_order(self):
         # a node owns the points order[lo:hi] of its path range
