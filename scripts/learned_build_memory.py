@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Build seconds and peak RSS of one dense learned build per n, each in a fresh process.
+
+For every n the benchmark's near-d8 generator (``bench/harness.py``'s
+``make_inputs``: four clusters in d = 8, weighted points, 16384 near-data
+training queries) makes the inputs at that n, and a fresh Python process
+builds one learned index from them with the benchmark's ``build_config``,
+with one BLAS thread, as the benchmark runs.  Each n prints one JSON line:
+the build's wall seconds, and the process's peak resident set size
+(``ru_maxrss``, in MiB as the benchmark's ``build_peak_rss_mb``) before
+the build and after it.  The difference is the build's own peak above the
+inputs and the imported libraries.
+
+Example, comparing this checkout against another one at ``../parent``:
+    PYTHONPATH=src python3 scripts/learned_build_memory.py --n 1024 2048 4096
+    PYTHONPATH=../parent/src python3 scripts/learned_build_memory.py --n 1024 2048 4096
+"""
+
+from __future__ import annotations
+
+import os
+
+# as in bench/run.py: BLAS threads are fixed before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
+
+import arccount  # noqa: E402
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def build_once(n: int, seed: int) -> dict:
+    """Build one learned index at ``n`` in this process and report it."""
+    w = dataclasses.replace(WORKLOADS["near-d8"], n=n)
+    inputs = make_inputs(w, seed)
+    cfg = build_config(inputs, seed)
+    before = _peak_rss_mb()
+    t0 = time.perf_counter()
+    arccount.build_counting_index(inputs.points, cfg)
+    seconds = time.perf_counter() - t0
+    return {
+        "n": n,
+        "d": w.d,
+        "m": w.m,
+        "seed": seed,
+        "build_s": round(seconds, 4),
+        "rss_before_mb": round(before, 1),
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--n", nargs="+", type=int, default=[1024, 2048, 4096])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--one", action="store_true", help="build the single --n in this process")
+    args = ap.parse_args()
+    if min(args.n) < 2:
+        ap.error("every --n must be at least 2")
+    if args.one:
+        if len(args.n) != 1:
+            ap.error("--one builds a single --n")
+        print(json.dumps(build_once(args.n[0], args.seed)), flush=True)
+        return
+    for n in args.n:
+        argv = [sys.executable, __file__, "--one", "--n", str(n), "--seed", str(args.seed)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"build at n={n} failed:\n{proc.stderr}")
+        print(proc.stdout.strip(), flush=True)
+
+
+if __name__ == "__main__":
+    main()

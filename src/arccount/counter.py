@@ -194,7 +194,7 @@ def node_masks(tree: PartitionTree, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     only is DISJOINT, and both is STABBED.
     """
     v = c[tree.hi] - c[tree.lo]
-    return v != 0, v != 2 * (tree.hi - tree.lo)
+    return v != 0, v != tree.twice_size
 
 
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
@@ -211,10 +211,9 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     qw = idx.transform_query(q)
     tree = idx.tree
     has_near, has_far = node_masks(tree, prefix_counts(idx, qw))
-    inner = ~tree.leaf
     # the STABBED internal nodes, which the walk splits; their ancestors are
     # STABBED too, so each is visited
-    split = has_near & has_far & inner
+    split = has_near & has_far & tree.inner
     # a node is visited iff it is the root or its parent is split
     visited = split[tree.parent]
     visited[0] = True
@@ -229,7 +228,7 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     w = tree.weight[included]
     weight = float(np.cumsum(w)[-1]) + 0.0 if w.size else 0.0
     n_stabbed = int(np.count_nonzero(split))
-    inner_stops = stops & inner
+    inner_stops = stops & tree.inner
     n_stopped = int(np.count_nonzero(inner_stops))
     n_covered = int(np.count_nonzero(inner_stops & has_near))
 

@@ -6,6 +6,14 @@ many sampled queries stab it, and take a minimum spanning tree under those
 counts.  The tree is optimal for the sample by exchange argument, and a
 large enough sample makes the sample mean track the true expected stabbing
 within constant factors.
+
+Memory: the counts are one int32 n x n matrix, 4 n^2 bytes.  Beside it,
+``pair_stab_counts`` holds per query chunk two 2 MiB distance buffers and
+at most ``_CHUNK_CELLS // _SCATTER_COST`` scattered pair keys per point;
+only once a chunk has many stab pairs does it add two float32 n x n
+matrices, the running sum of the chunks' products and one product.  The
+tree step is a dense Prim that reads one row of the counts per step and
+holds O(n) beside them.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import numpy as np
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from .oracle import exact_range_indices, exact_tq
-from .spantree import Edge, SpanningTree, UnionFind
+from .spantree import Edge, SpanningTree
 
 # pair_stab_counts: distances per query chunk (2 MiB of float64); each chunk
 # then adds its stab pairs by a scatter or a GEMM, both exact on integers
@@ -29,8 +37,11 @@ _CHUNK_CELLS = 2**18
 _SCATTER_COST = 2**10
 # every integer up to this is exact in float32
 _F32_EXACT = 2**24
-# pair_stab_counts: side of the square blocks in which X + X' is formed
+# pair_stab_counts: side of the square blocks in which the counts are formed
 _SYM_BLOCK = 256
+# pair_stab_counts: every count is at most the sample size, and int32 holds
+# every count below this
+_COUNT_LIMIT = 2**31
 
 
 @dataclass
@@ -92,13 +103,15 @@ def near_data_queries(
 
 
 def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> np.ndarray:
-    """Symmetric int64 (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
+    """Symmetric int32 (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
 
     Let N[q, a] = 1 when point a is within ``radius`` of query q (d2 <= r2),
     G[q, b] = 1 when point b lies inside the outer ball (d2 < (1+eps)^2 r2),
     and F = 1 - G mark the far points.  The count matrix N'F + F'N then
     equals ``c[a] + c[b] - X[a, b] - X[b, a]``, with c the column sums of N
-    and X = N'G.  Its diagonal is 0, because near points lie inside.
+    and X = N'G.  Its diagonal is 0, because near points lie inside.  A
+    count is at most the sample size m, so int32 holds it; a sample of
+    2**31 queries or more is refused.
 
     The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
     m x n array is ever held, and each chunk's d2 is ``qq + pp - 2 Q P'``.
@@ -108,14 +121,16 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     * few pairs (near a, inside b) against the chunk's rows x n^2 cells:
       each pair is scattered into X with ``np.add.at``;
     * many pairs: a float32 GEMM of the chunk's masks, summed in float32
-      and emptied into int64 before any sum could pass 2**24, below which
-      it is exact.
+      and added into X before any sum could pass 2**24, below which it is
+      exact.
 
-    X + X' is then formed in place in X, one pair of square blocks at a
-    time, so a second n x n matrix is never held.
+    The counts are then formed in place in X, one pair of square blocks at
+    a time in int64, so X is the only n x n int32 matrix ever held.
     """
     if pts.dim != sample.queries.shape[1]:
         raise ContractViolation("sample dimension does not match points")
+    if len(sample) >= _COUNT_LIMIT:
+        raise ContractViolation(f"stab counts hold samples below {_COUNT_LIMIT} queries, got {len(sample)}")
     n = len(pts)
     points = pts.points
     r2 = params.radius**2
@@ -125,7 +140,7 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     d2 = np.empty((rows, n))
     qp = np.empty((rows, n))
     near_total = np.zeros(n, dtype=np.int64)
-    x = np.zeros((n, n), dtype=np.int64)
+    x = np.zeros((n, n), dtype=np.int32)
     cells = x.reshape(-1)
     partial = None
     partial_rows = 0
@@ -141,7 +156,7 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
         near = block <= r2
         inside = block < big2
         # near and inside points per query; int32 holds n, as the n x n
-        # int64 x above could not exist otherwise
+        # x above could not exist otherwise
         k = near.sum(axis=1, dtype=np.int32)
         g = inside.sum(axis=1, dtype=np.int32)
         if int(k @ g.astype(np.int64)) * _SCATTER_COST <= len(q) * n * n:
@@ -157,67 +172,105 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
             pos += np.arange(len(pos))
             key = flat[pos]
             del pos
-            # flat[pos] is row * n + b; the key is a * n + b
+            # flat[pos] is row * n + b; the key is a * n + b.  The increment
+            # is an int32 scalar: a Python 1 takes add.at off its fast path.
             key += np.repeat((a - row) * n, reps)
-            np.add.at(cells, key, 1)
+            np.add.at(cells, key, np.int32(1))
             near_total += np.bincount(a, minlength=n)
         else:
             near_total += np.count_nonzero(near, axis=0)
             if partial is None:
                 partial = np.zeros((n, n), dtype=np.float32)
             if partial_rows + len(q) > _F32_EXACT:
-                x += partial.astype(np.int64)
+                np.add(x, partial, out=x, casting="unsafe")
                 partial.fill(0.0)
                 partial_rows = 0
             partial += near.T.astype(np.float32) @ inside.astype(np.float32)
             partial_rows += len(q)
     if partial is not None:
-        x += partial.astype(np.int64)
+        # int32 plus float32 is summed in float64, exact below 2**53, a
+        # buffer at a time: no n x n temporary
+        np.add(x, partial, out=x, casting="unsafe")
     for i in range(0, n, _SYM_BLOCK):
         bi = slice(i, i + _SYM_BLOCK)
         for j in range(i, n, _SYM_BLOCK):
             bj = slice(j, j + _SYM_BLOCK)
-            s = x[bi, bj] + x[bj, bi].T
+            # c[a] + c[b] - X[a, b] - X[b, a], which lies in [0, m]
+            s = np.add.outer(near_total[bi], near_total[bj])
+            s -= x[bi, bj]
+            s -= x[bj, bi].T
             x[bi, bj] = s
             x[bj, bi] = s.T
-    counts = x
-    np.negative(counts, out=counts)
-    counts += near_total[:, None]
-    counts += near_total[None, :]
-    return counts
+    return x
 
 
 def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:
-    """Minimum spanning tree under ``counts`` with lexicographic tie-breaks.
+    """Minimum spanning tree under the symmetric ``counts``, ties broken by (count, a, b).
 
-    Kruskal over all pairs sorted by (count, a, b); an all-zero matrix thus
-    yields the star rooted at vertex 0.  The pairs come in (a, b) order, so
-    a stable sort of their counts gives that order.  Integer counts in
-    [0, 2**16) are sorted as uint16 keys, on which the stable sort is a
-    radix sort; any other counts are sorted as they are.
+    Edges {a, b} with a < b are ordered by (count, a, b), a strict total
+    order, under which the minimum spanning tree is unique: it is the tree
+    Kruskal's algorithm takes from all pairs sorted that way, and the edges
+    are returned in that order.  An all-zero matrix thus yields the star
+    rooted at vertex 0.  The tree is found by a dense Prim (``_prim_edges``)
+    that holds O(n) memory beside ``counts``, and only its n - 1 edges are
+    sorted.
     """
     counts = np.asarray(counts)
     if counts.shape != (n, n):
         raise ContractViolation(f"counts must be ({n}, {n}), got {counts.shape}")
-    iu, ju = np.triu_indices(n, k=1)
-    key = counts[iu, ju]
-    if key.dtype.kind in "iu" and key.size and key.min() >= 0 and key.max() < 2**16:
-        key = key.astype(np.uint16)
-    order = np.argsort(key, kind="stable")
-    uf = UnionFind(n)
-    edges: list[Edge] = []
-    for t in order:
-        a, b = int(iu[t]), int(ju[t])
-        if uf.union(a, b):
-            edges.append(Edge(a, b))
-            if len(edges) == n - 1:
-                break
-    return SpanningTree(n=n, edges=edges)
+    count_of, lo_end, hi_end = _prim_edges(counts, n)
+    order = np.lexsort((hi_end, lo_end, count_of))
+    return SpanningTree(n=n, edges=list(map(Edge, lo_end[order].tolist(), hi_end[order].tolist())))
+
+
+def _prim_edges(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count, lower end and upper end of each edge of the minimum spanning tree, as Prim adds them.
+
+    The tree grows from vertex 0.  Every vertex outside it keeps its least
+    edge into the tree: the count and the tree vertex at the other end, its
+    partner.  Each step adds the outside vertex whose edge is least under
+    (count, a, b) and reads that vertex's row of ``counts`` once to update
+    the others.  Two edges {w, v} and {u, v} at one vertex v with equal
+    counts order as w and u do, whichever sides of v they lie on, so an
+    update replaces a partner only by a smaller one.  Outside vertices are
+    kept packed at the front of their arrays, so step j touches n - 1 - j
+    entries.  The comparisons are the same for any count dtype.
+    """
+    rest = np.arange(1, n)  # the vertices outside the tree
+    best = counts[0, 1:].copy()  # the count of each one's least edge into the tree
+    partner = np.zeros(n - 1, dtype=rest.dtype)  # and the tree vertex it reaches
+    count_of = np.empty(n - 1, dtype=counts.dtype)
+    lo_end = np.empty(n - 1, dtype=rest.dtype)
+    hi_end = np.empty(n - 1, dtype=rest.dtype)
+    for j in range(n - 1):
+        last = n - 2 - j
+        b = best[: last + 1]
+        ties = np.flatnonzero(b == b.min())
+        i = ties[0]
+        if ties.size > 1:
+            # the least pair index a * n + b, a and b the lesser and greater
+            # of p and v: a * (n - 1) + p + v
+            p, v = partner[ties], rest[ties]
+            i = ties[np.argmin(np.minimum(p, v) * (n - 1) + p + v)]
+        u, w = int(rest[i]), int(partner[i])
+        count_of[j], lo_end[j], hi_end[j] = b[i], min(u, w), max(u, w)
+        rest[i], best[i], partner[i] = rest[last], best[last], partner[last]
+        v, b, p = rest[:last], best[:last], partner[:last]
+        row = counts[u, v]
+        better = row < b
+        better |= (row == b) & (p > u)
+        np.copyto(b, row, where=better)
+        p[better] = u
+    return count_of, lo_end, hi_end
 
 
 def tree_objective(counts: np.ndarray, tree: SpanningTree) -> int:
-    """Total sampled stab count of a tree's edges."""
-    return int(sum(counts[e.a, e.b] for e in tree.edges))
+    """Total sampled stab count of a tree's edges.
+
+    Each count is taken as a Python number, so the sum of int32 counts does
+    not wrap past 2**31.
+    """
+    return int(sum(counts[e.a, e.b].item() for e in tree.edges))
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -6,10 +6,11 @@ complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
 path.  That shape depends on ``n`` alone.  The tree is stored as the path
-order plus five arrays over its ``2n - 1`` nodes in preorder: each node's
-range ``[lo, hi)``, its ``parent``, whether it is a ``leaf``, and its
-cumulative ``weight``.  A query decides every node at once with array
-operations, and a walk visits a node iff it is the root or its parent is
+order plus six arrays over its ``2n - 1`` nodes in preorder: each node's
+range ``[lo, hi)``, its ``parent``, whether it is ``inner`` (not a leaf),
+its ``twice_size`` (twice its range's length), and its cumulative
+``weight``.  A query decides every node at once with array operations,
+and a walk visits a node iff it is the root or its parent is
 stabbed, so the parents give the visited nodes in one gather (see
 ``counter.count``).
 Walking only the nodes whose parent looks ambiguous or stabbed from a
@@ -58,7 +59,10 @@ class PartitionTree:
     ``mid = split(lo, hi)``.  Nodes are numbered in preorder, so the left
     child of ``k`` is ``k + 1``, the right child is ``k + 2 * (mid - lo)``,
     and ``parent`` maps both back to ``k`` (the root maps to 0);
-    ``leaf[k]`` is ``hi - lo == 1``.
+    ``inner[k]`` is ``hi - lo > 1``, and ``twice_size[k]`` is
+    ``2 * (hi - lo)``, the code sum of a slice whose points are all near
+    (see ``counter.node_masks``); both are kept so that no query recomputes
+    them.
     The only data-dependent part is ``weight[k]``, the total weight of the
     points ``order[lo:hi]``: a leaf's point weight, or its left child's
     plus its right child's.
@@ -68,7 +72,8 @@ class PartitionTree:
     lo: np.ndarray
     hi: np.ndarray
     parent: np.ndarray
-    leaf: np.ndarray
+    inner: np.ndarray
+    twice_size: np.ndarray
     weight: np.ndarray
 
     @property
@@ -81,7 +86,7 @@ class PartitionTree:
 
     def internal_ranges(self) -> Iterator[tuple[int, int, int]]:
         """``(k, lo, hi)`` of every internal node in preorder: parents first, left before right."""
-        inner = np.flatnonzero(~self.leaf)
+        inner = np.flatnonzero(self.inner)
         return zip(inner.tolist(), self.lo[inner].tolist(), self.hi[inner].tolist())
 
 
@@ -133,12 +138,15 @@ def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> Partiti
         levels.append((k, left, right))
         parent[left] = parent[right] = k
         k, a, b = np.concatenate((left, right)), np.concatenate((a, mid)), np.concatenate((mid, b))
-    leaf = hi - lo == 1
+    size = hi - lo
+    internal = size > 1
     weight = np.empty(lo.size)
-    weight[leaf] = pts.weights[path.order]
+    weight[~internal] = pts.weights[path.order]
     for k, left, right in reversed(levels):
         weight[k] = weight[left] + weight[right]
-    return PartitionTree(order=path.order, lo=lo, hi=hi, parent=parent, leaf=leaf, weight=weight)
+    return PartitionTree(
+        order=path.order, lo=lo, hi=hi, parent=parent, inner=internal, twice_size=2 * size, weight=weight
+    )
 
 
 def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, params: EpsParams) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,7 +90,7 @@ def chunk_is_dense(pts: WeightedPointSet, sample: QuerySample, params: EpsParams
 
 
 def assert_count_matrix(counts: np.ndarray, n: int) -> None:
-    assert counts.dtype == np.int64 and counts.shape == (n, n)
+    assert counts.dtype == np.int32 and counts.shape == (n, n)
     np.testing.assert_array_equal(counts, counts.T)
     assert np.all(np.diag(counts) == 0)
 
@@ -235,6 +237,18 @@ class TestPairStabCounts:
         assert_count_matrix(counts, 64)
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
 
+    def test_samples_past_int32_counts_refused(self, monkeypatch):
+        # a count is at most the sample size, so int32 holds every count of
+        # a sample below 2**31; the limit is lowered here, as such a sample
+        # is far too large to build in a test
+        assert learned._COUNT_LIMIT == np.iinfo(np.int32).max + 1
+        monkeypatch.setattr(learned, "_COUNT_LIMIT", 100)
+        pts, sample = near_data_case(16, 100, seed=156)
+        with pytest.raises(ContractViolation, match="below 100 queries"):
+            pair_stab_counts(pts, sample, PARAMS)
+        fits = QuerySample(sample.queries[:99], source="t")
+        np.testing.assert_array_equal(pair_stab_counts(pts, fits, PARAMS), whole_sample_counts(pts, fits, PARAMS))
+
     def test_queries_far_from_every_point_count_nothing(self):
         # no inside entry, so no pair: every chunk scatters an empty key list
         pts, _ = dense_ball_case(64, 1, seed=152)
@@ -293,6 +307,33 @@ class TestLearnedTree:
         counts = np.array([[0, 3, 9], [3, 0, 1], [9, 1, 0]])
         tree = learned_spanning_tree(counts, 3)
         assert tree_objective(counts, tree) == 4  # edges (1,2) and (0,1)
+
+    def test_objective_of_int32_counts_does_not_wrap(self):
+        # the path 0-1-2-3 holds 2**30 per edge; its total passes 2**31
+        big = np.iinfo(np.int32).max
+        counts = np.full((4, 4), big, dtype=np.int32)
+        np.fill_diagonal(counts, 0)
+        for a in range(3):
+            counts[a, a + 1] = counts[a + 1, a] = 2**30
+        tree = learned_spanning_tree(counts, 4)
+        assert tree.edges == [Edge(0, 1), Edge(1, 2), Edge(2, 3)]
+        assert tree_objective(counts, tree) == 3 * 2**30
+
+    def test_scratch_memory_is_linear_in_n(self):
+        # beyond the tree it returns, the tree step holds O(n) bytes; a
+        # Kruskal over all pairs held 2 MiB of pair indices alone at n = 512
+        n = 512
+        rng = Seed(157).generator()
+        upper = np.triu(rng.integers(0, 40, size=(n, n), dtype=np.int32), k=1)
+        counts = upper + upper.T
+        tracemalloc.start()
+        try:
+            tree = learned_spanning_tree(counts, n)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained < 64 * n + 16 * 1024
+        assert tree.edges == lexsort_tree_edges(counts, n)
 
     def test_optimal_against_exhaustive_enumeration(self):
         rng = Seed(105).generator()

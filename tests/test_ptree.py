@@ -109,6 +109,14 @@ class TestPartitionTreeShape:
                     assert (t.lo[k], t.hi[k]) == (lo, hi)
                     assert t.parent[k] == node[0]
 
+    def test_inner_and_twice_size_follow_the_ranges(self):
+        # kept per tree so that no query recomputes them from lo and hi
+        for n in (1, 2, 5, 6, 17, 33):
+            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            np.testing.assert_array_equal(t.inner, t.hi - t.lo > 1)
+            np.testing.assert_array_equal(t.twice_size, 2 * (t.hi - t.lo))
+            assert t.inner.dtype == bool and t.twice_size.dtype == np.intp
+
     def test_member_indices_follow_the_order(self):
         # a node owns the points order[lo:hi] of its path range
         order = np.array([3, 1, 4, 0, 2])

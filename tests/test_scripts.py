@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(script: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 @pytest.mark.parametrize(
@@ -21,14 +34,14 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_exits_cleanly(tmp_path, script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    argv = [a.format(out=tmp_path / "summary.json") for a in args]
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_script(script, [a.format(out=tmp_path / "summary.json") for a in args])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_learned_build_memory_prints_one_line_per_n():
+    proc = run_script("learned_build_memory.py", ["--n", "48", "80", "--seed", "2"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(row["n"], row["seed"]) for row in rows] == [(48, 2), (80, 2)]
+    for row in rows:
+        assert row["build_s"] > 0 and row["peak_rss_mb"] >= row["rss_before_mb"] > 0
