@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import sgemm
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from .oracle import exact_range_indices, exact_tq
@@ -120,9 +121,9 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
 
     * few pairs (near a, inside b) against the chunk's rows x n^2 cells:
       each pair is scattered into X with ``np.add.at``;
-    * many pairs: a float32 GEMM of the chunk's masks, summed in float32
-      and added into X before any sum could pass 2**24, below which it is
-      exact.
+    * many pairs: a float32 GEMM of the chunk's masks, accumulated in
+      place into one float32 n x n matrix and added into X before any sum
+      could pass 2**24, below which it is exact.
 
     The counts are then formed in place in X, one pair of square blocks at
     a time in int64, so X is the only n x n int32 matrix ever held.
@@ -185,7 +186,18 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
                 np.add(x, partial, out=x, casting="unsafe")
                 partial.fill(0.0)
                 partial_rows = 0
-            partial += near.T.astype(np.float32) @ inside.astype(np.float32)
+            # partial += near' inside, accumulated in place: partial.T is
+            # partial's buffer in Fortran order, and the masks' transposes
+            # are theirs, so the GEMM copies nothing and makes no n x n product
+            sgemm(
+                1.0,
+                inside.astype(np.float32).T,
+                near.astype(np.float32).T,
+                beta=1.0,
+                c=partial.T,
+                trans_b=1,
+                overwrite_c=1,
+            )
             partial_rows += len(q)
     if partial is not None:
         # int32 plus float32 is summed in float64, exact below 2**53, a

@@ -13,13 +13,17 @@ grows only logarithmically in the size of the query universe.
 The light-edge search never trusts approximate geometry for scoring: the
 net, the shared projection, and the cell bucketing only pick a small
 candidate set, and every candidate is scored by its exact stabbing weight.
-Points never move, so each forest round computes every point's near and far
-masks over the universe once, and a search scores all its candidates with
-one product of their stab masks and the current weights.  Weights are
-powers of two, so that product is exact while their exponents span fewer
-than 53 - ceil(log2 m) bits; beyond that each candidate is summed on its
-own.  A universe whose size times n exceeds a fixed budget is refused
-before the first round.
+Points never move, so a build computes every point's near and far masks
+over the universe, and the list of point pairs sorted by distance, once.
+Forest rounds mask the points they retire instead of copying the rest, and
+a search finds its candidates without any n x n pass: it sorts the cell
+rows into groups, pairs up the outsiders, reads the closest live pairs
+from the sorted list, and merges all of them as sorted keys ``a * n + b``.
+It then scores them with one product of their stab masks and the current
+weights.  Weights are powers of two, so that product is exact while their
+exponents span fewer than 53 - ceil(log2 m) bits; beyond that each
+candidate is summed on its own.  A universe whose size times n exceeds a
+fixed budget is refused before the first round.
 """
 
 from __future__ import annotations
@@ -169,7 +173,7 @@ def default_rho(eps: float) -> float:
 _DIM_CAP = 8
 _MAX_GRID_CELLS = 5_000_000
 # universe size times point count: the light-edge search scores candidates
-# against the whole universe, and each forest round holds two n x m masks
+# against the whole universe, and a build holds two n x m masks
 _MAX_LIGHT_EDGE_WORK = 4_000_000
 
 
@@ -217,6 +221,12 @@ def generate_grid_queries(
     return QueryMultiset.from_support(cells.astype(np.float64) * side)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, ascending; ``np.unique`` without its hash table."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
 def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an integer array, in lexicographic order."""
     rows = rows[np.lexsort(rows.T[::-1])]
@@ -259,31 +269,72 @@ class BallRows:
 
     ``near[i]`` marks the queries within ``radius`` of point ``i`` and
     ``far[i]`` those at least ``(1+eps)*radius`` away, over the whole query
-    support; ``pair_d2`` holds the squared distances between the points.
-    Points never move, so a forest round computes these once, hands them
-    to every light-edge search and drops each retired point's row.
+    support.  ``pairs`` lists every pair ``a < b`` as the key ``a * n + b``,
+    ranked by squared distance, ties by ``(a, b)``.  Points never move, so
+    a build computes these once for all its points; forest rounds and
+    light-edge searches read them by point id and never copy a row.
     """
 
     near: np.ndarray  # (n, m) bool
     far: np.ndarray  # (n, m) bool
-    pair_d2: np.ndarray  # (n, n)
+    pairs: np.ndarray  # (n * (n - 1) / 2,) int64
 
     @classmethod
     def of(cls, points: np.ndarray, support: np.ndarray, params: EpsParams) -> "BallRows":
-        near = np.empty((points.shape[0], support.shape[0]), dtype=bool)
+        n = points.shape[0]
+        near = np.empty((n, support.shape[0]), dtype=bool)
         far = np.empty_like(near)
         for i, p in enumerate(points):
             near[i], far[i] = _stab_weight_columns(support, p, params)
-        return cls(near, far, _pair_sq_dists(points))
-
-    def without(self, row: int) -> "BallRows":
-        """These rows less row ``row``."""
-        keep = np.arange(self.near.shape[0]) != row
-        return BallRows(self.near[keep], self.far[keep], self.pair_d2[np.ix_(keep, keep)])
+        # the upper triangle row by row, as _pair_sq_dists rounds it, then
+        # stably sorted: no n x n matrix is formed
+        d2 = np.concatenate([sq_dists_to(points[i + 1 :], points[i]) for i in range(n)])
+        order = np.argsort(d2, kind="stable")
+        del d2
+        return cls(near, far, np.flatnonzero(~np.tri(n, dtype=bool))[order])
 
     def stab_mask(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
         """Which queries eps-stab the pair of rows ``a`` and ``b``; index arrays give one row per pair."""
         return (self.near[a] & self.far[b]) | (self.near[b] & self.far[a])
+
+
+class LiveRows:
+    """The rows of a :class:`BallRows` that a forest round still searches.
+
+    A round starts with its representatives alive and retires one point per
+    edge by clearing its entry in ``alive``.  ``head`` indexes the sorted
+    ``pairs``: every pair before it has a retired end, and since no point
+    comes back to life within a round, it only moves forward.
+    """
+
+    def __init__(self, rows: BallRows, ids: np.ndarray | list[int]) -> None:
+        self.rows = rows
+        self.alive = np.zeros(rows.near.shape[0], dtype=bool)
+        self.alive[ids] = True
+        self.head = 0
+
+    def ids(self) -> np.ndarray:
+        """The live rows, ascending."""
+        return np.flatnonzero(self.alive)
+
+    def closest_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``count`` closest pairs ``a < b`` of live rows, ranked as in ``pairs``.
+
+        The sorted pairs are read in slices of n from the head, and the head
+        moves to the first live pair seen.
+        """
+        n, pairs = self.alive.size, self.rows.pairs
+        found: list[np.ndarray] = []
+        want, pos = count, self.head
+        while count > 0 and pos < pairs.size:
+            keys = pairs[pos : pos + n]
+            live = np.flatnonzero(self.alive[keys // n] & self.alive[keys % n])
+            if count == want:
+                self.head = pos + (int(live[0]) if live.size else keys.size)
+            found.append(keys[live[:count]])
+            count -= found[-1].size
+            pos += n
+        return np.divmod(np.concatenate(found), n)
 
 
 def _cell_box_hits_net(cells: np.ndarray, side: float, net: np.ndarray, reach: float) -> np.ndarray:
@@ -359,15 +410,31 @@ def _stabbed_weights(
     return scores
 
 
+def _cell_pairs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``a < b`` of rows of ``cells`` that are equal, grouped by sorting the rows."""
+    n = cells.shape[0]
+    order = np.lexsort(cells.T[::-1])  # stable: equal rows keep their order
+    ranked = cells[order]
+    fresh = np.ones(n, dtype=bool)
+    fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    starts = np.flatnonzero(fresh)
+    sizes = np.diff(np.append(starts, n))
+    # sorted position p pairs with every later position of its group
+    later = np.repeat(starts + sizes, sizes) - np.arange(n) - 1
+    first = np.repeat(np.arange(n), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    return order[first], order[second]
+
+
 def find_light_edge(
     pts: WeightedPointSet,
     queries: QueryMultiset,
     params: EpsParams,
     lp: LightEdgeParams,
     seed: Seed,
-    rows: BallRows | None = None,
+    live: LiveRows | None = None,
 ) -> Edge:
-    """An edge over ``pts`` stabbed by (close to) the least current query weight.
+    """An edge over the live points of ``pts`` stabbed by (close to) the least current query weight.
 
     Candidates come from three sources: pairs sharing a bucket cell after a
     shared Gaussian projection, all pairs of points far from every net
@@ -376,58 +443,72 @@ def find_light_edge(
     multiset, and the lowest score wins, ties to the lexicographically
     smallest pair, so the result is deterministic given the seed.
 
-    ``rows`` are the points' ball masks and pair distances, in the order of
-    ``pts``; they are computed here when not given.  Scores are the exact
+    ``live`` holds the ball masks and sorted pairs of all of ``pts`` and
+    which of them the search runs over; by default they are computed here
+    and every point is live.  The edge's ends are indices into ``pts``.
+    The candidates are found without any n x n pass: cell groups by
+    sorting the cell rows, outsider pairs from the outsider list, and on
+    the unprojected path the closest live pairs from the sorted pairs.
+    They are merged as sorted keys ``a * n + b`` and scored by their exact
     stabbed weights: one product over all candidates while the query
     exponents pass :func:`sums_are_exact`, else one sum per candidate.
     The weights are derived once per search, and the net is drawn from them.
     """
-    n = len(pts)
+    if live is None:
+        live = LiveRows(BallRows.of(pts.points, queries.support, params), np.arange(len(pts)))
+    ids = live.ids()
+    n = ids.size
     if n < 2:
         raise ContractViolation("light edge search needs at least 2 points")
     d = pts.dim
-    if rows is None:
-        rows = BallRows.of(pts.points, queries.support, params)
+    points = pts.points[ids]
 
     # 1. net: heavy queries show up proportionally to their current weight
     delta = min(0.99, d / n**lp.rho)
     raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
     net_size = max(1, min(len(queries), math.ceil(raw)))
     weights = queries.weights()
-    picks = np.unique(weighted_draws(weights, seed.derive(0).generator(), net_size))
+    picks = _sorted_unique(weighted_draws(weights, seed.derive(0).generator(), net_size))
     net = queries.support[picks]
 
-    # 2. shared projection; skip it when it would not reduce the dimension
+    # 2. shared projection; skip it when it would not reduce the dimension;
+    # the fallback is the three closest projected pairs, always in play
     k = max(1, math.ceil(math.log(max(2, len(picks))) / (params.eps**2)))
     if k < d:
         matrix = gaussian_projection_matrix(d, k, seed.derive(1))
-        proj_pts = pts.points @ matrix
+        proj_pts = points @ matrix
         proj_net = net @ matrix
-        proj_d2 = _pair_sq_dists(proj_pts)
+        near_a, near_b = closest_pairs(_pair_sq_dists(proj_pts))
+        near_a, near_b = ids[near_a], ids[near_b]
         k_eff = k
     else:
-        proj_pts = pts.points
+        proj_pts = points
         proj_net = net
-        proj_d2 = rows.pair_d2
+        near_a, near_b = live.closest_pairs(min(3, n * (n - 1) // 2))
         k_eff = d
 
     # 3. bucket by cells of side eps*radius/(4*sqrt(k)): pairs sharing a cell
     side = params.eps * params.radius / (4.0 * math.sqrt(k_eff))
     cells = np.floor(proj_pts / side).astype(np.int64)
-    candidate = np.ones((n, n), dtype=bool)
-    for col in cells.T:
-        candidate &= col[:, None] == col[None, :]
+    cell_a, cell_b = _cell_pairs(cells)
 
     # pairs of points whose cells every net query misses by more than (1+eps)r
-    outsider = ~_cell_box_hits_net(cells, side, proj_net, params.outer_radius)
-    candidate |= outsider[:, None] & outsider[None, :]
-
-    # fallback: the three closest projected pairs are always in play
-    candidate[closest_pairs(proj_d2)] = True
+    outsiders = np.flatnonzero(~_cell_box_hits_net(cells, side, proj_net, params.outer_radius))
+    out_a, out_b = np.triu_indices(outsiders.size, 1)
 
     # 4. exact scoring against the full multiset, current weights included
-    a, b = np.nonzero(candidate & ~np.tri(n, dtype=bool))
-    scores = _stabbed_weights(rows, a, b, weights, sums_are_exact(queries.stab_exponents))
+    size = len(pts)
+    keys = _sorted_unique(
+        np.concatenate(
+            [
+                ids[cell_a] * size + ids[cell_b],
+                ids[outsiders[out_a]] * size + ids[outsiders[out_b]],
+                near_a * size + near_b,
+            ]
+        )
+    )
+    a, b = np.divmod(keys, size)
+    scores = _stabbed_weights(live.rows, a, b, weights, sums_are_exact(queries.stab_exponents))
     best = int(np.argmin(scores))
     return Edge(int(a[best]), int(b[best]))
 
@@ -441,34 +522,34 @@ def build_low_stab_forest(
     params: EpsParams,
     lp: LightEdgeParams,
     seed: Seed,
+    live: LiveRows | None = None,
 ) -> Forest:
-    """Halve the components of ``pts`` with light edges, updating query weights.
+    """Halve the components of the live points of ``pts`` with light edges, updating query weights.
 
-    Runs ceil(n/2) iterations.  Each one adds the light edge over the still
-    active points, doubles the weight of every query that stabs it by
-    bumping its exponent, and retires the edge's first endpoint.  Every
-    surviving active point represents a distinct component, so the edge set
-    is acyclic by construction.  The points' ball masks are computed once
-    for the round.
+    Runs ceil(k/2) iterations for k live points.  Each one adds the light
+    edge over the still live points, doubles the weight of every query that
+    stabs it by bumping its exponent, and retires the edge's first endpoint
+    by masking its row.  Every surviving live point represents a distinct
+    component, so the edge set is acyclic by construction.  ``live`` holds
+    the ball masks of all of ``pts`` and the round's points; by default they
+    are computed here and every point is live.  The edges' ends are indices
+    into ``pts``.
     """
-    n = len(pts)
-    if n < 2:
+    if live is None:
+        live = LiveRows(BallRows.of(pts.points, queries.support, params), np.arange(len(pts)))
+    k = int(np.count_nonzero(live.alive))
+    if k < 2:
         raise ContractViolation("forest building needs at least 2 points")
-    rows = BallRows.of(pts.points, queries.support, params)
-    active = list(range(n))
-    uf = UnionFind(n)
+    uf = UnionFind(len(pts))
     edges: list[Edge] = []
-    for it in range(math.ceil(n / 2)):
-        sub = WeightedPointSet(pts.points[active], pts.weights[active])
-        local = find_light_edge(sub, queries, params, lp, seed.derive(it), rows)
-        a, b = active[local.a], active[local.b]
-        merged = uf.union(a, b)
+    for it in range(math.ceil(k / 2)):
+        edge = find_light_edge(pts, queries, params, lp, seed.derive(it), live)
+        merged = uf.union(edge.a, edge.b)
         assert merged, "light edge would close a cycle"
-        edges.append(Edge(a, b))
-        queries.stab_exponents[rows.stab_mask(local.a, local.b)] += 1
-        del active[local.a]
-        rows = rows.without(local.a)
-    return Forest(n=n, edges=edges)
+        edges.append(edge)
+        queries.stab_exponents[live.rows.stab_mask(edge.a, edge.b)] += 1
+        live.alive[edge.a] = False
+    return Forest(n=len(pts), edges=edges)
 
 
 def build_low_stab_tree(
@@ -483,8 +564,10 @@ def build_low_stab_tree(
     The query multiset carries its weights across rounds, so after the build
     each query's exponent equals the exact number of tree edges it stabs.
     Components at least halve per round, giving at most ceil(log2 n) + 1
-    rounds and exactly n - 1 edges.  A universe whose size times n exceeds
-    ``_MAX_LIGHT_EDGE_WORK`` is refused before the first round.
+    rounds and exactly n - 1 edges.  The points' ball masks and sorted
+    pairs are computed once for the whole build.  A universe whose size
+    times n exceeds ``_MAX_LIGHT_EDGE_WORK`` is refused before the first
+    round.
     """
     n = len(pts)
     if n < 2:
@@ -496,6 +579,7 @@ def build_low_stab_tree(
             f"({work} query-point pairs) exceeds the budget of {_MAX_LIGHT_EDGE_WORK}; "
             "use --mode learned, a larger eps or a coarser --query-grid-side"
         )
+    rows = BallRows.of(pts.points, queries.support, params)
     uf = UnionFind(n)
     edges: list[Edge] = []
     max_rounds = math.ceil(math.log2(n)) + 1
@@ -503,10 +587,8 @@ def build_low_stab_tree(
         reps = sorted({uf.find(i) for i in range(n)})
         if len(reps) == 1:
             break
-        rep_pts = WeightedPointSet(pts.points[reps], pts.weights[reps])
-        forest = build_low_stab_forest(rep_pts, queries, params, lp, seed.derive(round_no))
-        for la, lb in forest.edges:
-            a, b = reps[la], reps[lb]
+        forest = build_low_stab_forest(pts, queries, params, lp, seed.derive(round_no), LiveRows(rows, reps))
+        for a, b in forest.edges:
             merged = uf.union(a, b)
             assert merged, "cross-round edge would close a cycle"
             edges.append(Edge(a, b))

@@ -223,6 +223,24 @@ class TestPairStabCounts:
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         assert counts.sum() > 0
 
+    def test_gemm_chunks_hold_no_product_beside_the_partial_sums(self, monkeypatch):
+        # every chunk takes the GEMM, and chunks of 16 rows keep their buffers
+        # small: the peak is the int32 counts and the float32 partial sums,
+        # 8 n^2 bytes, where a fresh float32 product per chunk adds 4 n^2 more
+        monkeypatch.setattr(learned, "_SCATTER_COST", 2**62)
+        monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**14)
+        n = 1024
+        pts, sample = dense_ball_case(n, 256, seed=152)
+        assert all(chunk_is_dense(pts, sample, PARAMS))
+        tracemalloc.start()
+        try:
+            counts = pair_stab_counts(pts, sample, PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
+        assert peak < 10 * n * n
+
     def test_sparse_and_dense_chunks_add_into_one_matrix(self, monkeypatch):
         # 64-query chunks that alternate: all queries in the square (dense),
         # then one query in the square and the rest far away (sparse)

@@ -45,3 +45,13 @@ def test_learned_build_memory_prints_one_line_per_n():
     assert [(row["n"], row["seed"]) for row in rows] == [(48, 2), (80, 2)]
     for row in rows:
         assert row["build_s"] > 0 and row["peak_rss_mb"] >= row["rss_before_mb"] > 0
+
+
+def test_worstcase_build_time_prints_one_line_per_n():
+    proc = run_script("worstcase_build_time.py", ["--n", "24", "40", "--seed", "2"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(row["n"], row["seed"]) for row in rows] == [(24, 2), (40, 2)]
+    for row in rows:
+        assert row["build_s"] > 0 and row["peak_rss_mb"] >= row["rss_before_mb"] > 0
+        assert row["universe_size"] > 0 and len(row["leaf_order_sha256"]) == 64

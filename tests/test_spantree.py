@@ -139,6 +139,41 @@ def reference_light_edge(
     return Edge(best[1], best[2])
 
 
+def reference_low_stab_tree(
+    pts: WeightedPointSet, queries: QueryMultiset, params: EpsParams, lp: LightEdgeParams, seed: Seed
+) -> list[Edge]:
+    """The worst-case build as loops over the reference search: per round the
+    component representatives, per edge a copied point set of the points still
+    active in the round, and every query that stabs the edge bumped once."""
+    n = len(pts)
+    uf = UnionFind(n)
+    edges: list[Edge] = []
+    for round_no in itertools.count():
+        reps = sorted({uf.find(i) for i in range(n)})
+        if len(reps) == 1:
+            return edges
+        active = list(reps)
+        for it in range(math.ceil(len(reps) / 2)):
+            sub = pts.subset(np.array(active))
+            local = reference_light_edge(sub, queries, params, lp, seed.derive(round_no).derive(it))
+            a, b = active[local.a], active[local.b]
+            queries.stab_exponents[stab_mask_for_pair(queries.support, pts.points[a], pts.points[b], params)] += 1
+            edges.append(Edge(a, b))
+            uf.union(a, b)
+            del active[local.a]
+
+
+def outsider_instance():
+    """Two triangles, with heavy queries around the left one only."""
+    pts = weighted(
+        np.array([[0.0, 0.0], [0.55, 0.0], [0.0, 0.6], [5.0, 0.0], [5.85, 0.0], [5.0, 0.9]])
+    )
+    params = EpsParams(eps=0.5, radius=0.5)
+    qs = generate_grid_queries(pts, params, GridSpec(0.1))
+    qs.stab_exponents[qs.support[:, 0] < 2.5] = 20
+    return pts, qs, params
+
+
 class TestUnionFind:
     def test_union_and_count(self):
         uf = UnionFind(5)
@@ -299,12 +334,7 @@ class TestFindLightEdge:
         # heavy queries around the left triangle put every net query there, so
         # the right triangle's points are outsiders: its pairs share no cell
         # and are not among the three closest, yet one of them wins
-        pts = weighted(
-            np.array([[0.0, 0.0], [0.55, 0.0], [0.0, 0.6], [5.0, 0.0], [5.85, 0.0], [5.0, 0.9]])
-        )
-        params = EpsParams(eps=0.5, radius=0.5)
-        qs = generate_grid_queries(pts, params, GridSpec(0.1))
-        qs.stab_exponents[qs.support[:, 0] < 2.5] = 20
+        pts, qs, params = outsider_instance()
         lp = LightEdgeParams.for_eps(0.5)
         edge = find_light_edge(pts, qs, params, lp, Seed(97))
         assert edge == reference_light_edge(pts, qs, params, lp, Seed(97))
@@ -524,3 +554,45 @@ class TestTree:
         qs = QueryMultiset.from_support(np.zeros((1, 2)))
         with pytest.raises(ContractViolation):
             build_low_stab_tree(pts, qs, PARAMS, LightEdgeParams.for_eps(0.5), Seed(85))
+
+
+class TestTreeMatchesReference:
+    """The build against :func:`reference_low_stab_tree`: the same edges in the
+    same order, the same final stab exponents, and one search per edge."""
+
+    def check(self, pts, qs, params, seed, monkeypatch):
+        searches = []
+        real = spantree.find_light_edge
+        monkeypatch.setattr(spantree, "find_light_edge", lambda *args: searches.append(1) or real(*args))
+        lp = LightEdgeParams.for_eps(params.eps)
+        ref_qs = QueryMultiset(qs.support, qs.stab_exponents.copy())
+        expected = reference_low_stab_tree(pts, ref_qs, params, lp, Seed(seed))
+        tree = build_low_stab_tree(pts, qs, params, lp, Seed(seed))
+        assert tree.edges == expected
+        assert np.array_equal(qs.stab_exponents, ref_qs.stab_exponents)
+        assert len(searches) == len(pts) - 1
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d, eps, n, top", LIGHT_EDGE_CASES)
+    def test_duplicates_and_equal_distances(self, d, eps, n, top, seed, monkeypatch):
+        pts, qs, params = random_exponent_instance(d, eps, n, top, seed)
+        self.check(pts, qs, params, seed, monkeypatch)
+
+    @pytest.mark.parametrize("n, seed", [(17, 3), (24, 4)])
+    def test_several_rounds(self, n, seed, monkeypatch):
+        pts, qs, params = random_exponent_instance(2, 0.5, n, 6, seed)
+        self.check(pts, qs, params, seed, monkeypatch)
+
+    def test_projected(self, monkeypatch):
+        projected = []
+        real = spantree.gaussian_projection_matrix
+        monkeypatch.setattr(
+            spantree, "gaussian_projection_matrix", lambda *args: projected.append(args) or real(*args)
+        )
+        pts, qs, params = random_exponent_instance(4, 0.9, 5, 6, 2)
+        self.check(pts, qs, params, 2, monkeypatch)
+        assert projected
+
+    def test_outsiders(self, monkeypatch):
+        pts, qs, params = outsider_instance()
+        self.check(pts, qs, params, 97, monkeypatch)
