@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Microseconds per query of each query phase, beside two linear scans, per benchmark workload.
+
+Builds each workload's index from the benchmark's own inputs and
+configuration (``bench/harness.py``'s ``make_inputs`` and
+``build_config``), with one BLAS thread as the benchmark runs, and times
+in-process passes over the 200 timed pool queries:
+
+* ``transform_query_us``: ``CountingIndex.transform_query``;
+* ``prefix_counts_us``: the code pass, ``counter.prefix_counts``;
+* ``node_masks_us``: the verdicts of every node, ``counter.node_masks``;
+* ``count_us``: the whole ``count``, whose remainder over the three above
+  is the walk;
+* ``einsum_scan_us``: the benchmark's reference scan,
+  ``w[einsum(p - q) <= r**2].sum()``;
+* ``gemv_scan_us``: the same scan with ``d2 = pp - 2 P @ q + q . q``, one
+  BLAS matrix-vector product against squared norms ``pp`` computed
+  beforehand.
+
+Each figure is the best of ``--passes`` passes, divided by the number of
+queries.  One JSON line per workload and seed.
+
+Example:
+    PYTHONPATH=src python3 scripts/query_layers.py --seeds 1
+"""
+
+from __future__ import annotations
+
+import os
+
+# as in bench/run.py: BLAS threads are fixed before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from harness import RADIUS, TIMED_QUERIES, WORKLOADS, build_config, make_inputs  # noqa: E402
+
+import arccount  # noqa: E402
+from arccount.counter import node_masks, prefix_counts  # noqa: E402
+
+
+def best_us(fn, args: list, passes: int) -> float:
+    """Best seconds over ``passes`` runs of ``fn`` on every item of ``args``, per item, in us."""
+    best = float("inf")
+    for _ in range(passes):
+        t0 = time.perf_counter()
+        for a in args:
+            fn(a)
+        best = min(best, time.perf_counter() - t0)
+    return best / len(args) * 1e6
+
+
+def query_layers(workload: str, seed: int, passes: int) -> dict:
+    inputs = make_inputs(WORKLOADS[workload], seed)
+    idx = arccount.build_counting_index(inputs.points, build_config(inputs, seed))
+    queries = list(inputs.pool[:TIMED_QUERIES])
+    transformed = [idx.transform_query(q) for q in queries]
+    counts = [prefix_counts(idx, qw) for qw in transformed]
+    p, w, r2 = inputs.points.points, inputs.points.weights, RADIUS * RADIUS
+    pp = np.einsum("ij,ij->i", p, p)
+
+    def einsum_scan(q: np.ndarray) -> float:
+        diff = p - q
+        return w[np.einsum("ij,ij->i", diff, diff) <= r2].sum()
+
+    def gemv_scan(q: np.ndarray) -> float:
+        d2 = p.dot(-2.0 * q)
+        d2 += pp
+        d2 += q @ q
+        return w[d2 <= r2].sum()
+
+    return {
+        "workload": workload,
+        "seed": seed,
+        "n": len(inputs.points),
+        "d": inputs.points.dim,
+        "queries": len(queries),
+        "transform_query_us": best_us(idx.transform_query, queries, passes),
+        "prefix_counts_us": best_us(lambda qw: prefix_counts(idx, qw), transformed, passes),
+        "node_masks_us": best_us(lambda c: node_masks(idx.tree, c), counts, passes),
+        "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
+        "einsum_scan_us": best_us(einsum_scan, queries, passes),
+        "gemv_scan_us": best_us(gemv_scan, queries, passes),
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1])
+    ap.add_argument("--passes", type=int, default=7)
+    args = ap.parse_args()
+    if args.passes < 1:
+        ap.error("--passes must be at least 1")
+    for name in args.workloads:
+        for seed in args.seeds:
+            row = query_layers(name, seed, args.passes)
+            print(json.dumps({k: round(v, 3) if isinstance(v, float) else v for k, v in row.items()}), flush=True)
+
+
+if __name__ == "__main__":
+    main()

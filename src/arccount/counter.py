@@ -9,11 +9,17 @@ the full ``eps`` sandwich.
 Queries take one distance pass over the points in path order.  A point
 within the outer radius is near, one at least the inner radius away is
 far, and every point is one or both.  Each point gets the code
-``(d2 <= outer**2) + (d2 < r**2)``: 0 when it is far only, 1 when it lies
-in the annulus and is both, 2 when it is near only.  Every node owns a
-contiguous slice of the path, so one subtraction of a running count of
-the codes gives its verdict: a sum of 0 is DISJOINT, twice the slice
-length is COVERED, anything between is STABBED.  The walk adds the
+``(d2 <= outer**2) + (d2 < r**2)``, with ``d2`` the squared distance
+``core.sq_dists_to`` gives: 0 when it is far only, 1 when it lies in the
+annulus and is both, 2 when it is near only.  The pass finds the codes
+without forming ``d2``: one BLAS matrix-vector product (GEMV) against
+half the squared norms, stored at build time, gives ``(|q|**2 - d2) / 2``
+up to a certified rounding bound, and a point within that bound of
+either threshold sends the pass back to ``sq_dists_to`` (see
+``prefix_counts``), so the codes are exactly those of ``d2``.  Every
+node owns a contiguous slice of the path, so one subtraction of a running
+count of the codes gives its verdict: a sum of 0 is DISJOINT, twice the
+slice length is COVERED, anything between is STABBED.  The walk adds the
 cumulative weight of a COVERED node and stops, stops empty at a DISJOINT
 node, recurses into a STABBED node, and includes a leaf when its one
 point is near.  A STABBED node's ancestors hold its near and far points
@@ -51,6 +57,11 @@ from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, buil
 from .stabber import classify  # noqa: F401
 
 _SEED_TREE = 2
+
+_UNIT_ROUNDOFF = 2.0**-53
+# the absolute error of one product that underflows, under gradual
+# underflow and under flush-to-zero alike
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,8 @@ class CountingIndex:
     working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
     path_points: np.ndarray  # source_points.points in path order
+    half_sq_norms: np.ndarray  # half the squared norms of path_points, by einsum
+    max_norm: float  # the largest norm of path_points, from half_sq_norms
     source_points: WeightedPointSet
     spanning_tree: SpanningTree | None = None
     reassembled: bool = False  # leaf order adopted from ``order_override``
@@ -143,12 +156,16 @@ def build_counting_index(
         path = tree_to_path(spanning, pts)
 
     tree = path_to_partition_tree(path, pts)
+    path_points = pts.points[tree.order]
+    half_sq_norms = 0.5 * np.einsum("ij,ij->i", path_points, path_points)
 
     return CountingIndex(
         config=cfg,
         working=working,
         tree=tree,
-        path_points=pts.points[tree.order],
+        path_points=path_points,
+        half_sq_norms=half_sq_norms,
+        max_norm=math.sqrt(2.0 * half_sq_norms.max()),
         source_points=pts,
         spanning_tree=spanning,
         reassembled=order_override is not None,
@@ -174,15 +191,69 @@ def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     """Running count of the path points' codes, for a query checked by ``transform_query``.
 
     A point's code is ``(d2 <= outer**2) + (d2 < r**2)`` at the working
-    radii: 0 when it is far only, 1 when it lies in the annulus and is both
-    near and far, 2 when it is near only.  Entry ``k`` sums the codes of the
-    first ``k`` path points.
+    radii, with ``d2`` from ``sq_dists_to(path_points, q)``: 0 when it is
+    far only, 1 when it lies in the annulus and is both near and far, 2
+    when it is near only.  Entry ``k`` sums the codes of the first ``k``
+    path points.
+
+    The pass forms ``h = P @ q - pp / 2``, one GEMV, from the path points
+    ``P`` and half their squared norms ``pp``, stored at build time: ``h`` is
+    ``(|q|**2 - d2) / 2`` up to rounding.  A threshold ``T`` (``outer**2``
+    or ``r**2``) becomes ``s = (qq - T) / 2``, ``qq`` the square of
+    ``math.hypot``'s ``|q|``, which errs by under 1 ulp.  Let ``u = 2**-53``,
+    ``g(k) = k u / (1 - k u)``, ``D`` the exact ``|p - q|**2`` and
+    ``M = (max |p| + |q|)**2``, so that ``D``, ``|p|**2 + 2 |p| |q|`` and
+    ``|q|**2`` are all at most ``M``.  In any summation order, and with
+    every quantity doubled:
+
+    * ``|d2 - D| <= g(d+2) M``: d differences, d squares and a sum of d
+      nonnegative terms;
+    * ``pp`` and the product err by ``g(d)`` times ``|p|**2`` and
+      ``2 |p| |q|``, ``qq`` by ``5u |q|**2``, and the subtraction forming
+      ``h`` by ``u (1 + g(d)) M``: ``qq - 2h`` is within
+      ``g(max(d, 5) + 1) M`` of ``D``;
+    * ``qq - T`` rounds by ``u |qq - T| / (1 - u)``, and each edge
+      ``s +- B/2`` by at most ``u (|qq - T| + B) / 2``.
+
+    Halving is exact but where it underflows.  So
+    ``|(d2 - T) - 2 (s - h)| <= (g(max(d, 5) + 1) + g(d+2)) M + u |qq - T| / (1 - u)``,
+    about ``(d + 4) u M`` per side, and
+    ``B = 2 (d + 4) u (M + |qq - outer**2| + |qq - r**2|) + 4 (d + 4) tiny``
+    exceeds it with the edges' rounding included, for every d from 1 to
+    10**7, with room for the rounding of ``M`` and ``B`` themselves.
+    ``tiny`` is the smallest normal double: ``4 (d + 4) tiny`` bounds the
+    absolute error of the at most 4d products and halvings that
+    underflow, even flushed to zero.  An ``h`` at or above ``s + B/2``
+    therefore has ``d2 < T``, and one below ``s - B/2`` has ``d2 > T``.
+
+    The codes are taken at the upper edges, ``(h >= s1 + B/2) + (h >= s2 + B/2)``,
+    and they are those of ``d2`` iff no ``h`` lies in either band
+    ``[s - B/2, s + B/2)``, that is iff the same count at the lower edges
+    has the same total.  Otherwise, and whenever ``2M + B`` is not finite
+    (a square may overflow, and a NaN ``h`` must never read as far), the
+    codes come from ``sq_dists_to`` itself.  Either way they are exactly
+    the codes of ``d2``.
     """
+    outer, r = idx.working.outer_radius, idx.working.radius
+    o2, r2 = outer * outer, r * r
+    n, d = idx.path_points.shape
+    c = np.zeros(n + 1, dtype=np.intp)
+    # Python floats: a square that overflows is inf, with no warning
+    norm = math.hypot(*qw.tolist())
+    qq = norm * norm
+    m = idx.max_norm + norm
+    m *= m
+    t1, t2 = qq - o2, qq - r2
+    bound = 2 * (d + 4) * _UNIT_ROUNDOFF * (m + abs(t1) + abs(t2)) + 4 * (d + 4) * _TINY
+    if math.isfinite(2.0 * m + bound):
+        h = idx.path_points.dot(qw)
+        h -= idx.half_sq_norms
+        s1, s2, b = 0.5 * t1, 0.5 * t2, 0.5 * bound
+        np.add.accumulate(np.add(h >= s1 + b, h >= s2 + b, dtype=np.intp), out=c[1:])
+        if np.count_nonzero(h >= s1 - b) + np.count_nonzero(h >= s2 - b) == c[-1]:
+            return c
     d2 = sq_dists_to(idx.path_points, qw)
-    outer = idx.working.outer_radius
-    r = idx.working.radius
-    c = np.zeros(d2.size + 1, dtype=np.intp)
-    np.cumsum(np.add(d2 <= outer * outer, d2 < r * r, dtype=np.intp), out=c[1:])
+    np.add.accumulate(np.add(d2 <= o2, d2 < r2, dtype=np.intp), out=c[1:])
     return c
 
 
@@ -226,7 +297,7 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     # The walk adds from 0.0: that differs from a sum started at the first
     # weight only where the latter is -0.0, giving 0.0, as adding 0.0 does.
     w = tree.weight[included]
-    weight = float(np.cumsum(w)[-1]) + 0.0 if w.size else 0.0
+    weight = float(np.add.accumulate(w)[-1]) + 0.0 if w.size else 0.0
     n_stabbed = int(np.count_nonzero(split))
     inner_stops = stops & tree.inner
     n_stopped = int(np.count_nonzero(inner_stops))

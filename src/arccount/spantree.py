@@ -341,7 +341,11 @@ def _cell_box_hits_net(cells: np.ndarray, side: float, net: np.ndarray, reach: f
     """For each cell (integer row), whether some net point is within ``reach`` of the cell box."""
     lo = cells * side
     hi = lo + side
-    diff = np.clip(net[None, :, :], lo[:, None, :], hi[:, None, :]) - net[None, :, :]
+    # the clip of each net point to each box, less the point: np.clip's
+    # bounds are finite with lo <= hi, where it is maximum then minimum
+    diff = np.maximum(net, lo[:, None, :])
+    np.minimum(diff, hi[:, None, :], out=diff)
+    diff -= net
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     return (d2 <= reach * reach).any(axis=1)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arccount import counter
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from arccount.counter import (
     BuildConfig,
@@ -363,6 +365,118 @@ class TestSandwichProperty:
             # the root, then both children of every visited stabbed node
             assert ans.visited_nodes == 1 + 2 * ans.verdict_counts["stabbed"]
             assert_answers_like_the_stack_walk(idx, q)
+
+
+def einsum_prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
+    """The running count of the codes of ``sq_dists_to``'s d2, as a reference for ``prefix_counts``."""
+    d2 = sq_dists_to(idx.path_points, qw)
+    outer, r = idx.working.outer_radius, idx.working.radius
+    c = np.zeros(d2.size + 1, dtype=np.intp)
+    np.cumsum(np.add(d2 <= outer * outer, d2 < r * r, dtype=np.intp), out=c[1:])
+    return c
+
+
+def index_over(points: np.ndarray, eps: float = 0.5, radius: float = 1.0) -> CountingIndex:
+    """An index over ``points`` in their given order, with no tree source run."""
+    n, d = points.shape
+    sample = QuerySample(np.zeros((1, d)), source="unused")
+    cfg = BuildConfig(eps=eps, seed=Seed(0), tree_source=LearnedSource(sample), radius=radius)
+    return build_counting_index(WeightedPointSet(points, np.ones(n)), cfg, order_override=np.arange(n))
+
+
+def on_the_radii(q: np.ndarray, working: EpsParams, rng: np.random.Generator) -> np.ndarray:
+    """Points at the working radius and outer radius from ``q``, and one ulp either side of each.
+
+    Each lies along one axis, where the step is one rounded addition, or
+    along a random direction, where it is not.
+    """
+    out = []
+    for radius in (working.radius, working.outer_radius):
+        axis = np.zeros(q.size)
+        axis[rng.integers(q.size)] = rng.choice([-1.0, 1.0])
+        direction = rng.normal(size=q.size)
+        direction /= np.linalg.norm(direction)
+        for p in (q + radius * axis, q + radius * direction):
+            out += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
+    return np.array(out)
+
+
+class TestCodePass:
+    @given(
+        d=st.integers(1, 64),
+        scale=st.integers(-60, 60).map(lambda k: 2.0**k),
+        radius=st.floats(-150.0, 150.0).map(lambda k: 10.0**k),
+        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(lambda e: e / 2.0 > 0.0),
+        spread=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=2, scale=1.0, radius=1.0, eps=0.5, spread=1.0, seed=0)
+    @example(d=64, scale=2.0**60, radius=1e150, eps=0.99, spread=2.0, seed=1)
+    @example(d=1, scale=2.0**-60, radius=1e-150, eps=1e-9, spread=0.0, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_codes_equal_the_einsum_codes(self, d, scale, radius, eps, spread, seed):
+        # points on both working radii and one ulp either side, points
+        # around the annulus and points at the data's scale: the GEMV pass
+        # and its recheck give the einsum codes bit for bit
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=d) * scale
+        working = EpsParams(eps / 2.0, radius)
+        around = q + rng.normal(size=(6, d)) * radius * spread
+        points = np.concatenate([on_the_radii(q, working, rng), around, rng.normal(size=(4, d)) * scale])
+        idx = index_over(points, eps, radius)
+        assert idx.working == working
+        for query in (q, points[0], points[-1]):
+            np.testing.assert_array_equal(prefix_counts(idx, query), einsum_prefix_counts(idx, query))
+
+
+class CountedDistances:
+    """``sq_dists_to``, counting the rows it is called on."""
+
+    def __init__(self) -> None:
+        self.rows: list[int] = []
+
+    def __call__(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
+        self.rows.append(len(points))
+        return sq_dists_to(points, q)
+
+
+class TestCodePassBranches:
+    @pytest.fixture
+    def counted(self, monkeypatch) -> CountedDistances:
+        calls = CountedDistances()
+        monkeypatch.setattr(counter, "sq_dists_to", calls)
+        return calls
+
+    def test_a_query_clear_of_both_thresholds_takes_no_exact_pass(self, counted):
+        rng = Seed(200).generator()
+        idx = index_over(rng.uniform(0.0, 3.0, size=(50, 4)))
+        q = np.full(4, 1.5)
+        assert np.all(np.abs(sq_dists_to(idx.path_points, q) - np.array([[1.0], [1.5625]])) > 1e-6)
+        np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
+        assert counted.rows == []
+
+    def test_a_point_within_the_bound_sends_the_pass_to_sq_dists_to(self, counted):
+        # dyadic offsets at exactly the working radius 1 and exactly the outer
+        # radius 1.25: h equals each shifted threshold, and the point at the
+        # radius has code 1 where an unchecked h would give it 2
+        q = np.array([0.5, 0.25])
+        idx = index_over(q + np.array(LATTICE))
+        c = prefix_counts(idx, q)
+        assert counted.rows == [len(LATTICE)]
+        np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
+        assert np.diff(c)[:2].tolist() == [1, 1]
+
+    def test_squares_that_overflow_take_the_exact_pass(self, counted):
+        # the squared norms are infinite, so h would be NaN; the offsets
+        # from the query, and so the einsum's d2, are finite
+        q = np.full(3, 1e160)
+        offsets = np.array([[0.5e150, 0.0, 0.0], [1.1e150, 0.0, 0.0], [2e150, 0.0, 0.0]])
+        idx = index_over(q + offsets, radius=1e150)
+        assert math.isinf(idx.max_norm)
+        c = prefix_counts(idx, q)
+        assert counted.rows == [3]
+        np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
+        assert np.diff(c).tolist() == [2, 1, 0]
 
 
 class TestDeterminism:

@@ -55,3 +55,13 @@ def test_worstcase_build_time_prints_one_line_per_n():
     for row in rows:
         assert row["build_s"] > 0 and row["peak_rss_mb"] >= row["rss_before_mb"] > 0
         assert row["universe_size"] > 0 and len(row["leaf_order_sha256"]) == 64
+
+
+def test_query_layers_prints_one_line_per_workload_and_seed():
+    proc = run_script("query_layers.py", ["--workloads", "worstcase-d2", "--seeds", "1", "2", "--passes", "1"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(row["workload"], row["seed"]) for row in rows] == [("worstcase-d2", 1), ("worstcase-d2", 2)]
+    for row in rows:
+        phases = ("transform_query", "prefix_counts", "node_masks", "count", "einsum_scan", "gemv_scan")
+        assert all(row[f"{phase}_us"] > 0 for phase in phases)
