@@ -6,10 +6,11 @@ For every n the benchmark's near-d8 generator (``bench/harness.py``'s
 training queries) makes the inputs at that n, and a fresh Python process
 builds one learned index from them with the benchmark's ``build_config``,
 with one BLAS thread, as the benchmark runs.  Each n prints one JSON line:
-the build's wall seconds, and the process's peak resident set size
-(``ru_maxrss``, in MiB as the benchmark's ``build_peak_rss_mb``) before
-the build and after it.  The difference is the build's own peak above the
-inputs and the imported libraries.
+the seconds of ``import arccount`` in that process and its peak resident
+set size right after (``ru_maxrss``, in MiB as the benchmark's
+``build_peak_rss_mb``), the build's wall seconds, and the peak resident
+set size before the build and after it.  The last difference is the
+build's own peak above the inputs and the imported libraries.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/learned_build_memory.py --n 1024 2048 4096
@@ -33,15 +34,22 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-
-from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
-
-import arccount  # noqa: E402
-
 
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+# the library is imported first, alone, so its cost is read apart from the
+# benchmark harness, the inputs and the build
+_t0 = time.perf_counter()
+import arccount  # noqa: E402
+
+IMPORT_S = time.perf_counter() - _t0
+RSS_IMPORT_MB = _peak_rss_mb()
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
 
 
 def build_once(n: int, seed: int) -> dict:
@@ -58,6 +66,8 @@ def build_once(n: int, seed: int) -> dict:
         "d": w.d,
         "m": w.m,
         "seed": seed,
+        "import_s": round(IMPORT_S, 4),
+        "rss_import_mb": round(RSS_IMPORT_MB, 1),
         "build_s": round(seconds, 4),
         "rss_before_mb": round(before, 1),
         "peak_rss_mb": round(_peak_rss_mb(), 1),

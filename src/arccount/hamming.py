@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import ContractViolation, EpsParams, Seed, as_point
 
@@ -41,6 +40,9 @@ def collision_prob(dist: float, width: float) -> float:
         raise ContractViolation(f"dist must be positive and finite, got {dist}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ContractViolation(f"width must be positive and finite, got {width}")
+
+    # imported here, not at module level, so that `import arccount` loads no scipy
+    from scipy.integrate import quad
 
     norm = 2.0 / (math.sqrt(2.0 * math.pi) * dist)
 

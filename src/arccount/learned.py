@@ -10,10 +10,12 @@ within constant factors.
 Memory: the counts are one int32 n x n matrix, 4 n^2 bytes.  Beside it,
 ``pair_stab_counts`` holds per query chunk two 2 MiB distance buffers and
 at most ``_CHUNK_CELLS // _SCATTER_COST`` scattered pair keys per point;
-only once a chunk has many stab pairs does it add two float32 n x n
-matrices, the running sum of the chunks' products and one product.  The
-tree step is a dense Prim that reads one row of the counts per step and
-holds O(n) beside them.
+only once a chunk has many stab pairs does it add one float32 n x n
+matrix, the running sum of the chunks' products, which scipy's ``sgemm``
+accumulates in place.  That branch is the only importer of scipy here, so
+a build that never takes it never loads scipy (about 45 MB of peak RSS).
+The tree step is a dense Prim that reads one row of the counts per step
+and holds O(n) beside them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import sgemm
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from .oracle import exact_range_indices, exact_tq
@@ -134,8 +135,9 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
         raise ContractViolation(f"stab counts hold samples below {_COUNT_LIMIT} queries, got {len(sample)}")
     n = len(pts)
     points = pts.points
-    r2 = params.radius**2
-    big2 = params.outer_radius**2
+    # squared by multiplication: a huge radius gives inf, never OverflowError
+    r2 = params.radius * params.radius
+    big2 = params.outer_radius * params.outer_radius
     pp = np.einsum("ij,ij->i", points, points)
     rows = max(1, _CHUNK_CELLS // n)
     d2 = np.empty((rows, n))
@@ -179,6 +181,9 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
             np.add.at(cells, key, np.int32(1))
             near_total += np.bincount(a, minlength=n)
         else:
+            # imported here, not at module level: see the module docstring
+            from scipy.linalg.blas import sgemm
+
             near_total += np.count_nonzero(near, axis=0)
             if partial is None:
                 partial = np.zeros((n, n), dtype=np.float32)
@@ -375,8 +380,8 @@ def stabbing_bracket_report(
     """
 
     def mean_sigma(sample: QuerySample) -> float:
-        r2 = params.radius**2
-        big2 = params.outer_radius**2
+        r2 = params.radius * params.radius
+        big2 = params.outer_radius * params.outer_radius
         total = 0
         for q in sample.queries:
             d2 = sq_dists_to(pts.points, q)

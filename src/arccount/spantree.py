@@ -172,6 +172,8 @@ def default_rho(eps: float) -> float:
 
 _DIM_CAP = 8
 _MAX_GRID_CELLS = 5_000_000
+# largest grid cell index magnitude: every integer up to it is exact in float64
+_MAX_CELL_INDEX = 2**53
 # universe size times point count: the light-edge search scores candidates
 # against the whole universe, and a build holds two n x m masks
 _MAX_LIGHT_EDGE_WORK = 4_000_000
@@ -199,19 +201,30 @@ def generate_grid_queries(
     reach = params.outer_radius
     kept = [np.empty((0, d), dtype=np.int64)]
     scanned = 0
-    for p in pts.points:
-        lo = np.ceil((p - reach) / side).astype(np.int64)
-        hi = np.floor((p + reach) / side).astype(np.int64)
-        spans = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        count = int(np.prod([len(s) for s in spans]))
-        scanned += count
-        if scanned > _MAX_GRID_CELLS:
+    # the cell index bounds and counts stay float64 until the budget has
+    # admitted them, so a tiny side is refused before any cast or arange; an
+    # overflow there gives inf or nan, which the budget refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        lows = np.ceil((pts.points - reach) / side)
+        highs = np.floor((pts.points + reach) / side)
+        axes = highs - lows + 1.0
+        counts = np.where(np.any(axes <= 0.0, axis=1), 0.0, np.prod(axes, axis=1))
+    for p, lo, hi, count in zip(pts.points, lows, highs, counts.tolist()):
+        if count == 0:
+            continue
+        # written negated, so an inf or nan count is refused too
+        if not scanned + count <= _MAX_GRID_CELLS:
             raise ContractViolation(
                 "grid query enumeration exceeded the cell budget; "
                 "use sampled queries or the learned tree builder"
             )
-        if count == 0:
-            continue
+        if max(-lo.min(), hi.max()) > _MAX_CELL_INDEX:
+            raise ContractViolation(
+                f"grid cell indices exceed {_MAX_CELL_INDEX}, where float64 cell "
+                "centres stop being exact; use a larger grid side"
+            )
+        scanned += int(count)
+        spans = [np.arange(l, h + 1) for l, h in zip(lo.astype(np.int64), hi.astype(np.int64))]
         mesh = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, d)
         centers = mesh * side
         kept.append(mesh[sq_dists_to(centers, p) <= reach * reach])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,29 @@ class TestBuildQueryEval:
         assert doc["holdout_overlaps_training"] is None
         assert doc["sandwich_pass_rate"] == 1.0
 
+    def test_learned_build_at_a_huge_radius_answers_every_weight(self, tmp_path, capsys):
+        # radius**2 once overflowed to an OverflowError traceback; a square
+        # by multiplication is inf, and every point lies in every ball
+        data = gen_data(tmp_path, n=30, d=3, extra=["--random-weights"])
+        model = build_model(tmp_path, data, extra=["--radius", "1.5e308"])
+        total = float(read_points(data).weights.sum())
+        capsys.readouterr()
+        rc = run_cli(["query", "--model", str(model), "--data", str(data), "--q", "1,1,1", "--verify"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["weight"] == pytest.approx(total)
+        qs = tmp_path / "holdout.txt"
+        assert run_cli(
+            ["gen-queries", "--kind", "near-data", "--m", "10", "--seed", "99",
+             "--data", str(data), "--out", str(qs)]
+        ) == 0
+        report = tmp_path / "report.json"
+        rc = run_cli(
+            ["eval", "--model", str(model), "--data", str(data), "--queries", str(qs),
+             "--out-report", str(report)]
+        )
+        assert rc == 0
+        assert json.loads(report.read_text())["sandwich_pass_rate"] == 1.0
+
     def test_eval_exits_four_when_an_answer_leaves_the_sandwich(self, tmp_path, capsys, monkeypatch):
         # the holdout is the data points; the verified answer to the first one
         # loses the member range holding the query's own point, which the
@@ -410,6 +434,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3 and elapsed < 1.0
         assert err.startswith("error: ") and "--mode learned" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("side", ["1e-12", "1e-300"])
+    def test_tiny_query_grid_side_is_exit_three(self, tmp_path, capsys, side):
+        # 1e-12 once died allocating 18 TiB of cell indices; 1e-300 once cast
+        # its cell bounds out of int64 and built on them with exit 0
+        data = gen_data(tmp_path, n=12, d=2)
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(
+                ["build", "--data", str(data), "--eps", "0.5", "--mode", "worstcase",
+                 "--query-grid-side", side, "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+            )
+        elapsed = time.perf_counter() - t0
+        err = capsys.readouterr().err
+        assert rc == 3 and elapsed < 1.0
+        assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("text", ["1,xyz,1", "1 abc 1", "1,nan,1", "inf,1,1"])
     @pytest.mark.parametrize("command", ["query", "oracle"])

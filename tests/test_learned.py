@@ -277,6 +277,17 @@ class TestPairStabCounts:
         assert not counts.any()
 
     @pytest.mark.parametrize("cost", [0, 2**62])
+    @pytest.mark.parametrize("radius", [1e200, 1.5e308])
+    def test_huge_radius_counts_nothing(self, monkeypatch, cost, radius):
+        # the squared radii overflow to inf, not OverflowError: every point
+        # is near every query, so no pair is stabbed, by either branch
+        monkeypatch.setattr(learned, "_SCATTER_COST", cost)
+        pts, sample = dense_ball_case(32, 100, seed=155)
+        counts = pair_stab_counts(pts, sample, EpsParams(eps=0.5, radius=radius))
+        assert_count_matrix(counts, 32)
+        assert not counts.any()
+
+    @pytest.mark.parametrize("cost", [0, 2**62])
     def test_two_points(self, monkeypatch, cost):
         monkeypatch.setattr(learned, "_SCATTER_COST", cost)
         pts = weighted(np.array([[0.0, 0.0], [2.0, 0.0]]))
@@ -416,6 +427,14 @@ class TestBracketReport:
             tree_objective(counts, tree) / len(sample)
         )
 
+
+    def test_huge_radius_stabs_nothing(self):
+        rng = Seed(108).generator()
+        pts = weighted(rng.uniform(0, 2.5, size=(8, 2)))
+        sample = QuerySample(rng.uniform(-0.5, 3.0, size=(40, 2)), source="t")
+        tree = learned_spanning_tree(pair_stab_counts(pts, sample, PARAMS), 8)
+        report = stabbing_bracket_report(pts, tree, sample, sample, EpsParams(eps=0.5, radius=1.5e308))
+        assert report["train_mean_stabbing"] == report["holdout_mean_stabbing"] == 0.0
 
 class TestHoldoutOverlap:
     def built(self, order_override=None, n=20):

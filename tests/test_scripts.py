@@ -45,6 +45,7 @@ def test_learned_build_memory_prints_one_line_per_n():
     assert [(row["n"], row["seed"]) for row in rows] == [(48, 2), (80, 2)]
     for row in rows:
         assert row["build_s"] > 0 and row["peak_rss_mb"] >= row["rss_before_mb"] > 0
+        assert row["import_s"] > 0 and row["rss_before_mb"] >= row["rss_import_mb"] > 0
 
 
 def test_worstcase_build_time_prints_one_line_per_n():

@@ -256,6 +256,22 @@ class TestGridQueries:
         with pytest.raises(ContractViolation, match="budget"):
             generate_grid_queries(pts, PARAMS, GridSpec(0.001))
 
+    @pytest.mark.parametrize("side", [1e-12, 1e-300, 5e-324])
+    def test_tiny_side_refused_before_any_cell_is_allocated(self, side):
+        # 1e-12 once asked numpy for 18 TiB of cell indices; 1e-300 and the
+        # smallest subnormal once cast cell bounds out of int64 and built on them
+        pts = scatter(5, 2, seed=61)
+        with np.errstate(all="raise"), pytest.raises(ContractViolation, match="budget"):
+            generate_grid_queries(pts, PARAMS, GridSpec(side))
+
+    @pytest.mark.parametrize("x", [2.0**60, -1e19])
+    def test_cell_index_past_float64_exactness_refused(self, x):
+        # a few cells, within the budget, whose indices are not exact in
+        # float64; past int64, as at -1e19, their cast was once invalid
+        pts = weighted(np.array([[x, 0.0]]))
+        with np.errstate(all="raise"), pytest.raises(ContractViolation, match="larger grid side"):
+            generate_grid_queries(pts, PARAMS, GridSpec(1.0))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_support_order_matches_sorted_cell_tuples(self, d):
         # points on both sides of the origin give negative cell indices, and
