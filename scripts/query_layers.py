@@ -9,8 +9,11 @@ in-process passes over the 200 timed pool queries:
 * ``transform_query_us``: ``CountingIndex.transform_query``;
 * ``prefix_counts_us``: the code pass, ``counter.prefix_counts``;
 * ``node_masks_us``: the verdicts of every node, ``counter.node_masks``;
-* ``count_us``: the whole ``count``, whose remainder over the three above
-  is the walk;
+* ``count_us``: ``count``, the answer without its telemetry: one
+  certified pass at the outer radius and a masked sum;
+* ``telemetry_us``: ``count`` and a read of the answer's
+  ``visited_nodes``, which runs the tree walk: the code pass, the node
+  verdicts and the gather through the parents;
 * ``einsum_scan_us``: the benchmark's reference scan,
   ``w[einsum(p - q) <= r**2].sum()``;
 * ``gemv_scan_us``: the same scan with ``d2 = pp - 2 P @ q + q . q``, one
@@ -88,6 +91,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "prefix_counts_us": best_us(lambda qw: prefix_counts(idx, qw), transformed, passes),
         "node_masks_us": best_us(lambda c: node_masks(idx.tree, c), counts, passes),
         "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
+        "telemetry_us": best_us(lambda q: arccount.count(idx, q).visited_nodes, queries, passes),
         "einsum_scan_us": best_us(einsum_scan, queries, passes),
         "gemv_scan_us": best_us(gemv_scan, queries, passes),
     }

@@ -141,6 +141,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     holdout = read_query_sample(args.queries)
     params = EpsParams(idx.config.eps, idx.config.radius)
 
+    # the weight alone: the telemetry is not read, so the tree walk does not run
     times = []
     for q in holdout.queries:
         t1 = time.perf_counter()

@@ -6,30 +6,35 @@ The index works on the points and queries exactly as given.  All internal
 structures run at the halved error ``eps/2``, so every answer lands inside
 the full ``eps`` sandwich.
 
-Queries take one distance pass over the points in path order.  A point
-within the outer radius is near, one at least the inner radius away is
-far, and every point is one or both.  Each point gets the code
-``(d2 <= outer**2) + (d2 < r**2)``, with ``d2`` the squared distance
-``core.sq_dists_to`` gives: 0 when it is far only, 1 when it lies in the
-annulus and is both, 2 when it is near only.  The pass finds the codes
-without forming ``d2``: one BLAS matrix-vector product (GEMV) against
-half the squared norms, stored at build time, gives ``(|q|**2 - d2) / 2``
-up to a certified rounding bound, and a point within that bound of
-either threshold sends the pass back to ``sq_dists_to`` (see
-``prefix_counts``), so the codes are exactly those of ``d2``.  Every
-node owns a contiguous slice of the path, so one subtraction of a running
-count of the codes gives its verdict: a sum of 0 is DISJOINT, twice the
-slice length is COVERED, anything between is STABBED.  The walk adds the
-cumulative weight of a COVERED node and stops, stops empty at a DISJOINT
-node, recurses into a STABBED node, and includes a leaf when its one
-point is near.  A STABBED node's ancestors hold its near and far points
-too, so they are STABBED as well: a node is visited iff it is the root or
-its parent is STABBED.  The tree is stored in preorder, so the walk is a
-fixed number of array operations over all nodes: the verdicts of every
-node at once, one gather of them through the parents, then a running sum
-of the included weights in preorder, the order of a depth-first walk.
-The answer weight is therefore always the exact total weight of a
-concrete point set sandwiched between the inner and outer balls.
+A query's answer set is exactly the points within the working outer
+radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).  So
+``count`` finds the weight by one distance pass over the points in path
+order, at that one threshold: one BLAS matrix-vector product (GEMV)
+against half the squared norms, stored at build time, gives
+``(|q|**2 - d2) / 2`` up to a certified rounding bound, with ``d2`` the
+squared distance ``core.sq_dists_to`` gives.  A point within that bound
+of the threshold sends the pass back to ``sq_dists_to`` (see
+``prefix_counts``), so the mask is exactly ``d2 <= outer**2``.  The weight
+is the sum of the masked point weights in path order.
+
+The tree walk reports how the paper's index reaches that set: the nodes
+it visits, their verdicts and the path ranges it includes.  It runs when
+an answer's telemetry is first read, or at once under ``verify``.  A
+point within the outer radius is near, one at least the inner radius
+away is far, and every point is one or both.  Each point gets the code
+``(d2 <= outer**2) + (d2 < r**2)``: 0 when it is far only, 1 when it lies
+in the annulus and is both, 2 when it is near only; the same certified
+pass finds the codes at both thresholds.  Every node owns a contiguous
+slice of the path, so one subtraction of a running count of the codes
+gives its verdict: a sum of 0 is DISJOINT, twice the slice length is
+COVERED, anything between is STABBED.  The walk includes a COVERED node
+and stops, stops empty at a DISJOINT node, recurses into a STABBED node,
+and includes a leaf when its one point is near.  A STABBED node's
+ancestors hold its near and far points too, so they are STABBED as well:
+a node is visited iff it is the root or its parent is STABBED.  The tree
+is stored in preorder, so the walk is a fixed number of array operations
+over all nodes: the verdicts of every node at once, then one gather of
+them through the parents.
 """
 
 from __future__ import annotations
@@ -103,10 +108,35 @@ class BuildConfig:
 
 @dataclass
 class CountAnswer:
+    """A query's weight and the tree walk's telemetry.
+
+    An answer from ``count`` without ``verify`` holds its weight only: the
+    walk runs on the first read of ``visited_nodes`` or ``verdict_counts``
+    (``==``, ``repr`` and ``dataclasses.replace`` read them too), and the
+    answer then drops its references to the index and the query.
+    """
+
     weight: float
     visited_nodes: int
     verdict_counts: dict[str, int]
     member_ranges: list[tuple[int, int]] | None = None
+
+    @classmethod
+    def _unwalked(cls, weight: float, idx: CountingIndex, qw: np.ndarray) -> CountAnswer:
+        ans = cls.__new__(cls)
+        ans.weight = weight
+        ans._walk = (idx, qw)
+        return ans
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: the telemetry of an
+        # answer whose walk has not run yet
+        walk = self.__dict__.get("_walk")
+        if walk is not None and name in ("visited_nodes", "verdict_counts"):
+            self.visited_nodes, self.verdict_counts, _ = tree_walk(*walk)
+            self.__dict__.pop("_walk", None)
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 @dataclass
@@ -115,6 +145,7 @@ class CountingIndex:
     working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
     path_points: np.ndarray  # source_points.points in path order
+    path_weights: np.ndarray  # source_points.weights in path order
     half_sq_norms: np.ndarray  # half the squared norms of path_points, by einsum
     max_norm: float  # the largest norm of path_points, from half_sq_norms
     source_points: WeightedPointSet
@@ -164,6 +195,7 @@ def build_counting_index(
         working=working,
         tree=tree,
         path_points=path_points,
+        path_weights=pts.weights[tree.order],
         half_sq_norms=half_sq_norms,
         max_norm=math.sqrt(2.0 * half_sq_norms.max()),
         source_points=pts,
@@ -234,27 +266,55 @@ def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     codes come from ``sq_dists_to`` itself.  Either way they are exactly
     the codes of ``d2``.
     """
+    gemv = _shifted_products(idx, qw)
+    c = np.zeros(len(idx.path_points) + 1, dtype=np.intp)
+    if gemv is not None:
+        h, s1, s2, b = gemv
+        np.add.accumulate(np.add(h >= s1 + b, h >= s2 + b, dtype=np.intp), out=c[1:])
+        if np.count_nonzero(h >= s1 - b) + np.count_nonzero(h >= s2 - b) == c[-1]:
+            return c
     outer, r = idx.working.outer_radius, idx.working.radius
-    o2, r2 = outer * outer, r * r
-    n, d = idx.path_points.shape
-    c = np.zeros(n + 1, dtype=np.intp)
+    d2 = sq_dists_to(idx.path_points, qw)
+    np.add.accumulate(np.add(d2 <= outer * outer, d2 < r * r, dtype=np.intp), out=c[1:])
+    return c
+
+
+def _shifted_products(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, float, float, float] | None:
+    """``h = P @ q - pp / 2``, the outer and inner thresholds ``s``, and ``B / 2``, as ``prefix_counts`` derives them.
+
+    None when ``2M + B`` is not finite, where the caller takes ``sq_dists_to``.
+    """
+    outer, r = idx.working.outer_radius, idx.working.radius
+    d = idx.path_points.shape[1]
     # Python floats: a square that overflows is inf, with no warning
     norm = math.hypot(*qw.tolist())
     qq = norm * norm
     m = idx.max_norm + norm
     m *= m
-    t1, t2 = qq - o2, qq - r2
+    t1, t2 = qq - outer * outer, qq - r * r
     bound = 2 * (d + 4) * _UNIT_ROUNDOFF * (m + abs(t1) + abs(t2)) + 4 * (d + 4) * _TINY
-    if math.isfinite(2.0 * m + bound):
-        h = idx.path_points.dot(qw)
-        h -= idx.half_sq_norms
-        s1, s2, b = 0.5 * t1, 0.5 * t2, 0.5 * bound
-        np.add.accumulate(np.add(h >= s1 + b, h >= s2 + b, dtype=np.intp), out=c[1:])
-        if np.count_nonzero(h >= s1 - b) + np.count_nonzero(h >= s2 - b) == c[-1]:
-            return c
-    d2 = sq_dists_to(idx.path_points, qw)
-    np.add.accumulate(np.add(d2 <= o2, d2 < r2, dtype=np.intp), out=c[1:])
-    return c
+    if not math.isfinite(2.0 * m + bound):
+        return None
+    h = idx.path_points.dot(qw)
+    h -= idx.half_sq_norms
+    return h, 0.5 * t1, 0.5 * t2, 0.5 * bound
+
+
+def outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
+    """Whether each path point lies within the working outer radius, exactly ``sq_dists_to(...) <= outer**2``.
+
+    The certified pass of ``prefix_counts`` at the outer threshold alone:
+    the mask at the upper edge ``s + B/2`` is exact iff no ``h`` lies in the
+    band below it, that is iff the lower edge counts as many points.
+    """
+    gemv = _shifted_products(idx, qw)
+    if gemv is not None:
+        h, s, _, b = gemv
+        mask = h >= s + b
+        if np.count_nonzero(h >= s - b) == np.count_nonzero(mask):
+            return mask
+    outer = idx.working.outer_radius
+    return sq_dists_to(idx.path_points, qw) <= outer * outer
 
 
 def node_masks(tree: PartitionTree, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,18 +328,14 @@ def node_masks(tree: PartitionTree, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return v != 0, v != tree.twice_size
 
 
-def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
-    """Approximate weight of the ball around ``q``, by one tree walk.
-
-    The returned weight is the exact cumulative weight of a point set S with
-    (ball of radius r) <= S <= (ball of radius (1+eps) r).  In verification
-    mode the answer also carries the path-order ranges whose union is S.
+def tree_walk(idx: CountingIndex, qw: np.ndarray) -> tuple[int, dict[str, int], np.ndarray]:
+    """The walk's visited node count, its verdict counts, and which nodes it includes, in preorder.
 
     A STABBED node holds both near and far points, and so does each of its
     ancestors: the walk visits the root and both children of every STABBED
-    internal node, and no other node.
+    internal node, and no other node.  The included nodes' slices are
+    disjoint and together hold exactly the points near ``qw``.
     """
-    qw = idx.transform_query(q)
     tree = idx.tree
     has_near, has_far = node_masks(tree, prefix_counts(idx, qw))
     # the STABBED internal nodes, which the walk splits; their ancestors are
@@ -292,35 +348,44 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     # that hold a near point: COVERED nodes and near leaves
     stops = visited ^ split
     included = stops & has_near
-    # a sequential running sum adds in preorder, as a depth-first walk
-    # does; a pairwise or compensated sum could differ in the last bit.
-    # The walk adds from 0.0: that differs from a sum started at the first
-    # weight only where the latter is -0.0, giving 0.0, as adding 0.0 does.
-    w = tree.weight[included]
-    weight = float(np.add.accumulate(w)[-1]) + 0.0 if w.size else 0.0
     n_stabbed = int(np.count_nonzero(split))
     inner_stops = stops & tree.inner
     n_stopped = int(np.count_nonzero(inner_stops))
     n_covered = int(np.count_nonzero(inner_stops & has_near))
+    verdicts = {"stabbed": n_stabbed, "covered": n_covered, "disjoint": n_stopped - n_covered}
+    return 1 + 2 * n_stabbed, verdicts, included
 
-    answer = CountAnswer(
-        weight=weight,
-        visited_nodes=1 + 2 * n_stabbed,
-        verdict_counts={
-            "stabbed": n_stabbed,
-            "covered": n_covered,
-            "disjoint": n_stopped - n_covered,
-        },
-        # included slices are disjoint, so preorder lists them by ``lo``
-        member_ranges=list(zip(tree.lo[included].tolist(), tree.hi[included].tolist())) if verify else None,
-    )
-    if verify:
-        total = sum(
-            float(np.sum(idx.source_points.weights[tree.order[lo:hi]])) for lo, hi in answer.member_ranges
-        )
-        scale = max(1.0, float(np.sum(np.abs(idx.source_points.weights))))
-        if abs(total - weight) > 1e-12 * scale:
-            raise AssertionError(
-                f"weight {weight} does not match the member ranges total {total}"
-            )
-    return answer
+
+def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
+    """Approximate weight of the ball around ``q``, by one certified pass at the working outer radius.
+
+    The returned weight is the exact cumulative weight of the point set
+    S = (ball of radius (1 + eps/2) r), so (ball of radius r) <= S <= (ball
+    of radius (1+eps) r).  It is the tree walk's set for every tree: a
+    point in the working annulus makes every slice holding it STABBED, so
+    its leaf is reached and included; a point within r lies in a COVERED
+    stop or a near leaf; and a point beyond (1 + eps/2) r lies in a
+    DISJOINT stop or a far leaf.  The weight is numpy's sum of the path
+    weights of S in path order, plus 0.0: a set whose weights are all -0.0
+    weighs 0.0, as it did when the walk added from 0.0.
+
+    The walk's telemetry is found on its first read (see ``CountAnswer``).
+    In verification mode the walk runs at once, the answer also carries
+    the path-order ranges whose union is S, and their total is checked
+    against the weight.
+    """
+    qw = idx.transform_query(q)
+    weight = float(idx.path_weights[outer_mask(idx, qw)].sum()) + 0.0
+    if not verify:
+        # a copy: the caller may reuse the array it passed
+        return CountAnswer._unwalked(weight, idx, qw.copy())
+
+    visited, verdicts, included = tree_walk(idx, qw)
+    tree = idx.tree
+    # included slices are disjoint, so preorder lists them by ``lo``
+    ranges = list(zip(tree.lo[included].tolist(), tree.hi[included].tolist()))
+    total = sum(float(np.sum(idx.path_weights[lo:hi])) for lo, hi in ranges)
+    scale = max(1.0, float(np.sum(np.abs(idx.path_weights))))
+    if abs(total - weight) > 1e-12 * scale:
+        raise AssertionError(f"weight {weight} does not match the member ranges total {total}")
+    return CountAnswer(weight, visited, verdicts, ranges)

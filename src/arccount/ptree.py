@@ -12,7 +12,7 @@ its ``twice_size`` (twice its range's length), and its cumulative
 ``weight``.  A query decides every node at once with array operations,
 and a walk visits a node iff it is the root or its parent is
 stabbed, so the parents give the visited nodes in one gather (see
-``counter.count``).
+``counter.tree_walk``).
 Walking only the nodes whose parent looks ambiguous or stabbed from a
 query's viewpoint visits few nodes exactly because consecutive path points
 rarely straddle the query's annulus.

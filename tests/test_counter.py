@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from arccount.counter import (
     node_masks,
     prefix_counts,
 )
+from arccount.io import load_model, save_model, write_points
 from arccount.learned import QuerySample, near_data_queries
 from arccount.oracle import exact_range_indices
 from arccount.ptree import split, visiting_number
@@ -203,12 +207,21 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
     return weight, visited, verdicts, sorted(ranges)
 
 
+def flat_weight(idx: CountingIndex, q: np.ndarray) -> float:
+    """The path weights within the working outer radius, by ``sq_dists_to``, summed in path order from 0.0."""
+    outer = idx.working.outer_radius
+    mask = sq_dists_to(idx.path_points, idx.transform_query(q)) <= outer * outer
+    return float(idx.path_weights[mask].sum()) + 0.0
+
+
 def assert_answers_like_the_stack_walk(idx: CountingIndex, q: np.ndarray) -> CountAnswer:
-    """``count`` with verification against ``stack_walk``: weight to the last
-    bit, visits, verdict counts in key order and the member ranges."""
+    """``count`` with verification against ``stack_walk``: visits, verdict
+    counts in key order and the member ranges to the last bit, and the
+    weight to the last bit of the flat sum and within rounding of the walk's."""
     weight, visited, verdicts, ranges = stack_walk(idx, q)
     ans = count(idx, q, verify=True)
-    assert ans.weight.hex() == weight.hex()
+    assert ans.weight.hex() == flat_weight(idx, q).hex()
+    assert abs(ans.weight - weight) <= 1e-12 * max(1.0, float(np.abs(idx.path_weights).sum()))
     assert ans.visited_nodes == visited
     assert list(ans.verdict_counts.items()) == list(verdicts.items())
     assert ans.member_ranges == ranges
@@ -376,12 +389,19 @@ def einsum_prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     return c
 
 
-def index_over(points: np.ndarray, eps: float = 0.5, radius: float = 1.0) -> CountingIndex:
-    """An index over ``points`` in their given order, with no tree source run."""
+def index_over(
+    points: np.ndarray,
+    eps: float = 0.5,
+    radius: float = 1.0,
+    weights: np.ndarray | None = None,
+    order: np.ndarray | None = None,
+) -> CountingIndex:
+    """An index over ``points`` in ``order`` (their given order by default), with no tree source run."""
     n, d = points.shape
     sample = QuerySample(np.zeros((1, d)), source="unused")
     cfg = BuildConfig(eps=eps, seed=Seed(0), tree_source=LearnedSource(sample), radius=radius)
-    return build_counting_index(WeightedPointSet(points, np.ones(n)), cfg, order_override=np.arange(n))
+    pts = WeightedPointSet(points, np.ones(n) if weights is None else weights)
+    return build_counting_index(pts, cfg, order_override=np.arange(n) if order is None else order)
 
 
 def on_the_radii(q: np.ndarray, working: EpsParams, rng: np.random.Generator) -> np.ndarray:
@@ -477,6 +497,135 @@ class TestCodePassBranches:
         assert counted.rows == [3]
         np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
         assert np.diff(c).tolist() == [2, 1, 0]
+
+
+class TestAnswerSetIsTheOuterBall:
+    @given(
+        n=st.integers(1, 12),
+        d=st.integers(1, 3),
+        eps=st.sampled_from([0.01, 0.5, 0.99]) | st.floats(0.01, 0.99),
+        radius=st.sampled_from([0.3, 1.0, 2.5]),
+        source=st.sampled_from(["learned", "worstcase", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, d=2, eps=0.5, radius=1.0, source="random", seed=1)
+    @example(n=12, d=2, eps=0.01, radius=2.5, source="worstcase", seed=2)
+    @example(n=12, d=3, eps=0.99, radius=0.3, source="learned", seed=3)
+    @settings(max_examples=80, deadline=None)
+    def test_set_and_weight_are_those_of_the_working_outer_ball(self, n, d, eps, radius, source, seed):
+        # whatever the leaf order, the walk's members are the oracle's ball
+        # of radius (1 + eps/2) r, and the weight is their flat path-order sum
+        rng = Seed(seed).generator()
+        points = rng.uniform(0.0, 2.5 * radius, size=(n, d))
+        weights = rng.uniform(-2.0, 2.0, size=n)
+        if source == "random":
+            idx = index_over(points, eps, radius, weights, order=rng.permutation(n))
+        else:
+            pts = WeightedPointSet(points, weights)
+            if source == "worstcase":
+                tree_source = WorstCaseSource(grid_side=radius / 2.0)
+            else:
+                tree_source = LearnedSource(near_data_queries(pts, 40, sigma=radius, seed=Seed(seed).derive(1)))
+            cfg = BuildConfig(eps=eps, seed=Seed(seed).derive(2), tree_source=tree_source, radius=radius)
+            idx = build_counting_index(pts, cfg)
+        queries = [points[0], np.full(d, 50.0 * radius)]
+        queries += list(points[rng.integers(0, n, size=4)] + rng.normal(0.0, radius, size=(4, d)))
+        for q in queries:
+            ans = count(idx, q, verify=True)
+            assert answer_set(idx, ans.member_ranges) == exact_range_indices(
+                idx.source_points, q, idx.working.outer_radius
+            )
+            assert ans.weight.hex() == flat_weight(idx, q).hex()
+            assert count(idx, q).weight.hex() == ans.weight.hex()
+
+
+class TestLazyTelemetry:
+    @pytest.fixture(scope="class")
+    def built(self) -> tuple[WeightedPointSet, CountingIndex, list[np.ndarray]]:
+        pts, idx = small_learned_index(n=60, d=3, seed=210)
+        rng = Seed(211).generator()
+        queries = list(pts.points[:4] + rng.normal(0.0, 0.6, size=(4, 3))) + [np.full(3, 40.0)]
+        return pts, idx, queries
+
+    @staticmethod
+    def eager(idx: CountingIndex, q: np.ndarray) -> CountAnswer:
+        return replace(count(idx, q, verify=True), member_ranges=None)
+
+    def test_telemetry_read_before_or_after_the_weight_answers_alike(self, built):
+        _, idx, queries = built
+        for q in queries:
+            first = count(idx, q)
+            visited, verdicts, weight = first.visited_nodes, first.verdict_counts, first.weight
+            second = count(idx, q)
+            assert (second.weight, second.verdict_counts, second.visited_nodes) == (weight, verdicts, visited)
+            assert weight.hex() == second.weight.hex() == self.eager(idx, q).weight.hex()
+            assert first == second == self.eager(idx, q)
+            assert first.member_ranges is None
+
+    def test_replace_and_equality_read_the_telemetry(self, built):
+        _, idx, queries = built
+        q = queries[0]
+        eager = self.eager(idx, q)
+        assert count(idx, q) == eager
+        assert repr(count(idx, q)) == repr(eager)
+        heavier = replace(count(idx, q), weight=eager.weight + 1.0)
+        assert heavier == replace(eager, weight=eager.weight + 1.0)
+        assert heavier.visited_nodes == eager.visited_nodes
+        assert replace(count(idx, q), visited_nodes=eager.visited_nodes + 1) != eager
+        with pytest.raises(AttributeError):
+            count(idx, q).no_such_field
+
+    def test_a_read_answer_no_longer_holds_the_index(self):
+        _, idx = small_learned_index(n=30, d=3, seed=212)
+        q = idx.path_points[0]
+        ref = weakref.ref(idx)
+        expected = self.eager(idx, q)
+        unread, read = count(idx, q), count(idx, q)
+        assert read.visited_nodes == expected.visited_nodes
+        del idx
+        gc.collect()
+        # the unread answer still walks the index it was asked of
+        assert ref() is not None
+        assert unread == expected
+        del unread
+        gc.collect()
+        assert ref() is None
+        assert read == expected
+
+    def test_telemetry_is_of_the_query_as_asked(self, built):
+        # the caller may reuse its query array before reading the telemetry
+        _, idx, queries = built
+        q = queries[0].copy()
+        ans = count(idx, q)
+        q[:] = 40.0
+        assert ans == self.eager(idx, queries[0])
+
+    def test_loaded_model_answers_like_the_built_index(self, tmp_path, built):
+        pts, idx, queries = built
+        data, model = tmp_path / "points.txt", tmp_path / "model.json"
+        write_points(data, pts)
+        save_model(model, idx, data)
+        loaded = load_model(model, data)
+        np.testing.assert_array_equal(loaded.path_weights, idx.path_weights)
+        for q in queries + list(pts.points[:3]):
+            a, b = count(idx, q), count(loaded, q)
+            assert a.weight.hex() == b.weight.hex()
+            assert a == b
+            assert count(idx, q, verify=True) == count(loaded, q, verify=True)
+
+    def test_a_lattice_query_on_the_outer_radius_takes_the_exact_pass(self, monkeypatch):
+        # the second lattice point lies at exactly the working outer radius,
+        # so h equals the shifted threshold and the GEMV mask is not certified
+        q = np.array([0.5, 0.25])
+        weights = Seed(213).generator().uniform(-2.0, 2.0, size=len(LATTICE))
+        idx = index_over(q + np.array(LATTICE), weights=weights)
+        counted = CountedDistances()
+        monkeypatch.setattr(counter, "sq_dists_to", counted)
+        ans = count(idx, q)
+        assert counted.rows == [len(LATTICE)]
+        assert ans.weight.hex() == flat_weight(idx, q).hex()
+        inside = sq_dists_to(idx.path_points, q) <= 1.5625
+        assert inside[1] and ans.weight == pytest.approx(float(weights[inside].sum()), abs=1e-12)
 
 
 class TestDeterminism:
