@@ -8,6 +8,8 @@ Stages printed along the way:
   4. answer queries with prefix-count node verdicts, cross-checking every
      answer against a brute-force oracle sandwich.
 
+Exits 1 when any query's weight leaves the sandwich.
+
 Example:
     python3 scripts/worstcase_pipeline.py --n 24 --d 2 --seed 3 --queries 40
 """
@@ -15,6 +17,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -88,6 +91,8 @@ def main() -> None:
         f"predicted visiting mean {np.mean(zetas):.1f}, ambiguity-zone count mean {np.mean(ambiguity):.1f}"
     )
     print(f"total {time.perf_counter() - t0:.2f}s")
+    if sandwich_ok < args.queries:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

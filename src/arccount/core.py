@@ -84,7 +84,8 @@ def as_point(p: "np.ndarray | list[float] | tuple[float, ...]") -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ContractViolation(f"point must be a nonempty 1-d vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    # counting the finite entries gives .all()'s verdict, faster on short vectors
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ContractViolation("point has non-finite coordinates")
     return arr
 
@@ -159,12 +160,3 @@ def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from every row of ``points`` to ``q``."""
     diff = points - q
     return np.einsum("ij,ij->i", diff, diff)
-
-
-def gaussian_projection_matrix(ambient_dim: int, target_dim: int, seed: Seed) -> np.ndarray:
-    """A ``(ambient_dim, target_dim)`` matrix with iid Normal(0, 1/target_dim) entries."""
-    if ambient_dim < 1 or target_dim < 1:
-        raise ContractViolation("projection dimensions must be positive")
-    rng = seed.generator()
-    return rng.normal(0.0, 1.0 / math.sqrt(target_dim), size=(ambient_dim, target_dim))
-

@@ -359,7 +359,7 @@ def tree_walk(idx: CountingIndex, qw: np.ndarray) -> tuple[int, dict[str, int], 
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
     """Approximate weight of the ball around ``q``, by one certified pass at the working outer radius.
 
-    The returned weight is the exact cumulative weight of the point set
+    The returned weight is the exact total weight of the point set
     S = (ball of radius (1 + eps/2) r), so (ball of radius r) <= S <= (ball
     of radius (1+eps) r).  It is the tree walk's set for every tree: a
     point in the working annulus makes every slice holding it STABBED, so

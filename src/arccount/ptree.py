@@ -6,13 +6,13 @@ complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
 path.  That shape depends on ``n`` alone.  The tree is stored as the path
-order plus six arrays over its ``2n - 1`` nodes in preorder: each node's
+order plus five arrays over its ``2n - 1`` nodes in preorder: each node's
 range ``[lo, hi)``, its ``parent``, whether it is ``inner`` (not a leaf),
-its ``twice_size`` (twice its range's length), and its cumulative
-``weight``.  A query decides every node at once with array operations,
-and a walk visits a node iff it is the root or its parent is
-stabbed, so the parents give the visited nodes in one gather (see
-``counter.tree_walk``).
+and its ``twice_size`` (twice its range's length).  The points' weights
+stay with the index, in path order.  A query decides every node at once
+with array operations, and a walk visits a node iff it is the root or its
+parent is stabbed, so the parents give the visited nodes in one gather
+(see ``counter.tree_walk``).
 Walking only the nodes whose parent looks ambiguous or stabbed from a
 query's viewpoint visits few nodes exactly because consecutive path points
 rarely straddle the query's annulus.
@@ -62,10 +62,7 @@ class PartitionTree:
     ``inner[k]`` is ``hi - lo > 1``, and ``twice_size[k]`` is
     ``2 * (hi - lo)``, the code sum of a slice whose points are all near
     (see ``counter.node_masks``); both are kept so that no query recomputes
-    them.
-    The only data-dependent part is ``weight[k]``, the total weight of the
-    points ``order[lo:hi]``: a leaf's point weight, or its left child's
-    plus its right child's.
+    them.  Only ``order`` depends on the data.
     """
 
     order: np.ndarray
@@ -74,7 +71,6 @@ class PartitionTree:
     parent: np.ndarray
     inner: np.ndarray
     twice_size: np.ndarray
-    weight: np.ndarray
 
     @property
     def n(self) -> int:
@@ -116,9 +112,7 @@ def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> Partiti
     """Build the balanced binary tree over ``path``.
 
     The ranges and parents are laid out one level at a time from the root,
-    each node's preorder position derived from its parent's.  Cumulative
-    weights are then filled bottom-up, one level at a time: a leaf takes its
-    point's weight, a parent adds its left and its right child.
+    each node's preorder position derived from its parent's.
     """
     n = len(path)
     if n != len(pts):
@@ -128,25 +122,16 @@ def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> Partiti
     parent = np.zeros(2 * n - 1, dtype=np.int64)
     # preorder positions k and ranges [a, b) of one level's nodes
     k, a, b = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
-    levels = []
     while k.size:
         lo[k], hi[k] = a, b
         inner = b - a > 1
         k, a, b = k[inner], a[inner], b[inner]
         mid = split(a, b)
         left, right = k + 1, k + 2 * (mid - a)
-        levels.append((k, left, right))
         parent[left] = parent[right] = k
         k, a, b = np.concatenate((left, right)), np.concatenate((a, mid)), np.concatenate((mid, b))
     size = hi - lo
-    internal = size > 1
-    weight = np.empty(lo.size)
-    weight[~internal] = pts.weights[path.order]
-    for k, left, right in reversed(levels):
-        weight[k] = weight[left] + weight[right]
-    return PartitionTree(
-        order=path.order, lo=lo, hi=hi, parent=parent, inner=internal, twice_size=2 * size, weight=weight
-    )
+    return PartitionTree(order=path.order, lo=lo, hi=hi, parent=parent, inner=size > 1, twice_size=2 * size)
 
 
 def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, params: EpsParams) -> int:

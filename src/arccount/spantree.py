@@ -11,8 +11,8 @@ and repeating yields a full spanning tree whose worst-case stabbing number
 grows only logarithmically in the size of the query universe.
 
 The light-edge search never trusts approximate geometry for scoring: the
-net, the shared projection, and the cell bucketing only pick a small
-candidate set, and every candidate is scored by its exact stabbing weight.
+net and the cell bucketing only pick a small candidate set, and every
+candidate is scored by its exact stabbing weight.
 Points never move, so a build computes every point's near and far masks
 over the universe, and the list of point pairs sorted by distance, once.
 Forest rounds mask the points they retire instead of copying the rest, and
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, gaussian_projection_matrix, sq_dists_to
+from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, sq_dists_to
 
 
 class Edge(NamedTuple):
@@ -270,12 +270,6 @@ def stab_mask_for_pair(
     return (near_x & far_y) | (near_y & far_x)
 
 
-def _pair_sq_dists(points: np.ndarray) -> np.ndarray:
-    """The (n, n) matrix of squared distances between the rows of ``points``."""
-    diffs = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diffs, diffs)
-
-
 @dataclass(frozen=True)
 class BallRows:
     """What the light-edge search reads of each point, one row per point.
@@ -299,8 +293,8 @@ class BallRows:
         far = np.empty_like(near)
         for i, p in enumerate(points):
             near[i], far[i] = _stab_weight_columns(support, p, params)
-        # the upper triangle row by row, as _pair_sq_dists rounds it, then
-        # stably sorted: no n x n matrix is formed
+        # the upper triangle row by row, each distance rounded as
+        # sq_dists_to rounds it, then stably sorted: no n x n matrix is formed
         d2 = np.concatenate([sq_dists_to(points[i + 1 :], points[i]) for i in range(n)])
         order = np.argsort(d2, kind="stable")
         del d2
@@ -361,22 +355,6 @@ def _cell_box_hits_net(cells: np.ndarray, side: float, net: np.ndarray, reach: f
     diff -= net
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     return (d2 <= reach * reach).any(axis=1)
-
-
-def closest_pairs(pair_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The three closest pairs ``a < b`` of a square distance matrix.
-
-    Pairs are ranked by distance, ties by ``(a, b)``: the same pairs, in
-    the same order, as a stable argsort of the upper triangle, found with a
-    partition and a sort of the entries at or below the cut.
-    """
-    n = pair_d2.shape[0]
-    flat = np.where(np.tri(n, dtype=bool), np.inf, pair_d2).ravel()
-    count = min(3, n * (n - 1) // 2)
-    cut = np.partition(flat, count - 1)[count - 1]
-    pos = np.nonzero(flat <= cut)[0]
-    pos = pos[np.argsort(flat[pos], kind="stable")[:count]]
-    return np.divmod(pos, n)
 
 
 def sums_are_exact(exponents: np.ndarray) -> bool:
@@ -453,9 +431,9 @@ def find_light_edge(
 ) -> Edge:
     """An edge over the live points of ``pts`` stabbed by (close to) the least current query weight.
 
-    Candidates come from three sources: pairs sharing a bucket cell after a
-    shared Gaussian projection, all pairs of points far from every net
-    query, and the three closest projected pairs as an unconditional
+    Candidates come from three sources: pairs sharing a bucket cell of side
+    ``eps * radius / (4 * sqrt(d))``, all pairs of points whose cells every
+    net query misses, and the three closest live pairs as an unconditional
     fallback.  Every candidate is then scored exactly against the full
     multiset, and the lowest score wins, ties to the lexicographically
     smallest pair, so the result is deterministic given the seed.
@@ -464,12 +442,12 @@ def find_light_edge(
     which of them the search runs over; by default they are computed here
     and every point is live.  The edge's ends are indices into ``pts``.
     The candidates are found without any n x n pass: cell groups by
-    sorting the cell rows, outsider pairs from the outsider list, and on
-    the unprojected path the closest live pairs from the sorted pairs.
-    They are merged as sorted keys ``a * n + b`` and scored by their exact
-    stabbed weights: one product over all candidates while the query
-    exponents pass :func:`sums_are_exact`, else one sum per candidate.
-    The weights are derived once per search, and the net is drawn from them.
+    sorting the cell rows, outsider pairs from the outsider list, and the
+    closest live pairs from the sorted pairs.  They are merged as sorted
+    keys ``a * n + b`` and scored by their exact stabbed weights: one
+    product over all candidates while the query exponents pass
+    :func:`sums_are_exact`, else one sum per candidate.  The weights are
+    derived once per search, and the net is drawn from them.
     """
     if live is None:
         live = LiveRows(BallRows.of(pts.points, queries.support, params), np.arange(len(pts)))
@@ -488,32 +466,19 @@ def find_light_edge(
     picks = _sorted_unique(weighted_draws(weights, seed.derive(0).generator(), net_size))
     net = queries.support[picks]
 
-    # 2. shared projection; skip it when it would not reduce the dimension;
-    # the fallback is the three closest projected pairs, always in play
-    k = max(1, math.ceil(math.log(max(2, len(picks))) / (params.eps**2)))
-    if k < d:
-        matrix = gaussian_projection_matrix(d, k, seed.derive(1))
-        proj_pts = points @ matrix
-        proj_net = net @ matrix
-        near_a, near_b = closest_pairs(_pair_sq_dists(proj_pts))
-        near_a, near_b = ids[near_a], ids[near_b]
-        k_eff = k
-    else:
-        proj_pts = points
-        proj_net = net
-        near_a, near_b = live.closest_pairs(min(3, n * (n - 1) // 2))
-        k_eff = d
-
-    # 3. bucket by cells of side eps*radius/(4*sqrt(k)): pairs sharing a cell
-    side = params.eps * params.radius / (4.0 * math.sqrt(k_eff))
-    cells = np.floor(proj_pts / side).astype(np.int64)
+    # 2. bucket by cells of side eps*radius/(4*sqrt(d)): pairs sharing a cell
+    side = params.eps * params.radius / (4.0 * math.sqrt(d))
+    cells = np.floor(points / side).astype(np.int64)
     cell_a, cell_b = _cell_pairs(cells)
 
     # pairs of points whose cells every net query misses by more than (1+eps)r
-    outsiders = np.flatnonzero(~_cell_box_hits_net(cells, side, proj_net, params.outer_radius))
+    outsiders = np.flatnonzero(~_cell_box_hits_net(cells, side, net, params.outer_radius))
     out_a, out_b = np.triu_indices(outsiders.size, 1)
 
-    # 4. exact scoring against the full multiset, current weights included
+    # the three closest live pairs, always in play
+    near_a, near_b = live.closest_pairs(min(3, n * (n - 1) // 2))
+
+    # 3. exact scoring against the full multiset, current weights included
     size = len(pts)
     keys = _sorted_unique(
         np.concatenate(

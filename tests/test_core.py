@@ -1,4 +1,4 @@
-"""Geometric primitives: stab predicate, projection, seeds."""
+"""Geometric primitives: stab predicate, seeds."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from arccount.core import (
     Seed,
     WeightedPointSet,
     eps_stabs,
-    gaussian_projection_matrix,
 )
 
 HALF = EpsParams(0.5)
@@ -76,31 +75,6 @@ class TestEpsStabs:
         params = EpsParams(eps)
         if eps_stabs(q, x, y, params):
             assert np.linalg.norm(x - y) >= eps * params.radius - 1e-9
-
-
-class TestGaussianProject:
-    def test_same_seed_same_matrix(self):
-        a = gaussian_projection_matrix(16, 8, Seed(99))
-        b = gaussian_projection_matrix(16, 8, Seed(99))
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_seeds_differ(self):
-        a = gaussian_projection_matrix(16, 8, Seed(1))
-        b = gaussian_projection_matrix(16, 8, Seed(2))
-        assert not np.array_equal(a, b)
-
-    def test_norm_distortion_small_in_aggregate(self):
-        # 500 points from 128 to 40 dimensions, pooled over 20 seeds: the
-        # fraction of squared norms off by more than 50 percent stays low
-        rng = np.random.default_rng(7)
-        pts = rng.normal(size=(500, 128))
-        base = np.einsum("ij,ij->i", pts, pts)
-        bad = 0
-        for s in range(20):
-            proj = pts @ gaussian_projection_matrix(128, 40, Seed(s))
-            got = np.einsum("ij,ij->i", proj, proj)
-            bad += int(np.sum(np.abs(got - base) > 0.5 * base))
-        assert bad / (500 * 20) < 0.1
 
 
 class TestSeed:

@@ -25,6 +25,7 @@ from arccount.counter import (
     build_counting_index,
     count,
     node_masks,
+    outer_mask,
     prefix_counts,
 )
 from arccount.io import load_model, save_model, write_points
@@ -389,6 +390,12 @@ def einsum_prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     return c
 
 
+def einsum_outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
+    """Which path points ``sq_dists_to`` puts within the working outer radius, as a reference for ``outer_mask``."""
+    outer = idx.working.outer_radius
+    return sq_dists_to(idx.path_points, qw) <= outer * outer
+
+
 def index_over(
     points: np.ndarray,
     eps: float = 0.5,
@@ -473,6 +480,7 @@ class TestCodePassBranches:
         q = np.full(4, 1.5)
         assert np.all(np.abs(sq_dists_to(idx.path_points, q) - np.array([[1.0], [1.5625]])) > 1e-6)
         np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
+        np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
         assert counted.rows == []
 
     def test_a_point_within_the_bound_sends_the_pass_to_sq_dists_to(self, counted):
@@ -485,6 +493,10 @@ class TestCodePassBranches:
         assert counted.rows == [len(LATTICE)]
         np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
         assert np.diff(c)[:2].tolist() == [1, 1]
+        mask = outer_mask(idx, q)
+        assert counted.rows == [len(LATTICE)] * 2
+        np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
+        assert mask[:2].tolist() == [True, True]
 
     def test_squares_that_overflow_take_the_exact_pass(self, counted):
         # the squared norms are infinite, so h would be NaN; the offsets
@@ -497,6 +509,10 @@ class TestCodePassBranches:
         assert counted.rows == [3]
         np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
         assert np.diff(c).tolist() == [2, 1, 0]
+        mask = outer_mask(idx, q)
+        assert counted.rows == [3, 3]
+        np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
+        assert mask.tolist() == [True, True, False]
 
 
 class TestAnswerSetIsTheOuterBall:
@@ -674,6 +690,12 @@ class TestQueryTransforms:
         pts, idx = small_learned_index(n=20, d=3, seed=139)
         with pytest.raises(ContractViolation):
             count(idx, np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, bad):
+        pts, idx = small_learned_index(n=20, d=3, seed=139)
+        with pytest.raises(ContractViolation, match="non-finite"):
+            count(idx, [bad, 0.0, 0.0])
 
     def test_training_sample_dimension_checked(self):
         rng = Seed(140).generator()

@@ -1,4 +1,4 @@
-"""Partition trees: linearization, shape, cumulative weights, visiting counts."""
+"""Partition trees: linearization, shape, visiting counts."""
 
 from __future__ import annotations
 
@@ -22,10 +22,8 @@ from arccount.spantree import Edge, SpanningTree
 PARAMS = EpsParams(eps=0.5)
 
 
-def weighted(points: np.ndarray, weights: np.ndarray | None = None) -> WeightedPointSet:
-    if weights is None:
-        weights = np.ones(len(points))
-    return WeightedPointSet(points, weights)
+def weighted(points: np.ndarray) -> WeightedPointSet:
+    return WeightedPointSet(points, np.ones(len(points)))
 
 
 def children(k: int, lo: int, hi: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
@@ -136,25 +134,6 @@ class TestPartitionTreeShape:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
             path_to_partition_tree(SpanningPath(np.arange(3)), weighted(np.zeros((4, 1))))
-
-
-class TestCumulativeWeights:
-    def test_every_internal_weight_is_its_subtree_sum(self):
-        rng = Seed(90).generator()
-        w = rng.uniform(0.1, 3.0, size=13)
-        order = rng.permutation(13)
-        t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((13, 1)), w))
-        for k, lo, hi in t.internal_ranges():
-            (left, _, _), (right, _, _) = children(k, lo, hi)
-            assert t.weight[k] == t.weight[left] + t.weight[right]
-            assert t.weight[k] == pytest.approx(float(w[order[lo:hi]].sum()), rel=1e-12)
-        for k, lo, _ in leaf_ranges(t):
-            assert t.weight[k] == w[order[lo]]
-
-    def test_negative_weights_flow_through(self):
-        w = np.array([1.0, -2.0, 0.5])
-        t = path_to_partition_tree(SpanningPath(np.arange(3)), weighted(np.zeros((3, 1)), w))
-        assert t.weight[0] == pytest.approx(-0.5)
 
 
 class TestCanonicalPath:

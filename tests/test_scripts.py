@@ -31,6 +31,7 @@ def run_script(script: str, argv: list[str]) -> subprocess.CompletedProcess:
         ("worstcase_pipeline.py", ["--n", "12", "--queries", "5", "--seed", "1"]),
         ("learned_vs_random.py", ["--instances", "3", "--n", "16", "--d", "3", "--seed", "7", "--out", "{out}"]),
         ("answer_digest.py", ["--workloads", "worstcase-d2", "--seeds", "1"]),
+        ("worstcase_pipeline.py", ["--d", "4", "--eps", "0.9", "--n", "12", "--queries", "5", "--seed", "1"]),
     ],
 )
 def test_script_exits_cleanly(tmp_path, script, args):

@@ -16,7 +16,6 @@ from arccount.core import (
     Seed,
     WeightedPointSet,
     eps_stabs,
-    gaussian_projection_matrix,
     sq_dists_to,
 )
 from arccount import spantree
@@ -29,7 +28,6 @@ from arccount.spantree import (
     UnionFind,
     build_low_stab_forest,
     build_low_stab_tree,
-    closest_pairs,
     default_rho,
     find_light_edge,
     generate_grid_queries,
@@ -105,14 +103,8 @@ def reference_light_edge(
     weights = np.ldexp(1.0, queries.stab_exponents)
     picks = reference_net(weights, seed.derive(0).generator(), net_size)
     net = queries.support[picks]
-    k = max(1, math.ceil(math.log(max(2, len(picks))) / (params.eps**2)))
-    if k < d:
-        matrix = gaussian_projection_matrix(d, k, seed.derive(1))
-        proj_pts, proj_net, k_eff = pts.points @ matrix, net @ matrix, k
-    else:
-        proj_pts, proj_net, k_eff = pts.points, net, d
-    side = params.eps * params.radius / (4.0 * math.sqrt(k_eff))
-    cells = np.floor(proj_pts / side).astype(np.int64)
+    side = params.eps * params.radius / (4.0 * math.sqrt(d))
+    cells = np.floor(pts.points / side).astype(np.int64)
     by_cell: dict[tuple[int, ...], list[int]] = {}
     for i, c in enumerate(map(tuple, cells)):
         by_cell.setdefault(c, []).append(i)
@@ -121,11 +113,11 @@ def reference_light_edge(
         candidates.update(itertools.combinations(members, 2))
     lo, hi = cells * side, cells * side + side
     covered = np.zeros(n, dtype=bool)
-    for g in proj_net:
+    for g in net:
         diff = np.clip(g, lo, hi) - g
         covered |= np.einsum("ij,ij->i", diff, diff) <= params.outer_radius * params.outer_radius
     candidates.update(itertools.combinations(np.nonzero(~covered)[0].tolist(), 2))
-    diffs = proj_pts[:, None, :] - proj_pts[None, :, :]
+    diffs = pts.points[:, None, :] - pts.points[None, :, :]
     pair_d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
     iu = np.triu_indices(n, k=1)
     for t in np.argsort(pair_d2[iu], kind="stable")[:3]:
@@ -312,7 +304,8 @@ class TestQueryMultiset:
 
 
 # (d, eps, n, largest exponent): exponents up to 60 span at least 53 bits,
-# so the scorer falls back to one sum per candidate
+# so the scorer falls back to one sum per candidate; at d 4 and eps 0.9 the
+# net holds only two or three distinct queries
 LIGHT_EDGE_CASES = [
     (1, 0.3, 9, 6),
     (2, 0.5, 12, 6),
@@ -320,6 +313,8 @@ LIGHT_EDGE_CASES = [
     (3, 0.5, 6, 20),
     (2, 0.5, 12, 60),
     (3, 0.9, 5, 60),
+    (4, 0.9, 3, 6),
+    (4, 0.9, 5, 6),
 ]
 
 
@@ -356,22 +351,6 @@ class TestFindLightEdge:
         assert edge == reference_light_edge(pts, qs, params, lp, Seed(97))
         assert min(edge) >= 3
 
-    @pytest.mark.parametrize("top", [6, 60])
-    def test_projected_search_matches_the_reference_loop(self, top, monkeypatch):
-        # three points in four dimensions at eps 0.9: the net is small enough
-        # that the shared projection lowers the dimension
-        projected = []
-        real = spantree.gaussian_projection_matrix
-        monkeypatch.setattr(
-            spantree, "gaussian_projection_matrix", lambda *args: projected.append(args) or real(*args)
-        )
-        for seed in range(4):
-            pts, qs, params = random_exponent_instance(4, 0.9, 3, top, seed)
-            lp = LightEdgeParams.for_eps(0.9)
-            expected = reference_light_edge(pts, qs, params, lp, Seed(seed))
-            assert find_light_edge(pts, qs, params, lp, Seed(seed)) == expected
-        assert len(projected) == 4
-
     def test_planted_zero_stab_pair_is_chosen(self):
         # indices 0 and 1 coincide, so no query stabs them; they are also the
         # closest pair, hence always a candidate, and zero is unbeatable
@@ -383,8 +362,8 @@ class TestFindLightEdge:
         assert edge == Edge(0, 1)
 
     def test_at_most_the_closest_pairs_score(self):
-        # the three closest pairs are always candidates (no projection at
-        # this dimension), so the winner can never score worse than they do
+        # the three closest pairs are always candidates, so the winner can
+        # never score worse than they do
         pts = scatter(9, 2, seed=64, scale=3.0)
         qs = generate_grid_queries(pts, PARAMS, GridSpec(0.5))
         weights = qs.weights()
@@ -419,20 +398,6 @@ class TestFindLightEdge:
         qs = QueryMultiset.from_support(np.zeros((1, 2)))
         with pytest.raises(ContractViolation):
             find_light_edge(pts, qs, PARAMS, LightEdgeParams.for_eps(0.5), Seed(68))
-
-
-class TestClosestPairs:
-    @pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
-    def test_match_a_stable_argsort_of_all_pairs(self, n):
-        # lattice points: duplicates (distance 0) and many equal distances
-        pts = Seed(310 + n).generator().integers(0, 3, size=(n, 2)).astype(np.float64)
-        for cloud in (pts, np.zeros_like(pts)):
-            diffs = cloud[:, None, :] - cloud[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-            iu = np.triu_indices(n, k=1)
-            order = np.argsort(d2[iu], kind="stable")[:3]
-            a, b = closest_pairs(d2)
-            assert np.array_equal(a, iu[0][order]) and np.array_equal(b, iu[1][order])
 
 
 class TestExactSums:
@@ -598,16 +563,6 @@ class TestTreeMatchesReference:
     def test_several_rounds(self, n, seed, monkeypatch):
         pts, qs, params = random_exponent_instance(2, 0.5, n, 6, seed)
         self.check(pts, qs, params, seed, monkeypatch)
-
-    def test_projected(self, monkeypatch):
-        projected = []
-        real = spantree.gaussian_projection_matrix
-        monkeypatch.setattr(
-            spantree, "gaussian_projection_matrix", lambda *args: projected.append(args) or real(*args)
-        )
-        pts, qs, params = random_exponent_instance(4, 0.9, 5, 6, 2)
-        self.check(pts, qs, params, 2, monkeypatch)
-        assert projected
 
     def test_outsiders(self, monkeypatch):
         pts, qs, params = outsider_instance()
