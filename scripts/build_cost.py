@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Build seconds and peak RSS of one index build per n, each in a fresh process.
+
+For every n the benchmark's generator for ``--workload`` (``bench/harness.py``'s
+``make_inputs``) makes the inputs at that n: for near-d8, four clusters in
+d = 8, weighted points and 16384 near-data training queries, built into a
+learned index; for worstcase-d2, n weighted points uniform in a square in
+d = 2, built into a worst-case index.  A fresh Python process builds one
+index from them with the benchmark's ``build_config``, with one BLAS
+thread, as the benchmark runs.  Each n prints one JSON line: the seconds
+of ``import arccount`` in that process, timed alone first, and its peak
+resident set size right after (``ru_maxrss``, in MiB as the benchmark's
+``build_peak_rss_mb``), the build's wall seconds, the peak resident set
+size before the build and after it, and a sha256 of the index's leaf
+order; worstcase-d2 adds the size of the grid query universe.  The last
+RSS difference is the build's own peak above the inputs and the imported
+libraries.  Two checkouts that print the same hash built the same tree.
+
+Example, comparing this checkout against another one at ``../parent``:
+    PYTHONPATH=src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
+    PYTHONPATH=../parent/src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
+    PYTHONPATH=src python3 scripts/build_cost.py --workload worstcase-d2 --n 256 512 1024
+"""
+
+from __future__ import annotations
+
+import os
+
+# as in bench/run.py: BLAS threads are fixed before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+# the library is imported first, alone, so its cost is read apart from the
+# benchmark harness, the inputs and the build
+_t0 = time.perf_counter()
+import arccount  # noqa: E402
+
+IMPORT_S = time.perf_counter() - _t0
+RSS_IMPORT_MB = _peak_rss_mb()
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
+
+from arccount import counter  # noqa: E402
+
+
+def build_once(workload: str, n: int, seed: int) -> dict:
+    """Build one index of ``workload`` at ``n`` in this process and report it."""
+    w = dataclasses.replace(WORKLOADS[workload], n=n)
+    inputs = make_inputs(w, seed)
+    cfg = build_config(inputs, seed)
+    universes = []
+    real = counter.generate_grid_queries
+    counter.generate_grid_queries = lambda *args: universes.append(real(*args)) or universes[-1]
+    try:
+        before = _peak_rss_mb()
+        t0 = time.perf_counter()
+        idx = arccount.build_counting_index(inputs.points, cfg)
+        seconds = time.perf_counter() - t0
+    finally:
+        counter.generate_grid_queries = real
+    row = {
+        "workload": workload,
+        "n": n,
+        "d": w.d,
+        "m": w.m,
+        "seed": seed,
+        "import_s": round(IMPORT_S, 4),
+        "rss_import_mb": round(RSS_IMPORT_MB, 1),
+        "build_s": round(seconds, 4),
+        "rss_before_mb": round(before, 1),
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
+    }
+    if universes:
+        row["universe_size"] = len(universes[0])
+    row["leaf_order_sha256"] = hashlib.sha256(idx.tree.order.tobytes()).hexdigest()
+    return row
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
+    ap.add_argument("--n", nargs="+", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--one", action="store_true", help="build the single --n in this process")
+    args = ap.parse_args()
+    if min(args.n) < 2:
+        ap.error("every --n must be at least 2")
+    if args.one:
+        if len(args.n) != 1:
+            ap.error("--one builds a single --n")
+        print(json.dumps(build_once(args.workload, args.n[0], args.seed)), flush=True)
+        return
+    for n in args.n:
+        argv = [sys.executable, __file__, "--one", "--workload", args.workload, "--n", str(n), "--seed", str(args.seed)]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"build at n={n} failed:\n{proc.stderr}")
+        print(proc.stdout.strip(), flush=True)
+
+
+if __name__ == "__main__":
+    main()

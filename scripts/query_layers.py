@@ -8,12 +8,12 @@ in-process passes over the 200 timed pool queries:
 
 * ``transform_query_us``: ``CountingIndex.transform_query``;
 * ``prefix_counts_us``: the code pass, ``counter.prefix_counts``;
-* ``node_masks_us``: the verdicts of every node, ``counter.node_masks``;
+* ``walk_us``: the tree walk on those counts, ``ptree.walk``: the
+  verdicts of every node and the gather through the parents;
 * ``count_us``: ``count``, the answer without its telemetry: one
   certified pass at the outer radius and a masked sum;
 * ``telemetry_us``: ``count`` and a read of the answer's
-  ``visited_nodes``, which runs the tree walk: the code pass, the node
-  verdicts and the gather through the parents;
+  ``visited_nodes``, which runs the code pass and the tree walk;
 * ``einsum_scan_us``: the benchmark's reference scan,
   ``w[einsum(p - q) <= r**2].sum()``;
 * ``gemv_scan_us``: the same scan with ``d2 = pp - 2 P @ q + q . q``, one
@@ -48,7 +48,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from harness import RADIUS, TIMED_QUERIES, WORKLOADS, build_config, make_inputs  # noqa: E402
 
 import arccount  # noqa: E402
-from arccount.counter import node_masks, prefix_counts  # noqa: E402
+from arccount.counter import prefix_counts  # noqa: E402
+from arccount.ptree import walk  # noqa: E402
 
 
 def best_us(fn, args: list, passes: int) -> float:
@@ -89,7 +90,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "queries": len(queries),
         "transform_query_us": best_us(idx.transform_query, queries, passes),
         "prefix_counts_us": best_us(lambda qw: prefix_counts(idx, qw), transformed, passes),
-        "node_masks_us": best_us(lambda c: node_masks(idx.tree, c), counts, passes),
+        "walk_us": best_us(lambda c: walk(idx.tree, c), counts, passes),
         "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
         "telemetry_us": best_us(lambda q: arccount.count(idx, q).visited_nodes, queries, passes),
         "einsum_scan_us": best_us(einsum_scan, queries, passes),

@@ -4,11 +4,14 @@
 Stages printed along the way:
   1. enumerate the grid query universe near the data,
   2. build the low-stabbing spanning tree with multiplicative weight updates,
-  3. linearize it and erect the balanced partition tree,
+  3. linearize it and erect the balanced partition tree over its path,
   4. answer queries with prefix-count node verdicts, cross-checking every
      answer against a brute-force oracle sandwich.
 
-Exits 1 when any query's weight leaves the sandwich.
+The universe and the tree are built at the index's working error eps/2,
+and the index adopts the tree's leaf order, so the printed stabbing and
+visits describe one tree.  Exits 1 when any query's weight leaves the
+sandwich.
 
 Example:
     python3 scripts/worstcase_pipeline.py --n 24 --d 2 --seed 3 --queries 40
@@ -25,7 +28,7 @@ import numpy as np
 from arccount.core import EpsParams, GridSpec, Seed, WeightedPointSet
 from arccount.counter import BuildConfig, WorstCaseSource, build_counting_index, count
 from arccount.oracle import exact_range_weight, exact_sigma, exact_tq
-from arccount.ptree import visiting_number
+from arccount.ptree import tree_to_path, visiting_number
 from arccount.spantree import LightEdgeParams, build_low_stab_tree, generate_grid_queries
 
 
@@ -46,12 +49,16 @@ def main() -> None:
         rng.uniform(0, args.scale, size=(args.n, args.d)), rng.uniform(0.1, 2.0, size=args.n)
     )
 
+    # the index answers at the working error eps/2, so the universe and the
+    # tree are built there, and the index adopts the tree's leaf order: the
+    # stabbing printed below is that of the tree whose visits it prints
+    working = EpsParams(args.eps / 2.0, params.radius)
     t0 = time.perf_counter()
-    universe = generate_grid_queries(pts, params, GridSpec(args.query_grid_side))
+    universe = generate_grid_queries(pts, working, GridSpec(args.query_grid_side))
     print(f"query universe: {len(universe)} grid points within reach of the data")
 
     tree = build_low_stab_tree(
-        pts, universe, params, LightEdgeParams.for_eps(args.eps), Seed(args.seed).derive(1)
+        pts, universe, working, LightEdgeParams.for_eps(working.eps), Seed(args.seed).derive(1)
     )
     worst = int(universe.stab_exponents.max())
     naive_bound = args.n - 1
@@ -61,13 +68,12 @@ def main() -> None:
     )
     for j in np.argsort(universe.stab_exponents)[-3:][::-1]:
         q = universe.support[j]
-        assert exact_sigma(q, tree.edges, pts, params) == universe.stab_exponents[j]
+        assert exact_sigma(q, tree.edges, pts, working) == universe.stab_exponents[j]
         print(f"  heavy query {np.round(q, 3).tolist()}: stabs {universe.stab_exponents[j]} edges")
 
-    cfg = BuildConfig(eps=args.eps, seed=Seed(args.seed).derive(2), tree_source=WorstCaseSource())
-    idx = build_counting_index(pts, cfg)
-    depth = idx.tree.depth
-    print(f"partition tree: depth {depth}, {sum(1 for _ in idx.tree.internal_ranges())} internal nodes")
+    cfg = BuildConfig(eps=args.eps, seed=Seed(args.seed), tree_source=WorstCaseSource())
+    idx = build_counting_index(pts, cfg, order_override=tree_to_path(tree, pts).order)
+    print(f"partition tree: depth {idx.tree.depth}, {args.n - 1} internal nodes")
 
     lo = pts.points.min(axis=0) - 1.0
     hi = pts.points.max(axis=0) + 1.0
@@ -80,8 +86,8 @@ def main() -> None:
         outer = exact_range_weight(pts, q, params.outer_radius)
         sandwich_ok += inner - 1e-9 <= ans.weight <= outer + 1e-9
         visits.append(ans.visited_nodes)
-        zetas.append(visiting_number(idx.tree, q, pts, idx.working))
-        ambiguity.append(exact_tq(q, pts, params))
+        zetas.append(visiting_number(idx.tree, q, pts, working))
+        ambiguity.append(exact_tq(q, pts, working))
     print(
         f"queries: {sandwich_ok}/{args.queries} weight-sandwiched, "
         f"visited nodes mean {np.mean(visits):.1f} / max {max(visits)} "

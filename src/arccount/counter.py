@@ -17,24 +17,22 @@ of the threshold sends the pass back to ``sq_dists_to`` (see
 ``prefix_counts``), so the mask is exactly ``d2 <= outer**2``.  The weight
 is the sum of the masked point weights in path order.
 
-The tree walk reports how the paper's index reaches that set: the nodes
-it visits, their verdicts and the path ranges it includes.  It runs when
-an answer's telemetry is first read, or at once under ``verify``.  A
-point within the outer radius is near, one at least the inner radius
-away is far, and every point is one or both.  Each point gets the code
-``(d2 <= outer**2) + (d2 < r**2)``: 0 when it is far only, 1 when it lies
-in the annulus and is both, 2 when it is near only; the same certified
-pass finds the codes at both thresholds.  Every node owns a contiguous
-slice of the path, so one subtraction of a running count of the codes
-gives its verdict: a sum of 0 is DISJOINT, twice the slice length is
-COVERED, anything between is STABBED.  The walk includes a COVERED node
-and stops, stops empty at a DISJOINT node, recurses into a STABBED node,
-and includes a leaf when its one point is near.  A STABBED node's
-ancestors hold its near and far points too, so they are STABBED as well:
-a node is visited iff it is the root or its parent is STABBED.  The tree
-is stored in preorder, so the walk is a fixed number of array operations
-over all nodes: the verdicts of every node at once, then one gather of
-them through the parents.
+The tree walk, ``ptree.walk``, reports how the paper's index reaches that
+set: the nodes it visits, their verdicts and the path ranges it includes.
+It runs when an answer's telemetry is first read, or at once under
+``verify``.  A point within the outer radius is near, one at least the
+inner radius away is far, and every point is one or both.  Each point
+gets the code ``(d2 <= outer**2) + (d2 < r**2)``: 0 when it is far only,
+1 when it lies in the annulus and is both, 2 when it is near only; the
+same certified pass finds the codes at both thresholds, and the walk
+reads their running count.  The same walk gives the paper's visiting
+number, ``ptree.visiting_number``, on the closed-ball codes
+``(dist <= (1+eps) r) + (dist <= r)``: the two conventions can differ
+only for a point within an ulp of distance ``r`` or of the outer radius,
+and the paper's three-clause expand rule fires iff some member is within
+``(1+eps) r`` and some member is beyond ``r``, the walk's STABBED test:
+with a member in the ambiguity zone both tests hold, and with none the
+rule is "some member within ``r`` and some beyond ``(1+eps) r``".
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ from .core import (
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
+from . import ptree
 from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
 # ``classify`` is not called here; the name stays importable from this module
@@ -131,9 +130,10 @@ class CountAnswer:
     def __getattr__(self, name: str):
         # reached only for an attribute that is not set: the telemetry of an
         # answer whose walk has not run yet
-        walk = self.__dict__.get("_walk")
-        if walk is not None and name in ("visited_nodes", "verdict_counts"):
-            self.visited_nodes, self.verdict_counts, _ = tree_walk(*walk)
+        pending = self.__dict__.get("_walk")
+        if pending is not None and name in ("visited_nodes", "verdict_counts"):
+            idx, qw = pending
+            self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, prefix_counts(idx, qw))
             self.__dict__.pop("_walk", None)
             return self.__dict__[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -317,45 +317,6 @@ def outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     return sq_dists_to(idx.path_points, qw) <= outer * outer
 
 
-def node_masks(tree: PartitionTree, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each node's path slice holds a near point, and a far point, in preorder.
-
-    A slice's code sum is 0 iff every point is far only, and twice its length
-    iff every point is near only.  Near points only is COVERED, far points
-    only is DISJOINT, and both is STABBED.
-    """
-    v = c[tree.hi] - c[tree.lo]
-    return v != 0, v != tree.twice_size
-
-
-def tree_walk(idx: CountingIndex, qw: np.ndarray) -> tuple[int, dict[str, int], np.ndarray]:
-    """The walk's visited node count, its verdict counts, and which nodes it includes, in preorder.
-
-    A STABBED node holds both near and far points, and so does each of its
-    ancestors: the walk visits the root and both children of every STABBED
-    internal node, and no other node.  The included nodes' slices are
-    disjoint and together hold exactly the points near ``qw``.
-    """
-    tree = idx.tree
-    has_near, has_far = node_masks(tree, prefix_counts(idx, qw))
-    # the STABBED internal nodes, which the walk splits; their ancestors are
-    # STABBED too, so each is visited
-    split = has_near & has_far & tree.inner
-    # a node is visited iff it is the root or its parent is split
-    visited = split[tree.parent]
-    visited[0] = True
-    # the walk stops at every other visited node, and includes the stops
-    # that hold a near point: COVERED nodes and near leaves
-    stops = visited ^ split
-    included = stops & has_near
-    n_stabbed = int(np.count_nonzero(split))
-    inner_stops = stops & tree.inner
-    n_stopped = int(np.count_nonzero(inner_stops))
-    n_covered = int(np.count_nonzero(inner_stops & has_near))
-    verdicts = {"stabbed": n_stabbed, "covered": n_covered, "disjoint": n_stopped - n_covered}
-    return 1 + 2 * n_stabbed, verdicts, included
-
-
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
     """Approximate weight of the ball around ``q``, by one certified pass at the working outer radius.
 
@@ -380,8 +341,8 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
         # a copy: the caller may reuse the array it passed
         return CountAnswer._unwalked(weight, idx, qw.copy())
 
-    visited, verdicts, included = tree_walk(idx, qw)
     tree = idx.tree
+    visited, verdicts, included = ptree.walk(tree, prefix_counts(idx, qw))
     # included slices are disjoint, so preorder lists them by ``lo``
     ranges = list(zip(tree.lo[included].tolist(), tree.hi[included].tolist()))
     total = sum(float(np.sum(idx.path_weights[lo:hi])) for lo, hi in ranges)

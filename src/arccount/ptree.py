@@ -1,4 +1,4 @@
-"""Spanning trees to spanning paths to balanced partition trees.
+"""Spanning trees to spanning paths to balanced partition trees, and the walk over them.
 
 A spanning tree is linearized by depth-first search from vertex 0 (children
 in ascending index order); the first-visit order is the spanning path.  A
@@ -9,13 +9,32 @@ path.  That shape depends on ``n`` alone.  The tree is stored as the path
 order plus five arrays over its ``2n - 1`` nodes in preorder: each node's
 range ``[lo, hi)``, its ``parent``, whether it is ``inner`` (not a leaf),
 and its ``twice_size`` (twice its range's length).  The points' weights
-stay with the index, in path order.  A query decides every node at once
-with array operations, and a walk visits a node iff it is the root or its
-parent is stabbed, so the parents give the visited nodes in one gather
-(see ``counter.tree_walk``).
-Walking only the nodes whose parent looks ambiguous or stabbed from a
-query's viewpoint visits few nodes exactly because consecutive path points
-rarely straddle the query's annulus.
+stay with the index, in path order.
+
+One walk (``walk``) serves both the index's telemetry and the paper's
+visiting number.  It reads a running count of the path points' codes:
+0 for a point that is far only, 1 for one that is both near and far, 2
+for one that is near only.  One subtraction gives each node's code sum,
+and so its verdict, and a node is visited iff it is the root or its
+parent is STABBED, so the walk is a fixed number of array operations.
+Walking only the nodes whose parent is stabbed from a query's viewpoint
+visits few nodes exactly because consecutive path points rarely straddle
+the query's annulus.
+
+The two callers code a point at distance ``dist`` from the query
+slightly differently.  ``counter.prefix_counts`` uses
+``(d2 <= outer**2) + (d2 < r**2)`` on squared distances;
+``visiting_number`` uses the closed balls,
+``(dist <= (1+eps) r) + (dist <= r)``.  The two can differ only for a
+member whose distance is within an ulp of ``r`` or of the outer radius.
+The paper's expand rule for a node (some member within ``r`` and some at
+``>= (1+eps) r``; or a member in the ambiguity zone ``r < dist <= (1+eps) r``
+and all members within ``(1+eps) r``; or one there and no member within
+``r``) is the walk's STABBED test under the closed-ball codes: it fires
+iff some member is within ``(1+eps) r`` and some member is beyond ``r``.
+With a member in the ambiguity zone both tests hold (one of the three
+clauses always does), and with no such member the rule reduces to "some
+member within ``r`` and some beyond ``(1+eps) r``", as does the test.
 """
 
 from __future__ import annotations
@@ -61,8 +80,8 @@ class PartitionTree:
     and ``parent`` maps both back to ``k`` (the root maps to 0);
     ``inner[k]`` is ``hi - lo > 1``, and ``twice_size[k]`` is
     ``2 * (hi - lo)``, the code sum of a slice whose points are all near
-    (see ``counter.node_masks``); both are kept so that no query recomputes
-    them.  Only ``order`` depends on the data.
+    (see ``walk``); both are kept so that no query recomputes them.  Only
+    ``order`` depends on the data.
     """
 
     order: np.ndarray
@@ -134,33 +153,51 @@ def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> Partiti
     return PartitionTree(order=path.order, lo=lo, hi=hi, parent=parent, inner=size > 1, twice_size=2 * size)
 
 
-def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, params: EpsParams) -> int:
-    """Exact number of nodes a traversal must visit for query ``q``.
+def walk(t: PartitionTree, c: np.ndarray) -> tuple[int, dict[str, int], np.ndarray]:
+    """The walk's visited node count, its verdict counts, and which nodes it includes, in preorder.
 
-    The root always counts.  Both children of an internal node count when
-    the node's members either straddle the two balls (some point within
+    ``c`` is the running count of the path points' codes: entry ``k`` sums
+    the codes of the first ``k`` points.  A slice's code sum is 0 iff every
+    point is far only (DISJOINT), twice its length iff every point is near
+    only (COVERED), and anything between is STABBED.  A STABBED node holds
+    both near and far points, and so does each of its ancestors: the walk
+    visits the root and both children of every STABBED internal node, and
+    no other node.  The included nodes' slices are disjoint and together
+    hold exactly the near points.
+    """
+    v = c[t.hi] - c[t.lo]
+    has_near = v != 0
+    # the STABBED internal nodes, which the walk splits
+    split = has_near & (v != t.twice_size) & t.inner
+    # a node is visited iff it is the root or its parent is split
+    visited = split[t.parent]
+    visited[0] = True
+    # the walk stops at every other visited node, and includes the stops
+    # that hold a near point: COVERED nodes and near leaves
+    stops = visited ^ split
+    included = stops & has_near
+    n_stabbed = int(np.count_nonzero(split))
+    inner_stops = stops & t.inner
+    n_stopped = int(np.count_nonzero(inner_stops))
+    n_covered = int(np.count_nonzero(inner_stops & has_near))
+    verdicts = {"stabbed": n_stabbed, "covered": n_covered, "disjoint": n_stopped - n_covered}
+    return 1 + 2 * n_stabbed, verdicts, included
+
+
+def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, params: EpsParams) -> int:
+    """Exact number of nodes a traversal must visit for query ``q``: the paper's visiting number.
+
+    The root always counts, and both children of an internal node count
+    when its members either straddle the two balls (some point within
     ``radius``, some at ``>= (1+eps)*radius``) or touch the ambiguity zone
     while lying entirely inside the outer ball or entirely outside the
-    inner one.
+    inner one.  That is ``walk`` on the closed-ball codes (see the module
+    docstring).
     """
     q = as_point(q)
     if q.shape[0] != pts.dim:
         raise ContractViolation("query dimension does not match points")
-    dists = np.sqrt(sq_dists_to(pts.points[t.order], q))
-    r = params.radius
-    big = params.outer_radius
-
-    total = 1
-    for _, lo, hi in t.internal_ranges():
-        chunk = dists[lo:hi]
-        has_near = bool(np.any(chunk <= r))
-        has_far = bool(np.any(chunk >= big))
-        has_ambiguous = bool(np.any((chunk > r) & (chunk <= big)))
-        expands = (
-            (has_near and has_far)
-            or (has_ambiguous and bool(np.all(chunk <= big)))
-            or (has_ambiguous and not has_near)
-        )
-        if expands:
-            total += 2
-    return total
+    dist = np.sqrt(sq_dists_to(pts.points[t.order], q))
+    c = np.zeros(t.n + 1, dtype=np.intp)
+    np.add.accumulate(np.add(dist <= params.outer_radius, dist <= params.radius, dtype=np.intp), out=c[1:])
+    return walk(t, c)[0]

@@ -24,7 +24,6 @@ from arccount.counter import (
     WorstCaseSource,
     build_counting_index,
     count,
-    node_masks,
     outer_mask,
     prefix_counts,
 )
@@ -130,8 +129,9 @@ MASK_VERDICTS = {(True, False): Verdict.COVERED, (False, True): Verdict.DISJOINT
 class TestPrefixVerdicts:
     @pytest.mark.parametrize("worstcase", [False, True])
     def test_match_the_stab_classifier_on_every_node(self, worstcase):
-        # the walk's verdicts are the ones the paper's Hamming stab classifier
-        # gives for each node's members at the working error
+        # the verdicts the walk reads from the code sums are the ones the
+        # paper's Hamming stab classifier gives for each node's members at
+        # the working error
         seed = 170 + 2 * worstcase
         rng = Seed(seed).generator()
         if worstcase:
@@ -146,7 +146,9 @@ class TestPrefixVerdicts:
         for k in range(8):
             q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
             qw = idx.transform_query(q)
-            has_near, has_far = node_masks(idx.tree, prefix_counts(idx, qw))
+            c = prefix_counts(idx, qw)
+            v = c[idx.tree.hi] - c[idx.tree.lo]
+            has_near, has_far = v != 0, v != idx.tree.twice_size
             for node, lo, hi in idx.tree.internal_ranges():
                 subset = pts.subset(idx.tree.order[lo:hi])
                 clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, node))

@@ -157,6 +157,16 @@ class TestVisitingNumber:
             t = path_to_partition_tree(SpanningPath(order), pts)
             q = rng.uniform(-2.5, 2.5, size=3)
             assert visiting_number(t, q, pts, PARAMS) == exact_visiting_oracle(order, pts, q, PARAMS)
+        # half-integer lattices at eps 0.5, r 1: squared distances are
+        # multiples of 1/4, so members sit exactly at r and at (1+eps) r
+        assert (PARAMS.radius, PARAMS.outer_radius) == (1.0, 1.5)
+        for trial in range(290):
+            n, d = 1 + trial % 29, 1 + trial % 3
+            pts = weighted(rng.integers(-4, 5, size=(n, d)) / 2.0)
+            order = rng.permutation(n)
+            t = path_to_partition_tree(SpanningPath(order), pts)
+            q = rng.integers(-2, 3, size=d) / 2.0
+            assert visiting_number(t, q, pts, PARAMS) == exact_visiting_oracle(order, pts, q, PARAMS)
 
     def test_far_query_visits_one_node(self):
         pts = weighted(np.zeros((8, 2)))
