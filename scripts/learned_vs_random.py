@@ -22,27 +22,15 @@ from scipy import stats
 
 from arccount.core import EpsParams, Seed, WeightedPointSet
 from arccount.learned import learned_spanning_tree, near_data_queries, pair_stab_counts
-from arccount.oracle import exact_visiting_oracle
+from arccount.oracle import _pruefer_decode, exact_visiting_oracle
 from arccount.ptree import tree_to_path
 from arccount.spantree import Edge, SpanningTree
 
 
 def random_spanning_tree(n: int, rng: np.random.Generator) -> SpanningTree:
-    if n == 2:
-        return SpanningTree(2, [Edge(0, 1)])
-    seq = rng.integers(0, n, size=n - 2).tolist()
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        leaf = min(i for i in range(n) if degree[i] == 1)
-        edges.append(Edge(min(leaf, v), max(leaf, v)))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    a, b = [i for i in range(n) if degree[i] == 1]
-    edges.append(Edge(a, b))
-    return SpanningTree(n, edges)
+    """The tree of a uniform Pruefer sequence; n == 2 has one tree and draws nothing."""
+    seq = rng.integers(0, n, size=n - 2).tolist() if n > 2 else []
+    return SpanningTree(n, [Edge(a, b) for a, b in _pruefer_decode(seq, n)])
 
 
 def clustered_instance(n: int, d: int, k: int, sigma: float, rng: np.random.Generator) -> WeightedPointSet:

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet
-from .counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index, count
+from .counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index, count, evaluate_visiting
 from .io import (
     FileFormatError,
     load_model,
@@ -31,7 +31,7 @@ from .io import (
     write_query_sample,
     write_report,
 )
-from .learned import default_sample_size, evaluate_visiting, near_data_queries, uniform_queries
+from .learned import default_sample_size, near_data_queries, uniform_queries
 from .oracle import exact_range_weight, exact_tq
 
 _AUTO_SAMPLE_CAP = 16384
@@ -139,7 +139,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     load_seconds = time.perf_counter() - t0
     pts = idx.source_points
     holdout = read_query_sample(args.queries)
-    params = EpsParams(idx.config.eps, idx.config.radius)
 
     # the weight alone: the telemetry is not read, so the tree walk does not run
     times = []
@@ -147,7 +146,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         t1 = time.perf_counter()
         count(idx, q)
         times.append((time.perf_counter() - t1) * 1e6)
-    report = evaluate_visiting(idx, holdout, pts, params)
+    report = evaluate_visiting(idx, holdout)
 
     source = idx.config.tree_source
     doc = {

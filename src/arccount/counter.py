@@ -33,12 +33,16 @@ and the paper's three-clause expand rule fires iff some member is within
 ``(1+eps) r`` and some member is beyond ``r``, the walk's STABBED test:
 with a member in the ambiguity zone both tests hold, and with none the
 rule is "some member within ``r`` and some beyond ``(1+eps) r``".
+
+``evaluate_visiting(idx, holdout)`` audits an index on a holdout sample:
+it checks each verified answer against the oracle's brute-force scans of
+the index's own points, at the full-error sandwich of its own config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -53,6 +57,7 @@ from .core import (
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
+from .oracle import exact_range_indices, exact_tq
 from . import ptree
 from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
@@ -350,3 +355,71 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     if abs(total - weight) > 1e-12 * scale:
         raise AssertionError(f"weight {weight} does not match the member ranges total {total}")
     return CountAnswer(weight, visited, verdicts, ranges)
+
+
+@dataclass
+class EvalReport:
+    """Holdout evaluation of a counting index."""
+
+    mean_visiting: float
+    mean_tq: float
+    sandwich_pass_rate: float
+    per_query: list[dict] = field(default_factory=list)
+    # None when the index adopted a stored leaf order (a loaded model)
+    holdout_overlaps_training: bool | None = False
+
+
+def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
+    """Exact visiting numbers, ambiguity counts, and sandwich checks on a holdout.
+
+    The index is audited against its own points, ``idx.source_points``, and
+    the full-error sandwich of its own config.  For every holdout query the
+    reported set is re-derived in verification mode and compared against
+    exact range scans: the inner ball must be contained in the answer set
+    and the answer set in the outer ball.  If the index was trained on
+    queries and any holdout row coincides with a training row, the report
+    flags the overlap (the caller is responsible for keeping holdouts
+    fresh).  An index reassembled from a stored leaf order, such as a
+    loaded model, does not hold the sample its order was fitted to and
+    reports the overlap as None.
+
+    The visiting number is the walk's own ``visited_nodes``: it is taken at
+    the working error, where the walk runs.  The sandwich check and ``t_q``
+    stay at the full error.
+    """
+    pts = idx.source_points
+    params = EpsParams(idx.config.eps, idx.config.radius)
+    source = idx.config.tree_source
+    overlaps: bool | None = False
+    if isinstance(source, LearnedSource) and idx.reassembled:
+        overlaps = None
+    elif isinstance(source, LearnedSource):
+        train_rows = {row.tobytes() for row in source.sample.queries}
+        overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
+
+    rows: list[dict] = []
+    passes = 0
+    for q in holdout.queries:
+        ans = count(idx, q, verify=True)
+        answer_set: set[int] = set()
+        for lo, hi in ans.member_ranges:
+            answer_set.update(int(v) for v in idx.tree.order[lo:hi])
+        inner = exact_range_indices(pts, q, params.radius)
+        outer = exact_range_indices(pts, q, params.outer_radius)
+        ok = inner.issubset(answer_set) and answer_set.issubset(outer)
+        passes += ok
+        rows.append(
+            {
+                "visiting": ans.visited_nodes,
+                "t_q": exact_tq(q, pts, params),
+                "sandwich_ok": bool(ok),
+            }
+        )
+    m = len(holdout)
+    return EvalReport(
+        mean_visiting=float(np.mean([r["visiting"] for r in rows])),
+        mean_tq=float(np.mean([r["t_q"] for r in rows])),
+        sandwich_pass_rate=passes / m,
+        per_query=rows,
+        holdout_overlaps_training=overlaps,
+    )

@@ -5,7 +5,9 @@ distribution queries actually come from, count for every point pair how
 many sampled queries stab it, and take a minimum spanning tree under those
 counts.  The tree is optimal for the sample by exchange argument, and a
 large enough sample makes the sample mean track the true expected stabbing
-within constant factors.
+within constant factors.  The module holds the samples, their stab
+counts and the tree; the holdout audit of a built index,
+``evaluate_visiting``, sits beside ``count``.
 
 Memory: the counts are one int32 n x n matrix, 4 n^2 bytes.  Beside it,
 ``pair_stab_counts`` holds per query chunk two 2 MiB distance buffers and
@@ -21,12 +23,11 @@ and holds O(n) beside them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
-from .oracle import exact_range_indices, exact_tq
 from .spantree import Edge, SpanningTree
 
 # pair_stab_counts: distances per query chunk (2 MiB of float64); each chunk
@@ -290,78 +291,7 @@ def tree_objective(counts: np.ndarray, tree: SpanningTree) -> int:
     return int(sum(counts[e.a, e.b].item() for e in tree.edges))
 
 
-# -- evaluation ----------------------------------------------------------------
-
-
-@dataclass
-class EvalReport:
-    """Holdout evaluation of a counting index."""
-
-    mean_visiting: float
-    mean_tq: float
-    sandwich_pass_rate: float
-    per_query: list[dict] = field(default_factory=list)
-    # None when the index adopted a stored leaf order (a loaded model)
-    holdout_overlaps_training: bool | None = False
-
-
-def evaluate_visiting(
-    idx,
-    holdout: QuerySample,
-    pts: WeightedPointSet,
-    params: EpsParams,
-) -> EvalReport:
-    """Exact visiting numbers, ambiguity counts, and sandwich checks on a holdout.
-
-    ``idx`` is a built counting index.  For every holdout query the reported
-    set is re-derived in verification mode and compared against exact range
-    scans: the inner ball must be contained in the answer set and the answer
-    set in the outer ball.  If the index was trained on queries and any
-    holdout row coincides with a training row, the report flags the overlap
-    (the caller is responsible for keeping holdouts fresh).  An index
-    reassembled from a stored leaf order, such as a loaded model, does not
-    hold the sample its order was fitted to and reports the overlap as None.
-
-    The visiting number is the walk's own ``visited_nodes``: it is taken at
-    the working error, where the walk runs.  The sandwich check and ``t_q``
-    stay at the full error.
-    """
-    from .counter import count  # local import to avoid a cycle
-
-    overlaps: bool | None = False
-    training = getattr(idx.config.tree_source, "sample", None)
-    if training is not None and idx.reassembled:
-        overlaps = None
-    elif training is not None:
-        train_rows = {row.tobytes() for row in np.asarray(training.queries, dtype=np.float64)}
-        overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
-
-    rows: list[dict] = []
-    passes = 0
-    for q in holdout.queries:
-        ans = count(idx, q, verify=True)
-        answer_set: set[int] = set()
-        for lo, hi in ans.member_ranges:
-            answer_set.update(int(v) for v in idx.tree.order[lo:hi])
-        inner = exact_range_indices(pts, q, params.radius)
-        outer = exact_range_indices(pts, q, params.outer_radius)
-        ok = inner.issubset(answer_set) and answer_set.issubset(outer)
-        passes += ok
-        rows.append(
-            {
-                "visiting": ans.visited_nodes,
-                "t_q": exact_tq(q, pts, params),
-                "sandwich_ok": bool(ok),
-            }
-        )
-    m = len(holdout)
-    return EvalReport(
-        mean_visiting=float(np.mean([r["visiting"] for r in rows])),
-        mean_tq=float(np.mean([r["t_q"] for r in rows])),
-        sandwich_pass_rate=passes / m,
-        per_query=rows,
-        holdout_overlaps_training=overlaps,
-    )
+# -- the generalization bracket ----------------------------------------------
 
 
 def stabbing_bracket_report(

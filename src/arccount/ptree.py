@@ -39,7 +39,6 @@ member within ``r`` and some beyond ``(1+eps) r``", as does the test.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 import numpy as np
 
@@ -98,11 +97,6 @@ class PartitionTree:
     @property
     def depth(self) -> int:
         return (self.n - 1).bit_length()
-
-    def internal_ranges(self) -> Iterator[tuple[int, int, int]]:
-        """``(k, lo, hi)`` of every internal node in preorder: parents first, left before right."""
-        inner = np.flatnonzero(self.inner)
-        return zip(inner.tolist(), self.lo[inner].tolist(), self.hi[inner].tolist())
 
 
 def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:

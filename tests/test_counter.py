@@ -149,7 +149,8 @@ class TestPrefixVerdicts:
             c = prefix_counts(idx, qw)
             v = c[idx.tree.hi] - c[idx.tree.lo]
             has_near, has_far = v != 0, v != idx.tree.twice_size
-            for node, lo, hi in idx.tree.internal_ranges():
+            inner = np.flatnonzero(idx.tree.inner)
+            for node, lo, hi in zip(inner.tolist(), idx.tree.lo[inner].tolist(), idx.tree.hi[inner].tolist()):
                 subset = pts.subset(idx.tree.order[lo:hi])
                 clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, node))
                 verdict = MASK_VERDICTS.get((has_near[node], has_far[node]), Verdict.STABBED)

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from arccount.core import Seed, WeightedPointSet
-from arccount.counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index, count
+from arccount.counter import (
+    BuildConfig,
+    LearnedSource,
+    WorstCaseSource,
+    build_counting_index,
+    count,
+    evaluate_visiting,
+)
 from arccount.io import (
     FileFormatError,
     load_model,
@@ -156,6 +164,23 @@ class TestModels:
             assert a.weight == b.weight
             assert a.visited_nodes == b.visited_nodes
             assert a.verdict_counts == b.verdict_counts
+
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_loaded_model_audits_like_the_index_that_saved_it(self, tmp_path, worstcase):
+        # the audit reads the points and the sandwich from the index, so a
+        # loaded model reports what the built index reported, row for row;
+        # only the overlap with the training sample, which a loaded model
+        # does not hold, reads None
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        loaded = load_model(model, data)
+        rng = Seed(164).generator()
+        holdout = QuerySample(np.vstack([pts.points[:3], rng.uniform(-2, 3, size=(30, pts.dim))]), source="t")
+        built, reloaded = evaluate_visiting(idx, holdout), evaluate_visiting(loaded, holdout)
+        assert built.holdout_overlaps_training is False
+        assert reloaded.holdout_overlaps_training is (False if worstcase else None)
+        assert len(built.per_query) == len(holdout) and reloaded.per_query == built.per_query
+        assert dataclasses.replace(reloaded, holdout_overlaps_training=False) == built
+        assert built.sandwich_pass_rate == 1.0
 
     @pytest.mark.parametrize("worstcase", [False, True])
     def test_v4_model_answers_like_the_index_that_saved_it(self, tmp_path, worstcase):

@@ -9,11 +9,17 @@ import pytest
 
 from arccount import learned
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
-from arccount.counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index, count
+from arccount.counter import (
+    BuildConfig,
+    LearnedSource,
+    WorstCaseSource,
+    build_counting_index,
+    count,
+    evaluate_visiting,
+)
 from arccount.learned import (
     QuerySample,
     default_sample_size,
-    evaluate_visiting,
     learned_spanning_tree,
     near_data_queries,
     pair_stab_counts,
@@ -450,8 +456,8 @@ class TestHoldoutOverlap:
         pts, sample, idx = self.built(n=n)
         fresh = near_data_queries(pts, 10, sigma=0.5, seed=Seed(139))
         mixed = QuerySample(np.vstack([fresh.queries, sample.queries[:2]]), source="t")
-        assert evaluate_visiting(idx, fresh, pts, PARAMS).holdout_overlaps_training is False
-        assert evaluate_visiting(idx, mixed, pts, PARAMS).holdout_overlaps_training is True
+        assert evaluate_visiting(idx, fresh).holdout_overlaps_training is False
+        assert evaluate_visiting(idx, mixed).holdout_overlaps_training is True
 
     def test_unknown_for_a_reassembled_index(self):
         # reassembled from a leaf order, as a loaded model is: the index
@@ -459,13 +465,13 @@ class TestHoldoutOverlap:
         pts, sample, fitted = self.built()
         _, _, idx = self.built(order_override=fitted.tree.order)
         holdout = QuerySample(sample.queries[:5], source="t")
-        assert evaluate_visiting(idx, holdout, pts, PARAMS).holdout_overlaps_training is None
+        assert evaluate_visiting(idx, holdout).holdout_overlaps_training is None
 
     def test_worst_case_tree_has_no_training_rows(self):
         pts, sample, _ = self.built()
         idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(140), tree_source=WorstCaseSource()))
         holdout = QuerySample(sample.queries[:5], source="t")
-        assert evaluate_visiting(idx, holdout, pts, PARAMS).holdout_overlaps_training is False
+        assert evaluate_visiting(idx, holdout).holdout_overlaps_training is False
 
 
 class TestEvalVisiting:
@@ -479,7 +485,7 @@ class TestEvalVisiting:
         cfg = BuildConfig(eps=0.5, seed=Seed(143), tree_source=LearnedSource(sample))
         idx = build_counting_index(pts, cfg)
         holdout = near_data_queries(pts, 40, sigma=0.5, seed=Seed(144))
-        report = evaluate_visiting(idx, holdout, pts, PARAMS)
+        report = evaluate_visiting(idx, holdout)
         visited = [count(idx, q).visited_nodes for q in holdout.queries]
         assert [row["visiting"] for row in report.per_query] == visited
         assert report.mean_visiting == float(np.mean(visited))

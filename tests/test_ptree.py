@@ -32,11 +32,17 @@ def children(k: int, lo: int, hi: int) -> tuple[tuple[int, int, int], tuple[int,
     return (k + 1, lo, mid), (k + 2 * (mid - lo), mid, hi)
 
 
+def internal_ranges(t: PartitionTree) -> list[tuple[int, int, int]]:
+    """``(k, lo, hi)`` of every internal node in preorder: parents first, left before right."""
+    inner = np.flatnonzero(t.inner)
+    return list(zip(inner.tolist(), t.lo[inner].tolist(), t.hi[inner].tolist()))
+
+
 def leaf_ranges(t: PartitionTree) -> list[tuple[int, int, int]]:
     """``(k, lo, hi)`` of every leaf, sorted by ``lo``: the root, or children owning one position."""
     if t.n == 1:
         return [(0, 0, 1)]
-    leaves = [c for node in t.internal_ranges() for c in children(*node) if c[2] - c[1] == 1]
+    leaves = [c for node in internal_ranges(t) for c in children(*node) if c[2] - c[1] == 1]
     return sorted(leaves, key=lambda c: c[1])
 
 
@@ -78,7 +84,7 @@ class TestPartitionTreeShape:
         # ceil-splits of [0, 5): left gets 3, then 2/1, then 1/1 at the bottom
         path = SpanningPath(np.arange(5))
         t = path_to_partition_tree(path, weighted(np.zeros((5, 1))))
-        assert list(t.internal_ranges()) == [(0, 0, 5), (1, 0, 3), (2, 0, 2), (6, 3, 5)]
+        assert internal_ranges(t) == [(0, 0, 5), (1, 0, 3), (2, 0, 2), (6, 3, 5)]
         assert leaf_ranges(t) == [(3, 0, 1), (4, 1, 2), (5, 2, 3), (7, 3, 4), (8, 4, 5)]
         assert list(zip(t.lo.tolist(), t.hi.tolist())) == [(0, 5), (0, 3), (0, 2), (0, 1), (1, 2), (2, 3), (3, 5), (3, 4), (4, 5)]
         assert t.parent.tolist() == [0, 0, 1, 2, 2, 1, 0, 6, 6]
@@ -88,13 +94,13 @@ class TestPartitionTreeShape:
             path = SpanningPath(np.arange(n))
             t = path_to_partition_tree(path, weighted(np.zeros((n, 1))))
             assert len(leaf_ranges(t)) == n
-            assert sum(1 for _ in t.internal_ranges()) == n - 1
+            assert len(internal_ranges(t)) == n - 1
             assert t.depth == (0 if n == 1 else math.ceil(math.log2(n)))
 
     def test_sibling_sizes_differ_by_at_most_one(self):
         path = SpanningPath(np.arange(21))
         t = path_to_partition_tree(path, weighted(np.zeros((21, 1))))
-        for node in t.internal_ranges():
+        for node in internal_ranges(t):
             (_, llo, lhi), (_, rlo, rhi) = children(*node)
             assert 0 <= (lhi - llo) - (rhi - rlo) <= 1
 
@@ -102,7 +108,7 @@ class TestPartitionTreeShape:
         for n in (2, 5, 6, 17, 33):
             t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
             assert t.lo.size == 2 * n - 1
-            for node in t.internal_ranges():
+            for node in internal_ranges(t):
                 for k, lo, hi in children(*node):
                     assert (t.lo[k], t.hi[k]) == (lo, hi)
                     assert t.parent[k] == node[0]
@@ -119,7 +125,7 @@ class TestPartitionTreeShape:
         # a node owns the points order[lo:hi] of its path range
         order = np.array([3, 1, 4, 0, 2])
         t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((5, 1))))
-        members = {i: t.order[lo:hi] for i, lo, hi in t.internal_ranges()}
+        members = {i: t.order[lo:hi] for i, lo, hi in internal_ranges(t)}
         np.testing.assert_array_equal(members[0], order)
         np.testing.assert_array_equal(members[1], order[:3])
         np.testing.assert_array_equal(members[6], order[3:])

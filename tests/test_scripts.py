@@ -61,3 +61,18 @@ def test_query_layers_prints_one_line_per_workload_and_seed():
     for row in rows:
         phases = ("transform_query", "prefix_counts", "walk", "count", "telemetry", "einsum_scan", "gemv_scan")
         assert all(row[f"{phase}_us"] > 0 for phase in phases)
+
+
+def test_bench_record_appends_one_line_with_every_end_to_end_metric(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = run_script("bench_record.py", ["--workload", "worstcase-d2", "--seed", "1", "--seconds", "0.5", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1
+    row = json.loads(lines[0])
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert len(names) == 6 and set(names) <= set(row["metrics"])
+    assert all(row["metrics"][name]["value"] > 0 for name in names)
+    assert (row["seed"], row["seconds"], row["env"]["workload"]) == (1, 0.5, "worstcase-d2")
+    assert row["correct"] and row["failed"] == 0 and row["attempted"] > 0
+    assert "commit" in row and "dirty" in row
