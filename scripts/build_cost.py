@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build seconds and peak RSS of one index build per n, each in a fresh process.
+"""Build seconds, peak RSS, model size and load time of one index per n, each in a fresh process.
 
 For every n the benchmark's generator for ``--workload`` (``bench/harness.py``'s
 ``make_inputs``) makes the inputs at that n: for near-d8, four clusters in
@@ -15,6 +15,10 @@ size before the build and after it, and a sha256 of the index's leaf
 order; worstcase-d2 adds the size of the grid query universe.  The last
 RSS difference is the build's own peak above the inputs and the imported
 libraries.  Two checkouts that print the same hash built the same tree.
+The index is then saved against a text data file of its points, as the
+benchmark saves it: ``model_bytes`` is the model file's size and
+``load_ms`` the best of 15 ``load_model`` calls in the same process, each
+after a ``gc.collect()``.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
@@ -32,11 +36,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
+import gc  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -57,7 +63,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
 
-from arccount import counter  # noqa: E402
+from arccount import counter, io  # noqa: E402
+
+LOADS = 15
 
 
 def build_once(workload: str, n: int, seed: int) -> dict:
@@ -90,7 +98,23 @@ def build_once(workload: str, n: int, seed: int) -> dict:
     if universes:
         row["universe_size"] = len(universes[0])
     row["leaf_order_sha256"] = hashlib.sha256(idx.tree.order.tobytes()).hexdigest()
+    row["model_bytes"], row["load_ms"] = save_and_load(idx, inputs.points)
     return row
+
+
+def save_and_load(idx: counter.CountingIndex, points: arccount.WeightedPointSet) -> tuple[int, float]:
+    """The size of ``idx``'s saved model and the best of ``LOADS`` loads of it, in ms."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "points.txt", Path(tmp) / "model.json"
+        io.write_points(data, points)
+        io.save_model(model, idx, data)
+        best = float("inf")
+        for _ in range(LOADS):
+            gc.collect()
+            t0 = time.perf_counter()
+            io.load_model(model, data)
+            best = min(best, time.perf_counter() - t0)
+        return model.stat().st_size, round(best * 1e3, 3)
 
 
 def main() -> None:

@@ -57,7 +57,7 @@ from .core import (
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
-from .oracle import exact_range_indices, exact_tq
+from .oracle import exact_zones, point_rows
 from . import ptree
 from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
@@ -397,6 +397,7 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
         train_rows = {row.tobytes() for row in source.sample.queries}
         overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
 
+    pts_rows = point_rows(pts)
     rows: list[dict] = []
     passes = 0
     for q in holdout.queries:
@@ -404,14 +405,13 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
         answer_set: set[int] = set()
         for lo, hi in ans.member_ranges:
             answer_set.update(int(v) for v in idx.tree.order[lo:hi])
-        inner = exact_range_indices(pts, q, params.radius)
-        outer = exact_range_indices(pts, q, params.outer_radius)
+        inner, outer, t_q = exact_zones(pts_rows, q, params)
         ok = inner.issubset(answer_set) and answer_set.issubset(outer)
         passes += ok
         rows.append(
             {
                 "visiting": ans.visited_nodes,
-                "t_q": exact_tq(q, pts, params),
+                "t_q": t_q,
                 "sandwich_ok": bool(ok),
             }
         )

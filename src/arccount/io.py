@@ -10,18 +10,25 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 ``n * (d + 1)`` little-endian float64 values, row-major, weight last in
 each row.
 
-Models are JSON (format ``arc-model v5``): build configuration, seed, the
-leaf order of the partition tree, and a digest of the data file.  Loading
-rebuilds only the partition tree over the stored leaf order, so the loaded
-index answers bit-identically to the saved one.  ``arc-model v4`` files
-load by the same code: they differ only by the worst-case source's
-``light`` field, which is not read, because the stored leaf order fixes
-the tree.  Every other format, older ones included, is refused, to be
-rebuilt from the data with ``arccount build``.
+Models are JSON (format ``arc-model v6``): build configuration, seed, the
+leaf order of the partition tree, a digest of the data file, and the
+points themselves: the ``n`` rows of ``d`` coordinates and one weight as
+little-endian float64, base64 encoded, beside ``points_digest``, the
+sha256 of those raw bytes.  A model is about 4/3 of the binary points
+file, plus the leaf order and the configuration: 106 KB at n = 1024,
+d = 8.  Loading checks the data file's digest, decodes the rows without
+parsing the data file, checks their length and digest, and rebuilds only
+the partition tree over the stored leaf order, so the loaded index
+answers bit-identically to the saved one.  ``save_model`` refuses a data
+file that does not hold the index's points and weights bit for bit.
+There is one reader: every other format, ``v1``-``v5`` included, is
+refused, to be rebuilt from the data with ``arccount build``.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
 import struct
@@ -45,6 +52,11 @@ class FileFormatError(RuntimeError):
 # -- points ------------------------------------------------------------------
 
 
+def _rows_bytes(pts: WeightedPointSet) -> bytes:
+    """The points and weights as ``n * (d + 1)`` little-endian float64 values, row-major, weight last."""
+    return np.hstack([pts.points, pts.weights[:, None]]).astype("<f8").tobytes()
+
+
 def write_points(path: str | Path, pts: WeightedPointSet, binary: bool = False) -> None:
     path = Path(path)
     n, d = len(pts), pts.dim
@@ -52,8 +64,7 @@ def write_points(path: str | Path, pts: WeightedPointSet, binary: bool = False) 
         with open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
             fh.write(struct.pack("<II", n, d))
-            rows = np.hstack([pts.points, pts.weights[:, None]])
-            fh.write(rows.astype("<f8").tobytes())
+            fh.write(_rows_bytes(pts))
         return
     with open(path, "w") as fh:
         fh.write(f"{_TEXT_HEADER} {n} {d}\n")
@@ -150,8 +161,7 @@ def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = Fal
 
 # -- models --------------------------------------------------------------------
 
-_MODEL_FORMAT = "arc-model v5"
-_READ_FORMATS = (_MODEL_FORMAT, "arc-model v4")
+_MODEL_FORMAT = "arc-model v6"
 
 
 def file_digest(path: str | Path) -> str:
@@ -162,6 +172,20 @@ def file_digest(path: str | Path) -> str:
 
 
 def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> None:
+    """Save ``idx``; ``data_path`` must hold its points and weights bit for bit.
+
+    The model carries the points, and loading answers from them; the data
+    file's digest is recorded beside them, so it must describe the same
+    values, else a ``ContractViolation``.
+    """
+    pts = idx.source_points
+    rows = _rows_bytes(pts)
+    on_file = read_points(data_path)
+    if on_file.points.shape != pts.points.shape or _rows_bytes(on_file) != rows:
+        raise ContractViolation(
+            f"{data_path}: the points and weights on file are not the index's, bit for bit; "
+            "save the model against the data the index was built from"
+        )
     cfg = idx.config
     source = cfg.tree_source
     if isinstance(source, WorstCaseSource):
@@ -171,8 +195,8 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
         src_json = {"kind": "learned", "sample_source": source.sample.source}
     doc = {
         "format": _MODEL_FORMAT,
-        "n": len(idx.source_points),
-        "d": idx.source_points.dim,
+        "n": len(pts),
+        "d": pts.dim,
         "data_digest": file_digest(data_path),
         "order": [int(v) for v in idx.tree.order],
         "config": {
@@ -182,6 +206,8 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
             "seed_path": list(cfg.seed.path),
             "tree_source": src_json,
         },
+        "points_digest": "sha256:" + hashlib.sha256(rows).hexdigest(),
+        "points": base64.b64encode(rows).decode("ascii"),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -202,7 +228,7 @@ def _field(obj: dict, key: str, kinds: tuple[type, ...], where: object):
 
 
 def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
-    """Rebuild the index saved at ``path`` against its original data file."""
+    """Rebuild the index saved at ``path``, whose data file ``data_path`` must match its digest."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -211,18 +237,16 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: not a model file: top level is not an object")
     fmt = doc.get("format")
-    if fmt not in _READ_FORMATS:
+    if fmt != _MODEL_FORMAT:
         raise FileFormatError(
-            f"{path}: model format {fmt!r} cannot be read, only {' and '.join(_READ_FORMATS)}; "
+            f"{path}: model format {fmt!r} cannot be read, only {_MODEL_FORMAT!r}; "
             "rebuild it from the data with `arccount build`"
         )
     digest = file_digest(data_path)
     stored = _field(doc, "data_digest", (str,), path)
     if digest != stored:
         raise FileFormatError(f"{data_path}: digest {digest} does not match the model's {stored}")
-    pts = read_points(data_path)
-    if len(pts) != _field(doc, "n", (int,), path) or pts.dim != _field(doc, "d", (int,), path):
-        raise FileFormatError(f"{data_path}: shape mismatch against model header")
+    pts = _stored_points(doc, path)
     order = _stored_order(_field(doc, "order", (list,), path), len(pts), path)
     c = _field(doc, "config", (dict,), path)
     src = _field(c, "tree_source", (dict,), path)
@@ -254,6 +278,28 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
         return build_counting_index(pts, cfg, order_override=order)
     except ContractViolation as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+
+
+def _stored_points(doc: dict, where: object) -> WeightedPointSet:
+    """The model's points and weights, decoded and checked against ``n``, ``d`` and ``points_digest``."""
+    n, d = _field(doc, "n", (int,), where), _field(doc, "d", (int,), where)
+    if n < 1 or d < 1:
+        raise FileFormatError(f"{where}: model declares n={n}, d={d}")
+    try:
+        rows = base64.b64decode(_field(doc, "points", (str,), where), validate=True)
+    except binascii.Error as exc:
+        raise FileFormatError(f"{where}: model field 'points' is not base64: {exc}") from None
+    if len(rows) != n * (d + 1) * 8:
+        raise FileFormatError(f"{where}: points are {len(rows)} bytes, n={n} and d={d} imply {n * (d + 1) * 8}")
+    digest = "sha256:" + hashlib.sha256(rows).hexdigest()
+    stored = _field(doc, "points_digest", (str,), where)
+    if digest != stored:
+        raise FileFormatError(f"{where}: points digest {digest} does not match the model's {stored}")
+    values = np.frombuffer(rows, dtype="<f8").reshape(n, d + 1)
+    try:
+        return WeightedPointSet(values[:, :d].copy(), values[:, d].copy())
+    except ContractViolation as exc:
+        raise FileFormatError(f"{where}: {exc}") from exc
 
 
 def _stored_order(order: list, n: int, where: object) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import time
 import warnings
@@ -9,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from arccount import counter
+from arccount import cli, counter
 from arccount.cli import run_cli
+from arccount.core import WeightedPointSet
 from arccount.io import read_points, read_query_sample, write_query_sample
 from arccount.learned import QuerySample
 
@@ -269,19 +271,43 @@ class TestBuildQueryEval:
         assert json.loads(report.read_text())["sandwich_pass_rate"] == 29 / 30
 
 
+def _points(doc: dict) -> bytes:
+    return base64.b64decode(doc["points"])
+
+
+def _set_points(doc: dict, rows: bytes) -> None:
+    doc["points"] = base64.b64encode(rows).decode("ascii")
+
+
+def _flip_one_byte(doc: dict) -> None:
+    rows = bytearray(_points(doc))
+    rows[13] ^= 0x01
+    _set_points(doc, bytes(rows))
+
+
 # hand edits that leave a model file malformed: missing fields, wrong types,
-# and a leaf order that is not a permutation of the points
+# a leaf order that is not a permutation of the points, and stored points
+# that do not match their digest or the declared n and d
 MALFORMED_MODELS = {
     "no-radius": lambda doc: doc["config"].pop("radius"),
     "no-order": lambda doc: doc.pop("order"),
     "no-digest": lambda doc: doc.pop("data_digest"),
     "no-source-kind": lambda doc: doc["config"]["tree_source"].pop("kind"),
     "no-seed-path": lambda doc: doc["config"].pop("seed_path"),
+    "no-points": lambda doc: doc.pop("points"),
+    "no-points-digest": lambda doc: doc.pop("points_digest"),
     "string-in-order": lambda doc: doc.update(order=["0"] + doc["order"][1:]),
     "string-eps": lambda doc: doc["config"].update(eps="0.5"),
     "list-config": lambda doc: doc.update(config=[]),
     "order-not-a-permutation": lambda doc: doc.update(order=doc["order"][1:2] + doc["order"][1:]),
     "order-too-large-an-integer": lambda doc: doc.update(order=[2**70] + doc["order"][1:]),
+    "points-not-base64": lambda doc: doc.update(points="not base64: " + doc["points"]),
+    "points-truncated": lambda doc: _set_points(doc, _points(doc)[:-8]),
+    # valid base64 of the same length: only the points digest catches it
+    "points-one-byte-flipped": _flip_one_byte,
+    "points-digest-wrong": lambda doc: doc.update(points_digest="sha256:" + "0" * 64),
+    "n-off-by-one": lambda doc: doc.update(n=doc["n"] - 1),
+    "d-off-by-one": lambda doc: doc.update(d=doc["d"] + 1),
     # right type, value out of range
     "eps-5": lambda doc: doc["config"].update(eps=5),
     "radius-negative": lambda doc: doc["config"].update(radius=-1),
@@ -289,14 +315,25 @@ MALFORMED_MODELS = {
         tree_source={"kind": "worstcase", "grid_side": 0.0}
     ),
 }
-# the fields each pre-v4 format wrote beyond v4's, at values its builds used
-PRE_V4_FIELDS = {
-    "arc-model v1": {
-        "classifier_repetitions": None, "beta_scale": 1.0, "jl_enabled": None, "jl_target_dim": None,
-        "snap_queries": False, "grid_side": None,
-    },
-    "arc-model v2": {"jl_enabled": True, "jl_target_dim": 2, "snap_queries": False, "grid_side": None},
-    "arc-model v3": {"snap_queries": True, "grid_side": 0.05},
+
+
+def _without_points(doc: dict) -> None:
+    del doc["points"], doc["points_digest"]
+
+
+# each older format's own fields: v1-v3 wrote these fields beyond v4's, at
+# values their builds used, and v4 and v5 carried no points
+OLD_FORMAT_FIELDS = {
+    "arc-model v1": lambda doc: doc["config"].update(
+        classifier_repetitions=None, beta_scale=1.0, jl_enabled=None, jl_target_dim=None,
+        snap_queries=False, grid_side=None,
+    ),
+    "arc-model v2": lambda doc: doc["config"].update(
+        jl_enabled=True, jl_target_dim=2, snap_queries=False, grid_side=None
+    ),
+    "arc-model v3": lambda doc: doc["config"].update(snap_queries=True, grid_side=0.05),
+    "arc-model v4": _without_points,
+    "arc-model v5": _without_points,
 }
 
 
@@ -404,14 +441,16 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
+    # "v4-fields" tags the current model with the old format and changes
+    # nothing else; "own-fields" also gives it the old format's own fields
     @pytest.mark.parametrize("with_fields", [True, False], ids=["own-fields", "v4-fields"])
-    @pytest.mark.parametrize("fmt", sorted(PRE_V4_FIELDS))
+    @pytest.mark.parametrize("fmt", sorted(OLD_FORMAT_FIELDS))
     def test_pre_v4_model_is_exit_two(self, tmp_path, capsys, saved_model, fmt, with_fields):
         model, data = saved_model
         doc = json.loads(model.read_text())
         doc["format"] = fmt
         if with_fields:
-            doc["config"].update(PRE_V4_FIELDS[fmt])
+            OLD_FORMAT_FIELDS[fmt](doc)
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         capsys.readouterr()
@@ -420,6 +459,28 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith(f"error: {old}: ") and fmt in err and "Traceback" not in err
         assert "rebuild" in err and "`arccount build`" in err
+
+    def test_model_saved_against_other_points_is_exit_three(self, tmp_path, capsys, monkeypatch):
+        # the build reads points one ulp off the file's, as if the file had
+        # changed between the read and the save: the save refuses the file
+        data = gen_data(tmp_path, n=20, d=3)
+
+        def one_ulp_off(path):
+            pts = read_points(path)
+            points = pts.points.copy()
+            points[5, 2] = np.nextafter(points[5, 2], -np.inf)
+            return WeightedPointSet(points, pts.weights)
+
+        monkeypatch.setattr(cli, "read_points", one_ulp_off)
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        rc = run_cli(
+            ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned", "--m-queries", "50",
+             "--seed", "1", "--out-model", str(model)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 3 and not model.exists()
+        assert err.startswith(f"error: {data}: ") and "bit for bit" in err and "Traceback" not in err
 
     def test_oversized_worst_case_universe_is_exit_three(self, tmp_path, capsys):
         # about 7e5 grid queries times 12 points, refused before any light edge

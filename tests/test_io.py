@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arccount.core import Seed, WeightedPointSet
+import arccount.io
+from arccount.core import ContractViolation, Seed, WeightedPointSet
 from arccount.counter import (
     BuildConfig,
     LearnedSource,
@@ -183,26 +189,50 @@ class TestModels:
         assert built.sandwich_pass_rate == 1.0
 
     @pytest.mark.parametrize("worstcase", [False, True])
-    def test_v4_model_answers_like_the_index_that_saved_it(self, tmp_path, worstcase):
-        # a v4 file differs only by the worst-case source's light-edge
-        # exponent, which the stored leaf order makes irrelevant: it is not read
+    def test_v4_and_v5_models_are_refused(self, tmp_path, worstcase):
+        # neither format carries the points, so neither loads: both are
+        # refused as older formats are, to be rebuilt from the data
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
         doc = json.loads(model.read_text())
-        assert doc["format"] == "arc-model v5"
-        assert "light" not in doc["config"]["tree_source"]
-        doc["format"] = "arc-model v4"
-        if worstcase:
-            doc["config"]["tree_source"]["light"] = {"rho": 0.05}
-        v4 = tmp_path / "v4.json"
-        v4.write_text(json.dumps(doc))
-        loaded = load_model(v4, data)
-        rng = Seed(163).generator()
-        for q in list(pts.points[:3]) + [rng.uniform(-2, 3, size=pts.dim) for _ in range(30)]:
-            a, b = count(idx, q, verify=True), count(loaded, q, verify=True)
-            assert a.weight.hex() == b.weight.hex()
-            assert (a.visited_nodes, a.verdict_counts, a.member_ranges) == (
-                b.visited_nodes, b.verdict_counts, b.member_ranges
-            )
+        assert doc["format"] == "arc-model v6"
+        for fmt in ("arc-model v4", "arc-model v5"):
+            old = copy.deepcopy(doc)
+            del old["points"], old["points_digest"]
+            old["format"] = fmt
+            if worstcase and fmt == "arc-model v4":
+                old["config"]["tree_source"]["light"] = {"rho": 0.05}
+            f = tmp_path / "old.json"
+            f.write_text(json.dumps(old))
+            with pytest.raises(FileFormatError, match=rf"{fmt}.*rebuild it from the data with `arccount build`"):
+                load_model(f, data)
+
+    def test_load_does_not_read_the_data_file_points(self, tmp_path, monkeypatch):
+        pts, idx, data, model = self.build_and_save(tmp_path)
+
+        def refuse(path):
+            raise AssertionError(f"read_points({path}) during load")
+
+        monkeypatch.setattr(arccount.io, "read_points", refuse)
+        loaded = load_model(model, data)
+        assert loaded.source_points.points.tobytes() == pts.points.tobytes()
+
+    def test_save_refuses_a_data_file_one_ulp_off(self, tmp_path):
+        pts, idx, data, model = self.build_and_save(tmp_path)
+        points = pts.points.copy()
+        points[7, 1] = np.nextafter(points[7, 1], np.inf)
+        write_points(data, WeightedPointSet(points, pts.weights))
+        other = tmp_path / "other.json"
+        with pytest.raises(ContractViolation, match=r"bit for bit"):
+            save_model(other, idx, data)
+        assert not other.exists()
+
+    def test_save_refuses_a_data_file_of_another_shape(self, tmp_path):
+        # 30 rows of 3 coordinates and a weight hold as many values as 20 of 5
+        pts, idx, data, model = self.build_and_save(tmp_path)
+        rows = np.hstack([pts.points, pts.weights[:, None]]).reshape(20, 6)
+        write_points(data, WeightedPointSet(rows[:, :5], rows[:, 5]))
+        with pytest.raises(ContractViolation, match=r"bit for bit"):
+            save_model(tmp_path / "other.json", idx, data)
 
     def test_digest_mismatch_refused(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)
@@ -223,3 +253,37 @@ class TestModels:
         model.write_text("definitely not json {")
         with pytest.raises(FileFormatError, match=r"model"):
             load_model(model, data)
+
+
+# coordinates and weights at the edges of float64: signed zeros, the
+# smallest subnormals, a subnormal in the middle of the range, and the
+# largest magnitudes whose squares overflow
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -1.5e-310, 1e308, -1e308]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def point_sets(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 64))
+    values = draw(st.lists(VALUES, min_size=n * (d + 1), max_size=n * (d + 1)))
+    rows = np.array(values, dtype=np.float64).reshape(n, d + 1)
+    return WeightedPointSet(rows[:, :d].copy(), rows[:, d].copy()), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.booleans())
+def test_model_round_trip_is_bit_exact(built, binary):
+    pts, order = built
+    cfg = BuildConfig(eps=0.5, seed=Seed(165), tree_source=WorstCaseSource())
+    idx = build_counting_index(pts, cfg, order_override=np.array(order))
+    with tempfile.TemporaryDirectory() as tmp:
+        data, model = Path(tmp) / "data", Path(tmp) / "model.json"
+        write_points(data, pts, binary=binary)
+        save_model(model, idx, data)
+        loaded = load_model(model, data)
+    for name in ("points", "weights"):
+        a, b = getattr(pts, name), getattr(loaded.source_points, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for name in ("path_points", "path_weights", "half_sq_norms"):
+        assert getattr(idx, name).tobytes() == getattr(loaded, name).tobytes()
+    assert loaded.tree.order.tolist() == list(order) and loaded.max_norm == idx.max_norm

@@ -15,6 +15,8 @@ from arccount.oracle import (
     exact_sigma,
     exact_tq,
     exact_visiting_oracle,
+    exact_zones,
+    point_rows,
 )
 
 
@@ -66,6 +68,20 @@ class TestSigmaAndAmbiguity:
         inner = len(exact_range_indices(pts, q, params.radius))
         outer = len(exact_range_indices(pts, q, params.outer_radius))
         assert inner + exact_tq(q, pts, params) == outer
+
+    def test_zones_equal_the_separate_scans(self):
+        # boundary points at exactly r and (1+eps) r included
+        rng = np.random.default_rng(52)
+        points = np.vstack([rng.uniform(-2, 2, size=(60, 3)), [[1.0, 0.0, 0.0], [0.0, -1.5, 0.0]]])
+        pts = WeightedPointSet(points, np.ones(len(points)))
+        params = EpsParams(eps=0.5)
+        rows = point_rows(pts)
+        for q in [np.zeros(3), *rng.uniform(-2, 2, size=(20, 3))]:
+            assert exact_zones(rows, q, params) == (
+                exact_range_indices(pts, q, params.radius),
+                exact_range_indices(pts, q, params.outer_radius),
+                exact_tq(q, pts, params),
+            )
 
     def test_single_stabbed_edge(self):
         pts = WeightedPointSet(np.array([[0.5, 0.0], [1.7, 0.0], [0.6, 0.0]]), np.ones(3))

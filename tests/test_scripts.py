@@ -51,6 +51,8 @@ def test_build_cost_prints_one_line_per_n(workload):
         assert len(row["leaf_order_sha256"]) == 64
         assert ("universe_size" in row) == (workload == "worstcase-d2")
         assert row.get("universe_size", 1) > 0
+        # the model carries the n rows of d coordinates and a weight, base64
+        assert row["model_bytes"] > row["n"] * (row["d"] + 1) * 8 * 4 / 3 and row["load_ms"] > 0
 
 
 def test_query_layers_prints_one_line_per_workload_and_seed():
