@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from arccount.core import EpsParams, GridSpec, Seed, WeightedPointSet
-from arccount.counter import BuildConfig, WorstCaseSource, build_counting_index, count
+from arccount.counter import BuildConfig, StoredOrder, build_counting_index, count
 from arccount.oracle import exact_range_weight, exact_sigma, exact_tq
 from arccount.ptree import tree_to_path, visiting_number
 from arccount.spantree import LightEdgeParams, build_low_stab_tree, generate_grid_queries
@@ -71,8 +71,8 @@ def main() -> None:
         assert exact_sigma(q, tree.edges, pts, working) == universe.stab_exponents[j]
         print(f"  heavy query {np.round(q, 3).tolist()}: stabs {universe.stab_exponents[j]} edges")
 
-    cfg = BuildConfig(eps=args.eps, seed=Seed(args.seed), tree_source=WorstCaseSource())
-    idx = build_counting_index(pts, cfg, order_override=tree_to_path(tree, pts).order)
+    order = StoredOrder(tree_to_path(tree, pts), kind="worstcase")
+    idx = build_counting_index(pts, BuildConfig(eps=args.eps, seed=Seed(args.seed), tree_source=order))
     print(f"partition tree: depth {idx.tree.depth}, {args.n - 1} internal nodes")
 
     lo = pts.points.min(axis=0) - 1.0

@@ -20,6 +20,7 @@ from .counter import (
     CountAnswer,
     CountingIndex,
     LearnedSource,
+    StoredOrder,
     WorstCaseSource,
     build_counting_index,
     count,
@@ -39,6 +40,7 @@ __all__ = [
     "QuerySample",
     "Seed",
     "SpanningTree",
+    "StoredOrder",
     "WeightedPointSet",
     "WorstCaseSource",
     "build_counting_index",

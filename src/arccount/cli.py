@@ -58,6 +58,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ContractViolation(
             f"need a finite --scale and --cluster-sigma >= 0, got {args.scale} and {args.cluster_sigma}"
         )
+    if args.random_weights and args.kind == "grid":
+        raise ContractViolation("gen --kind grid writes unit weights and does not read --random-weights")
     if args.kind == "uniform":
         points = rng.uniform(0.0, args.scale, size=(n, d))
     elif args.kind == "clusters":
@@ -68,10 +70,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         side = math.ceil(n ** (1.0 / d))
         mesh = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1)
         points = mesh.reshape(-1, d)[:n].astype(np.float64) * args.spacing
-    if args.random_weights and args.kind != "grid":
-        weights = rng.uniform(0.1, 2.0, size=n)
-    else:
-        weights = np.ones(n)
+    weights = rng.uniform(0.1, 2.0, size=n) if args.random_weights else np.ones(n)
     write_points(args.out, WeightedPointSet(points, weights), binary=args.binary)
     return 0
 
@@ -97,9 +96,24 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    learned = args.mode == "learned"
+    sampled = learned and args.queries is None
+    unread = [
+        flag
+        for flag, value, read in [
+            ("--queries", args.queries, learned),
+            ("--m-queries", args.m_queries, sampled),
+            ("--sigma", args.sigma, sampled),
+            ("--query-grid-side", args.query_grid_side, not learned),
+        ]
+        if value is not None and not read
+    ]
+    if unread:
+        mode = f"--mode {args.mode}" + (" --queries" if learned and not sampled else "")
+        raise ContractViolation(f"build {mode} does not read {', '.join(unread)}")
     pts = read_points(args.data)
     seed = Seed(args.seed)
-    if args.mode == "worstcase":
+    if not learned:
         source: WorstCaseSource | LearnedSource = WorstCaseSource(grid_side=args.query_grid_side)
     else:
         if args.queries is not None:
@@ -109,7 +123,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
             if m is None:
                 # the size formula needs n >= 2; a one-point file still builds
                 m = min(default_sample_size(max(2, len(pts)), pts.dim, 0.1), _AUTO_SAMPLE_CAP)
-            sample = near_data_queries(pts, m, args.sigma, seed.derive(17))
+            sigma = 0.5 if args.sigma is None else args.sigma
+            sample = near_data_queries(pts, m, sigma, seed.derive(17))
         source = LearnedSource(sample=sample)
     cfg = BuildConfig(eps=args.eps, radius=args.radius, seed=seed, tree_source=source)
     idx = build_counting_index(pts, cfg)
@@ -148,12 +163,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         times.append((time.perf_counter() - t1) * 1e6)
     report = evaluate_visiting(idx, holdout)
 
-    source = idx.config.tree_source
     doc = {
         "n": len(pts),
         "d": pts.dim,
         "eps": idx.config.eps,
-        "tree_source": "worstcase" if isinstance(source, WorstCaseSource) else "learned",
+        "tree_source": idx.config.tree_source.kind,
         "mean_visiting": report.mean_visiting,
         "mean_tq": report.mean_tq,
         "sandwich_pass_rate": report.sandwich_pass_rate,
@@ -222,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--radius", type=float, default=1.0)
     b.add_argument("--mode", choices=["worstcase", "learned"], required=True)
     b.add_argument("--queries", help="training queries for learned mode")
-    b.add_argument("--m-queries", type=int, help="auto-sample size for learned mode")
-    b.add_argument("--sigma", type=float, default=0.5, help="noise for auto-sampled queries")
+    b.add_argument("--m-queries", type=int, help="auto-sample size for learned mode without --queries")
+    b.add_argument("--sigma", type=float, help="noise for auto-sampled queries (default 0.5)")
     b.add_argument("--query-grid-side", type=float, help="query universe grid side, worstcase mode")
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--out-model", required=True)

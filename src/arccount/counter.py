@@ -1,7 +1,9 @@
 """End-to-end approximate range counting index.
 
-Build pipeline: build a spanning tree (worst-case grid machinery or learned
-from a query sample), linearize it, and erect the balanced partition tree.
+Build pipeline: find a leaf order and erect the balanced partition tree
+over it.  The paper's tree sources build a spanning tree (worst-case grid
+machinery, or learned from a query sample) and linearize it; a
+``StoredOrder``, such as a loaded model's, gives an order fitted earlier.
 The index works on the points and queries exactly as given.  All internal
 structures run at the halved error ``eps/2``, so every answer lands inside
 the full ``eps`` sandwich.
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -82,6 +84,7 @@ class WorstCaseSource:
     of the error, ``LightEdgeParams.for_eps`` of the working error ``eps/2``.
     """
 
+    kind: ClassVar[str] = "worstcase"
     grid_side: float | None = None
 
     def __post_init__(self) -> None:
@@ -93,10 +96,23 @@ class WorstCaseSource:
 class LearnedSource:
     """Tree source that fits edge costs to a training query sample."""
 
+    kind: ClassVar[str] = "learned"
     sample: QuerySample
 
 
-TreeSource = Union[WorstCaseSource, LearnedSource]
+@dataclass(frozen=True, eq=False)
+class StoredOrder:
+    """A leaf order fitted earlier by the tree source named ``kind``, such as a loaded model's."""
+
+    path: SpanningPath
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in (WorstCaseSource.kind, LearnedSource.kind):
+            raise ContractViolation(f"unknown tree source {self.kind!r}")
+
+
+TreeSource = Union[WorstCaseSource, LearnedSource, StoredOrder]
 
 
 @dataclass(frozen=True)
@@ -154,8 +170,7 @@ class CountingIndex:
     half_sq_norms: np.ndarray  # half the squared norms of path_points, by einsum
     max_norm: float  # the largest norm of path_points, from half_sq_norms
     source_points: WeightedPointSet
-    spanning_tree: SpanningTree | None = None
-    reassembled: bool = False  # leaf order adopted from ``order_override``
+    spanning_tree: SpanningTree | None = None  # built by the paper's sources for n >= 2
 
     def transform_query(self, q: np.ndarray) -> np.ndarray:
         """The query as a finite float64 vector of the data's dimension."""
@@ -167,30 +182,14 @@ class CountingIndex:
         return qw
 
 
-def build_counting_index(
-    pts: WeightedPointSet,
-    cfg: BuildConfig,
-    order_override: np.ndarray | None = None,
-) -> CountingIndex:
-    """Build the full index.
+def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingIndex:
+    """Build the full index over the leaf order of ``cfg.tree_source``.
 
-    ``order_override`` skips tree construction and adopts the given leaf
-    order; model loading uses it to reassemble an index bit-identically.
+    A ``StoredOrder`` skips tree construction, so an index over a saved
+    order answers bit-identically to the one that fitted it.
     """
-    n = len(pts)
     working = EpsParams(cfg.eps / 2.0, cfg.radius)
-
-    spanning: SpanningTree | None = None
-    if order_override is not None:
-        path = SpanningPath(np.asarray(order_override, dtype=np.int64))
-        if len(path) != n:
-            raise ContractViolation("stored leaf order does not match the point count")
-    elif n == 1:
-        path = SpanningPath(np.zeros(1, dtype=np.int64))
-    else:
-        spanning = _build_spanning_tree(pts, working, cfg)
-        path = tree_to_path(spanning, pts)
-
+    path, spanning = _leaf_order(pts, working, cfg)
     tree = path_to_partition_tree(path, pts)
     path_points = pts.points[tree.order]
     half_sq_norms = 0.5 * np.einsum("ij,ij->i", path_points, path_points)
@@ -205,23 +204,30 @@ def build_counting_index(
         max_norm=math.sqrt(2.0 * half_sq_norms.max()),
         source_points=pts,
         spanning_tree=spanning,
-        reassembled=order_override is not None,
     )
 
 
-def _build_spanning_tree(pts: WeightedPointSet, working: EpsParams, cfg: BuildConfig) -> SpanningTree:
+def _leaf_order(
+    pts: WeightedPointSet, working: EpsParams, cfg: BuildConfig
+) -> tuple[SpanningPath, SpanningTree | None]:
+    """The leaf order of ``cfg.tree_source``, and the spanning tree it linearizes, if one was built."""
     source = cfg.tree_source
+    if isinstance(source, StoredOrder):
+        return source.path, None
+    if isinstance(source, LearnedSource) and source.sample.queries.shape[1] != pts.dim:
+        raise ContractViolation("training sample dimension does not match the data")
+    if len(pts) == 1:
+        return SpanningPath(np.zeros(1, dtype=np.int64)), None
     if isinstance(source, WorstCaseSource):
         side = source.grid_side or working.eps * working.radius / math.sqrt(pts.dim)
         queries = generate_grid_queries(pts, working, GridSpec(side))
         lp = LightEdgeParams.for_eps(working.eps)
-        return build_low_stab_tree(pts, queries, working, lp, cfg.seed.derive(_SEED_TREE))
-    if isinstance(source, LearnedSource):
-        if source.sample.queries.shape[1] != pts.dim:
-            raise ContractViolation("training sample dimension does not match the data")
-        counts = pair_stab_counts(pts, source.sample, working)
-        return learned_spanning_tree(counts, len(pts))
-    raise ContractViolation(f"unknown tree source {type(source).__name__}")
+        spanning = build_low_stab_tree(pts, queries, working, lp, cfg.seed.derive(_SEED_TREE))
+    elif isinstance(source, LearnedSource):
+        spanning = learned_spanning_tree(pair_stab_counts(pts, source.sample, working), len(pts))
+    else:
+        raise ContractViolation(f"unknown tree source {type(source).__name__}")
+    return tree_to_path(spanning, pts), spanning
 
 
 def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
@@ -365,7 +371,7 @@ class EvalReport:
     mean_tq: float
     sandwich_pass_rate: float
     per_query: list[dict] = field(default_factory=list)
-    # None when the index adopted a stored leaf order (a loaded model)
+    # None for a learned order stored without its sample (a loaded model)
     holdout_overlaps_training: bool | None = False
 
 
@@ -379,9 +385,9 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     and the answer set in the outer ball.  If the index was trained on
     queries and any holdout row coincides with a training row, the report
     flags the overlap (the caller is responsible for keeping holdouts
-    fresh).  An index reassembled from a stored leaf order, such as a
-    loaded model, does not hold the sample its order was fitted to and
-    reports the overlap as None.
+    fresh).  A ``StoredOrder`` of kind ``"learned"``, such as a loaded
+    model's, does not hold the sample its order was fitted to and reports
+    the overlap as None.
 
     The visiting number is the walk's own ``visited_nodes``: it is taken at
     the working error, where the walk runs.  The sandwich check and ``t_q``
@@ -391,11 +397,11 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     params = EpsParams(idx.config.eps, idx.config.radius)
     source = idx.config.tree_source
     overlaps: bool | None = False
-    if isinstance(source, LearnedSource) and idx.reassembled:
-        overlaps = None
-    elif isinstance(source, LearnedSource):
+    if isinstance(source, LearnedSource):
         train_rows = {row.tobytes() for row in source.sample.queries}
         overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
+    elif source.kind == LearnedSource.kind:
+        overlaps = None
 
     pts_rows = point_rows(pts)
     rows: list[dict] = []

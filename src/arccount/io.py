@@ -11,15 +11,18 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 each row.
 
 Models are JSON (format ``arc-model v6``): build configuration, seed, the
-leaf order of the partition tree, a digest of the data file, and the
-points themselves: the ``n`` rows of ``d`` coordinates and one weight as
-little-endian float64, base64 encoded, beside ``points_digest``, the
-sha256 of those raw bytes.  A model is about 4/3 of the binary points
-file, plus the leaf order and the configuration: 106 KB at n = 1024,
-d = 8.  Loading checks the data file's digest, decodes the rows without
-parsing the data file, checks their length and digest, and rebuilds only
-the partition tree over the stored leaf order, so the loaded index
-answers bit-identically to the saved one.  ``save_model`` refuses a data
+kind of tree source that fitted the leaf order, that order, a digest of
+the data file, and the points themselves: the ``n`` rows of ``d``
+coordinates and one weight as little-endian float64, base64 encoded,
+beside ``points_digest``, the sha256 of those raw bytes.  A model is
+about 4/3 of the binary points file, plus the leaf order and the
+configuration: 106 KB at n = 1024, d = 8.  Loading checks the data
+file's digest, decodes the rows without parsing the data file, checks
+their length and digest, and rebuilds only the partition tree over the
+stored leaf order, a ``StoredOrder`` tree source, so the loaded index
+answers bit-identically to the saved one.  The tree source's
+``grid_side`` and ``sample_source``, which earlier writers stored, are
+not read: the order fixes every answer.  ``save_model`` refuses a data
 file that does not hold the index's points and weights bit for bit.
 There is one reader: every other format, ``v1``-``v5`` included, is
 refused, to be rebuilt from the data with ``arccount build``.
@@ -38,8 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import ContractViolation, Seed, WeightedPointSet
-from .counter import BuildConfig, CountingIndex, LearnedSource, WorstCaseSource, build_counting_index
+from .counter import BuildConfig, CountingIndex, StoredOrder, build_counting_index
 from .learned import QuerySample
+from .ptree import SpanningPath
 
 _TEXT_HEADER = "arc-points v1"
 _BINARY_MAGIC = b"ARC1"
@@ -187,12 +191,6 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
             "save the model against the data the index was built from"
         )
     cfg = idx.config
-    source = cfg.tree_source
-    if isinstance(source, WorstCaseSource):
-        src_json: dict = {"kind": "worstcase", "grid_side": source.grid_side}
-    else:
-        assert isinstance(source, LearnedSource)
-        src_json = {"kind": "learned", "sample_source": source.sample.source}
     doc = {
         "format": _MODEL_FORMAT,
         "n": len(pts),
@@ -204,7 +202,7 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
             "radius": cfg.radius,
             "seed": cfg.seed.value,
             "seed_path": list(cfg.seed.path),
-            "tree_source": src_json,
+            "tree_source": {"kind": cfg.tree_source.kind},
         },
         "points_digest": "sha256:" + hashlib.sha256(rows).hexdigest(),
         "points": base64.b64encode(rows).decode("ascii"),
@@ -255,27 +253,16 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     if not all(type(k) is int and k >= 0 for k in seed_path):
         raise FileFormatError(f"{path}: model field 'seed_path' must hold nonnegative integers")
     # a field of the right type can still hold a value out of range, such as
-    # eps 5 or a grid side of 0; the configuration refuses it, and so does
-    # the leaf order's permutation check: the model file is malformed
+    # eps 5 or an unknown tree source; the configuration refuses it, and so
+    # does the leaf order's permutation check: the model file is malformed
     try:
-        if kind == "worstcase":
-            source: WorstCaseSource | LearnedSource = WorstCaseSource(
-                grid_side=_field(src, "grid_side", _NUMBER + (type(None),), path)
-            )
-        elif kind == "learned":
-            # the sample is not stored, nor needed to reassemble: the leaf order is;
-            # this placeholder carries only the sample's description
-            description = _field(src, "sample_source", (str,), path)
-            source = LearnedSource(sample=QuerySample(np.zeros((1, pts.dim)), source=description))
-        else:
-            raise FileFormatError(f"{path}: unknown tree source {kind!r}")
         cfg = BuildConfig(
             eps=_field(c, "eps", _NUMBER, path),
             radius=_field(c, "radius", _NUMBER, path),
             seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
-            tree_source=source,
+            tree_source=StoredOrder(SpanningPath(order), kind),
         )
-        return build_counting_index(pts, cfg, order_override=order)
+        return build_counting_index(pts, cfg)
     except ContractViolation as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

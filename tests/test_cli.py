@@ -311,9 +311,7 @@ MALFORMED_MODELS = {
     # right type, value out of range
     "eps-5": lambda doc: doc["config"].update(eps=5),
     "radius-negative": lambda doc: doc["config"].update(radius=-1),
-    "source-grid-side-0": lambda doc: doc["config"].update(
-        tree_source={"kind": "worstcase", "grid_side": 0.0}
-    ),
+    "source-kind-unknown": lambda doc: doc["config"].update(tree_source={"kind": "split"}),
 }
 
 
@@ -355,6 +353,15 @@ BAD_OPTION_VALUES = {
     "gen-queries-margin-inf": "gen-queries --kind uniform --data {data} --margin inf --out {tmp}/q.txt",
     "build-m-queries-0": BUILD + " --mode learned --m-queries 0 --out-model {tmp}/m.json",
     "build-query-grid-side-0": BUILD + " --mode worstcase --query-grid-side 0 --out-model {tmp}/m.json",
+    # options the mode does not read
+    "gen-grid-random-weights": "gen --kind grid --n 8 --d 2 --seed 1 --random-weights --out {tmp}/x.txt",
+    "build-worstcase-queries": BUILD + " --mode worstcase --queries {tmp}/nonexistent.txt --out-model {tmp}/m.json",
+    "build-worstcase-m-queries": BUILD + " --mode worstcase --m-queries 50 --out-model {tmp}/m.json",
+    "build-worstcase-sigma": BUILD + " --mode worstcase --sigma 0.5 --out-model {tmp}/m.json",
+    "build-learned-query-grid-side": BUILD + " --mode learned --query-grid-side 1e-9 --out-model {tmp}/m.json",
+    "build-queries-m-queries-sigma": BUILD
+    + " --mode learned --queries {data} --m-queries 100000 --sigma -3 --out-model {tmp}/m.json",
+    "build-queries-sigma": BUILD + " --mode learned --queries {data} --sigma 0.5 --out-model {tmp}/m.json",
 }
 # options that no longer exist: query snapping answered outside the sandwich,
 # and the light-edge exponent rho is fixed by eps

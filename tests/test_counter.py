@@ -21,6 +21,7 @@ from arccount.counter import (
     CountAnswer,
     CountingIndex,
     LearnedSource,
+    StoredOrder,
     WorstCaseSource,
     build_counting_index,
     count,
@@ -30,7 +31,7 @@ from arccount.counter import (
 from arccount.io import load_model, save_model, write_points
 from arccount.learned import QuerySample, near_data_queries
 from arccount.oracle import exact_range_indices
-from arccount.ptree import split, visiting_number
+from arccount.ptree import SpanningPath, split, visiting_number
 from arccount.stabber import Verdict, build_classifier, classify
 
 
@@ -407,11 +408,11 @@ def index_over(
     order: np.ndarray | None = None,
 ) -> CountingIndex:
     """An index over ``points`` in ``order`` (their given order by default), with no tree source run."""
-    n, d = points.shape
-    sample = QuerySample(np.zeros((1, d)), source="unused")
-    cfg = BuildConfig(eps=eps, seed=Seed(0), tree_source=LearnedSource(sample), radius=radius)
+    n = len(points)
+    path = SpanningPath(np.arange(n) if order is None else order)
+    cfg = BuildConfig(eps=eps, seed=Seed(0), tree_source=StoredOrder(path, "learned"), radius=radius)
     pts = WeightedPointSet(points, np.ones(n) if weights is None else weights)
-    return build_counting_index(pts, cfg, order_override=np.arange(n) if order is None else order)
+    return build_counting_index(pts, cfg)
 
 
 def on_the_radii(q: np.ndarray, working: EpsParams, rng: np.random.Generator) -> np.ndarray:
@@ -707,6 +708,14 @@ class TestQueryTransforms:
         with pytest.raises(ContractViolation):
             build_counting_index(pts, learned_config(sample=sample, seed=141))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_training_sample_dimension_checked_before_the_one_point_order(self, n):
+        # one point fits no tree, but a 3-d sample over 2-d data is still refused
+        pts = WeightedPointSet(np.arange(2.0 * n).reshape(n, 2), np.ones(n))
+        sample = QuerySample(np.zeros((4, 3)), source="bad-dim")
+        with pytest.raises(ContractViolation, match="training sample dimension"):
+            build_counting_index(pts, learned_config(sample=sample, seed=141))
+
 
 class TestEdgeCases:
     def test_single_point_index(self):
@@ -721,9 +730,9 @@ class TestEdgeCases:
         with pytest.raises(ContractViolation):
             BuildConfig(eps=0.0, seed=Seed(0), tree_source=LearnedSource(sample))
 
-    def test_order_override_must_match_size(self):
+    def test_stored_order_must_match_size(self):
         pts = WeightedPointSet(np.zeros((3, 2)), np.ones(3))
-        sample = QuerySample(np.zeros((1, 2)), source="t")
-        cfg = learned_config(sample=sample, seed=143)
+        order = StoredOrder(SpanningPath(np.array([0, 1])), "learned")
+        cfg = BuildConfig(eps=0.5, seed=Seed(143), tree_source=order)
         with pytest.raises(ContractViolation):
-            build_counting_index(pts, cfg, order_override=np.array([0, 1]))
+            build_counting_index(pts, cfg)

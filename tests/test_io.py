@@ -18,6 +18,7 @@ from arccount.core import ContractViolation, Seed, WeightedPointSet
 from arccount.counter import (
     BuildConfig,
     LearnedSource,
+    StoredOrder,
     WorstCaseSource,
     build_counting_index,
     count,
@@ -33,6 +34,7 @@ from arccount.io import (
     write_query_sample,
 )
 from arccount.learned import QuerySample, near_data_queries
+from arccount.ptree import SpanningPath
 
 
 def random_points(n: int, d: int, seed: int) -> WeightedPointSet:
@@ -206,6 +208,38 @@ class TestModels:
             with pytest.raises(FileFormatError, match=rf"{fmt}.*rebuild it from the data with `arccount build`"):
                 load_model(f, data)
 
+    # the tree source as earlier writers of arc-model v6 stored it: its grid
+    # side, 0.0 included, and the sample's description are not read
+    @pytest.mark.parametrize(
+        "worstcase, tree_source",
+        [
+            (True, {"kind": "worstcase", "grid_side": None}),
+            (True, {"kind": "worstcase", "grid_side": 0.0}),
+            (False, {"kind": "learned", "sample_source": "near-data:m=120,sigma=0.5"}),
+        ],
+        ids=["worstcase-grid-side-none", "worstcase-grid-side-0", "learned-sample-source"],
+    )
+    def test_earlier_tree_source_fields_load_bit_identically(self, tmp_path, worstcase, tree_source):
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        doc = json.loads(model.read_text())
+        assert doc["config"]["tree_source"] == {"kind": tree_source["kind"]}
+        doc["config"]["tree_source"] = tree_source
+        model.write_text(json.dumps(doc, indent=1) + "\n")
+        loaded = load_model(model, data)
+        assert loaded.config.tree_source.kind == tree_source["kind"]
+        rng = Seed(166).generator()
+        for q in np.vstack([pts.points[:3], rng.uniform(-2, 3, size=(30, pts.dim))]):
+            a, b = count(idx, q, verify=True), count(loaded, q, verify=True)
+            assert a.weight.hex() == b.weight.hex() and a.member_ranges == b.member_ranges
+            assert (a.visited_nodes, a.verdict_counts) == (b.visited_nodes, b.verdict_counts)
+
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path, worstcase):
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        again = tmp_path / "again.json"
+        save_model(again, load_model(model, data), data)
+        assert again.read_bytes() == model.read_bytes()
+
     def test_load_does_not_read_the_data_file_points(self, tmp_path, monkeypatch):
         pts, idx, data, model = self.build_and_save(tmp_path)
 
@@ -274,8 +308,9 @@ def point_sets(draw):
 @given(point_sets(), st.booleans())
 def test_model_round_trip_is_bit_exact(built, binary):
     pts, order = built
-    cfg = BuildConfig(eps=0.5, seed=Seed(165), tree_source=WorstCaseSource())
-    idx = build_counting_index(pts, cfg, order_override=np.array(order))
+    stored = StoredOrder(SpanningPath(np.array(order)), "worstcase")
+    cfg = BuildConfig(eps=0.5, seed=Seed(165), tree_source=stored)
+    idx = build_counting_index(pts, cfg)
     with tempfile.TemporaryDirectory() as tmp:
         data, model = Path(tmp) / "data", Path(tmp) / "model.json"
         write_points(data, pts, binary=binary)

@@ -12,6 +12,7 @@ from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
 from arccount.counter import (
     BuildConfig,
     LearnedSource,
+    StoredOrder,
     WorstCaseSource,
     build_counting_index,
     count,
@@ -28,6 +29,7 @@ from arccount.learned import (
     uniform_queries,
 )
 from arccount.oracle import enumerate_spanning_trees
+from arccount.ptree import SpanningPath
 from arccount.spantree import Edge
 
 PARAMS = EpsParams(eps=0.5)
@@ -443,12 +445,12 @@ class TestBracketReport:
         assert report["train_mean_stabbing"] == report["holdout_mean_stabbing"] == 0.0
 
 class TestHoldoutOverlap:
-    def built(self, order_override=None, n=20):
+    def built(self, stored=None, n=20):
         rng = Seed(136).generator()
         pts = WeightedPointSet(rng.uniform(0, 3, size=(n, 2)), rng.uniform(0.1, 2.0, size=n))
         sample = near_data_queries(pts, 60, sigma=0.5, seed=Seed(137))
-        cfg = BuildConfig(eps=0.5, seed=Seed(138), tree_source=LearnedSource(sample))
-        return pts, sample, build_counting_index(pts, cfg, order_override=order_override)
+        cfg = BuildConfig(eps=0.5, seed=Seed(138), tree_source=stored or LearnedSource(sample))
+        return pts, sample, build_counting_index(pts, cfg)
 
     @pytest.mark.parametrize("n", [1, 20])
     def test_flags_training_rows_of_a_built_index(self, n):
@@ -459,13 +461,15 @@ class TestHoldoutOverlap:
         assert evaluate_visiting(idx, fresh).holdout_overlaps_training is False
         assert evaluate_visiting(idx, mixed).holdout_overlaps_training is True
 
-    def test_unknown_for_a_reassembled_index(self):
-        # reassembled from a leaf order, as a loaded model is: the index
-        # cannot tell which sample the order was fitted to
+    def test_unknown_for_a_stored_learned_order(self):
+        # a stored leaf order, as a loaded model's is: the index cannot tell
+        # which sample a learned order was fitted to, and a worst-case order
+        # was fitted to none
         pts, sample, fitted = self.built()
-        _, _, idx = self.built(order_override=fitted.tree.order)
         holdout = QuerySample(sample.queries[:5], source="t")
-        assert evaluate_visiting(idx, holdout).holdout_overlaps_training is None
+        for kind, overlaps in [("learned", None), ("worstcase", False)]:
+            _, _, idx = self.built(stored=StoredOrder(SpanningPath(fitted.tree.order), kind))
+            assert evaluate_visiting(idx, holdout).holdout_overlaps_training is overlaps
 
     def test_worst_case_tree_has_no_training_rows(self):
         pts, sample, _ = self.built()
