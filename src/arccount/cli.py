@@ -49,48 +49,81 @@ def _parse_point(text: str) -> np.ndarray:
     return np.asarray(vals)
 
 
+def _refuse_unread(command: str, options: list[tuple[str, object, bool]]) -> None:
+    """Refuse each (flag, value, read) option that was set (not None) but that ``command`` does not read."""
+    unread = [flag for flag, value, read in options if value is not None and not read]
+    if unread:
+        raise ContractViolation(f"{command} does not read {', '.join(unread)}")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    rng = Seed(args.seed).generator()
+    kind = args.kind
+    _refuse_unread(
+        f"gen --kind {kind}",
+        [
+            ("--scale", args.scale, kind != "grid"),
+            ("--k-clusters", args.k_clusters, kind == "clusters"),
+            ("--cluster-sigma", args.cluster_sigma, kind == "clusters"),
+            ("--spacing", args.spacing, kind == "grid"),
+            ("--random-weights", args.random_weights, kind != "grid"),
+        ],
+    )
     n, d = args.n, args.d
-    if n < 1 or d < 1 or args.k_clusters < 1:
-        raise ContractViolation(f"need n, d and k-clusters >= 1, got {n}, {d} and {args.k_clusters}")
-    if not (math.isfinite(args.scale) and args.cluster_sigma >= 0.0):
-        raise ContractViolation(
-            f"need a finite --scale and --cluster-sigma >= 0, got {args.scale} and {args.cluster_sigma}"
-        )
-    if args.random_weights and args.kind == "grid":
-        raise ContractViolation("gen --kind grid writes unit weights and does not read --random-weights")
-    if args.kind == "uniform":
-        points = rng.uniform(0.0, args.scale, size=(n, d))
-    elif args.kind == "clusters":
-        centers = rng.uniform(0.0, args.scale, size=(args.k_clusters, d))
-        who = rng.integers(0, args.k_clusters, size=n)
-        points = centers[who] + rng.normal(0.0, args.cluster_sigma, size=(n, d))
+    if n < 1 or d < 1:
+        raise ContractViolation(f"need n and d >= 1, got {n} and {d}")
+    scale = 4.0 if args.scale is None else args.scale
+    k = 4 if args.k_clusters is None else args.k_clusters
+    sigma = 0.4 if args.cluster_sigma is None else args.cluster_sigma
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ContractViolation(f"need a finite --scale >= 0, got {scale}")
+    if k < 1 or not sigma >= 0.0:
+        raise ContractViolation(f"need --k-clusters >= 1 and --cluster-sigma >= 0, got {k} and {sigma}")
+    rng = Seed(args.seed).generator()
+    if kind == "uniform":
+        points = rng.uniform(0.0, scale, size=(n, d))
+    elif kind == "clusters":
+        centers = rng.uniform(0.0, scale, size=(k, d))
+        who = rng.integers(0, k, size=n)
+        points = centers[who] + rng.normal(0.0, sigma, size=(n, d))
     else:  # grid
+        spacing = 1.0 if args.spacing is None else args.spacing
         side = math.ceil(n ** (1.0 / d))
         mesh = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1)
-        points = mesh.reshape(-1, d)[:n].astype(np.float64) * args.spacing
+        points = mesh.reshape(-1, d)[:n].astype(np.float64) * spacing
     weights = rng.uniform(0.1, 2.0, size=n) if args.random_weights else np.ones(n)
     write_points(args.out, WeightedPointSet(points, weights), binary=args.binary)
     return 0
 
 
 def _cmd_gen_queries(args: argparse.Namespace) -> int:
-    seed = Seed(args.seed)
+    kind = args.kind
+    sampled = kind != "file"
+    _refuse_unread(
+        f"gen-queries --kind {kind}",
+        [
+            ("--m", args.m, sampled),
+            ("--seed", args.seed, sampled),
+            ("--sigma", args.sigma, kind == "near-data"),
+            ("--margin", args.margin, kind == "uniform"),
+        ],
+    )
     if args.data is None:
-        raise ContractViolation(f"gen-queries --kind {args.kind} needs --data")
-    if args.kind == "file":
+        raise ContractViolation(f"gen-queries --kind {kind} needs --data")
+    m = 256 if args.m is None else args.m
+    seed = Seed(0 if args.seed is None else args.seed)
+    if kind == "file":
         sample = read_query_sample(args.data)
-    elif args.kind == "uniform":
-        if not math.isfinite(args.margin):
-            raise ContractViolation(f"--margin must be finite, got {args.margin}")
+    elif kind == "uniform":
+        margin = 1.5 if args.margin is None else args.margin
+        if not math.isfinite(margin):
+            raise ContractViolation(f"--margin must be finite, got {margin}")
         pts = read_points(args.data)
-        lo = pts.points.min(axis=0) - args.margin
-        hi = pts.points.max(axis=0) + args.margin
-        sample = uniform_queries(args.m, lo, hi, seed)
+        lo = pts.points.min(axis=0) - margin
+        hi = pts.points.max(axis=0) + margin
+        sample = uniform_queries(m, lo, hi, seed)
     else:  # near-data
         pts = read_points(args.data)
-        sample = near_data_queries(pts, args.m, args.sigma, seed)
+        sample = near_data_queries(pts, m, 0.5 if args.sigma is None else args.sigma, seed)
     write_query_sample(args.out, sample, binary=args.binary)
     return 0
 
@@ -98,19 +131,16 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
 def _cmd_build(args: argparse.Namespace) -> int:
     learned = args.mode == "learned"
     sampled = learned and args.queries is None
-    unread = [
-        flag
-        for flag, value, read in [
+    mode = f"--mode {args.mode}" + (" --queries" if learned and not sampled else "")
+    _refuse_unread(
+        f"build {mode}",
+        [
             ("--queries", args.queries, learned),
             ("--m-queries", args.m_queries, sampled),
             ("--sigma", args.sigma, sampled),
             ("--query-grid-side", args.query_grid_side, not learned),
-        ]
-        if value is not None and not read
-    ]
-    if unread:
-        mode = f"--mode {args.mode}" + (" --queries" if learned and not sampled else "")
-        raise ContractViolation(f"build {mode} does not read {', '.join(unread)}")
+        ],
+    )
     pts = read_points(args.data)
     seed = Seed(args.seed)
     if not learned:
@@ -211,22 +241,22 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--scale", type=float, default=4.0)
-    g.add_argument("--k-clusters", type=int, default=4)
-    g.add_argument("--cluster-sigma", type=float, default=0.4)
-    g.add_argument("--spacing", type=float, default=1.0)
-    g.add_argument("--random-weights", action="store_true")
+    g.add_argument("--scale", type=float, help="box side, uniform and clusters (default 4.0)")
+    g.add_argument("--k-clusters", type=int, help="number of clusters, clusters (default 4)")
+    g.add_argument("--cluster-sigma", type=float, help="noise around each centre, clusters (default 0.4)")
+    g.add_argument("--spacing", type=float, help="lattice spacing, grid (default 1.0)")
+    g.add_argument("--random-weights", action="store_true", default=None, help="uniform and clusters")
     g.add_argument("--binary", action="store_true")
     g.set_defaults(fn=_cmd_gen)
 
     q = sub.add_parser("gen-queries", help="generate or convert a query set")
     q.add_argument("--kind", choices=["uniform", "near-data", "file"], required=True)
-    q.add_argument("--m", type=int, default=256)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--m", type=int, help="number of queries, uniform and near-data (default 256)")
+    q.add_argument("--seed", type=int, help="uniform and near-data (default 0)")
     q.add_argument("--out", required=True)
     q.add_argument("--data", help="point set the queries relate to (or source file for --kind file)")
-    q.add_argument("--sigma", type=float, default=0.5)
-    q.add_argument("--margin", type=float, default=1.5)
+    q.add_argument("--sigma", type=float, help="noise around each data point, near-data (default 0.5)")
+    q.add_argument("--margin", type=float, help="margin around the data's box, uniform (default 1.5)")
     q.add_argument("--binary", action="store_true")
     q.set_defaults(fn=_cmd_gen_queries)
 

@@ -11,7 +11,6 @@ same bit function without storing one random bit per occupied bucket.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .core import ContractViolation, EpsParams, Seed, as_point
 BitCode = int
 
 
-@functools.lru_cache(maxsize=1024)
 def collision_prob(dist: float, width: float) -> float:
     """Probability that two points at distance ``dist`` share a hash bucket.
 
@@ -33,24 +31,16 @@ def collision_prob(dist: float, width: float) -> float:
         integral over s in [0, width] of
             2/(sqrt(2*pi)*dist) * exp(-s^2 / (2*dist^2)) * (1 - s/width) ds
 
-    evaluated by adaptive quadrature to absolute tolerance 1e-9; results are
-    cached since index builds reevaluate the same two arguments repeatedly.
+    whose closed form, with x = width / (sqrt(2) * dist), is
+    erf(x) - (1 - exp(-x^2)) / (x * sqrt(pi)).  It falls as ``dist`` grows,
+    from 1 at dist -> 0 towards 0.
     """
     if not (dist > 0.0 and math.isfinite(dist)):
         raise ContractViolation(f"dist must be positive and finite, got {dist}")
     if not (width > 0.0 and math.isfinite(width)):
         raise ContractViolation(f"width must be positive and finite, got {width}")
-
-    # imported here, not at module level, so that `import arccount` loads no scipy
-    from scipy.integrate import quad
-
-    norm = 2.0 / (math.sqrt(2.0 * math.pi) * dist)
-
-    def integrand(s: float) -> float:
-        return norm * math.exp(-(s * s) / (2.0 * dist * dist)) * (1.0 - s / width)
-
-    value, _err = quad(integrand, 0.0, width, epsabs=1e-9, epsrel=0.0, limit=200)
-    return float(value)
+    x = width / (math.sqrt(2.0) * dist)
+    return math.erf(x) + math.expm1(-x * x) / (x * math.sqrt(math.pi))
 
 
 @dataclass

@@ -16,8 +16,8 @@ only once a chunk has many stab pairs does it add one float32 n x n
 matrix, the running sum of the chunks' products, which scipy's ``sgemm``
 accumulates in place.  That branch is the only importer of scipy here, so
 a build that never takes it never loads scipy (about 45 MB of peak RSS).
-The tree step is a dense Prim that reads one row of the counts per step
-and holds O(n) beside them.
+The tree step, a dense Prim over int64 edge keys, reads one row of the
+counts per step and holds O(n) beside them.
 """
 
 from __future__ import annotations
@@ -223,63 +223,43 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
 
 
 def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:
-    """Minimum spanning tree under the symmetric ``counts``, ties broken by (count, a, b).
+    """Minimum spanning tree under the symmetric integer ``counts``, edges ordered by (count, a, b).
 
-    Edges {a, b} with a < b are ordered by (count, a, b), a strict total
-    order, under which the minimum spanning tree is unique: it is the tree
-    Kruskal's algorithm takes from all pairs sorted that way, and the edges
-    are returned in that order.  An all-zero matrix thus yields the star
-    rooted at vertex 0.  The tree is found by a dense Prim (``_prim_edges``)
-    that holds O(n) memory beside ``counts``, and only its n - 1 edges are
-    sorted.
+    Edge {a, b}, a < b, has the int64 key ``count * n**2 + a * n + b``, so
+    keys order edges exactly by (count, a, b) and the tree is unique: the
+    one Kruskal's algorithm takes from all pairs sorted by key, returned in
+    that order (an all-zero matrix yields the star at vertex 0).  Counts
+    must be integers of magnitude below ``2**62 // n**2``, which int32
+    counts meet up to n = 2**15.  A dense Prim from vertex 0 keeps each
+    outside vertex's least key into the tree, packed at the front of
+    ``best``; a step takes the least, swap-removes it and lowers the
+    others against its row of ``counts``: O(n) beside ``counts``.
     """
     counts = np.asarray(counts)
-    if counts.shape != (n, n):
-        raise ContractViolation(f"counts must be ({n}, {n}), got {counts.shape}")
-    count_of, lo_end, hi_end = _prim_edges(counts, n)
-    order = np.lexsort((hi_end, lo_end, count_of))
-    return SpanningTree(n=n, edges=list(map(Edge, lo_end[order].tolist(), hi_end[order].tolist())))
-
-
-def _prim_edges(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Count, lower end and upper end of each edge of the minimum spanning tree, as Prim adds them.
-
-    The tree grows from vertex 0.  Every vertex outside it keeps its least
-    edge into the tree: the count and the tree vertex at the other end, its
-    partner.  Each step adds the outside vertex whose edge is least under
-    (count, a, b) and reads that vertex's row of ``counts`` once to update
-    the others.  Two edges {w, v} and {u, v} at one vertex v with equal
-    counts order as w and u do, whichever sides of v they lie on, so an
-    update replaces a partner only by a smaller one.  Outside vertices are
-    kept packed at the front of their arrays, so step j touches n - 1 - j
-    entries.  The comparisons are the same for any count dtype.
-    """
-    rest = np.arange(1, n)  # the vertices outside the tree
-    best = counts[0, 1:].copy()  # the count of each one's least edge into the tree
-    partner = np.zeros(n - 1, dtype=rest.dtype)  # and the tree vertex it reaches
-    count_of = np.empty(n - 1, dtype=counts.dtype)
-    lo_end = np.empty(n - 1, dtype=rest.dtype)
-    hi_end = np.empty(n - 1, dtype=rest.dtype)
+    if n < 1 or counts.shape != (n, n):
+        raise ContractViolation(f"counts must be ({n}, {n}) with n >= 1, got {counts.shape}")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ContractViolation(f"counts must be integers, got dtype {counts.dtype}")
+    span = n * n
+    limit = 2**62 // span
+    if counts.min() <= -limit or counts.max() >= limit:
+        raise ContractViolation(f"counts for n = {n} must lie strictly between -{limit} and {limit}")
+    rest = np.arange(1, n, dtype=np.int64)  # the vertices outside the tree
+    best = counts[0, 1:].astype(np.int64) * span + rest  # the key of each one's least edge into it
+    keys = np.empty(n - 1, dtype=np.int64)
     for j in range(n - 1):
         last = n - 2 - j
-        b = best[: last + 1]
-        ties = np.flatnonzero(b == b.min())
-        i = ties[0]
-        if ties.size > 1:
-            # the least pair index a * n + b, a and b the lesser and greater
-            # of p and v: a * (n - 1) + p + v
-            p, v = partner[ties], rest[ties]
-            i = ties[np.argmin(np.minimum(p, v) * (n - 1) + p + v)]
-        u, w = int(rest[i]), int(partner[i])
-        count_of[j], lo_end[j], hi_end[j] = b[i], min(u, w), max(u, w)
-        rest[i], best[i], partner[i] = rest[last], best[last], partner[last]
-        v, b, p = rest[:last], best[:last], partner[:last]
-        row = counts[u, v]
-        better = row < b
-        better |= (row == b) & (p > u)
-        np.copyto(b, row, where=better)
-        p[better] = u
-    return count_of, lo_end, hi_end
+        i = best[: last + 1].argmin()
+        u = int(rest[i])
+        keys[j] = best[i]
+        rest[i], best[i] = rest[last], best[last]
+        v = rest[:last]
+        row = counts[u, v].astype(np.int64)
+        row *= span
+        row += np.minimum(v, u) * n + np.maximum(v, u)
+        np.minimum(best[:last], row, out=best[:last])
+    lo_end, hi_end = np.divmod(np.sort(keys) % span, n)
+    return SpanningTree(n=n, edges=list(map(Edge, lo_end.tolist(), hi_end.tolist())))
 
 
 def tree_objective(counts: np.ndarray, tree: SpanningTree) -> int:

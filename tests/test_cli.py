@@ -348,6 +348,7 @@ BAD_OPTION_VALUES = {
     "gen-k-clusters-0": GEN + " --k-clusters 0",
     "gen-cluster-sigma-negative": GEN + " --cluster-sigma -1",
     "gen-scale-inf": GEN + " --scale inf",
+    "gen-uniform-scale-negative": "gen --kind uniform --n 8 --d 2 --seed 1 --scale -3 --out {tmp}/x.txt",
     "gen-queries-uniform-no-data": "gen-queries --kind uniform --out {tmp}/q.txt",
     "gen-queries-near-data-no-data": "gen-queries --kind near-data --out {tmp}/q.txt",
     "gen-queries-margin-inf": "gen-queries --kind uniform --data {data} --margin inf --out {tmp}/q.txt",
@@ -362,6 +363,13 @@ BAD_OPTION_VALUES = {
     "build-queries-m-queries-sigma": BUILD
     + " --mode learned --queries {data} --m-queries 100000 --sigma -3 --out-model {tmp}/m.json",
     "build-queries-sigma": BUILD + " --mode learned --queries {data} --sigma 0.5 --out-model {tmp}/m.json",
+    "gen-uniform-k-clusters-spacing": "gen --kind uniform --n 8 --d 2 --seed 1 --k-clusters 7 --spacing 3 --out {tmp}/x.txt",
+    "gen-grid-scale-cluster-sigma": "gen --kind grid --n 8 --d 2 --seed 1 --scale 9 --cluster-sigma 2 --out {tmp}/x.txt",
+    "gen-uniform-k-clusters-0": "gen --kind uniform --n 8 --d 2 --seed 1 --k-clusters 0 --out {tmp}/x.txt",
+    "gen-queries-file-m-sigma-margin": "gen-queries --kind file --data {data} --m 5 --sigma -2 --margin 9 --out {tmp}/q.txt",
+    "gen-queries-file-seed": "gen-queries --kind file --data {data} --seed 3 --out {tmp}/q.txt",
+    "gen-queries-uniform-sigma": "gen-queries --kind uniform --data {data} --sigma -2 --out {tmp}/q.txt",
+    "gen-queries-near-data-margin": "gen-queries --kind near-data --data {data} --margin 7 --out {tmp}/q.txt",
 }
 # options that no longer exist: query snapping answered outside the sandwich,
 # and the light-edge exponent rho is fixed by eps

@@ -66,6 +66,19 @@ class TestCollisionProb:
         probs = [collision_prob(c, 1.5) for c in (0.2, 0.6, 1.0, 1.4, 1.8)]
         assert all(a > b for a, b in zip(probs, probs[1:]))
 
+    # at dist << width the integrand is a narrow spike at 0, which adaptive
+    # quadrature can miss entirely; here erf is 1 and exp(-x^2) 0 in double
+    # precision, so the probability is 1 - dist * sqrt(2/pi) / width
+    @pytest.mark.parametrize("dist,width", [(1e-6, 1.5), (1e-3, 10.0)])
+    def test_near_one_when_dist_is_far_below_width(self, dist, width):
+        assert collision_prob(dist, width) == pytest.approx(1.0 - dist * math.sqrt(2.0 / math.pi) / width, rel=1e-15)
+
+    @pytest.mark.parametrize("width", [0.01, 0.1, 1.0, 1.5, 10.0])
+    def test_does_not_increase_with_distance_over_twelve_decades(self, width):
+        probs = np.array([collision_prob(float(c), width) for c in np.geomspace(1e-6, 1e6, 2401)])
+        assert np.all(np.diff(probs) <= 0.0)
+        assert 0.0 < probs[-1] and probs[0] <= 1.0
+
 
 class TestCodeLength:
     def test_desk_examples(self):

@@ -1,4 +1,4 @@
-"""Import footprint: the library loads scipy only in the two calls that use it.
+"""Import footprint: the library loads scipy only in the one call that uses it.
 
 Each check runs in a fresh interpreter, because the test modules import
 scipy themselves and would hide a module-level scipy import.
@@ -34,10 +34,17 @@ def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 
 def test_library_imports_load_no_scipy():
+    # a stab classifier computes its embedding's collision probability too
     proc = run_fresh(
         """
         import sys
+        import numpy as np
         import arccount, arccount.cli, arccount.io
+        from arccount.core import EpsParams, WeightedPointSet
+        from arccount.stabber import build_classifier, classify
+
+        pts = WeightedPointSet(np.arange(8.0).reshape(4, 2), np.ones(4))
+        classify(build_classifier(pts, EpsParams(eps=0.5)), np.zeros(2))
         print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         """
     )

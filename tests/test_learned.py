@@ -398,17 +398,36 @@ class TestLearnedTree:
                 counts = upper + upper.T
                 assert learned_spanning_tree(counts, n).edges == lexsort_tree_edges(counts, n)
 
-    # counts a 16-bit key would change: past 2**16, negative, fractional
-    @pytest.mark.parametrize(
-        "values",
-        [[0, 1, 2**16, 2**16 + 1, 2**40], [-(2**16), -3, -1, 0, 1], [0.25, 0.5, 0.75, 1.0, 1.5]],
-    )
+    # counts a 16-bit key would change: past 2**16, and negative
+    @pytest.mark.parametrize("values", [[0, 1, 2**16, 2**16 + 1, 2**40], [-(2**16), -3, -1, 0, 1]])
     def test_edges_match_lexsort_kruskal_beyond_16_bit_keys(self, values):
         rng = Seed(155).generator()
         for n in (3, 7, 19, 40):
             upper = np.triu(rng.choice(np.array(values), size=(n, n)), k=1)
             counts = upper + upper.T
             assert learned_spanning_tree(counts, n).edges == lexsort_tree_edges(counts, n)
+
+    # fractional counts, and whole numbers held as floats
+    @pytest.mark.parametrize("values", [[0.25, 0.5, 0.75, 1.0, 1.5], [0.0, 1.0, 2.0]])
+    def test_float_counts_refused(self, values):
+        rng = Seed(159).generator()
+        upper = np.triu(rng.choice(np.array(values), size=(7, 7)), k=1)
+        with pytest.raises(ContractViolation, match="integers"):
+            learned_spanning_tree(upper + upper.T, 7)
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_counts_below_the_key_bound_kept_and_at_it_refused(self, n):
+        # keys count * n**2 + a * n + b stay below 2**62 for |count| < 2**62 // n**2
+        limit = 2**62 // n**2
+        rng = Seed(158).generator()
+        values = np.array([limit - 1, limit - 2, 0, -(limit - 1)], dtype=np.int64)
+        upper = np.triu(rng.choice(values, size=(n, n)), k=1)
+        counts = upper + upper.T
+        assert learned_spanning_tree(counts, n).edges == lexsort_tree_edges(counts, n)
+        for bad in (limit, -limit):
+            counts[0, 1] = counts[1, 0] = bad
+            with pytest.raises(ContractViolation, match="strictly between"):
+                learned_spanning_tree(counts, n)
 
 
 class TestBracketReport:
