@@ -87,9 +87,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         points = centers[who] + rng.normal(0.0, sigma, size=(n, d))
     else:  # grid
         spacing = 1.0 if args.spacing is None else args.spacing
+        # row k is the d base-side digits of k, most significant first
         side = math.ceil(n ** (1.0 / d))
-        mesh = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1)
-        points = mesh.reshape(-1, d)[:n].astype(np.float64) * spacing
+        digits = np.empty((n, d), dtype=np.int64)
+        rest = np.arange(n)
+        for j in range(d - 1, -1, -1):
+            rest, digits[:, j] = np.divmod(rest, side)
+        points = digits.astype(np.float64) * spacing
     weights = rng.uniform(0.1, 2.0, size=n) if args.random_weights else np.ones(n)
     write_points(args.out, WeightedPointSet(points, weights), binary=args.binary)
     return 0
@@ -218,6 +222,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     pts = read_points(args.data)
     q = _parse_point(args.q)
+    if q.size != pts.dim:
+        raise ContractViolation(f"query dimension {q.size} does not match data dimension {pts.dim}")
     params = EpsParams(args.eps, args.radius)
     doc = {
         "weight_inner": exact_range_weight(pts, q, params.radius),

@@ -8,6 +8,8 @@ conventions are fixed here once and used consistently:
   ``B(q, r)``, i.e. distances ``d`` with ``r < d <= (1+eps)r``;
 * a query eps-stabs a pair ``{x, y}`` when one point is within ``r`` and the
   other is at distance at least ``(1+eps)r`` (both comparisons closed).
+  :func:`stab_masks` alone makes both comparisons, apart from the learned
+  stab counts' GEMM block and the oracle, a referee that shares no code.
 
 Randomness is carried by :class:`Seed`, a 64-bit value plus a derivation
 path.  Sub-structures derive child seeds instead of sharing one generator,
@@ -129,10 +131,14 @@ class WeightedPointSet:
         return WeightedPointSet(self.points[idx].copy(), self.weights[idx].copy())
 
 
-def _check_same_dim(*vecs: np.ndarray) -> None:
-    dims = {v.shape[-1] for v in vecs}
-    if len(dims) != 1:
-        raise ContractViolation(f"dimension mismatch: {sorted(dims)}")
+def stab_masks(d2: np.ndarray, params: EpsParams) -> tuple[np.ndarray, np.ndarray]:
+    """The near (``d2 <= r*r``) and far (``d2 >= ((1+eps) r)**2``) masks of squared distances ``d2``.
+
+    A query eps-stabs a pair when one end is near and the other far.  Each
+    caller computes ``d2``, and so keeps its own rounding.
+    """
+    big = params.outer_radius
+    return d2 <= params.radius * params.radius, d2 >= big * big
 
 
 def eps_stabs(q: np.ndarray, x: np.ndarray, y: np.ndarray, params: EpsParams) -> bool:
@@ -143,17 +149,10 @@ def eps_stabs(q: np.ndarray, x: np.ndarray, y: np.ndarray, params: EpsParams) ->
     ``x`` and ``y``.  Uses squared distances; no square roots are taken.
     """
     q, x, y = as_point(q), as_point(x), as_point(y)
-    _check_same_dim(q, x, y)
-    r2 = params.radius * params.radius
-    big2 = params.outer_radius * params.outer_radius
-    dx = _sqdist(q, x)
-    dy = _sqdist(q, y)
-    return (dx <= r2 and dy >= big2) or (dy <= r2 and dx >= big2)
-
-
-def _sqdist(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    return float(np.dot(diff, diff))
+    if not q.shape == x.shape == y.shape:
+        raise ContractViolation(f"dimension mismatch: {q.size}, {x.size} and {y.size}")
+    near, far = stab_masks(sq_dists_to(np.stack([x, y]), q), params)
+    return bool((near[0] and far[1]) or (near[1] and far[0]))
 
 
 def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:

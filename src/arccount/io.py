@@ -61,6 +61,16 @@ def _rows_bytes(pts: WeightedPointSet) -> bytes:
     return np.hstack([pts.points, pts.weights[:, None]]).astype("<f8").tobytes()
 
 
+def _rows_points(buf: bytes, n: int, d: int, where: str, offset: int | None = None) -> WeightedPointSet:
+    """The inverse of ``_rows_bytes`` on ``buf`` past ``offset``; invalid points cite ``where`` and the offset."""
+    rows = np.frombuffer(buf, dtype="<f8", offset=offset or 0).reshape(n, d + 1)
+    try:
+        return WeightedPointSet(rows[:, :d].copy(), rows[:, d].copy())
+    except ContractViolation as exc:
+        cite = "" if offset is None else f" (offset {offset})"
+        raise FileFormatError(f"{where}: {exc}{cite}") from exc
+
+
 def write_points(path: str | Path, pts: WeightedPointSet, binary: bool = False) -> None:
     path = Path(path)
     n, d = len(pts), pts.dim
@@ -102,11 +112,7 @@ def _read_binary(path: Path) -> WeightedPointSet:
         raise FileFormatError(
             f"{path}: payload is {len(blob) - 12} bytes, header implies {expect - 12} (offset 12)"
         )
-    rows = np.frombuffer(blob, dtype="<f8", offset=12).reshape(n, d + 1)
-    try:
-        return WeightedPointSet(rows[:, :d].copy(), rows[:, d].copy())
-    except ContractViolation as exc:
-        raise FileFormatError(f"{path}: {exc} (offset 12)") from exc
+    return _rows_points(blob, n, d, str(path), offset=12)
 
 
 def _read_text(path: Path) -> WeightedPointSet:
@@ -123,32 +129,34 @@ def _read_text(path: Path) -> WeightedPointSet:
         raise FileFormatError(f"{path}: non-integer sizes in header (line 1)") from None
     if n < 1 or d < 1:
         raise FileFormatError(f"{path}: header declares n={n}, d={d} (line 1)")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # every nonblank row beside its own line number in the file
+    body = [(line_no, ln) for line_no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != n:
         raise FileFormatError(f"{path}: expected {n} rows, found {len(body)} (line {len(lines)})")
-    rows = [ln.split() for ln in body]
+    rows = [ln.split() for _, ln in body]
     try:
         if set(map(len, rows)) - {d + 1}:
             raise ValueError("ragged rows")
         # float() per token, as Python parses a repr, so values round-trip bit for bit
         values = np.array(list(map(float, chain.from_iterable(rows)))).reshape(n, d + 1)
     except ValueError:
-        raise _first_bad_row(path, rows, d) from None
+        raise _first_bad_row(path, body, d) from None
     try:
         return WeightedPointSet(values[:, :d].copy(), values[:, d].copy())
     except ContractViolation as exc:
         raise FileFormatError(f"{path}: {exc} (line 2)") from exc
 
 
-def _first_bad_row(path: Path, rows: list[list[str]], d: int) -> FileFormatError:
-    """The error of the first row with the wrong field count or a non-numeric value."""
-    for i, parts in enumerate(rows):
+def _first_bad_row(path: Path, body: list[tuple[int, str]], d: int) -> FileFormatError:
+    """The error of the first (line number, row) with the wrong field count or a non-numeric value."""
+    for line_no, ln in body:
+        parts = ln.split()
         if len(parts) != d + 1:
-            return FileFormatError(f"{path}: row has {len(parts)} fields, expected {d + 1} (line {i + 2})")
+            return FileFormatError(f"{path}: row has {len(parts)} fields, expected {d + 1} (line {line_no})")
         try:
             [float(x) for x in parts]
         except ValueError:
-            return FileFormatError(f"{path}: non-numeric value (line {i + 2})")
+            return FileFormatError(f"{path}: non-numeric value (line {line_no})")
     raise AssertionError("every row parses")
 
 
@@ -282,11 +290,7 @@ def _stored_points(doc: dict, where: object) -> WeightedPointSet:
     stored = _field(doc, "points_digest", (str,), where)
     if digest != stored:
         raise FileFormatError(f"{where}: points digest {digest} does not match the model's {stored}")
-    values = np.frombuffer(rows, dtype="<f8").reshape(n, d + 1)
-    try:
-        return WeightedPointSet(values[:, :d].copy(), values[:, d].copy())
-    except ContractViolation as exc:
-        raise FileFormatError(f"{where}: {exc}") from exc
+    return _rows_points(rows, n, d, str(where))
 
 
 def _stored_order(order: list, n: int, where: object) -> np.ndarray:

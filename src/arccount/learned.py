@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
+from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to, stab_masks
 from .spantree import Edge, SpanningTree
 
 # pair_stab_counts: distances per query chunk (2 MiB of float64); each chunk
@@ -108,13 +108,16 @@ def near_data_queries(
 def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> np.ndarray:
     """Symmetric int32 (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
 
-    Let N[q, a] = 1 when point a is within ``radius`` of query q (d2 <= r2),
-    G[q, b] = 1 when point b lies inside the outer ball (d2 < (1+eps)^2 r2),
-    and F = 1 - G mark the far points.  The count matrix N'F + F'N then
-    equals ``c[a] + c[b] - X[a, b] - X[b, a]``, with c the column sums of N
-    and X = N'G.  Its diagonal is 0, because near points lie inside.  A
-    count is at most the sample size m, so int32 holds it; a sample of
-    2**31 queries or more is refused.
+    The rule is ``core.stab_masks``': a query stabs {a, b} when one end is
+    near (d2 <= r2) and the other far (d2 >= (1+eps)^2 r2).  It is written
+    out here in GEMM form, on this function's own distances, whose
+    rounding fixes the learned tree.  Let N[q, a] = 1 when point a is near
+    query q, G[q, b] = 1 when point b lies inside the outer ball
+    (d2 < (1+eps)^2 r2), and F = 1 - G mark the far points.  The count
+    matrix N'F + F'N then equals ``c[a] + c[b] - X[a, b] - X[b, a]``, with
+    c the column sums of N and X = N'G.  Its diagonal is 0, because near
+    points lie inside.  A count is at most the sample size m, so int32
+    holds it; a sample of 2**31 queries or more is refused.
 
     The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
     m x n array is ever held, and each chunk's d2 is ``qq + pp - 2 Q P'``.
@@ -286,18 +289,16 @@ def stabbing_bracket_report(
     With ``mu`` the holdout mean, the training mean is expected inside
     [5/8 * mu - 3/8, 11/8 * mu + 3/8] once the training sample is large
     enough.  Reported for inspection, never hard-asserted: small samples
-    legitimately fall outside.
+    legitimately fall outside.  A query stabs an edge by ``core.stab_masks``
+    of its ``sq_dists_to`` row, read at the edges' end arrays.
     """
+    a, b = np.array(tree.edges, dtype=np.intp).reshape(-1, 2).T
 
     def mean_sigma(sample: QuerySample) -> float:
-        r2 = params.radius * params.radius
-        big2 = params.outer_radius * params.outer_radius
         total = 0
         for q in sample.queries:
-            d2 = sq_dists_to(pts.points, q)
-            near = d2 <= r2
-            far = d2 >= big2
-            total += sum(1 for a, b in tree.edges if (near[a] and far[b]) or (near[b] and far[a]))
+            near, far = stab_masks(sq_dists_to(pts.points, q), params)
+            total += int(np.count_nonzero((near[a] & far[b]) | (near[b] & far[a])))
         return total / len(sample)
 
     train_mean = mean_sigma(train)

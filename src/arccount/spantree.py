@@ -14,7 +14,8 @@ The light-edge search never trusts approximate geometry for scoring: the
 net and the cell bucketing only pick a small candidate set, and every
 candidate is scored by its exact stabbing weight.
 Points never move, so a build computes every point's near and far masks
-over the universe, and the list of point pairs sorted by distance, once.
+over the universe, by ``core.stab_masks``, the package's one eps-stab
+rule, and the list of point pairs sorted by distance, once.
 Forest rounds mask the points they retire instead of copying the rest, and
 a search finds its candidates without any n x n pass: it sorts the cell
 rows into groups, pairs up the outsiders, reads the closest live pairs
@@ -34,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, sq_dists_to
+from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, sq_dists_to, stab_masks
 
 
 class Edge(NamedTuple):
@@ -228,7 +229,9 @@ def generate_grid_queries(
         mesh = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, d)
         centers = mesh * side
         kept.append(mesh[sq_dists_to(centers, p) <= reach * reach])
-    cells = _sorted_unique_rows(np.concatenate(kept))
+    cells = np.concatenate(kept)
+    order, fresh = _row_groups(cells)
+    cells = cells[order[fresh]]  # the distinct cells, in lexicographic order
     if cells.shape[0] == 0:
         raise ContractViolation("no grid queries fall near the data; grid side may be too large")
     return QueryMultiset.from_support(cells.astype(np.float64) * side)
@@ -240,34 +243,16 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[np.append(True, values[1:] != values[:-1])]
 
 
-def _sorted_unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an integer array, in lexicographic order."""
-    rows = rows[np.lexsort(rows.T[::-1])]
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of an integer array's rows, and which sorted rows start a run of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
     fresh = np.ones(rows.shape[0], dtype=bool)
-    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[fresh]
+    fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return order, fresh
 
 
 # -- light edges ------------------------------------------------------------
-
-
-def _stab_weight_columns(
-    support: np.ndarray, point: np.ndarray, params: EpsParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks over queries: within ``radius`` of ``point`` and beyond ``(1+eps)*radius``."""
-    d2 = sq_dists_to(support, point)
-    r2 = params.radius * params.radius
-    big2 = params.outer_radius * params.outer_radius
-    return d2 <= r2, d2 >= big2
-
-
-def stab_mask_for_pair(
-    support: np.ndarray, x: np.ndarray, y: np.ndarray, params: EpsParams
-) -> np.ndarray:
-    """Which support queries eps-stab the pair (x, y); vectorized over queries."""
-    near_x, far_x = _stab_weight_columns(support, x, params)
-    near_y, far_y = _stab_weight_columns(support, y, params)
-    return (near_x & far_y) | (near_y & far_x)
 
 
 @dataclass(frozen=True)
@@ -276,10 +261,12 @@ class BallRows:
 
     ``near[i]`` marks the queries within ``radius`` of point ``i`` and
     ``far[i]`` those at least ``(1+eps)*radius`` away, over the whole query
-    support.  ``pairs`` lists every pair ``a < b`` as the key ``a * n + b``,
-    ranked by squared distance, ties by ``(a, b)``.  Points never move, so
-    a build computes these once for all its points; forest rounds and
-    light-edge searches read them by point id and never copy a row.
+    support: ``core.stab_masks`` of the point's ``sq_dists_to`` row.
+    ``pairs`` lists every pair ``a < b`` as the key ``a * n + b``, ranked
+    by squared distance, ties by ``(a, b)``.  Points never move, so a build
+    computes these once for all its points; forest rounds and light-edge
+    searches read them by point id and never copy a row.  A pair's mask
+    alone is ``BallRows.of(np.stack([x, y]), support, params).stab_mask(0, 1)``.
     """
 
     near: np.ndarray  # (n, m) bool
@@ -292,7 +279,7 @@ class BallRows:
         near = np.empty((n, support.shape[0]), dtype=bool)
         far = np.empty_like(near)
         for i, p in enumerate(points):
-            near[i], far[i] = _stab_weight_columns(support, p, params)
+            near[i], far[i] = stab_masks(sq_dists_to(support, p), params)
         # the upper triangle row by row, each distance rounded as
         # sq_dists_to rounds it, then stably sorted: no n x n matrix is formed
         d2 = np.concatenate([sq_dists_to(points[i + 1 :], points[i]) for i in range(n)])
@@ -408,10 +395,7 @@ def _stabbed_weights(
 def _cell_pairs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair ``a < b`` of rows of ``cells`` that are equal, grouped by sorting the rows."""
     n = cells.shape[0]
-    order = np.lexsort(cells.T[::-1])  # stable: equal rows keep their order
-    ranked = cells[order]
-    fresh = np.ones(n, dtype=bool)
-    fresh[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    order, fresh = _row_groups(cells)  # stable: equal rows keep their order
     starts = np.flatnonzero(fresh)
     sizes = np.diff(np.append(starts, n))
     # sorted position p pairs with every later position of its group

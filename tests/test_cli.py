@@ -70,6 +70,14 @@ class TestGen:
         assert len(pts) == 9
         assert set(np.unique(pts.points)) <= {0.0, 2.0, 4.0}
 
+    def test_grid_kind_in_high_dimension(self, tmp_path):
+        # side 2, so row k is the 60 binary digits of k; the 2**60-point
+        # lattice the rows come first in was once built whole and failed
+        data = gen_data(tmp_path, n=10, d=60, kind="grid", extra=["--spacing", "0.5"])
+        pts = read_points(data)
+        expect = [[0.5 * int(c) for c in format(k, "060b")] for k in range(10)]
+        assert pts.points.tolist() == expect
+
     def test_clusters_kind(self, tmp_path):
         data = gen_data(tmp_path, n=60, d=2, kind="clusters", extra=["--k-clusters", "3"])
         assert len(read_points(data)) == 60
@@ -543,6 +551,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert rc == 3 and captured.out == ""
         assert captured.err.startswith("error: query point") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", ["1,2", "1,2,3,4"])
+    @pytest.mark.parametrize("command", ["query", "oracle"])
+    def test_query_of_another_dimension_is_exit_three(self, capsys, saved_model, command, text):
+        # the data is 3-d; oracle once ended in a ValueError traceback, exit 1
+        model, data = saved_model
+        if command == "query":
+            argv = ["query", "--model", str(model), "--data", str(data), "--q", text]
+        else:
+            argv = ["oracle", "--data", str(data), "--q", text, "--eps", "0.5"]
+        capsys.readouterr()
+        rc = run_cli(argv)
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err.startswith("error: query dimension") and "Traceback" not in captured.err
 
     def test_projection_option_is_gone(self, tmp_path):
         data = gen_data(tmp_path, n=10, d=2)

@@ -103,11 +103,18 @@ class TestMalformedText:
             read_points(f)
 
     def test_first_bad_row_is_cited(self, tmp_path):
-        # a non-numeric row before a short one: the earlier row is reported
+        # the earlier of a non-numeric row and a short one is reported, at
+        # its line in the file: blank lines before it count
         f = tmp_path / "bad.txt"
-        f.write_text("arc-points v1 3 2\n0.0 0.0 1.0\n0.0 nope 1.0\n0.0 1.0\n")
-        with pytest.raises(FileFormatError, match=r"non-numeric value \(line 3\)"):
-            read_points(f)
+        cases = [
+            ("0.0 0.0 1.0\n0.0 nope 1.0\n0.0 1.0\n", r"non-numeric value \(line 3\)"),
+            ("\n\n0.0 0.0 1.0\n0.0 nope 1.0\n0.0 1.0\n", r"non-numeric value \(line 5\)"),
+            ("0.0 0.0 1.0\n \n\n0.0 1.0\n0.0 nope 1.0\n", r"row has 2 fields, expected 3 \(line 5\)"),
+        ]
+        for body, message in cases:
+            f.write_text("arc-points v1 3 2\n" + body)
+            with pytest.raises(FileFormatError, match=message):
+                read_points(f)
 
     def test_row_count_mismatch(self, tmp_path):
         f = tmp_path / "bad.txt"

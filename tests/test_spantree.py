@@ -21,6 +21,7 @@ from arccount.core import (
 from arccount import spantree
 from arccount.oracle import exact_sigma
 from arccount.spantree import (
+    BallRows,
     Edge,
     LightEdgeParams,
     QueryMultiset,
@@ -31,12 +32,16 @@ from arccount.spantree import (
     default_rho,
     find_light_edge,
     generate_grid_queries,
-    stab_mask_for_pair,
     sums_are_exact,
     weighted_draws,
 )
 
 PARAMS = EpsParams(eps=0.5)
+
+
+def pair_mask(support: np.ndarray, x: np.ndarray, y: np.ndarray, params: EpsParams) -> np.ndarray:
+    """Which ``support`` queries eps-stab the pair ``{x, y}``, from the two points' ball rows."""
+    return BallRows.of(np.stack([x, y]), support, params).stab_mask(0, 1)
 
 
 def weighted(points: np.ndarray) -> WeightedPointSet:
@@ -124,7 +129,7 @@ def reference_light_edge(
         candidates.add((int(iu[0][t]), int(iu[1][t])))
     best = None
     for a, b in sorted(candidates):
-        mask = stab_mask_for_pair(queries.support, pts.points[a], pts.points[b], params)
+        mask = pair_mask(queries.support, pts.points[a], pts.points[b], params)
         key = (float(weights[mask].sum()), a, b)
         if best is None or key < best:
             best = key
@@ -149,7 +154,7 @@ def reference_low_stab_tree(
             sub = pts.subset(np.array(active))
             local = reference_light_edge(sub, queries, params, lp, seed.derive(round_no).derive(it))
             a, b = active[local.a], active[local.b]
-            queries.stab_exponents[stab_mask_for_pair(queries.support, pts.points[a], pts.points[b], params)] += 1
+            queries.stab_exponents[pair_mask(queries.support, pts.points[a], pts.points[b], params)] += 1
             edges.append(Edge(a, b))
             uf.union(a, b)
             del active[local.a]
@@ -281,7 +286,7 @@ class TestStabMask:
         support = rng.uniform(-2, 2, size=(50, 3))
         x = rng.uniform(-2, 2, size=3)
         y = rng.uniform(-2, 2, size=3)
-        mask = stab_mask_for_pair(support, x, y, PARAMS)
+        mask = pair_mask(support, x, y, PARAMS)
         for q, hit in zip(support, mask):
             assert bool(hit) == eps_stabs(q, x, y, PARAMS)
 
@@ -289,7 +294,45 @@ class TestStabMask:
         rng = Seed(62).generator()
         support = rng.uniform(-3, 3, size=(100, 2))
         p = np.array([0.3, 0.4])
-        assert not stab_mask_for_pair(support, p, p, PARAMS).any()
+        assert not pair_mask(support, p, p, PARAMS).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_rows_eps_stabs_and_oracle_agree_on_both_boundaries(self, d):
+        # r = 5/4 and (1+eps) r = 15/8: every coordinate below is a multiple
+        # of 1/8 and every squared distance a multiple of 1/64 far below
+        # 2**53, so each rounding and summation order gives it exactly, and
+        # points sit at exactly r and exactly (1+eps) r from the queries
+        params = EpsParams(eps=0.5, radius=1.25)
+        r, big = params.radius, params.outer_radius
+        assert (r * r, big * big) == (1.5625, 3.515625)
+        rng = Seed(66 + d).generator()
+        support = rng.integers(-8, 9, size=(12, d)) / 8.0
+        # directions of length 5 whose multiples by r / 5 and (1+eps) r / 5
+        # are dyadic: the axes, and in the plane of two axes the 3-4-5 ones
+        dirs = [s * 5 * np.eye(d, dtype=int)[i] for i in range(d) for s in (1, -1)]
+        for i, j in itertools.combinations(range(d), 2):
+            for a, b in ((3, 4), (4, -3)):
+                v = np.zeros(d, dtype=int)
+                v[i], v[j] = a, b
+                dirs.append(v)
+        rings = [(support[0], dirs), (support[1], dirs[:2])]
+        boundary = [q + scale * v / 5 for q, vs in rings for v in vs for scale in (r, big)]
+        points = np.concatenate([np.array(boundary), rng.integers(-16, 17, size=(12, d)) / 8.0])
+        pts = weighted(points)
+        rows = BallRows.of(points, support, params)
+        d2 = np.array([[np.sum((p - q) ** 2) for q in support] for p in points])
+        assert (d2 == r * r).any() and (d2 == big * big).any()
+        assert np.array_equal(rows.near, d2 <= r * r) and np.array_equal(rows.far, d2 >= big * big)
+        edges = list(itertools.combinations(range(len(points)), 2))
+        a, b = np.array(edges).T
+        masks = rows.stab_mask(a, b)  # (edges, queries)
+        for k, (x, y) in enumerate(edges):
+            assert masks[k].tolist() == [eps_stabs(q, points[x], points[y], params) for q in support]
+        for col, q in enumerate(support):
+            assert int(masks[:, col].sum()) == exact_sigma(q, edges, pts, params)
+        # stabbed pairs whose near end is at exactly r and far end at exactly (1+eps) r
+        at_both = (d2[a] == r * r) & (d2[b] == big * big) | (d2[b] == r * r) & (d2[a] == big * big)
+        assert at_both.any() and masks[at_both].all()
 
 
 class TestQueryMultiset:
@@ -370,7 +413,7 @@ class TestFindLightEdge:
         edge = find_light_edge(pts, qs, PARAMS, LightEdgeParams.for_eps(0.5), Seed(65))
 
         def score(a: int, b: int) -> float:
-            mask = stab_mask_for_pair(qs.support, pts.points[a], pts.points[b], PARAMS)
+            mask = pair_mask(qs.support, pts.points[a], pts.points[b], PARAMS)
             return float(weights[mask].sum())
 
         d2 = np.array(
