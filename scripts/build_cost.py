@@ -16,9 +16,10 @@ order; worstcase-d2 adds the size of the grid query universe.  The last
 RSS difference is the build's own peak above the inputs and the imported
 libraries.  Two checkouts that print the same hash built the same tree.
 The index is then saved against a text data file of its points, as the
-benchmark saves it: ``model_bytes`` is the model file's size and
+benchmark saves it: ``model_bytes`` is the model file's size,
 ``load_ms`` the best of 15 ``load_model`` calls in the same process, each
-after a ``gc.collect()``.
+after a ``gc.collect()``, and ``loaded_index_mib`` the total ``nbytes`` of
+the distinct numpy arrays the loaded index holds, each counted once.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
@@ -63,6 +64,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from arccount import counter, io  # noqa: E402
 
 LOADS = 15
@@ -98,12 +101,15 @@ def build_once(workload: str, n: int, seed: int) -> dict:
     if universes:
         row["universe_size"] = len(universes[0])
     row["leaf_order_sha256"] = hashlib.sha256(idx.tree.order.tobytes()).hexdigest()
-    row["model_bytes"], row["load_ms"] = save_and_load(idx, inputs.points)
+    row["model_bytes"], row["load_ms"], loaded = save_and_load(idx, inputs.points)
+    row["loaded_index_mib"] = round(array_bytes(loaded) / 2**20, 3)
     return row
 
 
-def save_and_load(idx: counter.CountingIndex, points: arccount.WeightedPointSet) -> tuple[int, float]:
-    """The size of ``idx``'s saved model and the best of ``LOADS`` loads of it, in ms."""
+def save_and_load(
+    idx: counter.CountingIndex, points: arccount.WeightedPointSet
+) -> tuple[int, float, counter.CountingIndex]:
+    """The size of ``idx``'s saved model, the best of ``LOADS`` loads of it in ms, and the last load."""
     with tempfile.TemporaryDirectory() as tmp:
         data, model = Path(tmp) / "points.txt", Path(tmp) / "model.json"
         io.write_points(data, points)
@@ -112,9 +118,33 @@ def save_and_load(idx: counter.CountingIndex, points: arccount.WeightedPointSet)
         for _ in range(LOADS):
             gc.collect()
             t0 = time.perf_counter()
-            io.load_model(model, data)
+            loaded = io.load_model(model, data)
             best = min(best, time.perf_counter() - t0)
-        return model.stat().st_size, round(best * 1e3, 3)
+        return model.stat().st_size, round(best * 1e3, 3), loaded
+
+
+def array_bytes(obj: object) -> int:
+    """Total ``nbytes`` of the distinct numpy arrays reachable from ``obj``, each counted once by ``id``.
+
+    The walk follows object attributes, lists, tuples and dict values, so
+    it reads any version's index without naming its fields.
+    """
+    seen: set[int] = set()
+    stack, total = [obj], 0
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            total += o.nbytes
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif hasattr(o, "__dict__") and not isinstance(o, type):
+            stack.extend(vars(o).values())
+    return total
 
 
 def main() -> None:

@@ -35,6 +35,9 @@ from .learned import default_sample_size, near_data_queries, uniform_queries
 from .oracle import exact_range_weight, exact_tq
 
 _AUTO_SAMPLE_CAP = 16384
+# rows times columns of any array the CLI generates: 2**26 float64 values
+# are 512 MiB, and gen --kind clusters holds three such arrays at once
+_MAX_CELLS = 2**26
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -47,6 +50,12 @@ def _parse_point(text: str) -> np.ndarray:
     if not all(math.isfinite(v) for v in vals):
         raise ContractViolation(f"query point {text!r} has non-finite coordinates")
     return np.asarray(vals)
+
+
+def _check_cells(what: str, rows: int, cols: int) -> None:
+    """Refuse an array of ``rows`` x ``cols`` values past ``_MAX_CELLS``, before it is allocated."""
+    if rows * cols > _MAX_CELLS:
+        raise ContractViolation(f"{what} would be {rows} x {cols} values, over the limit of {_MAX_CELLS}")
 
 
 def _refuse_unread(command: str, options: list[tuple[str, object, bool]]) -> None:
@@ -78,6 +87,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise ContractViolation(f"need a finite --scale >= 0, got {scale}")
     if k < 1 or not sigma >= 0.0:
         raise ContractViolation(f"need --k-clusters >= 1 and --cluster-sigma >= 0, got {k} and {sigma}")
+    _check_cells("the points (--n x --d)", n, d)
+    _check_cells("the cluster centres (--k-clusters x --d)", k, d)
     rng = Seed(args.seed).generator()
     if kind == "uniform":
         points = rng.uniform(0.0, scale, size=(n, d))
@@ -117,17 +128,18 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
     seed = Seed(0 if args.seed is None else args.seed)
     if kind == "file":
         sample = read_query_sample(args.data)
-    elif kind == "uniform":
-        margin = 1.5 if args.margin is None else args.margin
-        if not math.isfinite(margin):
-            raise ContractViolation(f"--margin must be finite, got {margin}")
+    else:
         pts = read_points(args.data)
-        lo = pts.points.min(axis=0) - margin
-        hi = pts.points.max(axis=0) + margin
-        sample = uniform_queries(m, lo, hi, seed)
-    else:  # near-data
-        pts = read_points(args.data)
-        sample = near_data_queries(pts, m, 0.5 if args.sigma is None else args.sigma, seed)
+        _check_cells("the queries (--m x the data's d)", m, pts.dim)
+        if kind == "uniform":
+            margin = 1.5 if args.margin is None else args.margin
+            if not math.isfinite(margin):
+                raise ContractViolation(f"--margin must be finite, got {margin}")
+            lo = pts.points.min(axis=0) - margin
+            hi = pts.points.max(axis=0) + margin
+            sample = uniform_queries(m, lo, hi, seed)
+        else:  # near-data
+            sample = near_data_queries(pts, m, 0.5 if args.sigma is None else args.sigma, seed)
     write_query_sample(args.out, sample, binary=args.binary)
     return 0
 
@@ -158,6 +170,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 # the size formula needs n >= 2; a one-point file still builds
                 m = min(default_sample_size(max(2, len(pts)), pts.dim, 0.1), _AUTO_SAMPLE_CAP)
             sigma = 0.5 if args.sigma is None else args.sigma
+            _check_cells("the training queries (--m-queries x the data's d)", m, pts.dim)
             sample = near_data_queries(pts, m, sigma, seed.derive(17))
         source = LearnedSource(sample=sample)
     cfg = BuildConfig(eps=args.eps, radius=args.radius, seed=seed, tree_source=source)
@@ -186,7 +199,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     idx = load_model(args.model, args.data)
     load_seconds = time.perf_counter() - t0
-    pts = idx.source_points
     holdout = read_query_sample(args.queries)
 
     # the weight alone: the telemetry is not read, so the tree walk does not run
@@ -198,8 +210,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate_visiting(idx, holdout)
 
     doc = {
-        "n": len(pts),
-        "d": pts.dim,
+        "n": len(idx.path_points),
+        "d": idx.path_points.shape[1],
         "eps": idx.config.eps,
         "tree_source": idx.config.tree_source.kind,
         "mean_visiting": report.mean_visiting,

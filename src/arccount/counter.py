@@ -4,9 +4,9 @@ Build pipeline: find a leaf order and erect the balanced partition tree
 over it.  The paper's tree sources build a spanning tree (worst-case grid
 machinery, or learned from a query sample) and linearize it; a
 ``StoredOrder``, such as a loaded model's, gives an order fitted earlier.
-The index works on the points and queries exactly as given.  All internal
-structures run at the halved error ``eps/2``, so every answer lands inside
-the full ``eps`` sandwich.
+The index works on the points and queries exactly as given, held once, in
+path order (``points()``).  All internal structures run at the halved
+error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
 
 A query's answer set is exactly the points within the working outer
 radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).  So
@@ -165,20 +165,23 @@ class CountingIndex:
     config: BuildConfig
     working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
-    path_points: np.ndarray  # source_points.points in path order
-    path_weights: np.ndarray  # source_points.weights in path order
+    path_points: np.ndarray  # the points, in path order
+    path_weights: np.ndarray  # their weights, in path order
     half_sq_norms: np.ndarray  # half the squared norms of path_points, by einsum
     max_norm: float  # the largest norm of path_points, from half_sq_norms
-    source_points: WeightedPointSet
     spanning_tree: SpanningTree | None = None  # built by the paper's sources for n >= 2
+
+    def points(self) -> WeightedPointSet:
+        """The points and weights in data order, bit for bit as built; a new set on each call."""
+        inverse = np.argsort(self.tree.order)
+        return WeightedPointSet(self.path_points[inverse], self.path_weights[inverse])
 
     def transform_query(self, q: np.ndarray) -> np.ndarray:
         """The query as a finite float64 vector of the data's dimension."""
         qw = as_point(q)
-        if qw.shape[0] != self.source_points.dim:
-            raise ContractViolation(
-                f"query dimension {qw.shape[0]} does not match data dimension {self.source_points.dim}"
-            )
+        d = self.path_points.shape[1]
+        if qw.shape[0] != d:
+            raise ContractViolation(f"query dimension {qw.shape[0]} does not match data dimension {d}")
         return qw
 
 
@@ -202,7 +205,6 @@ def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingInd
         path_weights=pts.weights[tree.order],
         half_sq_norms=half_sq_norms,
         max_norm=math.sqrt(2.0 * half_sq_norms.max()),
-        source_points=pts,
         spanning_tree=spanning,
     )
 
@@ -378,7 +380,7 @@ class EvalReport:
 def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     """Exact visiting numbers, ambiguity counts, and sandwich checks on a holdout.
 
-    The index is audited against its own points, ``idx.source_points``, and
+    The index is audited against its own points, ``idx.points()``, and
     the full-error sandwich of its own config.  For every holdout query the
     reported set is re-derived in verification mode and compared against
     exact range scans: the inner ball must be contained in the answer set
@@ -393,7 +395,6 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     the working error, where the walk runs.  The sandwich check and ``t_q``
     stay at the full error.
     """
-    pts = idx.source_points
     params = EpsParams(idx.config.eps, idx.config.radius)
     source = idx.config.tree_source
     overlaps: bool | None = False
@@ -403,7 +404,7 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     elif source.kind == LearnedSource.kind:
         overlaps = None
 
-    pts_rows = point_rows(pts)
+    pts_rows = point_rows(idx.points())
     rows: list[dict] = []
     passes = 0
     for q in holdout.queries:

@@ -14,18 +14,21 @@ Models are JSON (format ``arc-model v6``): build configuration, seed, the
 kind of tree source that fitted the leaf order, that order, a digest of
 the data file, and the points themselves: the ``n`` rows of ``d``
 coordinates and one weight as little-endian float64, base64 encoded,
-beside ``points_digest``, the sha256 of those raw bytes.  A model is
-about 4/3 of the binary points file, plus the leaf order and the
-configuration: 106 KB at n = 1024, d = 8.  Loading checks the data
-file's digest, decodes the rows without parsing the data file, checks
-their length and digest, and rebuilds only the partition tree over the
-stored leaf order, a ``StoredOrder`` tree source, so the loaded index
-answers bit-identically to the saved one.  The tree source's
-``grid_side`` and ``sample_source``, which earlier writers stored, are
-not read: the order fixes every answer.  ``save_model`` refuses a data
-file that does not hold the index's points and weights bit for bit.
-There is one reader: every other format, ``v1``-``v5`` included, is
-refused, to be rebuilt from the data with ``arccount build``.
+beside ``points_digest``, the sha256 of those raw bytes.  A model is about
+4/3 of the binary points file, plus the leaf order and the configuration:
+106 KB at n = 1024, d = 8.  Loading checks the data file's digest, decodes
+the rows without parsing the data file, checks their length and digest,
+and rebuilds only the partition tree over the stored leaf order, a
+``StoredOrder`` tree source, so the loaded index answers bit-identically
+to the saved one.  The tree source's ``grid_side`` and ``sample_source``,
+which earlier writers stored, are not read: the order fixes every answer.
+``save_model`` writes the index's ``points()`` and refuses a data file
+that does not hold them bit for bit.  There is one reader: every other
+format, ``v1``-``v5`` included, is refused, to be rebuilt from the data
+with ``arccount build``.
+
+A file that is not UTF-8 where text is expected, a model or a text
+point file, is malformed.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import base64
 import binascii
 import hashlib
 import json
+import math
 import struct
 from itertools import chain
 from pathlib import Path
@@ -116,8 +120,11 @@ def _read_binary(path: Path) -> WeightedPointSet:
 
 
 def _read_text(path: Path) -> WeightedPointSet:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text (offset {exc.start})") from None
     if not lines:
         raise FileFormatError(f"{path}: empty file (line 1)")
     head = lines[0].split()
@@ -139,24 +146,25 @@ def _read_text(path: Path) -> WeightedPointSet:
             raise ValueError("ragged rows")
         # float() per token, as Python parses a repr, so values round-trip bit for bit
         values = np.array(list(map(float, chain.from_iterable(rows)))).reshape(n, d + 1)
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite values")
     except ValueError:
         raise _first_bad_row(path, body, d) from None
-    try:
-        return WeightedPointSet(values[:, :d].copy(), values[:, d].copy())
-    except ContractViolation as exc:
-        raise FileFormatError(f"{path}: {exc} (line 2)") from exc
+    return WeightedPointSet(values[:, :d].copy(), values[:, d].copy())
 
 
 def _first_bad_row(path: Path, body: list[tuple[int, str]], d: int) -> FileFormatError:
-    """The error of the first (line number, row) with the wrong field count or a non-numeric value."""
+    """The error of the first (line number, row) with the wrong field count, a non-numeric or a non-finite value."""
     for line_no, ln in body:
         parts = ln.split()
         if len(parts) != d + 1:
             return FileFormatError(f"{path}: row has {len(parts)} fields, expected {d + 1} (line {line_no})")
         try:
-            [float(x) for x in parts]
+            finite = all(map(math.isfinite, map(float, parts)))
         except ValueError:
             return FileFormatError(f"{path}: non-numeric value (line {line_no})")
+        if not finite:
+            return FileFormatError(f"{path}: non-finite value (line {line_no})")
     raise AssertionError("every row parses")
 
 
@@ -190,7 +198,7 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
     file's digest is recorded beside them, so it must describe the same
     values, else a ``ContractViolation``.
     """
-    pts = idx.source_points
+    pts = idx.points()
     rows = _rows_bytes(pts)
     on_file = read_points(data_path)
     if on_file.points.shape != pts.points.shape or _rows_bytes(on_file) != rows:
@@ -236,9 +244,10 @@ def _field(obj: dict, key: str, kinds: tuple[type, ...], where: object):
 def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     """Rebuild the index saved at ``path``, whose data file ``data_path`` must match its digest."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: a json.JSONDecodeError, or a UnicodeDecodeError of a binary file
         raise FileFormatError(f"{path}: not a model file: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: not a model file: top level is not an object")

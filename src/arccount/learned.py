@@ -17,7 +17,9 @@ matrix, the running sum of the chunks' products, which scipy's ``sgemm``
 accumulates in place.  That branch is the only importer of scipy here, so
 a build that never takes it never loads scipy (about 45 MB of peak RSS).
 The tree step, a dense Prim over int64 edge keys, reads one row of the
-counts per step and holds O(n) beside them.
+counts per step and holds O(n) beside them.  A job whose counts and
+float32 matrix, 8 n^2 bytes, would pass ``_PAIR_BYTES_BUDGET`` is refused
+before either is allocated.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ _SYM_BLOCK = 256
 # pair_stab_counts: every count is at most the sample size, and int32 holds
 # every count below this
 _COUNT_LIMIT = 2**31
+# pair_stab_counts: bytes of its n x n arrays, the int32 counts and the GEMM
+# branch's float32 partial (8 n^2), that a build may hold: n up to 16,384.
+# Peak RSS above the inputs was 80 MiB at n 4096 and 287 MiB at n 8192 on
+# the near-d8 generator (scripts/build_cost.py), about 4.3 n^2 bytes with
+# no partial, so a job at the budget should peak near 1.1 GiB scattered and
+# 2.1 GiB with the partial: a quarter of an 8 GiB machine
+_PAIR_BYTES_BUDGET = 2**31
 
 
 @dataclass
@@ -138,6 +147,11 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     if len(sample) >= _COUNT_LIMIT:
         raise ContractViolation(f"stab counts hold samples below {_COUNT_LIMIT} queries, got {len(sample)}")
     n = len(pts)
+    if 8 * n * n > _PAIR_BYTES_BUDGET:
+        raise ContractViolation(
+            f"a learned build over {n} points needs {8 * n * n} bytes for its n x n stab counts, "
+            f"over the budget of {_PAIR_BYTES_BUDGET}"
+        )
     points = pts.points
     # squared by multiplication: a huge radius gives inf, never OverflowError
     r2 = params.radius * params.radius

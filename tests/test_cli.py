@@ -260,7 +260,7 @@ class TestBuildQueryEval:
         def dropping_count(idx, q, verify=False):
             ans = real_count(idx, q, verify=verify)
             if verify and not dropped:
-                i = int(np.flatnonzero((idx.source_points.points == q).all(axis=1))[0])
+                i = int(np.flatnonzero((idx.points().points == q).all(axis=1))[0])
                 k = int(np.flatnonzero(idx.tree.order == i)[0])
                 ans.member_ranges = [(lo, hi) for lo, hi in ans.member_ranges if not lo <= k < hi]
                 dropped.append(k)
@@ -378,6 +378,14 @@ BAD_OPTION_VALUES = {
     "gen-queries-file-seed": "gen-queries --kind file --data {data} --seed 3 --out {tmp}/q.txt",
     "gen-queries-uniform-sigma": "gen-queries --kind uniform --data {data} --sigma -2 --out {tmp}/q.txt",
     "gen-queries-near-data-margin": "gen-queries --kind near-data --data {data} --margin 7 --out {tmp}/q.txt",
+    # arrays past the CLI's size bound are refused before they are allocated
+    "gen-uniform-n-huge": "gen --kind uniform --n 100000000000000000000 --d 2 --seed 1 --out {tmp}/x.txt",
+    "gen-grid-d-huge": "gen --kind grid --n 8 --d 100000000000000000000 --seed 1 --out {tmp}/x.txt",
+    "gen-clusters-d-huge": "gen --kind clusters --n 8 --d 100000000000000000000 --seed 1 --out {tmp}/x.txt",
+    "gen-k-clusters-huge": GEN + " --k-clusters 100000000000000000000",
+    "gen-queries-near-data-m-huge": "gen-queries --kind near-data --data {data} --m 100000000000000000000 --out {tmp}/q.txt",
+    "gen-queries-uniform-m-huge": "gen-queries --kind uniform --data {data} --m 100000000000000000000 --out {tmp}/q.txt",
+    "build-m-queries-huge": BUILD + " --mode learned --m-queries 100000000000000000000 --out-model {tmp}/m.json",
 }
 # options that no longer exist: query snapping answered outside the sandwich,
 # and the light-edge exponent rho is fixed by eps
@@ -408,6 +416,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    def test_array_size_bound_is_rows_times_columns(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_CELLS", 16)
+        gen = "gen --kind uniform --d 2 --seed 1 --out {}".format(tmp_path / "x.txt").split()
+        assert run_cli(gen + ["--n", "9"]) == 3
+        assert not any(tmp_path.iterdir())
+        assert run_cli(gen + ["--n", "8"]) == 0
+
     @pytest.mark.parametrize("template", UNKNOWN_OPTIONS.values(), ids=UNKNOWN_OPTIONS)
     def test_unknown_option_is_exit_two(self, tmp_path, capsys, saved_model, template):
         capsys.readouterr()
@@ -425,14 +440,20 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("error: ") and "no/such/dir" in err and "Traceback" not in err
 
-    def test_malformed_data_is_exit_two(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("garbage\n")
-        rc = run_cli(
-            ["build", "--data", str(bad), "--eps", "0.5", "--mode", "learned",
-             "--seed", "1", "--out-model", str(tmp_path / "m.json")]
-        )
-        assert rc == 2
+    def test_malformed_data_is_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dat"
+        # a bad header, and bytes that are not UTF-8, which fail to decode first
+        for content in (b"garbage\n", bytes(range(255, -1, -1))):
+            bad.write_bytes(content)
+            capsys.readouterr()
+            rc = run_cli(
+                ["build", "--data", str(bad), "--eps", "0.5", "--mode", "learned",
+                 "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+            )
+            assert rc == 2
+            assert run_cli(["oracle", "--data", str(bad), "--q", "1,2", "--eps", "0.5"]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and err.count("error: ") == 2
 
     def test_contract_violation_is_exit_three(self, tmp_path):
         data = gen_data(tmp_path, n=6, d=9)

@@ -173,7 +173,7 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
     outer, r = idx.working.outer_radius, idx.working.radius
     near = [0] + np.cumsum(d2 <= outer * outer).tolist()
     far = [0] + np.cumsum(d2 >= r * r).tolist()
-    leaf = idx.source_points.weights[idx.tree.order].tolist()
+    leaf = idx.points().weights[idx.tree.order].tolist()
     cum_weight = [0.0] * (2 ** (idx.tree.depth + 1) - 1)
 
     def fill(i: int, lo: int, hi: int) -> float:
@@ -553,7 +553,7 @@ class TestAnswerSetIsTheOuterBall:
         for q in queries:
             ans = count(idx, q, verify=True)
             assert answer_set(idx, ans.member_ranges) == exact_range_indices(
-                idx.source_points, q, idx.working.outer_radius
+                idx.points(), q, idx.working.outer_radius
             )
             assert ans.weight.hex() == flat_weight(idx, q).hex()
             assert count(idx, q).weight.hex() == ans.weight.hex()
@@ -646,6 +646,36 @@ class TestLazyTelemetry:
         assert ans.weight.hex() == flat_weight(idx, q).hex()
         inside = sq_dists_to(idx.path_points, q) <= 1.5625
         assert inside[1] and ans.weight == pytest.approx(float(weights[inside].sum()), abs=1e-12)
+
+
+class TestPointsHeldOnce:
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    @pytest.mark.parametrize("source", ["worstcase", "learned", "stored"])
+    def test_the_index_keeps_no_input_set_and_gives_its_points_back(self, tmp_path, source, n):
+        rng = Seed(220 + n).generator()
+        points = rng.uniform(0.0, 3.0, size=(n, 2))
+        weights = rng.uniform(-2.0, 2.0, size=n)
+        # a signed zero and a subnormal, whose bits the data order must keep
+        points[0], weights[0] = [-0.0, 5e-324], -0.0
+        pts = WeightedPointSet(points, weights)
+        if source == "worstcase":
+            tree_source = WorstCaseSource(grid_side=0.5)
+        elif source == "learned":
+            tree_source = LearnedSource(near_data_queries(pts, 64, sigma=0.5, seed=Seed(221)))
+        else:
+            tree_source = StoredOrder(SpanningPath(rng.permutation(n)), "learned")
+        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(222), tree_source=tree_source))
+        data, model = tmp_path / "points.bin", tmp_path / "model.json"
+        write_points(data, pts, binary=True)
+        ref = weakref.ref(pts)
+        del pts, tree_source
+        gc.collect()
+        assert ref() is None
+        save_model(model, idx, data)
+        for index in (idx, load_model(model, data)):
+            got = index.points()
+            assert got.points.shape == points.shape and got.points.tobytes() == points.tobytes()
+            assert got.weights.tobytes() == weights.tobytes()
 
 
 class TestDeterminism:

@@ -103,13 +103,15 @@ class TestMalformedText:
             read_points(f)
 
     def test_first_bad_row_is_cited(self, tmp_path):
-        # the earlier of a non-numeric row and a short one is reported, at
-        # its line in the file: blank lines before it count
+        # the earliest of a non-numeric row, a short one and a non-finite one
+        # is reported, at its line in the file: blank lines before it count
         f = tmp_path / "bad.txt"
         cases = [
             ("0.0 0.0 1.0\n0.0 nope 1.0\n0.0 1.0\n", r"non-numeric value \(line 3\)"),
             ("\n\n0.0 0.0 1.0\n0.0 nope 1.0\n0.0 1.0\n", r"non-numeric value \(line 5\)"),
             ("0.0 0.0 1.0\n \n\n0.0 1.0\n0.0 nope 1.0\n", r"row has 2 fields, expected 3 \(line 5\)"),
+            ("0.0 0.0 1.0\n1.0 1.0 1.0\n\n0.0 nan 1.0\n", r"non-finite value \(line 5\)"),
+            ("0.0 0.0 1.0\n\n0.0 0.0 inf\n0.0 nope 1.0\n", r"non-finite value \(line 4\)"),
         ]
         for body, message in cases:
             f.write_text("arc-points v1 3 2\n" + body)
@@ -255,7 +257,7 @@ class TestModels:
 
         monkeypatch.setattr(arccount.io, "read_points", refuse)
         loaded = load_model(model, data)
-        assert loaded.source_points.points.tobytes() == pts.points.tobytes()
+        assert loaded.points().points.tobytes() == pts.points.tobytes()
 
     def test_save_refuses_a_data_file_one_ulp_off(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)
@@ -291,9 +293,14 @@ class TestModels:
 
     def test_not_json_refused(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)
-        model.write_text("definitely not json {")
-        with pytest.raises(FileFormatError, match=r"model"):
-            load_model(model, data)
+        # text that is not JSON, and a binary point file, whose float64 bytes are not UTF-8
+        for binary in (False, True):
+            if binary:
+                write_points(model, pts, binary=True)
+            else:
+                model.write_text("definitely not json {")
+            with pytest.raises(FileFormatError, match=r"model"):
+                load_model(model, data)
 
 
 # coordinates and weights at the edges of float64: signed zeros, the
@@ -324,7 +331,7 @@ def test_model_round_trip_is_bit_exact(built, binary):
         save_model(model, idx, data)
         loaded = load_model(model, data)
     for name in ("points", "weights"):
-        a, b = getattr(pts, name), getattr(loaded.source_points, name)
+        a, b = getattr(pts, name), getattr(loaded.points(), name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     for name in ("path_points", "path_weights", "half_sq_norms"):
         assert getattr(idx, name).tobytes() == getattr(loaded, name).tobytes()

@@ -275,6 +275,28 @@ class TestPairStabCounts:
         fits = QuerySample(sample.queries[:99], source="t")
         np.testing.assert_array_equal(pair_stab_counts(pts, fits, PARAMS), whole_sample_counts(pts, fits, PARAMS))
 
+    def test_jobs_past_the_byte_budget_refused_before_allocating(self, monkeypatch):
+        # the int32 counts and the float32 partial take 8 n^2 bytes; the
+        # budget is lowered here, as a job past the real one takes gigabytes
+        assert learned._PAIR_BYTES_BUDGET == 2**31
+        monkeypatch.setattr(learned, "_PAIR_BYTES_BUDGET", 8 * 16 * 16)
+        pts, sample = near_data_case(16, 100, seed=157)
+        np.testing.assert_array_equal(pair_stab_counts(pts, sample, PARAMS), whole_sample_counts(pts, sample, PARAMS))
+        more, sample = near_data_case(17, 100, seed=157)
+        with pytest.raises(ContractViolation, match="over the budget of 2048"):
+            pair_stab_counts(more, sample, PARAMS)
+        # at n 4096 the two would take 128 MiB; the refusal comes first
+        monkeypatch.setattr(learned, "_PAIR_BYTES_BUDGET", 8 * 4095 * 4095)
+        big = weighted(Seed(158).generator().uniform(0.0, 3.0, size=(4096, 4)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContractViolation, match="134217728 bytes"):
+                build_counting_index(big, BuildConfig(eps=0.5, seed=Seed(159), tree_source=LearnedSource(sample)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_queries_far_from_every_point_count_nothing(self):
         # no inside entry, so no pair: every chunk scatters an empty key list
         pts, _ = dense_ball_case(64, 1, seed=152)
