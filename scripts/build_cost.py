@@ -15,6 +15,10 @@ size before the build and after it, and a sha256 of the index's leaf
 order; worstcase-d2 adds the size of the grid query universe.  The last
 RSS difference is the build's own peak above the inputs and the imported
 libraries.  Two checkouts that print the same hash built the same tree.
+A learned build adds its two layers, each the best of 3 in-process calls
+after the build on the build's own inputs: ``stab_counts_s``, the sampled
+stab counts (``learned.pair_stab_counts``), and ``spanning_tree_s``, the
+tree over them (``learned.learned_spanning_tree``).
 The index is then saved against a text data file of its points, as the
 benchmark saves it: ``model_bytes`` is the model file's size,
 ``load_ms`` the best of 15 ``load_model`` calls in the same process, each
@@ -66,9 +70,10 @@ from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from arccount import counter, io  # noqa: E402
+from arccount import counter, io, learned  # noqa: E402
 
 LOADS = 15
+LAYER_CALLS = 3
 
 
 def build_once(workload: str, n: int, seed: int) -> dict:
@@ -101,9 +106,23 @@ def build_once(workload: str, n: int, seed: int) -> dict:
     if universes:
         row["universe_size"] = len(universes[0])
     row["leaf_order_sha256"] = hashlib.sha256(idx.tree.order.tobytes()).hexdigest()
+    if isinstance(cfg.tree_source, counter.LearnedSource):
+        sample = cfg.tree_source.sample
+        counts, row["stab_counts_s"] = best_of(lambda: learned.pair_stab_counts(inputs.points, sample, idx.working))
+        _, row["spanning_tree_s"] = best_of(lambda: learned.learned_spanning_tree(counts, n))
     row["model_bytes"], row["load_ms"], loaded = save_and_load(idx, inputs.points)
     row["loaded_index_mib"] = round(array_bytes(loaded) / 2**20, 3)
     return row
+
+
+def best_of(call) -> tuple[object, float]:
+    """The last result of ``LAYER_CALLS`` calls of ``call`` and the least seconds one took."""
+    best = float("inf")
+    for _ in range(LAYER_CALLS):
+        t0 = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - t0)
+    return result, round(best, 4)
 
 
 def save_and_load(

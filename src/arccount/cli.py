@@ -23,6 +23,7 @@ from .core import ContractViolation, EpsParams, Seed, WeightedPointSet
 from .counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index, count, evaluate_visiting
 from .io import (
     FileFormatError,
+    file_digest,
     load_model,
     read_points,
     read_query_sample,
@@ -157,6 +158,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
             ("--query-grid-side", args.query_grid_side, not learned),
         ],
     )
+    # the digest is taken before the read: a file that changes after it is refused by the save
+    digest = file_digest(args.data)
     pts = read_points(args.data)
     seed = Seed(args.seed)
     if not learned:
@@ -175,7 +178,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         source = LearnedSource(sample=sample)
     cfg = BuildConfig(eps=args.eps, radius=args.radius, seed=seed, tree_source=source)
     idx = build_counting_index(pts, cfg)
-    save_model(args.out_model, idx, args.data)
+    save_model(args.out_model, idx, args.data, read=(pts, digest))
     return 0
 
 

@@ -8,8 +8,10 @@ conventions are fixed here once and used consistently:
   ``B(q, r)``, i.e. distances ``d`` with ``r < d <= (1+eps)r``;
 * a query eps-stabs a pair ``{x, y}`` when one point is within ``r`` and the
   other is at distance at least ``(1+eps)r`` (both comparisons closed).
-  :func:`stab_masks` alone makes both comparisons, apart from the learned
-  stab counts' GEMM block and the oracle, a referee that shares no code.
+  :func:`stab_masks` alone makes both comparisons, on squared distances
+  from :func:`sq_dists_to`, apart from the oracle, a referee that shares
+  no code.  The learned stab counts' float32 pass only decides which
+  distances need not be taken.
 
 Randomness is carried by :class:`Seed`, a 64-bit value plus a derivation
 path.  Sub-structures derive child seeds instead of sharing one generator,
@@ -134,8 +136,10 @@ class WeightedPointSet:
 def stab_masks(d2: np.ndarray, params: EpsParams) -> tuple[np.ndarray, np.ndarray]:
     """The near (``d2 <= r*r``) and far (``d2 >= ((1+eps) r)**2``) masks of squared distances ``d2``.
 
-    A query eps-stabs a pair when one end is near and the other far.  Each
-    caller computes ``d2``, and so keeps its own rounding.
+    A query eps-stabs a pair when one end is near and the other far.  Every
+    caller takes ``d2`` from ``sq_dists_to``: ``eps_stabs``,
+    ``spantree.BallRows.of``, ``learned.stabbing_bracket_report`` and the
+    band cells of ``learned.pair_stab_counts``' float32 pass.
     """
     big = params.outer_radius
     return d2 <= params.radius * params.radius, d2 >= big * big
@@ -156,6 +160,10 @@ def eps_stabs(q: np.ndarray, x: np.ndarray, y: np.ndarray, params: EpsParams) ->
 
 
 def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances from every row of ``points`` to ``q``."""
+    """Squared distances from every row of ``points`` to ``q``, or to the same row of a 2-d ``q``.
+
+    Each distance is the einsum of one row's differences, so it does not
+    depend on the other rows.
+    """
     diff = points - q
     return np.einsum("ij,ij->i", diff, diff)

@@ -66,13 +66,15 @@ def _rows_bytes(pts: WeightedPointSet) -> bytes:
 
 
 def _rows_points(buf: bytes, n: int, d: int, where: str, offset: int | None = None) -> WeightedPointSet:
-    """The inverse of ``_rows_bytes`` on ``buf`` past ``offset``; invalid points cite ``where`` and the offset."""
+    """The inverse of ``_rows_bytes`` on ``buf`` past ``offset``; a non-finite value cites ``where`` and its offset."""
     rows = np.frombuffer(buf, dtype="<f8", offset=offset or 0).reshape(n, d + 1)
     try:
         return WeightedPointSet(rows[:, :d].copy(), rows[:, d].copy())
     except ContractViolation as exc:
-        cite = "" if offset is None else f" (offset {offset})"
-        raise FileFormatError(f"{where}: {exc}{cite}") from exc
+        # with n and d at least 1, the set refuses only a non-finite value
+        first = int(np.argmin(np.isfinite(rows).reshape(-1)))
+        cite = "" if offset is None else f" (offset {offset + 8 * first})"
+        raise FileFormatError(f"{where}: non-finite value{cite}") from exc
 
 
 def write_points(path: str | Path, pts: WeightedPointSet, binary: bool = False) -> None:
@@ -186,22 +188,32 @@ _MODEL_FORMAT = "arc-model v6"
 
 def file_digest(path: str | Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
+    try:
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    except OSError as exc:
+        raise FileFormatError(f"{path}: cannot read: {exc}") from exc
     return "sha256:" + h.hexdigest()
 
 
-def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> None:
+def save_model(
+    path: str | Path, idx: CountingIndex, data_path: str | Path, read: tuple[WeightedPointSet, str] | None = None
+) -> None:
     """Save ``idx``; ``data_path`` must hold its points and weights bit for bit.
 
     The model carries the points, and loading answers from them; the data
     file's digest is recorded beside them, so it must describe the same
-    values, else a ``ContractViolation``.
+    values, else a ``ContractViolation``.  The check parses ``data_path``,
+    unless ``read`` holds what the caller already read: the points
+    ``read_points(data_path)`` gave and the ``file_digest`` the caller took
+    just before that read.  Those points must then be the index's, and the
+    file must still have that digest.
     """
     pts = idx.points()
     rows = _rows_bytes(pts)
-    on_file = read_points(data_path)
-    if on_file.points.shape != pts.points.shape or _rows_bytes(on_file) != rows:
+    on_file, digest = read or (read_points(data_path), None)
+    now = file_digest(data_path)
+    if digest not in (None, now) or on_file.points.shape != pts.points.shape or _rows_bytes(on_file) != rows:
         raise ContractViolation(
             f"{data_path}: the points and weights on file are not the index's, bit for bit; "
             "save the model against the data the index was built from"
@@ -211,7 +223,7 @@ def save_model(path: str | Path, idx: CountingIndex, data_path: str | Path) -> N
         "format": _MODEL_FORMAT,
         "n": len(pts),
         "d": pts.dim,
-        "data_digest": file_digest(data_path),
+        "data_digest": now,
         "order": [int(v) for v in idx.tree.order],
         "config": {
             "eps": cfg.eps,

@@ -10,12 +10,14 @@ counts and the tree; the holdout audit of a built index,
 ``evaluate_visiting``, sits beside ``count``.
 
 Memory: the counts are one int32 n x n matrix, 4 n^2 bytes.  Beside it,
-``pair_stab_counts`` holds per query chunk two 2 MiB distance buffers and
-at most ``_CHUNK_CELLS // _SCATTER_COST`` scattered pair keys per point;
-only once a chunk has many stab pairs does it add one float32 n x n
-matrix, the running sum of the chunks' products, which scipy's ``sgemm``
-accumulates in place.  That branch is the only importer of scipy here, so
-a build that never takes it never loads scipy (about 45 MB of peak RSS).
+``pair_stab_counts`` holds one 1 MiB float32 buffer for a chunk's shifted
+products, a float32 copy of the points, four float32 edges per sampled
+query, and at most ``_CHUNK_CELLS // _SCATTER_COST`` scattered pair keys
+per point.  Only once a chunk has many stab pairs does it add its two
+float32 masks and one float32 n x n matrix, the running sum of the
+chunks' products, which scipy's ``sgemm`` accumulates in place.  That
+branch is the only importer of scipy here, so a build that never takes it
+never loads scipy (about 45 MB of peak RSS).
 The tree step, a dense Prim over int64 edge keys, reads one row of the
 counts per step and holds O(n) beside them.  A job whose counts and
 float32 matrix, 8 n^2 bytes, would pass ``_PAIR_BYTES_BUDGET`` is refused
@@ -26,14 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to, stab_masks
 from .spantree import Edge, SpanningTree
 
-# pair_stab_counts: distances per query chunk (2 MiB of float64); each chunk
-# then adds its stab pairs by a scatter or a GEMM, both exact on integers
+# pair_stab_counts: cells per query chunk (1 MiB of float32 shifted
+# products); each chunk then adds its stab pairs by a scatter or a GEMM,
+# both exact on integers
 _CHUNK_CELLS = 2**18
 # pair_stab_counts: a chunk scatters its (near, inside) pairs when pairs times
 # this is at most the rows x n^2 multiply-adds of its GEMM, else it runs the
@@ -42,6 +46,13 @@ _CHUNK_CELLS = 2**18
 _SCATTER_COST = 2**10
 # every integer up to this is exact in float32
 _F32_EXACT = 2**24
+# _chunk_cells' float32 pass: unit roundoff, smallest normal (the absolute
+# error of a rounding that falls subnormal or is flushed to zero), largest
+# finite value, and the dimension from which its bound no longer holds
+_U32 = 2.0**-24
+_TINY32 = float(np.finfo(np.float32).tiny)
+_MAX32 = float(np.finfo(np.float32).max)
+_DIM32 = 2**20
 # pair_stab_counts: side of the square blocks in which the counts are formed
 _SYM_BLOCK = 256
 # pair_stab_counts: every count is at most the sample size, and int32 holds
@@ -117,27 +128,27 @@ def near_data_queries(
 def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> np.ndarray:
     """Symmetric int32 (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
 
-    The rule is ``core.stab_masks``': a query stabs {a, b} when one end is
-    near (d2 <= r2) and the other far (d2 >= (1+eps)^2 r2).  It is written
-    out here in GEMM form, on this function's own distances, whose
-    rounding fixes the learned tree.  Let N[q, a] = 1 when point a is near
-    query q, G[q, b] = 1 when point b lies inside the outer ball
-    (d2 < (1+eps)^2 r2), and F = 1 - G mark the far points.  The count
-    matrix N'F + F'N then equals ``c[a] + c[b] - X[a, b] - X[b, a]``, with
-    c the column sums of N and X = N'G.  Its diagonal is 0, because near
-    points lie inside.  A count is at most the sample size m, so int32
-    holds it; a sample of 2**31 queries or more is refused.
+    The rule is ``core.stab_masks`` of ``sq_dists_to`` rows: a query stabs
+    {a, b} when one end is near (d2 <= r2) and the other far
+    (d2 >= (1+eps)^2 r2).  Let N[q, a] = 1 when point a is near query q,
+    G[q, b] = 1 when point b lies inside the outer ball (it is not far),
+    and F = 1 - G mark the far points.  The count matrix N'F + F'N then
+    equals ``c[a] + c[b] - X[a, b] - X[b, a]``, with c the column sums of N
+    and X = N'G.  Its diagonal is 0, because near points lie inside.  A
+    count is at most the sample size m, so int32 holds it; a sample of
+    2**31 queries or more is refused.
 
     The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
-    m x n array is ever held, and each chunk's d2 is ``qq + pp - 2 Q P'``.
-    A chunk adds its share of X in one of two ways, both exact because X
-    holds integers and integer sums do not depend on their order:
+    m x n array is ever held, and ``_chunk_cells`` finds each chunk's near
+    and inside cells by a certified float32 pass.  A chunk adds its share
+    of X in one of two ways, both exact because X holds integers and
+    integer sums do not depend on their order:
 
     * few pairs (near a, inside b) against the chunk's rows x n^2 cells:
       each pair is scattered into X with ``np.add.at``;
-    * many pairs: a float32 GEMM of the chunk's masks, accumulated in
-      place into one float32 n x n matrix and added into X before any sum
-      could pass 2**24, below which it is exact.
+    * many pairs: a float32 GEMM of the chunk's masks, built from its cell
+      lists, accumulated in place into one float32 n x n matrix and added
+      into X before any sum could pass 2**24, below which it is exact.
 
     The counts are then formed in place in X, one pair of square blocks at
     a time in int64, so X is the only n x n int32 matrix ever held.
@@ -152,76 +163,52 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
             f"a learned build over {n} points needs {8 * n * n} bytes for its n x n stab counts, "
             f"over the budget of {_PAIR_BYTES_BUDGET}"
         )
-    points = pts.points
-    # squared by multiplication: a huge radius gives inf, never OverflowError
-    r2 = params.radius * params.radius
-    big2 = params.outer_radius * params.outer_radius
-    pp = np.einsum("ij,ij->i", points, points)
-    rows = max(1, _CHUNK_CELLS // n)
-    d2 = np.empty((rows, n))
-    qp = np.empty((rows, n))
     near_total = np.zeros(n, dtype=np.int64)
     x = np.zeros((n, n), dtype=np.int32)
     cells = x.reshape(-1)
     partial = None
     partial_rows = 0
-    for lo in range(0, len(sample), rows):
-        q = sample.queries[lo : lo + rows]
-        qq = np.einsum("ij,ij->i", q, q)
-        # qq + pp - 2.0 * (q @ P'), evaluated in place with the same roundings
-        twice = np.matmul(q, points.T, out=qp[: len(q)])
-        twice *= 2.0
-        block = np.add(qq[:, None], pp[None, :], out=d2[: len(q)])
-        block -= twice
-        np.maximum(block, 0.0, out=block)
-        near = block <= r2
-        inside = block < big2
-        # near and inside points per query; int32 holds n, as the n x n
-        # x above could not exist otherwise
-        k = near.sum(axis=1, dtype=np.int32)
-        g = inside.sum(axis=1, dtype=np.int32)
-        if int(k @ g.astype(np.int64)) * _SCATTER_COST <= len(q) * n * n:
+    for k, near_flat, inside_flat in _chunk_cells(pts.points, sample.queries, params):
+        row = near_flat // n
+        a = near_flat - row * n
+        near_total += np.bincount(a, minlength=n)
+        # near and inside points per query
+        starts = np.arange(0, (k + 1) * n, n)
+        near_k = np.diff(np.searchsorted(near_flat, starts))
+        inside_k = np.diff(np.searchsorted(inside_flat, starts))
+        if int(near_k @ inside_k) * _SCATTER_COST <= k * n * n:
             # every near entry (q, a) meets each inside entry (q, b) of its
-            # row; a row's inside entries are contiguous in ``flat``
-            flat = np.flatnonzero(inside)
-            near_flat = flat[near.reshape(-1)[flat]]
-            row = near_flat // n
-            a = near_flat - row * n
-            reps = g[row]
+            # row; a row's inside entries are contiguous in ``inside_flat``
+            reps = inside_k[row]
             ends = np.cumsum(reps)
-            pos = np.repeat(np.cumsum(g)[row] - ends, reps)
+            pos = np.repeat(np.cumsum(inside_k)[row] - ends, reps)
             pos += np.arange(len(pos))
-            key = flat[pos]
+            key = inside_flat[pos]
             del pos
-            # flat[pos] is row * n + b; the key is a * n + b.  The increment
-            # is an int32 scalar: a Python 1 takes add.at off its fast path.
+            # inside_flat[pos] is row * n + b; the key is a * n + b.  The
+            # increment is an int32 scalar: a Python 1 takes add.at off its
+            # fast path.
             key += np.repeat((a - row) * n, reps)
             np.add.at(cells, key, np.int32(1))
-            near_total += np.bincount(a, minlength=n)
         else:
             # imported here, not at module level: see the module docstring
             from scipy.linalg.blas import sgemm
 
-            near_total += np.count_nonzero(near, axis=0)
             if partial is None:
                 partial = np.zeros((n, n), dtype=np.float32)
-            if partial_rows + len(q) > _F32_EXACT:
+            if partial_rows + k > _F32_EXACT:
                 np.add(x, partial, out=x, casting="unsafe")
                 partial.fill(0.0)
                 partial_rows = 0
+            near_mask = np.zeros((k, n), dtype=np.float32)
+            near_mask.reshape(-1)[near_flat] = 1.0
+            inside_mask = np.zeros((k, n), dtype=np.float32)
+            inside_mask.reshape(-1)[inside_flat] = 1.0
             # partial += near' inside, accumulated in place: partial.T is
             # partial's buffer in Fortran order, and the masks' transposes
             # are theirs, so the GEMM copies nothing and makes no n x n product
-            sgemm(
-                1.0,
-                inside.astype(np.float32).T,
-                near.astype(np.float32).T,
-                beta=1.0,
-                c=partial.T,
-                trans_b=1,
-                overwrite_c=1,
-            )
-            partial_rows += len(q)
+            sgemm(1.0, inside_mask.T, near_mask.T, beta=1.0, c=partial.T, trans_b=1, overwrite_c=1)
+            partial_rows += k
     if partial is not None:
         # int32 plus float32 is summed in float64, exact below 2**53, a
         # buffer at a time: no n x n temporary
@@ -237,6 +224,130 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
             x[bi, bj] = s
             x[bj, bi] = s.T
     return x
+
+
+def _chunk_cells(
+    points: np.ndarray, queries: np.ndarray, params: EpsParams
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The stab masks of ``queries``, ``_CHUNK_CELLS // n`` rows at a time, from a certified float32 pass.
+
+    Yields per chunk ``(k, near, inside)``: its number of rows, and the
+    ascending flat indices ``row * n + point`` of its near cells and of its
+    inside cells, exactly as ``core.stab_masks`` reads the ``sq_dists_to``
+    row of each query.
+
+    The pass works on the points and queries less ``c``, the centre of the
+    points' bounding box: distances do not move, but norms, and the
+    rounding bound with them, shrink to the data's own spread.  With ``p``
+    and ``q`` a point and a query less ``c``, one float32 GEMM per chunk,
+    ``[Q, -1] @ [P, pp/2]'``, forms ``h = Q P' - pp/2``, as
+    ``counter.prefix_counts`` does in float64: ``h`` is ``(qq - d2) / 2`` up
+    to rounding, and a threshold ``T`` (``outer**2`` or ``r**2``) becomes
+    ``s = (qq - T) / 2``, with ``pp`` and ``qq`` the squared distances from
+    ``c`` that ``sq_dists_to`` gives.  Let ``u = 2**-24``,
+    ``g(k) = k u / (1 - k u)``, ``tau = 2**-126`` the smallest normal
+    float32, ``D`` the exact squared distance and ``M = (max |p| + |q|)**2``,
+    so that ``D``, ``|p|**2 + 2 |p| |q|`` and ``|q|**2`` are all at most
+    about ``M``.  In any summation order, with or without fused
+    multiply-adds, and with every quantity doubled:
+
+    * subtracting ``c`` rounds each coordinate by at most ``2**-53`` of it,
+      which moves ``|p - q|**2`` from ``D`` by at most about ``2**-51 M``;
+    * rounding a coordinate, or ``pp/2``, to float32 moves it by at most
+      ``u |x| + tau``, whether it stays normal, falls subnormal or is
+      flushed to zero.  So ``2 q.p`` moves by at most
+      ``2 (2u + u**2) |p| |q| + tau (1 + u) (d + M) + 2 d tau**2``, as
+      ``2 (|p|_1 + |q|_1) <= 2 sqrt(d M) <= d + M``, and ``pp`` by
+      ``(u + g53(d)) |p|**2 + 2 tau``, with ``g53`` float64's ``g`` for the
+      squares and the sum that formed it;
+    * the GEMM sums ``d + 1`` products, the last ``-1`` times ``pp/2`` and
+      exact, and errs by at most ``g(d + 1)`` times their summed
+      magnitudes, about ``2 |p| |q| + |p|**2 <= M``, plus ``tau`` for each
+      of its ``2d + 1`` operations that underflows;
+    * the float64 steps err by at most ``g53(d) |q|**2`` (``qq``),
+      ``g53(d + 2) D`` (``d2``: d differences, d squares and a sum of
+      nonnegative terms) and ``2**-53 |qq - T|`` (``qq - T``).
+
+    So ``|(d2 - T) - 2 (s - h)|`` is at most about
+    ``(d + 3) u M + 2**-53 |qq - T| + (5d + 4) tau``, and
+    ``B = 2 (d + 4) u (M + |qq - outer**2| + |qq - r**2|) + 8 (d + 2) tau``
+    exceeds it for every d below ``2**20``, with the float64 edges
+    ``s +- B/2`` rounded and room for the rounding of ``M`` and ``B``
+    themselves.  An ``h`` at or above ``s + B/2`` therefore has ``d2 < T``,
+    and one below ``s - B/2`` has ``d2 > T``.
+
+    The candidates are the cells at or above their row's lower outer edge;
+    every other cell is far.  A candidate at or above an upper edge is
+    inside (outer) or near (inner), and one below the lower inner edge is
+    not near.  The rest, the band cells, take ``stab_masks`` of
+    ``sq_dists_to`` on exactly those pairs.  A row whose ``2M + B`` is not
+    finite in float32 (a coordinate or a square past its range), and every
+    row once d reaches ``2**20``, has no bound: each of its cells is a band
+    cell.  The band's distances are taken ``_CHUNK_CELLS // d`` pairs at a
+    time.
+    """
+    n, d = points.shape
+    step = max(1, _CHUNK_CELLS // d)
+    # halved before the sum, which then cannot overflow
+    center = 0.5 * points.min(axis=0) + 0.5 * points.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pp = sq_dists_to(points, center)
+        qq = np.concatenate([sq_dists_to(queries[i : i + step], center) for i in range(0, len(queries), step)])
+        # [P, pp/2] in float32, clipped to its range: past it no row is
+        # certified, and an uncertified row's zeroed query still meets finite values
+        p32 = np.empty((n, d + 1), dtype=np.float32)
+        np.clip(points - center, -_MAX32, _MAX32, out=p32[:, :d])
+        np.minimum(0.5 * pp, _MAX32, out=p32[:, d])
+        # squared by multiplication: a huge radius gives inf, never OverflowError
+        r2 = params.radius * params.radius
+        big2 = params.outer_radius * params.outer_radius
+        m = math.sqrt(pp.max()) + np.sqrt(qq)
+        m *= m
+        t_big, t_r = qq - big2, qq - r2
+        half = (d + 4) * _U32 * (m + np.abs(t_big) + np.abs(t_r)) + 4 * (d + 2) * _TINY32  # B / 2
+        # a NaN fails the compare: it too leaves its row uncertified
+        certified = (2.0 * m + 2.0 * half < _MAX32) & (d < _DIM32)
+        # an uncertified row's edges are infinite, so its cells are all band cells
+        half[~certified] = np.inf
+        t_big[~certified] = t_r[~certified] = 0.0
+        s_big, s_r = 0.5 * t_big, 0.5 * t_r
+        edges = np.stack([s_big - half, s_big + half, s_r + half, s_r - half])
+        # a float32 h is at or above a float64 edge iff it is at or above the
+        # least float32 there, so every compare below is exact in float32
+        edges32 = edges.astype(np.float32)
+    np.nextafter(edges32, np.inf, out=edges32, where=edges32 < edges)
+    # the per-query float64 temporaries are not held across the chunks
+    del qq, m, t_big, t_r, half, s_big, s_r, edges
+    rows = max(1, _CHUNK_CELLS // n)
+    h = np.empty((rows, n), dtype=np.float32)
+    for lo in range(0, len(queries), rows):
+        q = queries[lo : lo + rows]
+        k = len(q)
+        qa = np.empty((k, d + 1), dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.clip(q - center, -_MAX32, _MAX32, out=qa[:, :d])
+        qa[~certified[lo : lo + k], :d] = 0.0
+        qa[:, d] = -1.0
+        hk = np.matmul(qa, p32.T, out=h[:k])
+        cand = np.flatnonzero(hk >= edges32[0, lo : lo + k, None])
+        # each row's edges, repeated over its candidates
+        per_row = np.diff(np.searchsorted(cand, np.arange(0, (k + 1) * n, n)))
+        hi_big, hi_r, lo_r = np.repeat(edges32[1:, lo : lo + k], per_row, axis=1)
+        hc = hk.reshape(-1)[cand]
+        inside = hc >= hi_big
+        near = hc >= hi_r
+        band = ~inside | (~near & (hc >= lo_r))
+        flat = cand[band]
+        row = flat // n
+        d2 = np.empty(len(flat))
+        for i in range(0, len(flat), step):
+            part = slice(i, i + step)
+            d2[part] = sq_dists_to(points[flat[part] - row[part] * n], q[row[part]])
+        band_near, band_far = stab_masks(d2, params)
+        near[band] = band_near
+        inside[band] = ~band_far
+        # compress, not a boolean index: several times faster on these masks
+        yield k, np.compress(near, cand), np.compress(inside, cand)
 
 
 def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:

@@ -10,10 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from arccount import cli, counter
+from arccount import cli, counter, io
 from arccount.cli import run_cli
 from arccount.core import WeightedPointSet
-from arccount.io import read_points, read_query_sample, write_query_sample
+from arccount.io import read_points, read_query_sample, write_points, write_query_sample
 from arccount.learned import QuerySample
 
 
@@ -505,15 +505,16 @@ class TestExitCodes:
         assert "rebuild" in err and "`arccount build`" in err
 
     def test_model_saved_against_other_points_is_exit_three(self, tmp_path, capsys, monkeypatch):
-        # the build reads points one ulp off the file's, as if the file had
-        # changed between the read and the save: the save refuses the file
+        # the file changes between the build's read and the save, one value
+        # one ulp off: the save refuses the file
         data = gen_data(tmp_path, n=20, d=3)
 
         def one_ulp_off(path):
             pts = read_points(path)
             points = pts.points.copy()
             points[5, 2] = np.nextafter(points[5, 2], -np.inf)
-            return WeightedPointSet(points, pts.weights)
+            write_points(path, WeightedPointSet(points, pts.weights))
+            return pts
 
         monkeypatch.setattr(cli, "read_points", one_ulp_off)
         model = tmp_path / "m.json"
@@ -525,6 +526,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 3 and not model.exists()
         assert err.startswith(f"error: {data}: ") and "bit for bit" in err and "Traceback" not in err
+
+    def test_build_parses_the_data_file_once(self, tmp_path, monkeypatch):
+        # the save checks the parsed set the build holds, not a second parse
+        data = gen_data(tmp_path, n=20, d=3)
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return read_points(path)
+
+        monkeypatch.setattr(cli, "read_points", counted)
+        monkeypatch.setattr(io, "read_points", counted)
+        model = tmp_path / "m.json"
+        rc = run_cli(
+            ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned", "--m-queries", "50",
+             "--seed", "1", "--out-model", str(model)]
+        )
+        assert rc == 0 and model.exists()
+        assert len(calls) == 1
+
+    def test_build_on_a_missing_data_file_is_exit_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        capsys.readouterr()
+        rc = run_cli(
+            ["build", "--data", str(missing), "--eps", "0.5", "--mode", "learned", "--seed", "1",
+             "--out-model", str(tmp_path / "m.json")]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: {missing}: cannot read: ") and "Traceback" not in err
+
+    def test_binary_non_finite_value_cites_its_offset(self, tmp_path, capsys):
+        # row index 3, coordinate 1 of a 5-row d 2 file: 12 + 8 * (3 * 3 + 1)
+        rows = np.arange(15, dtype="<f8").reshape(5, 3)
+        rows[3, 1] = np.nan
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(b"ARC1" + (5).to_bytes(4, "little") + (2).to_bytes(4, "little") + rows.tobytes())
+        capsys.readouterr()
+        assert run_cli(["oracle", "--data", str(bad), "--q", "1,2", "--eps", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: non-finite value (offset 92)\n"
 
     def test_oversized_worst_case_universe_is_exit_three(self, tmp_path, capsys):
         # about 7e5 grid queries times 12 points, refused before any light edge

@@ -26,6 +26,7 @@ from arccount.counter import (
 )
 from arccount.io import (
     FileFormatError,
+    file_digest,
     load_model,
     read_points,
     read_query_sample,
@@ -151,6 +152,17 @@ class TestMalformedBinary:
             read_points(f)
 
 
+    @pytest.mark.parametrize("at, value", [((0, 0), np.nan), ((3, 1), np.inf), ((4, 2), -np.inf)])
+    def test_non_finite_value_cites_its_own_offset(self, tmp_path, at, value):
+        # a 5-row d 2 file: value (row, col) sits at byte 12 + 8 * (3 row + col)
+        rows = np.ones((5, 3), dtype="<f8")
+        rows[at] = value
+        f = tmp_path / "bad.bin"
+        f.write_bytes(b"ARC1" + (5).to_bytes(4, "little") + (2).to_bytes(4, "little") + rows.tobytes())
+        with pytest.raises(FileFormatError, match=rf"non-finite value \(offset {12 + 8 * (3 * at[0] + at[1])}\)"):
+            read_points(f)
+
+
 class TestModels:
     def build_and_save(self, tmp_path, worstcase: bool = False):
         if worstcase:
@@ -268,6 +280,30 @@ class TestModels:
         with pytest.raises(ContractViolation, match=r"bit for bit"):
             save_model(other, idx, data)
         assert not other.exists()
+
+    def test_save_with_the_callers_read_checks_digest_and_points(self, tmp_path, monkeypatch):
+        # handed the set the caller read and the digest it took before, the
+        # save parses nothing, and refuses a file that changed since the
+        # digest or a set that is not the index's
+        pts, idx, data, model = self.build_and_save(tmp_path)
+        digest = file_digest(data)
+
+        def refuse(path):
+            raise AssertionError(f"read_points({path}) during save")
+
+        monkeypatch.setattr(arccount.io, "read_points", refuse)
+        again = tmp_path / "again.json"
+        save_model(again, idx, data, read=(pts, digest))
+        assert again.read_text() == model.read_text()
+        points = pts.points.copy()
+        points[7, 1] = np.nextafter(points[7, 1], np.inf)
+        off = WeightedPointSet(points, pts.weights)
+        with pytest.raises(ContractViolation, match=r"bit for bit"):
+            save_model(tmp_path / "off.json", idx, data, read=(off, digest))
+        write_points(data, off)
+        with pytest.raises(ContractViolation, match=r"bit for bit"):
+            save_model(tmp_path / "changed.json", idx, data, read=(pts, digest))
+        assert not (tmp_path / "off.json").exists() and not (tmp_path / "changed.json").exists()
 
     def test_save_refuses_a_data_file_of_another_shape(self, tmp_path):
         # 30 rows of 3 coordinates and a weight hold as many values as 20 of 5

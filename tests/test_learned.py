@@ -6,9 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arccount import learned
-from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
+from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to, stab_masks
 from arccount.counter import (
     BuildConfig,
     LearnedSource,
@@ -47,6 +49,16 @@ def whole_sample_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsP
     near = (d2 <= params.radius**2).astype(np.float64)
     far = (d2 >= params.outer_radius**2).astype(np.float64)
     return (near.T @ far + far.T @ near).astype(np.int64)
+
+
+def per_query_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> np.ndarray:
+    """Reference stab counts N'F + F'N from ``stab_masks`` of each query's ``sq_dists_to`` row."""
+    n = len(pts)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for q in sample.queries:
+        near, far = (mask.astype(np.int64) for mask in stab_masks(sq_dists_to(pts.points, q), params))
+        counts += np.outer(near, far) + np.outer(far, near)
+    return counts
 
 
 def lexsort_tree_edges(counts: np.ndarray, n: int) -> list[Edge]:
@@ -355,6 +367,80 @@ class TestPairStabCounts:
         np.testing.assert_array_equal(counts, expected)
         # query 0: (1, 0) at exactly r is near and (1.5, 0) at exactly 1.5r is far
         assert counts[1, 2] >= 1
+
+
+class TestStabCountsProperty:
+    # data scales 2**-60 to 2**60, one whose squares overflow float32
+    # (1e30), and ones whose coordinates (2**-140) or products (2**-70) fall
+    # below float32's smallest normal
+    @given(
+        d=st.integers(1, 64),
+        scale=st.integers(-60, 60).map(lambda k: 2.0**k) | st.sampled_from([1e30, 2.0**-140, 2.0**-70]),
+        eps=st.sampled_from([0.5, 0.01, 0.99]) | st.floats(0.01, 0.99),
+        spread=st.floats(0.0, 2.0),
+        cost=st.sampled_from([0, 2**62]),
+        chunk_cells=st.sampled_from([2**8, 2**18]),
+        certify=st.booleans(),
+        offset=st.sampled_from([0.0, 1e3, -1e9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=2, scale=1.0, eps=0.5, spread=1.0, cost=0, chunk_cells=2**18, certify=True, offset=0.0, seed=0)
+    @example(d=64, scale=1e30, eps=0.99, spread=2.0, cost=2**62, chunk_cells=2**8, certify=True, offset=0.0, seed=1)
+    @example(d=3, scale=2.0**-140, eps=0.01, spread=0.5, cost=0, chunk_cells=2**8, certify=True, offset=0.0, seed=2)
+    @example(d=8, scale=1.0, eps=0.5, spread=1.0, cost=0, chunk_cells=2**18, certify=True, offset=1e3, seed=3)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_counts_equal_per_query_stab_masks(
+        self, d, scale, eps, spread, cost, chunk_cells, certify, offset, seed
+    ):
+        # queries on a lattice of the data's scale, with points at exactly r
+        # and (1+eps) r from them along an axis, at both radii along a
+        # random direction, one ulp either side of each, and around them:
+        # the counts are those of stab_masks on sq_dists_to rows, entry for
+        # entry, from the scatter and from the GEMM, with the float32 pass
+        # or with every cell taken exactly (``certify`` off), near the
+        # origin or ``offset`` data scales from it
+        rng = np.random.default_rng(seed)
+        params = EpsParams(eps, scale)
+        centers = (rng.integers(-3, 4, size=(3, d)) + offset) * scale
+        points = []
+        for q in centers:
+            for radius in (params.radius, params.outer_radius):
+                axis = np.zeros(d)
+                axis[rng.integers(d)] = rng.choice([-1.0, 1.0])
+                direction = rng.normal(size=d)
+                direction /= np.linalg.norm(direction)
+                for p in (q + radius * axis, q + radius * direction):
+                    points += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
+        points = np.vstack([points, centers[:1] + rng.normal(size=(6, d)) * scale * spread])
+        queries = np.vstack([centers, points[:4], centers[rng.integers(3, size=20)] + rng.normal(size=(20, d)) * scale])
+        pts, sample = weighted(points), QuerySample(queries, source="t")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(learned, "_SCATTER_COST", cost)
+            mp.setattr(learned, "_CHUNK_CELLS", chunk_cells)
+            if not certify:
+                mp.setattr(learned, "_DIM32", 1)
+            counts = pair_stab_counts(pts, sample, params)
+        assert_count_matrix(counts, len(points))
+        np.testing.assert_array_equal(counts, per_query_counts(pts, sample, params))
+
+    # far from the origin too: the pass is centred on the points
+    @pytest.mark.parametrize("shift", [0.0, 1e3, -1e6])
+    def test_float32_pass_leaves_few_cells_to_the_exact_distances(self, monkeypatch, shift):
+        # on clustered data the float32 pass decides all but a sliver of the
+        # cells: the band, whose pairs reach sq_dists_to with one query per
+        # row, is under 0.1% of them
+        band = []
+
+        def counted(points, q):
+            if q.ndim == 2:
+                band.append(len(points))
+            return sq_dists_to(points, q)
+
+        monkeypatch.setattr(learned, "sq_dists_to", counted)
+        pts, sample = near_data_case(256, 3 * 1024 + 77, seed=130)
+        pts, sample = weighted(pts.points + shift), QuerySample(sample.queries + shift, source="t")
+        np.testing.assert_array_equal(pair_stab_counts(pts, sample, PARAMS), per_query_counts(pts, sample, PARAMS))
+        assert 0 < sum(band) < 0.001 * len(sample) * len(pts)
 
 
 class TestLearnedTree:

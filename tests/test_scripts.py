@@ -51,6 +51,10 @@ def test_build_cost_prints_one_line_per_n(workload):
         assert len(row["leaf_order_sha256"]) == 64
         assert ("universe_size" in row) == (workload == "worstcase-d2")
         assert row.get("universe_size", 1) > 0
+        # the learned build's layers, timed apart from it
+        layers = {"stab_counts_s", "spanning_tree_s"} & set(row)
+        assert len(layers) == (2 if workload == "near-d8" else 0)
+        assert all(row[k] > 0 for k in layers)
         # the model carries the n rows of d coordinates and a weight, base64
         assert row["model_bytes"] > row["n"] * (row["d"] + 1) * 8 * 4 / 3 and row["load_ms"] > 0
 
