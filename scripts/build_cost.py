@@ -15,10 +15,14 @@ size before the build and after it, and a sha256 of the index's leaf
 order; worstcase-d2 adds the size of the grid query universe.  The last
 RSS difference is the build's own peak above the inputs and the imported
 libraries.  Two checkouts that print the same hash built the same tree.
-A learned build adds its two layers, each the best of 3 in-process calls
-after the build on the build's own inputs: ``stab_counts_s``, the sampled
-stab counts (``learned.pair_stab_counts``), and ``spanning_tree_s``, the
-tree over them (``learned.learned_spanning_tree``).
+Each build adds its two layers, each the best of 3 in-process calls after
+the build on the build's own inputs.  A learned build prints
+``stab_counts_s``, the sampled stab counts (``learned.pair_stab_counts``),
+and ``spanning_tree_s``, the tree over them
+(``learned.learned_spanning_tree``).  A worst-case build prints
+``universe_s``, the grid query universe (``spantree.generate_grid_queries``),
+and ``light_edges_s``, the multiplicative weights game over a fresh copy
+of it (``spantree.build_low_stab_tree``).
 The index is then saved against a text data file of its points, as the
 benchmark saves it: ``model_bytes`` is the model file's size,
 ``load_ms`` the best of 15 ``load_model`` calls in the same process, each
@@ -70,7 +74,7 @@ from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from arccount import counter, io, learned  # noqa: E402
+from arccount import counter, io, learned, spantree  # noqa: E402
 
 LOADS = 15
 LAYER_CALLS = 3
@@ -81,16 +85,27 @@ def build_once(workload: str, n: int, seed: int) -> dict:
     w = dataclasses.replace(WORKLOADS[workload], n=n)
     inputs = make_inputs(w, seed)
     cfg = build_config(inputs, seed)
-    universes = []
-    real = counter.generate_grid_queries
-    counter.generate_grid_queries = lambda *args: universes.append(real(*args)) or universes[-1]
+    # the worst-case layers' arguments, as the build passes them
+    calls: dict[str, tuple] = {}
+
+    def recording(name: str, real):
+        def call(*args):
+            calls[name] = args
+            return real(*args)
+
+        return call
+
+    hooked = {name: getattr(counter, name) for name in ("generate_grid_queries", "build_low_stab_tree")}
+    for name, real in hooked.items():
+        setattr(counter, name, recording(name, real))
     try:
         before = _peak_rss_mb()
         t0 = time.perf_counter()
         idx = arccount.build_counting_index(inputs.points, cfg)
         seconds = time.perf_counter() - t0
     finally:
-        counter.generate_grid_queries = real
+        for name, real in hooked.items():
+            setattr(counter, name, real)
     row = {
         "workload": workload,
         "n": n,
@@ -103,8 +118,15 @@ def build_once(workload: str, n: int, seed: int) -> dict:
         "rss_before_mb": round(before, 1),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
     }
-    if universes:
-        row["universe_size"] = len(universes[0])
+    if calls:
+        universe, row["universe_s"] = best_of(lambda: spantree.generate_grid_queries(*calls["generate_grid_queries"]))
+        row["universe_size"] = len(universe)
+        # each game starts from a fresh copy of the universe, all exponents zero
+        pts, _, working, lp, seed = calls["build_low_stab_tree"]
+        fresh = spantree.QueryMultiset.from_support
+        _, row["light_edges_s"] = best_of(
+            lambda: spantree.build_low_stab_tree(pts, fresh(universe.support), working, lp, seed)
+        )
     row["leaf_order_sha256"] = hashlib.sha256(idx.tree.order.tobytes()).hexdigest()
     if isinstance(cfg.tree_source, counter.LearnedSource):
         sample = cfg.tree_source.sample

@@ -13,18 +13,21 @@ grows only logarithmically in the size of the query universe.
 The light-edge search never trusts approximate geometry for scoring: the
 net and the cell bucketing only pick a small candidate set, and every
 candidate is scored by its exact stabbing weight.
-Points never move, so a build computes every point's near and far masks
-over the universe, by ``core.stab_masks``, the package's one eps-stab
-rule, and the list of point pairs sorted by distance, once.
-Forest rounds mask the points they retire instead of copying the rest, and
-a search finds its candidates without any n x n pass: it sorts the cell
-rows into groups, pairs up the outsiders, reads the closest live pairs
-from the sorted list, and merges all of them as sorted keys ``a * n + b``.
-It then scores them with one product of their stab masks and the current
-weights.  Weights are powers of two, so that product is exact while their
-exponents span fewer than 53 - ceil(log2 m) bits; beyond that each
-candidate is summed on its own.  A universe whose size times n exceeds a
-fixed budget is refused before the first round.
+Points and cells never move, so a build computes once every point's near
+and far masks over the universe, by ``core.stab_masks``, the package's one
+eps-stab rule, the list of point pairs sorted by distance, and the pairs
+that share a bucket cell.  Forest rounds mask the points they retire
+instead of copying the rest, and a search finds its candidates without any
+n x n pass: it keeps the cell pairs whose ends are live, pairs up the
+outsiders, reads the closest live pairs from the sorted list, and merges
+all of them as sorted keys ``a * n + b``.
+The weight stabbing each pair is kept current for the whole build in one
+n x n matrix, :class:`PairWeights`, since only the queries that stab the
+chosen edge change weight: a candidate's score is two reads of it.  Weights
+are powers of two, so the matrix is exact while their exponents span fewer
+than 53 - ceil(log2 m) bits; once they do not, the matrix is dropped and
+each candidate is summed on its own.  A build whose masks or pair arrays
+exceed a fixed byte budget is refused before any of them is allocated.
 """
 
 from __future__ import annotations
@@ -175,9 +178,30 @@ _DIM_CAP = 8
 _MAX_GRID_CELLS = 5_000_000
 # largest grid cell index magnitude: every integer up to it is exact in float64
 _MAX_CELL_INDEX = 2**53
-# universe size times point count: the light-edge search scores candidates
-# against the whole universe, and a build holds two n x m masks
-_MAX_LIGHT_EDGE_WORK = 4_000_000
+# bytes of the arrays a worst-case build holds for its whole game: the two
+# n x m bool masks over the universe may take 8,000,000 (n * m up to
+# 4,000,000, which also bounds each search's passes over the universe), and
+# the n(n-1)/2 int64 pair keys with the n x n float64 pair-weight matrix
+# 2**28 (n up to about 4700)
+_MAX_MASK_BYTES = 8_000_000
+_MAX_PAIR_BYTES = 2**28
+# bytes of each temporary array in the blocked passes below
+_BLOCK_BYTES = 1 << 17
+# queries and rows per GEMM block of the pair-weight matrix
+_GEMM_BLOCK = 64
+# exponent span above e0 after which PairWeights rescales: its entries stay
+# below m * 2**_RESCALE_SPAN, far from float64's overflow
+_RESCALE_SPAN = 512
+
+
+def _bucket_side(params: EpsParams, d: int) -> float:
+    """Side of the light-edge search's bucket cells, ``eps * radius / (4 * sqrt(d))``."""
+    return params.eps * params.radius / (4.0 * math.sqrt(d))
+
+
+def light_edge_bytes(n: int, m: int) -> tuple[int, int]:
+    """Bytes a worst-case build over ``n`` points and ``m`` queries holds: its masks, and its pair arrays."""
+    return 2 * n * m, 4 * n * (n - 1) + 8 * n * n
 
 
 def generate_grid_queries(
@@ -190,7 +214,9 @@ def generate_grid_queries(
     The support lists the grid cells in lexicographic order of their integer
     indices.  Enumeration cost grows exponentially with dimension, so
     dimensions above ``_DIM_CAP`` are refused outright; use sampled queries
-    (or the learned builder) there instead.
+    (or the learned builder) there instead.  Each point's box of cells is
+    scanned, in whole-array passes over groups of points, and a scan past
+    ``_MAX_GRID_CELLS`` cells is refused before any cell is made.
     """
     d = pts.dim
     if d > _DIM_CAP:
@@ -200,8 +226,6 @@ def generate_grid_queries(
         )
     side = grid.side
     reach = params.outer_radius
-    kept = [np.empty((0, d), dtype=np.int64)]
-    scanned = 0
     # the cell index bounds and counts stay float64 until the budget has
     # admitted them, so a tiny side is refused before any cast or arange; an
     # overflow there gives inf or nan, which the budget refuses
@@ -210,25 +234,42 @@ def generate_grid_queries(
         highs = np.floor((pts.points + reach) / side)
         axes = highs - lows + 1.0
         counts = np.where(np.any(axes <= 0.0, axis=1), 0.0, np.prod(axes, axis=1))
-    for p, lo, hi, count in zip(pts.points, lows, highs, counts.tolist()):
-        if count == 0:
-            continue
         # written negated, so an inf or nan count is refused too
-        if not scanned + count <= _MAX_GRID_CELLS:
-            raise ContractViolation(
-                "grid query enumeration exceeded the cell budget; "
-                "use sampled queries or the learned tree builder"
-            )
-        if max(-lo.min(), hi.max()) > _MAX_CELL_INDEX:
-            raise ContractViolation(
-                f"grid cell indices exceed {_MAX_CELL_INDEX}, where float64 cell "
-                "centres stop being exact; use a larger grid side"
-            )
-        scanned += int(count)
-        spans = [np.arange(l, h + 1) for l, h in zip(lo.astype(np.int64), hi.astype(np.int64))]
-        mesh = np.stack(np.meshgrid(*spans, indexing="ij"), axis=-1).reshape(-1, d)
-        centers = mesh * side
-        kept.append(mesh[sq_dists_to(centers, p) <= reach * reach])
+        over = ~(np.cumsum(counts) <= _MAX_GRID_CELLS)
+        inexact = (counts != 0) & (np.maximum(-lows.min(axis=1), highs.max(axis=1)) > _MAX_CELL_INDEX)
+    # refused as a scan point by point would meet them: the budget first
+    over_at = int(np.argmax(over)) if over.any() else len(pts)
+    if inexact[:over_at].any():
+        raise ContractViolation(
+            f"grid cell indices exceed {_MAX_CELL_INDEX}, where float64 cell "
+            "centres stop being exact; use a larger grid side"
+        )
+    if over_at < len(pts):
+        raise ContractViolation(
+            "grid query enumeration exceeded the cell budget; "
+            "use sampled queries or the learned tree builder"
+        )
+    owners = np.flatnonzero(counts)
+    sizes = counts[owners].astype(np.int64)
+    lows, axes = lows[owners].astype(np.int64), axes[owners].astype(np.int64)
+    ends = np.cumsum(sizes)
+    per_pass = max(1, _BLOCK_BYTES // (8 * d))
+    kept = [np.empty((0, d), dtype=np.int64)]
+    lo = 0
+    while lo < owners.size:
+        # whole points, about per_pass cells, and at least one point
+        base = int(ends[lo] - sizes[lo])
+        hi = max(lo + 1, int(np.searchsorted(ends, base + per_pass, side="right")))
+        owner = np.repeat(np.arange(lo, hi), sizes[lo:hi])
+        # each cell's offset in its point's box, taken apart last axis first
+        rest = np.arange(owner.size) - np.repeat(ends[lo:hi] - sizes[lo:hi] - base, sizes[lo:hi])
+        cells = np.empty((owner.size, d), dtype=np.int64)
+        for k in range(d - 1, -1, -1):
+            rest, cells[:, k] = np.divmod(rest, axes[owner, k])
+        cells += lows[owner]
+        near = sq_dists_to(cells * side, pts.points[owners[owner]]) <= reach * reach
+        kept.append(cells[near])
+        lo = hi
     cells = np.concatenate(kept)
     order, fresh = _row_groups(cells)
     cells = cells[order[fresh]]  # the distinct cells, in lexicographic order
@@ -263,33 +304,109 @@ class BallRows:
     ``far[i]`` those at least ``(1+eps)*radius`` away, over the whole query
     support: ``core.stab_masks`` of the point's ``sq_dists_to`` row.
     ``pairs`` lists every pair ``a < b`` as the key ``a * n + b``, ranked
-    by squared distance, ties by ``(a, b)``.  Points never move, so a build
-    computes these once for all its points; forest rounds and light-edge
-    searches read them by point id and never copy a row.  A pair's mask
-    alone is ``BallRows.of(np.stack([x, y]), support, params).stab_mask(0, 1)``.
+    by squared distance, ties by ``(a, b)``.  ``cells`` is each point's
+    bucket cell of side ``eps * radius / (4 * sqrt(d))``, and
+    ``cell_pairs`` the sorted keys of the pairs that share one.  Points
+    never move, so a build computes these once for all its points; forest
+    rounds and light-edge searches read them by point id and never copy a
+    row.  A pair's mask alone is
+    ``BallRows.of(np.stack([x, y]), support, params).stab_mask(0, 1)``.
     """
 
     near: np.ndarray  # (n, m) bool
     far: np.ndarray  # (n, m) bool
     pairs: np.ndarray  # (n * (n - 1) / 2,) int64
+    cells: np.ndarray  # (n, d) int64
+    cell_pairs: np.ndarray  # (pairs sharing a cell,) int64, ascending
 
     @classmethod
     def of(cls, points: np.ndarray, support: np.ndarray, params: EpsParams) -> "BallRows":
-        n = points.shape[0]
-        near = np.empty((n, support.shape[0]), dtype=bool)
+        (n, d), m = points.shape, support.shape[0]
+        near = np.empty((n, m), dtype=bool)
         far = np.empty_like(near)
-        for i, p in enumerate(points):
-            near[i], far[i] = stab_masks(sq_dists_to(support, p), params)
+        # sq_dists_to's per-row form over blocks of points: each row of d2
+        # is sq_dists_to(support, p) of its point p, bit for bit
+        step = max(1, _BLOCK_BYTES // (8 * m * d))
+        for lo in range(0, n, step):
+            block = points[lo : lo + step]
+            d2 = sq_dists_to(np.tile(support, (len(block), 1)), np.repeat(block, m, axis=0))
+            near[lo : lo + step], far[lo : lo + step] = stab_masks(d2.reshape(len(block), m), params)
         # the upper triangle row by row, each distance rounded as
         # sq_dists_to rounds it, then stably sorted: no n x n matrix is formed
         d2 = np.concatenate([sq_dists_to(points[i + 1 :], points[i]) for i in range(n)])
         order = np.argsort(d2, kind="stable")
         del d2
-        return cls(near, far, np.flatnonzero(~np.tri(n, dtype=bool))[order])
+        cells = np.floor(points / _bucket_side(params, d)).astype(np.int64)
+        cell_a, cell_b = _cell_pairs(cells)
+        return cls(near, far, np.flatnonzero(~np.tri(n, dtype=bool))[order], cells, np.sort(cell_a * n + cell_b))
 
     def stab_mask(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
         """Which queries eps-stab the pair of rows ``a`` and ``b``; index arrays give one row per pair."""
         return (self.near[a] & self.far[b]) | (self.near[b] & self.far[a])
+
+
+def _add_stabbed(x: np.ndarray, rows: np.ndarray, near: np.ndarray, far: np.ndarray, w: np.ndarray) -> None:
+    """``x[rows] += (near[rows] * w) @ far.T`` for bool ``near`` and ``far`` over the same queries.
+
+    Float64 GEMMs over blocks of ``_GEMM_BLOCK`` queries and as many rows.
+    """
+    for j in range(0, far.shape[1], _GEMM_BLOCK):
+        cols = slice(j, j + _GEMM_BLOCK)
+        far_t = far[:, cols].T.astype(np.float64)
+        for i in range(0, rows.size, _GEMM_BLOCK):
+            r = rows[i : i + _GEMM_BLOCK]
+            x[r] += (near[r, cols] * w[cols]) @ far_t
+
+
+class PairWeights:
+    """The query weight that stabs each pair of points, kept current through a build.
+
+    ``x[a, b]`` is ``sum 2**(e[q] - e0)`` over the queries ``q`` near ``a``
+    and far from ``b``, so a pair's stabbed weight, scaled by ``2**-e0``, is
+    ``x[a, b] + x[b, a]``: one point's near and far masks are disjoint, so
+    no query counts twice.  Every term is a power of two, so while the
+    exponents pass :func:`sums_are_exact` every entry and score is exact,
+    and equal to the per-pair sum ``weights[mask].sum()`` up to that
+    power-of-two scale.  The matrix is one blocked GEMM at the start;
+    doubling the queries ``Q`` that stab an edge adds
+    ``(near[R][:, Q] * 2**(e[Q] - e0)) @ far[:, Q].T`` to the rows ``R``
+    near some query of ``Q``, and ``x`` and ``e0`` are rescaled by exact
+    powers of two before the largest weight passes ``2**_RESCALE_SPAN``.
+    Once :meth:`current` finds the sums inexact, the matrix is released
+    for the rest of the build.
+    """
+
+    def __init__(self, rows: BallRows, exponents: np.ndarray) -> None:
+        self.rows = rows
+        self.x: np.ndarray | None = None
+        self.e0 = int(exponents.max())
+        if sums_are_exact(exponents):
+            n = rows.near.shape[0]
+            self.x = np.zeros((n, n))
+            _add_stabbed(self.x, np.arange(n), rows.near, rows.far, np.ldexp(1.0, exponents - self.e0))
+
+    def current(self, exponents: np.ndarray) -> bool:
+        """Whether the matrix holds exact scores for ``exponents``; once not, it is dropped for good."""
+        if self.x is not None and not sums_are_exact(exponents):
+            self.x = None
+        return self.x is not None
+
+    def scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Stabbed weight of each pair ``(a[i], b[i])``, scaled by ``2**-e0``."""
+        return self.x[a, b] + self.x[b, a]
+
+    def double(self, stabbed: np.ndarray, exponents: np.ndarray) -> None:
+        """Double the weight of the ``stabbed`` queries, whose exponents are still ``exponents``."""
+        if self.x is None:
+            return
+        top = int(exponents.max()) + 1
+        if top - self.e0 > _RESCALE_SPAN:
+            np.ldexp(self.x, self.e0 - top, out=self.x)
+            self.e0 = top
+        q = np.flatnonzero(stabbed)
+        near = self.rows.near[:, q]
+        rows = np.flatnonzero(near.any(axis=1))
+        _add_stabbed(self.x, rows, near, self.rows.far[:, q], np.ldexp(1.0, exponents[q] - self.e0))
 
 
 class LiveRows:
@@ -298,18 +415,31 @@ class LiveRows:
     A round starts with its representatives alive and retires one point per
     edge by clearing its entry in ``alive``.  ``head`` indexes the sorted
     ``pairs``: every pair before it has a retired end, and since no point
-    comes back to life within a round, it only moves forward.
+    comes back to life within a round, it only moves forward.  ``weights``
+    is the build's :class:`PairWeights`, shared by all its rounds.
     """
 
-    def __init__(self, rows: BallRows, ids: np.ndarray | list[int]) -> None:
+    def __init__(self, rows: BallRows, ids: np.ndarray | list[int], weights: PairWeights) -> None:
         self.rows = rows
+        self.weights = weights
         self.alive = np.zeros(rows.near.shape[0], dtype=bool)
         self.alive[ids] = True
         self.head = 0
 
+    @classmethod
+    def of(cls, pts: WeightedPointSet, queries: QueryMultiset, params: EpsParams) -> "LiveRows":
+        """Every point of ``pts`` live, with their ball rows and pair weights under ``queries``."""
+        rows = BallRows.of(pts.points, queries.support, params)
+        return cls(rows, np.arange(len(pts)), PairWeights(rows, queries.stab_exponents))
+
     def ids(self) -> np.ndarray:
         """The live rows, ascending."""
         return np.flatnonzero(self.alive)
+
+    def cell_pairs(self) -> np.ndarray:
+        """The sorted keys of the live pairs that share a bucket cell."""
+        keys, n = self.rows.cell_pairs, self.alive.size
+        return keys[self.alive[keys // n] & self.alive[keys % n]]
 
     def closest_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``count`` closest pairs ``a < b`` of live rows, ranked as in ``pairs``.
@@ -367,28 +497,23 @@ def weighted_draws(weights: np.ndarray, rng: np.random.Generator, size: int) -> 
     return np.minimum(np.searchsorted(cum, u, side="right"), weights.size - 1)
 
 
-# mask entries per scoring block; the product casts a block to float64
+# mask entries per scoring block of _stabbed_weights
 _SCORE_CHUNK = 1 << 16
 
 
-def _stabbed_weights(
-    rows: BallRows, a: np.ndarray, b: np.ndarray, weights: np.ndarray, exact: bool
-) -> np.ndarray:
-    """Current query weight stabbing each candidate pair ``(a[i], b[i])``.
+def _stabbed_weights(rows: BallRows, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Current query weight stabbing each candidate pair ``(a[i], b[i])``, one sum per candidate.
 
-    When every subset sum of the weights is ``exact``, a block of
-    candidates is scored by one mask-times-weights product; otherwise each
-    candidate's stabbed weights are summed on their own, as numpy sums
-    them.  Blocks hold at most ``_SCORE_CHUNK`` mask entries.
+    Each candidate's stabbed weights are summed on their own, as numpy
+    sums them; the search reads this only once the exponents have failed
+    :func:`sums_are_exact` and the :class:`PairWeights` matrix is gone.
+    Blocks hold at most ``_SCORE_CHUNK`` mask entries.
     """
     scores = np.empty(a.size)
     step = max(1, _SCORE_CHUNK // weights.size)
     for lo in range(0, a.size, step):
         stabbed = rows.stab_mask(a[lo : lo + step], b[lo : lo + step])
-        if exact:
-            scores[lo : lo + step] = stabbed @ weights
-        else:
-            scores[lo : lo + step] = [weights[mask].sum() for mask in stabbed]
+        scores[lo : lo + step] = [weights[mask].sum() for mask in stabbed]
     return scores
 
 
@@ -422,25 +547,25 @@ def find_light_edge(
     multiset, and the lowest score wins, ties to the lexicographically
     smallest pair, so the result is deterministic given the seed.
 
-    ``live`` holds the ball masks and sorted pairs of all of ``pts`` and
-    which of them the search runs over; by default they are computed here
-    and every point is live.  The edge's ends are indices into ``pts``.
-    The candidates are found without any n x n pass: cell groups by
-    sorting the cell rows, outsider pairs from the outsider list, and the
-    closest live pairs from the sorted pairs.  They are merged as sorted
-    keys ``a * n + b`` and scored by their exact stabbed weights: one
-    product over all candidates while the query exponents pass
+    ``live`` holds the ball rows, sorted pairs and pair weights of all of
+    ``pts`` and which of them the search runs over; by default they are
+    computed here (:meth:`LiveRows.of`) and every point is live.  The
+    edge's ends are indices into ``pts``.  The candidates are found
+    without any n x n pass: the build's cell pairs with both ends live,
+    outsider pairs from the outsider list, and the closest live pairs from
+    the sorted pairs.  They are merged as sorted keys ``a * n + b`` and
+    scored by their exact stabbed weights: two reads of the
+    :class:`PairWeights` matrix each while the query exponents pass
     :func:`sums_are_exact`, else one sum per candidate.  The weights are
     derived once per search, and the net is drawn from them.
     """
     if live is None:
-        live = LiveRows(BallRows.of(pts.points, queries.support, params), np.arange(len(pts)))
+        live = LiveRows.of(pts, queries, params)
     ids = live.ids()
     n = ids.size
     if n < 2:
         raise ContractViolation("light edge search needs at least 2 points")
     d = pts.dim
-    points = pts.points[ids]
 
     # 1. net: heavy queries show up proportionally to their current weight
     delta = min(0.99, d / n**lp.rho)
@@ -450,13 +575,9 @@ def find_light_edge(
     picks = _sorted_unique(weighted_draws(weights, seed.derive(0).generator(), net_size))
     net = queries.support[picks]
 
-    # 2. bucket by cells of side eps*radius/(4*sqrt(d)): pairs sharing a cell
-    side = params.eps * params.radius / (4.0 * math.sqrt(d))
-    cells = np.floor(points / side).astype(np.int64)
-    cell_a, cell_b = _cell_pairs(cells)
-
-    # pairs of points whose cells every net query misses by more than (1+eps)r
-    outsiders = np.flatnonzero(~_cell_box_hits_net(cells, side, net, params.outer_radius))
+    # 2. pairs of points whose cells every net query misses by more than (1+eps)r
+    side = _bucket_side(params, d)
+    outsiders = ids[~_cell_box_hits_net(live.rows.cells[ids], side, net, params.outer_radius)]
     out_a, out_b = np.triu_indices(outsiders.size, 1)
 
     # the three closest live pairs, always in play
@@ -465,16 +586,13 @@ def find_light_edge(
     # 3. exact scoring against the full multiset, current weights included
     size = len(pts)
     keys = _sorted_unique(
-        np.concatenate(
-            [
-                ids[cell_a] * size + ids[cell_b],
-                ids[outsiders[out_a]] * size + ids[outsiders[out_b]],
-                near_a * size + near_b,
-            ]
-        )
+        np.concatenate([live.cell_pairs(), outsiders[out_a] * size + outsiders[out_b], near_a * size + near_b])
     )
     a, b = np.divmod(keys, size)
-    scores = _stabbed_weights(live.rows, a, b, weights, sums_are_exact(queries.stab_exponents))
+    if live.weights.current(queries.stab_exponents):
+        scores = live.weights.scores(a, b)
+    else:
+        scores = _stabbed_weights(live.rows, a, b, weights)
     best = int(np.argmin(scores))
     return Edge(int(a[best]), int(b[best]))
 
@@ -497,12 +615,13 @@ def build_low_stab_forest(
     stabs it by bumping its exponent, and retires the edge's first endpoint
     by masking its row.  Every surviving live point represents a distinct
     component, so the edge set is acyclic by construction.  ``live`` holds
-    the ball masks of all of ``pts`` and the round's points; by default they
-    are computed here and every point is live.  The edges' ends are indices
-    into ``pts``.
+    the ball rows and pair weights of all of ``pts`` and the round's
+    points; by default they are computed here and every point is live.
+    Each doubling updates the pair weights before the exponents.  The
+    edges' ends are indices into ``pts``.
     """
     if live is None:
-        live = LiveRows(BallRows.of(pts.points, queries.support, params), np.arange(len(pts)))
+        live = LiveRows.of(pts, queries, params)
     k = int(np.count_nonzero(live.alive))
     if k < 2:
         raise ContractViolation("forest building needs at least 2 points")
@@ -513,7 +632,9 @@ def build_low_stab_forest(
         merged = uf.union(edge.a, edge.b)
         assert merged, "light edge would close a cycle"
         edges.append(edge)
-        queries.stab_exponents[live.rows.stab_mask(edge.a, edge.b)] += 1
+        stabbed = live.rows.stab_mask(edge.a, edge.b)
+        live.weights.double(stabbed, queries.stab_exponents)
+        queries.stab_exponents[stabbed] += 1
         live.alive[edge.a] = False
     return Forest(n=len(pts), edges=edges)
 
@@ -530,22 +651,25 @@ def build_low_stab_tree(
     The query multiset carries its weights across rounds, so after the build
     each query's exponent equals the exact number of tree edges it stabs.
     Components at least halve per round, giving at most ceil(log2 n) + 1
-    rounds and exactly n - 1 edges.  The points' ball masks and sorted
-    pairs are computed once for the whole build.  A universe whose size
-    times n exceeds ``_MAX_LIGHT_EDGE_WORK`` is refused before the first
-    round.
+    rounds and exactly n - 1 edges.  The points' ball rows, sorted pairs,
+    cell pairs and pair weights are computed once for the whole build.  A
+    build whose masks or pair arrays (:func:`light_edge_bytes`) exceed
+    ``_MAX_MASK_BYTES`` or ``_MAX_PAIR_BYTES`` is refused before any of
+    them is allocated.
     """
     n = len(pts)
     if n < 2:
         raise ContractViolation("spanning tree construction needs at least 2 points")
-    work = len(queries) * n
-    if work > _MAX_LIGHT_EDGE_WORK:
+    masks, pairs = light_edge_bytes(n, len(queries))
+    if masks > _MAX_MASK_BYTES or pairs > _MAX_PAIR_BYTES:
         raise ContractViolation(
-            f"worst-case tree over {len(queries)} grid queries and {n} points "
-            f"({work} query-point pairs) exceeds the budget of {_MAX_LIGHT_EDGE_WORK}; "
+            f"worst-case tree over {len(queries)} grid queries and {n} points needs "
+            f"{masks} bytes of masks and {pairs} of pair arrays, over the budget of "
+            f"{_MAX_MASK_BYTES} and {_MAX_PAIR_BYTES}; "
             "use --mode learned, a larger eps or a coarser --query-grid-side"
         )
     rows = BallRows.of(pts.points, queries.support, params)
+    weights = PairWeights(rows, queries.stab_exponents)
     uf = UnionFind(n)
     edges: list[Edge] = []
     max_rounds = math.ceil(math.log2(n)) + 1
@@ -553,7 +677,8 @@ def build_low_stab_tree(
         reps = sorted({uf.find(i) for i in range(n)})
         if len(reps) == 1:
             break
-        forest = build_low_stab_forest(pts, queries, params, lp, seed.derive(round_no), LiveRows(rows, reps))
+        live = LiveRows(rows, reps, weights)
+        forest = build_low_stab_forest(pts, queries, params, lp, seed.derive(round_no), live)
         for a, b in forest.edges:
             merged = uf.union(a, b)
             assert merged, "cross-round edge would close a cycle"

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from arccount.core import (
@@ -508,11 +511,39 @@ class TestBudget:
         pts = scatter(4, 2, seed=95)
         qs = generate_grid_queries(pts, PARAMS, GridSpec(0.5))
         lp = LightEdgeParams.for_eps(0.5)
-        monkeypatch.setattr(spantree, "_MAX_LIGHT_EDGE_WORK", 4 * len(qs) - 1)
+        masks, _ = spantree.light_edge_bytes(4, len(qs))
+        monkeypatch.setattr(spantree, "_MAX_MASK_BYTES", masks - 1)
         with pytest.raises(ContractViolation, match="--mode learned"):
             build_low_stab_tree(pts, qs, PARAMS, lp, Seed(96))
-        monkeypatch.setattr(spantree, "_MAX_LIGHT_EDGE_WORK", 4 * len(qs))
+        monkeypatch.setattr(spantree, "_MAX_MASK_BYTES", masks)
         assert len(build_low_stab_tree(pts, qs, PARAMS, lp, Seed(96)).edges) == 3
+
+    def test_pair_arrays_have_their_own_budget(self, monkeypatch):
+        pts = scatter(4, 2, seed=95)
+        qs = generate_grid_queries(pts, PARAMS, GridSpec(0.5))
+        lp = LightEdgeParams.for_eps(0.5)
+        _, pairs = spantree.light_edge_bytes(4, len(qs))
+        assert pairs == 6 * 8 + 16 * 8  # 6 int64 pair keys and a 4 x 4 float64 matrix
+        monkeypatch.setattr(spantree, "_MAX_PAIR_BYTES", pairs - 1)
+        with pytest.raises(ContractViolation, match="--mode learned"):
+            build_low_stab_tree(pts, qs, PARAMS, lp, Seed(96))
+        monkeypatch.setattr(spantree, "_MAX_PAIR_BYTES", pairs)
+        assert len(build_low_stab_tree(pts, qs, PARAMS, lp, Seed(96)).edges) == 3
+
+    def test_every_job_of_the_old_pair_budget_is_admitted_to_n_4096(self):
+        # the budget was 4,000,000 query-point pairs; a job at n points held
+        # at most 4,000,000 // n queries under it
+        for n in range(2, 4097):
+            masks, pairs = spantree.light_edge_bytes(n, 4_000_000 // n)
+            assert masks <= spantree._MAX_MASK_BYTES and pairs <= spantree._MAX_PAIR_BYTES
+
+    def test_refused_before_any_array_is_allocated(self, monkeypatch):
+        pts = scatter(4, 2, seed=95)
+        qs = generate_grid_queries(pts, PARAMS, GridSpec(0.5))
+        monkeypatch.setattr(spantree, "_MAX_PAIR_BYTES", 0)
+        monkeypatch.setattr(spantree.BallRows, "of", mock.Mock(side_effect=AssertionError("allocated")))
+        with pytest.raises(ContractViolation, match="bytes"):
+            build_low_stab_tree(pts, qs, PARAMS, LightEdgeParams.for_eps(0.5), Seed(96))
 
 
 class TestForest:
@@ -610,3 +641,96 @@ class TestTreeMatchesReference:
     def test_outsiders(self, monkeypatch):
         pts, qs, params = outsider_instance()
         self.check(pts, qs, params, 97, monkeypatch)
+
+
+def matrix_is_current(pts, queries, live) -> bool:
+    """Whether the search's pair weights hold exact scores; if so, assert every
+    pair's score, live or retired, equals its own masked sum up to the scale."""
+    e = queries.stab_exponents
+    if not live.weights.current(e):
+        return False
+    a, b = np.triu_indices(len(pts), 1)
+    weights = queries.weights()
+    expected = [weights[mask].sum() for mask in live.rows.stab_mask(a, b)]
+    got = np.ldexp(live.weights.scores(a, b), live.weights.e0 - int(e.max()))
+    assert np.array_equal(got, expected)
+    return True
+
+
+def build_against_reference(pts, qs, params, seed, shift=0):
+    """Build the tree of ``qs``, and the reference one of a copy whose exponents
+    are lowered by ``shift``; assert the same edges and final exponents, and
+    return, per search, whether the matrix was current and its ``e0``."""
+    seen = []
+    real = spantree.find_light_edge
+
+    def watched(pts, queries, params, lp, seed, live):
+        seen.append((matrix_is_current(pts, queries, live), live.weights.e0))
+        return real(pts, queries, params, lp, seed, live)
+
+    lp = LightEdgeParams.for_eps(params.eps)
+    ref_qs = QueryMultiset(qs.support, qs.stab_exponents - shift)
+    expected = reference_low_stab_tree(pts, ref_qs, params, lp, Seed(seed))
+    with mock.patch.object(spantree, "find_light_edge", watched):
+        tree = build_low_stab_tree(pts, qs, params, lp, Seed(seed))
+    assert tree.edges == expected
+    assert np.array_equal(qs.stab_exponents, ref_qs.stab_exponents + shift)
+    assert len(seen) == len(pts) - 1
+    return seen
+
+
+class TestPairWeights:
+    """The maintained pair-weight matrix: equal to per-pair sums while they are
+    exact, and a build that keeps it gives the reference tree across the switch
+    to per-candidate sums and across rescales."""
+
+    @given(
+        d=st.integers(1, 3),
+        eps=st.sampled_from([0.3, 0.5, 0.9]),
+        n=st.integers(2, 12),
+        top=st.integers(0, 50),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_scores_equal_per_pair_sums_at_every_search(self, d, eps, n, top, seed):
+        pts, qs, params = random_exponent_instance(d, eps, n, top, seed)
+        exact_at_start = sums_are_exact(qs.stab_exponents)
+        current = []
+        real = spantree.find_light_edge
+
+        def checked(pts, queries, params, lp, seed, live):
+            current.append(matrix_is_current(pts, queries, live))
+            return real(pts, queries, params, lp, seed, live)
+
+        with mock.patch.object(spantree, "find_light_edge", checked):
+            build_low_stab_tree(pts, qs, params, LightEdgeParams.for_eps(eps), Seed(seed))
+        assert current[0] == exact_at_start
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_build_switches_to_per_pair_sums_partway(self, seed):
+        # every query but the first sits three doublings below the largest
+        # exact span, so the sums turn inexact once one of them is stabbed thrice
+        pts, qs, params = random_exponent_instance(2, 0.5, 24, 0, seed)
+        top = 52 - (len(qs) - 1).bit_length()
+        qs.stab_exponents[:] = top - 2
+        qs.stab_exponents[0] = 0
+        assert sums_are_exact(qs.stab_exponents)
+        current = [c for c, _ in build_against_reference(pts, qs, params, seed)]
+        assert current[0] and not current[-1]
+        # once dropped, the matrix stays dropped
+        assert current == sorted(current, reverse=True)
+
+    @pytest.mark.parametrize("rescale_span", [None, 0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exponents_past_float64s_range(self, seed, rescale_span, monkeypatch):
+        # 2**1100 overflows float64, so the matrix holds 2**(e - e0); at a
+        # rescale span of 0 it moves e0 up whenever the largest exponent grows
+        if rescale_span is not None:
+            monkeypatch.setattr(spantree, "_RESCALE_SPAN", rescale_span)
+        pts, qs, params = random_exponent_instance(2, 0.5, 17, 6, seed)
+        qs.stab_exponents += 1100
+        seen = build_against_reference(pts, qs, params, seed, shift=1100)
+        assert all(c for c, _ in seen)
+        offsets = [e0 for _, e0 in seen]
+        assert offsets[0] == 1106
+        assert (offsets[-1] > offsets[0]) == (rescale_span == 0)
