@@ -21,7 +21,10 @@ in-process passes over the 200 timed pool queries:
   beforehand.
 
 Each figure is the best of ``--passes`` passes, divided by the number of
-queries.  One JSON line per workload and seed.
+queries.  ``band_queries`` counts the queries of which ``prefix_counts``
+measures some point again with ``sq_dists_to``: those with a point within
+the certified pass's rounding bound of a radius.  One JSON line per
+workload and seed.
 
 Example:
     PYTHONPATH=src python3 scripts/query_layers.py --seeds 1
@@ -40,6 +43,7 @@ import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -48,6 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from harness import RADIUS, TIMED_QUERIES, WORKLOADS, build_config, make_inputs  # noqa: E402
 
 import arccount  # noqa: E402
+from arccount import counter  # noqa: E402
 from arccount.counter import prefix_counts  # noqa: E402
 from arccount.ptree import walk  # noqa: E402
 
@@ -61,6 +66,17 @@ def best_us(fn, args: list, passes: int) -> float:
             fn(a)
         best = min(best, time.perf_counter() - t0)
     return best / len(args) * 1e6
+
+
+def band_queries(idx: arccount.CountingIndex, transformed: list) -> int:
+    """How many of the queries send some point of ``prefix_counts`` to ``sq_dists_to``."""
+    with mock.patch.object(counter, "sq_dists_to", wraps=counter.sq_dists_to) as exact:
+        banded = 0
+        for qw in transformed:
+            calls = exact.call_count
+            prefix_counts(idx, qw)
+            banded += exact.call_count > calls
+    return banded
 
 
 def query_layers(workload: str, seed: int, passes: int) -> dict:
@@ -88,6 +104,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "n": len(inputs.points),
         "d": inputs.points.dim,
         "queries": len(queries),
+        "band_queries": band_queries(idx, transformed),
         "transform_query_us": best_us(idx.transform_query, queries, passes),
         "prefix_counts_us": best_us(lambda qw: prefix_counts(idx, qw), transformed, passes),
         "walk_us": best_us(lambda c: walk(idx.tree, c), counts, passes),

@@ -11,7 +11,8 @@ conventions are fixed here once and used consistently:
   :func:`stab_masks` alone makes both comparisons, on squared distances
   from :func:`sq_dists_to`, apart from the oracle, a referee that shares
   no code.  The learned stab counts' float32 pass only decides which
-  distances need not be taken.
+  distances need not be taken, as ``count``'s float64 pass does: both
+  passes' rounding bound is :func:`band_half_width`, proved there once.
 
 Randomness is carried by :class:`Seed`, a 64-bit value plus a derivation
 path.  Sub-structures derive child seeds instead of sharing one generator,
@@ -167,3 +168,58 @@ def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     diff = points - q
     return np.einsum("ij,ij->i", diff, diff)
+
+
+# unit roundoff and smallest normal of the certified passes' two precisions
+FLOAT64_ROUNDING = (2.0**-53, float(np.finfo(np.float64).tiny))
+FLOAT32_ROUNDING = (2.0**-24, float(np.finfo(np.float32).tiny))
+
+
+def band_half_width(d: int, m, t_outer, t_inner, rounding: tuple[float, float]):
+    """Half the certified band ``B`` of a distance pass whose precision has ``rounding``, ``(u, tau)``.
+
+    ``m`` and the ``t`` are Python floats (one query) or float64 arrays (a
+    query per entry), as is the result.  ``counter``'s float64 pass and
+    the learned stab counts' float32 pass decide ``d2 <= T`` or ``d2 < T``
+    for the ``d2`` of ``sq_dists_to`` from ``h = sum_j p_j q_j - pp / 2``,
+    a (d+1)-term product in their precision: ``p`` and ``q`` are a point
+    and the query less a centre ``c`` (0 in ``counter``), rounded to it
+    (exact in float64), and ``pp = sq_dists_to(p, c)``.  ``h`` is
+    ``(qq - d2) / 2`` up to rounding, ``qq`` being ``|q|**2`` by
+    ``math.hypot`` or ``sq_dists_to``, and a threshold ``T`` becomes
+    ``s = (qq - T) / 2`` in float64.
+
+    Let ``v = 2**-53``, ``g(k) = k u / (1 - k u)`` (``g53`` with ``v``),
+    ``D`` the exact squared distance, ``a = |p|``, ``b = |q|`` and
+    ``M = (max a + b)**2``, at least ``D`` and ``2ab + a**2 + b**2``.
+    Taking every error on ``2h``, ``d2`` and ``qq``:
+
+    * in float64, ``d2`` errs by ``g53(d+2) D``, ``qq`` by
+      ``g53(max(d, 5)) b**2`` and ``pp`` by ``g53(d) a**2``, and centring
+      moves ``D`` by ``(2v + v**2) M`` where ``c`` is not 0;
+    * rounding a coordinate or ``pp/2`` to float32 moves it by
+      ``u |x| + tau``, normal, subnormal or flushed, so ``2h`` by
+      ``(2u + u**2) 2ab + u a**2 + tau (1 + u)(d + M) + 2d tau**2 + 2 tau``,
+      as the 1-norms of ``p`` and ``q`` sum to at most ``sqrt(d M) <= (d + M) / 2``;
+    * the sum errs by ``g(d+1) (2ab + a**2)``, fused or not, plus
+      ``2 tau`` for each of its ``2d + 1`` operations that underflows.  A
+      float32 sum may take its terms in any order; a float64 one
+      subtracts ``pp/2`` last, else that term's bound doubles to
+      ``2 d v a**2`` and the total passes ``B`` for d above 5;
+    * ``qq - T`` rounds by ``v |qq - T|``, each edge ``s +- B/2`` by
+      ``v (|qq - T| + B) / 2``, and each halving and square by ``tau``
+      where it underflows.
+
+    So ``|(d2 - T) - 2 (s - h)|`` is at most about
+    ``(g(max(d+1, 5)) + g(d+2)) M + 2v |qq - T| + (7d + 9) tau`` in
+    float64, and ``(d + 3) u M + 2v |qq - T| + (5d + 4) tau`` in float32
+    (its float64 steps round by ``v = 2**-29 u``) while ``(d + 1) u <= 1/16``.
+    ``B = 2 (d + 4) u (M + |qq - T_outer| + |qq - T_inner|) + 8 (d + 4) tau``
+    exceeds it, for d up to ``10**7`` in float64 and below ``2**20`` in
+    float32, with room for the rounding of ``M`` and ``B``, wherever
+    ``2M + B`` is finite in the pass's precision.  An ``h`` at or above
+    ``s + B/2`` then has ``d2 < T``, one below ``s - B/2`` has
+    ``d2 > T``, and only the band between needs ``sq_dists_to``.
+    """
+    u, tiny = rounding
+    return (d + 4) * u * (m + abs(t_outer) + abs(t_inner)) + 4 * (d + 4) * tiny

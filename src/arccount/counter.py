@@ -13,11 +13,11 @@ radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).  So
 ``count`` finds the weight by one distance pass over the points in path
 order, at that one threshold: one BLAS matrix-vector product (GEMV)
 against half the squared norms, stored at build time, gives
-``(|q|**2 - d2) / 2`` up to a certified rounding bound, with ``d2`` the
-squared distance ``core.sq_dists_to`` gives.  A point within that bound
-of the threshold sends the pass back to ``sq_dists_to`` (see
-``prefix_counts``), so the mask is exactly ``d2 <= outer**2``.  The weight
-is the sum of the masked point weights in path order.
+``(|q|**2 - d2) / 2`` up to the rounding bound of ``core.band_half_width``,
+with ``d2`` from ``core.sq_dists_to``.  Only the points within that bound
+of the threshold are measured again with ``sq_dists_to``, so the mask is
+exactly ``d2 <= outer**2``.  The weight is the sum of the masked point
+weights in path order.
 
 The tree walk, ``ptree.walk``, reports how the paper's index reaches that
 set: the nodes it visits, their verdicts and the path ranges it includes.
@@ -50,12 +50,14 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .core import (
+    FLOAT64_ROUNDING,
     ContractViolation,
     EpsParams,
     GridSpec,
     Seed,
     WeightedPointSet,
     as_point,
+    band_half_width,
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
@@ -68,11 +70,6 @@ from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, buil
 from .stabber import classify  # noqa: F401
 
 _SEED_TREE = 2
-
-_UNIT_ROUNDOFF = 2.0**-53
-# the absolute error of one product that underflows, under gradual
-# underflow and under flush-to-zero alike
-_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -241,93 +238,69 @@ def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     when it is near only.  Entry ``k`` sums the codes of the first ``k``
     path points.
 
-    The pass forms ``h = P @ q - pp / 2``, one GEMV, from the path points
-    ``P`` and half their squared norms ``pp``, stored at build time: ``h`` is
-    ``(|q|**2 - d2) / 2`` up to rounding.  A threshold ``T`` (``outer**2``
-    or ``r**2``) becomes ``s = (qq - T) / 2``, ``qq`` the square of
-    ``math.hypot``'s ``|q|``, which errs by under 1 ulp.  Let ``u = 2**-53``,
-    ``g(k) = k u / (1 - k u)``, ``D`` the exact ``|p - q|**2`` and
-    ``M = (max |p| + |q|)**2``, so that ``D``, ``|p|**2 + 2 |p| |q|`` and
-    ``|q|**2`` are all at most ``M``.  In any summation order, and with
-    every quantity doubled:
-
-    * ``|d2 - D| <= g(d+2) M``: d differences, d squares and a sum of d
-      nonnegative terms;
-    * ``pp`` and the product err by ``g(d)`` times ``|p|**2`` and
-      ``2 |p| |q|``, ``qq`` by ``5u |q|**2``, and the subtraction forming
-      ``h`` by ``u (1 + g(d)) M``: ``qq - 2h`` is within
-      ``g(max(d, 5) + 1) M`` of ``D``;
-    * ``qq - T`` rounds by ``u |qq - T| / (1 - u)``, and each edge
-      ``s +- B/2`` by at most ``u (|qq - T| + B) / 2``.
-
-    Halving is exact but where it underflows.  So
-    ``|(d2 - T) - 2 (s - h)| <= (g(max(d, 5) + 1) + g(d+2)) M + u |qq - T| / (1 - u)``,
-    about ``(d + 4) u M`` per side, and
-    ``B = 2 (d + 4) u (M + |qq - outer**2| + |qq - r**2|) + 4 (d + 4) tiny``
-    exceeds it with the edges' rounding included, for every d from 1 to
-    10**7, with room for the rounding of ``M`` and ``B`` themselves.
-    ``tiny`` is the smallest normal double: ``4 (d + 4) tiny`` bounds the
-    absolute error of the at most 4d products and halvings that
-    underflow, even flushed to zero.  An ``h`` at or above ``s + B/2``
-    therefore has ``d2 < T``, and one below ``s - B/2`` has ``d2 > T``.
-
-    The codes are taken at the upper edges, ``(h >= s1 + B/2) + (h >= s2 + B/2)``,
-    and they are those of ``d2`` iff no ``h`` lies in either band
-    ``[s - B/2, s + B/2)``, that is iff the same count at the lower edges
-    has the same total.  Otherwise, and whenever ``2M + B`` is not finite
-    (a square may overflow, and a NaN ``h`` must never read as far), the
-    codes come from ``sq_dists_to`` itself.  Either way they are exactly
-    the codes of ``d2``.
+    The codes are taken at the upper edges of ``_shifted_products``.  Unless
+    the running count's total and the points below a lower edge make up
+    ``2n``, some point lies in a band, and the band points of either
+    threshold take both codes from their ``sq_dists_to`` distances.
     """
-    gemv = _shifted_products(idx, qw)
-    c = np.zeros(len(idx.path_points) + 1, dtype=np.intp)
-    if gemv is not None:
-        h, s1, s2, b = gemv
-        np.add.accumulate(np.add(h >= s1 + b, h >= s2 + b, dtype=np.intp), out=c[1:])
-        if np.count_nonzero(h >= s1 - b) + np.count_nonzero(h >= s2 - b) == c[-1]:
-            return c
-    outer, r = idx.working.outer_radius, idx.working.radius
-    d2 = sq_dists_to(idx.path_points, qw)
-    np.add.accumulate(np.add(d2 <= outer * outer, d2 < r * r, dtype=np.intp), out=c[1:])
+    h, s1, s2, half = _shifted_products(idx, qw)
+    inside, beyond_outer = h >= s1 + half, h < s1 - half
+    near, beyond_inner = h >= s2 + half, h < s2 - half
+    c = np.zeros(len(h) + 1, dtype=np.intp)
+    np.add.accumulate(np.add(inside, near, dtype=np.intp), out=c[1:])
+    if c[-1] + np.count_nonzero(beyond_outer) + np.count_nonzero(beyond_inner) < 2 * len(h):
+        band, d2 = _band_distances(idx, qw, (inside | beyond_outer) & (near | beyond_inner))
+        outer, r = idx.working.outer_radius, idx.working.radius
+        inside[band] = d2 <= outer * outer
+        near[band] = d2 < r * r
+        np.add.accumulate(np.add(inside, near, dtype=np.intp), out=c[1:])
     return c
 
 
-def _shifted_products(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, float, float, float] | None:
-    """``h = P @ q - pp / 2``, the outer and inner thresholds ``s``, and ``B / 2``, as ``prefix_counts`` derives them.
+def _shifted_products(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, float, float, float]:
+    """``h = P @ q - pp / 2``, the outer and inner thresholds ``s = (qq - T) / 2``, and ``B / 2``.
 
-    None when ``2M + B`` is not finite, where the caller takes ``sq_dists_to``.
+    The float64 pass of ``core.band_half_width``, centred at 0: an ``h`` at
+    or above the upper edge ``s + B/2`` has ``d2 < T``, one below the lower
+    edge ``s - B/2`` has ``d2 > T``.  Where ``2M + B`` is not finite (a
+    square may overflow) ``h`` is NaN: it fails both compares, so every
+    point is a band point.
     """
     outer, r = idx.working.outer_radius, idx.working.radius
-    d = idx.path_points.shape[1]
     # Python floats: a square that overflows is inf, with no warning
     norm = math.hypot(*qw.tolist())
     qq = norm * norm
     m = idx.max_norm + norm
     m *= m
     t1, t2 = qq - outer * outer, qq - r * r
-    bound = 2 * (d + 4) * _UNIT_ROUNDOFF * (m + abs(t1) + abs(t2)) + 4 * (d + 4) * _TINY
-    if not math.isfinite(2.0 * m + bound):
-        return None
-    h = idx.path_points.dot(qw)
-    h -= idx.half_sq_norms
-    return h, 0.5 * t1, 0.5 * t2, 0.5 * bound
+    half = band_half_width(idx.path_points.shape[1], m, t1, t2, FLOAT64_ROUNDING)
+    if math.isfinite(2.0 * m + 2.0 * half):
+        h = idx.path_points.dot(qw)
+        h -= idx.half_sq_norms
+    else:
+        h = np.full(len(idx.half_sq_norms), math.nan)
+    return h, 0.5 * t1, 0.5 * t2, half
+
+
+def _band_distances(idx: CountingIndex, qw: np.ndarray, settled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The band, the path points that no edge has ``settled``, and their ``sq_dists_to`` distances."""
+    band = np.flatnonzero(~settled)
+    return band, sq_dists_to(idx.path_points[band], qw)
 
 
 def outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     """Whether each path point lies within the working outer radius, exactly ``sq_dists_to(...) <= outer**2``.
 
     The certified pass of ``prefix_counts`` at the outer threshold alone:
-    the mask at the upper edge ``s + B/2`` is exact iff no ``h`` lies in the
-    band below it, that is iff the lower edge counts as many points.
+    the mask at the upper edge holds unless some point lies in the band.
     """
-    gemv = _shifted_products(idx, qw)
-    if gemv is not None:
-        h, s, _, b = gemv
-        mask = h >= s + b
-        if np.count_nonzero(h >= s - b) == np.count_nonzero(mask):
-            return mask
-    outer = idx.working.outer_radius
-    return sq_dists_to(idx.path_points, qw) <= outer * outer
+    h, s, _, half = _shifted_products(idx, qw)
+    mask, beyond = h >= s + half, h < s - half
+    if np.count_nonzero(mask) + np.count_nonzero(beyond) < len(h):
+        band, d2 = _band_distances(idx, qw, mask | beyond)
+        outer = idx.working.outer_radius
+        mask[band] = d2 <= outer * outer
+    return mask
 
 
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:

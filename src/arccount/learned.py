@@ -32,7 +32,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to, stab_masks
+from .core import (
+    FLOAT32_ROUNDING, ContractViolation, EpsParams, Seed, WeightedPointSet, band_half_width, sq_dists_to, stab_masks
+)
 from .spantree import Edge, SpanningTree
 
 # pair_stab_counts: cells per query chunk (1 MiB of float32 shifted
@@ -46,11 +48,8 @@ _CHUNK_CELLS = 2**18
 _SCATTER_COST = 2**10
 # every integer up to this is exact in float32
 _F32_EXACT = 2**24
-# _chunk_cells' float32 pass: unit roundoff, smallest normal (the absolute
-# error of a rounding that falls subnormal or is flushed to zero), largest
-# finite value, and the dimension from which its bound no longer holds
-_U32 = 2.0**-24
-_TINY32 = float(np.finfo(np.float32).tiny)
+# _chunk_cells' float32 pass: largest finite value, and the dimension from
+# which core.band_half_width's bound no longer holds
 _MAX32 = float(np.finfo(np.float32).max)
 _DIM32 = 2**20
 # pair_stab_counts: side of the square blocks in which the counts are formed
@@ -140,7 +139,8 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
 
     The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
     m x n array is ever held, and ``_chunk_cells`` finds each chunk's near
-    and inside cells by a certified float32 pass.  A chunk adds its share
+    and inside cells by a certified float32 pass, whose rounding bound
+    ``core.band_half_width`` proves.  A chunk adds its share
     of X in one of two ways, both exact because X holds integers and
     integer sums do not depend on their order:
 
@@ -238,43 +238,12 @@ def _chunk_cells(
 
     The pass works on the points and queries less ``c``, the centre of the
     points' bounding box: distances do not move, but norms, and the
-    rounding bound with them, shrink to the data's own spread.  With ``p``
-    and ``q`` a point and a query less ``c``, one float32 GEMM per chunk,
-    ``[Q, -1] @ [P, pp/2]'``, forms ``h = Q P' - pp/2``, as
-    ``counter.prefix_counts`` does in float64: ``h`` is ``(qq - d2) / 2`` up
-    to rounding, and a threshold ``T`` (``outer**2`` or ``r**2``) becomes
-    ``s = (qq - T) / 2``, with ``pp`` and ``qq`` the squared distances from
-    ``c`` that ``sq_dists_to`` gives.  Let ``u = 2**-24``,
-    ``g(k) = k u / (1 - k u)``, ``tau = 2**-126`` the smallest normal
-    float32, ``D`` the exact squared distance and ``M = (max |p| + |q|)**2``,
-    so that ``D``, ``|p|**2 + 2 |p| |q|`` and ``|q|**2`` are all at most
-    about ``M``.  In any summation order, with or without fused
-    multiply-adds, and with every quantity doubled:
-
-    * subtracting ``c`` rounds each coordinate by at most ``2**-53`` of it,
-      which moves ``|p - q|**2`` from ``D`` by at most about ``2**-51 M``;
-    * rounding a coordinate, or ``pp/2``, to float32 moves it by at most
-      ``u |x| + tau``, whether it stays normal, falls subnormal or is
-      flushed to zero.  So ``2 q.p`` moves by at most
-      ``2 (2u + u**2) |p| |q| + tau (1 + u) (d + M) + 2 d tau**2``, as
-      ``2 (|p|_1 + |q|_1) <= 2 sqrt(d M) <= d + M``, and ``pp`` by
-      ``(u + g53(d)) |p|**2 + 2 tau``, with ``g53`` float64's ``g`` for the
-      squares and the sum that formed it;
-    * the GEMM sums ``d + 1`` products, the last ``-1`` times ``pp/2`` and
-      exact, and errs by at most ``g(d + 1)`` times their summed
-      magnitudes, about ``2 |p| |q| + |p|**2 <= M``, plus ``tau`` for each
-      of its ``2d + 1`` operations that underflows;
-    * the float64 steps err by at most ``g53(d) |q|**2`` (``qq``),
-      ``g53(d + 2) D`` (``d2``: d differences, d squares and a sum of
-      nonnegative terms) and ``2**-53 |qq - T|`` (``qq - T``).
-
-    So ``|(d2 - T) - 2 (s - h)|`` is at most about
-    ``(d + 3) u M + 2**-53 |qq - T| + (5d + 4) tau``, and
-    ``B = 2 (d + 4) u (M + |qq - outer**2| + |qq - r**2|) + 8 (d + 2) tau``
-    exceeds it for every d below ``2**20``, with the float64 edges
-    ``s +- B/2`` rounded and room for the rounding of ``M`` and ``B``
-    themselves.  An ``h`` at or above ``s + B/2`` therefore has ``d2 < T``,
-    and one below ``s - B/2`` has ``d2 > T``.
+    rounding bound with them, shrink to the data's own spread.  One float32
+    GEMM per chunk, ``[Q, -1] @ [P, pp/2]'``, forms ``h``, and each query's
+    edges ``s +- B/2`` at both radii follow from ``core.band_half_width``,
+    which proves the bound for this float32 pass.  Each edge is rounded up
+    to the least float32 at or above it, so every compare of a float32
+    ``h`` with it is exact.
 
     The candidates are the cells at or above their row's lower outer edge;
     every other cell is far.  A candidate at or above an upper edge is
@@ -304,7 +273,7 @@ def _chunk_cells(
         m = math.sqrt(pp.max()) + np.sqrt(qq)
         m *= m
         t_big, t_r = qq - big2, qq - r2
-        half = (d + 4) * _U32 * (m + np.abs(t_big) + np.abs(t_r)) + 4 * (d + 2) * _TINY32  # B / 2
+        half = band_half_width(d, m, t_big, t_r, FLOAT32_ROUNDING)
         # a NaN fails the compare: it too leaves its row uncertified
         certified = (2.0 * m + 2.0 * half < _MAX32) & (d < _DIM32)
         # an uncertified row's edges are infinite, so its cells are all band cells

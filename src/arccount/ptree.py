@@ -191,6 +191,8 @@ def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, para
     q = as_point(q)
     if q.shape[0] != pts.dim:
         raise ContractViolation("query dimension does not match points")
+    if len(pts) != t.n:
+        raise ContractViolation(f"the tree holds {t.n} points, the point set {len(pts)}")
     dist = np.sqrt(sq_dists_to(pts.points[t.order], q))
     c = np.zeros(t.n + 1, dtype=np.intp)
     np.add.accumulate(np.add(dist <= params.outer_radius, dist <= params.radius, dtype=np.intp), out=c[1:])

@@ -332,13 +332,27 @@ class BallRows:
             d2 = sq_dists_to(np.tile(support, (len(block), 1)), np.repeat(block, m, axis=0))
             near[lo : lo + step], far[lo : lo + step] = stab_masks(d2.reshape(len(block), m), params)
         # the upper triangle row by row, each distance rounded as
-        # sq_dists_to rounds it, then stably sorted: no n x n matrix is formed
-        d2 = np.concatenate([sq_dists_to(points[i + 1 :], points[i]) for i in range(n)])
-        order = np.argsort(d2, kind="stable")
+        # sq_dists_to rounds it, then stably sorted: no n x n matrix is formed.
+        # Row a's pairs (a, a + 1 ...) take the flat positions from starts[a].
+        per_row = np.arange(n - 1, -1, -1)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_row, out=starts[1:])
+        d2 = np.empty(starts[-1])
+        for i in range(n):
+            d2[starts[i] : starts[i + 1]] = sq_dists_to(points[i + 1 :], points[i])
+        pairs = np.argsort(d2, kind="stable")
         del d2
+        # flat position k of row a becomes the key a * n + b, b = a + 1 + k - starts[a],
+        # in place, a block at a time, through an int32 row of each position
+        row_of = np.repeat(np.arange(n, dtype=np.int32), per_row)
+        shift = np.arange(n) * (n + 1) + 1 - starts[:-1]
+        for lo in range(0, len(pairs), _BLOCK_BYTES // 8):
+            block = pairs[lo : lo + _BLOCK_BYTES // 8]
+            block += shift[row_of[block]]
+        del row_of
         cells = np.floor(points / _bucket_side(params, d)).astype(np.int64)
         cell_a, cell_b = _cell_pairs(cells)
-        return cls(near, far, np.flatnonzero(~np.tri(n, dtype=bool))[order], cells, np.sort(cell_a * n + cell_b))
+        return cls(near, far, pairs, cells, np.sort(cell_a * n + cell_b))
 
     def stab_mask(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
         """Which queries eps-stab the pair of rows ``a`` and ``b``; index arrays give one row per pair."""

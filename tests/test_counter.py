@@ -458,6 +458,7 @@ class TestCodePass:
         assert idx.working == working
         for query in (q, points[0], points[-1]):
             np.testing.assert_array_equal(prefix_counts(idx, query), einsum_prefix_counts(idx, query))
+            np.testing.assert_array_equal(outer_mask(idx, query), einsum_outer_mask(idx, query))
 
 
 class CountedDistances:
@@ -490,17 +491,39 @@ class TestCodePassBranches:
     def test_a_point_within_the_bound_sends_the_pass_to_sq_dists_to(self, counted):
         # dyadic offsets at exactly the working radius 1 and exactly the outer
         # radius 1.25: h equals each shifted threshold, and the point at the
-        # radius has code 1 where an unchecked h would give it 2
+        # radius has code 1 where an unchecked h would give it 2.  Only the
+        # points on a radius, the band, are measured again
         q = np.array([0.5, 0.25])
         idx = index_over(q + np.array(LATTICE))
+        d2 = sq_dists_to(idx.path_points, q)
+        on_outer, on_inner = int(np.count_nonzero(d2 == 1.5625)), int(np.count_nonzero(d2 == 1.0))
+        assert (on_outer, on_inner) == (5, 4)
         c = prefix_counts(idx, q)
-        assert counted.rows == [len(LATTICE)]
+        assert counted.rows == [on_outer + on_inner]
         np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
         assert np.diff(c)[:2].tolist() == [1, 1]
         mask = outer_mask(idx, q)
-        assert counted.rows == [len(LATTICE)] * 2
+        assert counted.rows == [on_outer + on_inner, on_outer]
         np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
         assert mask[:2].tolist() == [True, True]
+
+    def test_data_far_from_the_origin_measures_only_its_band_points_again(self, counted):
+        # the bound grows with the squared norms, so clustered d = 8 data a
+        # million units out puts a few points of most queries in a band
+        # about 0.1 wide: those alone are measured again, not the whole row
+        rng = Seed(230).generator()
+        centers = rng.uniform(0.0, 4.0, size=(4, 8))
+        points = centers[rng.integers(0, 4, size=1024)] + rng.normal(0.0, 0.4, size=(1024, 8)) + 1e6
+        idx = index_over(points)
+        queries = points[rng.integers(0, 1024, size=60)] + rng.normal(0.0, 0.5, size=(60, 8))
+        banded = 0
+        for q in queries:
+            counted.rows.clear()
+            np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
+            np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
+            assert sum(counted.rows) < len(points) // 8
+            banded += bool(counted.rows)
+        assert banded > 20
 
     def test_squares_that_overflow_take_the_exact_pass(self, counted):
         # the squared norms are infinite, so h would be NaN; the offsets
@@ -634,15 +657,16 @@ class TestLazyTelemetry:
             assert count(idx, q, verify=True) == count(loaded, q, verify=True)
 
     def test_a_lattice_query_on_the_outer_radius_takes_the_exact_pass(self, monkeypatch):
-        # the second lattice point lies at exactly the working outer radius,
-        # so h equals the shifted threshold and the GEMV mask is not certified
+        # five lattice points, the second among them, lie at exactly the
+        # working outer radius, so h equals the shifted threshold and the
+        # GEMV pass measures those five again
         q = np.array([0.5, 0.25])
         weights = Seed(213).generator().uniform(-2.0, 2.0, size=len(LATTICE))
         idx = index_over(q + np.array(LATTICE), weights=weights)
         counted = CountedDistances()
         monkeypatch.setattr(counter, "sq_dists_to", counted)
         ans = count(idx, q)
-        assert counted.rows == [len(LATTICE)]
+        assert counted.rows == [5]
         assert ans.weight.hex() == flat_weight(idx, q).hex()
         inside = sq_dists_to(idx.path_points, q) <= 1.5625
         assert inside[1] and ans.weight == pytest.approx(float(weights[inside].sum()), abs=1e-12)

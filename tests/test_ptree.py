@@ -184,3 +184,11 @@ class TestVisitingNumber:
         t = path_to_partition_tree(SpanningPath(np.arange(4)), pts)
         with pytest.raises(ContractViolation):
             visiting_number(t, np.zeros(3), pts, PARAMS)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_point_set_of_another_size_rejected(self, n):
+        # a larger set would be answered on its first 8 points, a smaller
+        # one would index past its end
+        t = path_to_partition_tree(SpanningPath(np.arange(8)), weighted(np.zeros((8, 2))))
+        with pytest.raises(ContractViolation):
+            visiting_number(t, np.zeros(2), weighted(np.zeros((n, 2))), PARAMS)

@@ -67,6 +67,7 @@ def test_query_layers_prints_one_line_per_workload_and_seed():
     for row in rows:
         phases = ("transform_query", "prefix_counts", "walk", "count", "telemetry", "einsum_scan", "gemv_scan")
         assert all(row[f"{phase}_us"] > 0 for phase in phases)
+        assert 0 <= row["band_queries"] <= row["queries"]
 
 
 def test_bench_record_appends_one_line_with_every_end_to_end_metric(tmp_path):
