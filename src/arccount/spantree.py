@@ -13,21 +13,27 @@ grows only logarithmically in the size of the query universe.
 The light-edge search never trusts approximate geometry for scoring: the
 net and the cell bucketing only pick a small candidate set, and every
 candidate is scored by its exact stabbing weight.
-Points and cells never move, so a build computes once every point's near
-and far masks over the universe, by ``core.stab_masks``, the package's one
-eps-stab rule, the list of point pairs sorted by distance, and the pairs
-that share a bucket cell.  Forest rounds mask the points they retire
-instead of copying the rest, and a search finds its candidates without any
-n x n pass: it keeps the cell pairs whose ends are live, pairs up the
-outsiders, reads the closest live pairs from the sorted list, and merges
-all of them as sorted keys ``a * n + b``.
-The weight stabbing each pair is kept current for the whole build in one
-n x n matrix, :class:`PairWeights`, since only the queries that stab the
-chosen edge change weight: a candidate's score is two reads of it.  Weights
-are powers of two, so the matrix is exact while their exponents span fewer
-than 53 - ceil(log2 m) bits; once they do not, the matrix is dropped and
-each candidate is summed on its own.  A build whose masks or pair arrays
-exceed a fixed byte budget is refused before any of them is allocated.
+Points, cells and queries never move, so a build computes once every
+point's near and far masks over the universe, by ``core.stab_masks``, the
+package's one eps-stab rule, which queries each point's bucket cell
+reaches (the cell-hit table), the list of point pairs sorted by distance,
+and the pairs that share a bucket cell.  Forest rounds mask the points
+they retire instead of copying the rest, and a search finds its candidates
+without any n x n pass: it keeps the cell pairs whose ends are live, reads
+its outsiders from the net's rows of the cell-hit table and pairs them up,
+reads the closest live pairs from the sorted list, and merges all of them
+as sorted keys ``a * n + b``.
+Query weights change only when an edge stabs some query, so the draw
+weights, their running sums and the pair weights are derived again only
+then, by :class:`PairWeights`.  It keeps the weight stabbing each pair in
+one n x n matrix, since only the queries that stab the chosen edge change
+weight: a candidate's score is two reads of it.  A doubling updates only
+the pairs of the round's representatives, since every later search reads
+pairs of them alone.  Weights are powers of two, so the matrix is exact
+while their exponents span fewer than 53 - ceil(log2 m) bits; once they do
+not, the matrix is dropped and each candidate is summed on its own.  A
+build whose tables or pair arrays exceed a fixed byte budget is refused
+before any of them is allocated.
 """
 
 from __future__ import annotations
@@ -178,16 +184,16 @@ _DIM_CAP = 8
 _MAX_GRID_CELLS = 5_000_000
 # largest grid cell index magnitude: every integer up to it is exact in float64
 _MAX_CELL_INDEX = 2**53
-# bytes of the arrays a worst-case build holds for its whole game: the two
-# n x m bool masks over the universe may take 8,000,000 (n * m up to
-# 4,000,000, which also bounds each search's passes over the universe), and
-# the n(n-1)/2 int64 pair keys with the n x n float64 pair-weight matrix
-# 2**28 (n up to about 4700)
-_MAX_MASK_BYTES = 8_000_000
+# bytes of the arrays a worst-case build holds for its whole game: the three
+# n x m bool tables over the universe (near and far masks, cell hits) may
+# take 12,000,000 (n * m up to 4,000,000, which also bounds each search's
+# passes over the universe), and the n(n-1)/2 int64 pair keys with the
+# n x n float64 pair-weight matrix 2**28 (n up to about 4700)
+_MAX_MASK_BYTES = 12_000_000
 _MAX_PAIR_BYTES = 2**28
 # bytes of each temporary array in the blocked passes below
 _BLOCK_BYTES = 1 << 17
-# queries and rows per GEMM block of the pair-weight matrix
+# queries and rows per GEMM block of the pair-weight matrix's first fill
 _GEMM_BLOCK = 64
 # exponent span above e0 after which PairWeights rescales: its entries stay
 # below m * 2**_RESCALE_SPAN, far from float64's overflow
@@ -200,8 +206,8 @@ def _bucket_side(params: EpsParams, d: int) -> float:
 
 
 def light_edge_bytes(n: int, m: int) -> tuple[int, int]:
-    """Bytes a worst-case build over ``n`` points and ``m`` queries holds: its masks, and its pair arrays."""
-    return 2 * n * m, 4 * n * (n - 1) + 8 * n * n
+    """Bytes a worst-case build over ``n`` points and ``m`` queries holds: its n x m tables, and its pair arrays."""
+    return 3 * n * m, 4 * n * (n - 1) + 8 * n * n
 
 
 def generate_grid_queries(
@@ -303,20 +309,23 @@ class BallRows:
     ``near[i]`` marks the queries within ``radius`` of point ``i`` and
     ``far[i]`` those at least ``(1+eps)*radius`` away, over the whole query
     support: ``core.stab_masks`` of the point's ``sq_dists_to`` row.
+    ``hits[q, i]`` is whether query ``q`` lies within ``(1+eps)*radius`` of
+    the box of point ``i``'s bucket cell, of side
+    ``eps * radius / (4 * sqrt(d))``: :func:`_cell_box_hits_net` over the
+    whole support, so a net's rows of it give the net's outsiders.
     ``pairs`` lists every pair ``a < b`` as the key ``a * n + b``, ranked
-    by squared distance, ties by ``(a, b)``.  ``cells`` is each point's
-    bucket cell of side ``eps * radius / (4 * sqrt(d))``, and
-    ``cell_pairs`` the sorted keys of the pairs that share one.  Points
-    never move, so a build computes these once for all its points; forest
-    rounds and light-edge searches read them by point id and never copy a
-    row.  A pair's mask alone is
+    by squared distance, ties by ``(a, b)``, and ``cell_pairs`` the sorted
+    keys of the pairs that share a bucket cell.  Points and queries never
+    move, so a build computes these once for all its points; forest rounds
+    and light-edge searches read them by point and query id and never copy
+    a row.  A pair's mask alone is
     ``BallRows.of(np.stack([x, y]), support, params).stab_mask(0, 1)``.
     """
 
     near: np.ndarray  # (n, m) bool
     far: np.ndarray  # (n, m) bool
+    hits: np.ndarray  # (m, n) bool
     pairs: np.ndarray  # (n * (n - 1) / 2,) int64
-    cells: np.ndarray  # (n, d) int64
     cell_pairs: np.ndarray  # (pairs sharing a cell,) int64, ascending
 
     @classmethod
@@ -350,9 +359,15 @@ class BallRows:
             block = pairs[lo : lo + _BLOCK_BYTES // 8]
             block += shift[row_of[block]]
         del row_of
-        cells = np.floor(points / _bucket_side(params, d)).astype(np.int64)
+        side = _bucket_side(params, d)
+        cells = np.floor(points / side).astype(np.int64)
+        # the cell boxes against blocks of queries, an (n, block, d) float64 pass each
+        hits = np.empty((m, n), dtype=bool)
+        step = max(1, _BLOCK_BYTES // (8 * n * d))
+        for lo in range(0, m, step):
+            hits[lo : lo + step] = _cell_box_hits_net(cells, side, support[lo : lo + step], params.outer_radius).T
         cell_a, cell_b = _cell_pairs(cells)
-        return cls(near, far, pairs, cells, np.sort(cell_a * n + cell_b))
+        return cls(near, far, hits, pairs, np.sort(cell_a * n + cell_b))
 
     def stab_mask(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
         """Which queries eps-stab the pair of rows ``a`` and ``b``; index arrays give one row per pair."""
@@ -373,7 +388,12 @@ def _add_stabbed(x: np.ndarray, rows: np.ndarray, near: np.ndarray, far: np.ndar
 
 
 class PairWeights:
-    """The query weight that stabs each pair of points, kept current through a build.
+    """The query weights the light-edge search reads, kept current through a build.
+
+    ``query_weights`` is ``queries.weights()``, and ``running_sums`` its
+    running sums, from which each search draws its net.  They change only
+    when an edge stabs some query, so :meth:`double` derives them again
+    then, and no search does.
 
     ``x[a, b]`` is ``sum 2**(e[q] - e0)`` over the queries ``q`` near ``a``
     and far from ``b``, so a pair's stabbed weight, scaled by ``2**-e0``, is
@@ -381,56 +401,70 @@ class PairWeights:
     no query counts twice.  Every term is a power of two, so while the
     exponents pass :func:`sums_are_exact` every entry and score is exact,
     and equal to the per-pair sum ``weights[mask].sum()`` up to that
-    power-of-two scale.  The matrix is one blocked GEMM at the start;
-    doubling the queries ``Q`` that stab an edge adds
-    ``(near[R][:, Q] * 2**(e[Q] - e0)) @ far[:, Q].T`` to the rows ``R``
-    near some query of ``Q``, and ``x`` and ``e0`` are rescaled by exact
-    powers of two before the largest weight passes ``2**_RESCALE_SPAN``.
-    Once :meth:`current` finds the sums inexact, the matrix is released
-    for the rest of the build.
+    power-of-two scale.  The matrix is one blocked GEMM at the start.
+    Doubling the queries ``Q`` that stab an edge adds, in one product,
+    ``(near[R][:, Q] * 2**(e[Q] - e0)) @ far[reps][:, Q].T`` to the rows
+    ``R`` of the representatives ``reps`` near some query of ``Q``, over the
+    columns of ``reps``: the search reads only pairs of the round's
+    representatives, and a round's representatives hold every later
+    round's, so the entries of any other pair go stale unread.  ``x`` and
+    ``e0`` are rescaled by exact powers of two before the largest weight
+    passes ``2**_RESCALE_SPAN``.  Once a doubling leaves the sums inexact,
+    the matrix is released for the rest of the build.
     """
 
-    def __init__(self, rows: BallRows, exponents: np.ndarray) -> None:
+    def __init__(self, rows: BallRows, queries: QueryMultiset) -> None:
         self.rows = rows
+        self.queries = queries
         self.x: np.ndarray | None = None
-        self.e0 = int(exponents.max())
-        if sums_are_exact(exponents):
+        self._derive()
+        e = queries.stab_exponents
+        self.e0 = int(e.max())
+        if sums_are_exact(e):
             n = rows.near.shape[0]
             self.x = np.zeros((n, n))
-            _add_stabbed(self.x, np.arange(n), rows.near, rows.far, np.ldexp(1.0, exponents - self.e0))
+            _add_stabbed(self.x, np.arange(n), rows.near, rows.far, np.ldexp(1.0, e - self.e0))
 
-    def current(self, exponents: np.ndarray) -> bool:
-        """Whether the matrix holds exact scores for ``exponents``; once not, it is dropped for good."""
-        if self.x is not None and not sums_are_exact(exponents):
+    def _derive(self) -> None:
+        """The draw weights and running sums of the current exponents; the matrix goes once their sums are inexact."""
+        self.query_weights = self.queries.weights()
+        self.running_sums = np.cumsum(self.query_weights)
+        if not sums_are_exact(self.queries.stab_exponents):
             self.x = None
+
+    def current(self) -> bool:
+        """Whether the matrix holds exact scores; once not, it is dropped for good."""
         return self.x is not None
 
     def scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Stabbed weight of each pair ``(a[i], b[i])``, scaled by ``2**-e0``."""
+        """Stabbed weight of each pair ``(a[i], b[i])`` of representatives, scaled by ``2**-e0``."""
         return self.x[a, b] + self.x[b, a]
 
-    def double(self, stabbed: np.ndarray, exponents: np.ndarray) -> None:
-        """Double the weight of the ``stabbed`` queries, whose exponents are still ``exponents``."""
-        if self.x is None:
-            return
-        top = int(exponents.max()) + 1
-        if top - self.e0 > _RESCALE_SPAN:
-            np.ldexp(self.x, self.e0 - top, out=self.x)
-            self.e0 = top
-        q = np.flatnonzero(stabbed)
-        near = self.rows.near[:, q]
-        rows = np.flatnonzero(near.any(axis=1))
-        _add_stabbed(self.x, rows, near, self.rows.far[:, q], np.ldexp(1.0, exponents[q] - self.e0))
+    def double(self, stabbed: np.ndarray, reps: np.ndarray) -> None:
+        """Double the weight of the queries ``stabbed`` (ids), bumping their exponents; ``reps``' pairs stay current."""
+        e = self.queries.stab_exponents
+        if self.x is not None:
+            top = int(e.max()) + 1
+            if top - self.e0 > _RESCALE_SPAN:
+                np.ldexp(self.x, self.e0 - top, out=self.x)
+                self.e0 = top
+            near = self.rows.near[np.ix_(reps, stabbed)]
+            hit = np.flatnonzero(near.any(axis=1))
+            w = np.ldexp(1.0, e[stabbed] - self.e0)
+            self.x[np.ix_(reps[hit], reps)] += (near[hit] * w) @ self.rows.far[np.ix_(reps, stabbed)].T
+        e[stabbed] += 1
+        self._derive()
 
 
 class LiveRows:
     """The rows of a :class:`BallRows` that a forest round still searches.
 
-    A round starts with its representatives alive and retires one point per
-    edge by clearing its entry in ``alive``.  ``head`` indexes the sorted
-    ``pairs``: every pair before it has a retired end, and since no point
-    comes back to life within a round, it only moves forward.  ``weights``
-    is the build's :class:`PairWeights`, shared by all its rounds.
+    A round starts with its representatives ``reps`` alive and retires one
+    point per edge by clearing its entry in ``alive``.  ``head`` indexes the
+    sorted ``pairs``: every pair before it has a retired end, and since no
+    point comes back to life within a round, it only moves forward.
+    ``weights`` is the build's :class:`PairWeights`, shared by all its
+    rounds; each doubling keeps the pairs of ``reps`` current.
     """
 
     def __init__(self, rows: BallRows, ids: np.ndarray | list[int], weights: PairWeights) -> None:
@@ -438,13 +472,14 @@ class LiveRows:
         self.weights = weights
         self.alive = np.zeros(rows.near.shape[0], dtype=bool)
         self.alive[ids] = True
+        self.reps = np.flatnonzero(self.alive)
         self.head = 0
 
     @classmethod
     def of(cls, pts: WeightedPointSet, queries: QueryMultiset, params: EpsParams) -> "LiveRows":
         """Every point of ``pts`` live, with their ball rows and pair weights under ``queries``."""
         rows = BallRows.of(pts.points, queries.support, params)
-        return cls(rows, np.arange(len(pts)), PairWeights(rows, queries.stab_exponents))
+        return cls(rows, np.arange(len(pts)), PairWeights(rows, queries))
 
     def ids(self) -> np.ndarray:
         """The live rows, ascending."""
@@ -476,7 +511,7 @@ class LiveRows:
 
 
 def _cell_box_hits_net(cells: np.ndarray, side: float, net: np.ndarray, reach: float) -> np.ndarray:
-    """For each cell (integer row), whether some net point is within ``reach`` of the cell box."""
+    """For each cell (integer row) and net point, whether the point is within ``reach`` of the cell box."""
     lo = cells * side
     hi = lo + side
     # the clip of each net point to each box, less the point: np.clip's
@@ -485,7 +520,7 @@ def _cell_box_hits_net(cells: np.ndarray, side: float, net: np.ndarray, reach: f
     np.minimum(diff, hi[:, None, :], out=diff)
     diff -= net
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return (d2 <= reach * reach).any(axis=1)
+    return d2 <= reach * reach
 
 
 def sums_are_exact(exponents: np.ndarray) -> bool:
@@ -506,9 +541,13 @@ def weighted_draws(weights: np.ndarray, rng: np.random.Generator, size: int) -> 
     sums.  A draw at the total, which no running sum exceeds, takes the
     last index.
     """
-    cum = np.cumsum(weights)
-    u = rng.random(size) * cum[-1]
-    return np.minimum(np.searchsorted(cum, u, side="right"), weights.size - 1)
+    return _draws(np.cumsum(weights), rng, size)
+
+
+def _draws(sums: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """:func:`weighted_draws` of the weights whose running sums are ``sums``."""
+    u = rng.random(size) * sums[-1]
+    return np.minimum(np.searchsorted(sums, u, side="right"), sums.size - 1)
 
 
 # mask entries per scoring block of _stabbed_weights
@@ -562,16 +601,17 @@ def find_light_edge(
     smallest pair, so the result is deterministic given the seed.
 
     ``live`` holds the ball rows, sorted pairs and pair weights of all of
-    ``pts`` and which of them the search runs over; by default they are
-    computed here (:meth:`LiveRows.of`) and every point is live.  The
-    edge's ends are indices into ``pts``.  The candidates are found
-    without any n x n pass: the build's cell pairs with both ends live,
-    outsider pairs from the outsider list, and the closest live pairs from
-    the sorted pairs.  They are merged as sorted keys ``a * n + b`` and
-    scored by their exact stabbed weights: two reads of the
-    :class:`PairWeights` matrix each while the query exponents pass
-    :func:`sums_are_exact`, else one sum per candidate.  The weights are
-    derived once per search, and the net is drawn from them.
+    ``pts`` under ``queries``, and which of them the search runs over; by
+    default they are computed here (:meth:`LiveRows.of`) and every point is
+    live.  The edge's ends are indices into ``pts``.  The net is drawn from
+    the running sums :class:`PairWeights` keeps, and the candidates are
+    found without any n x n pass: the build's cell pairs with both ends
+    live, the pairs of the live points that no net query's row of the
+    cell-hit table reaches, and the closest live pairs from the sorted
+    pairs.  They are merged as sorted keys ``a * n + b`` and scored by
+    their exact stabbed weights: two reads of the :class:`PairWeights`
+    matrix each while the query exponents pass :func:`sums_are_exact`,
+    else one sum per candidate.
     """
     if live is None:
         live = LiveRows.of(pts, queries, params)
@@ -580,33 +620,30 @@ def find_light_edge(
     if n < 2:
         raise ContractViolation("light edge search needs at least 2 points")
     d = pts.dim
+    weights = live.weights
 
     # 1. net: heavy queries show up proportionally to their current weight
     delta = min(0.99, d / n**lp.rho)
     raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
     net_size = max(1, min(len(queries), math.ceil(raw)))
-    weights = queries.weights()
-    picks = _sorted_unique(weighted_draws(weights, seed.derive(0).generator(), net_size))
-    net = queries.support[picks]
+    picks = _sorted_unique(_draws(weights.running_sums, seed.derive(0).generator(), net_size))
 
     # 2. pairs of points whose cells every net query misses by more than (1+eps)r
-    side = _bucket_side(params, d)
-    outsiders = ids[~_cell_box_hits_net(live.rows.cells[ids], side, net, params.outer_radius)]
-    out_a, out_b = np.triu_indices(outsiders.size, 1)
+    size = len(pts)
+    outsiders = ids[~live.rows.hits[picks].any(axis=0)[ids]]
+    later = outsiders[:, None] < outsiders  # ascending, so a < b
+    outsider_keys = (outsiders[:, None] * size + outsiders)[later]
 
     # the three closest live pairs, always in play
     near_a, near_b = live.closest_pairs(min(3, n * (n - 1) // 2))
 
     # 3. exact scoring against the full multiset, current weights included
-    size = len(pts)
-    keys = _sorted_unique(
-        np.concatenate([live.cell_pairs(), outsiders[out_a] * size + outsiders[out_b], near_a * size + near_b])
-    )
+    keys = _sorted_unique(np.concatenate([live.cell_pairs(), outsider_keys, near_a * size + near_b]))
     a, b = np.divmod(keys, size)
-    if live.weights.current(queries.stab_exponents):
-        scores = live.weights.scores(a, b)
+    if weights.current():
+        scores = weights.scores(a, b)
     else:
-        scores = _stabbed_weights(live.rows, a, b, weights)
+        scores = _stabbed_weights(live.rows, a, b, weights.query_weights)
     best = int(np.argmin(scores))
     return Edge(int(a[best]), int(b[best]))
 
@@ -629,10 +666,11 @@ def build_low_stab_forest(
     stabs it by bumping its exponent, and retires the edge's first endpoint
     by masking its row.  Every surviving live point represents a distinct
     component, so the edge set is acyclic by construction.  ``live`` holds
-    the ball rows and pair weights of all of ``pts`` and the round's
-    points; by default they are computed here and every point is live.
-    Each doubling updates the pair weights before the exponents.  The
-    edges' ends are indices into ``pts``.
+    the ball rows and pair weights of all of ``pts`` under ``queries`` and
+    the round's points; by default they are computed here and every point
+    is live.  An edge that stabs no query changes no weight; otherwise
+    :meth:`PairWeights.double` bumps the exponents and derives the weights
+    again.  The edges' ends are indices into ``pts``.
     """
     if live is None:
         live = LiveRows.of(pts, queries, params)
@@ -646,9 +684,9 @@ def build_low_stab_forest(
         merged = uf.union(edge.a, edge.b)
         assert merged, "light edge would close a cycle"
         edges.append(edge)
-        stabbed = live.rows.stab_mask(edge.a, edge.b)
-        live.weights.double(stabbed, queries.stab_exponents)
-        queries.stab_exponents[stabbed] += 1
+        stabbed = np.flatnonzero(live.rows.stab_mask(edge.a, edge.b))
+        if stabbed.size:
+            live.weights.double(stabbed, live.reps)
         live.alive[edge.a] = False
     return Forest(n=len(pts), edges=edges)
 
@@ -665,11 +703,11 @@ def build_low_stab_tree(
     The query multiset carries its weights across rounds, so after the build
     each query's exponent equals the exact number of tree edges it stabs.
     Components at least halve per round, giving at most ceil(log2 n) + 1
-    rounds and exactly n - 1 edges.  The points' ball rows, sorted pairs,
-    cell pairs and pair weights are computed once for the whole build.  A
-    build whose masks or pair arrays (:func:`light_edge_bytes`) exceed
-    ``_MAX_MASK_BYTES`` or ``_MAX_PAIR_BYTES`` is refused before any of
-    them is allocated.
+    rounds and exactly n - 1 edges.  The points' ball rows, cell-hit table,
+    sorted pairs, cell pairs and pair weights are computed once for the
+    whole build.  A build whose near, far and cell-hit tables or pair arrays
+    (:func:`light_edge_bytes`) exceed ``_MAX_MASK_BYTES`` or
+    ``_MAX_PAIR_BYTES`` is refused before any of them is allocated.
     """
     n = len(pts)
     if n < 2:
@@ -678,12 +716,12 @@ def build_low_stab_tree(
     if masks > _MAX_MASK_BYTES or pairs > _MAX_PAIR_BYTES:
         raise ContractViolation(
             f"worst-case tree over {len(queries)} grid queries and {n} points needs "
-            f"{masks} bytes of masks and {pairs} of pair arrays, over the budget of "
+            f"{masks} bytes of near, far and cell-hit tables and {pairs} of pair arrays, over the budget of "
             f"{_MAX_MASK_BYTES} and {_MAX_PAIR_BYTES}; "
             "use --mode learned, a larger eps or a coarser --query-grid-side"
         )
     rows = BallRows.of(pts.points, queries.support, params)
-    weights = PairWeights(rows, queries.stab_exponents)
+    weights = PairWeights(rows, queries)
     uf = UnionFind(n)
     edges: list[Edge] = []
     max_rounds = math.ceil(math.log2(n)) + 1

@@ -83,3 +83,15 @@ def test_bench_record_appends_one_line_with_every_end_to_end_metric(tmp_path):
     assert (row["seed"], row["seconds"], row["env"]["workload"]) == (1, 0.5, "worstcase-d2")
     assert row["correct"] and row["failed"] == 0 and row["attempted"] > 0
     assert "commit" in row and "dirty" in row
+
+
+def test_build_ab_of_this_tree_against_itself_prints_equal_hashes():
+    proc = run_script("build_ab.py", ["--parent", str(ROOT / "src"), "--n", "24", "--pairs", "2"])
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert (row["workload"], row["n"], row["pairs"]) == ("worstcase-d2", 24, 2)
+    assert 0 <= row["change_won"] <= 2 and row["ratio"] > 0
+    for side in ("parent", "change"):
+        assert 0 < row[side]["q1_s"] <= row[side]["median_s"] <= row[side]["q3_s"]
+    assert row["parent_leaf_order_sha256"] == row["change_leaf_order_sha256"]
+    assert len(row["change_leaf_order_sha256"]) == 1 and len(row["change_leaf_order_sha256"][0]) == 64

@@ -338,6 +338,87 @@ class TestStabMask:
         assert at_both.any() and masks[at_both].all()
 
 
+class TestCellHits:
+    """The cell-hit table against :func:`spantree._cell_box_hits_net` on each net."""
+
+    # (1+eps) r = 5 exactly, and the box of cell -1 on every axis ends at 0
+    # exactly, so queries 5 from a face or (3, 4) from a corner are exactly
+    # at reach, and their next floats past 5 just beyond it
+    PARAMS = EpsParams(eps=0.5, radius=10 / 3)
+
+    def boundary_instance(self, d: int, seed: int):
+        params = self.PARAMS
+        side, reach = spantree._bucket_side(params, d), params.outer_radius
+        assert reach == 5.0
+        rng = Seed(400 + seed).generator()
+        # cell -1 (box [-side, 0]) and cell 0 (box [0, side]) on every axis, and
+        # points of negative and positive cells around them
+        corner = np.concatenate([np.full((1, d), -side / 2), np.full((1, d), side / 2)])
+        points = np.concatenate([corner, rng.uniform(-8 * side, 8 * side, size=(6, d))])
+        # each boundary query comes in a pair, at reach and one float past
+        # it, from the box of the corner point it is listed with
+        queries, owners = [], []
+        for owner, sign, inside in ((0, 1.0, -side / 2), (1, -1.0, side / 2)):
+            for k in range(d):
+                for at in (5.0, np.nextafter(5.0, np.inf)):
+                    q = np.full(d, inside)
+                    q[k] = sign * at
+                    queries.append(q)
+                owners.append(owner)
+            for i, j in itertools.combinations(range(d), 2):
+                for at in (4.0, np.nextafter(4.0, np.inf)):
+                    q = np.full(d, inside)
+                    q[i], q[j] = sign * 3.0, sign * at
+                    queries.append(q)
+                owners.append(owner)
+        support = np.concatenate([np.array(queries), rng.uniform(-12.0, 12.0, size=(20, d))])
+        return points, support, params, side, reach, owners
+
+    @given(
+        d=st.integers(1, 3),
+        seed=st.integers(0, 1000),
+        block=st.sampled_from([8, 100, 1 << 17]),
+        nets=st.lists(st.lists(st.integers(0, 10**6), min_size=1, max_size=12), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_table_equals_the_per_net_form(self, d, seed, block, nets):
+        points, support, params, side, reach, owners = self.boundary_instance(d, seed)
+        with mock.patch.object(spantree, "_BLOCK_BYTES", block):
+            hits = BallRows.of(points, support, params).hits
+        assert hits.shape == (len(support), len(points))
+        cells = np.floor(points / side).astype(np.int64)
+        # the boundary queries sit at exactly reach: in, and one float past it out
+        for k, owner in enumerate(owners):
+            pair = support[2 * k : 2 * k + 2]
+            assert spantree._cell_box_hits_net(cells[[owner]], side, pair, reach).tolist() == [[True, False]]
+        ids = np.flatnonzero(Seed(seed).generator().random(len(points)) < 0.7)
+        for net in nets:
+            picks = np.unique(np.array(net) % len(support))
+            per_net = spantree._cell_box_hits_net(cells, side, support[picks], reach)
+            assert np.array_equal(hits[picks].T, per_net)
+            # the search's outsiders, as the per-net form gave them
+            outsiders = ids[~hits[picks].any(axis=0)[ids]]
+            per_net_outsiders = ids[~spantree._cell_box_hits_net(cells[ids], side, support[picks], reach).any(axis=1)]
+            assert np.array_equal(outsiders, per_net_outsiders)
+
+    def test_a_query_at_reach_hits_only_its_own_cells(self):
+        # d = 1: point 0 in cell -1, box [-side, 0]; point 1 near 20.2. Query 0
+        # is exactly 5 from box 0, query 1 one float further, query 2 within 5
+        # of box 1 only; a transposed or shifted table reads other cells
+        params = self.PARAMS
+        side, reach = spantree._bucket_side(params, 1), params.outer_radius
+        points = np.array([[-side / 2], [20.2]])
+        support = np.array([[5.0], [np.nextafter(5.0, np.inf)], [15.5]])
+        expected = np.array([[True, False], [False, False], [False, True]])
+        hits = BallRows.of(points, support, params).hits
+        assert np.array_equal(hits, expected)
+        cells = np.floor(points / side).astype(np.int64)
+        for q in range(3):
+            per_net = spantree._cell_box_hits_net(cells, side, support[[q]], reach).any(axis=1)
+            assert np.array_equal(hits[[q]].any(axis=0), per_net)
+            assert np.array_equal(per_net, expected[q])
+
+
 class TestQueryMultiset:
     def test_from_support_starts_at_weight_one(self):
         qs = QueryMultiset.from_support(np.zeros((4, 2)))
@@ -645,11 +726,13 @@ class TestTreeMatchesReference:
 
 def matrix_is_current(pts, queries, live) -> bool:
     """Whether the search's pair weights hold exact scores; if so, assert every
-    pair's score, live or retired, equals its own masked sum up to the scale."""
+    pair of the round's representatives, live or retired, scores its own masked
+    sum up to the scale.  Other pairs go stale by design: no search reads them."""
     e = queries.stab_exponents
-    if not live.weights.current(e):
+    if not live.weights.current():
         return False
-    a, b = np.triu_indices(len(pts), 1)
+    i, j = np.triu_indices(live.reps.size, 1)
+    a, b = live.reps[i], live.reps[j]
     weights = queries.weights()
     expected = [weights[mask].sum() for mask in live.rows.stab_mask(a, b)]
     got = np.ldexp(live.weights.scores(a, b), live.weights.e0 - int(e.max()))
@@ -695,14 +778,32 @@ class TestPairWeights:
     def test_scores_equal_per_pair_sums_at_every_search(self, d, eps, n, top, seed):
         pts, qs, params = random_exponent_instance(d, eps, n, top, seed)
         exact_at_start = sums_are_exact(qs.stab_exponents)
-        current = []
+        current, rounds = [], []
         real = spantree.find_light_edge
+        real_scores, real_double = spantree.PairWeights.scores, spantree.PairWeights.double
 
         def checked(pts, queries, params, lp, seed, live):
+            rounds.append(live)
             current.append(matrix_is_current(pts, queries, live))
+            # the draw weights kept between doublings are the queries' own
+            assert np.array_equal(live.weights.query_weights, queries.weights())
+            assert np.array_equal(live.weights.running_sums, np.cumsum(queries.weights()))
             return real(pts, queries, params, lp, seed, live)
 
-        with mock.patch.object(spantree, "find_light_edge", checked):
+        def scores(weights, a, b):
+            # only pairs of the round's representatives are read
+            assert np.isin(a, rounds[-1].reps).all() and np.isin(b, rounds[-1].reps).all()
+            return real_scores(weights, a, b)
+
+        def double(weights, stabbed, reps):
+            assert stabbed.size > 0, "an edge that stabs no query changes no weight"
+            return real_double(weights, stabbed, reps)
+
+        with (
+            mock.patch.object(spantree, "find_light_edge", checked),
+            mock.patch.object(spantree.PairWeights, "scores", scores),
+            mock.patch.object(spantree.PairWeights, "double", double),
+        ):
             build_low_stab_tree(pts, qs, params, LightEdgeParams.for_eps(eps), Seed(seed))
         assert current[0] == exact_at_start
 
