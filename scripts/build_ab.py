@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Interleaved in-process builds of one benchmark workload from this checkout and another one.
+"""Interleaved in-process builds or model loads of one benchmark workload from this checkout and another one.
 
 Copies the ``arccount`` package of this checkout and of ``--parent`` (the
 other checkout's ``src`` directory) into a temporary directory as
@@ -13,13 +13,21 @@ builds first alternating from pair to pair.  Separate processes minutes
 apart drift more on a shared machine than a build change moves, and
 building both sides in one process, interleaved, cancels that drift.
 
-Prints one JSON line: each side's median build seconds and quartiles, the
-ratio of the medians (change over parent), the pairs the change built
-faster, and each side's sha256 of the leaf order.  Exits 1 when the two
-sides' leaf orders differ, or one side's builds disagree among themselves.
+With ``--phase load`` each side builds once and saves its own model, in
+its own format, against one shared text data file; the timed calls are
+then each side's ``io.load_model`` of its model, after a ``gc.collect()``
+as the benchmark loads, and each side's hash covers the loaded index's
+leaf order and ``points()`` bytes.
+
+Prints one JSON line: each side's median seconds and quartiles, the ratio
+of the medians (change over parent), the pairs the change won, and each
+side's sha256 of the leaf order (with ``--phase load``, of the loaded
+index, beside each side's model bytes).  Exits 1 when the two sides'
+hashes differ, or one side's calls disagree among themselves.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload worstcase-d2 --n 1024
+    PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload near-d8 --phase load --pairs 200
 """
 
 from __future__ import annotations
@@ -59,7 +67,10 @@ def load_sides(parent_src: Path, tmp: Path) -> dict:
             sys.exit(f"no arccount package under {tree.parent}")
         shutil.copytree(tree, tmp / f"arccount_{side}", ignore=shutil.ignore_patterns("__pycache__"))
     sys.path.insert(0, str(tmp))
-    return {side: importlib.import_module(f"arccount_{side}") for side in SIDES}
+    for side in SIDES:
+        # the package does not import its io module, which --phase load calls
+        importlib.import_module(f"arccount_{side}.io")
+    return {side: sys.modules[f"arccount_{side}"] for side in SIDES}
 
 
 def build_call(package, workload: harness.Workload, seed: int):
@@ -79,9 +90,37 @@ def build_call(package, workload: harness.Workload, seed: int):
     return build
 
 
-def summary(seconds: list[float]) -> dict:
+def load_call(package, workload: harness.Workload, seed: int, data: Path, model: Path):
+    """A call that loads the model ``package`` saved of ``workload``; its seconds and the loaded index's hash."""
+    harness.arccount = package
+    inputs = harness.make_inputs(workload, seed)
+    if not data.exists():
+        package.io.write_points(data, inputs.points)
+    idx = package.build_counting_index(inputs.points, harness.build_config(inputs, seed))
+    package.io.save_model(model, idx, data)
+    del idx
+
+    def load() -> tuple[float, str]:
+        gc.collect()
+        t0 = time.perf_counter()
+        loaded = package.io.load_model(model, data)
+        seconds = time.perf_counter() - t0
+        pts = loaded.points()
+        h = hashlib.sha256(loaded.tree.order.tobytes())
+        h.update(pts.points.tobytes())
+        h.update(pts.weights.tobytes())
+        return seconds, h.hexdigest()
+
+    return load
+
+
+def summary(seconds: list[float], digits: int) -> dict:
     q1, median, q3 = np.percentile(seconds, [25, 50, 75])
-    return {"median_s": round(float(median), 4), "q1_s": round(float(q1), 4), "q3_s": round(float(q3), 4)}
+    return {
+        "median_s": round(float(median), digits),
+        "q1_s": round(float(q1), digits),
+        "q3_s": round(float(q3), digits),
+    }
 
 
 def main() -> int:
@@ -91,6 +130,7 @@ def main() -> int:
     ap.add_argument("--n", type=int, help="points (default: the workload's)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--phase", choices=["build", "load"], default="build", help="what each call times")
     args = ap.parse_args()
     if args.pairs < 1 or (args.n is not None and args.n < 2):
         ap.error("--pairs must be at least 1 and --n at least 2")
@@ -99,21 +139,31 @@ def main() -> int:
         w = dataclasses.replace(w, n=args.n)
     with tempfile.TemporaryDirectory() as tmp:
         packages = load_sides(args.parent.resolve(), Path(tmp))
-        builds = {side: build_call(packages[side], w, args.seed) for side in SIDES}
-        hashes = {side: {builds[side]()[1]} for side in SIDES}
+        if args.phase == "load":
+            data = Path(tmp) / "points.txt"
+            models = {side: Path(tmp) / f"{side}.model" for side in SIDES}
+            calls = {side: load_call(packages[side], w, args.seed, data, models[side]) for side in SIDES}
+        else:
+            calls = {side: build_call(packages[side], w, args.seed) for side in SIDES}
+        hashes = {side: {calls[side]()[1]} for side in SIDES}
         seconds: dict[str, list[float]] = {side: [] for side in SIDES}
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                s, h = builds[side]()
+                s, h = calls[side]()
                 seconds[side].append(s)
                 hashes[side].add(h)
+        if args.phase == "load":
+            loads = {"phase": "load"} | {f"{side}_model_bytes": models[side].stat().st_size for side in SIDES}
     won = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
     row = {"workload": args.workload, "n": w.n, "seed": args.seed, "pairs": args.pairs}
-    row.update({side: summary(seconds[side]) for side in SIDES})
+    # loads take milliseconds, builds up to seconds
+    row.update({side: summary(seconds[side], 6 if args.phase == "load" else 4) for side in SIDES})
     row["ratio"] = round(row["change"]["median_s"] / row["parent"]["median_s"], 3)
     row["change_won"] = won
     for side in SIDES:
         row[f"{side}_leaf_order_sha256"] = sorted(hashes[side])
+    if args.phase == "load":
+        row.update(loads)
     print(json.dumps(row), flush=True)
     same = len(hashes["parent"]) == 1 and hashes["parent"] == hashes["change"]
     return 0 if same else 1

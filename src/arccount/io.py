@@ -10,31 +10,30 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 ``n * (d + 1)`` little-endian float64 values, row-major, weight last in
 each row.
 
-Models are JSON (format ``arc-model v6``): build configuration, seed, the
-kind of tree source that fitted the leaf order, that order, a digest of
-the data file, and the points themselves: the ``n`` rows of ``d``
-coordinates and one weight as little-endian float64, base64 encoded,
-beside ``points_digest``, the sha256 of those raw bytes.  A model is about
-4/3 of the binary points file, plus the leaf order and the configuration:
-106 KB at n = 1024, d = 8.  Loading checks the data file's digest, decodes
-the rows without parsing the data file, checks their length and digest,
-and rebuilds only the partition tree over the stored leaf order, a
-``StoredOrder`` tree source, so the loaded index answers bit-identically
-to the saved one.  The tree source's ``grid_side`` and ``sample_source``,
-which earlier writers stored, are not read: the order fixes every answer.
+Models (format ``arc-model v7``) are the magic line ``arc-model v7``, a
+little-endian uint32 header length, a UTF-8 JSON header padded with spaces
+so that the arrays after it start 8-byte aligned, and two arrays: the
+``n`` rows of ``d`` coordinates and one weight as little-endian float64,
+then the leaf order as little-endian int32.  The header holds ``n``, ``d``,
+the build configuration and seed, the kind of tree source that fitted the
+order, a digest of the data file, and ``points_digest``, the sha256 of the
+rows' bytes.  The file is the header's end plus ``8n(d+1) + 4n`` bytes
+exactly: 78 KB at n = 1024, d = 8.  Loading makes one read, checks the
+data file's digest, the length and the rows' digest, reads the arrays with
+``np.frombuffer`` without parsing the data file, and rebuilds only the
+partition tree over the stored leaf order, a ``StoredOrder`` tree source,
+so the loaded index answers bit-identically to the saved one.
 ``save_model`` writes the index's ``points()`` and refuses a data file
-that does not hold them bit for bit.  There is one reader: every other
-format, ``v1``-``v5`` included, is refused, to be rebuilt from the data
-with ``arccount build``.
+that does not hold them bit for bit.  There is one reader: the JSON models
+``v1``-``v6`` are refused with their format named, to be rebuilt from the
+data with ``arccount build``.
 
-A file that is not UTF-8 where text is expected, a model or a text
-point file, is malformed.
+A file that is not UTF-8 where text is expected, a text point file or a
+model's header, is malformed.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import hashlib
 import json
 import math
@@ -65,16 +64,18 @@ def _rows_bytes(pts: WeightedPointSet) -> bytes:
     return np.hstack([pts.points, pts.weights[:, None]]).astype("<f8").tobytes()
 
 
-def _rows_points(buf: bytes, n: int, d: int, where: str, offset: int | None = None) -> WeightedPointSet:
-    """The inverse of ``_rows_bytes`` on ``buf`` past ``offset``; a non-finite value cites ``where`` and its offset."""
-    rows = np.frombuffer(buf, dtype="<f8", offset=offset or 0).reshape(n, d + 1)
+def _rows_points(buf: bytes, n: int, d: int, where: str, offset: int) -> WeightedPointSet:
+    """The inverse of ``_rows_bytes`` on the ``n`` rows at ``offset`` in ``buf``.
+
+    A non-finite value is refused, citing ``where`` and its offset.
+    """
+    rows = np.frombuffer(buf, dtype="<f8", count=n * (d + 1), offset=offset).reshape(n, d + 1)
     try:
         return WeightedPointSet(rows[:, :d].copy(), rows[:, d].copy())
     except ContractViolation as exc:
         # with n and d at least 1, the set refuses only a non-finite value
         first = int(np.argmin(np.isfinite(rows).reshape(-1)))
-        cite = "" if offset is None else f" (offset {offset + 8 * first})"
-        raise FileFormatError(f"{where}: non-finite value{cite}") from exc
+        raise FileFormatError(f"{where}: non-finite value (offset {offset + 8 * first})") from exc
 
 
 def write_points(path: str | Path, pts: WeightedPointSet, binary: bool = False) -> None:
@@ -183,7 +184,9 @@ def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = Fal
 
 # -- models --------------------------------------------------------------------
 
-_MODEL_FORMAT = "arc-model v6"
+_MODEL_FORMAT = "arc-model v7"
+_MODEL_MAGIC = _MODEL_FORMAT.encode() + b"\n"
+_HEADER_START = len(_MODEL_MAGIC) + 4
 
 
 def file_digest(path: str | Path) -> str:
@@ -219,12 +222,11 @@ def save_model(
             "save the model against the data the index was built from"
         )
     cfg = idx.config
-    doc = {
-        "format": _MODEL_FORMAT,
+    head = {
         "n": len(pts),
         "d": pts.dim,
         "data_digest": now,
-        "order": [int(v) for v in idx.tree.order],
+        "points_digest": "sha256:" + hashlib.sha256(rows).hexdigest(),
         "config": {
             "eps": cfg.eps,
             "radius": cfg.radius,
@@ -232,12 +234,12 @@ def save_model(
             "seed_path": list(cfg.seed.path),
             "tree_source": {"kind": cfg.tree_source.kind},
         },
-        "points_digest": "sha256:" + hashlib.sha256(rows).hexdigest(),
-        "points": base64.b64encode(rows).decode("ascii"),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    text = json.dumps(head).encode()
+    text += b" " * (-(_HEADER_START + len(text)) % 8)
+    with open(path, "wb") as fh:
+        fh.write(_MODEL_MAGIC + struct.pack("<I", len(text)) + text + rows)
+        fh.write(idx.tree.order.astype("<i4").tobytes())
 
 
 _NUMBER = (int, float)
@@ -256,26 +258,46 @@ def _field(obj: dict, key: str, kinds: tuple[type, ...], where: object):
 def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     """Rebuild the index saved at ``path``, whose data file ``data_path`` must match its digest."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        # ValueError: a json.JSONDecodeError, or a UnicodeDecodeError of a binary file
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
         raise FileFormatError(f"{path}: not a model file: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: not a model file: top level is not an object")
-    fmt = doc.get("format")
-    if fmt != _MODEL_FORMAT:
+    if not blob.startswith(_MODEL_MAGIC):
+        try:
+            fmt = json.loads(blob)["format"]
+        except (ValueError, TypeError, KeyError, RecursionError):
+            raise FileFormatError(f"{path}: not a model file: no {_MODEL_MAGIC!r} magic") from None
         raise FileFormatError(
             f"{path}: model format {fmt!r} cannot be read, only {_MODEL_FORMAT!r}; "
             "rebuild it from the data with `arccount build`"
         )
+    # a file cut short in the header length reads as a header past its end
+    end = _HEADER_START + int.from_bytes(blob[len(_MODEL_MAGIC) : _HEADER_START], "little")
+    if end > len(blob):
+        raise FileFormatError(f"{path}: header runs to offset {end}, past the end of the file's {len(blob)} bytes")
+    try:
+        head = json.loads(blob[_HEADER_START:end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # a json.JSONDecodeError, a UnicodeDecodeError, or arrays nested too deep to parse
+        raise FileFormatError(f"{path}: model header is not JSON: {exc}") from None
+    if not isinstance(head, dict):
+        raise FileFormatError(f"{path}: model header is not an object")
     digest = file_digest(data_path)
-    stored = _field(doc, "data_digest", (str,), path)
+    stored = _field(head, "data_digest", (str,), path)
     if digest != stored:
         raise FileFormatError(f"{data_path}: digest {digest} does not match the model's {stored}")
-    pts = _stored_points(doc, path)
-    order = _stored_order(_field(doc, "order", (list,), path), len(pts), path)
-    c = _field(doc, "config", (dict,), path)
+    n, d = _field(head, "n", (int,), path), _field(head, "d", (int,), path)
+    if n < 1 or d < 1:
+        raise FileFormatError(f"{path}: model declares n={n}, d={d}")
+    order_at = end + 8 * n * (d + 1)
+    if len(blob) != order_at + 4 * n:
+        raise FileFormatError(f"{path}: model is {len(blob)} bytes, n={n} and d={d} imply {order_at + 4 * n}")
+    digest = "sha256:" + hashlib.sha256(memoryview(blob)[end:order_at]).hexdigest()
+    stored = _field(head, "points_digest", (str,), path)
+    if digest != stored:
+        raise FileFormatError(f"{path}: points digest {digest} does not match the model's {stored}")
+    pts = _rows_points(blob, n, d, str(path), offset=end)
+    c = _field(head, "config", (dict,), path)
     src = _field(c, "tree_source", (dict,), path)
     kind = _field(src, "kind", (str,), path)
     seed_path = _field(c, "seed_path", (list,), path)
@@ -289,39 +311,11 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
             eps=_field(c, "eps", _NUMBER, path),
             radius=_field(c, "radius", _NUMBER, path),
             seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
-            tree_source=StoredOrder(SpanningPath(order), kind),
+            tree_source=StoredOrder(SpanningPath(np.frombuffer(blob, "<i4", count=n, offset=order_at)), kind),
         )
         return build_counting_index(pts, cfg)
     except ContractViolation as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-
-
-def _stored_points(doc: dict, where: object) -> WeightedPointSet:
-    """The model's points and weights, decoded and checked against ``n``, ``d`` and ``points_digest``."""
-    n, d = _field(doc, "n", (int,), where), _field(doc, "d", (int,), where)
-    if n < 1 or d < 1:
-        raise FileFormatError(f"{where}: model declares n={n}, d={d}")
-    try:
-        rows = base64.b64decode(_field(doc, "points", (str,), where), validate=True)
-    except binascii.Error as exc:
-        raise FileFormatError(f"{where}: model field 'points' is not base64: {exc}") from None
-    if len(rows) != n * (d + 1) * 8:
-        raise FileFormatError(f"{where}: points are {len(rows)} bytes, n={n} and d={d} imply {n * (d + 1) * 8}")
-    digest = "sha256:" + hashlib.sha256(rows).hexdigest()
-    stored = _field(doc, "points_digest", (str,), where)
-    if digest != stored:
-        raise FileFormatError(f"{where}: points digest {digest} does not match the model's {stored}")
-    return _rows_points(rows, n, d, str(where))
-
-
-def _stored_order(order: list, n: int, where: object) -> np.ndarray:
-    """The stored leaf order as an array, if it holds integers only; ``SpanningPath`` checks the rest."""
-    try:
-        if set(map(type, order)) <= {int}:
-            return np.array(order, dtype=np.int64)
-    except OverflowError:
-        pass
-    raise FileFormatError(f"{where}: stored leaf order is not a permutation of 0..{n - 1}")
 
 
 def write_report(path: str | Path, report: dict) -> None:

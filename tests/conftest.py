@@ -1,6 +1,12 @@
-"""Shared instance generators for the test suite."""
+"""Shared instance generators and model-file helpers for the test suite."""
 
 from __future__ import annotations
+
+import base64
+import json
+import struct
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,3 +47,41 @@ def clustered_instance(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+MODEL_MAGIC = b"arc-model v7\n"
+
+
+@dataclass
+class ModelFile:
+    """An ``arc-model v7`` file taken apart: the JSON header, or raw header text, and the two arrays' bytes."""
+
+    head: dict | bytes
+    rows: bytes
+    order: bytes
+
+    @classmethod
+    def read(cls, path: str | Path) -> "ModelFile":
+        blob = Path(path).read_bytes()
+        assert blob.startswith(MODEL_MAGIC)
+        start = len(MODEL_MAGIC) + 4
+        end = start + struct.unpack_from("<I", blob, len(MODEL_MAGIC))[0]
+        head = json.loads(blob[start:end])
+        order_at = end + 8 * head["n"] * (head["d"] + 1)
+        return cls(head, blob[end:order_at], blob[order_at:])
+
+    def to_bytes(self) -> bytes:
+        """The file, its header padded with spaces so that the arrays start 8-byte aligned."""
+        text = self.head if isinstance(self.head, bytes) else json.dumps(self.head).encode()
+        text += b" " * (-(len(MODEL_MAGIC) + 4 + len(text)) % 8)
+        return MODEL_MAGIC + struct.pack("<I", len(text)) + text + self.rows + self.order
+
+    def v6_document(self) -> dict:
+        """The same model as the JSON document an ``arc-model v6`` writer saved."""
+        assert isinstance(self.head, dict)
+        return {
+            "format": "arc-model v6",
+            **self.head,
+            "order": np.frombuffer(self.order, "<i4").tolist(),
+            "points": base64.b64encode(self.rows).decode("ascii"),
+        }

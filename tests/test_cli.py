@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-import base64
+import dataclasses
+import hashlib
 import json
+import struct
 import time
 import warnings
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from arccount.cli import run_cli
 from arccount.core import WeightedPointSet
 from arccount.io import read_points, read_query_sample, write_points, write_query_sample
 from arccount.learned import QuerySample
+from conftest import MODEL_MAGIC, ModelFile
 
 
 def gen_data(tmp_path, n=50, d=3, kind="uniform", extra=()):
@@ -279,47 +283,97 @@ class TestBuildQueryEval:
         assert json.loads(report.read_text())["sandwich_pass_rate"] == 29 / 30
 
 
-def _points(doc: dict) -> bytes:
-    return base64.b64decode(doc["points"])
+def _head(edit: Callable[[dict], object]) -> Callable[[ModelFile], bytes]:
+    """A model file whose JSON header ``edit`` changed."""
+
+    def mutate(m: ModelFile) -> bytes:
+        edit(m.head)
+        return m.to_bytes()
+
+    return mutate
 
 
-def _set_points(doc: dict, rows: bytes) -> None:
-    doc["points"] = base64.b64encode(rows).decode("ascii")
+def _order(edit: Callable[[np.ndarray], object]) -> Callable[[ModelFile], bytes]:
+    """A model file whose leaf order ``edit`` changed in place."""
+
+    def mutate(m: ModelFile) -> bytes:
+        order = np.frombuffer(m.order, "<i4").copy()
+        edit(order)
+        return dataclasses.replace(m, order=order.tobytes()).to_bytes()
+
+    return mutate
 
 
-def _flip_one_byte(doc: dict) -> None:
-    rows = bytearray(_points(doc))
+def _flip_one_byte(m: ModelFile) -> bytes:
+    rows = bytearray(m.rows)
     rows[13] ^= 0x01
-    _set_points(doc, bytes(rows))
+    return dataclasses.replace(m, rows=bytes(rows)).to_bytes()
+
+
+def _nan_with_its_digest(m: ModelFile) -> bytes:
+    rows = np.frombuffer(m.rows, "<f8").copy()
+    rows[5] = np.nan
+    m.head["points_digest"] = "sha256:" + hashlib.sha256(rows.tobytes()).hexdigest()
+    return dataclasses.replace(m, rows=rows.tobytes()).to_bytes()
+
+
+def _header_length(delta: int) -> Callable[[ModelFile], bytes]:
+    """A model file whose u32 header length is ``delta`` off."""
+
+    def mutate(m: ModelFile) -> bytes:
+        blob = m.to_bytes()
+        at = len(MODEL_MAGIC)
+        return blob[:at] + struct.pack("<I", struct.unpack_from("<I", blob, at)[0] + delta) + blob[at + 4 :]
+
+    return mutate
 
 
 # hand edits that leave a model file malformed: missing fields, wrong types,
-# a leaf order that is not a permutation of the points, and stored points
-# that do not match their digest or the declared n and d
+# a leaf order that is not a permutation of the points, stored points that
+# do not match their digest or the declared n and d, and files cut short,
+# grown or with a header that is not a JSON object
 MALFORMED_MODELS = {
-    "no-radius": lambda doc: doc["config"].pop("radius"),
-    "no-order": lambda doc: doc.pop("order"),
-    "no-digest": lambda doc: doc.pop("data_digest"),
-    "no-source-kind": lambda doc: doc["config"]["tree_source"].pop("kind"),
-    "no-seed-path": lambda doc: doc["config"].pop("seed_path"),
-    "no-points": lambda doc: doc.pop("points"),
-    "no-points-digest": lambda doc: doc.pop("points_digest"),
-    "string-in-order": lambda doc: doc.update(order=["0"] + doc["order"][1:]),
-    "string-eps": lambda doc: doc["config"].update(eps="0.5"),
-    "list-config": lambda doc: doc.update(config=[]),
-    "order-not-a-permutation": lambda doc: doc.update(order=doc["order"][1:2] + doc["order"][1:]),
-    "order-too-large-an-integer": lambda doc: doc.update(order=[2**70] + doc["order"][1:]),
-    "points-not-base64": lambda doc: doc.update(points="not base64: " + doc["points"]),
-    "points-truncated": lambda doc: _set_points(doc, _points(doc)[:-8]),
-    # valid base64 of the same length: only the points digest catches it
+    "no-radius": _head(lambda h: h["config"].pop("radius")),
+    "no-order": lambda m: dataclasses.replace(m, order=b"").to_bytes(),
+    "no-digest": _head(lambda h: h.pop("data_digest")),
+    "no-source-kind": _head(lambda h: h["config"]["tree_source"].pop("kind")),
+    "no-seed-path": _head(lambda h: h["config"].pop("seed_path")),
+    "no-points": lambda m: dataclasses.replace(m, rows=b"").to_bytes(),
+    "no-points-digest": _head(lambda h: h.pop("points_digest")),
+    "order-as-int64": lambda m: dataclasses.replace(
+        m, order=np.frombuffer(m.order, "<i4").astype("<i8").tobytes()
+    ).to_bytes(),
+    "string-eps": _head(lambda h: h["config"].update(eps="0.5")),
+    "list-config": _head(lambda h: h.update(config=[])),
+    "order-not-a-permutation": _order(lambda o: np.put(o, 0, o[1])),
+    "order-too-large-an-integer": _order(lambda o: np.put(o, 0, 2**31 - 1)),
+    "order-negative": _order(lambda o: np.put(o, 0, -1)),
+    # a NaN row whose digest is its own: only the finiteness check catches it
+    "points-nan-with-its-digest": _nan_with_its_digest,
+    "points-truncated": lambda m: dataclasses.replace(m, rows=m.rows[:-8]).to_bytes(),
+    # the same length: only the points digest catches it
     "points-one-byte-flipped": _flip_one_byte,
-    "points-digest-wrong": lambda doc: doc.update(points_digest="sha256:" + "0" * 64),
-    "n-off-by-one": lambda doc: doc.update(n=doc["n"] - 1),
-    "d-off-by-one": lambda doc: doc.update(d=doc["d"] + 1),
+    "points-digest-wrong": _head(lambda h: h.update(points_digest="sha256:" + "0" * 64)),
+    "n-off-by-one": _head(lambda h: h.update(n=h["n"] - 1)),
+    "d-off-by-one": _head(lambda h: h.update(d=h["d"] + 1)),
     # right type, value out of range
-    "eps-5": lambda doc: doc["config"].update(eps=5),
-    "radius-negative": lambda doc: doc["config"].update(radius=-1),
-    "source-kind-unknown": lambda doc: doc["config"].update(tree_source={"kind": "split"}),
+    "eps-5": _head(lambda h: h["config"].update(eps=5)),
+    "radius-negative": _head(lambda h: h["config"].update(radius=-1)),
+    "source-kind-unknown": _head(lambda h: h["config"].update(tree_source={"kind": "split"})),
+    # the bytes around the header and the arrays
+    "truncated-in-magic": lambda m: m.to_bytes()[:7],
+    "truncated-in-header-length": lambda m: m.to_bytes()[: len(MODEL_MAGIC) + 2],
+    "truncated-in-header": lambda m: m.to_bytes()[:40],
+    "truncated-in-rows": lambda m: m.to_bytes()[: -len(m.order) - 12],
+    "truncated-in-order": lambda m: m.to_bytes()[:-2],
+    "trailing-bytes": lambda m: m.to_bytes() + bytes(8),
+    "header-length-past-the-end": _header_length(1 << 20),
+    "header-length-short": _header_length(-8),
+    "header-not-json": lambda m: dataclasses.replace(m, head=b"{not json").to_bytes(),
+    "header-not-utf8": lambda m: dataclasses.replace(m, head=b'{"n": "\xff"}').to_bytes(),
+    "header-not-an-object": lambda m: dataclasses.replace(m, head=b"[1, 2, 3]").to_bytes(),
+    "header-nested-too-deep": lambda m: dataclasses.replace(m, head=b"[" * 100_000).to_bytes(),
+    "json-nested-too-deep": lambda m: b"[" * 100_000,
 }
 
 
@@ -327,8 +381,9 @@ def _without_points(doc: dict) -> None:
     del doc["points"], doc["points_digest"]
 
 
-# each older format's own fields: v1-v3 wrote these fields beyond v4's, at
-# values their builds used, and v4 and v5 carried no points
+# each older JSON format's own fields: v1-v3 wrote these fields beyond v4's,
+# at values their builds used, v4 and v5 carried no points, and early v6
+# writers stored the tree source's grid side
 OLD_FORMAT_FIELDS = {
     "arc-model v1": lambda doc: doc["config"].update(
         classifier_repetitions=None, beta_scale=1.0, jl_enabled=None, jl_target_dim=None,
@@ -340,6 +395,7 @@ OLD_FORMAT_FIELDS = {
     "arc-model v3": lambda doc: doc["config"].update(snap_queries=True, grid_side=0.05),
     "arc-model v4": _without_points,
     "arc-model v5": _without_points,
+    "arc-model v6": lambda doc: doc["config"]["tree_source"].update(grid_side=None),
 }
 
 
@@ -475,23 +531,22 @@ class TestExitCodes:
     def test_malformed_model_is_exit_two(self, tmp_path, capsys, saved_model, mutation):
         # an exception escaping run_cli would be a traceback and exit 1
         model, data = saved_model
-        doc = json.loads(model.read_text())
-        MALFORMED_MODELS[mutation](doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_bytes(MALFORMED_MODELS[mutation](ModelFile.read(model)))
         capsys.readouterr()
         rc = run_cli(["query", "--model", str(bad), "--data", str(data), "--q", "1,1,1"])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
-    # "v4-fields" tags the current model with the old format and changes
-    # nothing else; "own-fields" also gives it the old format's own fields
-    @pytest.mark.parametrize("with_fields", [True, False], ids=["own-fields", "v4-fields"])
+    # "v6-fields" tags the current model, as a v6 writer saved it, with the
+    # old format and changes nothing else; "own-fields" also gives it the
+    # old format's own fields
+    @pytest.mark.parametrize("with_fields", [True, False], ids=["own-fields", "v6-fields"])
     @pytest.mark.parametrize("fmt", sorted(OLD_FORMAT_FIELDS))
-    def test_pre_v4_model_is_exit_two(self, tmp_path, capsys, saved_model, fmt, with_fields):
+    def test_json_model_is_exit_two(self, tmp_path, capsys, saved_model, fmt, with_fields):
         model, data = saved_model
-        doc = json.loads(model.read_text())
+        doc = ModelFile.read(model).v6_document()
         doc["format"] = fmt
         if with_fields:
             OLD_FORMAT_FIELDS[fmt](doc)

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arccount.cli import run_cli
+from conftest import ModelFile
 
 # address space the fuzzed calls may map on top of what the process holds
 _HEADROOM = 1 << 30
@@ -73,10 +74,16 @@ def files(tmp_path_factory):
     ]
     for argv in calls:
         assert run_cli([str(a) for a in argv]) == 0
-    broken = json.loads(made["learned"].read_text())
-    del broken["config"]["radius"]
+    # a model without its radius, one cut short in its leaf order, and one
+    # as an arc-model v6 writer saved it
+    learned = ModelFile.read(made["learned"])
+    made["truncated_model"] = root / "truncated.json"
+    made["truncated_model"].write_bytes(learned.to_bytes()[:-3])
+    made["v6_model"] = root / "v6.json"
+    made["v6_model"].write_text(json.dumps(learned.v6_document()))
+    del learned.head["config"]["radius"]
     made["broken_model"] = root / "broken.json"
-    made["broken_model"].write_text(json.dumps(broken))
+    made["broken_model"].write_bytes(learned.to_bytes())
     made["garbage"] = root / "garbage.bin"
     made["garbage"].write_bytes(b"\xff\xfe\x00 not a point file \x80\n1,2\n")
     made["empty"] = root / "empty.txt"
@@ -114,7 +121,9 @@ def command_lines(draw, inputs: dict[str, str], outputs: list[str]) -> list[str]
 
     points = files(["data"], ["data3", "data_bin", "garbage", "empty", "missing", "directory", "queries"])
     queries = files(["queries"], ["data", "garbage", "empty", "missing"])
-    models = files(["learned", "worstcase"], ["broken_model", "garbage", "data", "missing"])
+    models = files(
+        ["learned", "worstcase"], ["broken_model", "truncated_model", "v6_model", "garbage", "data", "missing"]
+    )
     out = (outputs[:3], outputs[3:])
     flag = ([None], [None])
     grammar = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arccount.io
+from conftest import MODEL_MAGIC, ModelFile
 from arccount.core import ContractViolation, Seed, WeightedPointSet
 from arccount.counter import (
     BuildConfig,
@@ -212,25 +214,27 @@ class TestModels:
         assert built.sandwich_pass_rate == 1.0
 
     @pytest.mark.parametrize("worstcase", [False, True])
-    def test_v4_and_v5_models_are_refused(self, tmp_path, worstcase):
-        # neither format carries the points, so neither loads: both are
-        # refused as older formats are, to be rebuilt from the data
+    def test_v4_to_v6_models_are_refused(self, tmp_path, worstcase):
+        # JSON models: v4 and v5 carry no points, and v6 carries them base64
+        # encoded beside a JSON order list; all are refused as older formats
+        # are, to be rebuilt from the data
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
-        doc = json.loads(model.read_text())
-        assert doc["format"] == "arc-model v6"
-        for fmt in ("arc-model v4", "arc-model v5"):
+        doc = ModelFile.read(model).v6_document()
+        for fmt in ("arc-model v4", "arc-model v5", "arc-model v6"):
             old = copy.deepcopy(doc)
-            del old["points"], old["points_digest"]
+            if fmt != "arc-model v6":
+                del old["points"], old["points_digest"]
             old["format"] = fmt
             if worstcase and fmt == "arc-model v4":
                 old["config"]["tree_source"]["light"] = {"rho": 0.05}
             f = tmp_path / "old.json"
-            f.write_text(json.dumps(old))
+            f.write_text(json.dumps(old, indent=1) + "\n")
             with pytest.raises(FileFormatError, match=rf"{fmt}.*rebuild it from the data with `arccount build`"):
                 load_model(f, data)
 
-    # the tree source as earlier writers of arc-model v6 stored it: its grid
-    # side, 0.0 included, and the sample's description are not read
+    # the tree source as earlier writers of arc-model v6 stored it, its grid
+    # side (0.0 included) or the sample's description beside the kind: v6 is
+    # refused whatever its tree source holds
     @pytest.mark.parametrize(
         "worstcase, tree_source",
         [
@@ -240,19 +244,33 @@ class TestModels:
         ],
         ids=["worstcase-grid-side-none", "worstcase-grid-side-0", "learned-sample-source"],
     )
-    def test_earlier_tree_source_fields_load_bit_identically(self, tmp_path, worstcase, tree_source):
+    def test_v6_models_with_earlier_tree_source_fields_are_refused(self, tmp_path, worstcase, tree_source):
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
-        doc = json.loads(model.read_text())
+        doc = ModelFile.read(model).v6_document()
         assert doc["config"]["tree_source"] == {"kind": tree_source["kind"]}
         doc["config"]["tree_source"] = tree_source
         model.write_text(json.dumps(doc, indent=1) + "\n")
-        loaded = load_model(model, data)
-        assert loaded.config.tree_source.kind == tree_source["kind"]
-        rng = Seed(166).generator()
-        for q in np.vstack([pts.points[:3], rng.uniform(-2, 3, size=(30, pts.dim))]):
-            a, b = count(idx, q, verify=True), count(loaded, q, verify=True)
-            assert a.weight.hex() == b.weight.hex() and a.member_ranges == b.member_ranges
-            assert (a.visited_nodes, a.verdict_counts) == (b.visited_nodes, b.verdict_counts)
+        with pytest.raises(FileFormatError, match=r"'arc-model v6'.*rebuild it from the data with `arccount build`"):
+            load_model(model, data)
+
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_layout_is_a_header_the_rows_and_an_int32_order(self, tmp_path, worstcase):
+        # magic, u32 header length, a JSON header padded to 8 bytes, the rows
+        # exactly as their digest hashes them, and the leaf order as <i4
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        blob = model.read_bytes()
+        end = len(MODEL_MAGIC) + 4 + int.from_bytes(blob[len(MODEL_MAGIC) : len(MODEL_MAGIC) + 4], "little")
+        parts = ModelFile.read(model)
+        n, d = len(pts), pts.dim
+        assert blob.startswith(b"arc-model v7\n") and end % 8 == 0
+        assert (parts.head["n"], parts.head["d"]) == (n, d)
+        assert parts.head["data_digest"] == file_digest(data)
+        rows = arccount.io._rows_bytes(idx.points())
+        assert parts.rows == rows and parts.head["points_digest"] == "sha256:" + hashlib.sha256(rows).hexdigest()
+        assert parts.order == idx.tree.order.astype("<i4").tobytes() == blob[end + 8 * n * (d + 1) :]
+        assert np.frombuffer(parts.order, "<i4").tolist() == idx.tree.order.tolist()
+        assert len(blob) == end + 8 * n * (d + 1) + 4 * n
+        assert parts.to_bytes() == blob
 
     @pytest.mark.parametrize("worstcase", [False, True])
     def test_save_load_save_writes_the_same_bytes(self, tmp_path, worstcase):
@@ -260,6 +278,18 @@ class TestModels:
         again = tmp_path / "again.json"
         save_model(again, load_model(model, data), data)
         assert again.read_bytes() == model.read_bytes()
+
+    def test_non_finite_row_under_its_own_digest_cites_its_offset(self, tmp_path):
+        # only the finiteness check can refuse a NaN whose digest is recomputed
+        pts, idx, data, model = self.build_and_save(tmp_path)
+        parts = ModelFile.read(model)
+        rows = np.frombuffer(parts.rows, "<f8").copy()
+        rows[9] = np.nan
+        parts.head["points_digest"] = "sha256:" + hashlib.sha256(rows.tobytes()).hexdigest()
+        model.write_bytes(dataclasses.replace(parts, rows=rows.tobytes()).to_bytes())
+        start = len(model.read_bytes()) - len(parts.rows) - len(parts.order)
+        with pytest.raises(FileFormatError, match=rf"non-finite value \(offset {start + 8 * 9}\)"):
+            load_model(model, data)
 
     def test_load_does_not_read_the_data_file_points(self, tmp_path, monkeypatch):
         pts, idx, data, model = self.build_and_save(tmp_path)
@@ -294,7 +324,7 @@ class TestModels:
         monkeypatch.setattr(arccount.io, "read_points", refuse)
         again = tmp_path / "again.json"
         save_model(again, idx, data, read=(pts, digest))
-        assert again.read_text() == model.read_text()
+        assert again.read_bytes() == model.read_bytes()
         points = pts.points.copy()
         points[7, 1] = np.nextafter(points[7, 1], np.inf)
         off = WeightedPointSet(points, pts.weights)
@@ -321,10 +351,10 @@ class TestModels:
 
     def test_unknown_format_refused(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)
-        doc = json.loads(model.read_text())
+        doc = ModelFile.read(model).v6_document()
         doc["format"] = "bogus v9"
         model.write_text(json.dumps(doc))
-        with pytest.raises(FileFormatError, match=r"format"):
+        with pytest.raises(FileFormatError, match=r"format 'bogus v9'"):
             load_model(model, data)
 
     def test_not_json_refused(self, tmp_path):

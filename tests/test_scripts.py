@@ -55,8 +55,10 @@ def test_build_cost_prints_one_line_per_n(workload):
         layers = {"stab_counts_s", "spanning_tree_s"} & set(row)
         assert len(layers) == (2 if workload == "near-d8" else 0)
         assert all(row[k] > 0 for k in layers)
-        # the model carries the n rows of d coordinates and a weight, base64
-        assert row["model_bytes"] > row["n"] * (row["d"] + 1) * 8 * 4 / 3 and row["load_ms"] > 0
+        # the model is its header, 8-byte aligned, then the n rows of d
+        # coordinates and a weight as float64 and the leaf order as int32
+        header = row["model_bytes"] - 8 * row["n"] * (row["d"] + 1) - 4 * row["n"]
+        assert 0 < header < 1024 and header % 8 == 0 and row["load_ms"] > 0
 
 
 def test_query_layers_prints_one_line_per_workload_and_seed():
@@ -93,5 +95,19 @@ def test_build_ab_of_this_tree_against_itself_prints_equal_hashes():
     assert 0 <= row["change_won"] <= 2 and row["ratio"] > 0
     for side in ("parent", "change"):
         assert 0 < row[side]["q1_s"] <= row[side]["median_s"] <= row[side]["q3_s"]
+    assert row["parent_leaf_order_sha256"] == row["change_leaf_order_sha256"]
+    assert len(row["change_leaf_order_sha256"]) == 1 and len(row["change_leaf_order_sha256"][0]) == 64
+
+
+def test_build_ab_load_phase_of_this_tree_against_itself_prints_equal_hashes():
+    argv = ["--parent", str(ROOT / "src"), "--workload", "near-d8", "--n", "32", "--pairs", "3", "--phase", "load"]
+    proc = run_script("build_ab.py", argv)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert (row["workload"], row["n"], row["pairs"], row["phase"]) == ("near-d8", 32, 3, "load")
+    assert 0 <= row["change_won"] <= 3 and row["ratio"] > 0
+    for side in ("parent", "change"):
+        assert 0 < row[side]["q1_s"] <= row[side]["median_s"] <= row[side]["q3_s"]
+    assert row["parent_model_bytes"] == row["change_model_bytes"] > 32 * 9 * 8 + 4 * 32
     assert row["parent_leaf_order_sha256"] == row["change_leaf_order_sha256"]
     assert len(row["change_leaf_order_sha256"]) == 1 and len(row["change_leaf_order_sha256"][0]) == 64
