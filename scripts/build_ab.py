@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Interleaved in-process builds or model loads of one benchmark workload from this checkout and another one.
+"""Interleaved in-process builds, model loads or queries of one benchmark workload from this checkout and another one.
 
 Copies the ``arccount`` package of this checkout and of ``--parent`` (the
 other checkout's ``src`` directory) into a temporary directory as
@@ -19,15 +19,23 @@ then each side's ``io.load_model`` of its model, after a ``gc.collect()``
 as the benchmark loads, and each side's hash covers the loaded index's
 leaf order and ``points()`` bytes.
 
-Prints one JSON line: each side's median seconds and quartiles, the ratio
-of the medians (change over parent), the pairs the change won, and each
-side's sha256 of the leaf order (with ``--phase load``, of the loaded
-index, beside each side's model bytes).  Exits 1 when the two sides'
-hashes differ, or one side's calls disagree among themselves.
+With ``--phase query`` each side builds its index once; a timed call is
+then one pass of ``count`` over the benchmark's ``TIMED_QUERIES`` pool
+queries, reading the weight alone, as the benchmark's query loop does,
+and each side's hash covers the ``hex()`` of every weight.
+
+Prints one JSON line: each side's median and quartiles (seconds per call,
+or with ``--phase query`` microseconds per query), the ratio of the
+medians (change over parent), the pairs the change won, and each side's
+sha256 of the leaf order (with ``--phase load``, of the loaded index,
+beside each side's model bytes; with ``--phase query``, of the weights).
+Exits 1 when the two sides' hashes differ, or one side's calls disagree
+among themselves.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload worstcase-d2 --n 1024
     PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload near-d8 --phase load --pairs 200
+    PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload near-d8 --phase query --pairs 200
 """
 
 from __future__ import annotations
@@ -114,12 +122,31 @@ def load_call(package, workload: harness.Workload, seed: int, data: Path, model:
     return load
 
 
-def summary(seconds: list[float], digits: int) -> dict:
-    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+def query_call(package, workload: harness.Workload, seed: int):
+    """A call that answers the timed pool queries of ``workload`` with ``package``; its seconds and weights' hash."""
+    harness.arccount = package
+    inputs = harness.make_inputs(workload, seed)
+    idx = package.build_counting_index(inputs.points, harness.build_config(inputs, seed))
+    queries = list(inputs.pool[: harness.TIMED_QUERIES])
+    count = package.count
+
+    def answer() -> tuple[float, str]:
+        gc.collect()
+        t0 = time.perf_counter()
+        answers = [count(idx, q) for q in queries]
+        seconds = time.perf_counter() - t0
+        weights = "\n".join(float(ans.weight).hex() for ans in answers)
+        return seconds, hashlib.sha256(weights.encode()).hexdigest()
+
+    return answer
+
+
+def summary(values: list[float], digits: int, unit: str) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {
-        "median_s": round(float(median), digits),
-        "q1_s": round(float(q1), digits),
-        "q3_s": round(float(q3), digits),
+        f"median_{unit}": round(float(median), digits),
+        f"q1_{unit}": round(float(q1), digits),
+        f"q3_{unit}": round(float(q3), digits),
     }
 
 
@@ -130,7 +157,7 @@ def main() -> int:
     ap.add_argument("--n", type=int, help="points (default: the workload's)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--phase", choices=["build", "load"], default="build", help="what each call times")
+    ap.add_argument("--phase", choices=["build", "load", "query"], default="build", help="what each call times")
     args = ap.parse_args()
     if args.pairs < 1 or (args.n is not None and args.n < 2):
         ap.error("--pairs must be at least 1 and --n at least 2")
@@ -143,6 +170,8 @@ def main() -> int:
             data = Path(tmp) / "points.txt"
             models = {side: Path(tmp) / f"{side}.model" for side in SIDES}
             calls = {side: load_call(packages[side], w, args.seed, data, models[side]) for side in SIDES}
+        elif args.phase == "query":
+            calls = {side: query_call(packages[side], w, args.seed) for side in SIDES}
         else:
             calls = {side: build_call(packages[side], w, args.seed) for side in SIDES}
         hashes = {side: {calls[side]()[1]} for side in SIDES}
@@ -156,12 +185,18 @@ def main() -> int:
             loads = {"phase": "load"} | {f"{side}_model_bytes": models[side].stat().st_size for side in SIDES}
     won = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
     row = {"workload": args.workload, "n": w.n, "seed": args.seed, "pairs": args.pairs}
-    # loads take milliseconds, builds up to seconds
-    row.update({side: summary(seconds[side], 6 if args.phase == "load" else 4) for side in SIDES})
-    row["ratio"] = round(row["change"]["median_s"] / row["parent"]["median_s"], 3)
+    # queries take microseconds, loads milliseconds, builds up to seconds
+    if args.phase == "query":
+        row["phase"] = "query"
+        row.update({side: summary([1e6 * s / harness.TIMED_QUERIES for s in seconds[side]], 2, "us") for side in SIDES})
+        unit, hashed = "us", "weights"
+    else:
+        row.update({side: summary(seconds[side], 6 if args.phase == "load" else 4, "s") for side in SIDES})
+        unit, hashed = "s", "leaf_order"
+    row["ratio"] = round(row["change"][f"median_{unit}"] / row["parent"][f"median_{unit}"], 3)
     row["change_won"] = won
     for side in SIDES:
-        row[f"{side}_leaf_order_sha256"] = sorted(hashes[side])
+        row[f"{side}_{hashed}_sha256"] = sorted(hashes[side])
     if args.phase == "load":
         row.update(loads)
     print(json.dumps(row), flush=True)

@@ -152,7 +152,7 @@ def save_and_load(
 ) -> tuple[int, float, counter.CountingIndex]:
     """The size of ``idx``'s saved model, the best of ``LOADS`` loads of it in ms, and the last load."""
     with tempfile.TemporaryDirectory() as tmp:
-        data, model = Path(tmp) / "points.txt", Path(tmp) / "model.json"
+        data, model = Path(tmp) / "points.txt", Path(tmp) / "model.arc"
         io.write_points(data, points)
         io.save_model(model, idx, data)
         best = float("inf")

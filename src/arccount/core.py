@@ -10,9 +10,16 @@ conventions are fixed here once and used consistently:
   other is at distance at least ``(1+eps)r`` (both comparisons closed).
   :func:`stab_masks` alone makes both comparisons, on squared distances
   from :func:`sq_dists_to`, apart from the oracle, a referee that shares
-  no code.  The learned stab counts' float32 pass only decides which
-  distances need not be taken, as ``count``'s float64 pass does: both
-  passes' rounding bound is :func:`band_half_width`, proved there once.
+  no code.
+
+Two certified distance passes decide which of those distances need not be
+taken: ``count``'s float64 GEMV for one query, and the learned stab
+counts' float32 GEMM over blocks of queries.  They share one contract,
+stated here once: :func:`band_half_width` bounds a pass's rounding in the
+:class:`Precision` it runs in, ``FLOAT64`` or ``FLOAT32``, and a pass
+certifies a query only while d is at most the record's ``max_dim`` and
+``2M + B`` at most its ``max``; any other query's points are all measured
+with :func:`sq_dists_to`.
 
 Randomness is carried by :class:`Seed`, a 64-bit value plus a derivation
 path.  Sub-structures derive child seeds instead of sharing one generator,
@@ -139,8 +146,8 @@ def stab_masks(d2: np.ndarray, params: EpsParams) -> tuple[np.ndarray, np.ndarra
 
     A query eps-stabs a pair when one end is near and the other far.  Every
     caller takes ``d2`` from ``sq_dists_to``: ``eps_stabs``,
-    ``spantree.BallRows.of``, ``learned.stabbing_bracket_report`` and the
-    band cells of ``learned.pair_stab_counts``' float32 pass.
+    ``spantree.BallRows.of`` and the band cells of
+    ``learned.pair_stab_counts``' float32 pass.
     """
     big = params.outer_radius
     return d2 <= params.radius * params.radius, d2 >= big * big
@@ -170,13 +177,27 @@ def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-# unit roundoff and smallest normal of the certified passes' two precisions
-FLOAT64_ROUNDING = (2.0**-53, float(np.finfo(np.float64).tiny))
-FLOAT32_ROUNDING = (2.0**-24, float(np.finfo(np.float32).tiny))
+@dataclass(frozen=True)
+class Precision:
+    """What a certified pass's proof needs of the precision it runs in.
+
+    ``unit_roundoff`` and ``tiny``, the smallest normal, are the ``u`` and
+    ``tau`` of :func:`band_half_width`; ``max`` is the largest finite
+    value, and ``max_dim`` the largest d that the bound's proof covers.
+    """
+
+    unit_roundoff: float
+    tiny: float
+    max: float
+    max_dim: int
 
 
-def band_half_width(d: int, m, t_outer, t_inner, rounding: tuple[float, float]):
-    """Half the certified band ``B`` of a distance pass whose precision has ``rounding``, ``(u, tau)``.
+FLOAT64 = Precision(2.0**-53, float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max), 10**7)
+FLOAT32 = Precision(2.0**-24, float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max), 2**20 - 1)
+
+
+def band_half_width(d: int, m, t_outer, t_inner, precision: Precision):
+    """Half the certified band ``B`` of a distance pass in ``precision``, whose ``(u, tau)`` it reads.
 
     ``m`` and the ``t`` are Python floats (one query) or float64 arrays (a
     query per entry), as is the result.  ``counter``'s float64 pass and
@@ -215,11 +236,11 @@ def band_half_width(d: int, m, t_outer, t_inner, rounding: tuple[float, float]):
     float64, and ``(d + 3) u M + 2v |qq - T| + (5d + 4) tau`` in float32
     (its float64 steps round by ``v = 2**-29 u``) while ``(d + 1) u <= 1/16``.
     ``B = 2 (d + 4) u (M + |qq - T_outer| + |qq - T_inner|) + 8 (d + 4) tau``
-    exceeds it, for d up to ``10**7`` in float64 and below ``2**20`` in
-    float32, with room for the rounding of ``M`` and ``B``, wherever
-    ``2M + B`` is finite in the pass's precision.  An ``h`` at or above
-    ``s + B/2`` then has ``d2 < T``, one below ``s - B/2`` has
+    exceeds it, for d up to ``precision.max_dim`` (``10**7`` in float64,
+    ``2**20 - 1`` in float32), with room for the rounding of ``M`` and
+    ``B``, wherever ``2M + B`` is at most ``precision.max``.  An ``h`` at
+    or above ``s + B/2`` then has ``d2 < T``, one below ``s - B/2`` has
     ``d2 > T``, and only the band between needs ``sq_dists_to``.
     """
-    u, tiny = rounding
-    return (d + 4) * u * (m + abs(t_outer) + abs(t_inner)) + 4 * (d + 4) * tiny
+    u = precision.unit_roundoff
+    return (d + 4) * u * (m + abs(t_outer) + abs(t_inner)) + 4 * (d + 4) * precision.tiny

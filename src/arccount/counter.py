@@ -50,7 +50,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .core import (
-    FLOAT64_ROUNDING,
+    FLOAT64,
     ContractViolation,
     EpsParams,
     GridSpec,
@@ -262,9 +262,10 @@ def _shifted_products(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, f
 
     The float64 pass of ``core.band_half_width``, centred at 0: an ``h`` at
     or above the upper edge ``s + B/2`` has ``d2 < T``, one below the lower
-    edge ``s - B/2`` has ``d2 > T``.  Where ``2M + B`` is not finite (a
-    square may overflow) ``h`` is NaN: it fails both compares, so every
-    point is a band point.
+    edge ``s - B/2`` has ``d2 > T``.  Where ``core.FLOAT64`` does not
+    certify the query (``2M + B`` past its largest value, as when a square
+    overflows, or d past its dimension limit) ``h`` is NaN: it fails both
+    compares, so every point is a band point.
     """
     outer, r = idx.working.outer_radius, idx.working.radius
     # Python floats: a square that overflows is inf, with no warning
@@ -273,8 +274,10 @@ def _shifted_products(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, f
     m = idx.max_norm + norm
     m *= m
     t1, t2 = qq - outer * outer, qq - r * r
-    half = band_half_width(idx.path_points.shape[1], m, t1, t2, FLOAT64_ROUNDING)
-    if math.isfinite(2.0 * m + 2.0 * half):
+    d = idx.path_points.shape[1]
+    half = band_half_width(d, m, t1, t2, FLOAT64)
+    # a NaN fails the first compare too
+    if 2.0 * m + 2.0 * half <= FLOAT64.max and d <= FLOAT64.max_dim:
         h = idx.path_points.dot(qw)
         h -= idx.half_sq_norms
     else:
@@ -318,11 +321,12 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
 
     The walk's telemetry is found on its first read (see ``CountAnswer``).
     In verification mode the walk runs at once, the answer also carries
-    the path-order ranges whose union is S, and their total is checked
-    against the weight.
+    the path-order ranges whose union is S, and those ranges must cover
+    exactly the positions whose weights were summed.
     """
     qw = idx.transform_query(q)
-    weight = float(idx.path_weights[outer_mask(idx, qw)].sum()) + 0.0
+    mask = outer_mask(idx, qw)
+    weight = float(idx.path_weights[mask].sum()) + 0.0
     if not verify:
         # a copy: the caller may reuse the array it passed
         return CountAnswer._unwalked(weight, idx, qw.copy())
@@ -331,10 +335,11 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     visited, verdicts, included = ptree.walk(tree, prefix_counts(idx, qw))
     # included slices are disjoint, so preorder lists them by ``lo``
     ranges = list(zip(tree.lo[included].tolist(), tree.hi[included].tolist()))
-    total = sum(float(np.sum(idx.path_weights[lo:hi])) for lo, hi in ranges)
-    scale = max(1.0, float(np.sum(np.abs(idx.path_weights))))
-    if abs(total - weight) > 1e-12 * scale:
-        raise AssertionError(f"weight {weight} does not match the member ranges total {total}")
+    members = np.zeros_like(mask)
+    for lo, hi in ranges:
+        members[lo:hi] = True
+    if not np.array_equal(members, mask):
+        raise AssertionError("the walk's member ranges are not the set the weight was summed over")
     return CountAnswer(weight, visited, verdicts, ranges)
 
 

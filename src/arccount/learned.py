@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import (
-    FLOAT32_ROUNDING, ContractViolation, EpsParams, Seed, WeightedPointSet, band_half_width, sq_dists_to, stab_masks
+    FLOAT32, ContractViolation, EpsParams, Seed, WeightedPointSet, band_half_width, sq_dists_to, stab_masks
 )
 from .spantree import Edge, SpanningTree
 
@@ -48,10 +48,6 @@ _CHUNK_CELLS = 2**18
 _SCATTER_COST = 2**10
 # every integer up to this is exact in float32
 _F32_EXACT = 2**24
-# _chunk_cells' float32 pass: largest finite value, and the dimension from
-# which core.band_half_width's bound no longer holds
-_MAX32 = float(np.finfo(np.float32).max)
-_DIM32 = 2**20
 # pair_stab_counts: side of the square blocks in which the counts are formed
 _SYM_BLOCK = 256
 # pair_stab_counts: every count is at most the sample size, and int32 holds
@@ -249,11 +245,11 @@ def _chunk_cells(
     every other cell is far.  A candidate at or above an upper edge is
     inside (outer) or near (inner), and one below the lower inner edge is
     not near.  The rest, the band cells, take ``stab_masks`` of
-    ``sq_dists_to`` on exactly those pairs.  A row whose ``2M + B`` is not
-    finite in float32 (a coordinate or a square past its range), and every
-    row once d reaches ``2**20``, has no bound: each of its cells is a band
-    cell.  The band's distances are taken ``_CHUNK_CELLS // d`` pairs at a
-    time.
+    ``sq_dists_to`` on exactly those pairs.  A row that ``core.FLOAT32``
+    does not certify (``2M + B`` past its largest value, as when a
+    coordinate or a square is past float32's range, or d past its
+    dimension limit) has no bound: each of its cells is a band cell.  The
+    band's distances are taken ``_CHUNK_CELLS // d`` pairs at a time.
     """
     n, d = points.shape
     step = max(1, _CHUNK_CELLS // d)
@@ -265,17 +261,17 @@ def _chunk_cells(
         # [P, pp/2] in float32, clipped to its range: past it no row is
         # certified, and an uncertified row's zeroed query still meets finite values
         p32 = np.empty((n, d + 1), dtype=np.float32)
-        np.clip(points - center, -_MAX32, _MAX32, out=p32[:, :d])
-        np.minimum(0.5 * pp, _MAX32, out=p32[:, d])
+        np.clip(points - center, -FLOAT32.max, FLOAT32.max, out=p32[:, :d])
+        np.minimum(0.5 * pp, FLOAT32.max, out=p32[:, d])
         # squared by multiplication: a huge radius gives inf, never OverflowError
         r2 = params.radius * params.radius
         big2 = params.outer_radius * params.outer_radius
         m = math.sqrt(pp.max()) + np.sqrt(qq)
         m *= m
         t_big, t_r = qq - big2, qq - r2
-        half = band_half_width(d, m, t_big, t_r, FLOAT32_ROUNDING)
+        half = band_half_width(d, m, t_big, t_r, FLOAT32)
         # a NaN fails the compare: it too leaves its row uncertified
-        certified = (2.0 * m + 2.0 * half < _MAX32) & (d < _DIM32)
+        certified = (2.0 * m + 2.0 * half <= FLOAT32.max) & (d <= FLOAT32.max_dim)
         # an uncertified row's edges are infinite, so its cells are all band cells
         half[~certified] = np.inf
         t_big[~certified] = t_r[~certified] = 0.0
@@ -294,7 +290,7 @@ def _chunk_cells(
         k = len(q)
         qa = np.empty((k, d + 1), dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.clip(q - center, -_MAX32, _MAX32, out=qa[:, :d])
+            np.clip(q - center, -FLOAT32.max, FLOAT32.max, out=qa[:, :d])
         qa[~certified[lo : lo + k], :d] = 0.0
         qa[:, d] = -1.0
         hk = np.matmul(qa, p32.T, out=h[:k])
@@ -366,43 +362,3 @@ def tree_objective(counts: np.ndarray, tree: SpanningTree) -> int:
     not wrap past 2**31.
     """
     return int(sum(counts[e.a, e.b].item() for e in tree.edges))
-
-
-# -- the generalization bracket ----------------------------------------------
-
-
-def stabbing_bracket_report(
-    pts: WeightedPointSet,
-    tree: SpanningTree,
-    train: QuerySample,
-    holdout: QuerySample,
-    params: EpsParams,
-) -> dict:
-    """Compare train and holdout mean stabbing against the generalization bracket.
-
-    With ``mu`` the holdout mean, the training mean is expected inside
-    [5/8 * mu - 3/8, 11/8 * mu + 3/8] once the training sample is large
-    enough.  Reported for inspection, never hard-asserted: small samples
-    legitimately fall outside.  A query stabs an edge by ``core.stab_masks``
-    of its ``sq_dists_to`` row, read at the edges' end arrays.
-    """
-    a, b = np.array(tree.edges, dtype=np.intp).reshape(-1, 2).T
-
-    def mean_sigma(sample: QuerySample) -> float:
-        total = 0
-        for q in sample.queries:
-            near, far = stab_masks(sq_dists_to(pts.points, q), params)
-            total += int(np.count_nonzero((near[a] & far[b]) | (near[b] & far[a])))
-        return total / len(sample)
-
-    train_mean = mean_sigma(train)
-    holdout_mean = mean_sigma(holdout)
-    lo = 5.0 / 8.0 * holdout_mean - 3.0 / 8.0
-    hi = 11.0 / 8.0 * holdout_mean + 3.0 / 8.0
-    return {
-        "train_mean_stabbing": train_mean,
-        "holdout_mean_stabbing": holdout_mean,
-        "bracket_low": lo,
-        "bracket_high": hi,
-        "within_bracket": bool(lo <= train_mean <= hi),
-    }

@@ -534,18 +534,13 @@ def sums_are_exact(exponents: np.ndarray) -> bool:
     return span + (exponents.size - 1).bit_length() < 53
 
 
-def weighted_draws(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` indices drawn with replacement, each in proportion to its weight.
+def weighted_draws(sums: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` indices drawn with replacement, each in proportion to its weight, from the running sums ``sums``.
 
     One uniform per draw, scaled to the total and located in the running
     sums.  A draw at the total, which no running sum exceeds, takes the
     last index.
     """
-    return _draws(np.cumsum(weights), rng, size)
-
-
-def _draws(sums: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """:func:`weighted_draws` of the weights whose running sums are ``sums``."""
     u = rng.random(size) * sums[-1]
     return np.minimum(np.searchsorted(sums, u, side="right"), sums.size - 1)
 
@@ -626,7 +621,7 @@ def find_light_edge(
     delta = min(0.99, d / n**lp.rho)
     raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
     net_size = max(1, min(len(queries), math.ceil(raw)))
-    picks = _sorted_unique(_draws(weights.running_sums, seed.derive(0).generator(), net_size))
+    picks = _sorted_unique(weighted_draws(weights.running_sums, seed.derive(0).generator(), net_size))
 
     # 2. pairs of points whose cells every net query misses by more than (1+eps)r
     size = len(pts)

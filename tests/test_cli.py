@@ -32,7 +32,7 @@ def gen_data(tmp_path, n=50, d=3, kind="uniform", extra=()):
 
 
 def build_model(tmp_path, data, extra=()):
-    model = tmp_path / "model.json"
+    model = tmp_path / "model.arc"
     rc = run_cli(
         [
             "build",
@@ -147,7 +147,7 @@ class TestBuildQueryEval:
 
     def test_one_point_file_builds_and_answers(self, tmp_path, capsys):
         data = gen_data(tmp_path, n=1, d=2, extra=["--random-weights"])
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.arc"
         rc = run_cli(
             ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned", "--seed", "1",
              "--out-model", str(model)]
@@ -173,7 +173,7 @@ class TestBuildQueryEval:
 
     def test_worstcase_mode(self, tmp_path, capsys):
         data = gen_data(tmp_path, n=12, d=2)
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.arc"
         rc = run_cli(
             [
                 "build", "--data", str(data), "--eps", "0.5", "--mode", "worstcase",
@@ -416,17 +416,17 @@ BAD_OPTION_VALUES = {
     "gen-queries-uniform-no-data": "gen-queries --kind uniform --out {tmp}/q.txt",
     "gen-queries-near-data-no-data": "gen-queries --kind near-data --out {tmp}/q.txt",
     "gen-queries-margin-inf": "gen-queries --kind uniform --data {data} --margin inf --out {tmp}/q.txt",
-    "build-m-queries-0": BUILD + " --mode learned --m-queries 0 --out-model {tmp}/m.json",
-    "build-query-grid-side-0": BUILD + " --mode worstcase --query-grid-side 0 --out-model {tmp}/m.json",
+    "build-m-queries-0": BUILD + " --mode learned --m-queries 0 --out-model {tmp}/m.arc",
+    "build-query-grid-side-0": BUILD + " --mode worstcase --query-grid-side 0 --out-model {tmp}/m.arc",
     # options the mode does not read
     "gen-grid-random-weights": "gen --kind grid --n 8 --d 2 --seed 1 --random-weights --out {tmp}/x.txt",
-    "build-worstcase-queries": BUILD + " --mode worstcase --queries {tmp}/nonexistent.txt --out-model {tmp}/m.json",
-    "build-worstcase-m-queries": BUILD + " --mode worstcase --m-queries 50 --out-model {tmp}/m.json",
-    "build-worstcase-sigma": BUILD + " --mode worstcase --sigma 0.5 --out-model {tmp}/m.json",
-    "build-learned-query-grid-side": BUILD + " --mode learned --query-grid-side 1e-9 --out-model {tmp}/m.json",
+    "build-worstcase-queries": BUILD + " --mode worstcase --queries {tmp}/nonexistent.txt --out-model {tmp}/m.arc",
+    "build-worstcase-m-queries": BUILD + " --mode worstcase --m-queries 50 --out-model {tmp}/m.arc",
+    "build-worstcase-sigma": BUILD + " --mode worstcase --sigma 0.5 --out-model {tmp}/m.arc",
+    "build-learned-query-grid-side": BUILD + " --mode learned --query-grid-side 1e-9 --out-model {tmp}/m.arc",
     "build-queries-m-queries-sigma": BUILD
-    + " --mode learned --queries {data} --m-queries 100000 --sigma -3 --out-model {tmp}/m.json",
-    "build-queries-sigma": BUILD + " --mode learned --queries {data} --sigma 0.5 --out-model {tmp}/m.json",
+    + " --mode learned --queries {data} --m-queries 100000 --sigma -3 --out-model {tmp}/m.arc",
+    "build-queries-sigma": BUILD + " --mode learned --queries {data} --sigma 0.5 --out-model {tmp}/m.arc",
     "gen-uniform-k-clusters-spacing": "gen --kind uniform --n 8 --d 2 --seed 1 --k-clusters 7 --spacing 3 --out {tmp}/x.txt",
     "gen-grid-scale-cluster-sigma": "gen --kind grid --n 8 --d 2 --seed 1 --scale 9 --cluster-sigma 2 --out {tmp}/x.txt",
     "gen-uniform-k-clusters-0": "gen --kind uniform --n 8 --d 2 --seed 1 --k-clusters 0 --out {tmp}/x.txt",
@@ -441,18 +441,18 @@ BAD_OPTION_VALUES = {
     "gen-k-clusters-huge": GEN + " --k-clusters 100000000000000000000",
     "gen-queries-near-data-m-huge": "gen-queries --kind near-data --data {data} --m 100000000000000000000 --out {tmp}/q.txt",
     "gen-queries-uniform-m-huge": "gen-queries --kind uniform --data {data} --m 100000000000000000000 --out {tmp}/q.txt",
-    "build-m-queries-huge": BUILD + " --mode learned --m-queries 100000000000000000000 --out-model {tmp}/m.json",
+    "build-m-queries-huge": BUILD + " --mode learned --m-queries 100000000000000000000 --out-model {tmp}/m.arc",
 }
 # options that no longer exist: query snapping answered outside the sandwich,
 # and the light-edge exponent rho is fixed by eps
 UNKNOWN_OPTIONS = {
-    "build-snap": BUILD + " --mode learned --snap --out-model {tmp}/m.json",
-    "build-grid-side": BUILD + " --mode learned --grid-side 0.5 --out-model {tmp}/m.json",
-    "build-rho": BUILD + " --mode worstcase --rho 0.1 --out-model {tmp}/m.json",
+    "build-snap": BUILD + " --mode learned --snap --out-model {tmp}/m.arc",
+    "build-grid-side": BUILD + " --mode learned --grid-side 0.5 --out-model {tmp}/m.arc",
+    "build-rho": BUILD + " --mode worstcase --rho 0.1 --out-model {tmp}/m.arc",
 }
 UNWRITABLE_OUTPUTS = {
     "gen-out": GEN.replace("{tmp}", "{tmp}/no/such/dir"),
-    "build-out-model": BUILD + " --mode learned --m-queries 50 --out-model {tmp}/no/such/dir/m.json",
+    "build-out-model": BUILD + " --mode learned --m-queries 50 --out-model {tmp}/no/such/dir/m.arc",
     "eval-out-report": "eval --model {model} --data {data} --queries {data} --out-report {tmp}/no/such/dir/r.json",
 }
 
@@ -504,7 +504,7 @@ class TestExitCodes:
             capsys.readouterr()
             rc = run_cli(
                 ["build", "--data", str(bad), "--eps", "0.5", "--mode", "learned",
-                 "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+                 "--seed", "1", "--out-model", str(tmp_path / "m.arc")]
             )
             assert rc == 2
             assert run_cli(["oracle", "--data", str(bad), "--q", "1,2", "--eps", "0.5"]) == 2
@@ -515,7 +515,7 @@ class TestExitCodes:
         data = gen_data(tmp_path, n=6, d=9)
         rc = run_cli(
             ["build", "--data", str(data), "--eps", "0.5", "--mode", "worstcase",
-             "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+             "--seed", "1", "--out-model", str(tmp_path / "m.arc")]
         )
         assert rc == 3
 
@@ -523,7 +523,7 @@ class TestExitCodes:
         data = gen_data(tmp_path, n=10, d=2)
         rc = run_cli(
             ["build", "--data", str(data), "--eps", "0.0", "--mode", "learned",
-             "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+             "--seed", "1", "--out-model", str(tmp_path / "m.arc")]
         )
         assert rc == 3
 
@@ -531,7 +531,7 @@ class TestExitCodes:
     def test_malformed_model_is_exit_two(self, tmp_path, capsys, saved_model, mutation):
         # an exception escaping run_cli would be a traceback and exit 1
         model, data = saved_model
-        bad = tmp_path / "bad.json"
+        bad = tmp_path / "bad.arc"
         bad.write_bytes(MALFORMED_MODELS[mutation](ModelFile.read(model)))
         capsys.readouterr()
         rc = run_cli(["query", "--model", str(bad), "--data", str(data), "--q", "1,1,1"])
@@ -572,7 +572,7 @@ class TestExitCodes:
             return pts
 
         monkeypatch.setattr(cli, "read_points", one_ulp_off)
-        model = tmp_path / "m.json"
+        model = tmp_path / "m.arc"
         capsys.readouterr()
         rc = run_cli(
             ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned", "--m-queries", "50",
@@ -593,7 +593,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "read_points", counted)
         monkeypatch.setattr(io, "read_points", counted)
-        model = tmp_path / "m.json"
+        model = tmp_path / "m.arc"
         rc = run_cli(
             ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned", "--m-queries", "50",
              "--seed", "1", "--out-model", str(model)]
@@ -606,7 +606,7 @@ class TestExitCodes:
         capsys.readouterr()
         rc = run_cli(
             ["build", "--data", str(missing), "--eps", "0.5", "--mode", "learned", "--seed", "1",
-             "--out-model", str(tmp_path / "m.json")]
+             "--out-model", str(tmp_path / "m.arc")]
         )
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith(f"error: {missing}: cannot read: ") and "Traceback" not in err
@@ -629,7 +629,7 @@ class TestExitCodes:
         t0 = time.perf_counter()
         rc = run_cli(
             ["build", "--data", str(data), "--eps", "0.02", "--radius", "0.3", "--mode", "worstcase",
-             "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+             "--seed", "1", "--out-model", str(tmp_path / "m.arc")]
         )
         elapsed = time.perf_counter() - t0
         err = capsys.readouterr().err
@@ -647,13 +647,13 @@ class TestExitCodes:
             warnings.simplefilter("error")
             rc = run_cli(
                 ["build", "--data", str(data), "--eps", "0.5", "--mode", "worstcase",
-                 "--query-grid-side", side, "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+                 "--query-grid-side", side, "--seed", "1", "--out-model", str(tmp_path / "m.arc")]
             )
         elapsed = time.perf_counter() - t0
         err = capsys.readouterr().err
         assert rc == 3 and elapsed < 1.0
         assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
-        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "m.arc").exists()
 
     @pytest.mark.parametrize("text", ["1,xyz,1", "1 abc 1", "1,nan,1", "inf,1,1"])
     @pytest.mark.parametrize("command", ["query", "oracle"])
@@ -689,6 +689,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli(
                 ["build", "--data", str(data), "--eps", "0.5", "--mode", "learned",
-                 "--jl-dim", "10", "--seed", "1", "--out-model", str(tmp_path / "m.json")]
+                 "--jl-dim", "10", "--seed", "1", "--out-model", str(tmp_path / "m.arc")]
             )
         assert exc.value.code == 2

@@ -58,8 +58,8 @@ def files(tmp_path_factory):
         "data3": root / "data3.txt",
         "data_bin": root / "data.bin",
         "queries": root / "queries.txt",
-        "learned": root / "learned.json",
-        "worstcase": root / "worstcase.json",
+        "learned": root / "learned.arc",
+        "worstcase": root / "worstcase.arc",
     }
     calls = [
         ["gen", "--kind", "uniform", "--n", "24", "--d", "2", "--scale", "3", "--seed", "1", "--out", made["data"]],
@@ -77,12 +77,12 @@ def files(tmp_path_factory):
     # a model without its radius, one cut short in its leaf order, and one
     # as an arc-model v6 writer saved it
     learned = ModelFile.read(made["learned"])
-    made["truncated_model"] = root / "truncated.json"
+    made["truncated_model"] = root / "truncated.arc"
     made["truncated_model"].write_bytes(learned.to_bytes()[:-3])
     made["v6_model"] = root / "v6.json"
     made["v6_model"].write_text(json.dumps(learned.v6_document()))
     del learned.head["config"]["radius"]
-    made["broken_model"] = root / "broken.json"
+    made["broken_model"] = root / "broken.arc"
     made["broken_model"].write_bytes(learned.to_bytes())
     made["garbage"] = root / "garbage.bin"
     made["garbage"].write_bytes(b"\xff\xfe\x00 not a point file \x80\n1,2\n")

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arccount import counter
-from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
+from arccount import counter, ptree
+from arccount.core import FLOAT64, ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
 from arccount.counter import (
     BuildConfig,
     CountAnswer,
@@ -103,6 +103,33 @@ class TestSandwich:
             ans = count(idx, q, verify=True)  # raises internally on mismatch
             total = sum(float(pts.weights[list(answer_set(idx, [rg]))].sum()) for rg in ans.member_ranges)
             assert ans.weight == pytest.approx(total, abs=1e-12 * max(1.0, abs(total)))
+
+    def test_verify_rejects_ranges_of_another_set_with_the_same_total(self, monkeypatch):
+        # unit weights: a walk that swaps one included leaf for an excluded
+        # one keeps the ranges' total, but its set is not the weight's
+        rng = Seed(240).generator()
+        idx = index_over(rng.uniform(0.0, 6.0, size=(40, 2)))
+        q = idx.path_points[0]
+        walk = ptree.walk
+        swapped_ranges = []
+
+        def swapped(tree, c):
+            visited, verdicts, included = walk(tree, c)
+            members = np.zeros(len(c) - 1, dtype=bool)
+            for lo, hi in zip(tree.lo[included], tree.hi[included]):
+                members[lo:hi] = True
+            leaf = ~tree.inner
+            included = included.copy()
+            included[np.flatnonzero(included & leaf)[0]] = False
+            included[np.flatnonzero(leaf & ~members[tree.lo])[0]] = True
+            swapped_ranges.extend(zip(tree.lo[included], tree.hi[included]))
+            return visited, verdicts, included
+
+        weight = count(idx, q, verify=True).weight
+        monkeypatch.setattr(ptree, "walk", swapped)
+        with pytest.raises(AssertionError, match="not the set"):
+            count(idx, q, verify=True)
+        assert sum(float(idx.path_weights[lo:hi].sum()) for lo, hi in swapped_ranges) == weight
 
     def test_member_ranges_sorted_and_disjoint(self):
         pts, idx = small_learned_index(n=30, d=3, seed=121)
@@ -525,6 +552,18 @@ class TestCodePassBranches:
             banded += bool(counted.rows)
         assert banded > 20
 
+    def test_a_dimension_past_the_float64_limit_takes_the_exact_pass(self, counted, monkeypatch):
+        # band_half_width's proof covers d up to FLOAT64.max_dim: past it
+        # every point of every query is measured with sq_dists_to
+        rng = Seed(231).generator()
+        idx = index_over(rng.uniform(0.0, 3.0, size=(50, 4)))
+        monkeypatch.setattr(counter, "FLOAT64", replace(FLOAT64, max_dim=3))
+        for q in (np.full(4, 1.5), idx.path_points[0]):
+            counted.rows.clear()
+            np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
+            np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
+            assert counted.rows == [50, 50]
+
     def test_squares_that_overflow_take_the_exact_pass(self, counted):
         # the squared norms are infinite, so h would be NaN; the offsets
         # from the query, and so the einsum's d2, are finite
@@ -645,7 +684,7 @@ class TestLazyTelemetry:
 
     def test_loaded_model_answers_like_the_built_index(self, tmp_path, built):
         pts, idx, queries = built
-        data, model = tmp_path / "points.txt", tmp_path / "model.json"
+        data, model = tmp_path / "points.txt", tmp_path / "model.arc"
         write_points(data, pts)
         save_model(model, idx, data)
         loaded = load_model(model, data)
@@ -689,7 +728,7 @@ class TestPointsHeldOnce:
         else:
             tree_source = StoredOrder(SpanningPath(rng.permutation(n)), "learned")
         idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(222), tree_source=tree_source))
-        data, model = tmp_path / "points.bin", tmp_path / "model.json"
+        data, model = tmp_path / "points.bin", tmp_path / "model.arc"
         write_points(data, pts, binary=True)
         ref = weakref.ref(pts)
         del pts, tree_source

@@ -179,7 +179,7 @@ class TestModels:
         write_points(data, pts)
         cfg = BuildConfig(eps=0.5, seed=Seed(157), tree_source=source)
         idx = build_counting_index(pts, cfg)
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.arc"
         save_model(model, idx, data)
         return pts, idx, data, model
 
@@ -275,7 +275,7 @@ class TestModels:
     @pytest.mark.parametrize("worstcase", [False, True])
     def test_save_load_save_writes_the_same_bytes(self, tmp_path, worstcase):
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
-        again = tmp_path / "again.json"
+        again = tmp_path / "again.arc"
         save_model(again, load_model(model, data), data)
         assert again.read_bytes() == model.read_bytes()
 
@@ -306,7 +306,7 @@ class TestModels:
         points = pts.points.copy()
         points[7, 1] = np.nextafter(points[7, 1], np.inf)
         write_points(data, WeightedPointSet(points, pts.weights))
-        other = tmp_path / "other.json"
+        other = tmp_path / "other.arc"
         with pytest.raises(ContractViolation, match=r"bit for bit"):
             save_model(other, idx, data)
         assert not other.exists()
@@ -322,18 +322,18 @@ class TestModels:
             raise AssertionError(f"read_points({path}) during save")
 
         monkeypatch.setattr(arccount.io, "read_points", refuse)
-        again = tmp_path / "again.json"
+        again = tmp_path / "again.arc"
         save_model(again, idx, data, read=(pts, digest))
         assert again.read_bytes() == model.read_bytes()
         points = pts.points.copy()
         points[7, 1] = np.nextafter(points[7, 1], np.inf)
         off = WeightedPointSet(points, pts.weights)
         with pytest.raises(ContractViolation, match=r"bit for bit"):
-            save_model(tmp_path / "off.json", idx, data, read=(off, digest))
+            save_model(tmp_path / "off.arc", idx, data, read=(off, digest))
         write_points(data, off)
         with pytest.raises(ContractViolation, match=r"bit for bit"):
-            save_model(tmp_path / "changed.json", idx, data, read=(pts, digest))
-        assert not (tmp_path / "off.json").exists() and not (tmp_path / "changed.json").exists()
+            save_model(tmp_path / "changed.arc", idx, data, read=(pts, digest))
+        assert not (tmp_path / "off.arc").exists() and not (tmp_path / "changed.arc").exists()
 
     def test_save_refuses_a_data_file_of_another_shape(self, tmp_path):
         # 30 rows of 3 coordinates and a weight hold as many values as 20 of 5
@@ -341,7 +341,7 @@ class TestModels:
         rows = np.hstack([pts.points, pts.weights[:, None]]).reshape(20, 6)
         write_points(data, WeightedPointSet(rows[:, :5], rows[:, 5]))
         with pytest.raises(ContractViolation, match=r"bit for bit"):
-            save_model(tmp_path / "other.json", idx, data)
+            save_model(tmp_path / "other.arc", idx, data)
 
     def test_digest_mismatch_refused(self, tmp_path):
         pts, idx, data, model = self.build_and_save(tmp_path)
@@ -392,7 +392,7 @@ def test_model_round_trip_is_bit_exact(built, binary):
     cfg = BuildConfig(eps=0.5, seed=Seed(165), tree_source=stored)
     idx = build_counting_index(pts, cfg)
     with tempfile.TemporaryDirectory() as tmp:
-        data, model = Path(tmp) / "data", Path(tmp) / "model.json"
+        data, model = Path(tmp) / "data", Path(tmp) / "model.arc"
         write_points(data, pts, binary=binary)
         save_model(model, idx, data)
         loaded = load_model(model, data)

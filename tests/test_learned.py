@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arccount import learned
-from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to, stab_masks
+from arccount.core import FLOAT32, ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to, stab_masks
 from arccount.counter import (
     BuildConfig,
     LearnedSource,
@@ -26,7 +27,6 @@ from arccount.learned import (
     learned_spanning_tree,
     near_data_queries,
     pair_stab_counts,
-    stabbing_bracket_report,
     tree_objective,
     uniform_queries,
 )
@@ -418,7 +418,7 @@ class TestStabCountsProperty:
             mp.setattr(learned, "_SCATTER_COST", cost)
             mp.setattr(learned, "_CHUNK_CELLS", chunk_cells)
             if not certify:
-                mp.setattr(learned, "_DIM32", 1)
+                mp.setattr(learned, "FLOAT32", replace(FLOAT32, max_dim=0))
             counts = pair_stab_counts(pts, sample, params)
         assert_count_matrix(counts, len(points))
         np.testing.assert_array_equal(counts, per_query_counts(pts, sample, params))
@@ -537,39 +537,6 @@ class TestLearnedTree:
             with pytest.raises(ContractViolation, match="strictly between"):
                 learned_spanning_tree(counts, n)
 
-
-class TestBracketReport:
-    def test_report_fields_and_identical_samples_agree(self):
-        rng = Seed(106).generator()
-        pts = weighted(rng.uniform(0, 2.5, size=(10, 2)))
-        sample = QuerySample(rng.uniform(-0.5, 3.0, size=(50, 2)), source="t")
-        counts = pair_stab_counts(pts, sample, PARAMS)
-        tree = learned_spanning_tree(counts, 10)
-        report = stabbing_bracket_report(pts, tree, sample, sample, PARAMS)
-        assert report["train_mean_stabbing"] == report["holdout_mean_stabbing"]
-        assert report["within_bracket"]
-        assert report["bracket_low"] <= report["bracket_high"]
-
-    def test_train_mean_matches_objective(self):
-        # mean stabbing over the training sample is objective / sample size
-        rng = Seed(107).generator()
-        pts = weighted(rng.uniform(0, 2.5, size=(8, 2)))
-        sample = QuerySample(rng.uniform(-0.5, 3.0, size=(40, 2)), source="t")
-        counts = pair_stab_counts(pts, sample, PARAMS)
-        tree = learned_spanning_tree(counts, 8)
-        report = stabbing_bracket_report(pts, tree, sample, sample, PARAMS)
-        assert report["train_mean_stabbing"] == pytest.approx(
-            tree_objective(counts, tree) / len(sample)
-        )
-
-
-    def test_huge_radius_stabs_nothing(self):
-        rng = Seed(108).generator()
-        pts = weighted(rng.uniform(0, 2.5, size=(8, 2)))
-        sample = QuerySample(rng.uniform(-0.5, 3.0, size=(40, 2)), source="t")
-        tree = learned_spanning_tree(pair_stab_counts(pts, sample, PARAMS), 8)
-        report = stabbing_bracket_report(pts, tree, sample, sample, EpsParams(eps=0.5, radius=1.5e308))
-        assert report["train_mean_stabbing"] == report["holdout_mean_stabbing"] == 0.0
 
 class TestHoldoutOverlap:
     def built(self, stored=None, n=20):

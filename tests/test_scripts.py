@@ -111,3 +111,16 @@ def test_build_ab_load_phase_of_this_tree_against_itself_prints_equal_hashes():
     assert row["parent_model_bytes"] == row["change_model_bytes"] > 32 * 9 * 8 + 4 * 32
     assert row["parent_leaf_order_sha256"] == row["change_leaf_order_sha256"]
     assert len(row["change_leaf_order_sha256"]) == 1 and len(row["change_leaf_order_sha256"][0]) == 64
+
+
+def test_build_ab_query_phase_of_this_tree_against_itself_prints_equal_weight_hashes():
+    argv = ["--parent", str(ROOT / "src"), "--workload", "near-d8", "--n", "32", "--pairs", "3", "--phase", "query"]
+    proc = run_script("build_ab.py", argv)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert (row["workload"], row["n"], row["pairs"], row["phase"]) == ("near-d8", 32, 3, "query")
+    assert 0 <= row["change_won"] <= 3 and row["ratio"] > 0
+    for side in ("parent", "change"):
+        assert 0 < row[side]["q1_us"] <= row[side]["median_us"] <= row[side]["q3_us"]
+    assert row["parent_weights_sha256"] == row["change_weights_sha256"]
+    assert len(row["change_weights_sha256"]) == 1 and len(row["change_weights_sha256"][0]) == 64

@@ -556,7 +556,7 @@ class TestNetDraw:
         exponents = rng.integers(0, 53 - (m - 1).bit_length(), size=m)
         qs = QueryMultiset(np.zeros((m, 1)), exponents)
         assert sums_are_exact(qs.stab_exponents)
-        draws = weighted_draws(qs.weights(), Seed(seed).generator(), 200)
+        draws = weighted_draws(np.cumsum(qs.weights()), Seed(seed).generator(), 200)
         expected = reference_net(np.ldexp(1.0, exponents), Seed(seed).generator(), 200)
         assert np.unique(draws).tolist() == expected
 
@@ -564,16 +564,16 @@ class TestNetDraw:
         # a draw at the total is exceeded by no running sum; the heap
         # descent ends past the last leaf there and falls back to it
         weights = np.ones(3)
-        assert weighted_draws(weights, FixedUniforms(1.0), 4).tolist() == [2] * 4
+        assert weighted_draws(np.cumsum(weights), FixedUniforms(1.0), 4).tolist() == [2] * 4
         assert reference_net(weights, FixedUniforms(1.0), 1) == [2]
-        assert weighted_draws(weights, FixedUniforms(1.0 - 2.0**-53), 1).tolist() == [2]
-        assert weighted_draws(weights, FixedUniforms(0.0), 1).tolist() == [0]
+        assert weighted_draws(np.cumsum(weights), FixedUniforms(1.0 - 2.0**-53), 1).tolist() == [2]
+        assert weighted_draws(np.cumsum(weights), FixedUniforms(0.0), 1).tolist() == [0]
 
     def test_a_draw_on_a_running_sum_takes_the_next_index(self):
         # u = 0.5 * 4 lands on the running sum 2 of both [2, 1, 1] and [1, 1, 2]
         for weights, expected in (([2.0, 1.0, 1.0], 1), ([1.0, 1.0, 2.0], 2)):
             weights = np.array(weights)
-            assert weighted_draws(weights, FixedUniforms(0.5), 1).tolist() == [expected]
+            assert weighted_draws(np.cumsum(weights), FixedUniforms(0.5), 1).tolist() == [expected]
             assert reference_net(weights, FixedUniforms(0.5), 1) == [expected]
 
     def test_chi_square_against_exact_ratios(self):
@@ -581,7 +581,7 @@ class TestNetDraw:
         w = qs.weights()
         np.testing.assert_array_equal(w, [0.125, 0.25, 0.5, 1.0, 0.0625])
         m = 40000
-        counts = np.bincount(weighted_draws(w, Seed(2).generator(), m), minlength=len(w))
+        counts = np.bincount(weighted_draws(np.cumsum(w), Seed(2).generator(), m), minlength=len(w))
         expected = m * w / w.sum()
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < stats.chi2.ppf(0.999, df=len(w) - 1)
