@@ -11,13 +11,14 @@ counts and the tree; the holdout audit of a built index,
 
 Memory: the counts are one int32 n x n matrix, 4 n^2 bytes.  Beside it,
 ``pair_stab_counts`` holds one 1 MiB float32 buffer for a chunk's shifted
-products, a float32 copy of the points, four float32 edges per sampled
-query, and at most ``_CHUNK_CELLS // _SCATTER_COST`` scattered pair keys
-per point.  Only once a chunk has many stab pairs does it add its two
-float32 masks and one float32 n x n matrix, the running sum of the
-chunks' products, which scipy's ``sgemm`` accumulates in place.  That
-branch is the only importer of scipy here, so a build that never takes it
-never loads scipy (about 45 MB of peak RSS).
+products, a float32 copy of the points, four float32 edges for each of a
+block of ``_CHUNK_CELLS // d`` queries, and at most
+``_CHUNK_CELLS // _SCATTER_COST`` scattered pair keys per point.  Only
+once a chunk has many stab pairs does it add its two float32 masks and
+one float32 n x n matrix, the running sum of the chunks' products, which
+scipy's ``sgemm`` accumulates in place.  That branch is the only importer
+of scipy here, so a build that never takes it never loads scipy (about
+45 MB of peak RSS).
 The tree step, a dense Prim over int64 edge keys, reads one row of the
 counts per step and holds O(n) beside them.  A job whose counts and
 float32 matrix, 8 n^2 bytes, would pass ``_PAIR_BYTES_BUDGET`` is refused
@@ -239,7 +240,9 @@ def _chunk_cells(
     edges ``s +- B/2`` at both radii follow from ``core.band_half_width``,
     which proves the bound for this float32 pass.  Each edge is rounded up
     to the least float32 at or above it, so every compare of a float32
-    ``h`` with it is exact.
+    ``h`` with it is exact.  The edges are derived for a block of
+    ``_CHUNK_CELLS // d`` queries at a time, and their float64 temporaries
+    are freed before the block's chunks run.
 
     The candidates are the cells at or above their row's lower outer edge;
     every other cell is far.  A candidate at or above an upper edge is
@@ -257,7 +260,6 @@ def _chunk_cells(
     center = 0.5 * points.min(axis=0) + 0.5 * points.max(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         pp = sq_dists_to(points, center)
-        qq = np.concatenate([sq_dists_to(queries[i : i + step], center) for i in range(0, len(queries), step)])
         # [P, pp/2] in float32, clipped to its range: past it no row is
         # certified, and an uncertified row's zeroed query still meets finite values
         p32 = np.empty((n, d + 1), dtype=np.float32)
@@ -266,53 +268,57 @@ def _chunk_cells(
         # squared by multiplication: a huge radius gives inf, never OverflowError
         r2 = params.radius * params.radius
         big2 = params.outer_radius * params.outer_radius
-        m = math.sqrt(pp.max()) + np.sqrt(qq)
-        m *= m
-        t_big, t_r = qq - big2, qq - r2
-        half = band_half_width(d, m, t_big, t_r, FLOAT32)
-        # a NaN fails the compare: it too leaves its row uncertified
-        certified = (2.0 * m + 2.0 * half <= FLOAT32.max) & (d <= FLOAT32.max_dim)
-        # an uncertified row's edges are infinite, so its cells are all band cells
-        half[~certified] = np.inf
-        t_big[~certified] = t_r[~certified] = 0.0
-        s_big, s_r = 0.5 * t_big, 0.5 * t_r
-        edges = np.stack([s_big - half, s_big + half, s_r + half, s_r - half])
-        # a float32 h is at or above a float64 edge iff it is at or above the
-        # least float32 there, so every compare below is exact in float32
-        edges32 = edges.astype(np.float32)
-    np.nextafter(edges32, np.inf, out=edges32, where=edges32 < edges)
-    # the per-query float64 temporaries are not held across the chunks
-    del qq, m, t_big, t_r, half, s_big, s_r, edges
     rows = max(1, _CHUNK_CELLS // n)
     h = np.empty((rows, n), dtype=np.float32)
-    for lo in range(0, len(queries), rows):
-        q = queries[lo : lo + rows]
-        k = len(q)
-        qa = np.empty((k, d + 1), dtype=np.float32)
+    for start in range(0, len(queries), step):
+        block = queries[start : start + step]
         with np.errstate(over="ignore", invalid="ignore"):
-            np.clip(q - center, -FLOAT32.max, FLOAT32.max, out=qa[:, :d])
-        qa[~certified[lo : lo + k], :d] = 0.0
-        qa[:, d] = -1.0
-        hk = np.matmul(qa, p32.T, out=h[:k])
-        cand = np.flatnonzero(hk >= edges32[0, lo : lo + k, None])
-        # each row's edges, repeated over its candidates
-        per_row = np.diff(np.searchsorted(cand, np.arange(0, (k + 1) * n, n)))
-        hi_big, hi_r, lo_r = np.repeat(edges32[1:, lo : lo + k], per_row, axis=1)
-        hc = hk.reshape(-1)[cand]
-        inside = hc >= hi_big
-        near = hc >= hi_r
-        band = ~inside | (~near & (hc >= lo_r))
-        flat = cand[band]
-        row = flat // n
-        d2 = np.empty(len(flat))
-        for i in range(0, len(flat), step):
-            part = slice(i, i + step)
-            d2[part] = sq_dists_to(points[flat[part] - row[part] * n], q[row[part]])
-        band_near, band_far = stab_masks(d2, params)
-        near[band] = band_near
-        inside[band] = ~band_far
-        # compress, not a boolean index: several times faster on these masks
-        yield k, np.compress(near, cand), np.compress(inside, cand)
+            qq = sq_dists_to(block, center)
+            m = math.sqrt(pp.max()) + np.sqrt(qq)
+            m *= m
+            t_big, t_r = qq - big2, qq - r2
+            half = band_half_width(d, m, t_big, t_r, FLOAT32)
+            # a NaN fails the compare: it too leaves its row uncertified
+            certified = (2.0 * m + 2.0 * half <= FLOAT32.max) & (d <= FLOAT32.max_dim)
+            # an uncertified row's edges are infinite, so its cells are all band cells
+            half[~certified] = np.inf
+            t_big[~certified] = t_r[~certified] = 0.0
+            s_big, s_r = 0.5 * t_big, 0.5 * t_r
+            edges = np.stack([s_big - half, s_big + half, s_r + half, s_r - half])
+            # a float32 h is at or above a float64 edge iff it is at or above the
+            # least float32 there, so every compare below is exact in float32
+            edges32 = edges.astype(np.float32)
+        np.nextafter(edges32, np.inf, out=edges32, where=edges32 < edges)
+        # the block's float64 temporaries are not held across its chunks
+        del qq, m, t_big, t_r, half, s_big, s_r, edges
+        for lo in range(0, len(block), rows):
+            q = block[lo : lo + rows]
+            k = len(q)
+            qa = np.empty((k, d + 1), dtype=np.float32)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.clip(q - center, -FLOAT32.max, FLOAT32.max, out=qa[:, :d])
+            qa[~certified[lo : lo + k], :d] = 0.0
+            qa[:, d] = -1.0
+            hk = np.matmul(qa, p32.T, out=h[:k])
+            cand = np.flatnonzero(hk >= edges32[0, lo : lo + k, None])
+            # each row's edges, repeated over its candidates
+            per_row = np.diff(np.searchsorted(cand, np.arange(0, (k + 1) * n, n)))
+            hi_big, hi_r, lo_r = np.repeat(edges32[1:, lo : lo + k], per_row, axis=1)
+            hc = hk.reshape(-1)[cand]
+            inside = hc >= hi_big
+            near = hc >= hi_r
+            band = ~inside | (~near & (hc >= lo_r))
+            flat = cand[band]
+            row = flat // n
+            d2 = np.empty(len(flat))
+            for i in range(0, len(flat), step):
+                part = slice(i, i + step)
+                d2[part] = sq_dists_to(points[flat[part] - row[part] * n], q[row[part]])
+            band_near, band_far = stab_masks(d2, params)
+            near[band] = band_near
+            inside[band] = ~band_far
+            # compress, not a boolean index: several times faster on these masks
+            yield k, np.compress(near, cand), np.compress(inside, cand)
 
 
 def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:

@@ -30,10 +30,11 @@ one n x n matrix, since only the queries that stab the chosen edge change
 weight: a candidate's score is two reads of it.  A doubling updates only
 the pairs of the round's representatives, since every later search reads
 pairs of them alone.  Weights are powers of two, so the matrix is exact
-while their exponents span fewer than 53 - ceil(log2 m) bits; once they do
-not, the matrix is dropped and each candidate is summed on its own.  A
-build whose tables or pair arrays exceed a fixed byte budget is refused
-before any of them is allocated.
+while their exponents span fewer than 53 - ceil(log2 m) bits.  It is never
+rescaled: once the sums are inexact, or an entry could outgrow float64,
+it is dropped and each candidate is summed on its own.  A build whose
+tables or pair arrays exceed a fixed byte budget is refused before any of
+them is allocated.
 """
 
 from __future__ import annotations
@@ -195,9 +196,6 @@ _MAX_PAIR_BYTES = 2**28
 _BLOCK_BYTES = 1 << 17
 # queries and rows per GEMM block of the pair-weight matrix's first fill
 _GEMM_BLOCK = 64
-# exponent span above e0 after which PairWeights rescales: its entries stay
-# below m * 2**_RESCALE_SPAN, far from float64's overflow
-_RESCALE_SPAN = 512
 
 
 def _bucket_side(params: EpsParams, d: int) -> float:
@@ -374,17 +372,36 @@ class BallRows:
         return (self.near[a] & self.far[b]) | (self.near[b] & self.far[a])
 
 
-def _add_stabbed(x: np.ndarray, rows: np.ndarray, near: np.ndarray, far: np.ndarray, w: np.ndarray) -> None:
-    """``x[rows] += (near[rows] * w) @ far.T`` for bool ``near`` and ``far`` over the same queries.
+def _add_stabbed(x: np.ndarray, near: np.ndarray, far: np.ndarray, w: np.ndarray) -> None:
+    """``x += (near * w) @ far.T`` for bool ``near`` and ``far`` over the same queries.
 
     Float64 GEMMs over blocks of ``_GEMM_BLOCK`` queries and as many rows.
     """
     for j in range(0, far.shape[1], _GEMM_BLOCK):
         cols = slice(j, j + _GEMM_BLOCK)
         far_t = far[:, cols].T.astype(np.float64)
-        for i in range(0, rows.size, _GEMM_BLOCK):
-            r = rows[i : i + _GEMM_BLOCK]
+        for i in range(0, x.shape[0], _GEMM_BLOCK):
+            r = slice(i, i + _GEMM_BLOCK)
             x[r] += (near[r, cols] * w[cols]) @ far_t
+
+
+# mask entries per scoring block of _stabbed_weights
+_SCORE_CHUNK = 1 << 16
+
+
+def _stabbed_weights(rows: BallRows, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Current query weight stabbing each candidate pair ``(a[i], b[i])``, one sum per candidate.
+
+    Each candidate's stabbed weights are summed on their own, as numpy
+    sums them; :meth:`PairWeights.scores` reads this once its matrix is
+    gone.  Blocks hold at most ``_SCORE_CHUNK`` mask entries.
+    """
+    scores = np.empty(a.size)
+    step = max(1, _SCORE_CHUNK // weights.size)
+    for lo in range(0, a.size, step):
+        stabbed = rows.stab_mask(a[lo : lo + step], b[lo : lo + step])
+        scores[lo : lo + step] = [weights[mask].sum() for mask in stabbed]
+    return scores
 
 
 class PairWeights:
@@ -396,58 +413,58 @@ class PairWeights:
     then, and no search does.
 
     ``x[a, b]`` is ``sum 2**(e[q] - e0)`` over the queries ``q`` near ``a``
-    and far from ``b``, so a pair's stabbed weight, scaled by ``2**-e0``, is
+    and far from ``b``, with ``e0`` the largest exponent at construction,
+    so a pair's stabbed weight, scaled by ``2**-e0``, is
     ``x[a, b] + x[b, a]``: one point's near and far masks are disjoint, so
     no query counts twice.  Every term is a power of two, so while the
     exponents pass :func:`sums_are_exact` every entry and score is exact,
-    and equal to the per-pair sum ``weights[mask].sum()`` up to that
+    and equal to the per-pair sum ``weights[mask].sum()`` up to a
     power-of-two scale.  The matrix is one blocked GEMM at the start.
     Doubling the queries ``Q`` that stab an edge adds, in one product,
     ``(near[R][:, Q] * 2**(e[Q] - e0)) @ far[reps][:, Q].T`` to the rows
     ``R`` of the representatives ``reps`` near some query of ``Q``, over the
     columns of ``reps``: the search reads only pairs of the round's
     representatives, and a round's representatives hold every later
-    round's, so the entries of any other pair go stale unread.  ``x`` and
-    ``e0`` are rescaled by exact powers of two before the largest weight
-    passes ``2**_RESCALE_SPAN``.  Once a doubling leaves the sums inexact,
-    the matrix is released for the rest of the build.
+    round's, so the entries of any other pair go stale unread.
+
+    The matrix is dropped for the rest of the build once the sums are
+    inexact, or once an entry, at most ``m * 2**(max e - e0)``, could pass
+    float64's range; :meth:`scores` then sums each pair on its own.
     """
 
     def __init__(self, rows: BallRows, queries: QueryMultiset) -> None:
         self.rows = rows
         self.queries = queries
-        self.x: np.ndarray | None = None
+        self.e0 = int(queries.stab_exponents.max())
+        n = rows.near.shape[0]
+        self.x: np.ndarray | None = np.zeros((n, n))
         self._derive()
-        e = queries.stab_exponents
-        self.e0 = int(e.max())
-        if sums_are_exact(e):
-            n = rows.near.shape[0]
-            self.x = np.zeros((n, n))
-            _add_stabbed(self.x, np.arange(n), rows.near, rows.far, np.ldexp(1.0, e - self.e0))
+        if self.x is not None:
+            # the weights are 2**(e - e0) while e0 is the largest exponent
+            _add_stabbed(self.x, rows.near, rows.far, self.query_weights)
 
     def _derive(self) -> None:
-        """The draw weights and running sums of the current exponents; the matrix goes once their sums are inexact."""
+        """The draw weights and running sums of the current exponents, and the matrix's drop rule."""
+        e = self.queries.stab_exponents
         self.query_weights = self.queries.weights()
         self.running_sums = np.cumsum(self.query_weights)
-        if not sums_are_exact(self.queries.stab_exponents):
+        if not sums_are_exact(e) or int(e.max()) - self.e0 + (e.size - 1).bit_length() >= 1023:
             self.x = None
 
-    def current(self) -> bool:
-        """Whether the matrix holds exact scores; once not, it is dropped for good."""
-        return self.x is not None
-
     def scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Stabbed weight of each pair ``(a[i], b[i])`` of representatives, scaled by ``2**-e0``."""
+        """Stabbed weight of each pair ``(a[i], b[i])`` of representatives, up to a power-of-two scale.
+
+        Two reads of the matrix while it is kept, scaled by ``2**-e0``; else
+        one sum per pair over ``query_weights``.
+        """
+        if self.x is None:
+            return _stabbed_weights(self.rows, a, b, self.query_weights)
         return self.x[a, b] + self.x[b, a]
 
     def double(self, stabbed: np.ndarray, reps: np.ndarray) -> None:
         """Double the weight of the queries ``stabbed`` (ids), bumping their exponents; ``reps``' pairs stay current."""
         e = self.queries.stab_exponents
         if self.x is not None:
-            top = int(e.max()) + 1
-            if top - self.e0 > _RESCALE_SPAN:
-                np.ldexp(self.x, self.e0 - top, out=self.x)
-                self.e0 = top
             near = self.rows.near[np.ix_(reps, stabbed)]
             hit = np.flatnonzero(near.any(axis=1))
             w = np.ldexp(1.0, e[stabbed] - self.e0)
@@ -545,26 +562,6 @@ def weighted_draws(sums: np.ndarray, rng: np.random.Generator, size: int) -> np.
     return np.minimum(np.searchsorted(sums, u, side="right"), sums.size - 1)
 
 
-# mask entries per scoring block of _stabbed_weights
-_SCORE_CHUNK = 1 << 16
-
-
-def _stabbed_weights(rows: BallRows, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Current query weight stabbing each candidate pair ``(a[i], b[i])``, one sum per candidate.
-
-    Each candidate's stabbed weights are summed on their own, as numpy
-    sums them; the search reads this only once the exponents have failed
-    :func:`sums_are_exact` and the :class:`PairWeights` matrix is gone.
-    Blocks hold at most ``_SCORE_CHUNK`` mask entries.
-    """
-    scores = np.empty(a.size)
-    step = max(1, _SCORE_CHUNK // weights.size)
-    for lo in range(0, a.size, step):
-        stabbed = rows.stab_mask(a[lo : lo + step], b[lo : lo + step])
-        scores[lo : lo + step] = [weights[mask].sum() for mask in stabbed]
-    return scores
-
-
 def _cell_pairs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair ``a < b`` of rows of ``cells`` that are equal, grouped by sorting the rows."""
     n = cells.shape[0]
@@ -604,9 +601,8 @@ def find_light_edge(
     live, the pairs of the live points that no net query's row of the
     cell-hit table reaches, and the closest live pairs from the sorted
     pairs.  They are merged as sorted keys ``a * n + b`` and scored by
-    their exact stabbed weights: two reads of the :class:`PairWeights`
-    matrix each while the query exponents pass :func:`sums_are_exact`,
-    else one sum per candidate.
+    their exact stabbed weights through :meth:`PairWeights.scores`: two
+    reads of its matrix while kept, one sum per candidate once dropped.
     """
     if live is None:
         live = LiveRows.of(pts, queries, params)
@@ -635,11 +631,7 @@ def find_light_edge(
     # 3. exact scoring against the full multiset, current weights included
     keys = _sorted_unique(np.concatenate([live.cell_pairs(), outsider_keys, near_a * size + near_b]))
     a, b = np.divmod(keys, size)
-    if weights.current():
-        scores = weights.scores(a, b)
-    else:
-        scores = _stabbed_weights(live.rows, a, b, weights.query_weights)
-    best = int(np.argmin(scores))
+    best = int(np.argmin(weights.scores(a, b)))
     return Edge(int(a[best]), int(b[best]))
 
 

@@ -261,6 +261,24 @@ class TestPairStabCounts:
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         assert peak < 10 * n * n
 
+    def test_memory_beside_the_sample_does_not_grow_with_it(self):
+        # each query's edges take about 100 bytes of float64 temporaries, held
+        # for one block of _CHUNK_CELLS // d queries at a time: eight times
+        # the sample adds at most a block, 131,072 queries here
+        pts = weighted(Seed(160).generator().uniform(0.0, 1.0, size=(16, 2)))
+        params = EpsParams(eps=0.25, radius=0.2)
+        pair_stab_counts(pts, uniform_queries(100, np.zeros(2), np.ones(2), Seed(161)), params)
+        peaks = []
+        for m in (2**16, 2**19):
+            sample = uniform_queries(m, np.zeros(2), np.ones(2), Seed(161))
+            tracemalloc.start()
+            try:
+                pair_stab_counts(pts, sample, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 16 * 2**20
+
     def test_sparse_and_dense_chunks_add_into_one_matrix(self, monkeypatch):
         # 64-query chunks that alternate: all queries in the square (dense),
         # then one query in the square and the rest far away (sparse)

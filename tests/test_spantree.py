@@ -729,7 +729,7 @@ def matrix_is_current(pts, queries, live) -> bool:
     pair of the round's representatives, live or retired, scores its own masked
     sum up to the scale.  Other pairs go stale by design: no search reads them."""
     e = queries.stab_exponents
-    if not live.weights.current():
+    if live.weights.x is None:
         return False
     i, j = np.triu_indices(live.reps.size, 1)
     a, b = live.reps[i], live.reps[j]
@@ -765,7 +765,7 @@ def build_against_reference(pts, qs, params, seed, shift=0):
 class TestPairWeights:
     """The maintained pair-weight matrix: equal to per-pair sums while they are
     exact, and a build that keeps it gives the reference tree across the switch
-    to per-candidate sums and across rescales."""
+    to per-candidate sums."""
 
     @given(
         d=st.integers(1, 3),
@@ -821,17 +821,35 @@ class TestPairWeights:
         # once dropped, the matrix stays dropped
         assert current == sorted(current, reverse=True)
 
-    @pytest.mark.parametrize("rescale_span", [None, 0])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_exponents_past_float64s_range(self, seed, rescale_span, monkeypatch):
-        # 2**1100 overflows float64, so the matrix holds 2**(e - e0); at a
-        # rescale span of 0 it moves e0 up whenever the largest exponent grows
-        if rescale_span is not None:
-            monkeypatch.setattr(spantree, "_RESCALE_SPAN", rescale_span)
+    def test_exponents_past_float64s_range(self, seed):
+        # 2**1100 overflows float64, so the matrix holds 2**(e - e0), and e0
+        # is the largest exponent at the start, never moved
         pts, qs, params = random_exponent_instance(2, 0.5, 17, 6, seed)
         qs.stab_exponents += 1100
         seen = build_against_reference(pts, qs, params, seed, shift=1100)
         assert all(c for c, _ in seen)
-        offsets = [e0 for _, e0 in seen]
-        assert offsets[0] == 1106
-        assert (offsets[-1] > offsets[0]) == (rescale_span == 0)
+        assert [e0 for _, e0 in seen] == [1106] * len(seen)
+
+    def test_matrix_dropped_before_an_entry_could_outgrow_float64(self):
+        # every query doubles each time, so the span stays 0 and the sums stay
+        # exact: only the largest exponent's rise above e0 can drop the matrix
+        pts, qs, params = random_exponent_instance(2, 0.5, 6, 0, 0)
+        rows = BallRows.of(pts.points, qs.support, params)
+        weights = spantree.PairWeights(rows, qs)
+        reps = np.arange(len(pts))
+        a, b = np.triu_indices(reps.size, 1)
+        everything = np.arange(len(qs))
+        expected = rows.stab_mask(a, b).sum(axis=1).astype(np.float64)  # every weight is one
+        last = 1023 - (len(qs) - 1).bit_length()
+        for _ in range(last - 1):
+            weights.double(everything, reps)
+        assert weights.x is not None
+        scale = weights.e0 - int(qs.stab_exponents.max())
+        assert np.array_equal(np.ldexp(weights.scores(a, b), scale), expected)
+        weights.double(everything, reps)
+        assert sums_are_exact(qs.stab_exponents)
+        assert weights.x is None
+        masked = [weights.query_weights[mask].sum() for mask in rows.stab_mask(a, b)]
+        assert np.array_equal(weights.scores(a, b), masked)
+        assert np.array_equal(masked, expected)
