@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +52,9 @@ class EpsParams:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ContractViolation(f"radius must be positive and finite, got {self.radius}")
 
-    @property
+    @cached_property
     def outer_radius(self) -> float:
+        # cached on first read: the query path reads it on every call
         return (1.0 + self.eps) * self.radius
 
 

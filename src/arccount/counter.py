@@ -15,26 +15,20 @@ order, at that one threshold: one BLAS matrix-vector product (GEMV)
 against half the squared norms, stored at build time, gives
 ``(|q|**2 - d2) / 2`` up to the rounding bound of ``core.band_half_width``,
 with ``d2`` from ``core.sq_dists_to``.  Only the points within that bound
-of the threshold are measured again with ``sq_dists_to``, so the mask is
-exactly ``d2 <= outer**2``.  The weight is the sum of the masked point
-weights in path order.
+of the threshold are measured again with ``sq_dists_to`` (``_within``),
+so the mask is exactly ``d2 <= outer**2``.  The weight is the sum of the
+masked point weights in path order.
 
 The tree walk, ``ptree.walk``, reports how the paper's index reaches that
 set: the nodes it visits, their verdicts and the path ranges it includes.
 It runs when an answer's telemetry is first read, or at once under
-``verify``.  A point within the outer radius is near, one at least the
-inner radius away is far, and every point is one or both.  Each point
-gets the code ``(d2 <= outer**2) + (d2 < r**2)``: 0 when it is far only,
-1 when it lies in the annulus and is both, 2 when it is near only; the
-same certified pass finds the codes at both thresholds, and the walk
-reads their running count.  The same walk gives the paper's visiting
-number, ``ptree.visiting_number``, on the closed-ball codes
-``(dist <= (1+eps) r) + (dist <= r)``: the two conventions can differ
-only for a point within an ulp of distance ``r`` or of the outer radius,
-and the paper's three-clause expand rule fires iff some member is within
-``(1+eps) r`` and some member is beyond ``r``, the walk's STABBED test:
-with a member in the ambiguity zone both tests hold, and with none the
-rule is "some member within ``r`` and some beyond ``(1+eps) r``".
+``verify``.  It reads each point's code on the closed balls of ``core``,
+``(d2 <= outer**2) + (d2 <= r**2)`` at the working radii: 2 within
+``r``, 1 in the ambiguity zone, 0 beyond the outer radius.
+``prefix_counts`` finds both masks by the same certified pass, one
+``_within`` call per radius, and ``visiting_number`` takes the same
+codes from ``sq_dists_to``, so ``visited_nodes`` is the paper's visiting
+number at the working error, ``ptree.visiting_number``, bit for bit.
 
 ``evaluate_visiting(idx, holdout)`` audits an index on a holdout sample:
 it checks each verified answer against the oracle's brute-force scans of
@@ -232,28 +226,20 @@ def _leaf_order(
 def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     """Running count of the path points' codes, for a query checked by ``transform_query``.
 
-    A point's code is ``(d2 <= outer**2) + (d2 < r**2)`` at the working
-    radii, with ``d2`` from ``sq_dists_to(path_points, q)``: 0 when it is
-    far only, 1 when it lies in the annulus and is both near and far, 2
-    when it is near only.  Entry ``k`` sums the codes of the first ``k``
-    path points.
-
-    The codes are taken at the upper edges of ``_shifted_products``.  Unless
-    the running count's total and the points below a lower edge make up
-    ``2n``, some point lies in a band, and the band points of either
-    threshold take both codes from their ``sq_dists_to`` distances.
+    A point's code is ``(d2 <= outer**2) + (d2 <= r**2)`` at the working
+    radii, with ``d2`` from ``sq_dists_to(path_points, q)``: 2 within
+    ``r``, 1 in the ambiguity zone, 0 beyond the outer radius.  Entry
+    ``k`` sums the codes of the first ``k`` path points.  Each radius's
+    mask is one ``_within`` call on the same products.
     """
-    h, s1, s2, half = _shifted_products(idx, qw)
-    inside, beyond_outer = h >= s1 + half, h < s1 - half
-    near, beyond_inner = h >= s2 + half, h < s2 - half
+    h, s_outer, s_inner, half = _shifted_products(idx, qw)
+    codes = np.add(
+        _within(idx, qw, h, s_outer, half, idx.working.outer_radius),
+        _within(idx, qw, h, s_inner, half, idx.working.radius),
+        dtype=np.intp,
+    )
     c = np.zeros(len(h) + 1, dtype=np.intp)
-    np.add.accumulate(np.add(inside, near, dtype=np.intp), out=c[1:])
-    if c[-1] + np.count_nonzero(beyond_outer) + np.count_nonzero(beyond_inner) < 2 * len(h):
-        band, d2 = _band_distances(idx, qw, (inside | beyond_outer) & (near | beyond_inner))
-        outer, r = idx.working.outer_radius, idx.working.radius
-        inside[band] = d2 <= outer * outer
-        near[band] = d2 < r * r
-        np.add.accumulate(np.add(inside, near, dtype=np.intp), out=c[1:])
+    np.add.accumulate(codes, out=c[1:])
     return c
 
 
@@ -285,24 +271,18 @@ def _shifted_products(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, f
     return h, 0.5 * t1, 0.5 * t2, half
 
 
-def _band_distances(idx: CountingIndex, qw: np.ndarray, settled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The band, the path points that no edge has ``settled``, and their ``sq_dists_to`` distances."""
-    band = np.flatnonzero(~settled)
-    return band, sq_dists_to(idx.path_points[band], qw)
+def _within(idx: CountingIndex, qw: np.ndarray, h: np.ndarray, s: float, half: float, R: float) -> np.ndarray:
+    """Whether each path point lies within ``R``, exactly ``sq_dists_to(path_points, q) <= R*R``.
 
-
-def outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
-    """Whether each path point lies within the working outer radius, exactly ``sq_dists_to(...) <= outer**2``.
-
-    The certified pass of ``prefix_counts`` at the outer threshold alone:
-    the mask at the upper edge holds unless some point lies in the band.
+    ``h``, ``s`` and ``half`` are ``_shifted_products``' at the threshold
+    ``R*R``.  The upper edge decides each point; only the band between the
+    edges, points neither above the upper edge nor below the lower one, is
+    measured again with ``sq_dists_to``.
     """
-    h, s, _, half = _shifted_products(idx, qw)
     mask, beyond = h >= s + half, h < s - half
     if np.count_nonzero(mask) + np.count_nonzero(beyond) < len(h):
-        band, d2 = _band_distances(idx, qw, mask | beyond)
-        outer = idx.working.outer_radius
-        mask[band] = d2 <= outer * outer
+        band = np.flatnonzero(~(mask | beyond))
+        mask[band] = sq_dists_to(idx.path_points[band], qw) <= R * R
     return mask
 
 
@@ -325,7 +305,8 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     exactly the positions whose weights were summed.
     """
     qw = idx.transform_query(q)
-    mask = outer_mask(idx, qw)
+    h, s, _, half = _shifted_products(idx, qw)
+    mask = _within(idx, qw, h, s, half, idx.working.outer_radius)
     weight = float(idx.path_weights[mask].sum()) + 0.0
     if not verify:
         # a copy: the caller may reuse the array it passed
@@ -369,9 +350,10 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     model's, does not hold the sample its order was fitted to and reports
     the overlap as None.
 
-    The visiting number is the walk's own ``visited_nodes``: it is taken at
-    the working error, where the walk runs.  The sandwich check and ``t_q``
-    stay at the full error.
+    The visiting number is the walk's own ``visited_nodes``, the paper's
+    visiting number on closed balls at the working error, where the walk
+    runs: ``ptree.visiting_number(idx.tree, q, idx.points(), idx.working)``.
+    The sandwich check and ``t_q`` stay at the full error.
     """
     params = EpsParams(idx.config.eps, idx.config.radius)
     source = idx.config.tree_source

@@ -12,29 +12,28 @@ and its ``twice_size`` (twice its range's length).  The points' weights
 stay with the index, in path order.
 
 One walk (``walk``) serves both the index's telemetry and the paper's
-visiting number.  It reads a running count of the path points' codes:
-0 for a point that is far only, 1 for one that is both near and far, 2
-for one that is near only.  One subtraction gives each node's code sum,
-and so its verdict, and a node is visited iff it is the root or its
-parent is STABBED, so the walk is a fixed number of array operations.
-Walking only the nodes whose parent is stabbed from a query's viewpoint
-visits few nodes exactly because consecutive path points rarely straddle
-the query's annulus.
+visiting number.  It reads a running count of the path points' codes on
+the closed balls of ``core``: 2 for a point within ``r`` of the query,
+1 for one in the ambiguity zone ``r < dist <= (1+eps) r``, 0 for one
+beyond ``(1+eps) r``.  Both callers take the code as
+``(d2 <= ((1+eps) r)**2) + (d2 <= r**2)`` on the squared distances of
+``sq_dists_to``.  A point is near when it is within ``(1+eps) r`` and
+far when it is beyond ``r``: code 2 is near only, 1 both, 0 far only.
+One subtraction gives each node's code sum, and so its verdict, and a
+node is visited iff it is the root or its parent is STABBED, so the
+walk is a fixed number of array operations.  Walking only the nodes
+whose parent is stabbed from a query's viewpoint visits few nodes
+exactly because consecutive path points rarely straddle the query's
+annulus.
 
-The two callers code a point at distance ``dist`` from the query
-slightly differently.  ``counter.prefix_counts`` uses
-``(d2 <= outer**2) + (d2 < r**2)`` on squared distances;
-``visiting_number`` uses the closed balls,
-``(dist <= (1+eps) r) + (dist <= r)``.  The two can differ only for a
-member whose distance is within an ulp of ``r`` or of the outer radius.
 The paper's expand rule for a node (some member within ``r`` and some at
-``>= (1+eps) r``; or a member in the ambiguity zone ``r < dist <= (1+eps) r``
-and all members within ``(1+eps) r``; or one there and no member within
-``r``) is the walk's STABBED test under the closed-ball codes: it fires
-iff some member is within ``(1+eps) r`` and some member is beyond ``r``.
-With a member in the ambiguity zone both tests hold (one of the three
-clauses always does), and with no such member the rule reduces to "some
-member within ``r`` and some beyond ``(1+eps) r``", as does the test.
+``>= (1+eps) r``; or a member in the ambiguity zone and all members
+within ``(1+eps) r``; or one there and no member within ``r``) is the
+walk's STABBED test: it fires iff some member is near and some member is
+far.  With a member in the ambiguity zone both tests hold (one of the
+three clauses always does), and with no such member the rule reduces to
+"some member within ``r`` and some beyond ``(1+eps) r``", as does the
+test.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ class PartitionTree:
     and ``parent`` maps both back to ``k`` (the root maps to 0);
     ``inner[k]`` is ``hi - lo > 1``, and ``twice_size[k]`` is
     ``2 * (hi - lo)``, the code sum of a slice whose points are all near
-    (see ``walk``); both are kept so that no query recomputes them.  Only
-    ``order`` depends on the data.
+    only (see ``walk``); both are kept so that no query recomputes them.
+    Only ``order`` depends on the data.
     """
 
     order: np.ndarray
@@ -185,15 +184,15 @@ def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, para
     when its members either straddle the two balls (some point within
     ``radius``, some at ``>= (1+eps)*radius``) or touch the ambiguity zone
     while lying entirely inside the outer ball or entirely outside the
-    inner one.  That is ``walk`` on the closed-ball codes (see the module
-    docstring).
+    inner one.  That is ``walk`` on the codes of the module docstring.
     """
     q = as_point(q)
     if q.shape[0] != pts.dim:
         raise ContractViolation("query dimension does not match points")
     if len(pts) != t.n:
         raise ContractViolation(f"the tree holds {t.n} points, the point set {len(pts)}")
-    dist = np.sqrt(sq_dists_to(pts.points[t.order], q))
+    d2 = sq_dists_to(pts.points[t.order], q)
+    big, r = params.outer_radius, params.radius
     c = np.zeros(t.n + 1, dtype=np.intp)
-    np.add.accumulate(np.add(dist <= params.outer_radius, dist <= params.radius, dtype=np.intp), out=c[1:])
+    np.add.accumulate(np.add(d2 <= big * big, d2 <= r * r, dtype=np.intp), out=c[1:])
     return walk(t, c)[0]

@@ -18,6 +18,7 @@ from arccount.cli import run_cli
 from arccount.core import WeightedPointSet
 from arccount.io import read_points, read_query_sample, write_points, write_query_sample
 from arccount.learned import QuerySample
+from arccount.oracle import exact_visiting_oracle
 from conftest import MODEL_MAGIC, ModelFile
 
 
@@ -81,6 +82,25 @@ class TestGen:
         pts = read_points(data)
         expect = [[0.5 * int(c) for c in format(k, "060b")] for k in range(10)]
         assert pts.points.tolist() == expect
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_grid_side_is_the_least_integer_root(self, d):
+        # every exact power s**d up to the generator's 2**26 values (for
+        # d = 1, where the float root is n itself, s up to 2**16 and 2**26):
+        # the float root of 3125 at d = 5 rounds up past 5
+        top = 2**16 if d == 1 else 2**26
+        s = 1
+        while s**d <= top:
+            assert cli._grid_side(s**d, d) == s
+            assert cli._grid_side(s**d + 1, d) == s + 1
+            s += 1
+        assert cli._grid_side(2**26, 1) == 2**26
+
+    def test_grid_of_an_exact_power_is_the_whole_lattice(self, tmp_path):
+        data = gen_data(tmp_path, n=3125, d=5, kind="grid")
+        pts = read_points(data)
+        assert pts.points.max() == 4.0
+        assert len(np.unique(pts.points, axis=0)) == 3125
 
     def test_clusters_kind(self, tmp_path):
         data = gen_data(tmp_path, n=60, d=2, kind="clusters", extra=["--k-clusters", "3"])
@@ -209,6 +229,27 @@ class TestBuildQueryEval:
         assert doc["tree_source"] == "learned"
         assert doc["sandwich_pass_rate"] == 1.0
         assert not doc["holdout_overlaps_training"]
+
+    def test_lattice_eval_reports_the_exact_visiting_number(self, tmp_path, capsys):
+        # the README's lattice run: each query's neighbours lie at exactly
+        # r = 1, and every per-query visiting number is the oracle's on the
+        # closed balls at eps/2
+        data, qs, model, report = (tmp_path / f for f in ("grid.txt", "q.txt", "grid.arc", "r.json"))
+        for argv in (
+            ["gen", "--kind", "grid", "--n", "64", "--d", "2", "--spacing", "1.0", "--seed", "31", "--out", data],
+            ["gen-queries", "--kind", "file", "--data", data, "--out", qs],
+            ["build", "--data", data, "--eps", "0.5", "--mode", "worstcase", "--seed", "33", "--out-model", model],
+            ["query", "--model", model, "--data", data, "--q", "3,3", "--verify"],
+            ["eval", "--model", model, "--data", data, "--queries", qs, "--out-report", report, "--per-query"],
+        ):
+            assert run_cli([str(a) for a in argv]) == 0
+        assert json.loads(capsys.readouterr().out)["weight"] == 5.0
+        doc = json.loads(report.read_text())
+        idx = io.load_model(model, data)
+        pts = idx.points()
+        oracle = [exact_visiting_oracle(idx.tree.order, pts, q, idx.working) for q in read_query_sample(qs).queries]
+        assert [row["visiting"] for row in doc["per_query"]] == oracle
+        assert doc["mean_visiting"] == 26.5 and doc["sandwich_pass_rate"] == 1.0
 
     def test_eval_of_a_loaded_model_leaves_the_overlap_unknown(self, tmp_path):
         # a model file keeps no training sample, so the overlap cannot be

@@ -25,12 +25,11 @@ from arccount.counter import (
     WorstCaseSource,
     build_counting_index,
     count,
-    outer_mask,
     prefix_counts,
 )
 from arccount.io import load_model, save_model, write_points
 from arccount.learned import QuerySample, near_data_queries
-from arccount.oracle import exact_range_indices
+from arccount.oracle import exact_range_indices, exact_visiting_oracle
 from arccount.ptree import SpanningPath, split, visiting_number
 from arccount.stabber import Verdict, build_classifier, classify
 
@@ -141,14 +140,25 @@ class TestSandwich:
 
 class TestTraversalCost:
     def test_visited_matches_exact_visiting_number(self):
-        # prefix counts make every verdict the exact trichotomy, so the walk
-        # expands exactly the nodes the visiting oracle says it should
+        # the walk's codes are the paper's closed-ball zones, so it expands
+        # exactly the nodes the visiting oracle says it should: on random
+        # data, and on an 8 x 8 unit lattice queried at every lattice point,
+        # where neighbours lie at exactly r = 1 and the working outer radius
+        # 1.25 falls between the squared distances 1 and 2
         pts, idx = small_learned_index(n=44, d=3, seed=122)
         rng = Seed(123).generator()
-        for _ in range(30):
-            q = rng.uniform(-0.5, 3.5, size=3)
-            ans = count(idx, q)
-            assert ans.visited_nodes == visiting_number(idx.tree, q, pts, idx.working)
+        cases = [(idx, list(rng.uniform(-0.5, 3.5, size=(30, 3))))]
+        lattice = np.array([(i, j) for i in range(8) for j in range(8)], dtype=np.float64)
+        lattice_pts = WeightedPointSet(lattice, np.ones(64))
+        cfg = BuildConfig(eps=0.5, seed=Seed(124), tree_source=WorstCaseSource())
+        for lattice_idx in (index_over(lattice, order=rng.permutation(64)), build_counting_index(lattice_pts, cfg)):
+            cases.append((lattice_idx, list(lattice)))
+        for index, queries in cases:
+            points = index.points()
+            for q in queries:
+                visited = count(index, q).visited_nodes
+                assert visited == visiting_number(index.tree, q, points, index.working)
+                assert visited == exact_visiting_oracle(index.tree.order, points, q, index.working)
 
 
 MASK_VERDICTS = {(True, False): Verdict.COVERED, (False, True): Verdict.DISJOINT}
@@ -159,7 +169,9 @@ class TestPrefixVerdicts:
     def test_match_the_stab_classifier_on_every_node(self, worstcase):
         # the verdicts the walk reads from the code sums are the ones the
         # paper's Hamming stab classifier gives for each node's members at
-        # the working error
+        # the working error; no member lies at exactly r, where the
+        # classifier's far witness (distance >= r) and the walk's closed
+        # inner ball part
         seed = 170 + 2 * worstcase
         rng = Seed(seed).generator()
         if worstcase:
@@ -199,7 +211,7 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
     d2 = sq_dists_to(idx.path_points, qw)
     outer, r = idx.working.outer_radius, idx.working.radius
     near = [0] + np.cumsum(d2 <= outer * outer).tolist()
-    far = [0] + np.cumsum(d2 >= r * r).tolist()
+    far = [0] + np.cumsum(d2 > r * r).tolist()
     leaf = idx.points().weights[idx.tree.order].tolist()
     cum_weight = [0.0] * (2 ** (idx.tree.depth + 1) - 1)
 
@@ -317,10 +329,11 @@ class TestStackWalkEquivalence:
     @pytest.mark.parametrize("worstcase", [False, True])
     @pytest.mark.parametrize("n", [1, 2, len(LATTICE)])
     def test_points_exactly_on_the_working_radii(self, n, worstcase):
-        # a point at exactly r or exactly (1 + eps/2) r is both near and
-        # far, so no node holding it stops the walk and its leaf is
-        # included: the answer is exactly the points within the working
-        # outer radius, from every lattice query
+        # a point at exactly (1 + eps/2) r is both near and far, so no node
+        # holding it stops the walk and its leaf is included; one at exactly
+        # r lies in the closed inner ball and is near only: the answer is
+        # exactly the points within the working outer radius, from every
+        # lattice query
         q = np.array([0.5, 0.25])
         points = q + np.array(LATTICE[:n])
         d2 = sq_dists_to(points, q)
@@ -417,8 +430,14 @@ def einsum_prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     d2 = sq_dists_to(idx.path_points, qw)
     outer, r = idx.working.outer_radius, idx.working.radius
     c = np.zeros(d2.size + 1, dtype=np.intp)
-    np.cumsum(np.add(d2 <= outer * outer, d2 < r * r, dtype=np.intp), out=c[1:])
+    np.cumsum(np.add(d2 <= outer * outer, d2 <= r * r, dtype=np.intp), out=c[1:])
     return c
+
+
+def outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
+    """The mask ``count`` sums over: ``_within`` at the working outer radius."""
+    h, s, _, half = counter._shifted_products(idx, qw)
+    return counter._within(idx, qw, h, s, half, idx.working.outer_radius)
 
 
 def einsum_outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
@@ -518,19 +537,20 @@ class TestCodePassBranches:
     def test_a_point_within_the_bound_sends_the_pass_to_sq_dists_to(self, counted):
         # dyadic offsets at exactly the working radius 1 and exactly the outer
         # radius 1.25: h equals each shifted threshold, and the point at the
-        # radius has code 1 where an unchecked h would give it 2.  Only the
-        # points on a radius, the band, are measured again
+        # radius has code 2, inside the closed ball, and the one at the outer
+        # radius code 1.  Only the points on a radius, each threshold's band,
+        # are measured again, one call per threshold
         q = np.array([0.5, 0.25])
         idx = index_over(q + np.array(LATTICE))
         d2 = sq_dists_to(idx.path_points, q)
         on_outer, on_inner = int(np.count_nonzero(d2 == 1.5625)), int(np.count_nonzero(d2 == 1.0))
         assert (on_outer, on_inner) == (5, 4)
         c = prefix_counts(idx, q)
-        assert counted.rows == [on_outer + on_inner]
+        assert counted.rows == [on_outer, on_inner]
         np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
-        assert np.diff(c)[:2].tolist() == [1, 1]
+        assert np.diff(c)[:2].tolist() == [2, 1]
         mask = outer_mask(idx, q)
-        assert counted.rows == [on_outer + on_inner, on_outer]
+        assert counted.rows == [on_outer, on_inner, on_outer]
         np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
         assert mask[:2].tolist() == [True, True]
 
@@ -562,7 +582,7 @@ class TestCodePassBranches:
             counted.rows.clear()
             np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
             np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
-            assert counted.rows == [50, 50]
+            assert counted.rows == [50, 50, 50]
 
     def test_squares_that_overflow_take_the_exact_pass(self, counted):
         # the squared norms are infinite, so h would be NaN; the offsets
@@ -572,11 +592,11 @@ class TestCodePassBranches:
         idx = index_over(q + offsets, radius=1e150)
         assert math.isinf(idx.max_norm)
         c = prefix_counts(idx, q)
-        assert counted.rows == [3]
+        assert counted.rows == [3, 3]
         np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
         assert np.diff(c).tolist() == [2, 1, 0]
         mask = outer_mask(idx, q)
-        assert counted.rows == [3, 3]
+        assert counted.rows == [3, 3, 3]
         np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
         assert mask.tolist() == [True, True, False]
 
