@@ -21,7 +21,9 @@ in-process passes over the 200 timed pool queries:
   beforehand.
 
 Each figure is the best of ``--passes`` passes, divided by the number of
-queries.  ``band_queries`` counts the queries of which ``prefix_counts``
+queries.  ``count_over_gemv`` is ``count_us / gemv_scan_us``: how far the
+answer is from a plain GEMV scan of the same points, the ratio the
+performance goal tracks.  ``band_queries`` counts the queries of which ``prefix_counts``
 measures some point again with ``sq_dists_to``: those with a point within
 the certified pass's rounding bound of a radius.  One JSON line per
 workload and seed.
@@ -98,7 +100,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         d2 += q @ q
         return w[d2 <= r2].sum()
 
-    return {
+    row = {
         "workload": workload,
         "seed": seed,
         "n": len(inputs.points),
@@ -113,6 +115,8 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "einsum_scan_us": best_us(einsum_scan, queries, passes),
         "gemv_scan_us": best_us(gemv_scan, queries, passes),
     }
+    row["count_over_gemv"] = row["count_us"] / row["gemv_scan_us"]
+    return row
 
 
 def main() -> None:

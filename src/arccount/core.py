@@ -95,13 +95,26 @@ class Seed:
 
 def as_point(p: "np.ndarray | list[float] | tuple[float, ...]") -> np.ndarray:
     """Coerce to a finite 1-d float64 vector."""
+    return point_and_norm(p)[0]
+
+
+def point_and_norm(p: "np.ndarray | list[float] | tuple[float, ...]") -> tuple[np.ndarray, list[float], float]:
+    """``as_point(p)``, its coordinates as a new list of Python floats, and its norm by ``math.hypot``.
+
+    The one check of a point.  A finite norm proves every coordinate
+    finite: ``math.hypot`` returns inf for any infinite coordinate, even
+    beside a NaN, and NaN for a NaN.  So only an infinite or NaN norm
+    looks at each coordinate, and finite coordinates whose norm overflows
+    are accepted, with the norm inf.
+    """
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ContractViolation(f"point must be a nonempty 1-d vector, got shape {arr.shape}")
-    # counting the finite entries gives .all()'s verdict, faster on short vectors
-    if np.count_nonzero(np.isfinite(arr)) != arr.size:
+    coords = arr.tolist()
+    norm = math.hypot(*coords)
+    if not math.isfinite(norm) and not all(map(math.isfinite, coords)):
         raise ContractViolation("point has non-finite coordinates")
-    return arr
+    return arr, coords, norm
 
 
 @dataclass

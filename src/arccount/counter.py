@@ -10,14 +10,18 @@ error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
 
 A query's answer set is exactly the points within the working outer
 radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).  So
-``count`` finds the weight by one distance pass over the points in path
-order, at that one threshold: one BLAS matrix-vector product (GEMV)
+``count`` checks the query once, with ``core.point_and_norm``, which
+yields its norm by ``math.hypot`` beside the shape and finiteness checks,
+and finds the weight by one distance pass over the points in path order,
+at that one threshold.  One certified routine, ``_within``, gives the
+mask of every radius asked of it: one BLAS matrix-vector product (GEMV)
 against half the squared norms, stored at build time, gives
 ``(|q|**2 - d2) / 2`` up to the rounding bound of ``core.band_half_width``,
 with ``d2`` from ``core.sq_dists_to``.  Only the points within that bound
-of the threshold are measured again with ``sq_dists_to`` (``_within``),
-so the mask is exactly ``d2 <= outer**2``.  The weight is the sum of the
-masked point weights in path order.
+of a threshold are measured again with ``sq_dists_to``, so each mask is
+exactly ``d2 <= R**2``; a query the pass does not certify is measured
+once with ``sq_dists_to``, and that one pass gives every mask.  The
+weight is the sum of the masked point weights in path order.
 
 The tree walk, ``ptree.walk``, reports how the paper's index reaches that
 set: the nodes it visits, their verdicts and the path ranges it includes.
@@ -25,10 +29,10 @@ It runs when an answer's telemetry is first read, or at once under
 ``verify``.  It reads each point's code on the closed balls of ``core``,
 ``(d2 <= outer**2) + (d2 <= r**2)`` at the working radii: 2 within
 ``r``, 1 in the ambiguity zone, 0 beyond the outer radius.
-``prefix_counts`` finds both masks by the same certified pass, one
-``_within`` call per radius, and ``visiting_number`` takes the same
-codes from ``sq_dists_to``, so ``visited_nodes`` is the paper's visiting
-number at the working error, ``ptree.visiting_number``, bit for bit.
+``prefix_counts`` finds both masks by one ``_within`` call, and
+``visiting_number`` takes the same codes from ``sq_dists_to``, so
+``visited_nodes`` is the paper's visiting number at the working error,
+``ptree.visiting_number``, bit for bit.
 
 ``evaluate_visiting(idx, holdout)`` audits an index on a holdout sample:
 it checks each verified answer against the oracle's brute-force scans of
@@ -50,8 +54,8 @@ from .core import (
     GridSpec,
     Seed,
     WeightedPointSet,
-    as_point,
     band_half_width,
+    point_and_norm,
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
@@ -124,7 +128,10 @@ class CountAnswer:
     An answer from ``count`` without ``verify`` holds its weight only: the
     walk runs on the first read of ``visited_nodes`` or ``verdict_counts``
     (``==``, ``repr`` and ``dataclasses.replace`` read them too), and the
-    answer then drops its references to the index and the query.
+    answer then drops its references to the index and the query.  It
+    holds the query as the list of its coordinates that the check made,
+    which no caller can reach, and rebuilds the same float64 vector for
+    the walk.
     """
 
     weight: float
@@ -133,10 +140,10 @@ class CountAnswer:
     member_ranges: list[tuple[int, int]] | None = None
 
     @classmethod
-    def _unwalked(cls, weight: float, idx: CountingIndex, qw: np.ndarray) -> CountAnswer:
+    def _unwalked(cls, weight: float, idx: CountingIndex, coords: list[float]) -> CountAnswer:
         ans = cls.__new__(cls)
         ans.weight = weight
-        ans._walk = (idx, qw)
+        ans._walk = (idx, coords)
         return ans
 
     def __getattr__(self, name: str):
@@ -144,8 +151,8 @@ class CountAnswer:
         # answer whose walk has not run yet
         pending = self.__dict__.get("_walk")
         if pending is not None and name in ("visited_nodes", "verdict_counts"):
-            idx, qw = pending
-            self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, prefix_counts(idx, qw))
+            idx, coords = pending
+            self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, prefix_counts(idx, np.array(coords)))
             self.__dict__.pop("_walk", None)
             return self.__dict__[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -169,11 +176,16 @@ class CountingIndex:
 
     def transform_query(self, q: np.ndarray) -> np.ndarray:
         """The query as a finite float64 vector of the data's dimension."""
-        qw = as_point(q)
-        d = self.path_points.shape[1]
-        if qw.shape[0] != d:
-            raise ContractViolation(f"query dimension {qw.shape[0]} does not match data dimension {d}")
-        return qw
+        return _checked_query(self, q)[0]
+
+
+def _checked_query(idx: CountingIndex, q: np.ndarray) -> tuple[np.ndarray, list[float], float]:
+    """``core.point_and_norm(q)``, for a query of the data's dimension: the check of ``transform_query``."""
+    qw, coords, norm = point_and_norm(q)
+    d = idx.path_points.shape[1]
+    if len(coords) != d:
+        raise ContractViolation(f"query dimension {len(coords)} does not match data dimension {d}")
+    return qw, coords, norm
 
 
 def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingIndex:
@@ -229,61 +241,55 @@ def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     A point's code is ``(d2 <= outer**2) + (d2 <= r**2)`` at the working
     radii, with ``d2`` from ``sq_dists_to(path_points, q)``: 2 within
     ``r``, 1 in the ambiguity zone, 0 beyond the outer radius.  Entry
-    ``k`` sums the codes of the first ``k`` path points.  Each radius's
-    mask is one ``_within`` call on the same products.
+    ``k`` sums the codes of the first ``k`` path points.  Both masks come
+    from one ``_within`` call.
     """
-    h, s_outer, s_inner, half = _shifted_products(idx, qw)
-    codes = np.add(
-        _within(idx, qw, h, s_outer, half, idx.working.outer_radius),
-        _within(idx, qw, h, s_inner, half, idx.working.radius),
-        dtype=np.intp,
-    )
-    c = np.zeros(len(h) + 1, dtype=np.intp)
-    np.add.accumulate(codes, out=c[1:])
+    working = idx.working
+    outer, inner = _within(idx, qw, math.hypot(*qw.tolist()), (working.outer_radius, working.radius))
+    c = np.zeros(len(outer) + 1, dtype=np.intp)
+    np.add.accumulate(np.add(outer, inner, dtype=np.intp), out=c[1:])
     return c
 
 
-def _shifted_products(idx: CountingIndex, qw: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """``h = P @ q - pp / 2``, the outer and inner thresholds ``s = (qq - T) / 2``, and ``B / 2``.
+def _within(idx: CountingIndex, qw: np.ndarray, norm: float, radii: tuple[float, ...]) -> list[np.ndarray]:
+    """For each of ``radii``, whether each path point lies within it: exactly ``sq_dists_to(path_points, q) <= R*R``.
 
-    The float64 pass of ``core.band_half_width``, centred at 0: an ``h`` at
-    or above the upper edge ``s + B/2`` has ``d2 < T``, one below the lower
-    edge ``s - B/2`` has ``d2 > T``.  Where ``core.FLOAT64`` does not
-    certify the query (``2M + B`` past its largest value, as when a square
-    overflows, or d past its dimension limit) ``h`` is NaN: it fails both
-    compares, so every point is a band point.
+    ``norm`` is ``|q|`` by ``math.hypot``, and each ``R`` is a working
+    radius.  The float64 pass of ``core.band_half_width``, centred at 0,
+    gives ``h = P @ q - pp / 2`` and, for ``T = R*R``, the threshold
+    ``s = (qq - T) / 2``: an ``h`` at or above the upper edge ``s + B/2``
+    has ``d2 < T``, one below the lower edge ``s - B/2`` has ``d2 > T``.
+    The upper edge decides each point; only the band between the edges is
+    measured again with ``sq_dists_to``.  ``h`` and ``B``, which covers
+    both working radii, are found once for all of ``radii``.  Where
+    ``core.FLOAT64`` does not certify the query (``2M + B`` past its
+    largest value, as when a square overflows, or d past its dimension
+    limit), one ``sq_dists_to`` pass over every point gives every mask.
     """
-    outer, r = idx.working.outer_radius, idx.working.radius
+    working = idx.working
+    outer, r = working.outer_radius, working.radius
     # Python floats: a square that overflows is inf, with no warning
-    norm = math.hypot(*qw.tolist())
     qq = norm * norm
     m = idx.max_norm + norm
     m *= m
-    t1, t2 = qq - outer * outer, qq - r * r
     d = idx.path_points.shape[1]
-    half = band_half_width(d, m, t1, t2, FLOAT64)
-    # a NaN fails the first compare too
-    if 2.0 * m + 2.0 * half <= FLOAT64.max and d <= FLOAT64.max_dim:
-        h = idx.path_points.dot(qw)
-        h -= idx.half_sq_norms
-    else:
-        h = np.full(len(idx.half_sq_norms), math.nan)
-    return h, 0.5 * t1, 0.5 * t2, half
-
-
-def _within(idx: CountingIndex, qw: np.ndarray, h: np.ndarray, s: float, half: float, R: float) -> np.ndarray:
-    """Whether each path point lies within ``R``, exactly ``sq_dists_to(path_points, q) <= R*R``.
-
-    ``h``, ``s`` and ``half`` are ``_shifted_products``' at the threshold
-    ``R*R``.  The upper edge decides each point; only the band between the
-    edges, points neither above the upper edge nor below the lower one, is
-    measured again with ``sq_dists_to``.
-    """
-    mask, beyond = h >= s + half, h < s - half
-    if np.count_nonzero(mask) + np.count_nonzero(beyond) < len(h):
-        band = np.flatnonzero(~(mask | beyond))
-        mask[band] = sq_dists_to(idx.path_points[band], qw) <= R * R
-    return mask
+    half = band_half_width(d, m, qq - outer * outer, qq - r * r, FLOAT64)
+    # a NaN fails the compare too, so it takes the exact pass
+    if not (2.0 * m + 2.0 * half <= FLOAT64.max and d <= FLOAT64.max_dim):
+        d2 = sq_dists_to(idx.path_points, qw)
+        return [d2 <= R * R for R in radii]
+    h = idx.path_points.dot(qw)
+    h -= idx.half_sq_norms
+    masks = []
+    for R in radii:
+        s = 0.5 * (qq - R * R)
+        # mask lies within low, and the band is what low adds to it
+        mask, low = h >= s + half, h >= s - half
+        if np.count_nonzero(low) != np.count_nonzero(mask):
+            band = np.flatnonzero(low ^ mask)
+            mask[band] = sq_dists_to(idx.path_points[band], qw) <= R * R
+        masks.append(mask)
+    return masks
 
 
 def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswer:
@@ -304,13 +310,12 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     the path-order ranges whose union is S, and those ranges must cover
     exactly the positions whose weights were summed.
     """
-    qw = idx.transform_query(q)
-    h, s, _, half = _shifted_products(idx, qw)
-    mask = _within(idx, qw, h, s, half, idx.working.outer_radius)
-    weight = float(idx.path_weights[mask].sum()) + 0.0
+    qw, coords, norm = _checked_query(idx, q)
+    (mask,) = _within(idx, qw, norm, (idx.working.outer_radius,))
+    # ``ndarray.sum``'s reduction, bit for bit, without its Python wrapper
+    weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
     if not verify:
-        # a copy: the caller may reuse the array it passed
-        return CountAnswer._unwalked(weight, idx, qw.copy())
+        return CountAnswer._unwalked(weight, idx, coords)
 
     tree = idx.tree
     visited, verdicts, included = ptree.walk(tree, prefix_counts(idx, qw))

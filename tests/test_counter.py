@@ -434,10 +434,11 @@ def einsum_prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     return c
 
 
-def outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
-    """The mask ``count`` sums over: ``_within`` at the working outer radius."""
-    h, s, _, half = counter._shifted_products(idx, qw)
-    return counter._within(idx, qw, h, s, half, idx.working.outer_radius)
+def outer_mask(idx: CountingIndex, q: np.ndarray) -> np.ndarray:
+    """The mask ``count`` sums over: the shared ``_within`` at the working outer radius."""
+    qw, _, norm = counter._checked_query(idx, q)
+    (mask,) = counter._within(idx, qw, norm, (idx.working.outer_radius,))
+    return mask
 
 
 def einsum_outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
@@ -582,21 +583,22 @@ class TestCodePassBranches:
             counted.rows.clear()
             np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
             np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
-            assert counted.rows == [50, 50, 50]
+            assert counted.rows == [50, 50]
 
     def test_squares_that_overflow_take_the_exact_pass(self, counted):
         # the squared norms are infinite, so h would be NaN; the offsets
-        # from the query, and so the einsum's d2, are finite
+        # from the query, and so the einsum's d2, are finite.  One pass
+        # over every point gives both of prefix_counts' masks
         q = np.full(3, 1e160)
         offsets = np.array([[0.5e150, 0.0, 0.0], [1.1e150, 0.0, 0.0], [2e150, 0.0, 0.0]])
         idx = index_over(q + offsets, radius=1e150)
         assert math.isinf(idx.max_norm)
         c = prefix_counts(idx, q)
-        assert counted.rows == [3, 3]
+        assert counted.rows == [3]
         np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
         assert np.diff(c).tolist() == [2, 1, 0]
         mask = outer_mask(idx, q)
-        assert counted.rows == [3, 3, 3]
+        assert counted.rows == [3, 3]
         np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
         assert mask.tolist() == [True, True, False]
 
@@ -701,6 +703,22 @@ class TestLazyTelemetry:
         ans = count(idx, q)
         q[:] = 40.0
         assert ans == self.eager(idx, queries[0])
+
+    def test_a_query_list_changed_after_count_leaves_the_telemetry(self, built):
+        _, idx, queries = built
+        q = queries[1].tolist()
+        ans = count(idx, q)
+        q[:] = [40.0, 40.0, 40.0]
+        assert ans == self.eager(idx, queries[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_a_query_of_another_dtype_answers_like_its_float64_copy(self, built, dtype):
+        _, idx, queries = built
+        for q in queries:
+            narrow = q.astype(dtype)
+            a, b = count(idx, narrow), count(idx, narrow.astype(np.float64))
+            assert a.weight.hex() == b.weight.hex()
+            assert (a.visited_nodes, a.verdict_counts) == (b.visited_nodes, b.verdict_counts)
 
     def test_loaded_model_answers_like_the_built_index(self, tmp_path, built):
         pts, idx, queries = built
@@ -813,6 +831,51 @@ class TestQueryTransforms:
         pts, idx = small_learned_index(n=20, d=3, seed=139)
         with pytest.raises(ContractViolation, match="non-finite"):
             count(idx, [bad, 0.0, 0.0])
+
+    @given(
+        q=st.one_of(
+            st.floats(),
+            st.lists(st.floats(), max_size=5),
+            st.lists(st.lists(st.floats(), min_size=3, max_size=3), max_size=3),
+            st.lists(st.integers(-(2**31), 2**31), max_size=5).map(np.array),
+            st.lists(st.floats(width=32), max_size=5).map(lambda v: np.array(v, dtype=np.float32)),
+            st.lists(st.sampled_from([0.0, -1.5, 1e308, math.inf, -math.inf, math.nan]), max_size=5),
+        )
+    )
+    @example(q=[math.nan, math.inf, 0.0])
+    @example(q=[math.inf, math.nan, 0.0, 1.0])
+    @example(q=np.zeros((1, 3)))
+    @example(q=np.zeros(0))
+    @settings(max_examples=200, deadline=None)
+    def test_count_refuses_what_transform_query_refuses(self, q):
+        # one check serves both: a query is refused unless it is a 1-d
+        # vector of the data's dimension with every coordinate finite, and
+        # count refuses it with transform_query's message
+        idx = index_over(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 2.0, 2.0]]))
+        arr = np.asarray(q, dtype=np.float64)
+        valid = arr.ndim == 1 and arr.size == 3 and bool(np.isfinite(arr).all())
+        try:
+            qw = idx.transform_query(q)
+        except ContractViolation as refused:
+            assert not valid
+            with pytest.raises(ContractViolation) as info:
+                count(idx, q)
+            assert str(info.value) == str(refused)
+        else:
+            assert valid
+            assert count(idx, q).weight.hex() == count(idx, qw).weight.hex() == flat_weight(idx, qw).hex()
+
+    def test_finite_coordinates_whose_norm_overflows_take_the_exact_pass(self, monkeypatch):
+        # hypot of the query is inf, yet every coordinate is finite: count
+        # accepts it and measures every point with sq_dists_to
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [1.5e308, 1.5e308]])
+        idx = index_over(points, weights=np.array([1.0, 2.0, 4.0]))
+        q = [1.5e308, 1.5e308]
+        counted = CountedDistances()
+        monkeypatch.setattr(counter, "sq_dists_to", counted)
+        ans = count(idx, q)
+        assert counted.rows == [len(points)]
+        assert ans.weight.hex() == flat_weight(idx, np.array(q)).hex() == (4.0).hex()
 
     def test_training_sample_dimension_checked(self):
         rng = Seed(140).generator()
