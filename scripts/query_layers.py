@@ -6,8 +6,10 @@ configuration (``bench/harness.py``'s ``make_inputs`` and
 ``build_config``), with one BLAS thread as the benchmark runs, and times
 in-process passes over the 200 timed pool queries:
 
-* ``transform_query_us``: ``CountingIndex.transform_query``;
-* ``prefix_counts_us``: the code pass, ``counter.prefix_counts``;
+* ``check_us``: the check of a query that every entry makes,
+  ``core.point_and_norm(q, d)``;
+* ``prefix_counts_us``: the code pass, ``counter.prefix_counts``, on the
+  raw pool queries, which it checks;
 * ``walk_us``: the tree walk on those counts, ``ptree.walk``: the
   verdicts of every node and the gather through the parents;
 * ``count_us``: ``count``, the answer without its telemetry: one
@@ -55,6 +57,7 @@ from harness import RADIUS, TIMED_QUERIES, WORKLOADS, build_config, make_inputs 
 
 import arccount  # noqa: E402
 from arccount import counter  # noqa: E402
+from arccount.core import point_and_norm  # noqa: E402
 from arccount.counter import prefix_counts  # noqa: E402
 from arccount.ptree import walk  # noqa: E402
 
@@ -70,13 +73,13 @@ def best_us(fn, args: list, passes: int) -> float:
     return best / len(args) * 1e6
 
 
-def band_queries(idx: arccount.CountingIndex, transformed: list) -> int:
+def band_queries(idx: arccount.CountingIndex, queries: list) -> int:
     """How many of the queries send some point of ``prefix_counts`` to ``sq_dists_to``."""
     with mock.patch.object(counter, "sq_dists_to", wraps=counter.sq_dists_to) as exact:
         banded = 0
-        for qw in transformed:
+        for q in queries:
             calls = exact.call_count
-            prefix_counts(idx, qw)
+            prefix_counts(idx, q)
             banded += exact.call_count > calls
     return banded
 
@@ -85,8 +88,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
     inputs = make_inputs(WORKLOADS[workload], seed)
     idx = arccount.build_counting_index(inputs.points, build_config(inputs, seed))
     queries = list(inputs.pool[:TIMED_QUERIES])
-    transformed = [idx.transform_query(q) for q in queries]
-    counts = [prefix_counts(idx, qw) for qw in transformed]
+    counts = [prefix_counts(idx, q) for q in queries]
     p, w, r2 = inputs.points.points, inputs.points.weights, RADIUS * RADIUS
     pp = np.einsum("ij,ij->i", p, p)
 
@@ -106,9 +108,9 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "n": len(inputs.points),
         "d": inputs.points.dim,
         "queries": len(queries),
-        "band_queries": band_queries(idx, transformed),
-        "transform_query_us": best_us(idx.transform_query, queries, passes),
-        "prefix_counts_us": best_us(lambda qw: prefix_counts(idx, qw), transformed, passes),
+        "band_queries": band_queries(idx, queries),
+        "check_us": best_us(lambda q: point_and_norm(q, inputs.points.dim), queries, passes),
+        "prefix_counts_us": best_us(lambda q: prefix_counts(idx, q), queries, passes),
         "walk_us": best_us(lambda c: walk(idx.tree, c), counts, passes),
         "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
         "telemetry_us": best_us(lambda q: arccount.count(idx, q).visited_nodes, queries, passes),

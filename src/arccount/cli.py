@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .core import ContractViolation, EpsParams, Seed, WeightedPointSet
+from .core import ContractViolation, EpsParams, Seed, WeightedPointSet, as_point
 from .counter import BuildConfig, LearnedSource, WorstCaseSource, build_counting_index, count, evaluate_visiting
 from .io import (
     FileFormatError,
@@ -42,8 +42,11 @@ _MAX_CELLS = 2**26
 
 
 def _parse_point(text: str) -> np.ndarray:
+    fields = text.split(",")
+    if len(fields) > 1 and not all(f.strip() for f in fields):
+        raise ContractViolation(f"query point {text!r} has an empty field")
     try:
-        vals = [float(tok) for tok in text.replace(",", " ").split()]
+        vals = [float(tok) for f in fields for tok in f.split()]
     except ValueError as exc:
         raise ContractViolation(f"query point {text!r} is not a list of numbers") from exc
     if not vals:
@@ -248,9 +251,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     pts = read_points(args.data)
-    q = _parse_point(args.q)
-    if q.size != pts.dim:
-        raise ContractViolation(f"query dimension {q.size} does not match data dimension {pts.dim}")
+    q = as_point(_parse_point(args.q), pts.dim)
     params = EpsParams(args.eps, args.radius)
     doc = {
         "weight_inner": exact_range_weight(pts, q, params.radius),

@@ -93,23 +93,28 @@ class Seed:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def as_point(p: "np.ndarray | list[float] | tuple[float, ...]") -> np.ndarray:
-    """Coerce to a finite 1-d float64 vector."""
-    return point_and_norm(p)[0]
+def as_point(p: "np.ndarray | list[float] | tuple[float, ...]", dim: int | None = None) -> np.ndarray:
+    """Coerce to a finite 1-d float64 vector, of ``dim`` coordinates when ``dim`` is given."""
+    return point_and_norm(p, dim)[0]
 
 
-def point_and_norm(p: "np.ndarray | list[float] | tuple[float, ...]") -> tuple[np.ndarray, list[float], float]:
-    """``as_point(p)``, its coordinates as a new list of Python floats, and its norm by ``math.hypot``.
+def point_and_norm(
+    p: "np.ndarray | list[float] | tuple[float, ...]", dim: int | None = None
+) -> tuple[np.ndarray, list[float], float]:
+    """``as_point(p, dim)``, its coordinates as a new list of Python floats, and its norm by ``math.hypot``.
 
-    The one check of a point.  A finite norm proves every coordinate
-    finite: ``math.hypot`` returns inf for any infinite coordinate, even
-    beside a NaN, and NaN for a NaN.  So only an infinite or NaN norm
-    looks at each coordinate, and finite coordinates whose norm overflows
-    are accepted, with the norm inf.
+    The one check of a point, and of every query, with ``dim`` the data's
+    dimension: its shape, then its size, then its finiteness.  A finite
+    norm proves every coordinate finite: ``math.hypot`` returns inf for
+    any infinite coordinate, even beside a NaN, and NaN for a NaN.  So
+    only an infinite or NaN norm looks at each coordinate, and finite
+    coordinates whose norm overflows are accepted, with the norm inf.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ContractViolation(f"point must be a nonempty 1-d vector, got shape {arr.shape}")
+    if dim is not None and arr.size != dim:
+        raise ContractViolation(f"query dimension {arr.size} does not match data dimension {dim}")
     coords = arr.tolist()
     norm = math.hypot(*coords)
     if not math.isfinite(norm) and not all(map(math.isfinite, coords)):
@@ -175,9 +180,10 @@ def eps_stabs(q: np.ndarray, x: np.ndarray, y: np.ndarray, params: EpsParams) ->
     other is at distance at least ``(1+eps) * radius``.  Symmetric in
     ``x`` and ``y``.  Uses squared distances; no square roots are taken.
     """
-    q, x, y = as_point(q), as_point(x), as_point(y)
-    if not q.shape == x.shape == y.shape:
-        raise ContractViolation(f"dimension mismatch: {q.size}, {x.size} and {y.size}")
+    x, y = as_point(x), as_point(y)
+    if x.shape != y.shape:
+        raise ContractViolation(f"pair dimension mismatch: {x.size} and {y.size}")
+    q = as_point(q, x.size)
     near, far = stab_masks(sq_dists_to(np.stack([x, y]), q), params)
     return bool((near[0] and far[1]) or (near[1] and far[0]))
 

@@ -9,19 +9,21 @@ path order (``points()``).  All internal structures run at the halved
 error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
 
 A query's answer set is exactly the points within the working outer
-radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).  So
-``count`` checks the query once, with ``core.point_and_norm``, which
-yields its norm by ``math.hypot`` beside the shape and finiteness checks,
-and finds the weight by one distance pass over the points in path order,
-at that one threshold.  One certified routine, ``_within``, gives the
-mask of every radius asked of it: one BLAS matrix-vector product (GEMV)
-against half the squared norms, stored at build time, gives
-``(|q|**2 - d2) / 2`` up to the rounding bound of ``core.band_half_width``,
-with ``d2`` from ``core.sq_dists_to``.  Only the points within that bound
-of a threshold are measured again with ``sq_dists_to``, so each mask is
-exactly ``d2 <= R**2``; a query the pass does not certify is measured
-once with ``sq_dists_to``, and that one pass gives every mask.  The
-weight is the sum of the masked point weights in path order.
+radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).
+Each entry that takes a query, ``count`` and ``prefix_counts``, checks
+it itself with ``core.point_and_norm`` at the data's dimension, which
+yields its norm by ``math.hypot`` beside the shape, size and finiteness
+checks.  ``count`` finds the weight by one distance pass over the points
+in path order, at that one threshold.  One certified routine,
+``_within``, gives the mask of every radius asked of it: one BLAS
+matrix-vector product (GEMV) against half the squared norms, stored at
+build time, gives ``(|q|**2 - d2) / 2`` up to the rounding bound of
+``core.band_half_width``, with ``d2`` from ``core.sq_dists_to``.  Only
+the points within that bound of a threshold are measured again with
+``sq_dists_to``, so each mask is exactly ``d2 <= R**2``; a query the
+pass does not certify is measured once with ``sq_dists_to``, and that
+one pass gives every mask.  The weight is the sum of the masked point
+weights in path order.
 
 The tree walk, ``ptree.walk``, reports how the paper's index reaches that
 set: the nodes it visits, their verdicts and the path ranges it includes.
@@ -130,8 +132,7 @@ class CountAnswer:
     (``==``, ``repr`` and ``dataclasses.replace`` read them too), and the
     answer then drops its references to the index and the query.  It
     holds the query as the list of its coordinates that the check made,
-    which no caller can reach, and rebuilds the same float64 vector for
-    the walk.
+    which no caller can reach, and hands it to ``prefix_counts``.
     """
 
     weight: float
@@ -152,7 +153,7 @@ class CountAnswer:
         pending = self.__dict__.get("_walk")
         if pending is not None and name in ("visited_nodes", "verdict_counts"):
             idx, coords = pending
-            self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, prefix_counts(idx, np.array(coords)))
+            self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, prefix_counts(idx, coords))
             self.__dict__.pop("_walk", None)
             return self.__dict__[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -173,19 +174,6 @@ class CountingIndex:
         """The points and weights in data order, bit for bit as built; a new set on each call."""
         inverse = np.argsort(self.tree.order)
         return WeightedPointSet(self.path_points[inverse], self.path_weights[inverse])
-
-    def transform_query(self, q: np.ndarray) -> np.ndarray:
-        """The query as a finite float64 vector of the data's dimension."""
-        return _checked_query(self, q)[0]
-
-
-def _checked_query(idx: CountingIndex, q: np.ndarray) -> tuple[np.ndarray, list[float], float]:
-    """``core.point_and_norm(q)``, for a query of the data's dimension: the check of ``transform_query``."""
-    qw, coords, norm = point_and_norm(q)
-    d = idx.path_points.shape[1]
-    if len(coords) != d:
-        raise ContractViolation(f"query dimension {len(coords)} does not match data dimension {d}")
-    return qw, coords, norm
 
 
 def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingIndex:
@@ -220,7 +208,8 @@ def _leaf_order(
     if isinstance(source, StoredOrder):
         return source.path, None
     if isinstance(source, LearnedSource) and source.sample.queries.shape[1] != pts.dim:
-        raise ContractViolation("training sample dimension does not match the data")
+        k = source.sample.queries.shape[1]
+        raise ContractViolation(f"training sample dimension {k} does not match data dimension {pts.dim}")
     if len(pts) == 1:
         return SpanningPath(np.zeros(1, dtype=np.int64)), None
     if isinstance(source, WorstCaseSource):
@@ -235,8 +224,8 @@ def _leaf_order(
     return tree_to_path(spanning, pts), spanning
 
 
-def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
-    """Running count of the path points' codes, for a query checked by ``transform_query``.
+def prefix_counts(idx: CountingIndex, q: np.ndarray) -> np.ndarray:
+    """Running count of the path points' codes for the query ``q``, which it checks as ``count`` does.
 
     A point's code is ``(d2 <= outer**2) + (d2 <= r**2)`` at the working
     radii, with ``d2`` from ``sq_dists_to(path_points, q)``: 2 within
@@ -244,8 +233,9 @@ def prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     ``k`` sums the codes of the first ``k`` path points.  Both masks come
     from one ``_within`` call.
     """
+    qw, _, norm = point_and_norm(q, idx.path_points.shape[1])
     working = idx.working
-    outer, inner = _within(idx, qw, math.hypot(*qw.tolist()), (working.outer_radius, working.radius))
+    outer, inner = _within(idx, qw, norm, (working.outer_radius, working.radius))
     c = np.zeros(len(outer) + 1, dtype=np.intp)
     np.add.accumulate(np.add(outer, inner, dtype=np.intp), out=c[1:])
     return c
@@ -310,7 +300,7 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     the path-order ranges whose union is S, and those ranges must cover
     exactly the positions whose weights were summed.
     """
-    qw, coords, norm = _checked_query(idx, q)
+    qw, coords, norm = point_and_norm(q, idx.path_points.shape[1])
     (mask,) = _within(idx, qw, norm, (idx.working.outer_radius,))
     # ``ndarray.sum``'s reduction, bit for bit, without its Python wrapper
     weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0

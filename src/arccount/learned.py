@@ -151,7 +151,9 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     a time in int64, so X is the only n x n int32 matrix ever held.
     """
     if pts.dim != sample.queries.shape[1]:
-        raise ContractViolation("sample dimension does not match points")
+        raise ContractViolation(
+            f"training sample dimension {sample.queries.shape[1]} does not match data dimension {pts.dim}"
+        )
     if len(sample) >= _COUNT_LIMIT:
         raise ContractViolation(f"stab counts hold samples below {_COUNT_LIMIT} queries, got {len(sample)}")
     n = len(pts)

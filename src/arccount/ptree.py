@@ -186,9 +186,7 @@ def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, para
     while lying entirely inside the outer ball or entirely outside the
     inner one.  That is ``walk`` on the codes of the module docstring.
     """
-    q = as_point(q)
-    if q.shape[0] != pts.dim:
-        raise ContractViolation("query dimension does not match points")
+    q = as_point(q, pts.dim)
     if len(pts) != t.n:
         raise ContractViolation(f"the tree holds {t.n} points, the point set {len(pts)}")
     d2 = sq_dists_to(pts.points[t.order], q)

@@ -107,11 +107,7 @@ def _scan_phase(
 
 def stab_witnesses(idx: StabIndex, q: np.ndarray) -> WitnessSet:
     """Probe the index for a near and a far witness, re-verified exactly."""
-    q = as_point(q)
-    if q.shape[0] != idx.points.shape[1]:
-        raise ContractViolation(
-            f"query dimension {q.shape[0]} does not match index dimension {idx.points.shape[1]}"
-        )
+    q = as_point(q, idx.points.shape[1])
     q_code = embed(idx.embedding, q)
     dists_sq = sq_dists_to(idx.points, q)
     outer = idx.params.outer_radius

@@ -447,6 +447,14 @@ def saved_model(tmp_path_factory):
     return build_model(tmp, data), data
 
 
+def point_argv(command: str, saved: tuple, text: str) -> list[str]:
+    """``query`` or ``oracle`` of the query point ``text`` against a saved model and its data."""
+    model, data = saved
+    if command == "query":
+        return ["query", "--model", str(model), "--data", str(data), "--q", text]
+    return ["oracle", "--data", str(data), "--q", text, "--eps", "0.5"]
+
+
 GEN = "gen --kind clusters --n 8 --d 2 --seed 1 --out {tmp}/x.txt"
 BUILD = "build --data {data} --eps 0.5 --seed 1"
 BAD_OPTION_VALUES = {
@@ -696,31 +704,33 @@ class TestExitCodes:
         assert err.startswith("error: ") and "budget" in err and "Traceback" not in err
         assert not (tmp_path / "m.arc").exists()
 
-    @pytest.mark.parametrize("text", ["1,xyz,1", "1 abc 1", "1,nan,1", "inf,1,1"])
+    # an empty field once moved the query: "1,,2,3" was answered as (1, 2, 3)
+    @pytest.mark.parametrize(
+        "text", ["1,xyz,1", "1 abc 1", "1,nan,1", "inf,1,1", "1,,2,3", "1,2,3,", ",1,2,3", "1, ,2,3", ","]
+    )
     @pytest.mark.parametrize("command", ["query", "oracle"])
     def test_bad_query_text_is_exit_three(self, capsys, saved_model, command, text):
-        model, data = saved_model
-        if command == "query":
-            argv = ["query", "--model", str(model), "--data", str(data), "--q", text]
-        else:
-            argv = ["oracle", "--data", str(data), "--q", text, "--eps", "0.5"]
         capsys.readouterr()
-        rc = run_cli(argv)
+        rc = run_cli(point_argv(command, saved_model, text))
         captured = capsys.readouterr()
         assert rc == 3 and captured.out == ""
         assert captured.err.startswith("error: query point") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", ["1, 2, 3", "1 2 3", "  1,2,3  ", "1 , 2 ,3"])
+    @pytest.mark.parametrize("command", ["query", "oracle"])
+    def test_query_text_with_spaces_is_read(self, capsys, saved_model, command, text):
+        capsys.readouterr()
+        assert run_cli(point_argv(command, saved_model, text)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert run_cli(point_argv(command, saved_model, "1,2,3")) == 0
+        assert json.loads(capsys.readouterr().out) == doc
 
     @pytest.mark.parametrize("text", ["1,2", "1,2,3,4"])
     @pytest.mark.parametrize("command", ["query", "oracle"])
     def test_query_of_another_dimension_is_exit_three(self, capsys, saved_model, command, text):
         # the data is 3-d; oracle once ended in a ValueError traceback, exit 1
-        model, data = saved_model
-        if command == "query":
-            argv = ["query", "--model", str(model), "--data", str(data), "--q", text]
-        else:
-            argv = ["oracle", "--data", str(data), "--q", text, "--eps", "0.5"]
         capsys.readouterr()
-        rc = run_cli(argv)
+        rc = run_cli(point_argv(command, saved_model, text))
         captured = capsys.readouterr()
         assert rc == 3 and captured.out == ""
         assert captured.err.startswith("error: query dimension") and "Traceback" not in captured.err

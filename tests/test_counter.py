@@ -15,7 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arccount import counter, ptree
-from arccount.core import FLOAT64, ContractViolation, EpsParams, Seed, WeightedPointSet, sq_dists_to
+from arccount.core import (
+    FLOAT64,
+    ContractViolation,
+    EpsParams,
+    Seed,
+    WeightedPointSet,
+    as_point,
+    eps_stabs,
+    point_and_norm,
+    sq_dists_to,
+)
 from arccount.counter import (
     BuildConfig,
     CountAnswer,
@@ -31,7 +41,7 @@ from arccount.io import load_model, save_model, write_points
 from arccount.learned import QuerySample, near_data_queries
 from arccount.oracle import exact_range_indices, exact_visiting_oracle
 from arccount.ptree import SpanningPath, split, visiting_number
-from arccount.stabber import Verdict, build_classifier, classify
+from arccount.stabber import Verdict, build_classifier, build_stab_index, classify, stab_witnesses
 
 
 def learned_config(eps: float = 0.5, seed: int = 0, **kw) -> BuildConfig:
@@ -185,7 +195,7 @@ class TestPrefixVerdicts:
         seen = set()
         for k in range(8):
             q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
-            qw = idx.transform_query(q)
+            qw = as_point(q, pts.dim)
             c = prefix_counts(idx, qw)
             v = c[idx.tree.hi] - c[idx.tree.lo]
             has_near, has_far = v != 0, v != idx.tree.twice_size
@@ -206,7 +216,7 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
     subtree weight, filled bottom-up as left plus right; the walk pops the
     left child first and adds weights from 0.0 as it includes nodes.
     """
-    qw = idx.transform_query(q)
+    qw = as_point(q, idx.path_points.shape[1])
     n = idx.tree.n
     d2 = sq_dists_to(idx.path_points, qw)
     outer, r = idx.working.outer_radius, idx.working.radius
@@ -254,7 +264,7 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
 def flat_weight(idx: CountingIndex, q: np.ndarray) -> float:
     """The path weights within the working outer radius, by ``sq_dists_to``, summed in path order from 0.0."""
     outer = idx.working.outer_radius
-    mask = sq_dists_to(idx.path_points, idx.transform_query(q)) <= outer * outer
+    mask = sq_dists_to(idx.path_points, as_point(q, idx.path_points.shape[1])) <= outer * outer
     return float(idx.path_weights[mask].sum()) + 0.0
 
 
@@ -436,7 +446,7 @@ def einsum_prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
 
 def outer_mask(idx: CountingIndex, q: np.ndarray) -> np.ndarray:
     """The mask ``count`` sums over: the shared ``_within`` at the working outer radius."""
-    qw, _, norm = counter._checked_query(idx, q)
+    qw, _, norm = point_and_norm(q, idx.path_points.shape[1])
     (mask,) = counter._within(idx, qw, norm, (idx.working.outer_radius,))
     return mask
 
@@ -818,7 +828,7 @@ class TestQueryTransforms:
     def test_query_and_points_are_used_as_given(self):
         pts, idx = small_learned_index(n=20, d=3, seed=132)
         q = np.array([0.31, 1.77, 2.04])
-        np.testing.assert_array_equal(idx.transform_query(q), q)
+        np.testing.assert_array_equal(as_point(q, 3), q)
         np.testing.assert_array_equal(idx.path_points, pts.points[idx.tree.order])
 
     def test_dimension_mismatch_rejected(self):
@@ -844,26 +854,55 @@ class TestQueryTransforms:
     )
     @example(q=[math.nan, math.inf, 0.0])
     @example(q=[math.inf, math.nan, 0.0, 1.0])
+    @example(q=[math.nan, 0.0])
+    @example(q=[1e308, -1e308, 1e308])
+    @example(q=np.float64(1.0))
     @example(q=np.zeros((1, 3)))
     @example(q=np.zeros(0))
     @settings(max_examples=200, deadline=None)
-    def test_count_refuses_what_transform_query_refuses(self, q):
-        # one check serves both: a query is refused unless it is a 1-d
-        # vector of the data's dimension with every coordinate finite, and
-        # count refuses it with transform_query's message
+    def test_every_query_entry_refuses_the_same_inputs_with_one_message(self, q):
+        # one check serves every entry that takes a query: it is refused
+        # unless it is a 1-d vector of the data's dimension with every
+        # coordinate finite, and every entry refuses it with the same message
         idx = index_over(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 2.0, 2.0]]))
+        pts = idx.points()
+        stab = build_stab_index(pts, idx.working, Seed(0))
+        entries = {
+            "count": lambda: count(idx, q),
+            "prefix_counts": lambda: prefix_counts(idx, q),
+            "visiting_number": lambda: visiting_number(idx.tree, q, pts, idx.working),
+            "stab_witnesses": lambda: stab_witnesses(stab, q),
+            "eps_stabs": lambda: eps_stabs(q, pts.points[0], pts.points[2], idx.working),
+            "as_point": lambda: as_point(q, 3),
+        }
         arr = np.asarray(q, dtype=np.float64)
         valid = arr.ndim == 1 and arr.size == 3 and bool(np.isfinite(arr).all())
-        try:
-            qw = idx.transform_query(q)
-        except ContractViolation as refused:
-            assert not valid
-            with pytest.raises(ContractViolation) as info:
-                count(idx, q)
-            assert str(info.value) == str(refused)
-        else:
-            assert valid
+        messages = set()
+        with np.errstate(all="ignore"):
+            for name, entry in entries.items():
+                try:
+                    entry()
+                except ContractViolation as refused:
+                    assert not valid, name
+                    messages.add(str(refused))
+                else:
+                    assert valid, name
+        assert len(messages) == (0 if valid else 1)
+        if valid:
+            qw = as_point(q, 3)
             assert count(idx, q).weight.hex() == count(idx, qw).weight.hex() == flat_weight(idx, qw).hex()
+            np.testing.assert_array_equal(prefix_counts(idx, list(q)), prefix_counts(idx, qw))
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [([math.nan, 0.0, 0.0], "non-finite"), ([0.0, 0.0], "query dimension 2 does not match data dimension 3")],
+    )
+    def test_prefix_counts_refuses_a_bad_query(self, q, message):
+        # a NaN query once got all-far codes, and a walk of one disjoint node
+        idx = index_over(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 2.0, 2.0]]))
+        for query in (q, np.array(q)):
+            with pytest.raises(ContractViolation, match=message):
+                prefix_counts(idx, query)
 
     def test_finite_coordinates_whose_norm_overflows_take_the_exact_pass(self, monkeypatch):
         # hypot of the query is inf, yet every coordinate is finite: count
