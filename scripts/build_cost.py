@@ -22,12 +22,17 @@ and ``spanning_tree_s``, the tree over them
 (``learned.learned_spanning_tree``).  A worst-case build prints
 ``universe_s``, the grid query universe (``spantree.generate_grid_queries``),
 and ``light_edges_s``, the multiplicative weights game over a fresh copy
-of it (``spantree.build_low_stab_tree``).
+of it (``spantree.build_low_stab_tree``).  Every build prints
+``tree_shape_ms``, the best of 3 first reads of the node arrays of a fresh
+partition tree over the index's leaf order: the level loop that lays them
+out, which the walk runs on its first need and a load or an answer never
+does.
 The index is then saved against a text data file of its points, as the
 benchmark saves it: ``model_bytes`` is the model file's size,
 ``load_ms`` the best of 15 ``load_model`` calls in the same process, each
 after a ``gc.collect()``, and ``loaded_index_mib`` the total ``nbytes`` of
-the distinct numpy arrays the loaded index holds, each counted once.
+the distinct numpy arrays the loaded index holds, each counted once,
+before any telemetry read: the tree's node arrays are not among them.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
@@ -74,7 +79,7 @@ from harness import WORKLOADS, build_config, make_inputs  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from arccount import counter, io, learned, spantree  # noqa: E402
+from arccount import counter, io, learned, ptree, spantree  # noqa: E402
 
 LOADS = 15
 LAYER_CALLS = 3
@@ -132,6 +137,7 @@ def build_once(workload: str, n: int, seed: int) -> dict:
         sample = cfg.tree_source.sample
         counts, row["stab_counts_s"] = best_of(lambda: learned.pair_stab_counts(inputs.points, sample, idx.working))
         _, row["spanning_tree_s"] = best_of(lambda: learned.learned_spanning_tree(counts, n))
+    row["tree_shape_ms"] = tree_shape_ms(idx.tree.order, inputs.points)
     row["model_bytes"], row["load_ms"], loaded = save_and_load(idx, inputs.points)
     row["loaded_index_mib"] = round(array_bytes(loaded) / 2**20, 3)
     return row
@@ -145,6 +151,21 @@ def best_of(call) -> tuple[object, float]:
         result = call()
         best = min(best, time.perf_counter() - t0)
     return result, round(best, 4)
+
+
+def tree_shape_ms(order: np.ndarray, points: arccount.WeightedPointSet) -> float:
+    """The best of ``LAYER_CALLS`` first reads of a fresh tree's node arrays over ``order``, in ms.
+
+    Each call makes the tree with ``path_to_partition_tree`` and reads
+    ``lo``, so a checkout whose trees lay the arrays out as they are made
+    times the same level loop.
+    """
+    path, best = ptree.SpanningPath(order), float("inf")
+    for _ in range(LAYER_CALLS):
+        t0 = time.perf_counter()
+        ptree.path_to_partition_tree(path, points).lo
+        best = min(best, time.perf_counter() - t0)
+    return round(best * 1e3, 4)
 
 
 def save_and_load(

@@ -50,7 +50,7 @@ def _parse_point(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ContractViolation(f"query point {text!r} is not a list of numbers") from exc
     if not vals:
-        raise ContractViolation("empty query point")
+        raise ContractViolation(f"query point {text!r} is empty")
     if not all(math.isfinite(v) for v in vals):
         raise ContractViolation(f"query point {text!r} has non-finite coordinates")
     return np.asarray(vals)

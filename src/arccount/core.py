@@ -192,9 +192,12 @@ def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances from every row of ``points`` to ``q``, or to the same row of a 2-d ``q``.
 
     Each distance is the einsum of one row's differences, so it does not
-    depend on the other rows.
+    depend on the other rows.  The differences are laid out C-ordered
+    whatever the layout of ``points`` or ``q``, since einsum sums a
+    Fortran-ordered or strided row in another order: each row's bits
+    depend on its values alone.
     """
-    diff = points - q
+    diff = np.subtract(points, q, order="C")
     return np.einsum("ij,ij->i", diff, diff)
 
 

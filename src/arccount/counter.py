@@ -1,9 +1,12 @@
 """End-to-end approximate range counting index.
 
 Build pipeline: find a leaf order and erect the balanced partition tree
-over it.  The paper's tree sources build a spanning tree (worst-case grid
-machinery, or learned from a query sample) and linearize it; a
-``StoredOrder``, such as a loaded model's, gives an order fitted earlier.
+over it.  The tree keeps the order alone; its node arrays are derived from
+``n`` on the walk's first run and kept, so an index whose answers'
+telemetry is never read never builds them.  The paper's tree sources
+build a spanning tree (worst-case grid machinery, or learned from a query
+sample) and linearize it; a ``StoredOrder``, such as a loaded model's,
+gives an order fitted earlier.
 The index works on the points and queries exactly as given, held once, in
 path order (``points()``).  All internal structures run at the halved
 error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.

@@ -20,9 +20,10 @@ order, a digest of the data file, and ``points_digest``, the sha256 of the
 rows' bytes.  The file is the header's end plus ``8n(d+1) + 4n`` bytes
 exactly: 78 KB at n = 1024, d = 8.  Loading makes one read, checks the
 data file's digest, the length and the rows' digest, reads the arrays with
-``np.frombuffer`` without parsing the data file, and rebuilds only the
-partition tree over the stored leaf order, a ``StoredOrder`` tree source,
-so the loaded index answers bit-identically to the saved one.
+``np.frombuffer`` without parsing the data file, and builds the index over
+the stored leaf order, a ``StoredOrder`` tree source, so the loaded index
+answers bit-identically to the saved one.  The partition tree keeps that
+order alone; its node arrays come on the walk's first run.
 ``save_model`` writes the index's ``points()`` and refuses a data file
 that does not hold them bit for bit.  There is one reader: the JSON models
 ``v1``-``v6`` are refused with their format named, to be rebuilt from the

@@ -5,11 +5,13 @@ in ascending index order); the first-visit order is the spanning path.  A
 complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
-path.  That shape depends on ``n`` alone.  The tree is stored as the path
-order plus five arrays over its ``2n - 1`` nodes in preorder: each node's
-range ``[lo, hi)``, its ``parent``, whether it is ``inner`` (not a leaf),
-and its ``twice_size`` (twice its range's length).  The points' weights
-stay with the index, in path order.
+path.  That shape depends on ``n`` alone.  The tree stores the path order;
+five arrays over its ``2n - 1`` nodes in preorder are derived from ``n`` on
+their first need and kept: each node's range ``[lo, hi)``, its ``parent``,
+whether it is ``inner`` (not a leaf), and its ``twice_size`` (twice its
+range's length).  Only the walk needs them, so the tree of an index that
+answers without reading the walk's telemetry never lays them out.  The
+points' weights stay with the index, in path order.
 
 One walk (``walk``) serves both the index's telemetry and the paper's
 visiting number.  It reads a running count of the path points' codes on
@@ -38,7 +40,7 @@ test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContractViolation, EpsParams, WeightedPointSet, as_point, sq_dists_to
@@ -68,7 +70,7 @@ def split(lo: int, hi: int) -> int:
 
 @dataclass
 class PartitionTree:
-    """Balanced binary tree over a spanning path, stored as preorder arrays.
+    """Balanced binary tree over a spanning path; its node arrays, in preorder, come on first need.
 
     The shape is a function of ``n`` alone.  Node 0 is the root and owns
     the path positions ``[0, n)``; node ``k`` owns ``[lo[k], hi[k])``; a
@@ -79,15 +81,28 @@ class PartitionTree:
     ``inner[k]`` is ``hi - lo > 1``, and ``twice_size[k]`` is
     ``2 * (hi - lo)``, the code sum of a slice whose points are all near
     only (see ``walk``); both are kept so that no query recomputes them.
-    Only ``order`` depends on the data.
+    Only ``order`` is given and depends on the data: the first call of
+    ``nodes``, which the walk and each of the five properties make, lays
+    out all five arrays, read-only, and keeps them.  Threads that call it
+    first at once may each lay them out; the layouts are equal, and the
+    last one is kept.
     """
 
     order: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    parent: np.ndarray
-    inner: np.ndarray
-    twice_size: np.ndarray
+    _nodes: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def nodes(self) -> tuple[np.ndarray, ...]:
+        """``(lo, hi, parent, inner, twice_size)``, laid out on the first call and kept."""
+        if self._nodes is None:
+            self._nodes = _node_arrays(self.n)
+        return self._nodes
+
+    # one array at a time, for readers other than the walk
+    lo = property(lambda t: t.nodes()[0])
+    hi = property(lambda t: t.nodes()[1])
+    parent = property(lambda t: t.nodes()[2])
+    inner = property(lambda t: t.nodes()[3])
+    twice_size = property(lambda t: t.nodes()[4])
 
     @property
     def n(self) -> int:
@@ -121,14 +136,19 @@ def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
 
 
 def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> PartitionTree:
-    """Build the balanced binary tree over ``path``.
+    """The balanced binary tree over ``path``; its node arrays are laid out on their first need."""
+    n = len(path)
+    if n != len(pts):
+        raise ContractViolation(f"path length {n} does not match point count {len(pts)}")
+    return PartitionTree(order=path.order)
+
+
+def _node_arrays(n: int) -> tuple[np.ndarray, ...]:
+    """The node arrays of the tree over ``n`` path positions, read-only, in ``PartitionTree.nodes`` order.
 
     The ranges and parents are laid out one level at a time from the root,
     each node's preorder position derived from its parent's.
     """
-    n = len(path)
-    if n != len(pts):
-        raise ContractViolation(f"path length {n} does not match point count {len(pts)}")
     lo = np.empty(2 * n - 1, dtype=np.int64)
     hi = np.empty(2 * n - 1, dtype=np.int64)
     parent = np.zeros(2 * n - 1, dtype=np.int64)
@@ -143,7 +163,11 @@ def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> Partiti
         parent[left] = parent[right] = k
         k, a, b = np.concatenate((left, right)), np.concatenate((a, mid)), np.concatenate((mid, b))
     size = hi - lo
-    return PartitionTree(order=path.order, lo=lo, hi=hi, parent=parent, inner=size > 1, twice_size=2 * size)
+    # a plain tuple: the walk unpacks it, and only an exact tuple unpacks fast
+    arrays = (lo, hi, parent, size > 1, 2 * size)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def walk(t: PartitionTree, c: np.ndarray) -> tuple[int, dict[str, int], np.ndarray]:
@@ -156,21 +180,25 @@ def walk(t: PartitionTree, c: np.ndarray) -> tuple[int, dict[str, int], np.ndarr
     both near and far points, and so does each of its ancestors: the walk
     visits the root and both children of every STABBED internal node, and
     no other node.  The included nodes' slices are disjoint and together
-    hold exactly the near points.
+    hold exactly the near points.  The first walk of a tree lays out its
+    node arrays (``PartitionTree.nodes``); later walks read them at the
+    cost of one check.
     """
-    v = c[t.hi] - c[t.lo]
+    # ``t.nodes()``, without the call once the arrays are laid out
+    lo, hi, parent, inner, twice_size = t._nodes or t.nodes()
+    v = c[hi] - c[lo]
     has_near = v != 0
     # the STABBED internal nodes, which the walk splits
-    split = has_near & (v != t.twice_size) & t.inner
+    split = has_near & (v != twice_size) & inner
     # a node is visited iff it is the root or its parent is split
-    visited = split[t.parent]
+    visited = split[parent]
     visited[0] = True
     # the walk stops at every other visited node, and includes the stops
     # that hold a near point: COVERED nodes and near leaves
     stops = visited ^ split
     included = stops & has_near
     n_stabbed = int(np.count_nonzero(split))
-    inner_stops = stops & t.inner
+    inner_stops = stops & inner
     n_stopped = int(np.count_nonzero(inner_stops))
     n_covered = int(np.count_nonzero(inner_stops & has_near))
     verdicts = {"stabbed": n_stabbed, "covered": n_covered, "disjoint": n_stopped - n_covered}

@@ -716,6 +716,17 @@ class TestExitCodes:
         assert rc == 3 and captured.out == ""
         assert captured.err.startswith("error: query point") and "Traceback" not in captured.err
 
+    # an empty query once had the one refusal that neither named the query
+    # point nor quoted the text: "error: empty query point"
+    @pytest.mark.parametrize("text", ["", "   "])
+    @pytest.mark.parametrize("command", ["query", "oracle"])
+    def test_empty_query_text_is_exit_three(self, capsys, saved_model, command, text):
+        capsys.readouterr()
+        rc = run_cli(point_argv(command, saved_model, text))
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err.startswith(f"error: query point {text!r} is empty") and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("text", ["1, 2, 3", "1 2 3", "  1,2,3  ", "1 , 2 ,3"])
     @pytest.mark.parametrize("command", ["query", "oracle"])
     def test_query_text_with_spaces_is_read(self, capsys, saved_model, command, text):

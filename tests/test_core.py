@@ -16,6 +16,7 @@ from arccount.core import (
     Seed,
     WeightedPointSet,
     eps_stabs,
+    sq_dists_to,
 )
 
 HALF = EpsParams(0.5)
@@ -75,6 +76,44 @@ class TestEpsStabs:
         params = EpsParams(eps)
         if eps_stabs(q, x, y, params):
             assert np.linalg.norm(x - y) >= eps * params.radius - 1e-9
+
+
+def layouts(points: np.ndarray) -> dict[str, np.ndarray]:
+    """``points`` C-ordered, Fortran-ordered, and as strided views into larger arrays of either order."""
+    n, d = points.shape
+    wide = np.zeros((2 * n, 3 * d))
+    wide[::2, 1::3] = points
+    tall = np.asfortranarray(np.zeros((3 * n, 2 * d)))
+    tall[::3, ::2] = points
+    return {
+        "C": np.ascontiguousarray(points),
+        "F": np.asfortranarray(points),
+        "strided": wide[::2, 1::3],
+        "strided F": tall[::3, ::2],
+        "reversed": points[::-1].copy()[::-1],
+    }
+
+
+class TestSqDistsTo:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), d=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
+    def test_each_rows_bits_do_not_depend_on_the_layout(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(0.0, 3.0, size=(n, d))
+        q = rng.normal(0.0, 3.0, size=d)
+        alone = np.array([sq_dists_to(points[i : i + 1], q)[0] for i in range(n)])
+        for name, view in layouts(points).items():
+            np.testing.assert_array_equal(view, points)
+            assert sq_dists_to(view, q).tobytes() == alone.tobytes(), name
+            # a 2-d q of the same layout measures each row against its own query row
+            rows = np.broadcast_to(q, (n, d))
+            assert sq_dists_to(view, layouts(rows)[name]).tobytes() == alone.tobytes(), name
+
+    def test_a_fortran_copy_of_near_data_points_gives_the_same_bits(self):
+        rng = np.random.default_rng(8)
+        points = rng.normal(0.0, 1.0, size=(1024, 8)) + rng.integers(0, 4, size=(1024, 1))
+        q = points[0] + 0.1
+        assert sq_dists_to(np.asfortranarray(points), q).tobytes() == sq_dists_to(points, q).tobytes()
 
 
 class TestSeed:

@@ -759,6 +759,74 @@ class TestLazyTelemetry:
         assert inside[1] and ans.weight == pytest.approx(float(weights[inside].sum()), abs=1e-12)
 
 
+NODE_ARRAYS = ("lo", "hi", "parent", "inner", "twice_size")
+
+
+def node_arrays_held(idx: CountingIndex) -> set[str]:
+    """The names of the node arrays that the index's tree holds: none, or all five."""
+    held = vars(idx.tree).get("_nodes")
+    return {name for name, arr in zip(NODE_ARRAYS, held or ()) if isinstance(arr, np.ndarray)}
+
+
+class TestNodeArraysOnTheWalksFirstNeed:
+    """An index that only answers never lays out its tree's node arrays; the walk does, once."""
+
+    @pytest.fixture
+    def built(self) -> tuple[WeightedPointSet, CountingIndex, np.ndarray]:
+        pts, idx = small_learned_index(n=50, d=3, seed=220)
+        return pts, idx, pts.points[0] + 0.3
+
+    @pytest.fixture
+    def laid_out(self, monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real = ptree._node_arrays
+        monkeypatch.setattr(ptree, "_node_arrays", lambda n: calls.append(n) or real(n))
+        return calls
+
+    @staticmethod
+    def loaded(tmp_path: Path, pts: WeightedPointSet, idx: CountingIndex) -> CountingIndex:
+        data, model = tmp_path / "points.txt", tmp_path / "model.arc"
+        write_points(data, pts)
+        save_model(model, idx, data)
+        return load_model(model, data)
+
+    def test_a_build_and_a_load_hold_no_node_array(self, tmp_path, built, laid_out):
+        pts, idx, _ = built
+        loaded = self.loaded(tmp_path, pts, idx)
+        assert node_arrays_held(idx) == node_arrays_held(loaded) == set()
+        assert laid_out == []
+
+    def test_count_without_verify_leaves_them_unbuilt(self, tmp_path, built, laid_out):
+        pts, idx, q = built
+        for index in (idx, self.loaded(tmp_path, pts, idx)):
+            ans = count(index, q)
+            assert ans.weight > 0 and node_arrays_held(index) == set()
+        assert laid_out == []
+
+    def test_the_telemetry_builds_them_once(self, tmp_path, built, laid_out):
+        pts, idx, q = built
+        loaded = self.loaded(tmp_path, pts, idx)
+        for index in (idx, loaded):
+            first = count(index, q)
+            assert first.visited_nodes > 1 and node_arrays_held(index) == set(NODE_ARRAYS)
+            held = {name: getattr(index.tree, name) for name in NODE_ARRAYS}
+            assert count(index, q).verdict_counts == first.verdict_counts
+            assert count(index, pts.points[1]).visited_nodes >= 1
+            assert all(getattr(index.tree, name) is arr for name, arr in held.items())
+            assert all(not arr.flags.writeable for arr in held.values())
+        assert laid_out == [len(pts), len(pts)]
+
+    def test_verify_builds_them(self, built, laid_out):
+        _, idx, q = built
+        count(idx, q, verify=True)
+        assert node_arrays_held(idx) == set(NODE_ARRAYS) and laid_out == [len(idx.path_points)]
+
+    def test_the_visiting_number_builds_them(self, built, laid_out):
+        pts, idx, q = built
+        visiting_number(idx.tree, q, pts, idx.working)
+        assert node_arrays_held(idx) == set(NODE_ARRAYS) and laid_out == [len(pts)]
+
+
 class TestPointsHeldOnce:
     @pytest.mark.parametrize("n", [1, 2, 257])
     @pytest.mark.parametrize("source", ["worstcase", "learned", "stored"])

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from arccount import ptree
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
 from arccount.oracle import exact_visiting_oracle
 from arccount.ptree import (
@@ -20,6 +21,7 @@ from arccount.ptree import (
 from arccount.spantree import Edge, SpanningTree
 
 PARAMS = EpsParams(eps=0.5)
+NODE_ARRAYS = ("lo", "hi", "parent", "inner", "twice_size")
 
 
 def weighted(points: np.ndarray) -> WeightedPointSet:
@@ -140,6 +142,76 @@ class TestPartitionTreeShape:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
             path_to_partition_tree(SpanningPath(np.arange(3)), weighted(np.zeros((4, 1))))
+
+
+def eager_node_arrays(n: int) -> dict[str, np.ndarray]:
+    """The node arrays as the tree once laid them out at every construction, one level at a time."""
+    lo = np.empty(2 * n - 1, dtype=np.int64)
+    hi = np.empty(2 * n - 1, dtype=np.int64)
+    parent = np.zeros(2 * n - 1, dtype=np.int64)
+    k, a, b = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64)
+    while k.size:
+        lo[k], hi[k] = a, b
+        inner = b - a > 1
+        k, a, b = k[inner], a[inner], b[inner]
+        mid = split(a, b)
+        left, right = k + 1, k + 2 * (mid - a)
+        parent[left] = parent[right] = k
+        k, a, b = np.concatenate((left, right)), np.concatenate((a, mid)), np.concatenate((mid, b))
+    size = hi - lo
+    return {"lo": lo, "hi": hi, "parent": parent, "inner": size > 1, "twice_size": 2 * size}
+
+
+def node_arrays_held(t: PartitionTree) -> set[str]:
+    """The names of the node arrays that ``t`` holds: none, or all five."""
+    held = vars(t).get("_nodes")
+    return {name for name, arr in zip(NODE_ARRAYS, held or ()) if isinstance(arr, np.ndarray)}
+
+
+class TestNodeArraysOnFirstRead:
+    def test_a_new_tree_holds_its_order_alone(self):
+        t = path_to_partition_tree(SpanningPath(np.arange(9)), weighted(np.zeros((9, 1))))
+        assert set(vars(t)) == {"order"}
+
+    @pytest.mark.parametrize("name", NODE_ARRAYS)
+    def test_the_first_read_of_any_array_lays_out_all_of_them_once(self, name, monkeypatch):
+        t = path_to_partition_tree(SpanningPath(np.arange(9)), weighted(np.zeros((9, 1))))
+        calls = []
+        real = ptree._node_arrays
+        monkeypatch.setattr(ptree, "_node_arrays", lambda n: calls.append(n) or real(n))
+        first = getattr(t, name)
+        assert node_arrays_held(t) == set(NODE_ARRAYS)
+        held = dict(zip(NODE_ARRAYS, vars(t)["_nodes"]))
+        for k in NODE_ARRAYS:
+            assert getattr(t, k) is held[k]
+        assert getattr(t, name) is first and calls == [9]
+
+    def test_the_arrays_equal_the_eager_level_loop(self):
+        for n in [*range(1, 301), 4097]:
+            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            expected = eager_node_arrays(n)
+            for name in NODE_ARRAYS:
+                got = getattr(t, name)
+                assert got.dtype == expected[name].dtype
+                np.testing.assert_array_equal(got, expected[name])
+
+    def test_the_arrays_are_read_only(self):
+        t = path_to_partition_tree(SpanningPath(np.arange(6)), weighted(np.zeros((6, 1))))
+        for name in NODE_ARRAYS:
+            with pytest.raises(ValueError):
+                getattr(t, name)[0] = 1
+
+    def test_the_first_walk_lays_them_out_and_later_walks_reuse_them(self, monkeypatch):
+        pts = weighted(np.zeros((8, 2)))
+        t = path_to_partition_tree(SpanningPath(np.arange(8)), pts)
+        calls = []
+        real = ptree._node_arrays
+        monkeypatch.setattr(ptree, "_node_arrays", lambda n: calls.append(n) or real(n))
+        first = visiting_number(t, np.zeros(2), pts, PARAMS)
+        assert node_arrays_held(t) == set(NODE_ARRAYS)
+        held = vars(t)["_nodes"]
+        assert visiting_number(t, np.ones(2), pts, PARAMS) >= 1 and first >= 1
+        assert vars(t)["_nodes"] is held and calls == [8]
 
 
 class TestCanonicalPath:

@@ -54,7 +54,10 @@ def test_build_cost_prints_one_line_per_n(workload):
         # the learned build's layers, timed apart from it
         layers = {"stab_counts_s", "spanning_tree_s"} & set(row)
         assert len(layers) == (2 if workload == "near-d8" else 0)
-        assert all(row[k] > 0 for k in layers)
+        assert all(row[k] > 0 for k in layers | {"tree_shape_ms"})
+        # before a telemetry read the loaded index holds no node array: its
+        # points, weights, half norms and leaf order, 8 bytes a value
+        assert row["loaded_index_mib"] == pytest.approx(8 * row["n"] * (row["d"] + 3) / 2**20, abs=1e-3)
         # the model is its header, 8-byte aligned, then the n rows of d
         # coordinates and a weight as float64 and the leaf order as int32
         header = row["model_bytes"] - 8 * row["n"] * (row["d"] + 1) - 4 * row["n"]
