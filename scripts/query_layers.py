@@ -8,14 +8,16 @@ in-process passes over the 200 timed pool queries:
 
 * ``check_us``: the check of a query that every entry makes,
   ``core.point_and_norm(q, d)``;
-* ``prefix_counts_us``: the code pass, ``counter.prefix_counts``, on the
-  raw pool queries, which it checks;
-* ``walk_us``: the tree walk on those counts, ``ptree.walk``: the
-  verdicts of every node and the gather through the parents;
+* ``masks_us``: the certified pass at both working radii,
+  ``counter._within``, on the queries as the check gave them, with
+  their norms;
+* ``walk_us``: the tree walk on those two masks, ``ptree.walk``: the
+  codes' running count, the verdicts of every node and the gather
+  through the parents;
 * ``count_us``: ``count``, the answer without its telemetry: one
   certified pass at the outer radius and a masked sum;
 * ``telemetry_us``: ``count`` and a read of the answer's
-  ``visited_nodes``, which runs the code pass and the tree walk;
+  ``visited_nodes``, which runs the pass at both radii and the tree walk;
 * ``einsum_scan_us``: the benchmark's reference scan,
   ``w[einsum(p - q) <= r**2].sum()``;
 * ``gemv_scan_us``: the same scan with ``d2 = pp - 2 P @ q + q . q``, one
@@ -25,10 +27,10 @@ in-process passes over the 200 timed pool queries:
 Each figure is the best of ``--passes`` passes, divided by the number of
 queries.  ``count_over_gemv`` is ``count_us / gemv_scan_us``: how far the
 answer is from a plain GEMV scan of the same points, the ratio the
-performance goal tracks.  ``band_queries`` counts the queries of which ``prefix_counts``
-measures some point again with ``sq_dists_to``: those with a point within
-the certified pass's rounding bound of a radius.  One JSON line per
-workload and seed.
+performance goal tracks.  ``band_queries`` counts the queries of which the
+pass at both radii measures some point again with ``sq_dists_to``: those
+with a point within the certified pass's rounding bound of a radius.  One
+JSON line per workload and seed.
 
 Example:
     PYTHONPATH=src python3 scripts/query_layers.py --seeds 1
@@ -58,7 +60,6 @@ from harness import RADIUS, TIMED_QUERIES, WORKLOADS, build_config, make_inputs 
 import arccount  # noqa: E402
 from arccount import counter  # noqa: E402
 from arccount.core import point_and_norm  # noqa: E402
-from arccount.counter import prefix_counts  # noqa: E402
 from arccount.ptree import walk  # noqa: E402
 
 
@@ -73,13 +74,13 @@ def best_us(fn, args: list, passes: int) -> float:
     return best / len(args) * 1e6
 
 
-def band_queries(idx: arccount.CountingIndex, queries: list) -> int:
-    """How many of the queries send some point of ``prefix_counts`` to ``sq_dists_to``."""
+def band_queries(masks, checked: list) -> int:
+    """How many of the checked queries send some point of ``masks`` to ``sq_dists_to``."""
     with mock.patch.object(counter, "sq_dists_to", wraps=counter.sq_dists_to) as exact:
         banded = 0
-        for q in queries:
+        for c in checked:
             calls = exact.call_count
-            prefix_counts(idx, q)
+            masks(c)
             banded += exact.call_count > calls
     return banded
 
@@ -88,7 +89,15 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
     inputs = make_inputs(WORKLOADS[workload], seed)
     idx = arccount.build_counting_index(inputs.points, build_config(inputs, seed))
     queries = list(inputs.pool[:TIMED_QUERIES])
-    counts = [prefix_counts(idx, q) for q in queries]
+    d = inputs.points.dim
+    checked = [point_and_norm(q, d) for q in queries]
+    radii = (idx.working.outer_radius, idx.working.radius)
+
+    def masks(c: tuple) -> list:
+        qw, _, norm = c
+        return counter._within(idx, qw, norm, radii)
+
+    both = [masks(c) for c in checked]
     p, w, r2 = inputs.points.points, inputs.points.weights, RADIUS * RADIUS
     pp = np.einsum("ij,ij->i", p, p)
 
@@ -108,10 +117,10 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "n": len(inputs.points),
         "d": inputs.points.dim,
         "queries": len(queries),
-        "band_queries": band_queries(idx, queries),
-        "check_us": best_us(lambda q: point_and_norm(q, inputs.points.dim), queries, passes),
-        "prefix_counts_us": best_us(lambda q: prefix_counts(idx, q), queries, passes),
-        "walk_us": best_us(lambda c: walk(idx.tree, c), counts, passes),
+        "band_queries": band_queries(masks, checked),
+        "check_us": best_us(lambda q: point_and_norm(q, d), queries, passes),
+        "masks_us": best_us(masks, checked, passes),
+        "walk_us": best_us(lambda m: walk(idx.tree, *m), both, passes),
         "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
         "telemetry_us": best_us(lambda q: arccount.count(idx, q).visited_nodes, queries, passes),
         "einsum_scan_us": best_us(einsum_scan, queries, passes),

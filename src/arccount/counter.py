@@ -13,11 +13,11 @@ error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
 
 A query's answer set is exactly the points within the working outer
 radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).
-Each entry that takes a query, ``count`` and ``prefix_counts``, checks
-it itself with ``core.point_and_norm`` at the data's dimension, which
-yields its norm by ``math.hypot`` beside the shape, size and finiteness
-checks.  ``count`` finds the weight by one distance pass over the points
-in path order, at that one threshold.  One certified routine,
+``count`` checks the query once, with ``core.point_and_norm`` at the
+data's dimension, which yields its norm by ``math.hypot`` beside the
+shape, size and finiteness checks.  It finds the weight by one distance
+pass over the points in path order, at that one threshold, at a radius
+whose squares ``BuildConfig`` keeps normal.  One certified routine,
 ``_within``, gives the mask of every radius asked of it: one BLAS
 matrix-vector product (GEMV) against half the squared norms, stored at
 build time, gives ``(|q|**2 - d2) / 2`` up to the rounding bound of
@@ -31,13 +31,13 @@ weights in path order.
 The tree walk, ``ptree.walk``, reports how the paper's index reaches that
 set: the nodes it visits, their verdicts and the path ranges it includes.
 It runs when an answer's telemetry is first read, or at once under
-``verify``.  It reads each point's code on the closed balls of ``core``,
-``(d2 <= outer**2) + (d2 <= r**2)`` at the working radii: 2 within
-``r``, 1 in the ambiguity zone, 0 beyond the outer radius.
-``prefix_counts`` finds both masks by one ``_within`` call, and
-``visiting_number`` takes the same codes from ``sq_dists_to``, so
-``visited_nodes`` is the paper's visiting number at the working error,
-``ptree.visiting_number``, bit for bit.
+``verify``, on the two closed-ball masks of ``core``, ``d2 <= outer**2``
+and ``d2 <= r**2`` at the working radii.  Both come from one ``_within``
+call on the query as checked: ``verify`` asks its one call for both
+radii, and a telemetry read asks for them with the norm its answer
+kept.  ``visiting_number`` takes the same masks from ``sq_dists_to``,
+so ``visited_nodes`` is the paper's visiting number at the working
+error, ``ptree.visiting_number``, bit for bit.
 
 ``evaluate_visiting(idx, holdout)`` audits an index on a holdout sample:
 it checks each verified answer against the oracle's brute-force scans of
@@ -124,6 +124,11 @@ class BuildConfig:
 
     def __post_init__(self) -> None:
         EpsParams(self.eps, self.radius)  # validate
+        # the closed balls compare squares: past float64's normal range a
+        # point's d2 and R*R could both overflow to inf, or underflow to 0
+        outer = (1.0 + self.eps) * self.radius
+        if not (self.radius * self.radius >= FLOAT64.tiny and outer * outer <= FLOAT64.max):
+            raise ContractViolation(f"radius {self.radius} at eps {self.eps} squares outside float64's normal range")
 
 
 @dataclass
@@ -135,7 +140,8 @@ class CountAnswer:
     (``==``, ``repr`` and ``dataclasses.replace`` read them too), and the
     answer then drops its references to the index and the query.  It
     holds the query as the list of its coordinates that the check made,
-    which no caller can reach, and hands it to ``prefix_counts``.
+    which no caller can reach, and its norm, and hands both to
+    ``_within`` for the walk's two masks without checking the query again.
     """
 
     weight: float
@@ -144,10 +150,10 @@ class CountAnswer:
     member_ranges: list[tuple[int, int]] | None = None
 
     @classmethod
-    def _unwalked(cls, weight: float, idx: CountingIndex, coords: list[float]) -> CountAnswer:
+    def _unwalked(cls, weight: float, idx: CountingIndex, coords: list[float], norm: float) -> CountAnswer:
         ans = cls.__new__(cls)
         ans.weight = weight
-        ans._walk = (idx, coords)
+        ans._walk = (idx, coords, norm)
         return ans
 
     def __getattr__(self, name: str):
@@ -155,8 +161,9 @@ class CountAnswer:
         # answer whose walk has not run yet
         pending = self.__dict__.get("_walk")
         if pending is not None and name in ("visited_nodes", "verdict_counts"):
-            idx, coords = pending
-            self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, prefix_counts(idx, coords))
+            idx, coords, norm = pending
+            masks = _within(idx, np.array(coords), norm, (idx.working.outer_radius, idx.working.radius))
+            self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, *masks)
             self.__dict__.pop("_walk", None)
             return self.__dict__[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -227,23 +234,6 @@ def _leaf_order(
     return tree_to_path(spanning, pts), spanning
 
 
-def prefix_counts(idx: CountingIndex, q: np.ndarray) -> np.ndarray:
-    """Running count of the path points' codes for the query ``q``, which it checks as ``count`` does.
-
-    A point's code is ``(d2 <= outer**2) + (d2 <= r**2)`` at the working
-    radii, with ``d2`` from ``sq_dists_to(path_points, q)``: 2 within
-    ``r``, 1 in the ambiguity zone, 0 beyond the outer radius.  Entry
-    ``k`` sums the codes of the first ``k`` path points.  Both masks come
-    from one ``_within`` call.
-    """
-    qw, _, norm = point_and_norm(q, idx.path_points.shape[1])
-    working = idx.working
-    outer, inner = _within(idx, qw, norm, (working.outer_radius, working.radius))
-    c = np.zeros(len(outer) + 1, dtype=np.intp)
-    np.add.accumulate(np.add(outer, inner, dtype=np.intp), out=c[1:])
-    return c
-
-
 def _within(idx: CountingIndex, qw: np.ndarray, norm: float, radii: tuple[float, ...]) -> list[np.ndarray]:
     """For each of ``radii``, whether each path point lies within it: exactly ``sq_dists_to(path_points, q) <= R*R``.
 
@@ -304,14 +294,16 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     exactly the positions whose weights were summed.
     """
     qw, coords, norm = point_and_norm(q, idx.path_points.shape[1])
-    (mask,) = _within(idx, qw, norm, (idx.working.outer_radius,))
-    # ``ndarray.sum``'s reduction, bit for bit, without its Python wrapper
-    weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
     if not verify:
-        return CountAnswer._unwalked(weight, idx, coords)
+        (mask,) = _within(idx, qw, norm, (idx.working.outer_radius,))
+        # ``ndarray.sum``'s reduction, bit for bit, without its Python wrapper
+        weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
+        return CountAnswer._unwalked(weight, idx, coords, norm)
 
+    mask, inner = _within(idx, qw, norm, (idx.working.outer_radius, idx.working.radius))
+    weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
     tree = idx.tree
-    visited, verdicts, included = ptree.walk(tree, prefix_counts(idx, qw))
+    visited, verdicts, included = ptree.walk(tree, mask, inner)
     # included slices are disjoint, so preorder lists them by ``lo``
     ranges = list(zip(tree.lo[included].tolist(), tree.hi[included].tolist()))
     members = np.zeros_like(mask)

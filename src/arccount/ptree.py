@@ -14,19 +14,19 @@ answers without reading the walk's telemetry never lays them out.  The
 points' weights stay with the index, in path order.
 
 One walk (``walk``) serves both the index's telemetry and the paper's
-visiting number.  It reads a running count of the path points' codes on
-the closed balls of ``core``: 2 for a point within ``r`` of the query,
-1 for one in the ambiguity zone ``r < dist <= (1+eps) r``, 0 for one
-beyond ``(1+eps) r``.  Both callers take the code as
-``(d2 <= ((1+eps) r)**2) + (d2 <= r**2)`` on the squared distances of
-``sq_dists_to``.  A point is near when it is within ``(1+eps) r`` and
-far when it is beyond ``r``: code 2 is near only, 1 both, 0 far only.
-One subtraction gives each node's code sum, and so its verdict, and a
-node is visited iff it is the root or its parent is STABBED, so the
-walk is a fixed number of array operations.  Walking only the nodes
-whose parent is stabbed from a query's viewpoint visits few nodes
-exactly because consecutive path points rarely straddle the query's
-annulus.
+visiting number.  Its callers give it the path points' masks on the
+closed balls of ``core``, ``d2 <= ((1+eps) r)**2`` and ``d2 <= r**2`` on
+the squared distances of ``sq_dists_to``; the walk alone turns them into
+codes: 2 for a point within ``r`` of the query, 1 for one in the
+ambiguity zone ``r < dist <= (1+eps) r``, 0 for one beyond ``(1+eps) r``.
+A point is near when it is within ``(1+eps) r`` and far when it is
+beyond ``r``: code 2 is near only, 1 both, 0 far only.  One subtraction
+of the codes' running count gives each node's code sum, and so its
+verdict, and a node is visited iff it is the root or its parent is
+STABBED, so the walk is a fixed number of array operations.  Walking
+only the nodes whose parent is stabbed from a query's viewpoint visits
+few nodes exactly because consecutive path points rarely straddle the
+query's annulus.
 
 The paper's expand rule for a node (some member within ``r`` and some at
 ``>= (1+eps) r``; or a member in the ambiguity zone and all members
@@ -170,13 +170,15 @@ def _node_arrays(n: int) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def walk(t: PartitionTree, c: np.ndarray) -> tuple[int, dict[str, int], np.ndarray]:
+def walk(t: PartitionTree, outer_mask: np.ndarray, inner_mask: np.ndarray) -> tuple[int, dict[str, int], np.ndarray]:
     """The walk's visited node count, its verdict counts, and which nodes it includes, in preorder.
 
-    ``c`` is the running count of the path points' codes: entry ``k`` sums
-    the codes of the first ``k`` points.  A slice's code sum is 0 iff every
-    point is far only (DISJOINT), twice its length iff every point is near
-    only (COVERED), and anything between is STABBED.  A STABBED node holds
+    ``outer_mask`` and ``inner_mask`` say which path points lie in the
+    closed balls of radius ``(1+eps) r`` and ``r``.  A point's code is
+    their sum, and entry ``k`` of the running count sums the codes of the
+    first ``k`` points.  A slice's code sum is 0 iff every point is far
+    only (DISJOINT), twice its length iff every point is near only
+    (COVERED), and anything between is STABBED.  A STABBED node holds
     both near and far points, and so does each of its ancestors: the walk
     visits the root and both children of every STABBED internal node, and
     no other node.  The included nodes' slices are disjoint and together
@@ -186,6 +188,8 @@ def walk(t: PartitionTree, c: np.ndarray) -> tuple[int, dict[str, int], np.ndarr
     """
     # ``t.nodes()``, without the call once the arrays are laid out
     lo, hi, parent, inner, twice_size = t._nodes or t.nodes()
+    c = np.zeros(t.n + 1, dtype=np.intp)
+    np.add.accumulate(np.add(outer_mask, inner_mask, dtype=np.intp), out=c[1:])
     v = c[hi] - c[lo]
     has_near = v != 0
     # the STABBED internal nodes, which the walk splits
@@ -212,13 +216,11 @@ def visiting_number(t: PartitionTree, q: np.ndarray, pts: WeightedPointSet, para
     when its members either straddle the two balls (some point within
     ``radius``, some at ``>= (1+eps)*radius``) or touch the ambiguity zone
     while lying entirely inside the outer ball or entirely outside the
-    inner one.  That is ``walk`` on the codes of the module docstring.
+    inner one.  That is ``walk`` on the two closed-ball masks.
     """
     q = as_point(q, pts.dim)
     if len(pts) != t.n:
         raise ContractViolation(f"the tree holds {t.n} points, the point set {len(pts)}")
     d2 = sq_dists_to(pts.points[t.order], q)
     big, r = params.outer_radius, params.radius
-    c = np.zeros(t.n + 1, dtype=np.intp)
-    np.add.accumulate(np.add(d2 <= big * big, d2 <= r * r, dtype=np.intp), out=c[1:])
-    return walk(t, c)[0]
+    return walk(t, d2 <= big * big, d2 <= r * r)[0]

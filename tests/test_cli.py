@@ -269,10 +269,11 @@ class TestBuildQueryEval:
         assert doc["sandwich_pass_rate"] == 1.0
 
     def test_learned_build_at_a_huge_radius_answers_every_weight(self, tmp_path, capsys):
-        # radius**2 once overflowed to an OverflowError traceback; a square
-        # by multiplication is inf, and every point lies in every ball
+        # the largest radii admitted keep their squares normal, and every
+        # point lies in every ball; past them the build is refused (see
+        # BAD_OPTION_VALUES)
         data = gen_data(tmp_path, n=30, d=3, extra=["--random-weights"])
-        model = build_model(tmp_path, data, extra=["--radius", "1.5e308"])
+        model = build_model(tmp_path, data, extra=["--radius", "1e150"])
         total = float(read_points(data).weights.sum())
         capsys.readouterr()
         rc = run_cli(["query", "--model", str(model), "--data", str(data), "--q", "1,1,1", "--verify"])
@@ -400,6 +401,8 @@ MALFORMED_MODELS = {
     # right type, value out of range
     "eps-5": _head(lambda h: h["config"].update(eps=5)),
     "radius-negative": _head(lambda h: h["config"].update(radius=-1)),
+    "radius-square-overflows": _head(lambda h: h["config"].update(radius=1e200)),
+    "radius-square-underflows": _head(lambda h: h["config"].update(radius=1e-170)),
     "source-kind-unknown": _head(lambda h: h["config"].update(tree_source={"kind": "split"})),
     # the bytes around the header and the arrays
     "truncated-in-magic": lambda m: m.to_bytes()[:7],
@@ -467,6 +470,11 @@ BAD_OPTION_VALUES = {
     "gen-queries-margin-inf": "gen-queries --kind uniform --data {data} --margin inf --out {tmp}/q.txt",
     "build-m-queries-0": BUILD + " --mode learned --m-queries 0 --out-model {tmp}/m.arc",
     "build-query-grid-side-0": BUILD + " --mode worstcase --query-grid-side 0 --out-model {tmp}/m.arc",
+    # radii whose squares overflow to inf or underflow to 0, where d2 and
+    # R*R could meet and a point beyond the ball be counted
+    "build-radius-square-overflows": BUILD + " --mode worstcase --radius 1e200 --out-model {tmp}/m.arc",
+    "build-radius-square-underflows": BUILD + " --mode learned --m-queries 50 --radius 1e-170 --out-model {tmp}/m.arc",
+    "build-radius-1.5e308": BUILD + " --mode learned --m-queries 50 --radius 1.5e308 --out-model {tmp}/m.arc",
     # options the mode does not read
     "gen-grid-random-weights": "gen --kind grid --n 8 --d 2 --seed 1 --random-weights --out {tmp}/x.txt",
     "build-worstcase-queries": BUILD + " --mode worstcase --queries {tmp}/nonexistent.txt --out-model {tmp}/m.arc",

@@ -35,11 +35,10 @@ from arccount.counter import (
     WorstCaseSource,
     build_counting_index,
     count,
-    prefix_counts,
 )
 from arccount.io import load_model, save_model, write_points
 from arccount.learned import QuerySample, near_data_queries
-from arccount.oracle import exact_range_indices, exact_visiting_oracle
+from arccount.oracle import exact_range_indices, exact_range_weight, exact_visiting_oracle
 from arccount.ptree import SpanningPath, split, visiting_number
 from arccount.stabber import Verdict, build_classifier, build_stab_index, classify, stab_witnesses
 
@@ -122,9 +121,9 @@ class TestSandwich:
         walk = ptree.walk
         swapped_ranges = []
 
-        def swapped(tree, c):
-            visited, verdicts, included = walk(tree, c)
-            members = np.zeros(len(c) - 1, dtype=bool)
+        def swapped(tree, outer, inner):
+            visited, verdicts, included = walk(tree, outer, inner)
+            members = np.zeros(len(outer), dtype=bool)
             for lo, hi in zip(tree.lo[included], tree.hi[included]):
                 members[lo:hi] = True
             leaf = ~tree.inner
@@ -196,14 +195,13 @@ class TestPrefixVerdicts:
         for k in range(8):
             q = pts.points[k] + rng.normal(0.0, 0.7, size=pts.dim)
             qw = as_point(q, pts.dim)
-            c = prefix_counts(idx, qw)
-            v = c[idx.tree.hi] - c[idx.tree.lo]
-            has_near, has_far = v != 0, v != idx.tree.twice_size
+            near, within_r = working_masks(idx, qw)
             inner = np.flatnonzero(idx.tree.inner)
             for node, lo, hi in zip(inner.tolist(), idx.tree.lo[inner].tolist(), idx.tree.hi[inner].tolist()):
                 subset = pts.subset(idx.tree.order[lo:hi])
                 clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, node))
-                verdict = MASK_VERDICTS.get((has_near[node], has_far[node]), Verdict.STABBED)
+                has_near, has_far = bool(near[lo:hi].any()), not within_r[lo:hi].all()
+                verdict = MASK_VERDICTS.get((has_near, has_far), Verdict.STABBED)
                 assert verdict is classify(clf, qw)
                 seen.add(verdict)
         assert len(seen) == 3
@@ -435,13 +433,17 @@ class TestSandwichProperty:
             assert_answers_like_the_stack_walk(idx, q)
 
 
-def einsum_prefix_counts(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
-    """The running count of the codes of ``sq_dists_to``'s d2, as a reference for ``prefix_counts``."""
+def working_masks(idx: CountingIndex, q: np.ndarray) -> list[np.ndarray]:
+    """The walk's two masks: the shared ``_within`` at the working outer radius and radius."""
+    qw, _, norm = point_and_norm(q, idx.path_points.shape[1])
+    return counter._within(idx, qw, norm, (idx.working.outer_radius, idx.working.radius))
+
+
+def einsum_masks(idx: CountingIndex, qw: np.ndarray) -> list[np.ndarray]:
+    """Which path points ``sq_dists_to`` puts within each working radius, as a reference for ``working_masks``."""
     d2 = sq_dists_to(idx.path_points, qw)
     outer, r = idx.working.outer_radius, idx.working.radius
-    c = np.zeros(d2.size + 1, dtype=np.intp)
-    np.cumsum(np.add(d2 <= outer * outer, d2 <= r * r, dtype=np.intp), out=c[1:])
-    return c
+    return [d2 <= outer * outer, d2 <= r * r]
 
 
 def outer_mask(idx: CountingIndex, q: np.ndarray) -> np.ndarray:
@@ -505,7 +507,7 @@ class TestCodePass:
     def test_codes_equal_the_einsum_codes(self, d, scale, radius, eps, spread, seed):
         # points on both working radii and one ulp either side, points
         # around the annulus and points at the data's scale: the GEMV pass
-        # and its recheck give the einsum codes bit for bit
+        # and its recheck give the einsum's masks, and so its codes, bit for bit
         rng = np.random.default_rng(seed)
         q = rng.normal(size=d) * scale
         working = EpsParams(eps / 2.0, radius)
@@ -514,7 +516,7 @@ class TestCodePass:
         idx = index_over(points, eps, radius)
         assert idx.working == working
         for query in (q, points[0], points[-1]):
-            np.testing.assert_array_equal(prefix_counts(idx, query), einsum_prefix_counts(idx, query))
+            np.testing.assert_array_equal(working_masks(idx, query), einsum_masks(idx, query))
             np.testing.assert_array_equal(outer_mask(idx, query), einsum_outer_mask(idx, query))
 
 
@@ -541,25 +543,25 @@ class TestCodePassBranches:
         idx = index_over(rng.uniform(0.0, 3.0, size=(50, 4)))
         q = np.full(4, 1.5)
         assert np.all(np.abs(sq_dists_to(idx.path_points, q) - np.array([[1.0], [1.5625]])) > 1e-6)
-        np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
+        np.testing.assert_array_equal(working_masks(idx, q), einsum_masks(idx, q))
         np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
         assert counted.rows == []
 
     def test_a_point_within_the_bound_sends_the_pass_to_sq_dists_to(self, counted):
         # dyadic offsets at exactly the working radius 1 and exactly the outer
         # radius 1.25: h equals each shifted threshold, and the point at the
-        # radius has code 2, inside the closed ball, and the one at the outer
-        # radius code 1.  Only the points on a radius, each threshold's band,
-        # are measured again, one call per threshold
+        # radius lies in both closed balls, and the one at the outer radius
+        # in the outer ball only.  Only the points on a radius, each
+        # threshold's band, are measured again, one call per threshold
         q = np.array([0.5, 0.25])
         idx = index_over(q + np.array(LATTICE))
         d2 = sq_dists_to(idx.path_points, q)
         on_outer, on_inner = int(np.count_nonzero(d2 == 1.5625)), int(np.count_nonzero(d2 == 1.0))
         assert (on_outer, on_inner) == (5, 4)
-        c = prefix_counts(idx, q)
+        outer, inner = working_masks(idx, q)
         assert counted.rows == [on_outer, on_inner]
-        np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
-        assert np.diff(c)[:2].tolist() == [2, 1]
+        np.testing.assert_array_equal([outer, inner], einsum_masks(idx, q))
+        assert (outer[:2].tolist(), inner[:2].tolist()) == ([True, True], [True, False])
         mask = outer_mask(idx, q)
         assert counted.rows == [on_outer, on_inner, on_outer]
         np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
@@ -578,7 +580,7 @@ class TestCodePassBranches:
         for q in queries:
             counted.rows.clear()
             np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
-            np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
+            np.testing.assert_array_equal(working_masks(idx, q), einsum_masks(idx, q))
             assert sum(counted.rows) < len(points) // 8
             banded += bool(counted.rows)
         assert banded > 20
@@ -591,22 +593,22 @@ class TestCodePassBranches:
         monkeypatch.setattr(counter, "FLOAT64", replace(FLOAT64, max_dim=3))
         for q in (np.full(4, 1.5), idx.path_points[0]):
             counted.rows.clear()
-            np.testing.assert_array_equal(prefix_counts(idx, q), einsum_prefix_counts(idx, q))
+            np.testing.assert_array_equal(working_masks(idx, q), einsum_masks(idx, q))
             np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
             assert counted.rows == [50, 50]
 
     def test_squares_that_overflow_take_the_exact_pass(self, counted):
         # the squared norms are infinite, so h would be NaN; the offsets
         # from the query, and so the einsum's d2, are finite.  One pass
-        # over every point gives both of prefix_counts' masks
+        # over every point gives both of the walk's masks
         q = np.full(3, 1e160)
         offsets = np.array([[0.5e150, 0.0, 0.0], [1.1e150, 0.0, 0.0], [2e150, 0.0, 0.0]])
         idx = index_over(q + offsets, radius=1e150)
         assert math.isinf(idx.max_norm)
-        c = prefix_counts(idx, q)
+        outer, inner = working_masks(idx, q)
         assert counted.rows == [3]
-        np.testing.assert_array_equal(c, einsum_prefix_counts(idx, q))
-        assert np.diff(c).tolist() == [2, 1, 0]
+        np.testing.assert_array_equal([outer, inner], einsum_masks(idx, q))
+        assert (outer.tolist(), inner.tolist()) == ([True, True, False], [True, False, False])
         mask = outer_mask(idx, q)
         assert counted.rows == [3, 3]
         np.testing.assert_array_equal(mask, einsum_outer_mask(idx, q))
@@ -757,6 +759,41 @@ class TestLazyTelemetry:
         assert ans.weight.hex() == flat_weight(idx, q).hex()
         inside = sq_dists_to(idx.path_points, q) <= 1.5625
         assert inside[1] and ans.weight == pytest.approx(float(weights[inside].sum()), abs=1e-12)
+
+
+class TestOneCheckOnePass:
+    """An answer checks its query once, and its walk reads the masks of one certified pass."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> dict[str, list]:
+        seen: dict[str, list] = {"checks": [], "passes": []}
+        check, within = counter.point_and_norm, counter._within
+
+        def counted_check(q, dim=None):
+            seen["checks"].append(dim)
+            return check(q, dim)
+
+        def counted_pass(idx, qw, norm, radii):
+            seen["passes"].append(radii)
+            return within(idx, qw, norm, radii)
+
+        monkeypatch.setattr(counter, "point_and_norm", counted_check)
+        monkeypatch.setattr(counter, "_within", counted_pass)
+        return seen
+
+    def test_a_telemetry_read_passes_again_without_a_second_check(self, calls):
+        _, idx = small_learned_index(n=40, d=3, seed=214)
+        q = idx.path_points[0] + 0.3
+        ans = count(idx, q)
+        assert ans.visited_nodes > 1 and ans.verdict_counts["stabbed"] > 0
+        working = idx.working
+        assert calls == {"checks": [3], "passes": [(working.outer_radius,), (working.outer_radius, working.radius)]}
+
+    def test_verify_makes_one_check_and_one_pass(self, calls):
+        _, idx = small_learned_index(n=40, d=3, seed=215)
+        ans = count(idx, idx.path_points[0] + 0.3, verify=True)
+        assert ans.visited_nodes > 1
+        assert calls == {"checks": [3], "passes": [(idx.working.outer_radius, idx.working.radius)]}
 
 
 NODE_ARRAYS = ("lo", "hi", "parent", "inner", "twice_size")
@@ -937,7 +974,6 @@ class TestQueryTransforms:
         stab = build_stab_index(pts, idx.working, Seed(0))
         entries = {
             "count": lambda: count(idx, q),
-            "prefix_counts": lambda: prefix_counts(idx, q),
             "visiting_number": lambda: visiting_number(idx.tree, q, pts, idx.working),
             "stab_witnesses": lambda: stab_witnesses(stab, q),
             "eps_stabs": lambda: eps_stabs(q, pts.points[0], pts.points[2], idx.working),
@@ -959,18 +995,7 @@ class TestQueryTransforms:
         if valid:
             qw = as_point(q, 3)
             assert count(idx, q).weight.hex() == count(idx, qw).weight.hex() == flat_weight(idx, qw).hex()
-            np.testing.assert_array_equal(prefix_counts(idx, list(q)), prefix_counts(idx, qw))
-
-    @pytest.mark.parametrize(
-        "q, message",
-        [([math.nan, 0.0, 0.0], "non-finite"), ([0.0, 0.0], "query dimension 2 does not match data dimension 3")],
-    )
-    def test_prefix_counts_refuses_a_bad_query(self, q, message):
-        # a NaN query once got all-far codes, and a walk of one disjoint node
-        idx = index_over(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 2.0, 2.0]]))
-        for query in (q, np.array(q)):
-            with pytest.raises(ContractViolation, match=message):
-                prefix_counts(idx, query)
+            assert count(idx, list(q)) == count(idx, qw)
 
     def test_finite_coordinates_whose_norm_overflows_take_the_exact_pass(self, monkeypatch):
         # hypot of the query is inf, yet every coordinate is finite: count
@@ -1012,6 +1037,32 @@ class TestEdgeCases:
         sample = QuerySample(np.zeros((1, 2)), source="t")
         with pytest.raises(ContractViolation):
             BuildConfig(eps=0.0, seed=Seed(0), tree_source=LearnedSource(sample))
+
+    @pytest.mark.parametrize(
+        "radius, points, weights, oracle_weight",
+        [
+            # d2 and R*R both overflow to inf: the point at 1e201 was counted
+            (1e200, [[0.0, 0.0], [1e201, 0.0], [5e199, 0.0]], [1.0, 10.0, 100.0], 101.0),
+            # both underflow to 0: the point at 2e-170 was counted
+            (1e-170, [[0.0, 0.0], [2e-170, 0.0]], [1.0, 10.0], 1.0),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_a_radius_whose_squares_leave_the_normal_range_is_refused(self, radius, points, weights, oracle_weight):
+        points, weights, q = np.array(points), np.array(weights), np.zeros(2)
+        params = EpsParams(0.5, radius)
+        pts = WeightedPointSet(points, weights)
+        assert exact_range_weight(pts, q, params.radius) == oracle_weight
+        assert exact_range_weight(pts, q, params.outer_radius) == oracle_weight
+        with pytest.raises(ContractViolation, match="normal range"):
+            count(index_over(points, radius=radius, weights=weights), q, verify=True)
+
+    @pytest.mark.parametrize("radius", [1e-150, 1e150])
+    def test_radii_whose_squares_stay_normal_are_admitted(self, radius):
+        # the ends of TestCodePass's range, at the widest eps
+        points = np.array([[0.0, 0.0], [radius, 0.0], [3.0 * radius, 0.0]])
+        idx = index_over(points, eps=0.99, radius=radius, weights=np.array([1.0, 10.0, 100.0]))
+        assert count(idx, np.zeros(2), verify=True).weight == 11.0
 
     def test_stored_order_must_match_size(self):
         pts = WeightedPointSet(np.zeros((3, 2)), np.ones(3))
