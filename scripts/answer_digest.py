@@ -13,10 +13,16 @@ order shows a tree change that leaves every pool answer equal.
 Each index is also saved with ``io.save_model`` against a text data file,
 loaded again, and asked the same pool; the script exits 1 if any loaded
 answer, or the loaded leaf order, differs from the built one's by a bit.
+With ``--expect FILE`` it also exits 1 when a printed
+``<workload> seed <seed> <digest>`` line is missing from FILE or differs
+from the line FILE holds for that workload and seed.
+``scripts/answer_digests.txt`` holds the digests of the workloads at
+seeds 1, 2 and 3; a change that moves answer bits on purpose updates it.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/answer_digest.py --seeds 1 2 3
     PYTHONPATH=../parent/src python3 scripts/answer_digest.py --seeds 1 2 3
+    PYTHONPATH=src python3 scripts/answer_digest.py --seeds 1 2 3 --expect scripts/answer_digests.txt
 """
 
 from __future__ import annotations
@@ -60,14 +66,20 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--expect", type=Path, help="a file of printed digest lines that every printed line must match")
     args = ap.parse_args()
+    expected = dict(line.rsplit(" ", 1) for line in args.expect.read_text().splitlines() if line) if args.expect else None
     same = True
     for name in args.workloads:
         for seed in args.seeds:
+            key = f"{name} seed {seed}"
             built, loaded = built_and_loaded(name, seed)
-            print(f"{name} seed {seed} {built}", flush=True)
+            print(f"{key} {built}", flush=True)
             if loaded != built:
-                print(f"{name} seed {seed}: the loaded index answers {loaded}", file=sys.stderr)
+                print(f"{key}: the loaded index answers {loaded}", file=sys.stderr)
+                same = False
+            if expected is not None and expected.get(key) != built:
+                print(f"{key}: {args.expect} holds {expected.get(key, 'no digest')}", file=sys.stderr)
                 same = False
     return 0 if same else 1
 

@@ -24,9 +24,9 @@ and ``spanning_tree_s``, the tree over them
 and ``light_edges_s``, the multiplicative weights game over a fresh copy
 of it (``spantree.build_low_stab_tree``).  Every build prints
 ``tree_shape_ms``, the best of 3 first reads of the node arrays of a fresh
-partition tree over the index's leaf order: the level loop that lays them
-out, which the walk runs on its first need and a load or an answer never
-does.
+partition tree over the index's leaf order, each tree made before its
+timer starts: the level loop that lays them out, which the walk runs on
+its first need and a load or an answer never does.
 The index is then saved against a text data file of its points, as the
 benchmark saves it: ``model_bytes`` is the model file's size,
 ``load_ms`` the best of 15 ``load_model`` calls in the same process, each
@@ -137,7 +137,7 @@ def build_once(workload: str, n: int, seed: int) -> dict:
         sample = cfg.tree_source.sample
         counts, row["stab_counts_s"] = best_of(lambda: learned.pair_stab_counts(inputs.points, sample, idx.working))
         _, row["spanning_tree_s"] = best_of(lambda: learned.learned_spanning_tree(counts, n))
-    row["tree_shape_ms"] = tree_shape_ms(idx.tree.order, inputs.points)
+    row["tree_shape_ms"] = tree_shape_ms(idx.tree.order)
     row["model_bytes"], row["load_ms"], loaded = save_and_load(idx, inputs.points)
     row["loaded_index_mib"] = round(array_bytes(loaded) / 2**20, 3)
     return row
@@ -153,17 +153,17 @@ def best_of(call) -> tuple[object, float]:
     return result, round(best, 4)
 
 
-def tree_shape_ms(order: np.ndarray, points: arccount.WeightedPointSet) -> float:
+def tree_shape_ms(order: np.ndarray) -> float:
     """The best of ``LAYER_CALLS`` first reads of a fresh tree's node arrays over ``order``, in ms.
 
-    Each call makes the tree with ``path_to_partition_tree`` and reads
-    ``lo``, so a checkout whose trees lay the arrays out as they are made
-    times the same level loop.
+    The fresh trees are made before the timer starts, so the order's
+    permutation check stays out of the figure; each timed call reads one
+    tree's ``lo`` and so times the level loop alone.
     """
-    path, best = ptree.SpanningPath(order), float("inf")
-    for _ in range(LAYER_CALLS):
+    trees, best = [ptree.PartitionTree(order) for _ in range(LAYER_CALLS)], float("inf")
+    for t in trees:
         t0 = time.perf_counter()
-        ptree.path_to_partition_tree(path, points).lo
+        t.lo
         best = min(best, time.perf_counter() - t0)
     return round(best * 1e3, 4)
 

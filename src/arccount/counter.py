@@ -1,12 +1,13 @@
 """End-to-end approximate range counting index.
 
-Build pipeline: find a leaf order and erect the balanced partition tree
-over it.  The tree keeps the order alone; its node arrays are derived from
-``n`` on the walk's first run and kept, so an index whose answers'
-telemetry is never read never builds them.  The paper's tree sources
-build a spanning tree (worst-case grid machinery, or learned from a query
-sample) and linearize it; a ``StoredOrder``, such as a loaded model's,
-gives an order fitted earlier.
+Build pipeline: find a leaf order, which is the balanced partition tree
+over it (``ptree.PartitionTree``).  The tree keeps the order alone; its
+node arrays are derived from ``n`` on the walk's first run and kept, so
+an index whose answers' telemetry is never read never builds them.  The
+paper's tree sources build a spanning tree (worst-case grid machinery, or
+learned from a query sample) and linearize it into a tree; a
+``StoredOrder``, such as a loaded model's, gives a tree fitted earlier,
+and the index keeps it as it is.
 The index works on the points and queries exactly as given, held once, in
 path order (``points()``).  All internal structures run at the halved
 error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
@@ -66,7 +67,7 @@ from .core import (
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
 from .oracle import exact_zones, point_rows
 from . import ptree
-from .ptree import PartitionTree, SpanningPath, path_to_partition_tree, tree_to_path
+from .ptree import PartitionTree, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
 # ``classify`` is not called here; the name stays importable from this module
 # because the benchmark's hook tests patch ``arccount.counter.classify``.
@@ -102,9 +103,9 @@ class LearnedSource:
 
 @dataclass(frozen=True, eq=False)
 class StoredOrder:
-    """A leaf order fitted earlier by the tree source named ``kind``, such as a loaded model's."""
+    """A partition tree fitted earlier by the tree source named ``kind``, such as a loaded model's."""
 
-    path: SpanningPath
+    tree: PartitionTree
     kind: str
 
     def __post_init__(self) -> None:
@@ -189,12 +190,15 @@ class CountingIndex:
 def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingIndex:
     """Build the full index over the leaf order of ``cfg.tree_source``.
 
-    A ``StoredOrder`` skips tree construction, so an index over a saved
-    order answers bit-identically to the one that fitted it.
+    A ``StoredOrder`` skips tree construction and its tree becomes the
+    index's own, so an index over a saved order answers bit-identically
+    to the one that fitted it.  Whatever the source, the tree must hold
+    one leaf per point.
     """
     working = EpsParams(cfg.eps / 2.0, cfg.radius)
-    path, spanning = _leaf_order(pts, working, cfg)
-    tree = path_to_partition_tree(path, pts)
+    tree, spanning = _leaf_order(pts, working, cfg)
+    if tree.n != len(pts):
+        raise ContractViolation(f"path length {tree.n} does not match point count {len(pts)}")
     path_points = pts.points[tree.order]
     half_sq_norms = 0.5 * np.einsum("ij,ij->i", path_points, path_points)
 
@@ -212,16 +216,16 @@ def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingInd
 
 def _leaf_order(
     pts: WeightedPointSet, working: EpsParams, cfg: BuildConfig
-) -> tuple[SpanningPath, SpanningTree | None]:
-    """The leaf order of ``cfg.tree_source``, and the spanning tree it linearizes, if one was built."""
+) -> tuple[PartitionTree, SpanningTree | None]:
+    """The partition tree over ``cfg.tree_source``'s leaf order, and the spanning tree it linearizes, if one was built."""
     source = cfg.tree_source
     if isinstance(source, StoredOrder):
-        return source.path, None
+        return source.tree, None
     if isinstance(source, LearnedSource) and source.sample.queries.shape[1] != pts.dim:
         k = source.sample.queries.shape[1]
         raise ContractViolation(f"training sample dimension {k} does not match data dimension {pts.dim}")
     if len(pts) == 1:
-        return SpanningPath(np.zeros(1, dtype=np.int64)), None
+        return PartitionTree(np.zeros(1, dtype=np.int64)), None
     if isinstance(source, WorstCaseSource):
         side = source.grid_side or working.eps * working.radius / math.sqrt(pts.dim)
         queries = generate_grid_queries(pts, working, GridSpec(side))

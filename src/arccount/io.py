@@ -21,9 +21,10 @@ rows' bytes.  The file is the header's end plus ``8n(d+1) + 4n`` bytes
 exactly: 78 KB at n = 1024, d = 8.  Loading makes one read, checks the
 data file's digest, the length and the rows' digest, reads the arrays with
 ``np.frombuffer`` without parsing the data file, and builds the index over
-the stored leaf order, a ``StoredOrder`` tree source, so the loaded index
-answers bit-identically to the saved one.  The partition tree keeps that
-order alone; its node arrays come on the walk's first run.
+the stored leaf order, a ``StoredOrder`` of the partition tree over it,
+so the loaded index answers bit-identically to the saved one.  The tree
+keeps a checked int64 copy of that order alone; its node arrays come on
+the walk's first run.
 ``save_model`` writes the index's ``points()`` and refuses a data file
 that does not hold them bit for bit.  There is one reader: the JSON models
 ``v1``-``v6`` are refused with their format named, to be rebuilt from the
@@ -47,7 +48,7 @@ import numpy as np
 from .core import ContractViolation, Seed, WeightedPointSet
 from .counter import BuildConfig, CountingIndex, StoredOrder, build_counting_index
 from .learned import QuerySample
-from .ptree import SpanningPath
+from .ptree import PartitionTree
 
 _TEXT_HEADER = "arc-points v1"
 _BINARY_MAGIC = b"ARC1"
@@ -306,13 +307,13 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
         raise FileFormatError(f"{path}: model field 'seed_path' must hold nonnegative integers")
     # a field of the right type can still hold a value out of range, such as
     # eps 5 or an unknown tree source; the configuration refuses it, and so
-    # does the leaf order's permutation check: the model file is malformed
+    # does the partition tree's permutation check: the model file is malformed
     try:
         cfg = BuildConfig(
             eps=_field(c, "eps", _NUMBER, path),
             radius=_field(c, "radius", _NUMBER, path),
             seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
-            tree_source=StoredOrder(SpanningPath(np.frombuffer(blob, "<i4", count=n, offset=order_at)), kind),
+            tree_source=StoredOrder(PartitionTree(np.frombuffer(blob, "<i4", count=n, offset=order_at)), kind),
         )
         return build_counting_index(pts, cfg)
     except ContractViolation as exc:

@@ -1,15 +1,17 @@
-"""Spanning trees to spanning paths to balanced partition trees, and the walk over them.
+"""Spanning trees to balanced partition trees over their spanning paths, and the walk over them.
 
 A spanning tree is linearized by depth-first search from vertex 0 (children
 in ascending index order); the first-visit order is the spanning path.  A
 complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
-path.  That shape depends on ``n`` alone.  The tree stores the path order;
-five arrays over its ``2n - 1`` nodes in preorder are derived from ``n`` on
-their first need and kept: each node's range ``[lo, hi)``, its ``parent``,
-whether it is ``inner`` (not a leaf), and its ``twice_size`` (twice its
-range's length).  Only the walk needs them, so the tree of an index that
+path.  That shape depends on ``n`` alone, so the tree is its path order:
+``PartitionTree(order)`` refuses an order that is not a permutation of
+``0..n-1`` in an integer dtype and keeps a read-only int64 copy.  Five
+arrays over its ``2n - 1`` nodes in preorder are derived from ``n`` on
+their first need and kept: each node's range ``[lo, hi)``, its
+``parent``, whether it is ``inner`` (not a leaf), and its ``twice_size``
+(twice its range's length).  Only the walk needs them, so the tree of an index that
 answers without reading the walk's telemetry never lays them out.  The
 points' weights stay with the index, in path order.
 
@@ -47,22 +49,6 @@ from .core import ContractViolation, EpsParams, WeightedPointSet, as_point, sq_d
 from .spantree import SpanningTree
 
 
-@dataclass
-class SpanningPath:
-    """A permutation of 0..n-1, the leaf order of a partition tree."""
-
-    order: np.ndarray
-
-    def __post_init__(self) -> None:
-        order = np.asarray(self.order, dtype=np.int64)
-        if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(order.size)):
-            raise ContractViolation(f"path order must be a permutation of 0..{order.size - 1}")
-        self.order = order
-
-    def __len__(self) -> int:
-        return int(self.order.size)
-
-
 def split(lo: int, hi: int) -> int:
     """Where the path range ``[lo, hi)`` splits: the left child takes the larger half."""
     return lo + (hi - lo + 1) // 2
@@ -72,8 +58,12 @@ def split(lo: int, hi: int) -> int:
 class PartitionTree:
     """Balanced binary tree over a spanning path; its node arrays, in preorder, come on first need.
 
-    The shape is a function of ``n`` alone.  Node 0 is the root and owns
-    the path positions ``[0, n)``; node ``k`` owns ``[lo[k], hi[k])``; a
+    ``order`` is the path, a permutation of ``0..n-1`` in an integer
+    dtype; the tree refuses any other array, a float one too rather than
+    truncate it, and keeps a read-only int64 copy, so no caller's array
+    can move the leaves of an index built over it.  The shape is a
+    function of ``n`` alone.  Node 0 is the root and owns the path
+    positions ``[0, n)``; node ``k`` owns ``[lo[k], hi[k])``; a
     range of one position is a leaf; an internal range splits at
     ``mid = split(lo, hi)``.  Nodes are numbered in preorder, so the left
     child of ``k`` is ``k + 1``, the right child is ``k + 2 * (mid - lo)``,
@@ -90,6 +80,15 @@ class PartitionTree:
 
     order: np.ndarray
     _nodes: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        order = np.asarray(self.order)
+        if order.dtype.kind not in "iu":
+            raise ContractViolation(f"path order must hold integers, not {order.dtype}")
+        if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(order.size)):
+            raise ContractViolation(f"path order must be a permutation of 0..{order.size - 1}")
+        self.order = order.astype(np.int64)
+        self.order.setflags(write=False)
 
     def nodes(self) -> tuple[np.ndarray, ...]:
         """``(lo, hi, parent, inner, twice_size)``, laid out on the first call and kept."""
@@ -113,8 +112,8 @@ class PartitionTree:
         return (self.n - 1).bit_length()
 
 
-def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
-    """First-visit DFS order of ``t`` from vertex 0, children ascending."""
+def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> PartitionTree:
+    """The partition tree over the first-visit DFS order of ``t`` from vertex 0, children ascending."""
     if t.n != len(pts):
         raise ContractViolation(f"tree has {t.n} vertices but point set has {len(pts)}")
     adj = t.adjacency()
@@ -132,15 +131,7 @@ def tree_to_path(t: SpanningTree, pts: WeightedPointSet) -> SpanningPath:
                 stack.append(u)
     if len(order) != t.n:
         raise ContractViolation("tree does not span the point set")
-    return SpanningPath(np.asarray(order, dtype=np.int64))
-
-
-def path_to_partition_tree(path: SpanningPath, pts: WeightedPointSet) -> PartitionTree:
-    """The balanced binary tree over ``path``; its node arrays are laid out on their first need."""
-    n = len(path)
-    if n != len(pts):
-        raise ContractViolation(f"path length {n} does not match point count {len(pts)}")
-    return PartitionTree(order=path.order)
+    return PartitionTree(np.asarray(order, dtype=np.int64))
 
 
 def _node_arrays(n: int) -> tuple[np.ndarray, ...]:

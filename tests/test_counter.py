@@ -39,7 +39,7 @@ from arccount.counter import (
 from arccount.io import load_model, save_model, write_points
 from arccount.learned import QuerySample, near_data_queries
 from arccount.oracle import exact_range_indices, exact_range_weight, exact_visiting_oracle
-from arccount.ptree import SpanningPath, split, visiting_number
+from arccount.ptree import PartitionTree, split, visiting_number
 from arccount.stabber import Verdict, build_classifier, build_stab_index, classify, stab_witnesses
 
 
@@ -468,8 +468,8 @@ def index_over(
 ) -> CountingIndex:
     """An index over ``points`` in ``order`` (their given order by default), with no tree source run."""
     n = len(points)
-    path = SpanningPath(np.arange(n) if order is None else order)
-    cfg = BuildConfig(eps=eps, seed=Seed(0), tree_source=StoredOrder(path, "learned"), radius=radius)
+    tree = PartitionTree(np.arange(n) if order is None else order)
+    cfg = BuildConfig(eps=eps, seed=Seed(0), tree_source=StoredOrder(tree, "learned"), radius=radius)
     pts = WeightedPointSet(points, np.ones(n) if weights is None else weights)
     return build_counting_index(pts, cfg)
 
@@ -879,7 +879,7 @@ class TestPointsHeldOnce:
         elif source == "learned":
             tree_source = LearnedSource(near_data_queries(pts, 64, sigma=0.5, seed=Seed(221)))
         else:
-            tree_source = StoredOrder(SpanningPath(rng.permutation(n)), "learned")
+            tree_source = StoredOrder(PartitionTree(rng.permutation(n)), "learned")
         idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(222), tree_source=tree_source))
         data, model = tmp_path / "points.bin", tmp_path / "model.arc"
         write_points(data, pts, binary=True)
@@ -892,6 +892,38 @@ class TestPointsHeldOnce:
             got = index.points()
             assert got.points.shape == points.shape and got.points.tobytes() == points.tobytes()
             assert got.weights.tobytes() == weights.tobytes()
+
+
+class TestStoredOrder:
+    @pytest.mark.parametrize("source", ["worstcase", "learned"])
+    def test_an_index_over_a_fitted_tree_keeps_that_tree_and_answers_alike(self, source):
+        rng = Seed(230).generator()
+        pts = WeightedPointSet(rng.uniform(0.0, 3.0, size=(30, 2)), rng.uniform(0.1, 2.0, size=30))
+        if source == "worstcase":
+            tree_source = WorstCaseSource()
+        else:
+            tree_source = LearnedSource(near_data_queries(pts, 100, sigma=0.5, seed=Seed(231)))
+        fitted = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(232), tree_source=tree_source))
+        stored = StoredOrder(fitted.tree, source)
+        idx = build_counting_index(fitted.points(), BuildConfig(eps=0.5, seed=Seed(232), tree_source=stored))
+        assert idx.tree is fitted.tree and idx.spanning_tree is None
+        for q in rng.uniform(-0.5, 3.5, size=(20, 2)):
+            assert count(idx, q, verify=True) == count(fitted, q, verify=True)
+
+    def test_the_index_is_not_moved_by_the_array_its_order_came_from(self, tmp_path):
+        # were the caller's array kept, a swap in it would move the index's
+        # leaves off its points, and save_model would refuse its own data
+        rng = Seed(233).generator()
+        pts = WeightedPointSet(rng.uniform(0.0, 3.0, size=(6, 2)), rng.uniform(0.1, 2.0, size=6))
+        arr = np.array([3, 1, 4, 0, 5, 2])
+        cfg = BuildConfig(eps=0.5, seed=Seed(234), tree_source=StoredOrder(PartitionTree(arr), "learned"))
+        idx = build_counting_index(pts, cfg)
+        arr[[0, 1]] = arr[[1, 0]]
+        back = idx.points()
+        assert back.points.tobytes() == pts.points.tobytes() and back.weights.tobytes() == pts.weights.tobytes()
+        data = tmp_path / "points.txt"
+        write_points(data, pts)
+        save_model(tmp_path / "model.arc", idx, data)
 
 
 class TestDeterminism:
@@ -1066,7 +1098,8 @@ class TestEdgeCases:
 
     def test_stored_order_must_match_size(self):
         pts = WeightedPointSet(np.zeros((3, 2)), np.ones(3))
-        order = StoredOrder(SpanningPath(np.array([0, 1])), "learned")
-        cfg = BuildConfig(eps=0.5, seed=Seed(143), tree_source=order)
-        with pytest.raises(ContractViolation):
-            build_counting_index(pts, cfg)
+        for n in (2, 4):
+            order = StoredOrder(PartitionTree(np.arange(n)), "learned")
+            cfg = BuildConfig(eps=0.5, seed=Seed(143), tree_source=order)
+            with pytest.raises(ContractViolation, match=f"path length {n} does not match point count 3"):
+                build_counting_index(pts, cfg)

@@ -37,7 +37,7 @@ from arccount.io import (
     write_query_sample,
 )
 from arccount.learned import QuerySample, near_data_queries
-from arccount.ptree import SpanningPath
+from arccount.ptree import PartitionTree
 
 
 def random_points(n: int, d: int, seed: int) -> WeightedPointSet:
@@ -388,7 +388,7 @@ def point_sets(draw):
 @given(point_sets(), st.booleans())
 def test_model_round_trip_is_bit_exact(built, binary):
     pts, order = built
-    stored = StoredOrder(SpanningPath(np.array(order)), "worstcase")
+    stored = StoredOrder(PartitionTree(np.array(order)), "worstcase")
     cfg = BuildConfig(eps=0.5, seed=Seed(165), tree_source=stored)
     idx = build_counting_index(pts, cfg)
     with tempfile.TemporaryDirectory() as tmp:

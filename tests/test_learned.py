@@ -31,7 +31,6 @@ from arccount.learned import (
     uniform_queries,
 )
 from arccount.oracle import enumerate_spanning_trees
-from arccount.ptree import SpanningPath
 from arccount.spantree import Edge
 
 PARAMS = EpsParams(eps=0.5)
@@ -580,7 +579,7 @@ class TestHoldoutOverlap:
         pts, sample, fitted = self.built()
         holdout = QuerySample(sample.queries[:5], source="t")
         for kind, overlaps in [("learned", None), ("worstcase", False)]:
-            _, _, idx = self.built(stored=StoredOrder(SpanningPath(fitted.tree.order), kind))
+            _, _, idx = self.built(stored=StoredOrder(fitted.tree, kind))
             assert evaluate_visiting(idx, holdout).holdout_overlaps_training is overlaps
 
     def test_worst_case_tree_has_no_training_rows(self):

@@ -10,14 +10,7 @@ import pytest
 from arccount import ptree
 from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
 from arccount.oracle import exact_visiting_oracle
-from arccount.ptree import (
-    PartitionTree,
-    SpanningPath,
-    path_to_partition_tree,
-    split,
-    tree_to_path,
-    visiting_number,
-)
+from arccount.ptree import PartitionTree, split, tree_to_path, visiting_number
 from arccount.spantree import Edge, SpanningTree
 
 PARAMS = EpsParams(eps=0.5)
@@ -48,13 +41,30 @@ def leaf_ranges(t: PartitionTree) -> list[tuple[int, int, int]]:
     return sorted(leaves, key=lambda c: c[1])
 
 
-class TestSpanningPath:
+class TestPartitionTreeOrder:
     def test_accepts_permutation(self):
-        assert len(SpanningPath(np.array([2, 0, 1]))) == 3
+        assert PartitionTree(np.array([2, 0, 1])).n == 3
 
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ContractViolation):
-            SpanningPath(np.array([0, 0, 1]))
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 2], [[0, 1]]])
+    def test_rejects_non_permutation(self, order):
+        with pytest.raises(ContractViolation, match="must be a permutation of"):
+            PartitionTree(np.array(order))
+
+    @pytest.mark.parametrize("order", [[0.5, 1.5, 2.9], [0.0, 1.0, 2.0], [True, False]])
+    def test_refuses_an_order_that_is_not_integer_rather_than_truncate_it(self, order):
+        # cast to int64, the first would read [0 1 2] and the last [1 0]
+        with pytest.raises(ContractViolation, match="must hold integers"):
+            PartitionTree(np.array(order))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_keeps_a_read_only_int64_copy(self, dtype):
+        given = np.array([2, 0, 1], dtype=dtype)
+        t = PartitionTree(given)
+        assert t.order.dtype == np.int64 and not np.shares_memory(t.order, given)
+        given[[0, 1]] = given[[1, 0]]
+        assert t.order.tolist() == [2, 0, 1]
+        with pytest.raises(ValueError):
+            t.order[0] = 1
 
 
 class TestTreeToPath:
@@ -84,8 +94,7 @@ class TestTreeToPath:
 class TestPartitionTreeShape:
     def test_five_leaf_ranges(self):
         # ceil-splits of [0, 5): left gets 3, then 2/1, then 1/1 at the bottom
-        path = SpanningPath(np.arange(5))
-        t = path_to_partition_tree(path, weighted(np.zeros((5, 1))))
+        t = PartitionTree(np.arange(5))
         assert internal_ranges(t) == [(0, 0, 5), (1, 0, 3), (2, 0, 2), (6, 3, 5)]
         assert leaf_ranges(t) == [(3, 0, 1), (4, 1, 2), (5, 2, 3), (7, 3, 4), (8, 4, 5)]
         assert list(zip(t.lo.tolist(), t.hi.tolist())) == [(0, 5), (0, 3), (0, 2), (0, 1), (1, 2), (2, 3), (3, 5), (3, 4), (4, 5)]
@@ -93,22 +102,20 @@ class TestPartitionTreeShape:
 
     def test_leaf_count_and_depth(self):
         for n in (1, 2, 3, 4, 7, 8, 9, 33):
-            path = SpanningPath(np.arange(n))
-            t = path_to_partition_tree(path, weighted(np.zeros((n, 1))))
+            t = PartitionTree(np.arange(n))
             assert len(leaf_ranges(t)) == n
             assert len(internal_ranges(t)) == n - 1
             assert t.depth == (0 if n == 1 else math.ceil(math.log2(n)))
 
     def test_sibling_sizes_differ_by_at_most_one(self):
-        path = SpanningPath(np.arange(21))
-        t = path_to_partition_tree(path, weighted(np.zeros((21, 1))))
+        t = PartitionTree(np.arange(21))
         for node in internal_ranges(t):
             (_, llo, lhi), (_, rlo, rhi) = children(*node)
             assert 0 <= (lhi - llo) - (rhi - rlo) <= 1
 
     def test_children_sit_at_their_preorder_positions(self):
         for n in (2, 5, 6, 17, 33):
-            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            t = PartitionTree(np.arange(n))
             assert t.lo.size == 2 * n - 1
             for node in internal_ranges(t):
                 for k, lo, hi in children(*node):
@@ -118,7 +125,7 @@ class TestPartitionTreeShape:
     def test_inner_and_twice_size_follow_the_ranges(self):
         # kept per tree so that no query recomputes them from lo and hi
         for n in (1, 2, 5, 6, 17, 33):
-            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            t = PartitionTree(np.arange(n))
             np.testing.assert_array_equal(t.inner, t.hi - t.lo > 1)
             np.testing.assert_array_equal(t.twice_size, 2 * (t.hi - t.lo))
             assert t.inner.dtype == bool and t.twice_size.dtype == np.intp
@@ -126,7 +133,7 @@ class TestPartitionTreeShape:
     def test_member_indices_follow_the_order(self):
         # a node owns the points order[lo:hi] of its path range
         order = np.array([3, 1, 4, 0, 2])
-        t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((5, 1))))
+        t = PartitionTree(order)
         members = {i: t.order[lo:hi] for i, lo, hi in internal_ranges(t)}
         np.testing.assert_array_equal(members[0], order)
         np.testing.assert_array_equal(members[1], order[:3])
@@ -134,14 +141,10 @@ class TestPartitionTreeShape:
 
     def test_leaf_ranges_tile_the_path_left_to_right(self):
         for n in (1, 2, 5, 6, 17):
-            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            t = PartitionTree(np.arange(n))
             leaves = leaf_ranges(t)
             assert [(lo, hi) for _, lo, hi in leaves] == [(k, k + 1) for k in range(n)]
             assert len({k for k, _, _ in leaves}) == n
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            path_to_partition_tree(SpanningPath(np.arange(3)), weighted(np.zeros((4, 1))))
 
 
 def eager_node_arrays(n: int) -> dict[str, np.ndarray]:
@@ -170,12 +173,12 @@ def node_arrays_held(t: PartitionTree) -> set[str]:
 
 class TestNodeArraysOnFirstRead:
     def test_a_new_tree_holds_its_order_alone(self):
-        t = path_to_partition_tree(SpanningPath(np.arange(9)), weighted(np.zeros((9, 1))))
+        t = PartitionTree(np.arange(9))
         assert set(vars(t)) == {"order"}
 
     @pytest.mark.parametrize("name", NODE_ARRAYS)
     def test_the_first_read_of_any_array_lays_out_all_of_them_once(self, name, monkeypatch):
-        t = path_to_partition_tree(SpanningPath(np.arange(9)), weighted(np.zeros((9, 1))))
+        t = PartitionTree(np.arange(9))
         calls = []
         real = ptree._node_arrays
         monkeypatch.setattr(ptree, "_node_arrays", lambda n: calls.append(n) or real(n))
@@ -188,7 +191,7 @@ class TestNodeArraysOnFirstRead:
 
     def test_the_arrays_equal_the_eager_level_loop(self):
         for n in [*range(1, 301), 4097]:
-            t = path_to_partition_tree(SpanningPath(np.arange(n)), weighted(np.zeros((n, 1))))
+            t = PartitionTree(np.arange(n))
             expected = eager_node_arrays(n)
             for name in NODE_ARRAYS:
                 got = getattr(t, name)
@@ -196,14 +199,14 @@ class TestNodeArraysOnFirstRead:
                 np.testing.assert_array_equal(got, expected[name])
 
     def test_the_arrays_are_read_only(self):
-        t = path_to_partition_tree(SpanningPath(np.arange(6)), weighted(np.zeros((6, 1))))
+        t = PartitionTree(np.arange(6))
         for name in NODE_ARRAYS:
             with pytest.raises(ValueError):
                 getattr(t, name)[0] = 1
 
     def test_the_first_walk_lays_them_out_and_later_walks_reuse_them(self, monkeypatch):
         pts = weighted(np.zeros((8, 2)))
-        t = path_to_partition_tree(SpanningPath(np.arange(8)), pts)
+        t = PartitionTree(np.arange(8))
         calls = []
         real = ptree._node_arrays
         monkeypatch.setattr(ptree, "_node_arrays", lambda n: calls.append(n) or real(n))
@@ -220,7 +223,7 @@ class TestCanonicalPath:
         rng = Seed(91).generator()
         for n in (1, 2, 6, 17):
             order = rng.permutation(n)
-            t = path_to_partition_tree(SpanningPath(order), weighted(np.zeros((n, 1))))
+            t = PartitionTree(order)
             back = [t.order[lo] for _, lo, _ in leaf_ranges(t)]
             np.testing.assert_array_equal(back, order)
 
@@ -232,7 +235,7 @@ class TestVisitingNumber:
             n = int(rng.integers(2, 24))
             pts = weighted(rng.uniform(-2, 2, size=(n, 3)))
             order = rng.permutation(n)
-            t = path_to_partition_tree(SpanningPath(order), pts)
+            t = PartitionTree(order)
             q = rng.uniform(-2.5, 2.5, size=3)
             assert visiting_number(t, q, pts, PARAMS) == exact_visiting_oracle(order, pts, q, PARAMS)
         # half-integer lattices at eps 0.5, r 1: squared distances are
@@ -242,18 +245,18 @@ class TestVisitingNumber:
             n, d = 1 + trial % 29, 1 + trial % 3
             pts = weighted(rng.integers(-4, 5, size=(n, d)) / 2.0)
             order = rng.permutation(n)
-            t = path_to_partition_tree(SpanningPath(order), pts)
+            t = PartitionTree(order)
             q = rng.integers(-2, 3, size=d) / 2.0
             assert visiting_number(t, q, pts, PARAMS) == exact_visiting_oracle(order, pts, q, PARAMS)
 
     def test_far_query_visits_one_node(self):
         pts = weighted(np.zeros((8, 2)))
-        t = path_to_partition_tree(SpanningPath(np.arange(8)), pts)
+        t = PartitionTree(np.arange(8))
         assert visiting_number(t, np.array([40.0, 0.0]), pts, PARAMS) == 1
 
     def test_dimension_mismatch_rejected(self):
         pts = weighted(np.zeros((4, 2)))
-        t = path_to_partition_tree(SpanningPath(np.arange(4)), pts)
+        t = PartitionTree(np.arange(4))
         with pytest.raises(ContractViolation):
             visiting_number(t, np.zeros(3), pts, PARAMS)
 
@@ -261,6 +264,6 @@ class TestVisitingNumber:
     def test_point_set_of_another_size_rejected(self, n):
         # a larger set would be answered on its first 8 points, a smaller
         # one would index past its end
-        t = path_to_partition_tree(SpanningPath(np.arange(8)), weighted(np.zeros((8, 2))))
+        t = PartitionTree(np.arange(8))
         with pytest.raises(ContractViolation):
             visiting_number(t, np.zeros(2), weighted(np.zeros((n, 2))), PARAMS)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "scripts" / "answer_digests.txt"
 
 
 def run_script(script: str, argv: list[str]) -> subprocess.CompletedProcess:
@@ -30,13 +31,24 @@ def run_script(script: str, argv: list[str]) -> subprocess.CompletedProcess:
     [
         ("worstcase_pipeline.py", ["--n", "12", "--queries", "5", "--seed", "1"]),
         ("learned_vs_random.py", ["--instances", "3", "--n", "16", "--d", "3", "--seed", "7", "--out", "{out}"]),
-        ("answer_digest.py", ["--workloads", "worstcase-d2", "--seeds", "1"]),
+        ("answer_digest.py", ["--workloads", "worstcase-d2", "--seeds", "1", "--expect", str(DIGESTS)]),
         ("worstcase_pipeline.py", ["--d", "4", "--eps", "0.9", "--n", "12", "--queries", "5", "--seed", "1"]),
     ],
 )
 def test_script_exits_cleanly(tmp_path, script, args):
     proc = run_script(script, [a.format(out=tmp_path / "summary.json") for a in args])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_answer_digest_exits_1_on_a_digest_that_differs_from_the_expected_one(tmp_path):
+    expected = DIGESTS.read_text().splitlines()
+    line = next(line for line in expected if line.startswith("worstcase-d2 seed 1 "))
+    wrong = line[:-1] + ("0" if line[-1] != "0" else "1")
+    digests = tmp_path / "digests.txt"
+    digests.write_text("\n".join([wrong if x == line else x for x in expected]) + "\n")
+    proc = run_script("answer_digest.py", ["--workloads", "worstcase-d2", "--seeds", "1", "--expect", str(digests)])
+    assert proc.returncode == 1 and proc.stdout == line + "\n"
+    assert f"worstcase-d2 seed 1: {digests} holds {wrong.rsplit(' ', 1)[1]}" in proc.stderr
 
 
 @pytest.mark.parametrize("workload", ["near-d8", "worstcase-d2"])
