@@ -23,10 +23,11 @@ and ``spanning_tree_s``, the tree over them
 ``universe_s``, the grid query universe (``spantree.generate_grid_queries``),
 and ``light_edges_s``, the multiplicative weights game over a fresh copy
 of it (``spantree.build_low_stab_tree``).  Every build prints
-``tree_shape_ms``, the best of 3 first reads of the node arrays of a fresh
-partition tree over the index's leaf order, each tree made before its
-timer starts: the level loop that lays them out, which the walk runs on
-its first need and a load or an answer never does.
+``tree_shape_ms``, the best of 3 first reads of the node arrays
+(``tree.nodes``) of a fresh partition tree over the index's leaf order,
+each tree made before its timer starts: the level loop that lays them
+out, which the walk runs on its first need and a load or an answer never
+does.
 The index is then saved against a text data file of its points, as the
 benchmark saves it: ``model_bytes`` is the model file's size,
 ``load_ms`` the best of 15 ``load_model`` calls in the same process, each
@@ -158,12 +159,12 @@ def tree_shape_ms(order: np.ndarray) -> float:
 
     The fresh trees are made before the timer starts, so the order's
     permutation check stays out of the figure; each timed call reads one
-    tree's ``lo`` and so times the level loop alone.
+    tree's ``nodes`` and so times the level loop alone.
     """
     trees, best = [ptree.PartitionTree(order) for _ in range(LAYER_CALLS)], float("inf")
     for t in trees:
         t0 = time.perf_counter()
-        t.lo
+        t.nodes
         best = min(best, time.perf_counter() - t0)
     return round(best * 1e3, 4)
 

@@ -82,6 +82,8 @@ class Seed:
     path: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if not isinstance(self.value, (int, np.integer)):
+            raise ContractViolation(f"seed value must be an integer, got {self.value!r}")
         if not (0 <= int(self.value) < 2**64):
             raise ContractViolation(f"seed value must fit in 64 bits, got {self.value}")
 
@@ -122,12 +124,12 @@ def point_and_norm(
     return arr, coords, norm
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WeightedPointSet:
     """Immutable bundle of ``n`` points in ``R^d`` with real weights.
 
-    Weights may be negative.  Arrays are marked read-only so indices built
-    on top can be shared across threads.
+    Weights may be negative.  Frozen, compared by identity, with read-only
+    arrays, so indices built on top can be shared across threads.
     """
 
     points: np.ndarray
@@ -158,7 +160,7 @@ class WeightedPointSet:
 
     def subset(self, indices: np.ndarray) -> "WeightedPointSet":
         idx = np.asarray(indices, dtype=np.int64)
-        return WeightedPointSet(self.points[idx].copy(), self.weights[idx].copy())
+        return WeightedPointSet(self.points[idx], self.weights[idx])
 
 
 def stab_masks(d2: np.ndarray, params: EpsParams) -> tuple[np.ndarray, np.ndarray]:

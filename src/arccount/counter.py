@@ -9,8 +9,9 @@ learned from a query sample) and linearize it into a tree; a
 ``StoredOrder``, such as a loaded model's, gives a tree fitted earlier,
 and the index keeps it as it is.
 The index works on the points and queries exactly as given, held once, in
-path order (``points()``).  All internal structures run at the halved
-error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
+read-only arrays in path order (``points()``); like its tree and point sets,
+it is frozen and compared by identity.  All internal structures run at the
+halved error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
 
 A query's answer set is exactly the points within the working outer
 radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).
@@ -170,7 +171,7 @@ class CountAnswer:
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CountingIndex:
     config: BuildConfig
     working: EpsParams  # halved error used by node verdicts and leaves
@@ -199,15 +200,17 @@ def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingInd
     tree, spanning = _leaf_order(pts, working, cfg)
     if tree.n != len(pts):
         raise ContractViolation(f"path length {tree.n} does not match point count {len(pts)}")
-    path_points = pts.points[tree.order]
+    path_points, path_weights = pts.points[tree.order], pts.weights[tree.order]
     half_sq_norms = 0.5 * np.einsum("ij,ij->i", path_points, path_points)
+    for arr in (path_points, path_weights, half_sq_norms):
+        arr.setflags(write=False)
 
     return CountingIndex(
         config=cfg,
         working=working,
         tree=tree,
         path_points=path_points,
-        path_weights=pts.weights[tree.order],
+        path_weights=path_weights,
         half_sq_norms=half_sq_norms,
         max_norm=math.sqrt(2.0 * half_sq_norms.max()),
         spanning_tree=spanning,

@@ -73,7 +73,7 @@ def _rows_points(buf: bytes, n: int, d: int, where: str, offset: int) -> Weighte
     """
     rows = np.frombuffer(buf, dtype="<f8", count=n * (d + 1), offset=offset).reshape(n, d + 1)
     try:
-        return WeightedPointSet(rows[:, :d].copy(), rows[:, d].copy())
+        return WeightedPointSet(rows[:, :d], rows[:, d])
     except ContractViolation as exc:
         # with n and d at least 1, the set refuses only a non-finite value
         first = int(np.argmin(np.isfinite(rows).reshape(-1)))
@@ -176,11 +176,11 @@ def _first_bad_row(path: Path, body: list[tuple[int, str]], d: int) -> FileForma
 def read_query_sample(path: str | Path) -> QuerySample:
     """Queries reuse the points format; weights are ignored."""
     pts = read_points(path)
-    return QuerySample(pts.points.copy(), source=f"file:{Path(path).name}")
+    return QuerySample(pts.points, source=f"file:{Path(path).name}")
 
 
 def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = False) -> None:
-    pts = WeightedPointSet(sample.queries.copy(), np.ones(len(sample)))
+    pts = WeightedPointSet(sample.queries, np.ones(len(sample)))
     write_points(path, pts, binary=binary)
 
 

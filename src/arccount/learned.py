@@ -63,9 +63,9 @@ _COUNT_LIMIT = 2**31
 _PAIR_BYTES_BUDGET = 2**31
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuerySample:
-    """Sampled query points plus a descriptor of where they came from."""
+    """Sampled query points plus a descriptor of where they came from; frozen, compared by identity."""
 
     queries: np.ndarray  # (m, d)
     source: str
@@ -77,7 +77,7 @@ class QuerySample:
         if not np.all(np.isfinite(q)):
             raise ContractViolation("query sample contains non-finite values")
         q.flags.writeable = False
-        self.queries = q
+        object.__setattr__(self, "queries", q)
 
     def __len__(self) -> int:
         return self.queries.shape[0]

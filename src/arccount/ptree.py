@@ -6,14 +6,14 @@ complete binary tree over that order, splitting every range as evenly as
 possible with the left child taking the ceiling, is the partition tree: its
 leaves are single points and every node owns a contiguous range of the
 path.  That shape depends on ``n`` alone, so the tree is its path order:
-``PartitionTree(order)`` refuses an order that is not a permutation of
-``0..n-1`` in an integer dtype and keeps a read-only int64 copy.  Five
-arrays over its ``2n - 1`` nodes in preorder are derived from ``n`` on
-their first need and kept: each node's range ``[lo, hi)``, its
-``parent``, whether it is ``inner`` (not a leaf), and its ``twice_size``
-(twice its range's length).  Only the walk needs them, so the tree of an index that
-answers without reading the walk's telemetry never lays them out.  The
-points' weights stay with the index, in path order.
+``PartitionTree(order)`` refuses an order that is not a nonempty permutation of
+``0..n-1`` in an integer dtype and keeps a read-only int64 copy; the tree is
+frozen and compared by identity.  Five arrays over its ``2n - 1`` nodes in
+preorder, ``tree.nodes``, are derived from ``n`` on their first need and kept:
+each node's range ``[lo, hi)``, its ``parent``, whether it is ``inner`` (not a
+leaf), and its ``twice_size`` (twice its range's length).  Only the walk needs
+them, so the tree of an index that answers without reading the walk's telemetry
+never lays them out.  The points' weights stay with the index, in path order.
 
 One walk (``walk``) serves both the index's telemetry and the paper's
 visiting number.  Its callers give it the path points' masks on the
@@ -42,7 +42,8 @@ test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .core import ContractViolation, EpsParams, WeightedPointSet, as_point, sq_dists_to
@@ -54,54 +55,54 @@ def split(lo: int, hi: int) -> int:
     return lo + (hi - lo + 1) // 2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PartitionTree:
     """Balanced binary tree over a spanning path; its node arrays, in preorder, come on first need.
 
-    ``order`` is the path, a permutation of ``0..n-1`` in an integer
-    dtype; the tree refuses any other array, a float one too rather than
-    truncate it, and keeps a read-only int64 copy, so no caller's array
-    can move the leaves of an index built over it.  The shape is a
-    function of ``n`` alone.  Node 0 is the root and owns the path
-    positions ``[0, n)``; node ``k`` owns ``[lo[k], hi[k])``; a
-    range of one position is a leaf; an internal range splits at
-    ``mid = split(lo, hi)``.  Nodes are numbered in preorder, so the left
-    child of ``k`` is ``k + 1``, the right child is ``k + 2 * (mid - lo)``,
-    and ``parent`` maps both back to ``k`` (the root maps to 0);
-    ``inner[k]`` is ``hi - lo > 1``, and ``twice_size[k]`` is
-    ``2 * (hi - lo)``, the code sum of a slice whose points are all near
-    only (see ``walk``); both are kept so that no query recomputes them.
-    Only ``order`` is given and depends on the data: the first call of
-    ``nodes``, which the walk and each of the five properties make, lays
-    out all five arrays, read-only, and keeps them.  Threads that call it
-    first at once may each lay them out; the layouts are equal, and the
-    last one is kept.
+    ``order`` is the path, a nonempty permutation of ``0..n-1`` in an
+    integer dtype; the tree refuses any other array, a float one too rather
+    than truncate it, and keeps a read-only int64 copy.  The tree is frozen
+    and compared by identity, so neither a caller's array nor a reassignment
+    can move the leaves of an index built over it.  The shape is a function
+    of ``n`` alone.  Node 0 is the root and owns the path positions
+    ``[0, n)``; node ``k`` owns ``[lo[k], hi[k])``; a range of one position
+    is a leaf; an internal range splits at ``mid = split(lo, hi)``.  Nodes
+    are numbered in preorder, so the left child of ``k`` is ``k + 1``, the
+    right child is ``k + 2 * (mid - lo)``, and ``parent`` maps both back to
+    ``k`` (the root maps to 0); ``inner[k]`` is ``hi - lo > 1``, and
+    ``twice_size[k]`` is ``2 * (hi - lo)``, the code sum of a slice whose
+    points are all near only (see ``walk``); both are kept so that no query
+    recomputes them.  Only ``order`` is given and depends on the data: the
+    first read of ``nodes``, which the walk and each of the five properties
+    make, lays out all five arrays, read-only, and keeps them.  Threads that
+    read it first at once may each lay them out (from Python 3.12 on; before
+    it, ``cached_property`` takes a lock and one does); the layouts are equal.
     """
 
     order: np.ndarray
-    _nodes: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         order = np.asarray(self.order)
         if order.dtype.kind not in "iu":
             raise ContractViolation(f"path order must hold integers, not {order.dtype}")
+        if order.size == 0:
+            raise ContractViolation("path order must be nonempty")
         if order.ndim != 1 or not np.array_equal(np.sort(order), np.arange(order.size)):
             raise ContractViolation(f"path order must be a permutation of 0..{order.size - 1}")
-        self.order = order.astype(np.int64)
+        object.__setattr__(self, "order", order.astype(np.int64))
         self.order.setflags(write=False)
 
+    @cached_property
     def nodes(self) -> tuple[np.ndarray, ...]:
-        """``(lo, hi, parent, inner, twice_size)``, laid out on the first call and kept."""
-        if self._nodes is None:
-            self._nodes = _node_arrays(self.n)
-        return self._nodes
+        """``(lo, hi, parent, inner, twice_size)``, laid out on the first read and kept."""
+        return _node_arrays(self.n)
 
     # one array at a time, for readers other than the walk
-    lo = property(lambda t: t.nodes()[0])
-    hi = property(lambda t: t.nodes()[1])
-    parent = property(lambda t: t.nodes()[2])
-    inner = property(lambda t: t.nodes()[3])
-    twice_size = property(lambda t: t.nodes()[4])
+    lo = property(lambda t: t.nodes[0])
+    hi = property(lambda t: t.nodes[1])
+    parent = property(lambda t: t.nodes[2])
+    inner = property(lambda t: t.nodes[3])
+    twice_size = property(lambda t: t.nodes[4])
 
     @property
     def n(self) -> int:
@@ -174,11 +175,9 @@ def walk(t: PartitionTree, outer_mask: np.ndarray, inner_mask: np.ndarray) -> tu
     visits the root and both children of every STABBED internal node, and
     no other node.  The included nodes' slices are disjoint and together
     hold exactly the near points.  The first walk of a tree lays out its
-    node arrays (``PartitionTree.nodes``); later walks read them at the
-    cost of one check.
+    node arrays (``PartitionTree.nodes``); later walks read the kept ones.
     """
-    # ``t.nodes()``, without the call once the arrays are laid out
-    lo, hi, parent, inner, twice_size = t._nodes or t.nodes()
+    lo, hi, parent, inner, twice_size = t.nodes
     c = np.zeros(t.n + 1, dtype=np.intp)
     np.add.accumulate(np.add(outer_mask, inner_mask, dtype=np.intp), out=c[1:])
     v = c[hi] - c[lo]

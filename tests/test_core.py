@@ -131,6 +131,16 @@ class TestSeed:
         with pytest.raises(ContractViolation):
             Seed(2**64)
 
+    @pytest.mark.parametrize("value", [1.5, "3"])
+    def test_refuses_a_value_that_is_not_an_integer(self, value):
+        # int() would pass both through the range check, to fail in generator()
+        with pytest.raises(ContractViolation, match="must be an integer"):
+            Seed(value)
+
+    def test_a_numpy_integer_seeds_the_same_stream(self):
+        expected = Seed(7).derive(1).generator().random(4)
+        np.testing.assert_array_equal(Seed(np.uint64(7)).derive(1).generator().random(4), expected)
+
 
 class TestWeightedPointSet:
     def test_negative_weights_allowed(self):
@@ -149,6 +159,15 @@ class TestWeightedPointSet:
         pts = WeightedPointSet(np.zeros((2, 2)), np.ones(2))
         with pytest.raises(ValueError):
             pts.points[0, 0] = 1.0
+
+    def test_subset_shares_no_memory_with_its_source_and_keeps_the_bits(self):
+        rng = Seed(5).generator()
+        pts = WeightedPointSet(rng.normal(size=(6, 3)), rng.normal(size=6))
+        sub = pts.subset(np.array([4, 0, 4]))
+        for name in ("points", "weights"):
+            got, source = getattr(sub, name), getattr(pts, name)
+            assert got.tobytes() == source[[4, 0, 4]].tobytes() and not np.shares_memory(got, source)
+            assert not got.flags.writeable
 
     def test_params_validation(self):
         with pytest.raises(ContractViolation):

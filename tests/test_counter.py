@@ -6,7 +6,7 @@ import gc
 import math
 import sys
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -801,7 +801,7 @@ NODE_ARRAYS = ("lo", "hi", "parent", "inner", "twice_size")
 
 def node_arrays_held(idx: CountingIndex) -> set[str]:
     """The names of the node arrays that the index's tree holds: none, or all five."""
-    held = vars(idx.tree).get("_nodes")
+    held = vars(idx.tree).get("nodes")
     return {name for name, arr in zip(NODE_ARRAYS, held or ()) if isinstance(arr, np.ndarray)}
 
 
@@ -924,6 +924,88 @@ class TestStoredOrder:
         data = tmp_path / "points.txt"
         write_points(data, pts)
         save_model(tmp_path / "model.arc", idx, data)
+
+
+def twin(kind: str) -> object:
+    """A new frozen value of ``kind``, over the same data on every call."""
+    if kind == "index":
+        return small_learned_index(n=20, d=2, seed=240)[1]
+    if kind == "tree":
+        return PartitionTree(np.array([3, 1, 4, 0, 5, 2]))
+    data = Seed(241).generator().uniform(0.0, 3.0, size=(6, 2))
+    return WeightedPointSet(data, np.ones(6)) if kind == "points" else QuerySample(data, "twin")
+
+
+def reachable_arrays(obj: object) -> list[np.ndarray]:
+    """The distinct ndarrays reachable from ``obj`` through attributes, lists, tuples and dict values."""
+    seen: set[int] = set()
+    stack, arrays = [obj], []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            arrays.append(o)
+        elif isinstance(o, dict):
+            stack.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            stack.extend(o)
+        elif hasattr(o, "__dict__") and not isinstance(o, type):
+            stack.extend(vars(o).values())
+    return arrays
+
+
+class TestFrozenValues:
+    """A tree, an index, a point set and a sample are frozen values, compared by identity."""
+
+    @pytest.mark.parametrize("kind", ["tree", "index", "points", "sample"])
+    def test_two_values_over_equal_data_are_not_equal(self, kind):
+        a, b = twin(kind), twin(kind)
+        assert a == a and not a == b and a != b
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("tree", "order"), ("index", "tree"), ("index", "path_points"), ("points", "points"), ("sample", "queries")],
+    )
+    def test_no_field_can_be_reassigned(self, kind, name):
+        value = twin(kind)
+        # a float order would reach the index unchecked, and points() would lose points
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, np.array([1.5, 0.2]))
+
+    @pytest.mark.parametrize("name", ["path_points", "path_weights", "half_sq_norms"])
+    def test_the_path_arrays_refuse_an_in_place_write(self, name):
+        # scaled in place, path_points would leave half_sq_norms and max_norm stale
+        pts, idx = small_learned_index(n=40, d=3, seed=242)
+        queries = pts.points[:6] + 0.2
+        before = [count(idx, q, verify=True) for q in queries]
+        with pytest.raises(ValueError):
+            getattr(idx, name)[...] *= 2.0
+        assert [count(idx, q, verify=True) for q in queries] == before
+
+    @pytest.mark.parametrize("source", ["learned", "worstcase", "stored", "loaded"])
+    def test_every_array_an_index_reaches_is_read_only(self, tmp_path, source):
+        rng = Seed(243).generator()
+        pts = WeightedPointSet(rng.uniform(0.0, 3.0, size=(40, 2)), rng.uniform(0.1, 2.0, size=40))
+        if source == "learned":
+            tree_source = LearnedSource(near_data_queries(pts, 100, sigma=0.5, seed=Seed(244)))
+        elif source == "worstcase":
+            tree_source = WorstCaseSource()
+        else:
+            tree_source = StoredOrder(PartitionTree(rng.permutation(40)), "learned")
+        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(245), tree_source=tree_source))
+        if source == "loaded":
+            data, model = tmp_path / "points.bin", tmp_path / "model.arc"
+            write_points(data, pts, binary=True)
+            save_model(model, idx, data)
+            idx = load_model(model, data)
+        before = reachable_arrays(idx)
+        assert count(idx, pts.points[0] + 0.2).visited_nodes > 1
+        after = reachable_arrays(idx)
+        assert {id(arr) for arr in idx.tree.nodes} <= {id(arr) for arr in after}
+        assert len(after) == len(before) + 5
+        assert not any(arr.flags.writeable for arr in before + after)
 
 
 class TestDeterminism:

@@ -399,6 +399,7 @@ def test_model_round_trip_is_bit_exact(built, binary):
     for name in ("points", "weights"):
         a, b = getattr(pts, name), getattr(loaded.points(), name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not np.shares_memory(b, getattr(loaded, f"path_{name}"))
     for name in ("path_points", "path_weights", "half_sq_norms"):
         assert getattr(idx, name).tobytes() == getattr(loaded, name).tobytes()
     assert loaded.tree.order.tolist() == list(order) and loaded.max_norm == idx.max_norm

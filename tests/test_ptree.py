@@ -56,6 +56,10 @@ class TestPartitionTreeOrder:
         with pytest.raises(ContractViolation, match="must hold integers"):
             PartitionTree(np.array(order))
 
+    def test_refuses_an_empty_order(self):
+        with pytest.raises(ContractViolation, match="must be nonempty"):
+            PartitionTree(np.array([], dtype=np.int64))
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
     def test_keeps_a_read_only_int64_copy(self, dtype):
         given = np.array([2, 0, 1], dtype=dtype)
@@ -167,7 +171,7 @@ def eager_node_arrays(n: int) -> dict[str, np.ndarray]:
 
 def node_arrays_held(t: PartitionTree) -> set[str]:
     """The names of the node arrays that ``t`` holds: none, or all five."""
-    held = vars(t).get("_nodes")
+    held = vars(t).get("nodes")
     return {name for name, arr in zip(NODE_ARRAYS, held or ()) if isinstance(arr, np.ndarray)}
 
 
@@ -184,7 +188,7 @@ class TestNodeArraysOnFirstRead:
         monkeypatch.setattr(ptree, "_node_arrays", lambda n: calls.append(n) or real(n))
         first = getattr(t, name)
         assert node_arrays_held(t) == set(NODE_ARRAYS)
-        held = dict(zip(NODE_ARRAYS, vars(t)["_nodes"]))
+        held = dict(zip(NODE_ARRAYS, vars(t)["nodes"]))
         for k in NODE_ARRAYS:
             assert getattr(t, k) is held[k]
         assert getattr(t, name) is first and calls == [9]
@@ -212,9 +216,9 @@ class TestNodeArraysOnFirstRead:
         monkeypatch.setattr(ptree, "_node_arrays", lambda n: calls.append(n) or real(n))
         first = visiting_number(t, np.zeros(2), pts, PARAMS)
         assert node_arrays_held(t) == set(NODE_ARRAYS)
-        held = vars(t)["_nodes"]
+        held = vars(t)["nodes"]
         assert visiting_number(t, np.ones(2), pts, PARAMS) >= 1 and first >= 1
-        assert vars(t)["_nodes"] is held and calls == [8]
+        assert vars(t)["nodes"] is held and calls == [8]
 
 
 class TestCanonicalPath:
