@@ -18,6 +18,9 @@ in-process passes over the 200 timed pool queries:
   certified pass at the outer radius and a masked sum;
 * ``telemetry_us``: ``count`` and a read of the answer's
   ``visited_nodes``, which runs the pass at both radii and the tree walk;
+* ``eval_us``: one ``counter.evaluate_visiting`` of the index over the
+  timed pool queries as its holdout, per query: each answer verified,
+  walked and audited against the closed balls at the full error;
 * ``einsum_scan_us``: the benchmark's reference scan,
   ``w[einsum(p - q) <= r**2].sum()``;
 * ``gemv_scan_us``: the same scan with ``d2 = pp - 2 P @ q + q . q``, one
@@ -89,6 +92,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
     inputs = make_inputs(WORKLOADS[workload], seed)
     idx = arccount.build_counting_index(inputs.points, build_config(inputs, seed))
     queries = list(inputs.pool[:TIMED_QUERIES])
+    holdout = arccount.QuerySample(inputs.pool[:TIMED_QUERIES], source="pool")
     d = inputs.points.dim
     checked = [point_and_norm(q, d) for q in queries]
     radii = (idx.working.outer_radius, idx.working.radius)
@@ -123,6 +127,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "walk_us": best_us(lambda m: walk(idx.tree, *m), both, passes),
         "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
         "telemetry_us": best_us(lambda q: arccount.count(idx, q).visited_nodes, queries, passes),
+        "eval_us": best_us(lambda h: counter.evaluate_visiting(idx, h), [holdout], passes) / len(queries),
         "einsum_scan_us": best_us(einsum_scan, queries, passes),
         "gemv_scan_us": best_us(gemv_scan, queries, passes),
     }

@@ -2,8 +2,8 @@
 
 Subcommands: ``gen`` (synthetic datasets), ``gen-queries`` (query sets),
 ``build`` (fit and save an index), ``query`` (one count), ``eval``
-(holdout evaluation with oracle cross-checks), and ``oracle`` (exact
-answers only).  Exit codes: 0 on success, 2 for malformed input files
+(holdout evaluation, each answer checked against exact balls), and
+``oracle`` (exact answers only).  Exit codes: 0 on success, 2 for malformed input files
 and files that cannot be read or written, 3 for configuration contract
 violations, and 4 when ``eval`` finds an answer outside the sandwich
 (its report is written first).

@@ -41,9 +41,9 @@ kept.  ``visiting_number`` takes the same masks from ``sq_dists_to``,
 so ``visited_nodes`` is the paper's visiting number at the working
 error, ``ptree.visiting_number``, bit for bit.
 
-``evaluate_visiting(idx, holdout)`` audits an index on a holdout sample:
-it checks each verified answer against the oracle's brute-force scans of
-the index's own points, at the full-error sandwich of its own config.
+``evaluate_visiting(idx, holdout)`` audits each verified answer, as a
+mask over path positions, against the balls of the full-error sandwich
+of its config, which one numpy prune and the oracle's ``math.dist`` find.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .core import (
     sq_dists_to,
 )
 from .learned import QuerySample, learned_spanning_tree, pair_stab_counts
-from .oracle import exact_zones, point_rows
 from . import ptree
 from .ptree import PartitionTree, tree_to_path
 from .spantree import LightEdgeParams, SpanningTree, generate_grid_queries, build_low_stab_tree
@@ -333,57 +332,74 @@ class EvalReport:
     holdout_overlaps_training: bool | None = False
 
 
+def _row_keys(rows: np.ndarray) -> set[bytes]:
+    """The bytes of each row of a sample's C-ordered ``rows`` plus 0.0, which turns -0.0 into 0.0."""
+    rows = rows + 0.0
+    return set(rows.view(f"V{rows.strides[0]}").ravel().tolist())
+
+
+def _zones(points: np.ndarray, q: np.ndarray, params: EpsParams) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the ``points`` within ``params.radius`` and ``params.outer_radius`` of ``q``, by the oracle's ``math.dist``.
+
+    One numpy pass, sharing no code with ``_within``, drops a point only
+    if its ``e``, the squared differences summed against ones, exceeds
+    ``(c R)**2``: ``R = (1+eps) r``, ``c = 1 + (d + 4) 2**-50``.  With
+    ``u = 2**-53`` and ``D`` the exact squared norm of the rounded
+    ``p - q`` that ``math.dist`` also takes, ``e <= (1 + (d+1) u) D``
+    plus ``d 2**-1075`` from subnormal squares, under ``2 d u R**2`` as
+    ``BuildConfig`` keeps ``r*r`` normal; ``math.dist`` is ``sqrt(D)``
+    within one ulp, and ``c`` and its square round by ``u`` each.  So a
+    dropped point's ``math.dist`` exceeds ``R``: ``c - 1`` is over five
+    times the ``(3d + 8) u / 2`` these errors need.  Every other point,
+    one whose ``e`` overflowed to inf included, is measured.
+    """
+    with np.errstate(over="ignore"):
+        diff = points - q
+        diff *= diff
+        e = diff.dot(np.ones(points.shape[1]))
+    cut = (1.0 + (points.shape[1] + 4) * 2.0**-50) * params.outer_radius
+    kept = np.flatnonzero(~((e > cut * cut) & np.isfinite(e)))
+    qt = q.tolist()
+    dists = np.array([math.dist(p, qt) for p in points[kept].tolist()])
+    inner, outer = np.zeros((2, len(points)), dtype=bool)
+    inner[kept], outer[kept] = dists <= params.radius, dists <= params.outer_radius
+    return inner, outer
+
+
 def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     """Exact visiting numbers, ambiguity counts, and sandwich checks on a holdout.
 
-    The index is audited against its own points, ``idx.points()``, and
-    the full-error sandwich of its own config.  For every holdout query the
-    reported set is re-derived in verification mode and compared against
-    exact range scans: the inner ball must be contained in the answer set
-    and the answer set in the outer ball.  If the index was trained on
-    queries and any holdout row coincides with a training row, the report
-    flags the overlap (the caller is responsible for keeping holdouts
-    fresh).  A ``StoredOrder`` of kind ``"learned"``, such as a loaded
-    model's, does not hold the sample its order was fitted to and reports
-    the overlap as None.
-
-    The visiting number is the walk's own ``visited_nodes``, the paper's
-    visiting number on closed balls at the working error, where the walk
-    runs: ``ptree.visiting_number(idx.tree, q, idx.points(), idx.working)``.
-    The sandwich check and ``t_q`` stay at the full error.
+    Each answer, re-derived in verification mode as a mask over path
+    positions, must hold the inner ball of ``_zones`` (the index's own
+    points, its config's full error) and fit in the outer; ``t_q`` is their
+    difference in size.  All three are as the oracle's scans find them.  A
+    holdout row equal to a training row (``-0.0`` to ``0.0``) flags the
+    overlap, which a ``StoredOrder`` of kind ``"learned"``, holding no
+    sample, reports as None.  The visiting number is the walk's
+    ``visited_nodes``: ``ptree.visiting_number`` at the working error.
     """
     params = EpsParams(idx.config.eps, idx.config.radius)
     source = idx.config.tree_source
     overlaps: bool | None = False
     if isinstance(source, LearnedSource):
-        train_rows = {row.tobytes() for row in source.sample.queries}
-        overlaps = any(row.tobytes() in train_rows for row in holdout.queries)
+        overlaps = not _row_keys(source.sample.queries).isdisjoint(_row_keys(holdout.queries))
     elif source.kind == LearnedSource.kind:
         overlaps = None
 
-    pts_rows = point_rows(idx.points())
     rows: list[dict] = []
-    passes = 0
     for q in holdout.queries:
         ans = count(idx, q, verify=True)
-        answer_set: set[int] = set()
+        members = np.zeros(idx.tree.n, dtype=bool)
         for lo, hi in ans.member_ranges:
-            answer_set.update(int(v) for v in idx.tree.order[lo:hi])
-        inner, outer, t_q = exact_zones(pts_rows, q, params)
-        ok = inner.issubset(answer_set) and answer_set.issubset(outer)
-        passes += ok
-        rows.append(
-            {
-                "visiting": ans.visited_nodes,
-                "t_q": t_q,
-                "sandwich_ok": bool(ok),
-            }
-        )
-    m = len(holdout)
+            members[lo:hi] = True
+        inner, outer = _zones(idx.path_points, q, params)
+        ok = not (inner & ~members).any() and not (members & ~outer).any()
+        t_q = int(np.count_nonzero(outer)) - int(np.count_nonzero(inner))
+        rows.append({"visiting": ans.visited_nodes, "t_q": t_q, "sandwich_ok": ok})
     return EvalReport(
         mean_visiting=float(np.mean([r["visiting"] for r in rows])),
         mean_tq=float(np.mean([r["t_q"] for r in rows])),
-        sandwich_pass_rate=passes / m,
+        sandwich_pass_rate=sum(r["sandwich_ok"] for r in rows) / len(rows),
         per_query=rows,
         holdout_overlaps_training=overlaps,
     )

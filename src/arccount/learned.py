@@ -7,7 +7,8 @@ counts.  The tree is optimal for the sample by exchange argument, and a
 large enough sample makes the sample mean track the true expected stabbing
 within constant factors.  The module holds the samples, their stab
 counts and the tree; the holdout audit of a built index,
-``evaluate_visiting``, sits beside ``count``.
+``evaluate_visiting``, sits beside ``count`` and flags a holdout row
+equal to a training row, a zero of either sign included.
 
 Memory: the counts are one int32 n x n matrix, 4 n^2 bytes.  Beside it,
 ``pair_stab_counts`` holds one 1 MiB float32 buffer for a chunk's shifted

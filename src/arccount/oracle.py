@@ -1,7 +1,9 @@
 """Brute-force ground truth for every quantity the fast paths estimate.
 
 Nothing here is clever on purpose: plain loops, plain recursion, and no code
-shared with the structures under test.  Boundary conventions match the rest
+shared with the structures under test; ``import arccount`` does not load it.
+The holdout audit, ``counter.evaluate_visiting``, decides points by the same
+``math.dist`` as ``_dist``.  Boundary conventions match the rest
 of the package: balls are closed, the ambiguity zone around a query is
 ``radius < dist <= (1+eps) * radius``, and a pair is stabbed when one end is
 within ``radius`` and the other at distance ``>= (1+eps) * radius``.
@@ -35,29 +37,6 @@ def exact_range_weight(pts: WeightedPointSet, q: np.ndarray, radius: float) -> f
 def exact_range_indices(pts: WeightedPointSet, q: np.ndarray, radius: float) -> set[int]:
     """Indices of points with distance to ``q`` at most ``radius``."""
     return {i for i, p in enumerate(pts.points) if _dist(p, q) <= radius}
-
-
-def point_rows(pts: WeightedPointSet) -> list[tuple[float, ...]]:
-    """The points as tuples of Python floats, to convert once for many ``exact_zones`` calls."""
-    return [tuple(row) for row in pts.points.tolist()]
-
-
-def exact_zones(
-    rows: Sequence[tuple[float, ...]], q: np.ndarray, params: EpsParams
-) -> tuple[set[int], set[int], int]:
-    """Indices within ``radius``, indices within ``(1+eps)*radius``, and the ambiguity zone's size.
-
-    ``rows`` are the points as ``point_rows`` gives them; one distance per
-    point answers all three, as ``exact_range_indices`` at both radii and
-    ``exact_tq`` would.
-    """
-    r = params.radius
-    big = params.outer_radius
-    qt = tuple(float(v) for v in q)
-    dists = [math.dist(p, qt) for p in rows]
-    inner = {i for i, d in enumerate(dists) if d <= r}
-    outer = {i for i, d in enumerate(dists) if d <= big}
-    return inner, outer, sum(1 for d in dists if r < d <= big)
 
 
 def exact_sigma(

@@ -120,22 +120,23 @@ class QueryMultiset:
             return bool(np.array_equal(np.log2(self.weights()), e - e.max()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Forest:
     """Edges of one forest round."""
 
     n: int
-    edges: list[Edge]
+    edges: tuple[Edge, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpanningTree:
-    """A validated spanning tree on ``n`` vertices."""
+    """A validated spanning tree on ``n`` vertices; frozen, its edges kept as a tuple."""
 
     n: int
-    edges: list[Edge]
+    edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", tuple(self.edges))
         if len(self.edges) != self.n - 1:
             raise ContractViolation(
                 f"spanning tree on {self.n} vertices needs {self.n - 1} edges, got {len(self.edges)}"
@@ -675,7 +676,7 @@ def build_low_stab_forest(
         if stabbed.size:
             live.weights.double(stabbed, live.reps)
         live.alive[edge.a] = False
-    return Forest(n=len(pts), edges=edges)
+    return Forest(n=len(pts), edges=tuple(edges))
 
 
 def build_low_stab_tree(

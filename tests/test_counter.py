@@ -957,7 +957,7 @@ def reachable_arrays(obj: object) -> list[np.ndarray]:
 
 
 class TestFrozenValues:
-    """A tree, an index, a point set and a sample are frozen values, compared by identity."""
+    """A tree, an index, a point set and a sample are frozen values, compared by identity; a spanning tree is frozen too."""
 
     @pytest.mark.parametrize("kind", ["tree", "index", "points", "sample"])
     def test_two_values_over_equal_data_are_not_equal(self, kind):
@@ -973,6 +973,18 @@ class TestFrozenValues:
         # a float order would reach the index unchecked, and points() would lose points
         with pytest.raises(FrozenInstanceError):
             setattr(value, name, np.array([1.5, 0.2]))
+
+    def test_the_spanning_tree_refuses_a_write(self):
+        # the tree is the one a bench's path-stabbing metrics read
+        pts = WeightedPointSet(Seed(246).generator().uniform(0.0, 2.5, size=(30, 2)), np.ones(30))
+        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(247), tree_source=WorstCaseSource()))
+        tree = idx.spanning_tree
+        edges = tree.edges
+        with pytest.raises(AttributeError):
+            tree.edges.clear()
+        with pytest.raises(FrozenInstanceError):
+            tree.n = 5
+        assert tree.edges is edges and len(edges) == tree.n - 1 == 29
 
     @pytest.mark.parametrize("name", ["path_points", "path_weights", "half_sq_norms"])
     def test_the_path_arrays_refuse_an_in_place_write(self, name):

@@ -1,4 +1,4 @@
-"""Import footprint: the library loads scipy only in the one call that uses it.
+"""Import footprint: the library loads scipy only in the one call that uses it, and never the oracle.
 
 Each check runs in a fresh interpreter, because the test modules import
 scipy themselves and would hide a module-level scipy import.
@@ -50,6 +50,20 @@ def test_library_imports_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_package_import_loads_no_oracle():
+    # the brute-force oracle is the tests' referee, and the CLI's oracle
+    # command; the holdout audit shares its formula, not its module
+    proc = run_fresh(
+        """
+        import sys
+        import arccount, arccount.counter
+        print("arccount.oracle" in sys.modules)
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def square_case() -> tuple[WeightedPointSet, QuerySample]:

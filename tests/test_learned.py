@@ -60,7 +60,7 @@ def per_query_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     return counts
 
 
-def lexsort_tree_edges(counts: np.ndarray, n: int) -> list[Edge]:
+def lexsort_tree_edges(counts: np.ndarray, n: int) -> tuple[Edge, ...]:
     """Reference Kruskal: all pairs a < b lexsorted by (count, a, b)."""
     iu, ju = np.triu_indices(n, k=1)
     parent = list(range(n))
@@ -76,7 +76,7 @@ def lexsort_tree_edges(counts: np.ndarray, n: int) -> list[Edge]:
         if ra != rb:
             parent[ra] = rb
             edges.append(Edge(int(iu[t]), int(ju[t])))
-    return edges
+    return tuple(edges)
 
 
 def near_data_case(n: int, m: int, seed: int) -> tuple[WeightedPointSet, QuerySample]:
@@ -463,7 +463,7 @@ class TestStabCountsProperty:
 class TestLearnedTree:
     def test_all_zero_counts_give_star_at_zero(self):
         tree = learned_spanning_tree(np.zeros((5, 5), dtype=np.int64), 5)
-        assert tree.edges == [Edge(0, 1), Edge(0, 2), Edge(0, 3), Edge(0, 4)]
+        assert tree.edges == (Edge(0, 1), Edge(0, 2), Edge(0, 3), Edge(0, 4))
 
     def test_objective_sums_edge_counts(self):
         counts = np.array([[0, 3, 9], [3, 0, 1], [9, 1, 0]])
@@ -478,7 +478,7 @@ class TestLearnedTree:
         for a in range(3):
             counts[a, a + 1] = counts[a + 1, a] = 2**30
         tree = learned_spanning_tree(counts, 4)
-        assert tree.edges == [Edge(0, 1), Edge(1, 2), Edge(2, 3)]
+        assert tree.edges == (Edge(0, 1), Edge(1, 2), Edge(2, 3))
         assert tree_objective(counts, tree) == 3 * 2**30
 
     def test_scratch_memory_is_linear_in_n(self):
@@ -571,6 +571,15 @@ class TestHoldoutOverlap:
         mixed = QuerySample(np.vstack([fresh.queries, sample.queries[:2]]), source="t")
         assert evaluate_visiting(idx, fresh).holdout_overlaps_training is False
         assert evaluate_visiting(idx, mixed).holdout_overlaps_training is True
+
+    def test_a_zero_of_either_sign_overlaps(self):
+        # -0.0 and 0.0 are equal coordinates, though their bytes differ
+        pts, _, _ = self.built()
+        sample = QuerySample(np.array([[-0.0, 0.5], [1.0, 1.0]]), source="t")
+        idx = build_counting_index(pts, BuildConfig(eps=0.5, seed=Seed(138), tree_source=LearnedSource(sample)))
+        for row in ([0.0, 0.5], [-0.0, 0.5]):
+            assert evaluate_visiting(idx, QuerySample(np.array([row]), source="t")).holdout_overlaps_training is True
+        assert evaluate_visiting(idx, QuerySample(np.array([[0.0, -0.5]]), source="t")).holdout_overlaps_training is False
 
     def test_unknown_for_a_stored_learned_order(self):
         # a stored leaf order, as a loaded model's is: the index cannot tell

@@ -1,4 +1,4 @@
-"""Sanity checks on the brute-force oracles themselves."""
+"""Sanity checks on the brute-force oracles themselves, and the holdout audit held to them."""
 
 from __future__ import annotations
 
@@ -6,8 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arccount.core import ContractViolation, EpsParams, WeightedPointSet
+from arccount import counter
+from arccount.core import ContractViolation, EpsParams, Seed, WeightedPointSet
+from arccount.counter import BuildConfig, StoredOrder, build_counting_index, count, evaluate_visiting
+from arccount.learned import QuerySample
 from arccount.oracle import (
     enumerate_spanning_trees,
     exact_range_indices,
@@ -15,9 +20,43 @@ from arccount.oracle import (
     exact_sigma,
     exact_tq,
     exact_visiting_oracle,
-    exact_zones,
-    point_rows,
 )
+from arccount.ptree import PartitionTree
+
+
+def audit_case(
+    kind: str, n: int, d: int, step: float, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Points, queries and a radius of one ``kind`` of audit input.
+
+    ``lattice`` takes the radius ``k`` steps of a lattice of side ``step``
+    and puts 3-4-5 triples of steps at 3, 4 and 5 steps of lattice
+    queries, on ``r`` and, at eps 2/3 (k 3) or 0.25 (k 4), on ``(1+eps) r``;
+    at steps 0.1 and 1.1, unlike 0.3, comparing squared distances there
+    decides some points otherwise than ``math.dist``.  ``offset`` moves
+    random data by 10**6; ``huge`` takes a radius near ``BuildConfig``'s
+    limit, with points whose squared distances overflow.
+    """
+    if kind == "lattice":
+        ticks = np.arange(-6, 7)
+        grid = step * np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+        points = grid[rng.choice(len(grid), size=min(n, len(grid)), replace=False)]
+        queries = step * rng.integers(-4, 5, size=(6, 2))
+        triples = [(3, 4), (-4, 3), (0, 5), (5, 0), (3, 0), (0, -4), (-3, -4)]
+        ties = [queries[0] + step * np.array(t) for t in triples]
+        return np.vstack([points, ties]), queries, step * k
+    if kind == "huge":
+        radius = 5e153
+        points = rng.uniform(-1.0, 1.0, size=(n, 2)) * 1.5e155
+        points[: n // 2] = rng.uniform(-1.0, 1.0, size=(n // 2, 2)) * 2.0 * radius
+        queries = np.vstack([np.zeros((1, 2)), points[:3], [[radius, 0.0], [1.5 * radius, 0.0]]])
+        return points, queries, radius
+    points = rng.uniform(-2.0, 2.0, size=(n, d))
+    queries = np.vstack([np.zeros((1, d)), points[:2], rng.uniform(-2.0, 2.0, size=(4, d))])
+    points[0] = np.eye(d)[0]  # at exactly r from the first query, the origin
+    if kind == "offset":
+        points, queries = points + 1e6, queries + 1e6
+    return points, queries, 1.0
 
 
 def unit_grid(side: int) -> WeightedPointSet:
@@ -69,19 +108,43 @@ class TestSigmaAndAmbiguity:
         outer = len(exact_range_indices(pts, q, params.outer_radius))
         assert inner + exact_tq(q, pts, params) == outer
 
-    def test_zones_equal_the_separate_scans(self):
-        # boundary points at exactly r and (1+eps) r included
-        rng = np.random.default_rng(52)
-        points = np.vstack([rng.uniform(-2, 2, size=(60, 3)), [[1.0, 0.0, 0.0], [0.0, -1.5, 0.0]]])
+    @given(
+        kind=st.sampled_from(["random", "lattice", "offset", "huge"]),
+        n=st.integers(1, 40),
+        d=st.integers(1, 4),
+        eps=st.sampled_from([0.5, 2.0 / 3.0, 0.25]) | st.floats(0.01, 0.99),
+        step=st.sampled_from([0.3, 0.1, 1.1]),
+        k=st.integers(3, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="lattice", n=40, d=2, eps=0.5, step=0.3, k=5, seed=0)
+    @example(kind="lattice", n=40, d=2, eps=2.0 / 3.0, step=0.1, k=3, seed=1)
+    @example(kind="lattice", n=40, d=2, eps=0.25, step=1.1, k=4, seed=2)
+    @example(kind="lattice", n=40, d=2, eps=0.5, step=0.1, k=5, seed=3)
+    @example(kind="offset", n=30, d=3, eps=0.5, step=0.3, k=3, seed=4)
+    @example(kind="huge", n=20, d=2, eps=0.5, step=0.3, k=3, seed=5)
+    @settings(max_examples=60, deadline=None)
+    def test_zones_equal_the_separate_scans(self, kind, n, d, eps, step, k, seed):
+        # the holdout audit's zones, t_q and sandwich flag against the
+        # separate scans, over path positions mapped back to point ids
+        points, queries, radius = audit_case(kind, n, d, step, k, np.random.default_rng(seed))
         pts = WeightedPointSet(points, np.ones(len(points)))
-        params = EpsParams(eps=0.5)
-        rows = point_rows(pts)
-        for q in [np.zeros(3), *rng.uniform(-2, 2, size=(20, 3))]:
-            assert exact_zones(rows, q, params) == (
-                exact_range_indices(pts, q, params.radius),
-                exact_range_indices(pts, q, params.outer_radius),
-                exact_tq(q, pts, params),
-            )
+        order = PartitionTree(np.random.default_rng(seed).permutation(len(points)))
+        cfg = BuildConfig(eps=eps, seed=Seed(0), tree_source=StoredOrder(order, "learned"), radius=radius)
+        idx = build_counting_index(pts, cfg)
+        params = EpsParams(eps, radius)
+        report = evaluate_visiting(idx, QuerySample(queries, source="audit"))
+        ids = idx.tree.order
+        for q, row in zip(queries, report.per_query):
+            inner = exact_range_indices(pts, q, params.radius)
+            outer = exact_range_indices(pts, q, params.outer_radius)
+            got_inner, got_outer = counter._zones(idx.path_points, q, params)
+            assert set(ids[got_inner].tolist()) == inner
+            assert set(ids[got_outer].tolist()) == outer
+            assert row["t_q"] == exact_tq(q, pts, params)
+            ranges = count(idx, q, verify=True).member_ranges
+            answer = {int(i) for lo, hi in ranges for i in ids[lo:hi]}
+            assert row["sandwich_ok"] is (inner <= answer <= outer)
 
     def test_single_stabbed_edge(self):
         pts = WeightedPointSet(np.array([[0.5, 0.0], [1.7, 0.0], [0.6, 0.0]]), np.ones(3))

@@ -141,7 +141,7 @@ def reference_light_edge(
 
 def reference_low_stab_tree(
     pts: WeightedPointSet, queries: QueryMultiset, params: EpsParams, lp: LightEdgeParams, seed: Seed
-) -> list[Edge]:
+) -> tuple[Edge, ...]:
     """The worst-case build as loops over the reference search: per round the
     component representatives, per edge a copied point set of the points still
     active in the round, and every query that stabs the edge bumped once."""
@@ -151,7 +151,7 @@ def reference_low_stab_tree(
     for round_no in itertools.count():
         reps = sorted({uf.find(i) for i in range(n)})
         if len(reps) == 1:
-            return edges
+            return tuple(edges)
         active = list(reps)
         for it in range(math.ceil(len(reps) / 2)):
             sub = pts.subset(np.array(active))
