@@ -19,10 +19,14 @@ then each side's ``io.load_model`` of its model, after a ``gc.collect()``
 as the benchmark loads, and each side's hash covers the loaded index's
 leaf order and ``points()`` bytes.
 
-With ``--phase query`` each side builds its index once; a timed call is
-then one pass of ``count`` over the benchmark's ``TIMED_QUERIES`` pool
-queries, reading the weight alone, as the benchmark's query loop does,
-and each side's hash covers the ``hex()`` of every weight.
+With ``--phase query`` each side builds its index once and swaps in, by
+``dataclasses.replace``, read-only copies of the arrays ``count`` scans
+(``path_points``, ``path_weights`` and ``half_sq_norms``) that start on a
+page boundary, so both sides read them at the same alignment; a timed
+call is then one pass of ``count`` over the benchmark's
+``TIMED_QUERIES`` pool queries, reading the weight alone, as the
+benchmark's query loop does, and each side's hash covers the ``hex()``
+of every weight.
 
 Prints one JSON line: each side's median and quartiles (seconds per call,
 or with ``--phase query`` microseconds per query), the ratio of the
@@ -65,6 +69,9 @@ import harness  # noqa: E402
 import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
+PAGE = 4096
+# the index arrays that ``count`` scans, which --phase query aligns
+SCANNED = ("path_points", "path_weights", "half_sq_norms")
 
 
 def load_sides(parent_src: Path, tmp: Path) -> dict:
@@ -122,11 +129,23 @@ def load_call(package, workload: harness.Workload, seed: int, data: Path, model:
     return load
 
 
+def page_aligned(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a`` whose data starts on a page boundary."""
+    buf = np.empty(a.nbytes + PAGE, dtype=np.uint8)
+    start = -buf.ctypes.data % PAGE
+    out = buf[start : start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    out.setflags(write=False)
+    return out
+
+
 def query_call(package, workload: harness.Workload, seed: int):
     """A call that answers the timed pool queries of ``workload`` with ``package``; its seconds and weights' hash."""
     harness.arccount = package
     inputs = harness.make_inputs(workload, seed)
     idx = package.build_counting_index(inputs.points, harness.build_config(inputs, seed))
+    # where the heap put each side's arrays moves the scan by about 2%
+    idx = dataclasses.replace(idx, **{name: page_aligned(getattr(idx, name)) for name in SCANNED})
     queries = list(inputs.pool[: harness.TIMED_QUERIES])
     count = package.count
 

@@ -18,6 +18,9 @@ in-process passes over the 200 timed pool queries:
   certified pass at the outer radius and a masked sum;
 * ``telemetry_us``: ``count`` and a read of the answer's
   ``visited_nodes``, which runs the pass at both radii and the tree walk;
+* ``verify_us``: ``count(idx, q, verify=True)``, the verified answer that
+  the audit reads: the pass at both radii, the walk and the check that
+  its member ranges cover exactly the summed mask;
 * ``eval_us``: one ``counter.evaluate_visiting`` of the index over the
   timed pool queries as its holdout, per query: each answer verified,
   walked and audited against the closed balls at the full error;
@@ -127,6 +130,7 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "walk_us": best_us(lambda m: walk(idx.tree, *m), both, passes),
         "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
         "telemetry_us": best_us(lambda q: arccount.count(idx, q).visited_nodes, queries, passes),
+        "verify_us": best_us(lambda q: arccount.count(idx, q, verify=True), queries, passes),
         "eval_us": best_us(lambda h: counter.evaluate_visiting(idx, h), [holdout], passes) / len(queries),
         "einsum_scan_us": best_us(einsum_scan, queries, passes),
         "gemv_scan_us": best_us(gemv_scan, queries, passes),

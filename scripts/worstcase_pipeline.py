@@ -5,13 +5,14 @@ Stages printed along the way:
   1. enumerate the grid query universe near the data,
   2. build the low-stabbing spanning tree with multiplicative weight updates,
   3. linearize it and erect the balanced partition tree over its path,
-  4. answer queries with prefix-count node verdicts, cross-checking every
-     answer against a brute-force oracle sandwich.
+  4. audit random queries with ``evaluate_visiting``, as ``arccount eval``
+     does: each verified answer set against the exact balls of the
+     full-error sandwich, its visiting number and its ambiguity-zone count.
 
 The universe and the tree are built at the index's working error eps/2,
 and the index adopts the tree's leaf order, so the printed stabbing and
-visits describe one tree.  Exits 1 when any query's weight leaves the
-sandwich.
+visits describe one tree.  Exits 1 when the audit's sandwich pass rate is
+below 1.0.
 
 Example:
     python3 scripts/worstcase_pipeline.py --n 24 --d 2 --seed 3 --queries 40
@@ -26,9 +27,10 @@ import time
 import numpy as np
 
 from arccount.core import EpsParams, GridSpec, Seed, WeightedPointSet
-from arccount.counter import BuildConfig, StoredOrder, build_counting_index, count
-from arccount.oracle import exact_range_weight, exact_sigma, exact_tq
-from arccount.ptree import tree_to_path, visiting_number
+from arccount.counter import BuildConfig, StoredOrder, build_counting_index, evaluate_visiting
+from arccount.learned import QuerySample
+from arccount.oracle import exact_sigma
+from arccount.ptree import tree_to_path
 from arccount.spantree import LightEdgeParams, build_low_stab_tree, generate_grid_queries
 
 
@@ -77,27 +79,17 @@ def main() -> None:
 
     lo = pts.points.min(axis=0) - 1.0
     hi = pts.points.max(axis=0) + 1.0
-    sandwich_ok = 0
-    visits, zetas, ambiguity = [], [], []
-    for _ in range(args.queries):
-        q = rng.uniform(lo, hi)
-        ans = count(idx, q, verify=True)
-        inner = exact_range_weight(pts, q, params.radius)
-        outer = exact_range_weight(pts, q, params.outer_radius)
-        sandwich_ok += inner - 1e-9 <= ans.weight <= outer + 1e-9
-        visits.append(ans.visited_nodes)
-        zetas.append(visiting_number(idx.tree, q, pts, working))
-        ambiguity.append(exact_tq(q, pts, working))
+    queries = rng.uniform(lo, hi, size=(args.queries, args.d))
+    report = evaluate_visiting(idx, QuerySample(queries, source="random box"))
+    rows = report.per_query
     print(
-        f"queries: {sandwich_ok}/{args.queries} weight-sandwiched, "
-        f"visited nodes mean {np.mean(visits):.1f} / max {max(visits)} "
+        f"queries: {sum(r['sandwich_ok'] for r in rows)}/{args.queries} answer sets sandwiched, "
+        f"visited nodes mean {report.mean_visiting:.1f} / max {max(r['visiting'] for r in rows)} "
         f"(full tree has {2 * args.n - 1} nodes)"
     )
-    print(
-        f"predicted visiting mean {np.mean(zetas):.1f}, ambiguity-zone count mean {np.mean(ambiguity):.1f}"
-    )
+    print(f"ambiguity-zone count mean {report.mean_tq:.1f} at the full eps {args.eps}")
     print(f"total {time.perf_counter() - t0:.2f}s")
-    if sandwich_ok < args.queries:
+    if report.sandwich_pass_rate < 1.0:
         sys.exit(1)
 
 

@@ -41,9 +41,13 @@ kept.  ``visiting_number`` takes the same masks from ``sq_dists_to``,
 so ``visited_nodes`` is the paper's visiting number at the working
 error, ``ptree.visiting_number``, bit for bit.
 
-``evaluate_visiting(idx, holdout)`` audits each verified answer, as a
-mask over path positions, against the balls of the full-error sandwich
-of its config, which one numpy prune and the oracle's ``math.dist`` find.
+A verified answer comes from one step, ``_verified``, which both
+``count(verify=True)`` and the audit call: it returns the answer and the
+mask over path positions that its weight was summed over, once the walk's
+included slices are checked to cover exactly that mask.
+``evaluate_visiting(idx, holdout)`` audits that mask against the balls of
+the full-error sandwich of its config, which one numpy prune and the
+oracle's ``math.dist`` find.
 """
 
 from __future__ import annotations
@@ -109,6 +113,8 @@ class StoredOrder:
     kind: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tree, PartitionTree):
+            raise ContractViolation(f"a stored order takes a PartitionTree, got {type(self.tree).__name__}")
         if self.kind not in (WorstCaseSource.kind, LearnedSource.kind):
             raise ContractViolation(f"unknown tree source {self.kind!r}")
 
@@ -124,6 +130,10 @@ class BuildConfig:
     radius: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, Seed):
+            raise ContractViolation(f"seed must be a Seed, got {type(self.seed).__name__}")
+        if not isinstance(self.tree_source, (WorstCaseSource, LearnedSource, StoredOrder)):
+            raise ContractViolation(f"unknown tree source {type(self.tree_source).__name__}")
         EpsParams(self.eps, self.radius)  # validate
         # the closed balls compare squares: past float64's normal range a
         # point's d2 and R*R could both overflow to inf, or underflow to 0
@@ -233,10 +243,8 @@ def _leaf_order(
         queries = generate_grid_queries(pts, working, GridSpec(side))
         lp = LightEdgeParams.for_eps(working.eps)
         spanning = build_low_stab_tree(pts, queries, working, lp, cfg.seed.derive(_SEED_TREE))
-    elif isinstance(source, LearnedSource):
-        spanning = learned_spanning_tree(pair_stab_counts(pts, source.sample, working), len(pts))
     else:
-        raise ContractViolation(f"unknown tree source {type(source).__name__}")
+        spanning = learned_spanning_tree(pair_stab_counts(pts, source.sample, working), len(pts))
     return tree_to_path(spanning, pts), spanning
 
 
@@ -295,17 +303,28 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     weighs 0.0, as it did when the walk added from 0.0.
 
     The walk's telemetry is found on its first read (see ``CountAnswer``).
-    In verification mode the walk runs at once, the answer also carries
-    the path-order ranges whose union is S, and those ranges must cover
-    exactly the positions whose weights were summed.
+    In verification mode the answer is ``_verified``'s: the walk runs at
+    once, the answer also carries the path-order ranges whose union is S,
+    and those ranges must cover exactly the positions whose weights were
+    summed.
     """
     qw, coords, norm = point_and_norm(q, idx.path_points.shape[1])
-    if not verify:
-        (mask,) = _within(idx, qw, norm, (idx.working.outer_radius,))
-        # ``ndarray.sum``'s reduction, bit for bit, without its Python wrapper
-        weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
-        return CountAnswer._unwalked(weight, idx, coords, norm)
+    if verify:
+        return _verified(idx, qw, norm)[0]
+    (mask,) = _within(idx, qw, norm, (idx.working.outer_radius,))
+    # ``ndarray.sum``'s reduction, bit for bit, without its Python wrapper
+    weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
+    return CountAnswer._unwalked(weight, idx, coords, norm)
 
+
+def _verified(idx: CountingIndex, qw: np.ndarray, norm: float) -> tuple[CountAnswer, np.ndarray]:
+    """The verified answer to the checked query ``qw`` of norm ``norm``, and the mask its weight was summed over.
+
+    One ``_within`` call gives both working masks; the walk runs on them,
+    and the union of the slices it includes must be that mask, or the
+    step raises ``AssertionError``.  ``count(verify=True)`` returns the
+    answer, and ``evaluate_visiting`` audits the mask.
+    """
     mask, inner = _within(idx, qw, norm, (idx.working.outer_radius, idx.working.radius))
     weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
     tree = idx.tree
@@ -317,7 +336,7 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
         members[lo:hi] = True
     if not np.array_equal(members, mask):
         raise AssertionError("the walk's member ranges are not the set the weight was summed over")
-    return CountAnswer(weight, visited, verdicts, ranges)
+    return CountAnswer(weight, visited, verdicts, ranges), mask
 
 
 @dataclass
@@ -369,14 +388,16 @@ def _zones(points: np.ndarray, q: np.ndarray, params: EpsParams) -> tuple[np.nda
 def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     """Exact visiting numbers, ambiguity counts, and sandwich checks on a holdout.
 
-    Each answer, re-derived in verification mode as a mask over path
-    positions, must hold the inner ball of ``_zones`` (the index's own
-    points, its config's full error) and fit in the outer; ``t_q`` is their
-    difference in size.  All three are as the oracle's scans find them.  A
-    holdout row equal to a training row (``-0.0`` to ``0.0``) flags the
-    overlap, which a ``StoredOrder`` of kind ``"learned"``, holding no
-    sample, reports as None.  The visiting number is the walk's
-    ``visited_nodes``: ``ptree.visiting_number`` at the working error.
+    Each holdout query is checked once and answered by ``_verified``, the
+    step behind ``count(verify=True)``.  The mask its weight was summed
+    over, which the walk's member ranges cover exactly, must hold the
+    inner ball of ``_zones`` (the index's own points, its config's full
+    error) and fit in the outer; ``t_q`` is their difference in size.  All
+    three are as the oracle's scans find them.  A holdout row equal to a
+    training row (``-0.0`` to ``0.0``) flags the overlap, which a
+    ``StoredOrder`` of kind ``"learned"``, holding no sample, reports as
+    None.  The visiting number is the walk's ``visited_nodes``:
+    ``ptree.visiting_number`` at the working error.
     """
     params = EpsParams(idx.config.eps, idx.config.radius)
     source = idx.config.tree_source
@@ -386,13 +407,12 @@ def evaluate_visiting(idx: CountingIndex, holdout: QuerySample) -> EvalReport:
     elif source.kind == LearnedSource.kind:
         overlaps = None
 
+    d = idx.path_points.shape[1]
     rows: list[dict] = []
     for q in holdout.queries:
-        ans = count(idx, q, verify=True)
-        members = np.zeros(idx.tree.n, dtype=bool)
-        for lo, hi in ans.member_ranges:
-            members[lo:hi] = True
-        inner, outer = _zones(idx.path_points, q, params)
+        qw, _, norm = point_and_norm(q, d)
+        ans, members = _verified(idx, qw, norm)
+        inner, outer = _zones(idx.path_points, qw, params)
         ok = not (inner & ~members).any() and not (members & ~outer).any()
         t_q = int(np.count_nonzero(outer)) - int(np.count_nonzero(inner))
         rows.append({"visiting": ans.visited_nodes, "t_q": t_q, "sandwich_ok": ok})

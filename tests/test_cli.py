@@ -293,26 +293,28 @@ class TestBuildQueryEval:
         assert json.loads(report.read_text())["sandwich_pass_rate"] == 1.0
 
     def test_eval_exits_four_when_an_answer_leaves_the_sandwich(self, tmp_path, capsys, monkeypatch):
-        # the holdout is the data points; the verified answer to the first one
-        # loses the member range holding the query's own point, which the
-        # inner ball contains
+        # the holdout is the data points; for the first one both masks of the
+        # verified pass lose the query's own point, so the walk's member
+        # ranges agree with the weight and only the audit, whose inner ball
+        # contains that point, can catch the fault
         data = gen_data(tmp_path, n=30, d=3)
         model = build_model(tmp_path, data)
         qs = tmp_path / "holdout.txt"
         assert run_cli(["gen-queries", "--kind", "file", "--data", str(data), "--out", str(qs)]) == 0
-        real_count = counter.count
+        real_within = counter._within
         dropped = []
 
-        def dropping_count(idx, q, verify=False):
-            ans = real_count(idx, q, verify=verify)
-            if verify and not dropped:
-                i = int(np.flatnonzero((idx.points().points == q).all(axis=1))[0])
-                k = int(np.flatnonzero(idx.tree.order == i)[0])
-                ans.member_ranges = [(lo, hi) for lo, hi in ans.member_ranges if not lo <= k < hi]
+        def dropping_within(idx, qw, norm, radii):
+            masks = real_within(idx, qw, norm, radii)
+            if len(radii) == 2 and not dropped:
+                k = int(np.flatnonzero((idx.path_points == qw).all(axis=1))[0])
+                assert all(mask[k] for mask in masks)
+                for mask in masks:
+                    mask[k] = False
                 dropped.append(k)
-            return ans
+            return masks
 
-        monkeypatch.setattr(counter, "count", dropping_count)
+        monkeypatch.setattr(counter, "_within", dropping_within)
         report = tmp_path / "report.json"
         capsys.readouterr()
         rc = run_cli(

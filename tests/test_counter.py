@@ -1190,6 +1190,22 @@ class TestEdgeCases:
         idx = index_over(points, eps=0.99, radius=radius, weights=np.array([1.0, 10.0, 100.0]))
         assert count(idx, np.zeros(2), verify=True).weight == 11.0
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: StoredOrder(np.arange(5), "learned"), "takes a PartitionTree, got ndarray"),
+            (lambda: BuildConfig(eps=0.5, seed=1, tree_source=WorstCaseSource()), "seed must be a Seed, got int"),
+            (
+                lambda: BuildConfig(eps=0.5, seed=Seed(0), tree_source=PartitionTree(np.arange(5))),
+                "unknown tree source PartitionTree",
+            ),
+        ],
+        ids=["bare-leaf-order", "int-seed", "tree-as-source"],
+    )
+    def test_a_malformed_config_is_refused_when_made(self, make, message):
+        with pytest.raises(ContractViolation, match=message):
+            make()
+
     def test_stored_order_must_match_size(self):
         pts = WeightedPointSet(np.zeros((3, 2)), np.ones(3))
         for n in (2, 4):

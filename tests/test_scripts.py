@@ -82,7 +82,7 @@ def test_query_layers_prints_one_line_per_workload_and_seed():
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(row["workload"], row["seed"]) for row in rows] == [("worstcase-d2", 1), ("worstcase-d2", 2)]
     for row in rows:
-        phases = ("check", "masks", "walk", "count", "telemetry", "eval", "einsum_scan", "gemv_scan")
+        phases = ("check", "masks", "walk", "count", "telemetry", "verify", "eval", "einsum_scan", "gemv_scan")
         assert all(row[f"{phase}_us"] > 0 for phase in phases)
         assert row["count_over_gemv"] == pytest.approx(row["count_us"] / row["gemv_scan_us"], rel=0.01)
         assert 0 <= row["band_queries"] <= row["queries"]
