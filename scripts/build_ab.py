@@ -26,13 +26,18 @@ page boundary, so both sides read them at the same alignment; a timed
 call is then one pass of ``count`` over the benchmark's
 ``TIMED_QUERIES`` pool queries, reading the weight alone, as the
 benchmark's query loop does, and each side's hash covers the ``hex()``
-of every weight.
+of every weight.  ``--phase verify`` and ``--phase eval`` read the same
+aligned arrays: a timed call is one pass of ``count(verify=True)`` over
+those queries, hashing each answer's weight, visits, verdict counts and
+member ranges, or one ``evaluate_visiting`` with those queries as its
+holdout, hashing the report's rows.
 
 Prints one JSON line: each side's median and quartiles (seconds per call,
-or with ``--phase query`` microseconds per query), the ratio of the
-medians (change over parent), the pairs the change won, and each side's
-sha256 of the leaf order (with ``--phase load``, of the loaded index,
-beside each side's model bytes; with ``--phase query``, of the weights).
+or with ``--phase query``, ``verify`` or ``eval`` microseconds per query),
+the ratio of the medians (change over parent), the pairs the change won,
+and each side's sha256 of the leaf order (with ``--phase load``, of the
+loaded index, beside each side's model bytes; with ``--phase query``, of
+the weights, ``verify`` of the answers, ``eval`` of the report rows).
 Exits 1 when the two sides' hashes differ, or one side's calls disagree
 among themselves.
 
@@ -40,6 +45,7 @@ Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload worstcase-d2 --n 1024
     PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload near-d8 --phase load --pairs 200
     PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload near-d8 --phase query --pairs 200
+    PYTHONPATH=src python3 scripts/build_ab.py --parent ../parent/src --workload worstcase-d2 --phase eval --pairs 30
 """
 
 from __future__ import annotations
@@ -70,8 +76,10 @@ import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
 PAGE = 4096
-# the index arrays that ``count`` scans, which --phase query aligns
+# the index arrays that ``count`` scans, which the pool phases below align
 SCANNED = ("path_points", "path_weights", "half_sq_norms")
+# the phases that time calls over the pool queries, and what each one hashes
+QUERY_PHASES = {"query": "weights", "verify": "answers", "eval": "rows"}
 
 
 def load_sides(parent_src: Path, tmp: Path) -> dict:
@@ -139,23 +147,42 @@ def page_aligned(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def query_call(package, workload: harness.Workload, seed: int):
-    """A call that answers the timed pool queries of ``workload`` with ``package``; its seconds and weights' hash."""
+def query_call(package, workload: harness.Workload, seed: int, phase: str):
+    """A call that answers the timed pool queries of ``workload`` with ``package`` in ``phase``; its seconds and hash."""
     harness.arccount = package
     inputs = harness.make_inputs(workload, seed)
     idx = package.build_counting_index(inputs.points, harness.build_config(inputs, seed))
     # where the heap put each side's arrays moves the scan by about 2%
     idx = dataclasses.replace(idx, **{name: page_aligned(getattr(idx, name)) for name in SCANNED})
     queries = list(inputs.pool[: harness.TIMED_QUERIES])
-    count = package.count
+    count, evaluate_visiting = package.count, package.counter.evaluate_visiting
+    holdout = package.QuerySample(inputs.pool[: harness.TIMED_QUERIES], source="pool")
+    # what a timed call runs, and the lines its result hashes to
+    run, lines = {
+        "query": (
+            lambda: [count(idx, q) for q in queries],
+            lambda answers: [float(a.weight).hex() for a in answers],
+        ),
+        "verify": (
+            lambda: [count(idx, q, verify=True) for q in queries],
+            lambda answers: [
+                f"{float(a.weight).hex()} {a.visited_nodes} {json.dumps(a.verdict_counts, sort_keys=True)} "
+                f"{a.member_ranges}"
+                for a in answers
+            ],
+        ),
+        "eval": (
+            lambda: evaluate_visiting(idx, holdout).per_query,
+            lambda rows: [json.dumps(row, sort_keys=True) for row in rows],
+        ),
+    }[phase]
 
     def answer() -> tuple[float, str]:
         gc.collect()
         t0 = time.perf_counter()
-        answers = [count(idx, q) for q in queries]
+        result = run()
         seconds = time.perf_counter() - t0
-        weights = "\n".join(float(ans.weight).hex() for ans in answers)
-        return seconds, hashlib.sha256(weights.encode()).hexdigest()
+        return seconds, hashlib.sha256("\n".join(lines(result)).encode()).hexdigest()
 
     return answer
 
@@ -176,7 +203,7 @@ def main() -> int:
     ap.add_argument("--n", type=int, help="points (default: the workload's)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--phase", choices=["build", "load", "query"], default="build", help="what each call times")
+    ap.add_argument("--phase", choices=["build", "load", *QUERY_PHASES], default="build", help="what each call times")
     args = ap.parse_args()
     if args.pairs < 1 or (args.n is not None and args.n < 2):
         ap.error("--pairs must be at least 1 and --n at least 2")
@@ -189,8 +216,8 @@ def main() -> int:
             data = Path(tmp) / "points.txt"
             models = {side: Path(tmp) / f"{side}.model" for side in SIDES}
             calls = {side: load_call(packages[side], w, args.seed, data, models[side]) for side in SIDES}
-        elif args.phase == "query":
-            calls = {side: query_call(packages[side], w, args.seed) for side in SIDES}
+        elif args.phase in QUERY_PHASES:
+            calls = {side: query_call(packages[side], w, args.seed, args.phase) for side in SIDES}
         else:
             calls = {side: build_call(packages[side], w, args.seed) for side in SIDES}
         hashes = {side: {calls[side]()[1]} for side in SIDES}
@@ -205,10 +232,10 @@ def main() -> int:
     won = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
     row = {"workload": args.workload, "n": w.n, "seed": args.seed, "pairs": args.pairs}
     # queries take microseconds, loads milliseconds, builds up to seconds
-    if args.phase == "query":
-        row["phase"] = "query"
+    if args.phase in QUERY_PHASES:
+        row["phase"] = args.phase
         row.update({side: summary([1e6 * s / harness.TIMED_QUERIES for s in seconds[side]], 2, "us") for side in SIDES})
-        unit, hashed = "us", "weights"
+        unit, hashed = "us", QUERY_PHASES[args.phase]
     else:
         row.update({side: summary(seconds[side], 6 if args.phase == "load" else 4, "s") for side in SIDES})
         unit, hashed = "s", "leaf_order"

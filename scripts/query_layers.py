@@ -9,8 +9,8 @@ in-process passes over the 200 timed pool queries:
 * ``check_us``: the check of a query that every entry makes,
   ``core.point_and_norm(q, d)``;
 * ``masks_us``: the certified pass at both working radii,
-  ``counter._within``, on the queries as the check gave them, with
-  their norms;
+  ``counter._within`` on the index's operands, on the queries as the
+  check gave them, with their norms;
 * ``walk_us``: the tree walk on those two masks, ``ptree.walk``: the
   codes' running count, the verdicts of every node and the gather
   through the parents;
@@ -98,11 +98,12 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
     holdout = arccount.QuerySample(inputs.pool[:TIMED_QUERIES], source="pool")
     d = inputs.points.dim
     checked = [point_and_norm(q, d) for q in queries]
-    radii = (idx.working.outer_radius, idx.working.radius)
+    ops = idx.operands
+    thresholds = (ops.outer_sq, ops.inner_sq)
 
     def masks(c: tuple) -> list:
         qw, _, norm = c
-        return counter._within(idx, qw, norm, radii)
+        return counter._within(ops, qw, norm, thresholds)
 
     both = [masks(c) for c in checked]
     p, w, r2 = inputs.points.points, inputs.points.weights, RADIUS * RADIUS

@@ -44,6 +44,8 @@ def main() -> None:
     ap.add_argument("--queries", type=int, default=40, help="random evaluation queries")
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args()
+    if args.queries < 1:
+        ap.error("--queries must be at least 1")
 
     params = EpsParams(args.eps)
     rng = Seed(args.seed).generator()

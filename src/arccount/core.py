@@ -16,10 +16,11 @@ Two certified distance passes decide which of those distances need not be
 taken: ``count``'s float64 GEMV for one query, and the learned stab
 counts' float32 GEMM over blocks of queries.  They share one contract,
 stated here once: :func:`band_half_width` bounds a pass's rounding in the
-:class:`Precision` it runs in, ``FLOAT64`` or ``FLOAT32``, and a pass
-certifies a query only while d is at most the record's ``max_dim`` and
-``2M + B`` at most its ``max``; any other query's points are all measured
-with :func:`sq_dists_to`.
+:class:`Precision` it runs in, ``FLOAT64`` or ``FLOAT32``, with the
+coefficients of :func:`band_coefficients`, and a pass certifies a query
+only while d is at most the record's ``max_dim`` and ``2M + B`` at most
+its ``max``; any other query's points are all measured with
+:func:`sq_dists_to`.
 
 Randomness is carried by :class:`Seed`, a 64-bit value plus a derivation
 path.  Sub-structures derive child seeds instead of sharing one generator,
@@ -54,7 +55,8 @@ class EpsParams:
 
     @cached_property
     def outer_radius(self) -> float:
-        # cached on first read: the query path reads it on every call
+        # cached on first read: the audit reads it for every query, and the
+        # builds' distance passes for every block
         return (1.0 + self.eps) * self.radius
 
 
@@ -267,6 +269,21 @@ def band_half_width(d: int, m, t_outer, t_inner, precision: Precision):
     ``B``, wherever ``2M + B`` is at most ``precision.max``.  An ``h`` at
     or above ``s + B/2`` then has ``d2 < T``, one below ``s - B/2`` has
     ``d2 > T``, and only the band between needs ``sq_dists_to``.
+
+    ``B/2`` is affine in ``m + |t_outer| + |t_inner|``, with the
+    coefficients of :func:`band_coefficients`, ``a = (d + 4) u`` and
+    ``b = 4 (d + 4) tau``; a pass that works them out once applies them
+    as ``a * (m + abs(t_outer) + abs(t_inner)) + b``, bit for bit.
     """
-    u = precision.unit_roundoff
-    return (d + 4) * u * (m + abs(t_outer) + abs(t_inner)) + 4 * (d + 4) * precision.tiny
+    a, b = band_coefficients(d, precision)
+    return a * (m + abs(t_outer) + abs(t_inner)) + b
+
+
+def band_coefficients(d: int, precision: Precision) -> tuple[float, float]:
+    """The ``(a, b)`` of :func:`band_half_width`, ``a (m + |t_outer| + |t_inner|) + b``, for ``d`` and ``precision``.
+
+    ``a = (d + 4) u`` and ``b = 4 (d + 4) tau`` are exact: ``u`` and ``tau``
+    are powers of two.  They depend on the pass alone, not on the query,
+    so ``counter``'s index finds them once and applies them itself.
+    """
+    return (d + 4) * precision.unit_roundoff, 4 * (d + 4) * precision.tiny

@@ -20,15 +20,20 @@ data's dimension, which yields its norm by ``math.hypot`` beside the
 shape, size and finiteness checks.  It finds the weight by one distance
 pass over the points in path order, at that one threshold, at a radius
 whose squares ``BuildConfig`` keeps normal.  One certified routine,
-``_within``, gives the mask of every radius asked of it: one BLAS
-matrix-vector product (GEMV) against half the squared norms, stored at
-build time, gives ``(|q|**2 - d2) / 2`` up to the rounding bound of
+``_within``, gives the mask of every squared radius asked of it: one
+BLAS matrix-vector product (GEMV) against half the squared norms, stored
+at build time, gives ``(|q|**2 - d2) / 2`` up to the rounding bound of
 ``core.band_half_width``, with ``d2`` from ``core.sq_dists_to``.  Only
 the points within that bound of a threshold are measured again with
 ``sq_dists_to``, so each mask is exactly ``d2 <= R**2``; a query the
 pass does not certify is measured once with ``sq_dists_to``, and that
 one pass gives every mask.  The weight is the sum of the masked point
-weights in path order.
+weights in path order.  What the pass reads of the index, its
+``operands``, is derived once per index, on the first read: the path
+arrays, d, the squared working radii, the bound's coefficients from
+``core.band_coefficients`` and the largest norm.  So a call does no
+set-up of its own, and an index made by ``dataclasses.replace`` or
+``io.load_model`` reads its own arrays.
 
 The tree walk, ``ptree.walk``, reports how the paper's index reaches that
 set: the nodes it visits, their verdicts and the path ranges it includes.
@@ -54,7 +59,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from functools import cached_property
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
 
@@ -65,7 +71,7 @@ from .core import (
     GridSpec,
     Seed,
     WeightedPointSet,
-    band_half_width,
+    band_coefficients,
     point_and_norm,
     sq_dists_to,
 )
@@ -146,13 +152,14 @@ class BuildConfig:
 class CountAnswer:
     """A query's weight and the tree walk's telemetry.
 
-    An answer from ``count`` without ``verify`` holds its weight only: the
-    walk runs on the first read of ``visited_nodes`` or ``verdict_counts``
-    (``==``, ``repr`` and ``dataclasses.replace`` read them too), and the
-    answer then drops its references to the index and the query.  It
-    holds the query as the list of its coordinates that the check made,
-    which no caller can reach, and its norm, and hands both to
-    ``_within`` for the walk's two masks without checking the query again.
+    An answer from ``count`` without ``verify``, which ``count`` makes
+    without ``__init__``, holds its weight only: the walk runs on the
+    first read of ``visited_nodes`` or ``verdict_counts`` (``==``, ``repr``
+    and ``dataclasses.replace`` read them too), and the answer then drops
+    its references to the index and the query.  It holds the query as the
+    list of its coordinates that the check made, which no caller can
+    reach, and its norm, and hands both to ``_within``, with the index's
+    operands, for the walk's two masks without checking the query again.
     """
 
     weight: float
@@ -160,28 +167,44 @@ class CountAnswer:
     verdict_counts: dict[str, int]
     member_ranges: list[tuple[int, int]] | None = None
 
-    @classmethod
-    def _unwalked(cls, weight: float, idx: CountingIndex, coords: list[float], norm: float) -> CountAnswer:
-        ans = cls.__new__(cls)
-        ans.weight = weight
-        ans._walk = (idx, coords, norm)
-        return ans
-
     def __getattr__(self, name: str):
         # reached only for an attribute that is not set: the telemetry of an
         # answer whose walk has not run yet
         pending = self.__dict__.get("_walk")
         if pending is not None and name in ("visited_nodes", "verdict_counts"):
             idx, coords, norm = pending
-            masks = _within(idx, np.array(coords), norm, (idx.working.outer_radius, idx.working.radius))
+            ops = idx.operands
+            masks = _within(ops, np.array(coords), norm, (ops.outer_sq, ops.inner_sq))
             self.visited_nodes, self.verdict_counts, _ = ptree.walk(idx.tree, *masks)
             self.__dict__.pop("_walk", None)
             return self.__dict__[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
+class PassOperands(NamedTuple):
+    """What ``_within``'s certified pass reads of an index, derived once per index."""
+
+    path_points: np.ndarray
+    path_weights: np.ndarray
+    half_sq_norms: np.ndarray
+    d: int
+    outer_sq: float  # the working outer radius, squared
+    inner_sq: float  # the working radius, squared
+    band_a: float  # core.band_coefficients(d, FLOAT64)
+    band_b: float
+    max_norm: float
+
+
 @dataclass(frozen=True, eq=False)
 class CountingIndex:
+    """The index: its config, tree and path-order arrays, and the operands of its certified pass.
+
+    ``operands`` is no field: each index derives it from its own fields on
+    the first read and keeps it, so an index made by ``dataclasses.replace``
+    or ``io.load_model`` reads the arrays it holds, and a load that answers
+    nothing derives nothing.
+    """
+
     config: BuildConfig
     working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
@@ -190,6 +213,16 @@ class CountingIndex:
     half_sq_norms: np.ndarray  # half the squared norms of path_points, by einsum
     max_norm: float  # the largest norm of path_points, from half_sq_norms
     spanning_tree: SpanningTree | None = None  # built by the paper's sources for n >= 2
+
+    @cached_property
+    def operands(self) -> PassOperands:
+        """What the certified pass reads, derived from this index's own fields on the first read."""
+        d = self.path_points.shape[1]
+        outer, r = self.working.outer_radius, self.working.radius
+        return PassOperands(
+            self.path_points, self.path_weights, self.half_sq_norms, d,
+            outer * outer, r * r, *band_coefficients(d, FLOAT64), self.max_norm,
+        )
 
     def points(self) -> WeightedPointSet:
         """The points and weights in data order, bit for bit as built; a new set on each call."""
@@ -248,43 +281,44 @@ def _leaf_order(
     return tree_to_path(spanning, pts), spanning
 
 
-def _within(idx: CountingIndex, qw: np.ndarray, norm: float, radii: tuple[float, ...]) -> list[np.ndarray]:
-    """For each of ``radii``, whether each path point lies within it: exactly ``sq_dists_to(path_points, q) <= R*R``.
+def _within(ops: PassOperands, qw: np.ndarray, norm: float, thresholds: tuple[float, ...]) -> list[np.ndarray]:
+    """For each of ``thresholds``, whether each path point lies within it: exactly ``sq_dists_to(path_points, q) <= T``.
 
-    ``norm`` is ``|q|`` by ``math.hypot``, and each ``R`` is a working
-    radius.  The float64 pass of ``core.band_half_width``, centred at 0,
-    gives ``h = P @ q - pp / 2`` and, for ``T = R*R``, the threshold
-    ``s = (qq - T) / 2``: an ``h`` at or above the upper edge ``s + B/2``
-    has ``d2 < T``, one below the lower edge ``s - B/2`` has ``d2 > T``.
-    The upper edge decides each point; only the band between the edges is
-    measured again with ``sq_dists_to``.  ``h`` and ``B``, which covers
-    both working radii, are found once for all of ``radii``.  Where
-    ``core.FLOAT64`` does not certify the query (``2M + B`` past its
-    largest value, as when a square overflows, or d past its dimension
-    limit), one ``sq_dists_to`` pass over every point gives every mask.
+    ``ops`` are an index's operands, ``norm`` is ``|q|`` by ``math.hypot``,
+    and each ``T`` is a working radius squared, as ``ops`` holds them.  The
+    float64 pass of ``core.band_half_width``, centred at 0, gives
+    ``h = P @ q - pp / 2`` and the threshold ``s = (qq - T) / 2``: an ``h``
+    at or above the upper edge ``s + B/2`` has ``d2 < T``, one below the
+    lower edge ``s - B/2`` has ``d2 > T``.  The upper edge decides each
+    point; only the band between the edges is measured again with
+    ``sq_dists_to``.  ``h`` and ``B/2``, which ``ops``' band coefficients
+    give for both working radii, are found once for all of ``thresholds``.
+    Where ``core.FLOAT64``, read on each call, does not certify the query
+    (``2M + B`` past its largest value, as when a square overflows, or d
+    past its dimension limit), one ``sq_dists_to`` pass over every point
+    gives every mask.
     """
-    working = idx.working
-    outer, r = working.outer_radius, working.radius
+    points, _, half_sq_norms, d, outer_sq, inner_sq, a, b, max_norm = ops
     # Python floats: a square that overflows is inf, with no warning
     qq = norm * norm
-    m = idx.max_norm + norm
+    m = max_norm + norm
     m *= m
-    d = idx.path_points.shape[1]
-    half = band_half_width(d, m, qq - outer * outer, qq - r * r, FLOAT64)
+    half = a * (m + abs(qq - outer_sq) + abs(qq - inner_sq)) + b
     # a NaN fails the compare too, so it takes the exact pass
     if not (2.0 * m + 2.0 * half <= FLOAT64.max and d <= FLOAT64.max_dim):
-        d2 = sq_dists_to(idx.path_points, qw)
-        return [d2 <= R * R for R in radii]
-    h = idx.path_points.dot(qw)
-    h -= idx.half_sq_norms
+        d2 = sq_dists_to(points, qw)
+        return [d2 <= T for T in thresholds]
+    h = points.dot(qw)
+    h -= half_sq_norms
     masks = []
-    for R in radii:
-        s = 0.5 * (qq - R * R)
-        # mask lies within low, and the band is what low adds to it
+    for T in thresholds:
+        s = 0.5 * (qq - T)
+        # mask lies within low, and the band is what low adds to it: empty
+        # when their bytes are equal
         mask, low = h >= s + half, h >= s - half
-        if np.count_nonzero(low) != np.count_nonzero(mask):
+        if low.tobytes() != mask.tobytes():
             band = np.flatnonzero(low ^ mask)
-            mask[band] = sq_dists_to(idx.path_points[band], qw) <= R * R
+            mask[band] = sq_dists_to(points[band], qw) <= T
         masks.append(mask)
     return masks
 
@@ -302,19 +336,23 @@ def count(idx: CountingIndex, q: np.ndarray, verify: bool = False) -> CountAnswe
     weights of S in path order, plus 0.0: a set whose weights are all -0.0
     weighs 0.0, as it did when the walk added from 0.0.
 
-    The walk's telemetry is found on its first read (see ``CountAnswer``).
-    In verification mode the answer is ``_verified``'s: the walk runs at
-    once, the answer also carries the path-order ranges whose union is S,
-    and those ranges must cover exactly the positions whose weights were
-    summed.
+    Everything the pass reads of the index comes from ``idx.operands``,
+    so no call after the index's first does set-up of its own.  The walk's telemetry is found on
+    its first read (see ``CountAnswer``).  In verification mode the answer
+    is ``_verified``'s: the walk runs at once, the answer also carries the
+    path-order ranges whose union is S, and those ranges must cover
+    exactly the positions whose weights were summed.
     """
-    qw, coords, norm = point_and_norm(q, idx.path_points.shape[1])
+    ops = idx.operands
+    qw, coords, norm = point_and_norm(q, ops.d)
     if verify:
         return _verified(idx, qw, norm)[0]
-    (mask,) = _within(idx, qw, norm, (idx.working.outer_radius,))
+    (mask,) = _within(ops, qw, norm, (ops.outer_sq,))
+    ans = CountAnswer.__new__(CountAnswer)
     # ``ndarray.sum``'s reduction, bit for bit, without its Python wrapper
-    weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
-    return CountAnswer._unwalked(weight, idx, coords, norm)
+    ans.weight = float(np.add.reduce(ops.path_weights[mask])) + 0.0
+    ans._walk = (idx, coords, norm)
+    return ans
 
 
 def _verified(idx: CountingIndex, qw: np.ndarray, norm: float) -> tuple[CountAnswer, np.ndarray]:
@@ -325,8 +363,9 @@ def _verified(idx: CountingIndex, qw: np.ndarray, norm: float) -> tuple[CountAns
     step raises ``AssertionError``.  ``count(verify=True)`` returns the
     answer, and ``evaluate_visiting`` audits the mask.
     """
-    mask, inner = _within(idx, qw, norm, (idx.working.outer_radius, idx.working.radius))
-    weight = float(np.add.reduce(idx.path_weights[mask])) + 0.0
+    ops = idx.operands
+    mask, inner = _within(ops, qw, norm, (ops.outer_sq, ops.inner_sq))
+    weight = float(np.add.reduce(ops.path_weights[mask])) + 0.0
     tree = idx.tree
     visited, verdicts, included = ptree.walk(tree, mask, inner)
     # included slices are disjoint, so preorder lists them by ``lo``

@@ -304,10 +304,10 @@ class TestBuildQueryEval:
         real_within = counter._within
         dropped = []
 
-        def dropping_within(idx, qw, norm, radii):
-            masks = real_within(idx, qw, norm, radii)
-            if len(radii) == 2 and not dropped:
-                k = int(np.flatnonzero((idx.path_points == qw).all(axis=1))[0])
+        def dropping_within(ops, qw, norm, thresholds):
+            masks = real_within(ops, qw, norm, thresholds)
+            if len(thresholds) == 2 and not dropped:
+                k = int(np.flatnonzero((ops.path_points == qw).all(axis=1))[0])
                 assert all(mask[k] for mask in masks)
                 for mask in masks:
                     mask[k] = False

@@ -373,21 +373,37 @@ class TestStackWalkEquivalence:
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
+def bench_index(workload: str) -> tuple[np.ndarray, CountingIndex]:
+    """The benchmark's pool queries and index of ``workload`` at seed 1, as ``scripts/answer_digest.py`` builds them."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from harness import WORKLOADS, build_config, make_inputs
+    finally:
+        sys.path.remove(str(BENCH))
+    inputs = make_inputs(WORKLOADS[workload], 1)
+    return inputs.pool, build_counting_index(inputs.points, build_config(inputs, 1))
+
+
 class TestBenchInputs:
     @pytest.mark.parametrize("workload", ["near-d8", "worstcase-d2"])
     def test_every_pool_query_answers_like_the_stack_walk(self, workload):
-        # the benchmark's own inputs and configuration at seed 1, as
-        # ``scripts/answer_digest.py`` builds them: a reference check that
-        # holds on any machine, unlike pinned digests
-        sys.path.insert(0, str(BENCH))
-        try:
-            from harness import WORKLOADS, build_config, make_inputs
-        finally:
-            sys.path.remove(str(BENCH))
-        inputs = make_inputs(WORKLOADS[workload], 1)
-        idx = build_counting_index(inputs.points, build_config(inputs, 1))
-        for q in inputs.pool:
+        # the benchmark's own inputs and configuration: a reference check
+        # that holds on any machine, unlike pinned digests
+        pool, idx = bench_index(workload)
+        for q in pool:
             assert_answers_like_the_stack_walk(idx, q)
+
+    @pytest.mark.parametrize("workload", ["near-d8", "worstcase-d2"])
+    def test_a_replaced_index_passes_over_its_own_arrays(self, workload):
+        # each index derives the pass's operands from its own fields, so an
+        # index made by ``replace`` reads its own weights, not the old ones
+        pool, idx = bench_index(workload)
+        doubled = replace(idx, path_weights=2.0 * idx.path_weights)
+        assert doubled.operands.path_weights is doubled.path_weights
+        assert idx.operands.path_weights is idx.path_weights
+        assert doubled.operands.path_points is idx.path_points
+        for q in pool:
+            assert count(doubled, q).weight.hex() == (2.0 * count(idx, q).weight).hex()
 
 
 class TestSandwichProperty:
@@ -436,7 +452,8 @@ class TestSandwichProperty:
 def working_masks(idx: CountingIndex, q: np.ndarray) -> list[np.ndarray]:
     """The walk's two masks: the shared ``_within`` at the working outer radius and radius."""
     qw, _, norm = point_and_norm(q, idx.path_points.shape[1])
-    return counter._within(idx, qw, norm, (idx.working.outer_radius, idx.working.radius))
+    ops = idx.operands
+    return counter._within(ops, qw, norm, (ops.outer_sq, ops.inner_sq))
 
 
 def einsum_masks(idx: CountingIndex, qw: np.ndarray) -> list[np.ndarray]:
@@ -449,7 +466,7 @@ def einsum_masks(idx: CountingIndex, qw: np.ndarray) -> list[np.ndarray]:
 def outer_mask(idx: CountingIndex, q: np.ndarray) -> np.ndarray:
     """The mask ``count`` sums over: the shared ``_within`` at the working outer radius."""
     qw, _, norm = point_and_norm(q, idx.path_points.shape[1])
-    (mask,) = counter._within(idx, qw, norm, (idx.working.outer_radius,))
+    (mask,) = counter._within(idx.operands, qw, norm, (idx.operands.outer_sq,))
     return mask
 
 
@@ -520,6 +537,15 @@ class TestCodePass:
             np.testing.assert_array_equal(outer_mask(idx, query), einsum_outer_mask(idx, query))
 
 
+def far_from_the_origin() -> tuple[CountingIndex, np.ndarray]:
+    """An index over 1024 clustered d = 8 points a million units out, and 60 queries near them."""
+    rng = Seed(230).generator()
+    centers = rng.uniform(0.0, 4.0, size=(4, 8))
+    points = centers[rng.integers(0, 4, size=1024)] + rng.normal(0.0, 0.4, size=(1024, 8)) + 1e6
+    queries = points[rng.integers(0, 1024, size=60)] + rng.normal(0.0, 0.5, size=(60, 8))
+    return index_over(points), queries
+
+
 class CountedDistances:
     """``sq_dists_to``, counting the rows it is called on."""
 
@@ -571,19 +597,55 @@ class TestCodePassBranches:
         # the bound grows with the squared norms, so clustered d = 8 data a
         # million units out puts a few points of most queries in a band
         # about 0.1 wide: those alone are measured again, not the whole row
-        rng = Seed(230).generator()
-        centers = rng.uniform(0.0, 4.0, size=(4, 8))
-        points = centers[rng.integers(0, 4, size=1024)] + rng.normal(0.0, 0.4, size=(1024, 8)) + 1e6
-        idx = index_over(points)
-        queries = points[rng.integers(0, 1024, size=60)] + rng.normal(0.0, 0.5, size=(60, 8))
+        idx, queries = far_from_the_origin()
         banded = 0
         for q in queries:
             counted.rows.clear()
             np.testing.assert_array_equal(outer_mask(idx, q), einsum_outer_mask(idx, q))
             np.testing.assert_array_equal(working_masks(idx, q), einsum_masks(idx, q))
-            assert sum(counted.rows) < len(points) // 8
+            assert sum(counted.rows) < len(idx.path_points) // 8
             banded += bool(counted.rows)
         assert banded > 20
+
+    def test_the_rows_measured_again_are_the_float64_band(self, monkeypatch):
+        # B/2 by band_half_width's docstring formula, worked out here apart
+        # from core: (d + 4) u (M + |qq - T_outer| + |qq - T_inner|) + 4 (d + 4) tau,
+        # with M = (max |p| + |q|)**2.  With h = P @ q - pp/2 as the pass
+        # takes it and s = (qq - T)/2, the rows sq_dists_to is given are
+        # exactly each threshold's band {i : s - B/2 <= h_i < s + B/2}, so
+        # a bound off by a factor moves some band
+        received: list[np.ndarray] = []
+
+        def recorded(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+            received.append(points.copy())
+            return sq_dists_to(points, q)
+
+        monkeypatch.setattr(counter, "sq_dists_to", recorded)
+        idx, queries = far_from_the_origin()
+        d, u, tau = 8, 2.0**-53, sys.float_info.min
+        thresholds = (1.25 * 1.25, 1.0 * 1.0)
+        pp_half = 0.5 * np.einsum("ij,ij->i", idx.path_points, idx.path_points)
+        halving_moves_a_band = 0
+        for q in queries:
+            received.clear()
+            working_masks(idx, q)
+            norm = math.hypot(*q.tolist())
+            qq = norm * norm
+            m = (idx.max_norm + norm) * (idx.max_norm + norm)
+            half = (d + 4) * u * (m + abs(qq - thresholds[0]) + abs(qq - thresholds[1])) + 4 * (d + 4) * tau
+            h = idx.path_points.dot(q) - pp_half
+            bands = []
+            for t in thresholds:
+                s = 0.5 * (qq - t)
+                band = (s - half <= h) & (h < s + half)
+                if band.any():
+                    bands.append(idx.path_points[band])
+                halving_moves_a_band += bool((band & ~((s - half / 2 <= h) & (h < s + half / 2))).any())
+            assert len(received) == len(bands)
+            for got, want in zip(received, bands):
+                np.testing.assert_array_equal(got, want)
+        # points in the outer half of some band, which a halved bound leaves out
+        assert halving_moves_a_band > 5
 
     def test_a_dimension_past_the_float64_limit_takes_the_exact_pass(self, counted, monkeypatch):
         # band_half_width's proof covers d up to FLOAT64.max_dim: past it
@@ -773,9 +835,9 @@ class TestOneCheckOnePass:
             seen["checks"].append(dim)
             return check(q, dim)
 
-        def counted_pass(idx, qw, norm, radii):
-            seen["passes"].append(radii)
-            return within(idx, qw, norm, radii)
+        def counted_pass(ops, qw, norm, thresholds):
+            seen["passes"].append(thresholds)
+            return within(ops, qw, norm, thresholds)
 
         monkeypatch.setattr(counter, "point_and_norm", counted_check)
         monkeypatch.setattr(counter, "_within", counted_pass)
@@ -786,14 +848,15 @@ class TestOneCheckOnePass:
         q = idx.path_points[0] + 0.3
         ans = count(idx, q)
         assert ans.visited_nodes > 1 and ans.verdict_counts["stabbed"] > 0
-        working = idx.working
-        assert calls == {"checks": [3], "passes": [(working.outer_radius,), (working.outer_radius, working.radius)]}
+        outer, r = idx.working.outer_radius, idx.working.radius
+        assert calls == {"checks": [3], "passes": [(outer * outer,), (outer * outer, r * r)]}
 
     def test_verify_makes_one_check_and_one_pass(self, calls):
         _, idx = small_learned_index(n=40, d=3, seed=215)
         ans = count(idx, idx.path_points[0] + 0.3, verify=True)
         assert ans.visited_nodes > 1
-        assert calls == {"checks": [3], "passes": [(idx.working.outer_radius, idx.working.radius)]}
+        outer, r = idx.working.outer_radius, idx.working.radius
+        assert calls == {"checks": [3], "passes": [(outer * outer, r * r)]}
 
 
 NODE_ARRAYS = ("lo", "hi", "parent", "inner", "twice_size")

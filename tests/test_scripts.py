@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,13 @@ def run_script(script: str, argv: list[str]) -> subprocess.CompletedProcess:
 def test_script_exits_cleanly(tmp_path, script, args):
     proc = run_script(script, [a.format(out=tmp_path / "summary.json") for a in args])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("queries", ["0", "-3"])
+def test_worstcase_pipeline_refuses_no_queries_before_it_builds(queries):
+    proc = run_script("worstcase_pipeline.py", ["--n", "12", "--queries", queries, "--seed", "1"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--queries must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_answer_digest_exits_1_on_a_digest_that_differs_from_the_expected_one(tmp_path):
@@ -140,3 +148,31 @@ def test_build_ab_query_phase_of_this_tree_against_itself_prints_equal_weight_ha
         assert 0 < row[side]["q1_us"] <= row[side]["median_us"] <= row[side]["q3_us"]
     assert row["parent_weights_sha256"] == row["change_weights_sha256"]
     assert len(row["change_weights_sha256"]) == 1 and len(row["change_weights_sha256"][0]) == 64
+
+
+@pytest.mark.parametrize("phase, hashed", [("verify", "answers"), ("eval", "rows")])
+def test_build_ab_audit_phases_of_this_tree_against_itself_print_equal_hashes(phase, hashed):
+    argv = ["--parent", str(ROOT / "src"), "--workload", "worstcase-d2", "--n", "32", "--pairs", "3", "--phase", phase]
+    proc = run_script("build_ab.py", argv)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert (row["workload"], row["n"], row["pairs"], row["phase"]) == ("worstcase-d2", 32, 3, phase)
+    assert 0 <= row["change_won"] <= 3 and row["ratio"] > 0
+    for side in ("parent", "change"):
+        assert 0 < row[side]["q1_us"] <= row[side]["median_us"] <= row[side]["q3_us"]
+    assert row[f"parent_{hashed}_sha256"] == row[f"change_{hashed}_sha256"]
+    assert len(row[f"change_{hashed}_sha256"]) == 1 and len(row[f"change_{hashed}_sha256"][0]) == 64
+
+
+def test_build_ab_eval_phase_exits_1_when_the_report_rows_differ(tmp_path):
+    # the other side's audit reports one more point in every ambiguity zone
+    shutil.copytree(ROOT / "src" / "arccount", tmp_path / "arccount", ignore=shutil.ignore_patterns("__pycache__"))
+    counter = tmp_path / "arccount" / "counter.py"
+    text = counter.read_text()
+    assert text.count('"t_q": t_q,') == 1
+    counter.write_text(text.replace('"t_q": t_q,', '"t_q": t_q + 1,'))
+    argv = ["--parent", str(tmp_path), "--workload", "worstcase-d2", "--n", "32", "--pairs", "1", "--phase", "eval"]
+    proc = run_script("build_ab.py", argv)
+    assert proc.returncode == 1, proc.stderr
+    (row,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert row["parent_rows_sha256"] != row["change_rows_sha256"]
