@@ -20,9 +20,11 @@ as the benchmark loads, and each side's hash covers the loaded index's
 leaf order and ``points()`` bytes.
 
 With ``--phase query`` each side builds its index once and swaps in, by
-``dataclasses.replace``, read-only copies of the arrays ``count`` scans
-(``path_points``, ``path_weights`` and ``half_sq_norms``) that start on a
-page boundary, so both sides read them at the same alignment; a timed
+``dataclasses.replace``, read-only copies of the path arrays ``count``
+scans (``path_points`` and ``path_weights``) that start on a page
+boundary, so both sides read them at the same alignment; the index
+derives the rest of what its pass reads, the half squared norms among
+it, from the arrays swapped in, on its first answer.  A timed
 call is then one pass of ``count`` over the benchmark's
 ``TIMED_QUERIES`` pool queries, reading the weight alone, as the
 benchmark's query loop does, and each side's hash covers the ``hex()``
@@ -77,7 +79,7 @@ import numpy as np  # noqa: E402
 SIDES = ("parent", "change")
 PAGE = 4096
 # the index arrays that ``count`` scans, which the pool phases below align
-SCANNED = ("path_points", "path_weights", "half_sq_norms")
+SCANNED = ("path_points", "path_weights")
 # the phases that time calls over the pool queries, and what each one hashes
 QUERY_PHASES = {"query": "weights", "verify": "answers", "eval": "rows"}
 

@@ -136,7 +136,7 @@ def build_once(workload: str, n: int, seed: int) -> dict:
     row["leaf_order_sha256"] = hashlib.sha256(idx.tree.order.tobytes()).hexdigest()
     if isinstance(cfg.tree_source, counter.LearnedSource):
         sample = cfg.tree_source.sample
-        counts, row["stab_counts_s"] = best_of(lambda: learned.pair_stab_counts(inputs.points, sample, idx.working))
+        counts, row["stab_counts_s"] = best_of(lambda: learned.pair_stab_counts(inputs.points, sample, idx.config.working))
         _, row["spanning_tree_s"] = best_of(lambda: learned.learned_spanning_tree(counts, n))
     row["tree_shape_ms"] = tree_shape_ms(idx.tree.order)
     row["model_bytes"], row["load_ms"], loaded = save_and_load(idx, inputs.points)

@@ -30,10 +30,13 @@ in-process passes over the 200 timed pool queries:
   BLAS matrix-vector product against squared norms ``pp`` computed
   beforehand.
 
-Each figure is the best of ``--passes`` passes, divided by the number of
-queries.  ``count_over_gemv`` is ``count_us / gemv_scan_us``: how far the
-answer is from a plain GEMV scan of the same points, the ratio the
-performance goal tracks.  ``band_queries`` counts the queries of which the
+The phases' passes are interleaved: each of ``--passes`` rounds runs
+every phase once, in turn, and each figure is its phase's best pass,
+divided by the number of queries.  A slow stretch of a shared machine
+then spreads over every phase instead of landing on one.
+``count_over_gemv`` is ``count_us / gemv_scan_us``: how far the answer
+is from a plain GEMV scan of the same points, the ratio the performance
+goal tracks.  ``band_queries`` counts the queries of which the
 pass at both radii measures some point again with ``sq_dists_to``: those
 with a point within the certified pass's rounding bound of a radius.  One
 JSON line per workload and seed.
@@ -69,15 +72,20 @@ from arccount.core import point_and_norm  # noqa: E402
 from arccount.ptree import walk  # noqa: E402
 
 
-def best_us(fn, args: list, passes: int) -> float:
-    """Best seconds over ``passes`` runs of ``fn`` on every item of ``args``, per item, in us."""
-    best = float("inf")
+def interleaved_best_us(phases: dict, passes: int) -> dict[str, float]:
+    """Per phase, the best of ``passes`` runs of its ``fn`` on every item of its ``args``, per item, in us.
+
+    ``phases`` maps each name to ``(fn, args)``; each round runs every
+    phase once, in the order given.
+    """
+    best = dict.fromkeys(phases, float("inf"))
     for _ in range(passes):
-        t0 = time.perf_counter()
-        for a in args:
-            fn(a)
-        best = min(best, time.perf_counter() - t0)
-    return best / len(args) * 1e6
+        for name, (fn, args) in phases.items():
+            t0 = time.perf_counter()
+            for a in args:
+                fn(a)
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return {name: best[name] / len(args) * 1e6 for name, (_, args) in phases.items()}
 
 
 def band_queries(masks, checked: list) -> int:
@@ -119,6 +127,21 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         d2 += q @ q
         return w[d2 <= r2].sum()
 
+    us = interleaved_best_us(
+        {
+            "check": (lambda q: point_and_norm(q, d), queries),
+            "masks": (masks, checked),
+            "walk": (lambda m: walk(idx.tree, *m), both),
+            "count": (lambda q: arccount.count(idx, q), queries),
+            "telemetry": (lambda q: arccount.count(idx, q).visited_nodes, queries),
+            "verify": (lambda q: arccount.count(idx, q, verify=True), queries),
+            "eval": (lambda h: counter.evaluate_visiting(idx, h), [holdout]),
+            "einsum_scan": (einsum_scan, queries),
+            "gemv_scan": (gemv_scan, queries),
+        },
+        passes,
+    )
+    us["eval"] /= len(queries)
     row = {
         "workload": workload,
         "seed": seed,
@@ -126,16 +149,8 @@ def query_layers(workload: str, seed: int, passes: int) -> dict:
         "d": inputs.points.dim,
         "queries": len(queries),
         "band_queries": band_queries(masks, checked),
-        "check_us": best_us(lambda q: point_and_norm(q, d), queries, passes),
-        "masks_us": best_us(masks, checked, passes),
-        "walk_us": best_us(lambda m: walk(idx.tree, *m), both, passes),
-        "count_us": best_us(lambda q: arccount.count(idx, q), queries, passes),
-        "telemetry_us": best_us(lambda q: arccount.count(idx, q).visited_nodes, queries, passes),
-        "verify_us": best_us(lambda q: arccount.count(idx, q, verify=True), queries, passes),
-        "eval_us": best_us(lambda h: counter.evaluate_visiting(idx, h), [holdout], passes) / len(queries),
-        "einsum_scan_us": best_us(einsum_scan, queries, passes),
-        "gemv_scan_us": best_us(gemv_scan, queries, passes),
     }
+    row.update({f"{phase}_us": value for phase, value in us.items()})
     row["count_over_gemv"] = row["count_us"] / row["gemv_scan_us"]
     return row
 

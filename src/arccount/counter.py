@@ -11,7 +11,8 @@ and the index keeps it as it is.
 The index works on the points and queries exactly as given, held once, in
 read-only arrays in path order (``points()``); like its tree and point sets,
 it is frozen and compared by identity.  All internal structures run at the
-halved error ``eps/2``, so every answer lands inside the full ``eps`` sandwich.
+halved error ``eps/2`` of ``BuildConfig.working``, so every answer lands
+inside the full ``eps`` sandwich.
 
 A query's answer set is exactly the points within the working outer
 radius ``outer = (1 + eps/2) r``, whatever the tree (see ``count``).
@@ -21,8 +22,8 @@ shape, size and finiteness checks.  It finds the weight by one distance
 pass over the points in path order, at that one threshold, at a radius
 whose squares ``BuildConfig`` keeps normal.  One certified routine,
 ``_within``, gives the mask of every squared radius asked of it: one
-BLAS matrix-vector product (GEMV) against half the squared norms, stored
-at build time, gives ``(|q|**2 - d2) / 2`` up to the rounding bound of
+BLAS matrix-vector product (GEMV) against half the squared norms
+gives ``(|q|**2 - d2) / 2`` up to the rounding bound of
 ``core.band_half_width``, with ``d2`` from ``core.sq_dists_to``.  Only
 the points within that bound of a threshold are measured again with
 ``sq_dists_to``, so each mask is exactly ``d2 <= R**2``; a query the
@@ -30,10 +31,11 @@ pass does not certify is measured once with ``sq_dists_to``, and that
 one pass gives every mask.  The weight is the sum of the masked point
 weights in path order.  What the pass reads of the index, its
 ``operands``, is derived once per index, on the first read: the path
-arrays, d, the squared working radii, the bound's coefficients from
-``core.band_coefficients`` and the largest norm.  So a call does no
-set-up of its own, and an index made by ``dataclasses.replace`` or
-``io.load_model`` reads its own arrays.
+arrays, their half squared norms, d, the squared working radii, the
+bound's coefficients from ``core.band_coefficients`` and the largest
+norm.  The index's fields hold nothing that can be derived, so a call
+does no set-up of its own, and an index made by ``dataclasses.replace``
+or ``io.load_model`` answers from its own points and config.
 
 The tree walk, ``ptree.walk``, reports how the paper's index reaches that
 set: the nodes it visits, their verdicts and the path ranges it includes.
@@ -130,6 +132,8 @@ TreeSource = Union[WorstCaseSource, LearnedSource, StoredOrder]
 
 @dataclass(frozen=True)
 class BuildConfig:
+    """The full error ``eps``, the radius and the tree source; ``working`` is the halved error the index runs at."""
+
     eps: float
     seed: Seed
     tree_source: TreeSource
@@ -146,6 +150,11 @@ class BuildConfig:
         outer = (1.0 + self.eps) * self.radius
         if not (self.radius * self.radius >= FLOAT64.tiny and outer * outer <= FLOAT64.max):
             raise ContractViolation(f"radius {self.radius} at eps {self.eps} squares outside float64's normal range")
+
+    @cached_property
+    def working(self) -> EpsParams:
+        """The halved error ``eps/2`` at ``radius``, at which the tree is built and every query answered."""
+        return EpsParams(self.eps / 2.0, self.radius)
 
 
 @dataclass
@@ -199,29 +208,30 @@ class PassOperands(NamedTuple):
 class CountingIndex:
     """The index: its config, tree and path-order arrays, and the operands of its certified pass.
 
-    ``operands`` is no field: each index derives it from its own fields on
-    the first read and keeps it, so an index made by ``dataclasses.replace``
-    or ``io.load_model`` reads the arrays it holds, and a load that answers
-    nothing derives nothing.
+    The fields hold only what cannot be derived.  ``operands`` is no field:
+    each index derives it from its own points and config on the first read
+    and keeps it, so an index made by ``dataclasses.replace`` or
+    ``io.load_model`` answers from the points and radii it holds, and a
+    load that answers nothing derives nothing.
     """
 
     config: BuildConfig
-    working: EpsParams  # halved error used by node verdicts and leaves
     tree: PartitionTree
     path_points: np.ndarray  # the points, in path order
     path_weights: np.ndarray  # their weights, in path order
-    half_sq_norms: np.ndarray  # half the squared norms of path_points, by einsum
-    max_norm: float  # the largest norm of path_points, from half_sq_norms
     spanning_tree: SpanningTree | None = None  # built by the paper's sources for n >= 2
 
     @cached_property
     def operands(self) -> PassOperands:
         """What the certified pass reads, derived from this index's own fields on the first read."""
-        d = self.path_points.shape[1]
-        outer, r = self.working.outer_radius, self.working.radius
+        points, working = self.path_points, self.config.working
+        d = points.shape[1]
+        half_sq_norms = 0.5 * np.einsum("ij,ij->i", points, points)
+        half_sq_norms.setflags(write=False)
+        outer, r = working.outer_radius, working.radius
         return PassOperands(
-            self.path_points, self.path_weights, self.half_sq_norms, d,
-            outer * outer, r * r, *band_coefficients(d, FLOAT64), self.max_norm,
+            points, self.path_weights, half_sq_norms, d, outer * outer, r * r,
+            *band_coefficients(d, FLOAT64), math.sqrt(2.0 * half_sq_norms.max()),
         )
 
     def points(self) -> WeightedPointSet:
@@ -238,32 +248,19 @@ def build_counting_index(pts: WeightedPointSet, cfg: BuildConfig) -> CountingInd
     to the one that fitted it.  Whatever the source, the tree must hold
     one leaf per point.
     """
-    working = EpsParams(cfg.eps / 2.0, cfg.radius)
-    tree, spanning = _leaf_order(pts, working, cfg)
+    tree, spanning = _leaf_order(pts, cfg)
     if tree.n != len(pts):
         raise ContractViolation(f"path length {tree.n} does not match point count {len(pts)}")
     path_points, path_weights = pts.points[tree.order], pts.weights[tree.order]
-    half_sq_norms = 0.5 * np.einsum("ij,ij->i", path_points, path_points)
-    for arr in (path_points, path_weights, half_sq_norms):
+    for arr in (path_points, path_weights):
         arr.setflags(write=False)
-
-    return CountingIndex(
-        config=cfg,
-        working=working,
-        tree=tree,
-        path_points=path_points,
-        path_weights=path_weights,
-        half_sq_norms=half_sq_norms,
-        max_norm=math.sqrt(2.0 * half_sq_norms.max()),
-        spanning_tree=spanning,
-    )
+    return CountingIndex(cfg, tree, path_points, path_weights, spanning)
 
 
-def _leaf_order(
-    pts: WeightedPointSet, working: EpsParams, cfg: BuildConfig
-) -> tuple[PartitionTree, SpanningTree | None]:
+def _leaf_order(pts: WeightedPointSet, cfg: BuildConfig) -> tuple[PartitionTree, SpanningTree | None]:
     """The partition tree over ``cfg.tree_source``'s leaf order, and the spanning tree it linearizes, if one was built."""
-    source = cfg.tree_source
+    # read for every source: a halved eps that underflows to 0 refuses the build
+    source, working = cfg.tree_source, cfg.working
     if isinstance(source, StoredOrder):
         return source.tree, None
     if isinstance(source, LearnedSource) and source.sample.queries.shape[1] != pts.dim:

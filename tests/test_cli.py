@@ -247,7 +247,7 @@ class TestBuildQueryEval:
         doc = json.loads(report.read_text())
         idx = io.load_model(model, data)
         pts = idx.points()
-        oracle = [exact_visiting_oracle(idx.tree.order, pts, q, idx.working) for q in read_query_sample(qs).queries]
+        oracle = [exact_visiting_oracle(idx.tree.order, pts, q, idx.config.working) for q in read_query_sample(qs).queries]
         assert [row["visiting"] for row in doc["per_query"]] == oracle
         assert doc["mean_visiting"] == 26.5 and doc["sandwich_pass_rate"] == 1.0
 

@@ -166,8 +166,8 @@ class TestTraversalCost:
             points = index.points()
             for q in queries:
                 visited = count(index, q).visited_nodes
-                assert visited == visiting_number(index.tree, q, points, index.working)
-                assert visited == exact_visiting_oracle(index.tree.order, points, q, index.working)
+                assert visited == visiting_number(index.tree, q, points, index.config.working)
+                assert visited == exact_visiting_oracle(index.tree.order, points, q, index.config.working)
 
 
 MASK_VERDICTS = {(True, False): Verdict.COVERED, (False, True): Verdict.DISJOINT}
@@ -199,7 +199,7 @@ class TestPrefixVerdicts:
             inner = np.flatnonzero(idx.tree.inner)
             for node, lo, hi in zip(inner.tolist(), idx.tree.lo[inner].tolist(), idx.tree.hi[inner].tolist()):
                 subset = pts.subset(idx.tree.order[lo:hi])
-                clf = build_classifier(subset, idx.working, seed=Seed(seed + 30).derive(k, node))
+                clf = build_classifier(subset, idx.config.working, seed=Seed(seed + 30).derive(k, node))
                 has_near, has_far = bool(near[lo:hi].any()), not within_r[lo:hi].all()
                 verdict = MASK_VERDICTS.get((has_near, has_far), Verdict.STABBED)
                 assert verdict is classify(clf, qw)
@@ -217,7 +217,7 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
     qw = as_point(q, idx.path_points.shape[1])
     n = idx.tree.n
     d2 = sq_dists_to(idx.path_points, qw)
-    outer, r = idx.working.outer_radius, idx.working.radius
+    outer, r = idx.config.working.outer_radius, idx.config.working.radius
     near = [0] + np.cumsum(d2 <= outer * outer).tolist()
     far = [0] + np.cumsum(d2 > r * r).tolist()
     leaf = idx.points().weights[idx.tree.order].tolist()
@@ -261,7 +261,7 @@ def stack_walk(idx: CountingIndex, q: np.ndarray) -> tuple[float, int, dict[str,
 
 def flat_weight(idx: CountingIndex, q: np.ndarray) -> float:
     """The path weights within the working outer radius, by ``sq_dists_to``, summed in path order from 0.0."""
-    outer = idx.working.outer_radius
+    outer = idx.config.working.outer_radius
     mask = sq_dists_to(idx.path_points, as_point(q, idx.path_points.shape[1])) <= outer * outer
     return float(idx.path_weights[mask].sum()) + 0.0
 
@@ -404,6 +404,22 @@ class TestBenchInputs:
         assert doubled.operands.path_points is idx.path_points
         for q in pool:
             assert count(doubled, q).weight.hex() == (2.0 * count(idx, q).weight).hex()
+        # moved points and a wider radius: the replaced index answers, bit for
+        # bit, as one built afresh over its points, its config and the same tree
+        for replaced in (
+            replace(idx, path_points=idx.path_points + 5.0),
+            replace(idx, config=replace(idx.config, radius=1.5)),
+        ):
+            stored = StoredOrder(idx.tree, idx.config.tree_source.kind)
+            fresh = build_counting_index(replaced.points(), replace(replaced.config, tree_source=stored))
+            moved = 0
+            for q in pool:
+                got, want = count(replaced, q, verify=True), count(fresh, q, verify=True)
+                assert got.weight.hex() == want.weight.hex()
+                assert (got.visited_nodes, got.verdict_counts) == (want.visited_nodes, want.verdict_counts)
+                assert got.member_ranges == want.member_ranges
+                moved += got.member_ranges != count(idx, q, verify=True).member_ranges
+            assert moved > len(pool) // 2
 
 
 class TestSandwichProperty:
@@ -459,7 +475,7 @@ def working_masks(idx: CountingIndex, q: np.ndarray) -> list[np.ndarray]:
 def einsum_masks(idx: CountingIndex, qw: np.ndarray) -> list[np.ndarray]:
     """Which path points ``sq_dists_to`` puts within each working radius, as a reference for ``working_masks``."""
     d2 = sq_dists_to(idx.path_points, qw)
-    outer, r = idx.working.outer_radius, idx.working.radius
+    outer, r = idx.config.working.outer_radius, idx.config.working.radius
     return [d2 <= outer * outer, d2 <= r * r]
 
 
@@ -472,7 +488,7 @@ def outer_mask(idx: CountingIndex, q: np.ndarray) -> np.ndarray:
 
 def einsum_outer_mask(idx: CountingIndex, qw: np.ndarray) -> np.ndarray:
     """Which path points ``sq_dists_to`` puts within the working outer radius, as a reference for ``outer_mask``."""
-    outer = idx.working.outer_radius
+    outer = idx.config.working.outer_radius
     return sq_dists_to(idx.path_points, qw) <= outer * outer
 
 
@@ -531,7 +547,7 @@ class TestCodePass:
         around = q + rng.normal(size=(6, d)) * radius * spread
         points = np.concatenate([on_the_radii(q, working, rng), around, rng.normal(size=(4, d)) * scale])
         idx = index_over(points, eps, radius)
-        assert idx.working == working
+        assert idx.config.working == working
         for query in (q, points[0], points[-1]):
             np.testing.assert_array_equal(working_masks(idx, query), einsum_masks(idx, query))
             np.testing.assert_array_equal(outer_mask(idx, query), einsum_outer_mask(idx, query))
@@ -631,7 +647,7 @@ class TestCodePassBranches:
             working_masks(idx, q)
             norm = math.hypot(*q.tolist())
             qq = norm * norm
-            m = (idx.max_norm + norm) * (idx.max_norm + norm)
+            m = (idx.operands.max_norm + norm) * (idx.operands.max_norm + norm)
             half = (d + 4) * u * (m + abs(qq - thresholds[0]) + abs(qq - thresholds[1])) + 4 * (d + 4) * tau
             h = idx.path_points.dot(q) - pp_half
             bands = []
@@ -666,7 +682,7 @@ class TestCodePassBranches:
         q = np.full(3, 1e160)
         offsets = np.array([[0.5e150, 0.0, 0.0], [1.1e150, 0.0, 0.0], [2e150, 0.0, 0.0]])
         idx = index_over(q + offsets, radius=1e150)
-        assert math.isinf(idx.max_norm)
+        assert math.isinf(idx.operands.max_norm)
         outer, inner = working_masks(idx, q)
         assert counted.rows == [3]
         np.testing.assert_array_equal([outer, inner], einsum_masks(idx, q))
@@ -711,7 +727,7 @@ class TestAnswerSetIsTheOuterBall:
         for q in queries:
             ans = count(idx, q, verify=True)
             assert answer_set(idx, ans.member_ranges) == exact_range_indices(
-                idx.points(), q, idx.working.outer_radius
+                idx.points(), q, idx.config.working.outer_radius
             )
             assert ans.weight.hex() == flat_weight(idx, q).hex()
             assert count(idx, q).weight.hex() == ans.weight.hex()
@@ -848,14 +864,14 @@ class TestOneCheckOnePass:
         q = idx.path_points[0] + 0.3
         ans = count(idx, q)
         assert ans.visited_nodes > 1 and ans.verdict_counts["stabbed"] > 0
-        outer, r = idx.working.outer_radius, idx.working.radius
+        outer, r = idx.config.working.outer_radius, idx.config.working.radius
         assert calls == {"checks": [3], "passes": [(outer * outer,), (outer * outer, r * r)]}
 
     def test_verify_makes_one_check_and_one_pass(self, calls):
         _, idx = small_learned_index(n=40, d=3, seed=215)
         ans = count(idx, idx.path_points[0] + 0.3, verify=True)
         assert ans.visited_nodes > 1
-        outer, r = idx.working.outer_radius, idx.working.radius
+        outer, r = idx.config.working.outer_radius, idx.config.working.radius
         assert calls == {"checks": [3], "passes": [(outer * outer, r * r)]}
 
 
@@ -923,7 +939,7 @@ class TestNodeArraysOnTheWalksFirstNeed:
 
     def test_the_visiting_number_builds_them(self, built, laid_out):
         pts, idx, q = built
-        visiting_number(idx.tree, q, pts, idx.working)
+        visiting_number(idx.tree, q, pts, idx.config.working)
         assert node_arrays_held(idx) == set(NODE_ARRAYS) and laid_out == [len(pts)]
 
 
@@ -1056,7 +1072,7 @@ class TestFrozenValues:
         queries = pts.points[:6] + 0.2
         before = [count(idx, q, verify=True) for q in queries]
         with pytest.raises(ValueError):
-            getattr(idx, name)[...] *= 2.0
+            getattr(idx.operands, name)[...] *= 2.0
         assert [count(idx, q, verify=True) for q in queries] == before
 
     @pytest.mark.parametrize("source", ["learned", "worstcase", "stored", "loaded"])
@@ -1079,7 +1095,8 @@ class TestFrozenValues:
         assert count(idx, pts.points[0] + 0.2).visited_nodes > 1
         after = reachable_arrays(idx)
         assert {id(arr) for arr in idx.tree.nodes} <= {id(arr) for arr in after}
-        assert len(after) == len(before) + 5
+        # the walk's five node arrays, and the half squared norms the first pass derives
+        assert len(after) == len(before) + 6
         assert not any(arr.flags.writeable for arr in before + after)
 
 
@@ -1160,12 +1177,12 @@ class TestQueryTransforms:
         # coordinate finite, and every entry refuses it with the same message
         idx = index_over(np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [2.0, 2.0, 2.0]]))
         pts = idx.points()
-        stab = build_stab_index(pts, idx.working, Seed(0))
+        stab = build_stab_index(pts, idx.config.working, Seed(0))
         entries = {
             "count": lambda: count(idx, q),
-            "visiting_number": lambda: visiting_number(idx.tree, q, pts, idx.working),
+            "visiting_number": lambda: visiting_number(idx.tree, q, pts, idx.config.working),
             "stab_witnesses": lambda: stab_witnesses(stab, q),
-            "eps_stabs": lambda: eps_stabs(q, pts.points[0], pts.points[2], idx.working),
+            "eps_stabs": lambda: eps_stabs(q, pts.points[0], pts.points[2], idx.config.working),
             "as_point": lambda: as_point(q, 3),
         }
         arr = np.asarray(q, dtype=np.float64)

@@ -401,5 +401,5 @@ def test_model_round_trip_is_bit_exact(built, binary):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert not np.shares_memory(b, getattr(loaded, f"path_{name}"))
     for name in ("path_points", "path_weights", "half_sq_norms"):
-        assert getattr(idx, name).tobytes() == getattr(loaded, name).tobytes()
-    assert loaded.tree.order.tolist() == list(order) and loaded.max_norm == idx.max_norm
+        assert getattr(idx.operands, name).tobytes() == getattr(loaded.operands, name).tobytes()
+    assert loaded.tree.order.tolist() == list(order) and loaded.operands.max_norm == idx.operands.max_norm

@@ -459,6 +459,72 @@ class TestStabCountsProperty:
         np.testing.assert_array_equal(pair_stab_counts(pts, sample, PARAMS), per_query_counts(pts, sample, PARAMS))
         assert 0 < sum(band) < 0.001 * len(sample) * len(pts)
 
+    def test_the_cells_measured_again_are_the_float32_band(self, monkeypatch):
+        # B/2 by band_half_width's docstring formula, worked out here apart
+        # from core: (d + 4) u (M + |qq - T_outer| + |qq - T_inner|) + 4 (d + 4) tau
+        # in float32's u and tau, with M = (max |p - c| + |q - c|)**2 and c
+        # the centre of the points' bounding box.  Each edge s -+ B/2, with
+        # s = (qq - T)/2, rounded up to the least float32 at or above it:
+        # the cells sq_dists_to is given are exactly those with lo <= h < hi
+        # at some radius, h being the float32 [q - c, -1] @ [p - c, pp/2]',
+        # in row-major order.  Points lie a few bounds either side of both
+        # radii of each query, so h meets every edge, and a bound off by a
+        # factor, or an edge rounded to nearest, moves some band
+        received: list[tuple[np.ndarray, np.ndarray]] = []
+
+        def recorded(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+            if q.ndim == 2:
+                received.append((points.copy(), q.copy()))
+            return sq_dists_to(points, q)
+
+        monkeypatch.setattr(learned, "sq_dists_to", recorded)
+        d, eps, radius, u, tau = 2, 0.25, 1.0, 2.0**-24, float(np.finfo(np.float32).tiny)
+        rng = Seed(250).generator()
+        queries = rng.uniform(0.0, 4.0, size=(32, d))
+        # 40 points about each radius of each query, each within 5e-5 of it in relative terms
+        dists = np.array([radius, (1.0 + eps) * radius])[:, None] * (1.0 + rng.uniform(-5e-5, 5e-5, (32, 2, 40)))
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=dists.shape)
+        offsets = np.stack([dists * np.cos(angles), dists * np.sin(angles)], axis=-1)
+        points = (queries[:, None, None, :] + offsets).reshape(-1, d)
+        n = len(points)
+        assert len(queries) * n <= learned._CHUNK_CELLS
+        pair_stab_counts(weighted(points), QuerySample(queries, source="t"), EpsParams(eps, radius))
+
+        c = 0.5 * points.min(axis=0) + 0.5 * points.max(axis=0)
+        pp = np.einsum("ij,ij->i", points - c, points - c)
+        qq = np.einsum("ij,ij->i", queries - c, queries - c)
+        m = np.sqrt(pp.max()) + np.sqrt(qq)
+        m = m * m
+        thresholds = (((1.0 + eps) * radius) ** 2, radius * radius)
+        half = (d + 4) * u * (m + abs(qq - thresholds[0]) + abs(qq - thresholds[1])) + 4 * (d + 4) * tau
+        assert np.all(2.0 * m + 2.0 * half <= float(np.finfo(np.float32).max))
+        p32, q32 = np.empty((n, d + 1), dtype=np.float32), np.empty((len(queries), d + 1), dtype=np.float32)
+        p32[:, :d], p32[:, d] = points - c, 0.5 * pp
+        q32[:, :d], q32[:, d] = queries - c, -1.0
+        h = np.matmul(q32, p32.T)
+
+        def band(half: np.ndarray, up: bool = True) -> np.ndarray:
+            cells = np.zeros(h.shape, dtype=bool)
+            for t in thresholds:
+                s = 0.5 * (qq - t)
+                lo, hi = (e.astype(np.float32) for e in (s - half, s + half))
+                if up:
+                    lo = np.where(lo < s - half, np.nextafter(lo, np.float32(np.inf)), lo)
+                    hi = np.where(hi < s + half, np.nextafter(hi, np.float32(np.inf)), hi)
+                    assert np.all(lo >= s - half) and np.all(hi >= s + half)
+                cells |= (h >= lo[:, None]) & (h < hi[:, None])
+            return cells
+
+        cells = band(half)
+        rows, cols = np.divmod(np.flatnonzero(cells), n)
+        got_points, got_queries = (np.concatenate(part) for part in zip(*received))
+        np.testing.assert_array_equal(got_points, points[cols])
+        np.testing.assert_array_equal(got_queries, queries[rows])
+        # every query has band cells, and the bands below are not this one
+        assert set(rows.tolist()) == set(range(len(queries)))
+        for other in (band(half / 4.0), band(half / 2.0), band(half, up=False)):
+            assert (other != cells).any()
+
 
 class TestLearnedTree:
     def test_all_zero_counts_give_star_at_zero(self):
