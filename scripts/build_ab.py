@@ -16,8 +16,14 @@ building both sides in one process, interleaved, cancels that drift.
 With ``--phase load`` each side builds once and saves its own model, in
 its own format, against one shared text data file; the timed calls are
 then each side's ``io.load_model`` of its model, after a ``gc.collect()``
-as the benchmark loads, and each side's hash covers the loaded index's
-leaf order and ``points()`` bytes.
+as the benchmark loads, followed in the same call by the first ``count``
+of the loaded index, on the benchmark's first pool query, and a read of
+its ``visited_nodes``: the path an ``arccount query`` process runs.  Each
+call gives two times from one start, the load alone and the load with
+that first answer, so a load that only moves work into the first answer
+shows in the second.  Each side's hash covers the loaded index's leaf
+order and ``points()`` bytes and that first answer's weight, visits and
+verdict counts.
 
 With ``--phase query`` each side builds its index once and swaps in, by
 ``dataclasses.replace``, read-only copies of the path arrays ``count``
@@ -38,8 +44,10 @@ Prints one JSON line: each side's median and quartiles (seconds per call,
 or with ``--phase query``, ``verify`` or ``eval`` microseconds per query),
 the ratio of the medians (change over parent), the pairs the change won,
 and each side's sha256 of the leaf order (with ``--phase load``, of the
-loaded index, beside each side's model bytes; with ``--phase query``, of
-the weights, ``verify`` of the answers, ``eval`` of the report rows).
+loaded index and its first answer, beside each side's model bytes and the
+same summary, ratio and pairs won of the load with its first answer under
+``with_first_answer``; with ``--phase query``, of the weights, ``verify``
+of the answers, ``eval`` of the report rows).
 Exits 1 when the two sides' hashes differ, or one side's calls disagree
 among themselves.
 
@@ -116,7 +124,12 @@ def build_call(package, workload: harness.Workload, seed: int):
 
 
 def load_call(package, workload: harness.Workload, seed: int, data: Path, model: Path):
-    """A call that loads the model ``package`` saved of ``workload``; its seconds and the loaded index's hash."""
+    """A call that loads the model ``package`` saved of ``workload`` and answers one query from it.
+
+    The call returns its two times from one start, the load and the load
+    with the first answer's ``visited_nodes`` read, and the hash of the
+    loaded index and that answer.
+    """
     harness.arccount = package
     inputs = harness.make_inputs(workload, seed)
     if not data.exists():
@@ -124,17 +137,22 @@ def load_call(package, workload: harness.Workload, seed: int, data: Path, model:
     idx = package.build_counting_index(inputs.points, harness.build_config(inputs, seed))
     package.io.save_model(model, idx, data)
     del idx
+    q = inputs.pool[0]
 
-    def load() -> tuple[float, str]:
+    def load() -> tuple[tuple[float, float], str]:
         gc.collect()
         t0 = time.perf_counter()
         loaded = package.io.load_model(model, data)
-        seconds = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        ans = package.count(loaded, q)
+        visited = ans.visited_nodes
+        t2 = time.perf_counter()
         pts = loaded.points()
         h = hashlib.sha256(loaded.tree.order.tobytes())
         h.update(pts.points.tobytes())
         h.update(pts.weights.tobytes())
-        return seconds, h.hexdigest()
+        h.update(f"{float(ans.weight).hex()} {visited} {json.dumps(ans.verdict_counts, sort_keys=True)}".encode())
+        return (t1 - t0, t2 - t0), h.hexdigest()
 
     return load
 
@@ -223,7 +241,7 @@ def main() -> int:
         else:
             calls = {side: build_call(packages[side], w, args.seed) for side in SIDES}
         hashes = {side: {calls[side]()[1]} for side in SIDES}
-        seconds: dict[str, list[float]] = {side: [] for side in SIDES}
+        seconds: dict[str, list] = {side: [] for side in SIDES}
         for i in range(args.pairs):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 s, h = calls[side]()
@@ -231,6 +249,14 @@ def main() -> int:
                 hashes[side].add(h)
         if args.phase == "load":
             loads = {"phase": "load"} | {f"{side}_model_bytes": models[side].stat().st_size for side in SIDES}
+            # each load call timed the load alone and the load with its first answer
+            firsts = {side: [s[1] for s in seconds[side]] for side in SIDES}
+            seconds = {side: [s[0] for s in seconds[side]] for side in SIDES}
+            first = {side: summary(firsts[side], 6, "s") for side in SIDES}
+            loads["with_first_answer"] = first | {
+                "ratio": round(first["change"]["median_s"] / first["parent"]["median_s"], 3),
+                "change_won": sum(c < p for p, c in zip(firsts["parent"], firsts["change"])),
+            }
     won = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
     row = {"workload": args.workload, "n": w.n, "seed": args.seed, "pairs": args.pairs}
     # queries take microseconds, loads milliseconds, builds up to seconds

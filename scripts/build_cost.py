@@ -31,9 +31,13 @@ does.
 The index is then saved against a text data file of its points, as the
 benchmark saves it: ``model_bytes`` is the model file's size,
 ``load_ms`` the best of 15 ``load_model`` calls in the same process, each
-after a ``gc.collect()``, and ``loaded_index_mib`` the total ``nbytes`` of
-the distinct numpy arrays the loaded index holds, each counted once,
-before any telemetry read: the tree's node arrays are not among them.
+after a ``gc.collect()``, and ``loaded_index_mib`` the bytes of the
+distinct buffers that the loaded index's numpy arrays keep alive, each
+counted once, before any telemetry read: the tree's node arrays are not
+among them.  An array that owns its data counts its ``nbytes``; a view
+counts the whole buffer under it once, so a loaded index, whose points
+and weights are views of the one read of its model file, counts that
+read, header and order bytes included.
 
 Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
@@ -187,12 +191,17 @@ def save_and_load(
 
 
 def array_bytes(obj: object) -> int:
-    """Total ``nbytes`` of the distinct numpy arrays reachable from ``obj``, each counted once by ``id``.
+    """Total bytes of the distinct buffers under the numpy arrays reachable from ``obj``, each counted once by ``id``.
 
-    The walk follows object attributes, lists, tuples and dict values, so
-    it reads any version's index without naming its fields.
+    An array's buffer is that of the array at the end of its chain of
+    ``base`` arrays: its own ``nbytes`` when it owns its data, else the
+    whole object it was made over, such as the bytes of a file read, so
+    views of one buffer count it once and in full.  The walk follows
+    object attributes, lists, tuples and dict values, so it reads any
+    version's index without naming its fields.
     """
     seen: set[int] = set()
+    buffers: set[int] = set()
     stack, total = [obj], 0
     while stack:
         o = stack.pop()
@@ -200,7 +209,12 @@ def array_bytes(obj: object) -> int:
             continue
         seen.add(id(o))
         if isinstance(o, np.ndarray):
-            total += o.nbytes
+            while isinstance(o.base, np.ndarray):
+                o = o.base
+            owner = o if o.base is None else o.base
+            if id(owner) not in buffers:
+                buffers.add(id(owner))
+                total += o.nbytes if owner is o else memoryview(owner).nbytes
         elif isinstance(o, dict):
             stack.extend(o.values())
         elif isinstance(o, (list, tuple)):

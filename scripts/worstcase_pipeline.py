@@ -21,13 +21,14 @@ Example:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
 import numpy as np
 
-from arccount.core import EpsParams, GridSpec, Seed, WeightedPointSet
-from arccount.counter import BuildConfig, StoredOrder, build_counting_index, evaluate_visiting
+from arccount.core import GridSpec, Seed, WeightedPointSet
+from arccount.counter import BuildConfig, StoredOrder, WorstCaseSource, build_counting_index, evaluate_visiting
 from arccount.learned import QuerySample
 from arccount.oracle import exact_sigma
 from arccount.ptree import tree_to_path
@@ -47,16 +48,16 @@ def main() -> None:
     if args.queries < 1:
         ap.error("--queries must be at least 1")
 
-    params = EpsParams(args.eps)
+    cfg = BuildConfig(eps=args.eps, seed=Seed(args.seed), tree_source=WorstCaseSource(args.query_grid_side))
     rng = Seed(args.seed).generator()
     pts = WeightedPointSet(
         rng.uniform(0, args.scale, size=(args.n, args.d)), rng.uniform(0.1, 2.0, size=args.n)
     )
 
-    # the index answers at the working error eps/2, so the universe and the
-    # tree are built there, and the index adopts the tree's leaf order: the
-    # stabbing printed below is that of the tree whose visits it prints
-    working = EpsParams(args.eps / 2.0, params.radius)
+    # the index answers at its config's working error eps/2, so the universe
+    # and the tree are built there, and the index adopts the tree's leaf
+    # order: the stabbing printed below is that of the tree whose visits it prints
+    working = cfg.working
     t0 = time.perf_counter()
     universe = generate_grid_queries(pts, working, GridSpec(args.query_grid_side))
     print(f"query universe: {len(universe)} grid points within reach of the data")
@@ -76,7 +77,7 @@ def main() -> None:
         print(f"  heavy query {np.round(q, 3).tolist()}: stabs {universe.stab_exponents[j]} edges")
 
     order = StoredOrder(tree_to_path(tree, pts), kind="worstcase")
-    idx = build_counting_index(pts, BuildConfig(eps=args.eps, seed=Seed(args.seed), tree_source=order))
+    idx = build_counting_index(pts, dataclasses.replace(cfg, tree_source=order))
     print(f"partition tree: depth {idx.tree.depth}, {args.n - 1} internal nodes")
 
     lo = pts.points.min(axis=0) - 1.0

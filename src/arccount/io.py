@@ -10,24 +10,27 @@ Binary: magic ``ARC1``, little-endian uint32 ``n`` and ``d``, then
 ``n * (d + 1)`` little-endian float64 values, row-major, weight last in
 each row.
 
-Models (format ``arc-model v7``) are the magic line ``arc-model v7``, a
+Models (format ``arc-model v8``) are the magic line ``arc-model v8``, a
 little-endian uint32 header length, a UTF-8 JSON header padded with spaces
-so that the arrays after it start 8-byte aligned, and two arrays: the
-``n`` rows of ``d`` coordinates and one weight as little-endian float64,
-then the leaf order as little-endian int32.  The header holds ``n``, ``d``,
-the build configuration and seed, the kind of tree source that fitted the
-order, a digest of the data file, and ``points_digest``, the sha256 of the
-rows' bytes.  The file is the header's end plus ``8n(d+1) + 4n`` bytes
-exactly: 78 KB at n = 1024, d = 8.  Loading makes one read, checks the
-data file's digest, the length and the rows' digest, reads the arrays with
-``np.frombuffer`` without parsing the data file, and builds the index over
-the stored leaf order, a ``StoredOrder`` of the partition tree over it,
-so the loaded index answers bit-identically to the saved one.  The tree
-keeps a checked int64 copy of that order alone; its node arrays come on
-the walk's first run.
-``save_model`` writes the index's ``points()`` and refuses a data file
-that does not hold them bit for bit.  There is one reader: the JSON models
-``v1``-``v6`` are refused with their format named, to be rebuilt from the
+so that the arrays after it start 8-byte aligned, and three arrays as the
+index holds them, in path order: the ``n`` points of ``d`` coordinates and
+their ``n`` weights as little-endian float64, then the leaf order as
+little-endian int32.  The header holds ``n``, ``d``, the build
+configuration and seed, the kind of tree source that fitted the order, a
+digest of the data file, and ``points_digest``, the sha256 of every byte
+after the header, the order included.  The file is the header's end plus
+``8n(d+1) + 4n`` bytes exactly: 78 KB at n = 1024, d = 8.  Loading reads
+the model with one ``os.read``, as ``file_digest`` reads the data file,
+checks the length and both digests, checks the one float64 block finite,
+makes the partition tree over the stored order and the configuration,
+and builds the index over read-only views of that one read: no copy, no
+gather and no parse of the data file, so the loaded index answers
+bit-identically to the saved one.  The tree keeps a checked int64 copy of
+the order alone; its node arrays come on the walk's first run.
+``save_model`` writes the index's arrays and refuses a data file that does
+not hold its points and weights bit for bit.  There is one reader: the
+JSON models ``v1``-``v6`` and the binary ``v7``, which stored the rows in
+data order, are refused with their format named, to be rebuilt from the
 data with ``arccount build``.
 
 A file that is not UTF-8 where text is expected, a text point file or a
@@ -39,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from itertools import chain
 from pathlib import Path
@@ -46,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ContractViolation, Seed, WeightedPointSet
-from .counter import BuildConfig, CountingIndex, StoredOrder, build_counting_index
+from .counter import BuildConfig, CountingIndex, StoredOrder
 from .learned import QuerySample
 from .ptree import PartitionTree
 
@@ -186,19 +190,37 @@ def write_query_sample(path: str | Path, sample: QuerySample, binary: bool = Fal
 
 # -- models --------------------------------------------------------------------
 
-_MODEL_FORMAT = "arc-model v7"
+_MODEL_FORMAT = "arc-model v8"
 _MODEL_MAGIC = _MODEL_FORMAT.encode() + b"\n"
 _HEADER_START = len(_MODEL_MAGIC) + 4
 
 
-def file_digest(path: str | Path) -> str:
-    h = hashlib.sha256()
+def _read_bytes(path: str | Path) -> bytes:
+    """The whole file at ``path``: one ``os.read`` of its ``fstat`` size, then on to its end.
+
+    A regular file's first read reaches its end; a pipe, a file that grew,
+    or one past the most a read returns (2 GiB on Linux) reads on.
+    """
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with open(path, "rb") as fh:
-            h.update(fh.read())
+        parts = [os.read(fd, os.fstat(fd).st_size)]
+        while part := os.read(fd, 1 << 20):
+            parts.append(part)
+    finally:
+        os.close(fd)
+    return parts[0] if len(parts) == 1 else b"".join(parts)
+
+
+def file_digest(path: str | Path) -> str:
+    try:
+        blob = _read_bytes(path)
     except OSError as exc:
         raise FileFormatError(f"{path}: cannot read: {exc}") from exc
-    return "sha256:" + h.hexdigest()
+    return "sha256:" + hashlib.sha256(blob).hexdigest()
+
+
+def _f8_bytes(a: np.ndarray) -> bytes:
+    return a.astype("<f8", copy=False).tobytes()
 
 
 def save_model(
@@ -206,29 +228,35 @@ def save_model(
 ) -> None:
     """Save ``idx``; ``data_path`` must hold its points and weights bit for bit.
 
-    The model carries the points, and loading answers from them; the data
-    file's digest is recorded beside them, so it must describe the same
-    values, else a ``ContractViolation``.  The check parses ``data_path``,
-    unless ``read`` holds what the caller already read: the points
-    ``read_points(data_path)`` gave and the ``file_digest`` the caller took
-    just before that read.  Those points must then be the index's, and the
-    file must still have that digest.
+    The model carries the index's path-order arrays, and loading answers
+    from them; the data file's digest is recorded beside them, so it must
+    describe the same values, else a ``ContractViolation``.  The check
+    parses ``data_path``, unless ``read`` holds what the caller already
+    read: the points ``read_points(data_path)`` gave and the
+    ``file_digest`` the caller took just before that read.  Those points
+    must then be the index's, and the file must still have that digest.
     """
-    pts = idx.points()
-    rows = _rows_bytes(pts)
     on_file, digest = read or (read_points(data_path), None)
     now = file_digest(data_path)
-    if digest not in (None, now) or on_file.points.shape != pts.points.shape or _rows_bytes(on_file) != rows:
+    order = idx.tree.order
+    if (
+        digest not in (None, now)
+        or on_file.points.shape != idx.path_points.shape
+        or _f8_bytes(on_file.points[order]) != _f8_bytes(idx.path_points)
+        or _f8_bytes(on_file.weights[order]) != _f8_bytes(idx.path_weights)
+    ):
         raise ContractViolation(
             f"{data_path}: the points and weights on file are not the index's, bit for bit; "
             "save the model against the data the index was built from"
         )
+    body = _f8_bytes(idx.path_points) + _f8_bytes(idx.path_weights) + order.astype("<i4").tobytes()
     cfg = idx.config
+    n, d = idx.path_points.shape
     head = {
-        "n": len(pts),
-        "d": pts.dim,
+        "n": n,
+        "d": d,
         "data_digest": now,
-        "points_digest": "sha256:" + hashlib.sha256(rows).hexdigest(),
+        "points_digest": "sha256:" + hashlib.sha256(body).hexdigest(),
         "config": {
             "eps": cfg.eps,
             "radius": cfg.radius,
@@ -240,8 +268,7 @@ def save_model(
     text = json.dumps(head).encode()
     text += b" " * (-(_HEADER_START + len(text)) % 8)
     with open(path, "wb") as fh:
-        fh.write(_MODEL_MAGIC + struct.pack("<I", len(text)) + text + rows)
-        fh.write(idx.tree.order.astype("<i4").tobytes())
+        fh.write(_MODEL_MAGIC + struct.pack("<I", len(text)) + text + body)
 
 
 _NUMBER = (int, float)
@@ -258,15 +285,20 @@ def _field(obj: dict, key: str, kinds: tuple[type, ...], where: object):
 
 
 def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
-    """Rebuild the index saved at ``path``, whose data file ``data_path`` must match its digest."""
+    """Rebuild the index saved at ``path``, whose data file ``data_path`` must match its digest.
+
+    The index holds read-only views of the one read of the model: its
+    points and weights as stored, and the order in its tree's own copy.
+    """
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        blob = _read_bytes(path)
     except OSError as exc:
         raise FileFormatError(f"{path}: not a model file: {exc}") from exc
     if not blob.startswith(_MODEL_MAGIC):
+        # an older binary model names its format in its first line, a JSON one in its "format" field
+        line, newline, _ = blob[:64].partition(b"\n")
         try:
-            fmt = json.loads(blob)["format"]
+            fmt = line.decode("ascii") if newline and line.startswith(b"arc-model ") else json.loads(blob)["format"]
         except (ValueError, TypeError, KeyError, RecursionError):
             raise FileFormatError(f"{path}: not a model file: no {_MODEL_MAGIC!r} magic") from None
         raise FileFormatError(
@@ -294,11 +326,15 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     order_at = end + 8 * n * (d + 1)
     if len(blob) != order_at + 4 * n:
         raise FileFormatError(f"{path}: model is {len(blob)} bytes, n={n} and d={d} imply {order_at + 4 * n}")
-    digest = "sha256:" + hashlib.sha256(memoryview(blob)[end:order_at]).hexdigest()
+    digest = "sha256:" + hashlib.sha256(memoryview(blob)[end:]).hexdigest()
     stored = _field(head, "points_digest", (str,), path)
     if digest != stored:
         raise FileFormatError(f"{path}: points digest {digest} does not match the model's {stored}")
-    pts = _rows_points(blob, n, d, str(path), offset=end)
+    # the points, then the weights: one contiguous float64 block
+    values = np.frombuffer(blob, "<f8", count=n * (d + 1), offset=end)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise FileFormatError(f"{path}: non-finite value (offset {end + 8 * int(np.argmin(finite))})")
     c = _field(head, "config", (dict,), path)
     src = _field(c, "tree_source", (dict,), path)
     kind = _field(src, "kind", (str,), path)
@@ -309,15 +345,17 @@ def load_model(path: str | Path, data_path: str | Path) -> CountingIndex:
     # eps 5 or an unknown tree source; the configuration refuses it, and so
     # does the partition tree's permutation check: the model file is malformed
     try:
+        tree = PartitionTree(np.frombuffer(blob, "<i4", count=n, offset=order_at))
         cfg = BuildConfig(
             eps=_field(c, "eps", _NUMBER, path),
             radius=_field(c, "radius", _NUMBER, path),
             seed=Seed(_field(c, "seed", (int,), path), tuple(seed_path)),
-            tree_source=StoredOrder(PartitionTree(np.frombuffer(blob, "<i4", count=n, offset=order_at)), kind),
+            tree_source=StoredOrder(tree, kind),
         )
-        return build_counting_index(pts, cfg)
+        cfg.working  # a halved eps that underflows to 0 is refused, as a build refuses it
     except ContractViolation as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    return CountingIndex(cfg, tree, values[: n * d].reshape(n, d), values[n * d :])
 
 
 def write_report(path: str | Path, report: dict) -> None:

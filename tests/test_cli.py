@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import struct
 import time
@@ -337,28 +336,32 @@ def _head(edit: Callable[[dict], object]) -> Callable[[ModelFile], bytes]:
     return mutate
 
 
-def _order(edit: Callable[[np.ndarray], object]) -> Callable[[ModelFile], bytes]:
-    """A model file whose leaf order ``edit`` changed in place."""
+def _order(edit: Callable[[np.ndarray], object], sealed: bool = True) -> Callable[[ModelFile], bytes]:
+    """A model file whose leaf order ``edit`` changed in place, under its own digest when ``sealed``."""
 
     def mutate(m: ModelFile) -> bytes:
         order = np.frombuffer(m.order, "<i4").copy()
         edit(order)
-        return dataclasses.replace(m, order=order.tobytes()).to_bytes()
+        m = dataclasses.replace(m, order=order.tobytes())
+        return (m.sealed() if sealed else m).to_bytes()
 
     return mutate
 
 
+def _swap_two(order: np.ndarray) -> None:
+    order[[0, -1]] = order[[-1, 0]]
+
+
 def _flip_one_byte(m: ModelFile) -> bytes:
-    rows = bytearray(m.rows)
-    rows[13] ^= 0x01
-    return dataclasses.replace(m, rows=bytes(rows)).to_bytes()
+    points = bytearray(m.points)
+    points[13] ^= 0x01
+    return dataclasses.replace(m, points=bytes(points)).to_bytes()
 
 
 def _nan_with_its_digest(m: ModelFile) -> bytes:
-    rows = np.frombuffer(m.rows, "<f8").copy()
-    rows[5] = np.nan
-    m.head["points_digest"] = "sha256:" + hashlib.sha256(rows.tobytes()).hexdigest()
-    return dataclasses.replace(m, rows=rows.tobytes()).to_bytes()
+    points = np.frombuffer(m.points, "<f8").copy()
+    points[5] = np.nan
+    return dataclasses.replace(m, points=points.tobytes()).sealed().to_bytes()
 
 
 def _header_length(delta: int) -> Callable[[ModelFile], bytes]:
@@ -382,7 +385,8 @@ MALFORMED_MODELS = {
     "no-digest": _head(lambda h: h.pop("data_digest")),
     "no-source-kind": _head(lambda h: h["config"]["tree_source"].pop("kind")),
     "no-seed-path": _head(lambda h: h["config"].pop("seed_path")),
-    "no-points": lambda m: dataclasses.replace(m, rows=b"").to_bytes(),
+    "no-points": lambda m: dataclasses.replace(m, points=b"").to_bytes(),
+    "no-weights": lambda m: dataclasses.replace(m, weights=b"").to_bytes(),
     "no-points-digest": _head(lambda h: h.pop("points_digest")),
     "order-as-int64": lambda m: dataclasses.replace(
         m, order=np.frombuffer(m.order, "<i4").astype("<i8").tobytes()
@@ -392,9 +396,11 @@ MALFORMED_MODELS = {
     "order-not-a-permutation": _order(lambda o: np.put(o, 0, o[1])),
     "order-too-large-an-integer": _order(lambda o: np.put(o, 0, 2**31 - 1)),
     "order-negative": _order(lambda o: np.put(o, 0, -1)),
+    # still a permutation: only the digest, which covers the order, catches it
+    "order-two-swapped": _order(_swap_two, sealed=False),
     # a NaN row whose digest is its own: only the finiteness check catches it
     "points-nan-with-its-digest": _nan_with_its_digest,
-    "points-truncated": lambda m: dataclasses.replace(m, rows=m.rows[:-8]).to_bytes(),
+    "points-truncated": lambda m: dataclasses.replace(m, points=m.points[:-8]).to_bytes(),
     # the same length: only the points digest catches it
     "points-one-byte-flipped": _flip_one_byte,
     "points-digest-wrong": _head(lambda h: h.update(points_digest="sha256:" + "0" * 64)),
@@ -402,6 +408,8 @@ MALFORMED_MODELS = {
     "d-off-by-one": _head(lambda h: h.update(d=h["d"] + 1)),
     # right type, value out of range
     "eps-5": _head(lambda h: h["config"].update(eps=5)),
+    # in range, but its half, the working error, underflows to 0
+    "eps-halves-to-zero": _head(lambda h: h["config"].update(eps=5e-324)),
     "radius-negative": _head(lambda h: h["config"].update(radius=-1)),
     "radius-square-overflows": _head(lambda h: h["config"].update(radius=1e200)),
     "radius-square-underflows": _head(lambda h: h["config"].update(radius=1e-170)),
@@ -411,6 +419,7 @@ MALFORMED_MODELS = {
     "truncated-in-header-length": lambda m: m.to_bytes()[: len(MODEL_MAGIC) + 2],
     "truncated-in-header": lambda m: m.to_bytes()[:40],
     "truncated-in-rows": lambda m: m.to_bytes()[: -len(m.order) - 12],
+    "truncated-in-points": lambda m: m.to_bytes()[: -len(m.order) - len(m.weights) - 12],
     "truncated-in-order": lambda m: m.to_bytes()[:-2],
     "trailing-bytes": lambda m: m.to_bytes() + bytes(8),
     "header-length-past-the-end": _header_length(1 << 20),
@@ -616,6 +625,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: {old}: ") and fmt in err and "Traceback" not in err
+        assert "rebuild" in err and "`arccount build`" in err
+
+    def test_v7_model_is_exit_two(self, tmp_path, capsys, saved_model):
+        # the binary format before this one: its magic line names it
+        model, data = saved_model
+        old = tmp_path / "v7.arc"
+        old.write_bytes(ModelFile.read(model).v7_bytes())
+        capsys.readouterr()
+        rc = run_cli(["query", "--model", str(old), "--data", str(data), "--q", "1,1,1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {old}: ") and "'arc-model v7'" in err and "Traceback" not in err
         assert "rebuild" in err and "`arccount build`" in err
 
     def test_model_saved_against_other_points_is_exit_three(self, tmp_path, capsys, monkeypatch):

@@ -75,12 +75,14 @@ def files(tmp_path_factory):
     for argv in calls:
         assert run_cli([str(a) for a in argv]) == 0
     # a model without its radius, one cut short in its leaf order, and one
-    # as an arc-model v6 writer saved it
+    # as an arc-model v6 or v7 writer saved it
     learned = ModelFile.read(made["learned"])
     made["truncated_model"] = root / "truncated.arc"
     made["truncated_model"].write_bytes(learned.to_bytes()[:-3])
     made["v6_model"] = root / "v6.json"
     made["v6_model"].write_text(json.dumps(learned.v6_document()))
+    made["v7_model"] = root / "v7.arc"
+    made["v7_model"].write_bytes(learned.v7_bytes())
     del learned.head["config"]["radius"]
     made["broken_model"] = root / "broken.arc"
     made["broken_model"].write_bytes(learned.to_bytes())
@@ -122,7 +124,7 @@ def command_lines(draw, inputs: dict[str, str], outputs: list[str]) -> list[str]
     points = files(["data"], ["data3", "data_bin", "garbage", "empty", "missing", "directory", "queries"])
     queries = files(["queries"], ["data", "garbage", "empty", "missing"])
     models = files(
-        ["learned", "worstcase"], ["broken_model", "truncated_model", "v6_model", "garbage", "data", "missing"]
+        ["learned", "worstcase"], ["broken_model", "truncated_model", "v6_model", "v7_model", "garbage", "data", "missing"]
     )
     out = (outputs[:3], outputs[3:])
     flag = ([None], [None])

@@ -254,23 +254,28 @@ class TestModels:
             load_model(model, data)
 
     @pytest.mark.parametrize("worstcase", [False, True])
-    def test_layout_is_a_header_the_rows_and_an_int32_order(self, tmp_path, worstcase):
-        # magic, u32 header length, a JSON header padded to 8 bytes, the rows
-        # exactly as their digest hashes them, and the leaf order as <i4
+    def test_layout_is_a_header_the_path_arrays_and_an_int32_order(self, tmp_path, worstcase):
+        # magic, u32 header length, a JSON header padded to 8 bytes, the
+        # index's path-order points and weights as <f8 and its leaf order as
+        # <i4, all three under one digest
         pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
         blob = model.read_bytes()
         end = len(MODEL_MAGIC) + 4 + int.from_bytes(blob[len(MODEL_MAGIC) : len(MODEL_MAGIC) + 4], "little")
         parts = ModelFile.read(model)
         n, d = len(pts), pts.dim
-        assert blob.startswith(b"arc-model v7\n") and end % 8 == 0
+        assert blob.startswith(b"arc-model v8\n") and end % 8 == 0
         assert (parts.head["n"], parts.head["d"]) == (n, d)
         assert parts.head["data_digest"] == file_digest(data)
-        rows = arccount.io._rows_bytes(idx.points())
-        assert parts.rows == rows and parts.head["points_digest"] == "sha256:" + hashlib.sha256(rows).hexdigest()
+        assert parts.points == idx.path_points.astype("<f8").tobytes() == blob[end : end + 8 * n * d]
+        assert parts.weights == idx.path_weights.astype("<f8").tobytes()
         assert parts.order == idx.tree.order.astype("<i4").tobytes() == blob[end + 8 * n * (d + 1) :]
         assert np.frombuffer(parts.order, "<i4").tolist() == idx.tree.order.tolist()
+        assert parts.head["points_digest"] == "sha256:" + hashlib.sha256(blob[end:]).hexdigest()
         assert len(blob) == end + 8 * n * (d + 1) + 4 * n
         assert parts.to_bytes() == blob
+        # the same points in data order, weight last, as arc-model v7 stored them
+        rows = np.frombuffer(parts.data_rows(), "<f8").reshape(n, d + 1)
+        assert rows[:, :d].tobytes() == pts.points.tobytes() and rows[:, d].tobytes() == pts.weights.tobytes()
 
     @pytest.mark.parametrize("worstcase", [False, True])
     def test_save_load_save_writes_the_same_bytes(self, tmp_path, worstcase):
@@ -279,17 +284,61 @@ class TestModels:
         save_model(again, load_model(model, data), data)
         assert again.read_bytes() == model.read_bytes()
 
-    def test_non_finite_row_under_its_own_digest_cites_its_offset(self, tmp_path):
-        # only the finiteness check can refuse a NaN whose digest is recomputed
+    def nan_under_its_own_digest(self, tmp_path, array: str, at: int):
+        """A saved model whose ``array`` holds a NaN at ``at`` under a digest taken again, its data file, and the NaN's offset."""
         pts, idx, data, model = self.build_and_save(tmp_path)
         parts = ModelFile.read(model)
-        rows = np.frombuffer(parts.rows, "<f8").copy()
-        rows[9] = np.nan
-        parts.head["points_digest"] = "sha256:" + hashlib.sha256(rows.tobytes()).hexdigest()
-        model.write_bytes(dataclasses.replace(parts, rows=rows.tobytes()).to_bytes())
-        start = len(model.read_bytes()) - len(parts.rows) - len(parts.order)
-        with pytest.raises(FileFormatError, match=rf"non-finite value \(offset {start + 8 * 9}\)"):
+        values = np.frombuffer(getattr(parts, array), "<f8").copy()
+        values[at] = np.nan
+        model.write_bytes(dataclasses.replace(parts, **{array: values.tobytes()}).sealed().to_bytes())
+        start = len(model.read_bytes()) - len(parts.body) + (len(parts.points) if array == "weights" else 0)
+        return model, data, start + 8 * at
+
+    def test_non_finite_row_under_its_own_digest_cites_its_offset(self, tmp_path):
+        # only the finiteness check can refuse a NaN whose digest is recomputed
+        model, data, offset = self.nan_under_its_own_digest(tmp_path, "points", 9)
+        with pytest.raises(FileFormatError, match=rf"non-finite value \(offset {offset}\)"):
             load_model(model, data)
+
+    def test_non_finite_weight_under_its_own_digest_cites_its_offset(self, tmp_path):
+        model, data, offset = self.nan_under_its_own_digest(tmp_path, "weights", 2)
+        with pytest.raises(FileFormatError, match=rf"non-finite value \(offset {offset}\)"):
+            load_model(model, data)
+
+    def test_an_order_with_two_entries_swapped_is_refused_by_its_digest(self, tmp_path):
+        # still a permutation, so the tree would take it: the digest covers
+        # the order, and refuses it unless it is taken again over the new order
+        pts, idx, data, model = self.build_and_save(tmp_path)
+        parts = ModelFile.read(model)
+        order = np.frombuffer(parts.order, "<i4").copy()
+        order[[0, 1]] = order[[1, 0]]
+        swapped = dataclasses.replace(parts, order=order.tobytes())
+        model.write_bytes(swapped.to_bytes())
+        with pytest.raises(FileFormatError, match=r"points digest"):
+            load_model(model, data)
+        model.write_bytes(swapped.sealed().to_bytes())
+        assert load_model(model, data).tree.order.tolist() == order.tolist()
+
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_v7_models_are_refused(self, tmp_path, worstcase):
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        model.write_bytes(ModelFile.read(model).v7_bytes())
+        with pytest.raises(FileFormatError, match=r"'arc-model v7'.*rebuild it from the data with `arccount build`"):
+            load_model(model, data)
+
+    @pytest.mark.parametrize("worstcase", [False, True])
+    def test_a_loaded_index_holds_read_only_views_of_one_read(self, tmp_path, worstcase):
+        pts, idx, data, model = self.build_and_save(tmp_path, worstcase)
+        loaded = load_model(model, data)
+        roots = []
+        for a in (loaded.path_points, loaded.path_weights):
+            assert not a.flags.writeable and a.flags.c_contiguous and a.flags.aligned and not a.flags.owndata
+            while isinstance(a, np.ndarray):
+                a = a.base
+            roots.append(a)
+        assert isinstance(roots[0], bytes) and roots[0] is roots[1] and roots[0] == model.read_bytes()
+        order = loaded.tree.order
+        assert not order.flags.writeable and order.flags.c_contiguous and order.flags.aligned
 
     def test_load_does_not_read_the_data_file_points(self, tmp_path, monkeypatch):
         pts, idx, data, model = self.build_and_save(tmp_path)

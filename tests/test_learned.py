@@ -469,7 +469,11 @@ class TestStabCountsProperty:
         # at some radius, h being the float32 [q - c, -1] @ [p - c, pp/2]',
         # in row-major order.  Points lie a few bounds either side of both
         # radii of each query, so h meets every edge, and a bound off by a
-        # factor, or an edge rounded to nearest, moves some band
+        # factor moves some band.  Four corners fix the bounding box, so c
+        # and max |p - c|, and with them every edge, are known before the
+        # last points are placed: for each edge whose nearest float32 lies
+        # below it, a point whose h is exactly that float32, which an edge
+        # rounded to nearest would move across that edge
         received: list[tuple[np.ndarray, np.ndarray]] = []
 
         def recorded(points: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -485,22 +489,48 @@ class TestStabCountsProperty:
         dists = np.array([radius, (1.0 + eps) * radius])[:, None] * (1.0 + rng.uniform(-5e-5, 5e-5, (32, 2, 40)))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=dists.shape)
         offsets = np.stack([dists * np.cos(angles), dists * np.sin(angles)], axis=-1)
-        points = (queries[:, None, None, :] + offsets).reshape(-1, d)
+        corners = np.array([[-2.0, -2.0], [-2.0, 6.0], [6.0, -2.0], [6.0, 6.0]])
+        points = np.vstack([(queries[:, None, None, :] + offsets).reshape(-1, d), corners])
+        thresholds = (((1.0 + eps) * radius) ** 2, radius * radius)
+
+        def pass_operands(points: np.ndarray):
+            """c, qq, the float32 [q - c, -1] and [p - c, pp/2], and B/2 per query, as the pass forms them."""
+            c = 0.5 * points.min(axis=0) + 0.5 * points.max(axis=0)
+            pp = np.einsum("ij,ij->i", points - c, points - c)
+            qq = np.einsum("ij,ij->i", queries - c, queries - c)
+            m = np.sqrt(pp.max()) + np.sqrt(qq)
+            m = m * m
+            half = (d + 4) * u * (m + abs(qq - thresholds[0]) + abs(qq - thresholds[1])) + 4 * (d + 4) * tau
+            assert np.all(2.0 * m + 2.0 * half <= float(np.finfo(np.float32).max))
+            p32, q32 = np.empty((len(points), d + 1), dtype=np.float32), np.empty((len(queries), d + 1), dtype=np.float32)
+            p32[:, :d], p32[:, d] = points - c, 0.5 * pp
+            q32[:, :d], q32[:, d] = queries - c, -1.0
+            return c, qq, q32, p32, half
+
+        c, qq, q32, _, half = pass_operands(points)
+        # every edge of every query, and the float32 just below each edge that rounds down to it
+        edges = np.stack([0.5 * (qq - t) + sign * half for t in thresholds for sign in (-1.0, 1.0)])
+        below = edges.astype(np.float32)
+        which, rows = np.nonzero(below < edges)
+        # about each such h, a patch of 21 x 21 points 1e-7 apart, around the
+        # point on a random ray from the query whose distance gives h exactly
+        rho = np.sqrt(qq[rows] - 2.0 * below[which, rows].astype(np.float64))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=len(rows))
+        centres = queries[rows] + rho[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+        steps = 1e-7 * np.stack(np.meshgrid(np.arange(-10, 11), np.arange(-10, 11)), axis=-1).reshape(-1, d)
+        patches = centres[:, None, :] + steps
+        _, _, _, p32, _ = pass_operands(np.vstack([points, patches.reshape(-1, d)]))
+        h = np.matmul(q32, p32[len(points) :].T).reshape(len(queries), len(rows), len(steps))
+        hits = h[rows, np.arange(len(rows))] == below[which, rows][:, None]
+        found = hits.any(axis=1)
+        points = np.vstack([points, patches[found, np.argmax(hits[found], axis=1)]])
         n = len(points)
         assert len(queries) * n <= learned._CHUNK_CELLS
         pair_stab_counts(weighted(points), QuerySample(queries, source="t"), EpsParams(eps, radius))
 
-        c = 0.5 * points.min(axis=0) + 0.5 * points.max(axis=0)
-        pp = np.einsum("ij,ij->i", points - c, points - c)
-        qq = np.einsum("ij,ij->i", queries - c, queries - c)
-        m = np.sqrt(pp.max()) + np.sqrt(qq)
-        m = m * m
-        thresholds = (((1.0 + eps) * radius) ** 2, radius * radius)
-        half = (d + 4) * u * (m + abs(qq - thresholds[0]) + abs(qq - thresholds[1])) + 4 * (d + 4) * tau
-        assert np.all(2.0 * m + 2.0 * half <= float(np.finfo(np.float32).max))
-        p32, q32 = np.empty((n, d + 1), dtype=np.float32), np.empty((len(queries), d + 1), dtype=np.float32)
-        p32[:, :d], p32[:, d] = points - c, 0.5 * pp
-        q32[:, :d], q32[:, d] = queries - c, -1.0
+        # the placed points keep c and every edge
+        c_all, _, _, p32, half_all = pass_operands(points)
+        assert np.array_equal(c_all, c) and np.array_equal(half_all, half)
         h = np.matmul(q32, p32.T)
 
         def band(half: np.ndarray, up: bool = True) -> np.ndarray:
@@ -520,10 +550,12 @@ class TestStabCountsProperty:
         got_points, got_queries = (np.concatenate(part) for part in zip(*received))
         np.testing.assert_array_equal(got_points, points[cols])
         np.testing.assert_array_equal(got_queries, queries[rows])
-        # every query has band cells, and the bands below are not this one
+        # every query has band cells, and the bands below are not this one:
+        # edges rounded to nearest move a cell for each point placed on one
         assert set(rows.tolist()) == set(range(len(queries)))
-        for other in (band(half / 4.0), band(half / 2.0), band(half, up=False)):
+        for other in (band(half / 4.0), band(half / 2.0)):
             assert (other != cells).any()
+        assert np.count_nonzero(band(half, up=False) != cells) >= max(10, found.sum())
 
 
 class TestLearnedTree:
