@@ -43,9 +43,12 @@ holdout, hashing the report's rows.
 Prints one JSON line: each side's median and quartiles (seconds per call,
 or with ``--phase query``, ``verify`` or ``eval`` microseconds per query),
 the ratio of the medians (change over parent), the pairs the change won,
-and each side's sha256 of the leaf order (with ``--phase load``, of the
-loaded index and its first answer, beside each side's model bytes and the
-same summary, ratio and pairs won of the load with its first answer under
+and each side's sha256 of the leaf order (with ``--phase build``, beside
+the sha256 of the spanning tree's edges in the order the build added
+them, so two builds of the same leaf order by another tree or another
+edge order differ; with ``--phase load``, of the loaded index and its
+first answer, beside each side's model bytes and the same summary, ratio
+and pairs won of the load with its first answer under
 ``with_first_answer``; with ``--phase query``, of the weights, ``verify``
 of the answers, ``eval`` of the report rows).
 Exits 1 when the two sides' hashes differ, or one side's calls disagree
@@ -107,18 +110,19 @@ def load_sides(parent_src: Path, tmp: Path) -> dict:
 
 
 def build_call(package, workload: harness.Workload, seed: int):
-    """A call that builds ``workload`` with ``package`` and returns its seconds and leaf-order hash."""
+    """A call that builds ``workload`` with ``package`` and returns its seconds and its leaf-order and edge hashes."""
     # harness reads its classes from its module's ``arccount``
     harness.arccount = package
     inputs = harness.make_inputs(workload, seed)
     cfg = harness.build_config(inputs, seed)
 
-    def build() -> tuple[float, str]:
+    def build() -> tuple[float, tuple[str, str]]:
         gc.collect()
         t0 = time.perf_counter()
         idx = package.build_counting_index(inputs.points, cfg)
         seconds = time.perf_counter() - t0
-        return seconds, hashlib.sha256(idx.tree.order.tobytes()).hexdigest()
+        edges = np.array(idx.spanning_tree.edges, dtype=np.int64)
+        return seconds, tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (idx.tree.order, edges))
 
     return build
 
@@ -270,7 +274,12 @@ def main() -> int:
     row["ratio"] = round(row["change"][f"median_{unit}"] / row["parent"][f"median_{unit}"], 3)
     row["change_won"] = won
     for side in SIDES:
-        row[f"{side}_{hashed}_sha256"] = sorted(hashes[side])
+        if args.phase == "build":
+            # each build hashed its leaf order and its spanning tree's edges
+            row[f"{side}_{hashed}_sha256"] = sorted({h[0] for h in hashes[side]})
+            row[f"{side}_edges_sha256"] = sorted({h[1] for h in hashes[side]})
+        else:
+            row[f"{side}_{hashed}_sha256"] = sorted(hashes[side])
     if args.phase == "load":
         row.update(loads)
     print(json.dumps(row), flush=True)

@@ -131,15 +131,17 @@ class WeightedPointSet:
     """Immutable bundle of ``n`` points in ``R^d`` with real weights.
 
     Weights may be negative.  Frozen, compared by identity, with read-only
-    arrays, so indices built on top can be shared across threads.
+    arrays, so indices built on top can be shared across threads.  The
+    arrays are copies of the caller's, so no view taken before construction
+    can write into a validated set.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
+        pts = np.array(self.points, dtype=np.float64, order="C")
+        w = np.array(self.weights, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
             raise ContractViolation(f"points must be a nonempty (n, d) array, got shape {pts.shape}")
         if w.shape != (pts.shape[0],):
@@ -201,7 +203,15 @@ def sq_dists_to(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     Fortran-ordered or strided row in another order: each row's bits
     depend on its values alone.
     """
-    diff = np.subtract(points, q, order="C")
+    return sq_norms(np.subtract(points, q, order="C"))
+
+
+def sq_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared norm of every row of a C-ordered (k, d) float64 array: :func:`sq_dists_to` of rows of differences.
+
+    A caller that lays out its differences C-ordered itself, one axis at a
+    time, gets the bits ``sq_dists_to`` gives the rows they were taken of.
+    """
     return np.einsum("ij,ij->i", diff, diff)
 
 

@@ -159,7 +159,7 @@ def _read_text(path: Path) -> WeightedPointSet:
             raise ValueError("non-finite values")
     except ValueError:
         raise _first_bad_row(path, body, d) from None
-    return WeightedPointSet(values[:, :d].copy(), values[:, d].copy())
+    return WeightedPointSet(values[:, :d], values[:, d])
 
 
 def _first_bad_row(path: Path, body: list[tuple[int, str]], d: int) -> FileFormatError:

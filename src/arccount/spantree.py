@@ -22,7 +22,12 @@ they retire instead of copying the rest, and a search finds its candidates
 without any n x n pass: it keeps the cell pairs whose ends are live, reads
 its outsiders from the net's rows of the cell-hit table and pairs them up,
 reads the closest live pairs from the sorted list, and merges all of them
-as sorted keys ``a * n + b``.
+as sorted keys ``a * n + b``.  Neither the net's draws nor the merged keys
+are deduplicated: a query drawn twice reaches the same cells, and a pair
+found twice scores the same twice, so the first of the lowest scores is
+the same pair.  The universe, the tables and the sorted pairs are made in
+whole-array passes over blocks, the differences laid out one axis at a
+time, each squared distance summed as ``core.sq_dists_to`` sums it.
 Query weights change only when an edge stabs some query, so the draw
 weights, their running sums and the pair weights are derived again only
 then, by :class:`PairWeights`.  It keeps the weight stabbing each pair in
@@ -45,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, sq_dists_to, stab_masks
+from .core import ContractViolation, EpsParams, GridSpec, Seed, WeightedPointSet, sq_norms, stab_masks
 
 
 class Edge(NamedTuple):
@@ -221,7 +226,10 @@ def generate_grid_queries(
     dimensions above ``_DIM_CAP`` are refused outright; use sampled queries
     (or the learned builder) there instead.  Each point's box of cells is
     scanned, in whole-array passes over groups of points, and a scan past
-    ``_MAX_GRID_CELLS`` cells is refused before any cell is made.
+    ``_MAX_GRID_CELLS`` cells is refused before any cell is made.  While
+    the points' bounding box of cells holds no more cells than the scan
+    makes, the kept cells are marked in a bool array over it and read back
+    in order; else they are sorted and their repeats dropped.
     """
     d = pts.dim
     if d > _DIM_CAP:
@@ -255,9 +263,18 @@ def generate_grid_queries(
             "use sampled queries or the learned tree builder"
         )
     owners = np.flatnonzero(counts)
+    if owners.size == 0:
+        raise ContractViolation("no grid queries fall near the data; grid side may be too large")
     sizes = counts[owners].astype(np.int64)
     lows, axes = lows[owners].astype(np.int64), axes[owners].astype(np.int64)
     ends = np.cumsum(sizes)
+    # the owners' bounding box of cells: while it holds no more cells than
+    # the scan makes, each kept cell is marked in a bool array over it, and
+    # the marks read back in C order are the distinct cells in lexicographic
+    # order; else the kept cells are sorted and their repeats dropped
+    corner = lows.min(axis=0)
+    box = tuple(int(k) for k in (lows + axes).max(axis=0) - corner)
+    marks = np.zeros(box, dtype=bool) if math.prod(box) <= int(ends[-1]) else None
     per_pass = max(1, _BLOCK_BYTES // (8 * d))
     kept = [np.empty((0, d), dtype=np.int64)]
     lo = 0
@@ -266,27 +283,33 @@ def generate_grid_queries(
         base = int(ends[lo] - sizes[lo])
         hi = max(lo + 1, int(np.searchsorted(ends, base + per_pass, side="right")))
         owner = np.repeat(np.arange(lo, hi), sizes[lo:hi])
+        point = pts.points[owners[lo:hi]]
         # each cell's offset in its point's box, taken apart last axis first
+        # into the cell's index and its centre's difference to the point on
+        # each axis
         rest = np.arange(owner.size) - np.repeat(ends[lo:hi] - sizes[lo:hi] - base, sizes[lo:hi])
-        cells = np.empty((owner.size, d), dtype=np.int64)
+        index: list[np.ndarray] = []
+        diff = np.empty((owner.size, d))
         for k in range(d - 1, -1, -1):
-            rest, cells[:, k] = np.divmod(rest, axes[owner, k])
-        cells += lows[owner]
-        near = sq_dists_to(cells * side, pts.points[owners[owner]]) <= reach * reach
-        kept.append(cells[near])
+            rest, at = np.divmod(rest, axes[owner, k])
+            at += lows[owner, k]
+            np.subtract(at * side, point[owner - lo, k], out=diff[:, k])
+            index.insert(0, at)
+        near = sq_norms(diff) <= reach * reach
+        if marks is None:
+            kept.append(np.stack([i[near] for i in index], axis=1))
+        else:
+            marks.reshape(-1)[np.ravel_multi_index([i[near] - c for i, c in zip(index, corner)], box)] = True
         lo = hi
-    cells = np.concatenate(kept)
-    order, fresh = _row_groups(cells)
-    cells = cells[order[fresh]]  # the distinct cells, in lexicographic order
+    if marks is None:
+        cells = np.concatenate(kept)
+        order, fresh = _row_groups(cells)
+        cells = cells[order[fresh]]  # the distinct cells, in lexicographic order
+    else:
+        cells = np.stack(np.unravel_index(np.flatnonzero(marks), box), axis=1) + corner
     if cells.shape[0] == 0:
         raise ContractViolation("no grid queries fall near the data; grid side may be too large")
     return QueryMultiset.from_support(cells.astype(np.float64) * side)
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of a 1-d array, ascending; ``np.unique`` without its hash table."""
-    values = np.sort(values)
-    return values[np.append(True, values[1:] != values[:-1])]
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,22 +355,26 @@ class BallRows:
         (n, d), m = points.shape, support.shape[0]
         near = np.empty((n, m), dtype=bool)
         far = np.empty_like(near)
-        # sq_dists_to's per-row form over blocks of points: each row of d2
-        # is sq_dists_to(support, p) of its point p, bit for bit
         step = max(1, _BLOCK_BYTES // (8 * m * d))
         for lo in range(0, n, step):
-            block = points[lo : lo + step]
-            d2 = sq_dists_to(np.tile(support, (len(block), 1)), np.repeat(block, m, axis=0))
-            near[lo : lo + step], far[lo : lo + step] = stab_masks(d2.reshape(len(block), m), params)
-        # the upper triangle row by row, each distance rounded as
-        # sq_dists_to rounds it, then stably sorted: no n x n matrix is formed.
-        # Row a's pairs (a, a + 1 ...) take the flat positions from starts[a].
+            d2 = _sq_dists_across(support, points[lo : lo + step])
+            near[lo : lo + step], far[lo : lo + step] = stab_masks(d2, params)
+        # the upper triangle in blocks of rows, then stably sorted: no n x n
+        # matrix is formed.  Row a's pairs (a, a + 1 ...) take the flat
+        # positions from starts[a]; a block's rows against the points past
+        # its first row hold its part of the triangle, which is kept
         per_row = np.arange(n - 1, -1, -1)
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_row, out=starts[1:])
         d2 = np.empty(starts[-1])
-        for i in range(n):
-            d2[starts[i] : starts[i + 1]] = sq_dists_to(points[i + 1 :], points[i])
+        step = max(1, _BLOCK_BYTES // (8 * d))
+        lo = 0
+        while lo < n - 1:
+            cols = n - 1 - lo
+            hi = min(n - 1, lo + max(1, step // cols))
+            block = _sq_dists_across(points[lo + 1 :], points[lo:hi])
+            d2[starts[lo] : starts[hi]] = block[np.arange(cols) >= np.arange(hi - lo)[:, None]]
+            lo = hi
         pairs = np.argsort(d2, kind="stable")
         del d2
         # flat position k of row a becomes the key a * n + b, b = a + 1 + k - starts[a],
@@ -371,6 +398,18 @@ class BallRows:
     def stab_mask(self, a: int | np.ndarray, b: int | np.ndarray) -> np.ndarray:
         """Which queries eps-stab the pair of rows ``a`` and ``b``; index arrays give one row per pair."""
         return (self.near[a] & self.far[b]) | (self.near[b] & self.far[a])
+
+
+def _sq_dists_across(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sq_dists_to(x, p)`` of every row ``p`` of ``y``, one row each, bit for bit.
+
+    The (len(y), len(x), d) differences are laid out C-ordered one axis at
+    a time, in whole-array passes, and summed by ``core.sq_norms``.
+    """
+    diff = np.empty((y.shape[0], x.shape[0], x.shape[1]))
+    for k in range(x.shape[1]):
+        np.subtract(x[:, k], y[:, k, None], out=diff[:, :, k])
+    return sq_norms(diff.reshape(-1, x.shape[1])).reshape(y.shape[0], x.shape[0])
 
 
 def _add_stabbed(x: np.ndarray, near: np.ndarray, far: np.ndarray, w: np.ndarray) -> None:
@@ -503,28 +542,35 @@ class LiveRows:
         """The live rows, ascending."""
         return np.flatnonzero(self.alive)
 
+    def live_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Which pair keys ``a * n + b`` have both ends live."""
+        a, b = np.divmod(keys, self.alive.size)
+        return self.alive[a] & self.alive[b]
+
     def cell_pairs(self) -> np.ndarray:
         """The sorted keys of the live pairs that share a bucket cell."""
-        keys, n = self.rows.cell_pairs, self.alive.size
-        return keys[self.alive[keys // n] & self.alive[keys % n]]
+        keys = self.rows.cell_pairs
+        return keys[self.live_keys(keys)]
 
     def closest_pairs(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``count`` closest pairs ``a < b`` of live rows, ranked as in ``pairs``.
 
-        The sorted pairs are read in slices of n from the head, and the head
+        The sorted pairs are read from the head in slices of n, each slice
+        twice the last, up to ``max(n, _BLOCK_BYTES // 8)``, and the head
         moves to the first live pair seen.
         """
         n, pairs = self.alive.size, self.rows.pairs
         found: list[np.ndarray] = []
-        want, pos = count, self.head
+        want, pos, step = count, self.head, n
         while count > 0 and pos < pairs.size:
-            keys = pairs[pos : pos + n]
-            live = np.flatnonzero(self.alive[keys // n] & self.alive[keys % n])
+            keys = pairs[pos : pos + step]
+            live = np.flatnonzero(self.live_keys(keys))
             if count == want:
                 self.head = pos + (int(live[0]) if live.size else keys.size)
             found.append(keys[live[:count]])
             count -= found[-1].size
-            pos += n
+            pos += step
+            step = min(2 * step, max(n, _BLOCK_BYTES // 8))
         return np.divmod(np.concatenate(found), n)
 
 
@@ -533,10 +579,14 @@ def _cell_box_hits_net(cells: np.ndarray, side: float, net: np.ndarray, reach: f
     lo = cells * side
     hi = lo + side
     # the clip of each net point to each box, less the point: np.clip's
-    # bounds are finite with lo <= hi, where it is maximum then minimum
-    diff = np.maximum(net, lo[:, None, :])
-    np.minimum(diff, hi[:, None, :], out=diff)
-    diff -= net
+    # bounds are finite with lo <= hi, where it is maximum then minimum.
+    # One (n, b) pass per axis into the (n, b, d) array the einsum sums
+    diff = np.empty((cells.shape[0], net.shape[0], net.shape[1]))
+    for k in range(net.shape[1]):
+        axis = diff[:, :, k]
+        np.maximum(net[:, k], lo[:, k, None], out=axis)
+        np.minimum(axis, hi[:, k, None], out=axis)
+        axis -= net[:, k]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     return d2 <= reach * reach
 
@@ -601,9 +651,12 @@ def find_light_edge(
     found without any n x n pass: the build's cell pairs with both ends
     live, the pairs of the live points that no net query's row of the
     cell-hit table reaches, and the closest live pairs from the sorted
-    pairs.  They are merged as sorted keys ``a * n + b`` and scored by
-    their exact stabbed weights through :meth:`PairWeights.scores`: two
-    reads of its matrix while kept, one sum per candidate once dropped.
+    pairs.  The net's draws are not deduplicated: a repeated draw's row
+    reaches the same cells.  The candidates are merged as sorted keys
+    ``a * n + b``, repeats kept, and scored by their exact stabbed weights
+    through :meth:`PairWeights.scores`: two reads of its matrix while kept,
+    one sum per candidate once dropped.  A repeated key scores the same
+    each time, so the first lowest score is still the smallest such pair.
     """
     if live is None:
         live = LiveRows.of(pts, queries, params)
@@ -618,7 +671,7 @@ def find_light_edge(
     delta = min(0.99, d / n**lp.rho)
     raw = (d / delta) * (math.log(1.0 / delta) + math.log(max(2, n)))
     net_size = max(1, min(len(queries), math.ceil(raw)))
-    picks = _sorted_unique(weighted_draws(weights.running_sums, seed.derive(0).generator(), net_size))
+    picks = weighted_draws(weights.running_sums, seed.derive(0).generator(), net_size)
 
     # 2. pairs of points whose cells every net query misses by more than (1+eps)r
     size = len(pts)
@@ -630,7 +683,7 @@ def find_light_edge(
     near_a, near_b = live.closest_pairs(min(3, n * (n - 1) // 2))
 
     # 3. exact scoring against the full multiset, current weights included
-    keys = _sorted_unique(np.concatenate([live.cell_pairs(), outsider_keys, near_a * size + near_b]))
+    keys = np.sort(np.concatenate([live.cell_pairs(), outsider_keys, near_a * size + near_b]))
     a, b = np.divmod(keys, size)
     best = int(np.argmin(weights.scores(a, b)))
     return Edge(int(a[best]), int(b[best]))

@@ -160,6 +160,15 @@ class TestWeightedPointSet:
         with pytest.raises(ValueError):
             pts.points[0, 0] = 1.0
 
+    def test_a_view_taken_before_construction_cannot_write_into_the_set(self):
+        a, w = np.ones((3, 2)), np.ones(3)
+        va, vw = a[:], w[:]
+        pts = WeightedPointSet(a, w)
+        va[0, 0], vw[1] = np.inf, np.inf
+        assert np.isfinite(pts.points).all() and np.isfinite(pts.weights).all()
+        assert not np.shares_memory(pts.points, a) and not np.shares_memory(pts.weights, w)
+        assert a.flags.writeable and w.flags.writeable
+
     def test_subset_shares_no_memory_with_its_source_and_keeps_the_bits(self):
         rng = Seed(5).generator()
         pts = WeightedPointSet(rng.normal(size=(6, 3)), rng.normal(size=6))

@@ -121,6 +121,23 @@ def test_build_ab_of_this_tree_against_itself_prints_equal_hashes():
         assert 0 < row[side]["q1_s"] <= row[side]["median_s"] <= row[side]["q3_s"]
     assert row["parent_leaf_order_sha256"] == row["change_leaf_order_sha256"]
     assert len(row["change_leaf_order_sha256"]) == 1 and len(row["change_leaf_order_sha256"][0]) == 64
+    assert row["parent_edges_sha256"] == row["change_edges_sha256"]
+    assert len(row["change_edges_sha256"]) == 1 and len(row["change_edges_sha256"][0]) == 64
+
+
+def test_build_ab_build_phase_exits_1_when_only_the_edges_differ(tmp_path):
+    # the other side's tree lists the same edges in reverse: the same tree
+    # and leaf order, built in another order
+    shutil.copytree(ROOT / "src" / "arccount", tmp_path / "arccount", ignore=shutil.ignore_patterns("__pycache__"))
+    spantree = tmp_path / "arccount" / "spantree.py"
+    text = spantree.read_text()
+    assert text.count("return SpanningTree(n=n, edges=edges)") == 1
+    spantree.write_text(text.replace("return SpanningTree(n=n, edges=edges)", "return SpanningTree(n=n, edges=edges[::-1])"))
+    proc = run_script("build_ab.py", ["--parent", str(tmp_path), "--n", "24", "--pairs", "1"])
+    assert proc.returncode == 1, proc.stderr
+    (row,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert row["parent_leaf_order_sha256"] == row["change_leaf_order_sha256"]
+    assert row["parent_edges_sha256"] != row["change_edges_sha256"]
 
 
 def test_build_ab_load_phase_of_this_tree_against_itself_prints_equal_hashes():

@@ -71,6 +71,16 @@ def reference_grid_support(pts: WeightedPointSet, params: EpsParams, side: float
     return np.asarray(sorted(seen), dtype=np.float64) * side
 
 
+def broadcast_cell_box_hits(cells: np.ndarray, side: float, net: np.ndarray, reach: float) -> np.ndarray:
+    """Whether each net point lies within ``reach`` of each cell box, by one
+    (n, b, d) broadcast of the clip and an einsum over its last axis."""
+    lo = cells * side
+    diff = np.maximum(net, lo[:, None, :])
+    np.minimum(diff, (lo + side)[:, None, :], out=diff)
+    diff -= net
+    return np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach
+
+
 def reference_net(weights: np.ndarray, rng: np.random.Generator, size: int) -> list[int]:
     """The net as a binary heap of weight sums draws it: one uniform per draw,
     scaled to the root, then one descent that subtracts each left sum passed;
@@ -283,6 +293,39 @@ class TestGridQueries:
             assert (qs.support < 0).any() and (qs.support > 0).any()
 
 
+class TestGridQueriesBothBranches:
+    """The universe against :func:`reference_grid_support`, on data whose cells
+    fill their bounding box (the marks over it) and on data whose box is
+    mostly empty (the sorted kept cells)."""
+
+    # the benchmark's worst-case square: 256 points uniform in a square of
+    # side 3, at working eps 0.25 and grid side eps * r / sqrt(2)
+    PARAMS = EpsParams(eps=0.25)
+    SIDE = 0.25 / math.sqrt(2.0)
+
+    def universe(self, pts):
+        with mock.patch.object(spantree, "_row_groups", wraps=spantree._row_groups) as sorts:
+            qs = generate_grid_queries(pts, self.PARAMS, GridSpec(self.SIDE))
+        return qs, sorts.call_count
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_filled_box_takes_the_marks(self, seed):
+        pts = scatter(256, 2, seed=seed, scale=3.0)
+        qs, sorts = self.universe(pts)
+        assert sorts == 0
+        assert np.array_equal(qs.support, reference_grid_support(pts, self.PARAMS, self.SIDE))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_two_clusters_far_apart_take_the_sort(self, d):
+        # their box of cells holds far more cells than the balls around them
+        rng = Seed(70 + d).generator()
+        points = np.concatenate([rng.uniform(0.0, 1.0, size=(20, d)), rng.uniform(40.0, 41.0, size=(20, d))])
+        pts = weighted(points)
+        qs, sorts = self.universe(pts)
+        assert sorts == 1
+        assert np.array_equal(qs.support, reference_grid_support(pts, self.PARAMS, self.SIDE))
+
+
 class TestStabMask:
     def test_matches_scalar_predicate(self):
         rng = Seed(61).generator()
@@ -400,6 +443,18 @@ class TestCellHits:
             outsiders = ids[~hits[picks].any(axis=0)[ids]]
             per_net_outsiders = ids[~spantree._cell_box_hits_net(cells[ids], side, support[picks], reach).any(axis=1)]
             assert np.array_equal(outsiders, per_net_outsiders)
+
+    @pytest.mark.parametrize("block", [8, spantree._BLOCK_BYTES])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_table_equals_the_broadcast_formula(self, d, seed, block):
+        points, support, params, side, reach, _ = self.boundary_instance(d, seed)
+        cells = np.floor(points / side).astype(np.int64)
+        expected = broadcast_cell_box_hits(cells, side, support, reach)
+        assert np.array_equal(spantree._cell_box_hits_net(cells, side, support, reach), expected)
+        with mock.patch.object(spantree, "_BLOCK_BYTES", block):
+            hits = BallRows.of(points, support, params).hits
+        assert np.array_equal(hits, expected.T)
 
     def test_a_query_at_reach_hits_only_its_own_cells(self):
         # d = 1: point 0 in cell -1, box [-side, 0]; point 1 near 20.2. Query 0
@@ -525,6 +580,53 @@ class TestFindLightEdge:
         qs = QueryMultiset.from_support(np.zeros((1, 2)))
         with pytest.raises(ContractViolation):
             find_light_edge(pts, qs, PARAMS, LightEdgeParams.for_eps(0.5), Seed(68))
+
+
+class TestSquaredDistancesAcross:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(nx=st.integers(1, 30), ny=st.integers(1, 6), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_each_row_is_sq_dists_to_of_its_point(self, nx, ny, d, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(0.0, 3.0, size=(nx, d)), rng.normal(0.0, 3.0, size=(ny, d))
+        got = spantree._sq_dists_across(x, y)
+        assert got.shape == (ny, nx)
+        for i in range(ny):
+            assert got[i].tobytes() == sq_dists_to(x, y[i]).tobytes()
+
+
+class TestClosestPairs:
+    """:meth:`LiveRows.closest_pairs` against a ranking of the live pairs by
+    their squared distance, each measured alone, ties by ``(a, b)``."""
+
+    @staticmethod
+    def ranking(points: np.ndarray, live: list[int]) -> list[tuple[int, int]]:
+        keyed = [
+            (float(sq_dists_to(points[b : b + 1], points[a])[0]), a, b)
+            for a, b in itertools.combinations(sorted(live), 2)
+        ]
+        return [(a, b) for _, a, b in sorted(keyed)]
+
+    @pytest.mark.parametrize("block", [8, spantree._BLOCK_BYTES])
+    @pytest.mark.parametrize("d, n, seed", [(1, 30, 0), (2, 40, 1), (3, 25, 2)])
+    def test_ranked_as_a_sort_of_the_live_pairs_while_points_retire(self, d, n, seed, block):
+        rng = Seed(500 + seed).generator()
+        # rounded coordinates and repeated points give equal distances
+        points = np.round(rng.uniform(0.0, 3.0, size=(n, d)) * 2.0) / 2.0
+        points[rng.integers(0, n, size=n // 5)] = points[0]
+        pts = weighted(points)
+        qs = generate_grid_queries(pts, PARAMS, GridSpec(0.5))
+        # a round over some points, the others retired from the start
+        live = sorted(rng.choice(n, size=n - 4, replace=False).tolist())
+        with mock.patch.object(spantree, "_BLOCK_BYTES", block):
+            rows = spantree.LiveRows.of(pts, qs, PARAMS)
+            rows = spantree.LiveRows(rows.rows, live, rows.weights)
+            while len(live) >= 2:
+                expected = self.ranking(pts.points, live)
+                for count in (1, 3, len(expected)):
+                    a, b = rows.closest_pairs(count)
+                    assert list(zip(a.tolist(), b.tolist())) == expected[:count]
+                gone = live.pop(int(rng.integers(0, len(live))))
+                rows.alive[gone] = False
 
 
 class TestExactSums:
