@@ -10,7 +10,10 @@ counts and the tree; the holdout audit of a built index,
 ``evaluate_visiting``, sits beside ``count`` and flags a holdout row
 equal to a training row, a zero of either sign included.
 
-Memory: the counts are one int32 n x n matrix, 4 n^2 bytes.  Beside it,
+Memory: the counts are one n x n matrix of the least unsigned integer type
+that holds the sample size m (``np.min_scalar_type(m)``): uint8 below 256
+queries, uint16 below 65,536 and uint32 above, so n^2, 2 n^2 or 4 n^2
+bytes.  Beside it,
 ``pair_stab_counts`` holds one 1 MiB float32 buffer for a chunk's shifted
 products, a float32 copy of the points, four float32 edges for each of a
 block of ``_CHUNK_CELLS // d`` queries, and at most
@@ -22,8 +25,9 @@ of scipy here, so a build that never takes it never loads scipy (about
 45 MB of peak RSS).
 The tree step, a dense Prim over int64 edge keys, reads one row of the
 counts per step and holds O(n) beside them.  A job whose counts and
-float32 matrix, 8 n^2 bytes, would pass ``_PAIR_BYTES_BUDGET`` is refused
-before either is allocated.
+float32 matrix would pass ``_PAIR_BYTES_BUDGET`` is refused before either
+is allocated; the check takes them at 8 n^2 bytes, their size with uint32
+counts, an upper bound whatever the sample size.
 """
 
 from __future__ import annotations
@@ -52,15 +56,20 @@ _SCATTER_COST = 2**10
 _F32_EXACT = 2**24
 # pair_stab_counts: side of the square blocks in which the counts are formed
 _SYM_BLOCK = 256
-# pair_stab_counts: every count is at most the sample size, and int32 holds
-# every count below this
+# pair_stab_counts: every count is at most the sample size m, held in
+# np.min_scalar_type(m); samples are taken below this, so that type is at
+# most uint32 and learned_spanning_tree's keys hold the counts up to n = 2**15
 _COUNT_LIMIT = 2**31
-# pair_stab_counts: bytes of its n x n arrays, the int32 counts and the GEMM
-# branch's float32 partial (8 n^2), that a build may hold: n up to 16,384.
-# Peak RSS above the inputs was 80 MiB at n 4096 and 287 MiB at n 8192 on
-# the near-d8 generator (scripts/build_cost.py), about 4.3 n^2 bytes with
-# no partial, so a job at the budget should peak near 1.1 GiB scattered and
-# 2.1 GiB with the partial: a quarter of an 8 GiB machine
+# pair_stab_counts: bytes of its n x n arrays, the counts and the GEMM
+# branch's float32 partial, that a build may hold: n up to 16,384.  A job
+# is admitted at 8 n^2, their size with uint32 counts, so the jobs admitted
+# do not depend on the sample size; 8 n^2 is an upper bound, as uint16
+# counts (samples below 65,536) take 6 n^2 with the partial and 2 n^2
+# without.  Peak RSS above the inputs was 80 MiB at n 4096 and 287 MiB at
+# n 8192 on the near-d8 generator with int32 counts, and 46 MiB at n 4096
+# with uint16 counts (scripts/build_cost.py), so a job at the budget should
+# peak near 1.1 GiB scattered and 2.1 GiB with the partial: a quarter of an
+# 8 GiB machine
 _PAIR_BYTES_BUDGET = 2**31
 
 
@@ -123,7 +132,7 @@ def near_data_queries(
 
 
 def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsParams) -> np.ndarray:
-    """Symmetric int32 (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
+    """Symmetric unsigned (n, n) matrix: entry (a, b) counts sampled queries stabbing {a, b}.
 
     The rule is ``core.stab_masks`` of ``sq_dists_to`` rows: a query stabs
     {a, b} when one end is near (d2 <= r2) and the other far
@@ -132,8 +141,10 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     and F = 1 - G mark the far points.  The count matrix N'F + F'N then
     equals ``c[a] + c[b] - X[a, b] - X[b, a]``, with c the column sums of N
     and X = N'G.  Its diagonal is 0, because near points lie inside.  A
-    count is at most the sample size m, so int32 holds it; a sample of
-    2**31 queries or more is refused.
+    count, and every entry of X, is at most the sample size m, so the
+    matrix takes ``np.min_scalar_type(m)``: uint8 below 256 queries,
+    uint16 below 65,536, uint32 above; a sample of 2**31 queries or more
+    is refused.
 
     The queries are taken in chunks of ``_CHUNK_CELLS // n`` rows, so no
     m x n array is ever held, and ``_chunk_cells`` finds each chunk's near
@@ -149,7 +160,7 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
       into X before any sum could pass 2**24, below which it is exact.
 
     The counts are then formed in place in X, one pair of square blocks at
-    a time in int64, so X is the only n x n int32 matrix ever held.
+    a time in int64, so X is the only n x n integer matrix ever held.
     """
     if pts.dim != sample.queries.shape[1]:
         raise ContractViolation(
@@ -160,11 +171,11 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
     n = len(pts)
     if 8 * n * n > _PAIR_BYTES_BUDGET:
         raise ContractViolation(
-            f"a learned build over {n} points needs {8 * n * n} bytes for its n x n stab counts, "
+            f"a learned build over {n} points needs at most {8 * n * n} bytes for its n x n stab counts, "
             f"over the budget of {_PAIR_BYTES_BUDGET}"
         )
     near_total = np.zeros(n, dtype=np.int64)
-    x = np.zeros((n, n), dtype=np.int32)
+    x = np.zeros((n, n), dtype=np.min_scalar_type(len(sample)))
     cells = x.reshape(-1)
     partial = None
     partial_rows = 0
@@ -186,10 +197,10 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
             key = inside_flat[pos]
             del pos
             # inside_flat[pos] is row * n + b; the key is a * n + b.  The
-            # increment is an int32 scalar: a Python 1 takes add.at off its
-            # fast path.
+            # increment is a scalar of the counts' own dtype: a Python 1
+            # takes add.at off its fast path.
             key += np.repeat((a - row) * n, reps)
-            np.add.at(cells, key, np.int32(1))
+            np.add.at(cells, key, x.dtype.type(1))
         else:
             # imported here, not at module level: see the module docstring
             from scipy.linalg.blas import sgemm
@@ -210,8 +221,10 @@ def pair_stab_counts(pts: WeightedPointSet, sample: QuerySample, params: EpsPara
             sgemm(1.0, inside_mask.T, near_mask.T, beta=1.0, c=partial.T, trans_b=1, overwrite_c=1)
             partial_rows += k
     if partial is not None:
-        # int32 plus float32 is summed in float64, exact below 2**53, a
-        # buffer at a time: no n x n temporary
+        # uint8 or uint16 plus float32 is summed in float32, uint32 plus
+        # float32 in float64, a buffer at a time: no n x n temporary.  Both
+        # are exact, as every sum is an entry of X, at most m: below 2**16
+        # in float32's 2**24, below 2**31 in float64's 2**53
         np.add(x, partial, out=x, casting="unsafe")
     for i in range(0, n, _SYM_BLOCK):
         bi = slice(i, i + _SYM_BLOCK)
@@ -331,8 +344,9 @@ def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:
     keys order edges exactly by (count, a, b) and the tree is unique: the
     one Kruskal's algorithm takes from all pairs sorted by key, returned in
     that order (an all-zero matrix yields the star at vertex 0).  Counts
-    must be integers of magnitude below ``2**62 // n**2``, which int32
-    counts meet up to n = 2**15.  A dense Prim from vertex 0 keeps each
+    must be integers of magnitude below ``2**62 // n**2``, which stab counts
+    of any sample ``pair_stab_counts`` takes (below 2**31) meet up to
+    n = 2**15.  A dense Prim from vertex 0 keeps each
     outside vertex's least key into the tree, packed at the front of
     ``best``; a step takes the least, swap-removes it and lowers the
     others against its row of ``counts``: O(n) beside ``counts``.
@@ -367,7 +381,7 @@ def learned_spanning_tree(counts: np.ndarray, n: int) -> SpanningTree:
 def tree_objective(counts: np.ndarray, tree: SpanningTree) -> int:
     """Total sampled stab count of a tree's edges.
 
-    Each count is taken as a Python number, so the sum of int32 counts does
-    not wrap past 2**31.
+    Each count is taken as a Python number, so the sum of narrow integer
+    counts does not wrap past their type's range.
     """
     return int(sum(counts[e.a, e.b].item() for e in tree.edges))

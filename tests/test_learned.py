@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 from dataclasses import replace
 
@@ -108,8 +109,21 @@ def chunk_is_dense(pts: WeightedPointSet, sample: QuerySample, params: EpsParams
     ]
 
 
-def assert_count_matrix(counts: np.ndarray, n: int) -> None:
-    assert counts.dtype == np.int32 and counts.shape == (n, n)
+@functools.cache
+def every_query_stabs_one_pair(m: int) -> tuple[WeightedPointSet, QuerySample, np.ndarray]:
+    """Four points in d = 2 and ``m`` queries within 0.4 of point 0, with their ``per_query_counts``.
+
+    Point 0 is near every query and point 1 far from every one, so the pair
+    {0, 1} counts m; points 2 and 3 sit across both radii from the queries.
+    """
+    pts = weighted(np.array([[0.0, 0.0], [3.0, 0.0], [1.2, 0.0], [0.0, -1.3]]))
+    sample = QuerySample(Seed(172).generator().uniform(-0.28, 0.28, size=(m, 2)), source="t")
+    return pts, sample, per_query_counts(pts, sample, PARAMS)
+
+
+def assert_count_matrix(counts: np.ndarray, n: int, m: int) -> None:
+    """Counts of a sample of ``m`` queries: the least unsigned type holding m, (n, n), symmetric, zero diagonal."""
+    assert counts.dtype == np.min_scalar_type(m) and counts.shape == (n, n)
     np.testing.assert_array_equal(counts, counts.T)
     assert np.all(np.diag(counts) == 0)
 
@@ -190,7 +204,7 @@ class TestPairStabCounts:
     def test_near_data_across_chunks(self, m):
         pts, sample = near_data_case(256, m, seed=130)
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 256)
+        assert_count_matrix(counts, 256, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         assert counts.sum() > 0
 
@@ -198,7 +212,7 @@ class TestPairStabCounts:
     def test_dense_balls_across_chunks(self, m):
         pts, sample = dense_ball_case(256, m, seed=131)
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 256)
+        assert_count_matrix(counts, 256, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
 
     def test_float32_sums_emptied_into_int64(self, monkeypatch):
@@ -208,7 +222,7 @@ class TestPairStabCounts:
         monkeypatch.setattr(learned, "_F32_EXACT", 200)
         pts, sample = dense_ball_case(64, 1000, seed=132)
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 64)
+        assert_count_matrix(counts, 64, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         assert counts.max() > 200
 
@@ -228,7 +242,7 @@ class TestPairStabCounts:
         monkeypatch.setattr(learned, "_SYM_BLOCK", block)
         pts, sample = near_data_case(100, 300, seed=151)
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 100)
+        assert_count_matrix(counts, 100, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
 
     # 0 scatters every chunk; 2**62 sends every chunk with a pair to the GEMM
@@ -238,14 +252,14 @@ class TestPairStabCounts:
         monkeypatch.setattr(learned, "_SCATTER_COST", cost)
         pts, sample = case(256, 3 * 1024 + 77, seed=150)
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 256)
+        assert_count_matrix(counts, 256, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         assert counts.sum() > 0
 
     def test_gemm_chunks_hold_no_product_beside_the_partial_sums(self, monkeypatch):
         # every chunk takes the GEMM, and chunks of 16 rows keep their buffers
-        # small: the peak is the int32 counts and the float32 partial sums,
-        # 8 n^2 bytes, where a fresh float32 product per chunk adds 4 n^2 more
+        # small: the peak is the uint16 counts and the float32 partial sums,
+        # 6 n^2 bytes, where a fresh float32 product per chunk adds 4 n^2 more
         monkeypatch.setattr(learned, "_SCATTER_COST", 2**62)
         monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**14)
         n = 1024
@@ -289,11 +303,11 @@ class TestPairStabCounts:
         sample = QuerySample(queries.reshape(-1, 2), source="t")
         assert chunk_is_dense(pts, sample, PARAMS) == [True, False] * 3
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 64)
+        assert_count_matrix(counts, 64, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
 
     def test_samples_past_int32_counts_refused(self, monkeypatch):
-        # a count is at most the sample size, so int32 holds every count of
+        # a count is at most the sample size, so uint32 holds every count of
         # a sample below 2**31; the limit is lowered here, as such a sample
         # is far too large to build in a test
         assert learned._COUNT_LIMIT == np.iinfo(np.int32).max + 1
@@ -304,8 +318,46 @@ class TestPairStabCounts:
         fits = QuerySample(sample.queries[:99], source="t")
         np.testing.assert_array_equal(pair_stab_counts(pts, fits, PARAMS), whole_sample_counts(pts, fits, PARAMS))
 
+    # 255 and 65,535 fill uint8 and uint16 to the top; 256 and 65,536 are
+    # the least samples of uint16 and uint32.  0 scatters every chunk; 2**62
+    # sends every chunk to the GEMM, whose flush sums uint8 and uint16 counts
+    # with float32 in float32, uint32 in float64
+    @pytest.mark.parametrize("cost", [0, 2**62])
+    @pytest.mark.parametrize("m", [255, 256, 2**16 - 1, 2**16])
+    def test_counts_take_the_least_unsigned_type_of_the_sample_size(self, monkeypatch, m, cost):
+        monkeypatch.setattr(learned, "_SCATTER_COST", cost)
+        pts, sample, expected = every_query_stabs_one_pair(m)
+        counts = pair_stab_counts(pts, sample, PARAMS)
+        assert_count_matrix(counts, 4, m)
+        np.testing.assert_array_equal(counts, expected)
+        assert counts[0, 1] == m
+
+    # scattered, the uint16 counts (2 n^2 bytes) are the only n x n array, so
+    # the peak stays below the 4 n^2 of int32 counts alone; with the GEMM the
+    # float32 partial (4 n^2) joins them, below the 8 n^2 of int32 counts and
+    # the partial
+    @pytest.mark.parametrize("cost, bound", [(0, 4), (2**62, 8)])
+    def test_samples_below_65536_hold_no_int32_counts(self, monkeypatch, cost, bound):
+        monkeypatch.setattr(learned, "_SCATTER_COST", cost)
+        n = 2048
+        rng = Seed(171).generator()
+        # a square of n / 1.5 area: about 5 near and 11 inside points per query
+        side = (n / 1.5) ** 0.5
+        pts = weighted(rng.uniform(0.0, side, size=(n, 2)))
+        sample = QuerySample(rng.uniform(0.0, side, size=(1000, 2)), source="t")
+        # a small first call, so that the GEMM branch's import of scipy is not traced
+        pair_stab_counts(weighted(pts.points[:16]), sample, PARAMS)
+        tracemalloc.start()
+        try:
+            counts = pair_stab_counts(pts, sample, PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n
+        assert counts.dtype == np.uint16 and counts.any()
+
     def test_jobs_past_the_byte_budget_refused_before_allocating(self, monkeypatch):
-        # the int32 counts and the float32 partial take 8 n^2 bytes; the
+        # the counts and the float32 partial take at most 8 n^2 bytes; the
         # budget is lowered here, as a job past the real one takes gigabytes
         assert learned._PAIR_BYTES_BUDGET == 2**31
         monkeypatch.setattr(learned, "_PAIR_BYTES_BUDGET", 8 * 16 * 16)
@@ -332,7 +384,7 @@ class TestPairStabCounts:
         rng = Seed(153).generator()
         sample = QuerySample(rng.uniform(100.0, 105.0, size=(500, 2)), source="t")
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 64)
+        assert_count_matrix(counts, 64, len(sample))
         assert not counts.any()
 
     @pytest.mark.parametrize("cost", [0, 2**62])
@@ -343,7 +395,7 @@ class TestPairStabCounts:
         monkeypatch.setattr(learned, "_SCATTER_COST", cost)
         pts, sample = dense_ball_case(32, 100, seed=155)
         counts = pair_stab_counts(pts, sample, EpsParams(eps=0.5, radius=radius))
-        assert_count_matrix(counts, 32)
+        assert_count_matrix(counts, 32, len(sample))
         assert not counts.any()
 
     @pytest.mark.parametrize("cost", [0, 2**62])
@@ -353,7 +405,7 @@ class TestPairStabCounts:
         rng = Seed(154).generator()
         sample = QuerySample(rng.uniform(-1.5, 3.5, size=(400, 2)), source="t")
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 2)
+        assert_count_matrix(counts, 2, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         assert counts[0, 1] > 0
 
@@ -364,7 +416,7 @@ class TestPairStabCounts:
         queries = rng.uniform(-0.5, 3.5, size=(150, 3))
         sample = QuerySample(np.vstack([queries, queries[:40], pts.points[:5]]), source="t")
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 30)
+        assert_count_matrix(counts, 30, len(sample))
         np.testing.assert_array_equal(counts, whole_sample_counts(pts, sample, PARAMS))
         # a point and its copy are never stabbed together
         assert counts[0, 20] == counts[0, 27] == counts[2, 22] == counts[2, 29] == 0
@@ -375,7 +427,7 @@ class TestPairStabCounts:
         pts = weighted(np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [0.0, 1.25], [2.0, 0.0], [0.5, 0.0]]))
         sample = QuerySample(np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [-0.5, 0.0]]), source="t")
         counts = pair_stab_counts(pts, sample, PARAMS)
-        assert_count_matrix(counts, 6)
+        assert_count_matrix(counts, 6, len(sample))
         expected = np.zeros((6, 6), dtype=np.int64)
         for q in sample.queries:
             d = np.linalg.norm(pts.points - q, axis=1)
@@ -437,7 +489,7 @@ class TestStabCountsProperty:
             if not certify:
                 mp.setattr(learned, "FLOAT32", replace(FLOAT32, max_dim=0))
             counts = pair_stab_counts(pts, sample, params)
-        assert_count_matrix(counts, len(points))
+        assert_count_matrix(counts, len(points), len(sample))
         np.testing.assert_array_equal(counts, per_query_counts(pts, sample, params))
 
     # far from the origin too: the pass is centred on the points
