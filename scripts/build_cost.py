@@ -15,6 +15,11 @@ size before the build and after it, and a sha256 of the index's leaf
 order; worstcase-d2 adds the size of the grid query universe.  The last
 RSS difference is the build's own peak above the inputs and the imported
 libraries.  Two checkouts that print the same hash built the same tree.
+With ``--expect FILE`` the script also exits 1 when a build's
+``<workload> n <n> seed <seed> <leaf_order_sha256>`` line is missing from
+FILE or differs from the hash FILE holds for that workload, n and seed;
+``scripts/leaf_order_hashes.txt`` holds the near-d8 hashes at n 1024, 2048
+and 4096, seed 1.
 Each build adds its two layers, each the best of 3 in-process calls after
 the build on the build's own inputs.  A learned build prints
 ``stab_counts_s``, the sampled stab counts (``learned.pair_stab_counts``),
@@ -43,6 +48,7 @@ Example, comparing this checkout against another one at ``../parent``:
     PYTHONPATH=src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
     PYTHONPATH=../parent/src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096
     PYTHONPATH=src python3 scripts/build_cost.py --workload worstcase-d2 --n 256 512 1024
+    PYTHONPATH=src python3 scripts/build_cost.py --workload near-d8 --n 1024 2048 4096 --expect scripts/leaf_order_hashes.txt
 """
 
 from __future__ import annotations
@@ -224,12 +230,13 @@ def array_bytes(obj: object) -> int:
     return total
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     ap.add_argument("--n", nargs="+", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--one", action="store_true", help="build the single --n in this process")
+    ap.add_argument("--expect", type=Path, help="a file of leaf-order hash lines that every build must match")
     args = ap.parse_args()
     if min(args.n) < 2:
         ap.error("every --n must be at least 2")
@@ -237,14 +244,21 @@ def main() -> None:
         if len(args.n) != 1:
             ap.error("--one builds a single --n")
         print(json.dumps(build_once(args.workload, args.n[0], args.seed)), flush=True)
-        return
+        return 0
+    expected = dict(line.rsplit(" ", 1) for line in args.expect.read_text().splitlines() if line) if args.expect else None
+    same = True
     for n in args.n:
         argv = [sys.executable, __file__, "--one", "--workload", args.workload, "--n", str(n), "--seed", str(args.seed)]
         proc = subprocess.run(argv, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.exit(f"build at n={n} failed:\n{proc.stderr}")
         print(proc.stdout.strip(), flush=True)
+        key, built = f"{args.workload} n {n} seed {args.seed}", json.loads(proc.stdout)["leaf_order_sha256"]
+        if expected is not None and expected.get(key) != built:
+            print(f"{key}: leaf order {built}, {args.expect} holds {expected.get(key, 'no hash')}", file=sys.stderr)
+            same = False
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -599,15 +600,204 @@ class TestStabCountsProperty:
 
         cells = band(half)
         rows, cols = np.divmod(np.flatnonzero(cells), n)
+        # the pass takes the queries in the order of their projections, so
+        # the (query, point) pairs are compared in lexicographic order
         got_points, got_queries = (np.concatenate(part) for part in zip(*received))
-        np.testing.assert_array_equal(got_points, points[cols])
-        np.testing.assert_array_equal(got_queries, queries[rows])
+        got, want = np.hstack([got_queries, got_points]), np.hstack([queries[rows], points[cols]])
+        np.testing.assert_array_equal(got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])])
         # every query has band cells, and the bands below are not this one:
         # edges rounded to nearest move a cell for each point placed on one
         assert set(rows.tolist()) == set(range(len(queries)))
         for other in (band(half / 4.0), band(half / 2.0)):
             assert (other != cells).any()
         assert np.count_nonzero(band(half, up=False) != cells) >= max(10, found.sum())
+
+
+def recorded_windows(monkeypatch) -> list[tuple]:
+    """Every block's reach (``("reach", reach)``) and every chunk's window (``("window", along, low, high, slice)``) of the pass."""
+    calls: list[tuple] = []
+    reach, window = learned._window_reach, learned._window
+
+    def block_reach(*args):
+        calls.append(("reach", reach(*args)))
+        return calls[-1][1]
+
+    def chunk_window(along, low, high, r):
+        calls.append(("window", along, low, high, window(along, low, high, r)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(learned, "_window_reach", block_reach)
+    monkeypatch.setattr(learned, "_window", chunk_window)
+    return calls
+
+
+def assert_skipped_cells_far(pts: WeightedPointSet, sample: QuerySample, params: EpsParams, calls: list[tuple]) -> int:
+    """Each point outside a chunk's window is far from each query of its block projecting into the chunk's range.
+
+    Far is ``sq_dists_to >= (1+eps)^2 r^2``, the far mask of ``stab_masks``.
+    The projections are taken as the pass takes them, a block at a time,
+    so a block's queries are those its ``("reach", ...)`` entry starts.
+    Returns the number of (query, point) cells the windows left out.
+    """
+    points, queries = pts.points, sample.queries
+    axis = learned._principal_axis(points)
+    along_points = points @ axis
+    step = max(1, learned._CHUNK_CELLS // pts.dim)
+    blocks = iter(range(0, len(queries), step))
+    big2 = params.outer_radius * params.outer_radius
+    skipped_cells = 0
+    for call in calls:
+        if call[0] == "reach":
+            start = next(blocks)
+            block = queries[start : start + step]
+            along_block = block @ axis
+            continue
+        _, along, low, high, (first, last) = call
+        chunk = block[(along_block >= low) & (along_block <= high)]
+        assert len(chunk) > 0
+        skipped = np.ones(len(points), dtype=bool)
+        if first < last:
+            skipped = (along_points < along[first]) | (along_points > along[last - 1])
+        for q in chunk:
+            assert np.all(sq_dists_to(points[skipped], q) >= big2)
+        skipped_cells += len(chunk) * int(skipped.sum())
+    return skipped_cells
+
+
+def tiny_ball_on_large_coordinates(n: int, m: int, d: int, seed: int) -> tuple[WeightedPointSet, QuerySample, EpsParams]:
+    """Points 1e6 from the origin spread over 1e-6, and a radius of 1e-9: the reach's term in the coordinates dominates."""
+    rng = Seed(seed).generator()
+    pts = weighted(1e6 + rng.uniform(0.0, 1e-6, size=(n, d)))
+    queries = pts.points[rng.integers(0, n, size=m)] + rng.normal(0.0, 1e-9, size=(m, d))
+    return pts, QuerySample(queries, source="t"), EpsParams(eps=0.5, radius=1e-9)
+
+
+def far_half(n: int, m: int, d: int, seed: int) -> tuple[WeightedPointSet, QuerySample, EpsParams]:
+    """Uniform points in a unit cube, queries about them, and half the queries 100 away: chunks whose windows are empty."""
+    rng = Seed(seed).generator()
+    pts = weighted(rng.uniform(0.0, 1.0, size=(n, d)))
+    queries = pts.points[rng.integers(0, n, size=m)] + rng.normal(0.0, 0.01, size=(m, d))
+    queries[m // 2 :] += 100.0
+    return pts, QuerySample(queries, source="t"), EpsParams(eps=0.5, radius=0.2)
+
+
+def line(n: int, m: int, d: int, seed: int) -> tuple[WeightedPointSet, QuerySample, EpsParams]:
+    """Points and queries along a segment of length 100 in R^d, a little off it: narrow windows."""
+    rng = Seed(seed).generator()
+    direction = rng.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    along = rng.uniform(0.0, 100.0, size=(n + m, 1)) * direction + rng.normal(0.0, 0.3, size=(n + m, d))
+    return weighted(along[:n]), QuerySample(along[n:], source="t"), EpsParams(eps=0.5, radius=1.0)
+
+
+def offset_clusters(n: int, m: int, d: int, seed: int) -> tuple[WeightedPointSet, QuerySample, EpsParams]:
+    """``near_data_case``'s clusters in d = 4, offset by 1e6 on every axis."""
+    pts, sample = near_data_case(n, m, seed)
+    return weighted(pts.points + 1e6), QuerySample(sample.queries + 1e6, source="t"), PARAMS
+
+
+class TestWindow:
+    # 0 reads every chunk through its window; 2**62 every chunk after the
+    # first through all the points
+    @pytest.mark.parametrize("gather_cost", [0, 2**62])
+    @pytest.mark.parametrize(
+        "case, d",
+        [(offset_clusters, 4), (line, 1), (line, 64), (tiny_ball_on_large_coordinates, 1),
+         (tiny_ball_on_large_coordinates, 2), (far_half, 2), (far_half, 64)],
+    )
+    def test_skipped_cells_are_far_and_counts_exact(self, monkeypatch, case, d, gather_cost):
+        # chunks of 16 queries over 64 points, so each chunk's queries project
+        # into a short range and its window leaves points out
+        monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**10)
+        monkeypatch.setattr(learned, "_GATHER_COST", gather_cost)
+        pts, sample, params = case(64, 500, d, seed=260)
+        calls = recorded_windows(monkeypatch)
+        counts = pair_stab_counts(pts, sample, params)
+        np.testing.assert_array_equal(counts, per_query_counts(pts, sample, params))
+        assert assert_skipped_cells_far(pts, sample, params, calls) > 0
+        if case is far_half:
+            # the prototype of the window divided by an empty window's width
+            assert any(call[-1][0] == call[-1][1] for call in calls if call[0] == "window")
+            assert counts.any()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_a_window_holds_its_edge_and_not_one_ulp_past_it(self, monkeypatch, d, offset):
+        # along the first coordinate axis a projection is the first
+        # coordinate itself, exactly; with one query per chunk, each window
+        # is that coordinate -+ the reach, each edge moved out by one ulp.
+        # Points sit one and two ulps either side of each edge, and at the
+        # outer radius and one ulp inside it; corners at +-(offset + 1000)
+        # fix the largest coordinate, and with it the reach
+        first_axis = np.eye(d)[0]
+        monkeypatch.setattr(learned, "_principal_axis", lambda points: first_axis)
+        params = EpsParams(eps=0.5, radius=1.0)
+        corner = offset + 1000.0
+        reach = learned._window_reach(first_axis, params.outer_radius, corner)
+        assert params.outer_radius < reach < 1.01 * params.outer_radius
+        queries = np.zeros((3, d))
+        queries[:, 0] = offset + np.array([0.0, 10.0, 25.0])
+        points = [np.full(d, corner), np.full(d, -corner)]
+        for q in queries:
+            edges = (
+                math.nextafter(q[0] - reach, -math.inf),
+                math.nextafter(q[0] + reach, math.inf),
+                q[0] - params.outer_radius,
+                math.nextafter(q[0] - params.outer_radius, math.inf),
+            )
+            for edge in edges:
+                for ulps in (-2, -1, 0, 1, 2):
+                    p = q.copy()
+                    p[0] = edge
+                    for _ in range(abs(ulps)):
+                        p[0] = math.nextafter(p[0], math.copysign(math.inf, ulps))
+                    points.append(p)
+        pts, sample = weighted(np.array(points)), QuerySample(queries, source="t")
+        n = len(pts)
+        monkeypatch.setattr(learned, "_CHUNK_CELLS", n)
+        monkeypatch.setattr(learned, "_GATHER_COST", 0)
+        calls = recorded_windows(monkeypatch)
+        counts = pair_stab_counts(pts, sample, params)
+        np.testing.assert_array_equal(counts, per_query_counts(pts, sample, params))
+        assert assert_skipped_cells_far(pts, sample, params, calls) > 0
+        windows = [call for call in calls if call[0] == "window"]
+        assert len(windows) == len(queries)
+        for _, along, low, high, (first, last) in windows:
+            start, stop = math.nextafter(low - reach, -math.inf), math.nextafter(high + reach, math.inf)
+            xs = pts.points[:, 0]
+            held = (xs >= start) & (xs <= stop)
+            assert sorted(along[first:last].tolist()) == sorted(xs[held].tolist())
+            # the edges themselves are held, one ulp past them is not
+            assert {start, stop} <= set(xs[held].tolist())
+            assert not np.isin([math.nextafter(start, -math.inf), math.nextafter(stop, math.inf)], xs[held]).any()
+
+    def test_no_window_where_a_bound_is_not_finite(self):
+        # an outer radius whose square overflows, a projection past float64's
+        # range, and an axis too short to bound its own norm give no reach
+        assert learned._window_reach(np.ones(1), 1.5e154, 1.0) == math.inf
+        assert learned._window_reach(np.full(2, 0.1), 1.0, 1.0) == math.inf
+        assert learned._window_reach(np.ones(1), 1.0, math.inf) == math.inf
+        along = np.array([-1.0, 0.0, 1.0])
+        assert learned._window(along, 0.0, 0.0, math.inf) == (0, 3)
+        assert learned._window(along, -math.inf, 0.0, 1.0) == (0, 3)
+        assert learned._window(along, 0.0, math.nan, 1.0) == (0, 3)
+        assert learned._window(along, 0.0, 0.0, 0.5) == (1, 2)
+        # projections and distances past float64's range
+        pts = weighted(np.array([[1e308, 1e308], [-1e308, 1e308], [0.0, 0.0]]))
+        sample = QuerySample(np.array([[0.0, 0.5], [1e308, 1e308]]), source="t")
+        params = EpsParams(eps=0.5, radius=1.0)
+        with np.errstate(over="ignore"):
+            counts, expected = pair_stab_counts(pts, sample, params), per_query_counts(pts, sample, params)
+        np.testing.assert_array_equal(counts, expected)
+        assert counts.any()
+
+    @pytest.mark.parametrize("case", [near_data_case, dense_ball_case])
+    def test_scatter_keys_made_a_run_of_near_entries_at_a_time(self, monkeypatch, case):
+        # runs of at most n pairs: each chunk's scatter takes many runs
+        monkeypatch.setattr(learned, "_SCATTER_PAIRS", 1)
+        monkeypatch.setattr(learned, "_SCATTER_COST", 0)
+        pts, sample = case(256, 3 * 1024 + 77, seed=261)
+        np.testing.assert_array_equal(pair_stab_counts(pts, sample, PARAMS), whole_sample_counts(pts, sample, PARAMS))
 
 
 class TestLearnedTree:

@@ -84,6 +84,26 @@ def test_build_cost_prints_one_line_per_n(workload):
         assert 0 < header < 1024 and header % 8 == 0 and row["load_ms"] > 0
 
 
+def test_build_cost_exits_1_on_a_leaf_order_that_differs_from_the_expected_one(tmp_path):
+    proc = run_script("build_cost.py", ["--workload", "near-d8", "--n", "24", "--seed", "2"])
+    assert proc.returncode == 0, proc.stderr
+    built = json.loads(proc.stdout)["leaf_order_sha256"]
+    wrong = built[:-1] + ("0" if built[-1] != "0" else "1")
+    hashes = tmp_path / "hashes.txt"
+    for held, code in ((built, 0), (wrong, 1)):
+        hashes.write_text(f"near-d8 n 40 seed 2 {wrong}\nnear-d8 n 24 seed 2 {held}\n")
+        proc = run_script("build_cost.py", ["--workload", "near-d8", "--n", "24", "--seed", "2", "--expect", str(hashes)])
+        assert proc.returncode == code and json.loads(proc.stdout)["leaf_order_sha256"] == built
+    assert f"near-d8 n 24 seed 2: leaf order {built}, {hashes} holds {wrong}" in proc.stderr
+
+
+def test_the_pinned_leaf_order_hashes_are_the_near_d8_builds_at_n_1024_2048_and_4096():
+    lines = (ROOT / "scripts" / "leaf_order_hashes.txt").read_text().splitlines()
+    keys = [line.rsplit(" ", 1)[0] for line in lines]
+    assert keys == [f"near-d8 n {n} seed 1" for n in (1024, 2048, 4096)]
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
+
+
 def test_query_layers_prints_one_line_per_workload_and_seed():
     proc = run_script("query_layers.py", ["--workloads", "worstcase-d2", "--seeds", "1", "2", "--passes", "1"])
     assert proc.returncode == 0, proc.stderr
