@@ -19,7 +19,8 @@ With ``--expect FILE`` the script also exits 1 when a build's
 ``<workload> n <n> seed <seed> <leaf_order_sha256>`` line is missing from
 FILE or differs from the hash FILE holds for that workload, n and seed;
 ``scripts/leaf_order_hashes.txt`` holds the near-d8 hashes at n 1024, 2048
-and 4096, seed 1.
+and 4096, seed 1.  ``--one``, the single in-process build the script runs
+for each n, refuses ``--expect``.
 Each build adds its two layers, each the best of 3 in-process calls after
 the build on the build's own inputs.  A learned build prints
 ``stab_counts_s``, the sampled stab counts (``learned.pair_stab_counts``),
@@ -243,6 +244,8 @@ def main() -> int:
     if args.one:
         if len(args.n) != 1:
             ap.error("--one builds a single --n")
+        if args.expect:
+            ap.error("--expect checks the builds of separate processes; it does not take --one")
         print(json.dumps(build_once(args.workload, args.n[0], args.seed)), flush=True)
         return 0
     expected = dict(line.rsplit(" ", 1) for line in args.expect.read_text().splitlines() if line) if args.expect else None

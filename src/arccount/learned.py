@@ -24,11 +24,12 @@ float32 masks and one float32 n x n matrix, the running sum of the
 chunks' products, which scipy's ``sgemm`` accumulates in place.  That
 branch is the only importer of scipy here, so a build that never takes it
 never loads scipy (about 45 MB of peak RSS).
-The tree step, a dense Prim over one int64 edge key per vertex, reads one
-row of the counts per step and holds O(n) beside them.  A job whose
-counts and float32 matrix would pass ``_PAIR_BYTES_BUDGET`` is refused
-before either is allocated; the check takes them at 8 n^2 bytes, their
-size with uint32 counts, an upper bound whatever the sample size.
+The tree step, a dense Prim over one uint64 key per vertex (the int64
+edge key plus 2**62), reads one row of the counts per step and holds O(n)
+beside them.  A job whose counts and float32 matrix would pass
+``_PAIR_BYTES_BUDGET`` is refused before either is allocated; the check
+takes them at 8 n^2 bytes, their size with uint32 counts, an upper bound
+whatever the sample size.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ _SCATTER_PAIRS = 2**15
 _F32_EXACT = 2**24
 # pair_stab_counts: side of the square blocks in which the counts are formed
 _SYM_BLOCK = 256
-# _chunk_cells: mapping a candidate read through a window back to its point
-# costs about as much as this many cells of the GEMM, compare and
-# flatnonzero that the window skips (about 3.2 against 1.1 ns, near-d8
-# chunks, one BLAS thread)
-_GATHER_COST = 3
 # _principal_axis: power iterations on the points' scatter matrix; the axis
 # only sets the order of the pass, never a count
 _AXIS_ITERATIONS = 8
@@ -306,11 +302,9 @@ def _chunk_cells(
     from every one of them.  Each chunk reads only the contiguous window
     of points within its range widened by that reach, at both ends rounded
     outward by one ulp (``_window``); every other cell of the chunk is far.
-    A window with an edge that is not finite holds every point.  A chunk
-    reads every point in their own order instead where its window holds
-    them all, or where the last chunk's candidates per cell read say that
-    mapping its candidates back to their points (``_GATHER_COST``) would
-    cost more than the window saves; which of the two a chunk reads never
+    A window with an edge that is not finite holds every point.  A window
+    of every point reads the points in their own order, so no candidate is
+    mapped back to its point; which of the two orders a chunk reads never
     changes its cells.
 
     The pass works on the points and queries less ``c``, the centre of the
@@ -361,8 +355,6 @@ def _chunk_cells(
     p32_along = p32[by_axis]
     rows = max(1, _CHUNK_CELLS // n)
     h = None
-    # the last chunk's candidates per cell read
-    density = 0.0
     for start in range(0, len(queries), step):
         block = queries[start : start + step]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -398,20 +390,15 @@ def _chunk_cells(
             q = block[order[lo : lo + rows]]
             k = len(q)
             first, last = _window(along, float(proj[lo]), float(proj[lo + k - 1]), reach)
-            width = last - first
-            if width == 0:
+            if first == last:
                 yield k, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
                 continue
-            # every point in its own order, where the last chunk's candidates
-            # say that their gathers would cost more than the window saves
-            if density * width * _GATHER_COST >= n - width:
-                window, columns, width = p32, None, n
-            else:
-                window, columns = p32_along[first:last], by_axis[first:last]
-            near, inside, found = _chunk_masks(
+            # a window of every point reads them in their own order: no
+            # candidate is then mapped back to its point
+            window, columns = (p32, None) if last - first == n else (p32_along[first:last], by_axis[first:last])
+            near, inside = _chunk_masks(
                 q, edges32[:, lo : lo + k], certified[lo : lo + k], center, window, columns, h, points, params
             )
-            density = found / (k * width)
             yield k, near, inside
 
 
@@ -425,8 +412,8 @@ def _chunk_masks(
     h: np.ndarray,
     points: np.ndarray,
     params: EpsParams,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One chunk of ``_chunk_cells``: the flat near and inside cells of the queries ``q``, and its number of candidates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of ``_chunk_cells``: the flat near and inside cells of the queries ``q``.
 
     ``window`` holds the float32 rows ``[P - c, pp/2]`` of the points the
     chunk reads, and ``columns`` the point of each row, or None where the
@@ -470,7 +457,7 @@ def _chunk_masks(
     near[band] = band_near
     inside[band] = ~band_far
     # compress, not a boolean index: several times faster on these masks
-    return np.compress(near, cells), np.compress(inside, cells), len(cand)
+    return np.compress(near, cells), np.compress(inside, cells)
 
 
 def _window(along: np.ndarray, low: float, high: float, reach: float) -> tuple[int, int]:

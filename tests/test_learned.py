@@ -697,19 +697,15 @@ def offset_clusters(n: int, m: int, d: int, seed: int) -> tuple[WeightedPointSet
 
 
 class TestWindow:
-    # 0 reads every chunk through its window; 2**62 every chunk after the
-    # first through all the points
-    @pytest.mark.parametrize("gather_cost", [0, 2**62])
     @pytest.mark.parametrize(
         "case, d",
         [(offset_clusters, 4), (line, 1), (line, 64), (tiny_ball_on_large_coordinates, 1),
          (tiny_ball_on_large_coordinates, 2), (far_half, 2), (far_half, 64)],
     )
-    def test_skipped_cells_are_far_and_counts_exact(self, monkeypatch, case, d, gather_cost):
+    def test_skipped_cells_are_far_and_counts_exact(self, monkeypatch, case, d):
         # chunks of 16 queries over 64 points, so each chunk's queries project
         # into a short range and its window leaves points out
         monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**10)
-        monkeypatch.setattr(learned, "_GATHER_COST", gather_cost)
         pts, sample, params = case(64, 500, d, seed=260)
         calls = recorded_windows(monkeypatch)
         counts = pair_stab_counts(pts, sample, params)
@@ -755,7 +751,6 @@ class TestWindow:
         pts, sample = weighted(np.array(points)), QuerySample(queries, source="t")
         n = len(pts)
         monkeypatch.setattr(learned, "_CHUNK_CELLS", n)
-        monkeypatch.setattr(learned, "_GATHER_COST", 0)
         calls = recorded_windows(monkeypatch)
         counts = pair_stab_counts(pts, sample, params)
         np.testing.assert_array_equal(counts, per_query_counts(pts, sample, params))
@@ -798,6 +793,27 @@ class TestWindow:
         monkeypatch.setattr(learned, "_SCATTER_COST", 0)
         pts, sample = case(256, 3 * 1024 + 77, seed=261)
         np.testing.assert_array_equal(pair_stab_counts(pts, sample, PARAMS), whole_sample_counts(pts, sample, PARAMS))
+
+    def test_a_scatter_holds_a_run_of_keys_however_many_pairs_its_chunk_holds(self, monkeypatch):
+        # every point near every query, every chunk of 16 rows scattered:
+        # 2**20 pairs a chunk.  Made in one piece, their int64 keys and
+        # offsets peak at 16 MiB; a run of 2**15 keys at a time holds 512 KiB
+        monkeypatch.setattr(learned, "_SCATTER_COST", 0)
+        monkeypatch.setattr(learned, "_CHUNK_CELLS", 2**12)
+        rng = Seed(262).generator()
+        points = rng.uniform(0.0, 0.1, size=(256, 2))
+        # two points past the outer radius, so that some pairs count
+        points[:2] += 5.0
+        pts, sample = weighted(points), QuerySample(rng.uniform(0.0, 0.1, size=(64, 2)), source="t")
+        tracemalloc.start()
+        try:
+            counts = pair_stab_counts(pts, sample, PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(counts, per_query_counts(pts, sample, PARAMS))
+        assert counts.any()
+        assert peak < 2 * 2**20
 
 
 class TestLearnedTree:

@@ -95,6 +95,9 @@ def test_build_cost_exits_1_on_a_leaf_order_that_differs_from_the_expected_one(t
         proc = run_script("build_cost.py", ["--workload", "near-d8", "--n", "24", "--seed", "2", "--expect", str(hashes)])
         assert proc.returncode == code and json.loads(proc.stdout)["leaf_order_sha256"] == built
     assert f"near-d8 n 24 seed 2: leaf order {built}, {hashes} holds {wrong}" in proc.stderr
+    # a single in-process build is never checked, so the two are refused together
+    proc = run_script("build_cost.py", ["--workload", "near-d8", "--n", "24", "--one", "--expect", str(hashes)])
+    assert proc.returncode == 2 and "--expect" in proc.stderr and not proc.stdout
 
 
 def test_the_pinned_leaf_order_hashes_are_the_near_d8_builds_at_n_1024_2048_and_4096():
